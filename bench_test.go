@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"roccc/internal/bench"
-	"roccc/internal/calib"
 	"roccc/internal/dp"
 	"roccc/internal/exp"
 	"roccc/internal/fleet"
@@ -107,15 +106,16 @@ func BenchmarkFig2ExecutionModel(b *testing.B) {
 	b.ReportMetric(float64(cycles)/17.0, "cycles/output")
 }
 
-// BenchmarkSysRun compares the serial per-cycle System.Run dispatch
-// against the streak-batched default on identical systems — the
-// regression meter for the system cycle-loop batching. fig3 is the
+// BenchmarkSysRun compares the serial per-cycle interp System.Run
+// dispatch against the streak-batched default on identical systems —
+// the regression meter for the system cycle-loop batching. fig3 is the
 // Fig. 2 benchmark workload (17 iterations: fill/drain-edge heavy);
 // fir4k is the 4096-iteration steady state. CI gates the streak
 // variants at 0 allocs/op and at CPU-conditioned speedup floors over
 // their serial baselines (ci/gates.json, sysbatch group); the committed
 // ci/baseline/BENCH_seed.json holds the pre-batching numbers the
-// trajectory is measured against.
+// trajectory is measured against, which is why the serial rows stay
+// pinned to the interp reference.
 func BenchmarkSysRun(b *testing.B) {
 	for _, tc := range []struct {
 		name, src string
@@ -133,20 +133,13 @@ func BenchmarkSysRun(b *testing.B) {
 		for i := range in {
 			in[i] = rng.Int63n(255) - 128
 		}
-		modes := []struct {
+		for _, m := range []struct {
 			name string
 			cfg  netlist.Config
 		}{
-			{tc.name + "-serial", netlist.Config{BusElems: 1, Serial: true}},
+			{tc.name + "-serial", netlist.Config{BusElems: 1, Serial: true, Backend: dp.BackendInterp}},
 			{tc.name + "-streak", netlist.Config{BusElems: 1}},
-		}
-		for _, backend := range dp.Backends()[1:] {
-			modes = append(modes, struct {
-				name string
-				cfg  netlist.Config
-			}{tc.name + "-streak-" + backend.String(), netlist.Config{BusElems: 1, Backend: backend}})
-		}
-		for _, m := range modes {
+		} {
 			b.Run(m.name, func(b *testing.B) {
 				sys, err := netlist.NewSystem(res.Kernel, res.Datapath, m.cfg)
 				if err != nil {
@@ -296,9 +289,10 @@ func BenchmarkDatapathSim(b *testing.B) {
 // with the serial benchmark's per-Step cost. Sub-benchmarks pair each
 // execution backend with a feedback-free kernel (dct, the pure op-major
 // path) and the feedback kernel (mul_acc, whose accumulate cone the
-// threaded/cone backends vectorize in closed form). The steady states
-// are gated at 0 allocs/op in CI (codegen group), and the threaded
-// variants at CPU-conditioned speedup floors over interp.
+// threaded backend vectorizes in closed form); interp's StepN is the
+// serial Step loop. The steady states are gated at 0 allocs/op in CI
+// (codegen group), and the threaded variants at CPU-conditioned
+// speedup floors over interp.
 func BenchmarkDatapathSimBatch(b *testing.B) {
 	for _, k := range []bench.Kernel{bench.DCT(), bench.MulAcc()} {
 		res, err := k.Compile()
@@ -660,33 +654,5 @@ func BenchmarkLoadRecord(b *testing.B) {
 	}
 	if h.Count() != uint64(b.N) {
 		b.Fatalf("recorded %d of %d ticks", h.Count(), b.N)
-	}
-}
-
-// BenchmarkCalibrateTrial measures the calibration trial's timed region
-// — calib.RunIters, the only code inside a trial's ns/iter measurement.
-// The calibrate gate holds it at zero allocations: a measurement loop
-// that allocated would fold GC noise into every backend pick.
-func BenchmarkCalibrateTrial(b *testing.B) {
-	res, err := Compile(exp.Fig3Source, "fir", DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys, err := netlist.NewSystem(res.Kernel, res.Datapath, netlist.Config{BusElems: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	feeds := calib.FeedsFor(calib.InputsFor(res.Kernel, calib.DefaultSeed))
-	// One unmeasured pass so pool-free setup (plan cache, lazy buffers)
-	// lands outside the measurement, as a trial's warmup does.
-	if err := calib.RunIters(sys, feeds, 1); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := calib.RunIters(sys, feeds, 1); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

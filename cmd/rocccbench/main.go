@@ -22,15 +22,13 @@ func main() {
 		estimation = flag.Bool("estimation", false, "print the area-estimation experiment")
 		throughput = flag.Bool("throughput", false, "print the DCT throughput experiment")
 		sweep      = flag.Bool("sweep", false, "print the batch sweep (serial vs sharded SystemPool)")
-		sysbatch   = flag.Bool("sysbatch", false, "print the system cycle-loop batching sweep (serial vs streak-batched System.Run)")
-		servesweep = flag.Bool("serve", false, "print the serve sweep (rocccserve TCP vs serial System.Run)")
-		fleetsweep = flag.Bool("fleet", false, "print the fleet sweep (pipelined v2 client + sharded router vs serial System.Run)")
-		calibrated = flag.Bool("calibrated", false, "run the -fleet sweep in calibrated mode: auto-pick each kernel's backend, verify bit-identical to serial interp")
+		sysbatch   = flag.Bool("sysbatch", false, "print the system cycle-loop batching sweep (serial interp vs streak-batched System.Run)")
+		servesweep = flag.Bool("serve", false, "print the serve sweep (rocccserve TCP vs serial interp System.Run)")
+		fleetsweep = flag.Bool("fleet", false, "print the fleet sweep (pipelined v2 client + sharded router vs serial interp System.Run)")
 		shardsN    = flag.Int("shards", 3, "worker shards for the -fleet sweep")
 		corpusDir  = flag.String("corpus", "ci/corpus", "extra .c kernels for the -fleet sweep (function name k); empty skips")
 		jobs       = flag.Int("jobs", 64, "independent input streams per sweep")
 		workers    = flag.Int("workers", 0, "sweep shard width (0 = GOMAXPROCS)")
-		backendF   = flag.String("backend", "threaded", "execution backend for the -sysbatch sweep's backend columns: interp, threaded or cone")
 		all        = flag.Bool("all", false, "print everything")
 	)
 	flag.Parse()
@@ -44,13 +42,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	backend, err := dp.ParseBackend(*backendF)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rocccbench:", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-
 	rows, err := exp.Table1()
 	if err != nil {
 		fatal(err)
@@ -81,7 +72,7 @@ func main() {
 		fmt.Println(exp.FormatSweeps([]*exp.SweepResult{fir, dct}))
 	}
 	if *sysbatch || *all {
-		rows, err := exp.SysBatchSweep(*jobs/8, backend)
+		rows, err := exp.SysBatchSweep(*jobs / 8)
 		if err != nil {
 			fatal(err)
 		}
@@ -95,7 +86,7 @@ func main() {
 		fmt.Println(exp.FormatServeSweep(rows))
 	}
 	if *fleetsweep || *all {
-		rows, err := exp.FleetSweep(*jobs, *shardsN, backend, *corpusDir, *calibrated)
+		rows, err := exp.FleetSweep(*jobs, *shardsN, dp.BackendThreaded, *corpusDir)
 		if err != nil {
 			fatal(err)
 		}

@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	rocccsim -func fir [-seed 1] [-bus 1] [-jobs 1] [-workers 0] [-backend interp] kernel.c
+//	rocccsim -func fir [-seed 1] [-bus 1] [-jobs 1] [-workers 0] kernel.c
 package main
 
 import (
@@ -23,18 +23,17 @@ import (
 )
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: rocccsim -func NAME [-seed N] [-bus N] [-jobs N] [-workers N] [-backend NAME] kernel.c")
+	fmt.Fprintln(os.Stderr, "usage: rocccsim -func NAME [-seed N] [-bus N] [-jobs N] [-workers N] kernel.c")
 	flag.PrintDefaults()
 }
 
 func main() {
 	var (
-		fname    = flag.String("func", "", "kernel function name (required)")
-		seed     = flag.Int64("seed", 1, "random input seed (job i uses seed+i)")
-		bus      = flag.Int("bus", 1, "memory bus width in elements")
-		jobs     = flag.Int("jobs", 1, "independent input streams to verify")
-		workers  = flag.Int("workers", 0, "goroutines sharding the streams (0 = GOMAXPROCS)")
-		backendF = flag.String("backend", "interp", "data-path execution backend: interp, threaded or cone")
+		fname   = flag.String("func", "", "kernel function name (required)")
+		seed    = flag.Int64("seed", 1, "random input seed (job i uses seed+i)")
+		bus     = flag.Int("bus", 1, "memory bus width in elements")
+		jobs    = flag.Int("jobs", 1, "independent input streams to verify")
+		workers = flag.Int("workers", 0, "goroutines sharding the streams (0 = GOMAXPROCS)")
 	)
 	flag.Usage = usage
 	flag.Parse()
@@ -42,12 +41,6 @@ func main() {
 	// non-positive bus would size zero-length buffers, and a
 	// non-positive job count has nothing to run.
 	if *fname == "" || flag.NArg() != 1 || *bus < 1 || *jobs < 1 {
-		usage()
-		os.Exit(2)
-	}
-	backend, err := roccc.ParseBackend(*backendF)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rocccsim:", err)
 		usage()
 		os.Exit(2)
 	}
@@ -84,7 +77,7 @@ func main() {
 		batch[j] = roccc.SweepJob{Inputs: inputs}
 	}
 
-	pool, err := roccc.NewSystemPool(res, roccc.SystemConfig{BusElems: *bus, Backend: backend}, *workers)
+	pool, err := roccc.NewSystemPool(res, roccc.SystemConfig{BusElems: *bus}, *workers)
 	if err != nil {
 		fatal(err)
 	}

@@ -5,8 +5,8 @@
 // buffers (span+bus capacity contract) and the emitted VHDL file sets.
 //
 // It runs the nine Table 1 kernels plus every .c file in the checked-in
-// fuzz corpus (ci/corpus), under one or all execution backends, and
-// exits nonzero on any violation. CI's `static` gate parses the final
+// fuzz corpus (ci/corpus), under both execution backends, and exits
+// nonzero on any violation. CI's `static` gate parses the final
 // summary line and requires zero violations inside a wall-clock budget.
 package main
 
@@ -25,7 +25,6 @@ import (
 )
 
 func main() {
-	backendFlag := flag.String("backend", "all", "execution backend to verify: all, interp, threaded or cone")
 	corpusDir := flag.String("corpus", "ci/corpus", "directory of extra .c kernels (function name k); empty string skips the corpus")
 	verbose := flag.Bool("v", false, "report every verified kernel, not only failures")
 	flag.Parse()
@@ -35,12 +34,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	backends, err := parseBackends(*backendFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rocccvet: %v\n", err)
-		os.Exit(2)
-	}
-
+	backends := dp.Backends()
 	start := time.Now()
 	var pairs, violations, broken int
 	report := func(name string, b dp.Backend, vs []dp.Violation, err error) {
@@ -105,15 +99,4 @@ func main() {
 	if violations+broken > 0 {
 		os.Exit(1)
 	}
-}
-
-func parseBackends(s string) ([]dp.Backend, error) {
-	if s == "all" {
-		return dp.Backends(), nil
-	}
-	b, err := dp.ParseBackend(s)
-	if err != nil {
-		return nil, err
-	}
-	return []dp.Backend{b}, nil
 }

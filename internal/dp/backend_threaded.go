@@ -15,8 +15,9 @@ import (
 // per cycle, a threaded step function has its opcode selected, its
 // operand layout (ring×ring, ring×immediate, ...) specialized, and its
 // ring bases, offsets and fused wrap shifts baked in as captured
-// constants. The lane kernels do the same for the batch path, with the
-// lane-region bases pre-multiplied against a fixed lane stride.
+// constants. The lane kernels do the same for the batch path; they take
+// the chunk's lane stride (stages+n) per call and locate each region
+// with one multiply per operand per chunk.
 //
 // Fault semantics keep the replay contract: a step closure returns
 // false instead of faulting, stepThreaded restores the pre-step state
@@ -32,9 +33,9 @@ import (
 type stepFn func(s *Sim) bool
 
 // laneFn is one op of the threaded batch path, operating on the chunk's
-// lane scratch (fixed stride threadPlan.laneN). false signals a fault
-// on a valid lane.
-type laneFn func(lanes []int64, lv []bool, n int) bool
+// lane scratch: n admitted clocks at lane stride laneN (stages+n).
+// false signals a fault on a valid lane.
+type laneFn func(lanes []int64, lv []bool, n, laneN int) bool
 
 // threadPlan is a simPlan lowered to threaded code, cached on the plan.
 type threadPlan struct {
@@ -46,10 +47,6 @@ type threadPlan struct {
 	// cone is unrecognized — those plans keep the lane-serial batchCone).
 	cone    *coneSpec
 	coneFns []laneFn
-	// laneN is the fixed lane stride every lane kernel's bases are baked
-	// against: the scratch for a maximal chunk. Smaller chunks use the
-	// same stride and simply leave the tail lanes untouched.
-	laneN int
 }
 
 // threadFor returns the plan's threaded code, compiling it on first use.
@@ -59,18 +56,15 @@ func (p *simPlan) threadFor() *threadPlan {
 }
 
 func compileThreadPlan(p *simPlan) *threadPlan {
-	tp := &threadPlan{
-		laneN: p.stages + batchChunkMax,
-		cone:  p.coneFor(),
-	}
+	tp := &threadPlan{cone: p.coneFor()}
 	tp.stepFns = make([]stepFn, len(p.plan))
 	for i := range p.plan {
 		tp.stepFns[i] = compileStepFn(&p.plan[i])
 	}
-	tp.laneA = compileLaneFns(p, p.batchA, tp.laneN)
-	tp.laneC = compileLaneFns(p, p.batchC, tp.laneN)
+	tp.laneA = compileLaneFns(p, p.batchA)
+	tp.laneC = compileLaneFns(p, p.batchC)
 	if tp.cone != nil {
-		tp.coneFns = compileLaneFns(p, tp.cone.rest, tp.laneN)
+		tp.coneFns = compileLaneFns(p, tp.cone.rest)
 	}
 	return tp
 }
@@ -435,75 +429,83 @@ func compileArithStep(op cop, slot int) stepFn {
 	}
 }
 
-// thAcc is a lane-kernel operand with its region base pre-multiplied
-// against the fixed lane stride and shifted to the op's own lane window
-// (index i addresses the consumer's lane k0+i).
+// thAcc is a lane-kernel operand: an immediate, or op idx's lane
+// region read from the consuming op's first computable lane k0 on.
 type thAcc struct {
-	base int
-	imm  int64
-	ring bool
+	idx, k0 int
+	imm     int64
+	ring    bool
 }
 
-func (o thAcc) at(lanes []int64, i int) int64 {
-	if o.ring {
-		return lanes[o.base+i]
+// win slices the operand's n-lane window in a chunk of lane stride
+// laneN: index i is the consumer's lane k0+i.
+func (o thAcc) win(lanes []int64, laneN, n int) []int64 {
+	b := o.idx*laneN + o.k0
+	return lanes[b : b+n]
+}
+
+// bind resolves the operand for one chunk: its lane window, or the
+// immediate.
+func (o thAcc) bind(lanes []int64, laneN, n int) laneOperand {
+	if !o.ring {
+		return laneOperand{imm: o.imm}
 	}
-	return o.imm
+	return laneOperand{sl: o.win(lanes, laneN, n)}
 }
 
 // runLaneFns executes one compiled op class over the chunk.
 //
 //roccc:hotpath
-func runLaneFns(fns []laneFn, lanes []int64, lv []bool, n int) bool {
+func runLaneFns(fns []laneFn, lanes []int64, lv []bool, n, laneN int) bool {
 	for _, fn := range fns {
-		if !fn(lanes, lv, n) {
+		if !fn(lanes, lv, n, laneN) {
 			return false
 		}
 	}
 	return true
 }
 
-func compileLaneFns(p *simPlan, ops []cop, laneN int) []laneFn {
+func compileLaneFns(p *simPlan, ops []cop) []laneFn {
 	fns := make([]laneFn, len(ops))
 	for i := range ops {
-		fns[i] = compileLaneFn(p, &ops[i], laneN)
+		fns[i] = compileLaneFn(p, &ops[i])
 	}
 	return fns
 }
 
-// compileLaneFn lowers one op into its lane kernel: the op-major loop
-// batchOps runs for it, with the region bases resolved against the
-// fixed stride at compile time and the wrap mode folded into the loop
-// choice. Semantics mirror batchOps case for case (raw compute over the
-// active lanes, then the precompiled wrap pass), so the kernels stay
-// bit-identical to the interpreter batch path.
+// compileLaneFn lowers one op into its lane kernel: an op-major loop
+// over the op's computable lanes [k0, k0+n) — the iterations whose
+// stage-st cycle falls inside the chunk; earlier lanes were seeded,
+// later ones belong to a later chunk — with the opcode, operand layout
+// and wrap mode folded into the loop choice. Each kernel computes the
+// raw values, then applies the interp step's wraps in one pass, so it
+// is bit-identical to the serial core lane for lane.
 //
 //roccc:hotpath-closures
-func compileLaneFn(p *simPlan, c *cop, laneN int) laneFn {
+func compileLaneFn(p *simPlan, c *cop) laneFn {
 	op := *c
 	k0 := p.stages - int(op.stage)
-	db := (int(op.slot)>>p.opShift)*laneN + k0
 	res := func(o cOperand) thAcc {
 		if !o.ring {
 			return thAcc{imm: o.imm}
 		}
-		return thAcc{base: (int(o.base)>>p.opShift)*laneN + k0, ring: true}
+		return thAcc{idx: int(o.base) >> p.opShift, k0: k0, ring: true}
 	}
+	dst := thAcc{idx: int(op.slot) >> p.opShift, k0: k0, ring: true}
 	a, b := res(op.a), res(op.b)
 	switch op.opc {
 	case vm.LDC, vm.MOV, vm.CVT:
 		if a.ring {
-			ab := a.base
 			if op.wmode != wrapBoth {
 				fw := op.fw
-				return func(lanes []int64, lv []bool, n int) bool {
-					fusedCopy(lanes[db:db+n], lanes[ab:ab+n], fw)
+				return func(lanes []int64, lv []bool, n, laneN int) bool {
+					fusedCopy(dst.win(lanes, laneN, n), a.win(lanes, laneN, n), fw)
 					return true
 				}
 			}
 			tw, hw := op.tw, op.hw
-			return func(lanes []int64, lv []bool, n int) bool {
-				d, src := lanes[db:db+n], lanes[ab:ab+n]
+			return func(lanes []int64, lv []bool, n, laneN int) bool {
+				d, src := dst.win(lanes, laneN, n), a.win(lanes, laneN, n)
 				for i := range d {
 					d[i] = hw.wrap(tw.wrap(src[i]))
 				}
@@ -511,8 +513,8 @@ func compileLaneFn(p *simPlan, c *cop, laneN int) laneFn {
 			}
 		}
 		v := op.hw.wrap(op.tw.wrap(a.imm))
-		return func(lanes []int64, lv []bool, n int) bool {
-			d := lanes[db : db+n]
+		return func(lanes []int64, lv []bool, n, laneN int) bool {
+			d := dst.win(lanes, laneN, n)
 			for i := range d {
 				d[i] = v
 			}
@@ -523,36 +525,36 @@ func compileLaneFn(p *simPlan, c *cop, laneN int) laneFn {
 			fw := op.fw
 			switch {
 			case a.ring && b.ring:
-				ab, bb := a.base, b.base
-				return func(lanes []int64, lv []bool, n int) bool {
-					fusedAdd(lanes[db:db+n], lanes[ab:ab+n], lanes[bb:bb+n], fw)
+				return func(lanes []int64, lv []bool, n, laneN int) bool {
+					fusedAdd(dst.win(lanes, laneN, n), a.win(lanes, laneN, n), b.win(lanes, laneN, n), fw)
 					return true
 				}
 			case a.ring:
-				ab, imm := a.base, b.imm
-				return func(lanes []int64, lv []bool, n int) bool {
-					fusedAddImm(lanes[db:db+n], lanes[ab:ab+n], imm, fw)
+				imm := b.imm
+				return func(lanes []int64, lv []bool, n, laneN int) bool {
+					fusedAddImm(dst.win(lanes, laneN, n), a.win(lanes, laneN, n), imm, fw)
 					return true
 				}
 			case b.ring:
-				bb, imm := b.base, a.imm
-				return func(lanes []int64, lv []bool, n int) bool {
-					fusedAddImm(lanes[db:db+n], lanes[bb:bb+n], imm, fw)
+				imm := a.imm
+				return func(lanes []int64, lv []bool, n, laneN int) bool {
+					fusedAddImm(dst.win(lanes, laneN, n), b.win(lanes, laneN, n), imm, fw)
 					return true
 				}
 			default:
 				v := a.imm + b.imm
-				return func(lanes []int64, lv []bool, n int) bool {
-					fusedFill(lanes[db:db+n], v, fw)
+				return func(lanes []int64, lv []bool, n, laneN int) bool {
+					fusedFill(dst.win(lanes, laneN, n), v, fw)
 					return true
 				}
 			}
 		}
 		tw, hw := op.tw, op.hw
-		return func(lanes []int64, lv []bool, n int) bool {
-			d := lanes[db : db+n]
+		return func(lanes []int64, lv []bool, n, laneN int) bool {
+			d := dst.win(lanes, laneN, n)
+			x, y := a.bind(lanes, laneN, n), b.bind(lanes, laneN, n)
 			for i := range d {
-				d[i] = hw.wrap(tw.wrap(a.at(lanes, i) + b.at(lanes, i)))
+				d[i] = hw.wrap(tw.wrap(x.at(i) + y.at(i)))
 			}
 			return true
 		}
@@ -561,36 +563,36 @@ func compileLaneFn(p *simPlan, c *cop, laneN int) laneFn {
 			fw := op.fw
 			switch {
 			case a.ring && b.ring:
-				ab, bb := a.base, b.base
-				return func(lanes []int64, lv []bool, n int) bool {
-					fusedSub(lanes[db:db+n], lanes[ab:ab+n], lanes[bb:bb+n], fw)
+				return func(lanes []int64, lv []bool, n, laneN int) bool {
+					fusedSub(dst.win(lanes, laneN, n), a.win(lanes, laneN, n), b.win(lanes, laneN, n), fw)
 					return true
 				}
 			case a.ring:
-				ab, imm := a.base, b.imm
-				return func(lanes []int64, lv []bool, n int) bool {
-					fusedAddImm(lanes[db:db+n], lanes[ab:ab+n], -imm, fw)
+				imm := b.imm
+				return func(lanes []int64, lv []bool, n, laneN int) bool {
+					fusedAddImm(dst.win(lanes, laneN, n), a.win(lanes, laneN, n), -imm, fw)
 					return true
 				}
 			case b.ring:
-				bb, imm := b.base, a.imm
-				return func(lanes []int64, lv []bool, n int) bool {
-					fusedSubFrom(lanes[db:db+n], imm, lanes[bb:bb+n], fw)
+				imm := a.imm
+				return func(lanes []int64, lv []bool, n, laneN int) bool {
+					fusedSubFrom(dst.win(lanes, laneN, n), imm, b.win(lanes, laneN, n), fw)
 					return true
 				}
 			default:
 				v := a.imm - b.imm
-				return func(lanes []int64, lv []bool, n int) bool {
-					fusedFill(lanes[db:db+n], v, fw)
+				return func(lanes []int64, lv []bool, n, laneN int) bool {
+					fusedFill(dst.win(lanes, laneN, n), v, fw)
 					return true
 				}
 			}
 		}
 		tw, hw := op.tw, op.hw
-		return func(lanes []int64, lv []bool, n int) bool {
-			d := lanes[db : db+n]
+		return func(lanes []int64, lv []bool, n, laneN int) bool {
+			d := dst.win(lanes, laneN, n)
+			x, y := a.bind(lanes, laneN, n), b.bind(lanes, laneN, n)
 			for i := range d {
-				d[i] = hw.wrap(tw.wrap(a.at(lanes, i) - b.at(lanes, i)))
+				d[i] = hw.wrap(tw.wrap(x.at(i) - y.at(i)))
 			}
 			return true
 		}
@@ -599,44 +601,45 @@ func compileLaneFn(p *simPlan, c *cop, laneN int) laneFn {
 			fw := op.fw
 			switch {
 			case a.ring && b.ring:
-				ab, bb := a.base, b.base
-				return func(lanes []int64, lv []bool, n int) bool {
-					fusedMul(lanes[db:db+n], lanes[ab:ab+n], lanes[bb:bb+n], fw)
+				return func(lanes []int64, lv []bool, n, laneN int) bool {
+					fusedMul(dst.win(lanes, laneN, n), a.win(lanes, laneN, n), b.win(lanes, laneN, n), fw)
 					return true
 				}
 			case a.ring:
-				ab, imm := a.base, b.imm
-				return func(lanes []int64, lv []bool, n int) bool {
-					fusedMulImm(lanes[db:db+n], lanes[ab:ab+n], imm, fw)
+				imm := b.imm
+				return func(lanes []int64, lv []bool, n, laneN int) bool {
+					fusedMulImm(dst.win(lanes, laneN, n), a.win(lanes, laneN, n), imm, fw)
 					return true
 				}
 			case b.ring:
-				bb, imm := b.base, a.imm
-				return func(lanes []int64, lv []bool, n int) bool {
-					fusedMulImm(lanes[db:db+n], lanes[bb:bb+n], imm, fw)
+				imm := a.imm
+				return func(lanes []int64, lv []bool, n, laneN int) bool {
+					fusedMulImm(dst.win(lanes, laneN, n), b.win(lanes, laneN, n), imm, fw)
 					return true
 				}
 			default:
 				v := a.imm * b.imm
-				return func(lanes []int64, lv []bool, n int) bool {
-					fusedFill(lanes[db:db+n], v, fw)
+				return func(lanes []int64, lv []bool, n, laneN int) bool {
+					fusedFill(dst.win(lanes, laneN, n), v, fw)
 					return true
 				}
 			}
 		}
 		tw, hw := op.tw, op.hw
-		return func(lanes []int64, lv []bool, n int) bool {
-			d := lanes[db : db+n]
+		return func(lanes []int64, lv []bool, n, laneN int) bool {
+			d := dst.win(lanes, laneN, n)
+			x, y := a.bind(lanes, laneN, n), b.bind(lanes, laneN, n)
 			for i := range d {
-				d[i] = hw.wrap(tw.wrap(a.at(lanes, i) * b.at(lanes, i)))
+				d[i] = hw.wrap(tw.wrap(x.at(i) * y.at(i)))
 			}
 			return true
 		}
 	case vm.DIV:
-		return func(lanes []int64, lv []bool, n int) bool {
-			d := lanes[db : db+n]
+		return func(lanes []int64, lv []bool, n, laneN int) bool {
+			d := dst.win(lanes, laneN, n)
+			x, y := a.bind(lanes, laneN, n), b.bind(lanes, laneN, n)
 			for i := range d {
-				bv := b.at(lanes, i)
+				bv := y.at(i)
 				if bv == 0 {
 					if lv[k0+i] {
 						return false
@@ -644,16 +647,17 @@ func compileLaneFn(p *simPlan, c *cop, laneN int) laneFn {
 					d[i] = 0
 					continue
 				}
-				d[i] = a.at(lanes, i) / bv
+				d[i] = x.at(i) / bv
 			}
 			wrapLanes(d, &op)
 			return true
 		}
 	case vm.REM:
-		return func(lanes []int64, lv []bool, n int) bool {
-			d := lanes[db : db+n]
+		return func(lanes []int64, lv []bool, n, laneN int) bool {
+			d := dst.win(lanes, laneN, n)
+			x, y := a.bind(lanes, laneN, n), b.bind(lanes, laneN, n)
 			for i := range d {
-				bv := b.at(lanes, i)
+				bv := y.at(i)
 				if bv == 0 {
 					if lv[k0+i] {
 						return false
@@ -661,43 +665,47 @@ func compileLaneFn(p *simPlan, c *cop, laneN int) laneFn {
 					d[i] = 0
 					continue
 				}
-				d[i] = a.at(lanes, i) % bv
+				d[i] = x.at(i) % bv
 			}
 			wrapLanes(d, &op)
 			return true
 		}
 	case vm.AND:
-		return func(lanes []int64, lv []bool, n int) bool {
-			d := lanes[db : db+n]
+		return func(lanes []int64, lv []bool, n, laneN int) bool {
+			d := dst.win(lanes, laneN, n)
+			x, y := a.bind(lanes, laneN, n), b.bind(lanes, laneN, n)
 			for i := range d {
-				d[i] = a.at(lanes, i) & b.at(lanes, i)
+				d[i] = x.at(i) & y.at(i)
 			}
 			wrapLanes(d, &op)
 			return true
 		}
 	case vm.IOR:
-		return func(lanes []int64, lv []bool, n int) bool {
-			d := lanes[db : db+n]
+		return func(lanes []int64, lv []bool, n, laneN int) bool {
+			d := dst.win(lanes, laneN, n)
+			x, y := a.bind(lanes, laneN, n), b.bind(lanes, laneN, n)
 			for i := range d {
-				d[i] = a.at(lanes, i) | b.at(lanes, i)
+				d[i] = x.at(i) | y.at(i)
 			}
 			wrapLanes(d, &op)
 			return true
 		}
 	case vm.XOR:
-		return func(lanes []int64, lv []bool, n int) bool {
-			d := lanes[db : db+n]
+		return func(lanes []int64, lv []bool, n, laneN int) bool {
+			d := dst.win(lanes, laneN, n)
+			x, y := a.bind(lanes, laneN, n), b.bind(lanes, laneN, n)
 			for i := range d {
-				d[i] = a.at(lanes, i) ^ b.at(lanes, i)
+				d[i] = x.at(i) ^ y.at(i)
 			}
 			wrapLanes(d, &op)
 			return true
 		}
 	case vm.SHL:
-		return func(lanes []int64, lv []bool, n int) bool {
-			d := lanes[db : db+n]
+		return func(lanes []int64, lv []bool, n, laneN int) bool {
+			d := dst.win(lanes, laneN, n)
+			x, y := a.bind(lanes, laneN, n), b.bind(lanes, laneN, n)
 			for i := range d {
-				d[i] = a.at(lanes, i) << uint(b.at(lanes, i)&63)
+				d[i] = x.at(i) << uint(y.at(i)&63)
 			}
 			wrapLanes(d, &op)
 			return true
@@ -705,86 +713,95 @@ func compileLaneFn(p *simPlan, c *cop, laneN int) laneFn {
 	case vm.SHR:
 		if op.shrLogical {
 			mask := op.shrMask
-			return func(lanes []int64, lv []bool, n int) bool {
-				d := lanes[db : db+n]
+			return func(lanes []int64, lv []bool, n, laneN int) bool {
+				d := dst.win(lanes, laneN, n)
+				x, y := a.bind(lanes, laneN, n), b.bind(lanes, laneN, n)
 				for i := range d {
-					d[i] = int64((uint64(a.at(lanes, i)) & mask) >> uint(b.at(lanes, i)&63))
+					d[i] = int64((uint64(x.at(i)) & mask) >> uint(y.at(i)&63))
 				}
 				wrapLanes(d, &op)
 				return true
 			}
 		}
-		return func(lanes []int64, lv []bool, n int) bool {
-			d := lanes[db : db+n]
+		return func(lanes []int64, lv []bool, n, laneN int) bool {
+			d := dst.win(lanes, laneN, n)
+			x, y := a.bind(lanes, laneN, n), b.bind(lanes, laneN, n)
 			for i := range d {
-				d[i] = a.at(lanes, i) >> uint(b.at(lanes, i)&63)
+				d[i] = x.at(i) >> uint(y.at(i)&63)
 			}
 			wrapLanes(d, &op)
 			return true
 		}
 	case vm.NEG:
-		return func(lanes []int64, lv []bool, n int) bool {
-			d := lanes[db : db+n]
+		return func(lanes []int64, lv []bool, n, laneN int) bool {
+			d := dst.win(lanes, laneN, n)
+			x := a.bind(lanes, laneN, n)
 			for i := range d {
-				d[i] = -a.at(lanes, i)
+				d[i] = -x.at(i)
 			}
 			wrapLanes(d, &op)
 			return true
 		}
 	case vm.NOT:
-		return func(lanes []int64, lv []bool, n int) bool {
-			d := lanes[db : db+n]
+		return func(lanes []int64, lv []bool, n, laneN int) bool {
+			d := dst.win(lanes, laneN, n)
+			x := a.bind(lanes, laneN, n)
 			for i := range d {
-				d[i] = ^a.at(lanes, i)
+				d[i] = ^x.at(i)
 			}
 			wrapLanes(d, &op)
 			return true
 		}
 	case vm.SEQ:
-		return func(lanes []int64, lv []bool, n int) bool {
-			d := lanes[db : db+n]
+		return func(lanes []int64, lv []bool, n, laneN int) bool {
+			d := dst.win(lanes, laneN, n)
+			x, y := a.bind(lanes, laneN, n), b.bind(lanes, laneN, n)
 			for i := range d {
-				d[i] = boolBit(a.at(lanes, i) == b.at(lanes, i))
+				d[i] = boolBit(x.at(i) == y.at(i))
 			}
 			wrapLanes(d, &op)
 			return true
 		}
 	case vm.SNE:
-		return func(lanes []int64, lv []bool, n int) bool {
-			d := lanes[db : db+n]
+		return func(lanes []int64, lv []bool, n, laneN int) bool {
+			d := dst.win(lanes, laneN, n)
+			x, y := a.bind(lanes, laneN, n), b.bind(lanes, laneN, n)
 			for i := range d {
-				d[i] = boolBit(a.at(lanes, i) != b.at(lanes, i))
+				d[i] = boolBit(x.at(i) != y.at(i))
 			}
 			wrapLanes(d, &op)
 			return true
 		}
 	case vm.SLT:
-		return func(lanes []int64, lv []bool, n int) bool {
-			d := lanes[db : db+n]
+		return func(lanes []int64, lv []bool, n, laneN int) bool {
+			d := dst.win(lanes, laneN, n)
+			x, y := a.bind(lanes, laneN, n), b.bind(lanes, laneN, n)
 			for i := range d {
-				d[i] = boolBit(a.at(lanes, i) < b.at(lanes, i))
+				d[i] = boolBit(x.at(i) < y.at(i))
 			}
 			wrapLanes(d, &op)
 			return true
 		}
 	case vm.SLE:
-		return func(lanes []int64, lv []bool, n int) bool {
-			d := lanes[db : db+n]
+		return func(lanes []int64, lv []bool, n, laneN int) bool {
+			d := dst.win(lanes, laneN, n)
+			x, y := a.bind(lanes, laneN, n), b.bind(lanes, laneN, n)
 			for i := range d {
-				d[i] = boolBit(a.at(lanes, i) <= b.at(lanes, i))
+				d[i] = boolBit(x.at(i) <= y.at(i))
 			}
 			wrapLanes(d, &op)
 			return true
 		}
 	case vm.MUX:
 		c3 := res(op.c)
-		return func(lanes []int64, lv []bool, n int) bool {
-			d := lanes[db : db+n]
+		return func(lanes []int64, lv []bool, n, laneN int) bool {
+			d := dst.win(lanes, laneN, n)
+			x, y, z := a.bind(lanes, laneN, n), b.bind(lanes, laneN, n), c3.bind(lanes, laneN, n)
 			for i := range d {
-				if a.at(lanes, i) != 0 {
-					d[i] = b.at(lanes, i)
+				if x.at(i) != 0 {
+					d[i] = y.at(i)
 				} else {
-					d[i] = c3.at(lanes, i)
+					d[i] = z.at(i)
 				}
 			}
 			wrapLanes(d, &op)
@@ -792,10 +809,11 @@ func compileLaneFn(p *simPlan, c *cop, laneN int) laneFn {
 		}
 	case vm.LUT:
 		rom := op.rom
-		return func(lanes []int64, lv []bool, n int) bool {
-			d := lanes[db : db+n]
+		return func(lanes []int64, lv []bool, n, laneN int) bool {
+			d := dst.win(lanes, laneN, n)
+			x := a.bind(lanes, laneN, n)
 			for i := range d {
-				ix := a.at(lanes, i)
+				ix := x.at(i)
 				if ix < 0 || ix >= int64(rom.Size) {
 					if lv[k0+i] {
 						return false
@@ -811,7 +829,7 @@ func compileLaneFn(p *simPlan, c *cop, laneN int) laneFn {
 	default:
 		// LPR/SNX live in the cone; anything else fails the chunk so the
 		// serial replay produces the proper error.
-		return func(lanes []int64, lv []bool, n int) bool { return false }
+		return func(lanes []int64, lv []bool, n, laneN int) bool { return false }
 	}
 }
 

@@ -7,30 +7,33 @@ import (
 	"roccc/internal/vm"
 )
 
-// batch.go is the lane-parallel batch execution path of the compiled
-// simulator. Step dispatches the whole plan once per clock; for
+// batch.go is the lane-parallel batch execution path of the threaded
+// backend. Step dispatches the whole plan once per clock; for
 // sweep-style workloads (thousands of iterations through one data path)
 // that per-cycle dispatch dominates. StepN/DrainN instead execute N
 // clocks per call over a structure-of-arrays lane layout: one flat
 // region of lane values per op, one valid/poison bit per lane, and one
-// switch dispatch per op per chunk instead of per op per cycle.
+// lane-kernel call per op per chunk instead of per op per cycle. The
+// interp reference runs StepN/DrainN as the serial Step/Drain loop.
 //
 // Correctness carve-outs, both pinned by differential tests against the
-// serial core:
+// serial interp core:
 //
 //   - Feedback latches carry a loop-carried dependence (iteration i's
 //     LPR reads what iteration i-1's SNX committed), so the feedback
-//     cone of the plan (simPlan.batchB) serializes lane by lane while
+//     cone of the plan (simPlan.batchB) runs in closed form when
+//     recognized (cone.go) and otherwise serializes lane by lane, while
 //     everything before/after it still runs op-major (batchA/batchC).
 //   - Faults must abort on the same cycle with the same state as the
 //     serial core. The batch computes into scratch lanes without
 //     touching the ring, so on the first detected fault the scratch is
-//     discarded and the chunk replays through the serial step — the
-//     abort cycle, error and post-abort state are Step's exactly.
+//     discarded and the chunk replays through the serial interp step —
+//     the abort cycle, error and post-abort state are Step's exactly.
 
 // batchChunkMax bounds the lane scratch: a StepN over millions of
-// iterations runs as a sequence of chunks, keeping the scratch at
-// nOps × (stages + batchChunkMax) values.
+// iterations runs as a sequence of chunks, and a chunk of n clocks uses
+// nOps × (stages + n) values, so the scratch never exceeds
+// nOps × (stages + batchChunkMax).
 const batchChunkMax = 256
 
 // batchSerialMax is the largest chunk still run through the serial core:
@@ -122,7 +125,8 @@ func (s *Sim) RunBatch(iters [][]int64) ([][]int64, error) {
 	return outs, nil
 }
 
-// batchRun splits an n-clock batch into scratch-bounded chunks.
+// batchRun runs an n-clock batch: on the interp reference as the
+// serial loop, on the threaded backend as scratch-bounded chunks.
 //
 //roccc:hotpath
 func (s *Sim) batchRun(inputs []int64, n int, valid bool) ([]int64, error) {
@@ -132,6 +136,12 @@ func (s *Sim) batchRun(inputs []int64, n int, valid bool) ([]int64, error) {
 		s.batchOut = make([]int64, n*outW)
 	}
 	out := s.batchOut[:n*outW]
+	if s.backend == BackendInterp {
+		if err := s.serialChunk(inputs, n, valid, out, true); err != nil {
+			return nil, err
+		}
+		return out, nil
+	}
 	for done := 0; done < n; {
 		c := n - done
 		if c > batchChunkMax {
@@ -149,11 +159,11 @@ func (s *Sim) batchRun(inputs []int64, n int, valid bool) ([]int64, error) {
 	return out, nil
 }
 
-// serialChunk runs one chunk through the serial core (tiny chunks,
-// pure-feedback plans, and fault replays). interpOnly forces the
-// interpreter step regardless of backend: fault replays go straight to
-// the canonical loop instead of re-entering the threaded step only to
-// fall back again on the faulting cycle.
+// serialChunk runs clocks through the serial core (the interp batch,
+// tiny threaded chunks, pure-feedback plans, and fault replays).
+// interpOnly forces the interpreter step regardless of backend: fault
+// replays go straight to the canonical loop instead of re-entering the
+// threaded step only to fall back again on the faulting cycle.
 //
 //roccc:hotpath
 //roccc:serial-replay
@@ -187,30 +197,15 @@ func (s *Sim) serialChunk(in []int64, n int, valid bool, out []int64, interpOnly
 //roccc:hotpath
 func (s *Sim) batchChunk(in []int64, n int, valid bool, out []int64) error {
 	p := s.p
-	// Resolve the backend's compiled artifacts up front: the threaded
-	// plan brings its lane kernels and a fixed lane stride; the cone
-	// backends bring the closed-form feedback cone (when recognized),
-	// which unlocks the lane layout for plans that would otherwise be
-	// pure-feedback.
-	var tp *threadPlan
-	var cone *coneSpec
-	switch s.backend {
-	case BackendThreaded:
-		tp = p.threadFor()
-		cone = tp.cone
-	case BackendCone:
-		cone = p.coneFor()
-	}
-	if n <= batchSerialMax || (cone == nil && len(p.batchB) > 0 && len(p.batchA)+len(p.batchC) == 0) {
+	tp := p.threadFor()
+	if n <= batchSerialMax || (tp.cone == nil && len(p.batchB) > 0 && len(p.batchA)+len(p.batchC) == 0) {
 		return s.serialChunk(in, n, valid, out, false)
 	}
-	stages := p.stages
-	laneN := stages + n
-	if tp != nil {
-		// The threaded lane kernels bake region bases against the plan's
-		// fixed maximal stride; short chunks leave the tail lanes unused.
-		laneN = tp.laneN
-	}
+	// The lane stride: each op's region holds the stages in-flight
+	// iterations, then this chunk's n admissions. Every lane kernel takes
+	// it per call, so short chunks (short system streaks) touch and keep
+	// only the scratch they need.
+	laneN := p.stages + n
 	if need := p.nOps * laneN; cap(s.laneVals) < need {
 		s.laneVals = make([]int64, need)
 	}
@@ -219,7 +214,7 @@ func (s *Sim) batchChunk(in []int64, n int, valid bool, out []int64) error {
 		s.laneValid = make([]bool, laneN)
 	}
 	lv := s.laneValid[:laneN]
-	if err := s.batchCompute(in, n, valid, lanes, lv, laneN, tp, cone); err != nil {
+	if err := s.batchCompute(in, n, valid, lanes, lv, laneN, tp); err != nil {
 		// A valid lane hit a faulting op. Nothing has been committed:
 		// drop the staged latch writes and replay the chunk serially so
 		// the abort cycle, error and state match Step exactly.
@@ -233,13 +228,13 @@ func (s *Sim) batchChunk(in []int64, n int, valid bool, out []int64) error {
 }
 
 // batchCompute fills the lane scratch: validity, in-flight seeds from
-// the ring, batch input rows, then the three execution classes — each
-// class dispatched through the backend's artifacts when present (tp for
-// threaded lane kernels, cone for the closed-form feedback cone).
+// the ring, batch input rows, then the three execution classes through
+// the plan's threaded lane kernels — the feedback cone in closed form
+// when recognized, lane by lane otherwise.
 //
 //roccc:hotpath
 //roccc:chunk-compute
-func (s *Sim) batchCompute(in []int64, n int, valid bool, lanes []int64, lv []bool, laneN int, tp *threadPlan, cone *coneSpec) error {
+func (s *Sim) batchCompute(in []int64, n int, valid bool, lanes []int64, lv []bool, laneN int, tp *threadPlan) error {
 	p := s.p
 	stages := p.stages
 	cycle0 := s.cycle
@@ -310,34 +305,24 @@ func (s *Sim) batchCompute(in []int64, n int, valid bool, lanes []int64, lv []bo
 		}
 	}
 
-	if tp != nil {
-		if !runLaneFns(tp.laneA, lanes, lv, n) {
-			return errBatchFault
-		}
-	} else if err := s.batchOps(p.batchA, n, lanes, lv, laneN); err != nil {
-		return err
+	if !runLaneFns(tp.laneA, lanes, lv, n, laneN) {
+		return errBatchFault
 	}
 	if len(p.batchB) > 0 {
 		var err error
-		switch {
-		case cone != nil && tp != nil:
-			err = s.runCone(cone, n, lanes, lv, laneN, tp.coneFns)
-		case cone != nil:
-			err = s.runCone(cone, n, lanes, lv, laneN, nil)
-		default:
+		if tp.cone != nil {
+			err = s.runCone(tp.cone, n, lanes, lv, laneN, tp.coneFns)
+		} else {
 			err = s.batchCone(p.batchB, n, lanes, lv, laneN)
 		}
 		if err != nil {
 			return err
 		}
 	}
-	if tp != nil {
-		if !runLaneFns(tp.laneC, lanes, lv, n) {
-			return errBatchFault
-		}
-		return nil
+	if !runLaneFns(tp.laneC, lanes, lv, n, laneN) {
+		return errBatchFault
 	}
-	return s.batchOps(p.batchC, n, lanes, lv, laneN)
+	return nil
 }
 
 // laneCtx resolves pre-compiled operands against the lane scratch: the
@@ -378,199 +363,6 @@ func (c *laneCtx) operand(o *cOperand) laneOperand {
 	}
 	base := (int(o.base) >> c.sh) * c.laneN
 	return laneOperand{sl: c.lanes[base : base+c.laneN]}
-}
-
-// batchOps runs one op-major class: one switch dispatch per op, then a
-// tight loop over the op's computable lanes. An op at stage st computes
-// iterations whose st-stage cycle falls inside this chunk — lanes
-// [stages-st, stages-st+n); earlier lanes were seeded, later ones
-// belong to a later chunk.
-//
-//roccc:hotpath
-func (s *Sim) batchOps(ops []cop, n int, lanes []int64, lv []bool, laneN int) error {
-	p := s.p
-	stages := p.stages
-	c := laneCtx{lanes: lanes, laneN: laneN, sh: p.opShift}
-	for i := range ops {
-		op := &ops[i]
-		k0 := stages - int(op.stage)
-		k1 := k0 + n
-		lbase := (int(op.slot) >> p.opShift) * laneN
-		dst := lanes[lbase : lbase+laneN]
-		a := c.operand(&op.a)
-		b := c.operand(&op.b)
-		// Raw compute pass: the wrap pass below truncates the whole lane
-		// range at once with the op's precompiled wrap mode. The dominant
-		// arithmetic ops get equal-length subslice loops (bounds checks
-		// hoisted, no per-lane nil branch) for the ring×ring and
-		// ring×immediate layouts; everything else takes the generic
-		// operand accessor.
-		switch op.opc {
-		case vm.LDC, vm.MOV, vm.CVT:
-			if a.sl != nil {
-				copy(dst[k0:k1], a.sl[k0:k1])
-			} else {
-				for k := k0; k < k1; k++ {
-					dst[k] = a.imm
-				}
-			}
-		case vm.ADD:
-			if op.wmode != wrapBoth {
-				d := dst[k0:k1]
-				switch {
-				case a.sl != nil && b.sl != nil:
-					fusedAdd(d, a.sl[k0:k1], b.sl[k0:k1], op.fw)
-				case a.sl != nil:
-					fusedAddImm(d, a.sl[k0:k1], b.imm, op.fw)
-				case b.sl != nil:
-					fusedAddImm(d, b.sl[k0:k1], a.imm, op.fw)
-				default:
-					fusedFill(d, a.imm+b.imm, op.fw)
-				}
-				continue
-			}
-			for k := k0; k < k1; k++ {
-				dst[k] = a.at(k) + b.at(k)
-			}
-		case vm.SUB:
-			if op.wmode != wrapBoth {
-				d := dst[k0:k1]
-				switch {
-				case a.sl != nil && b.sl != nil:
-					fusedSub(d, a.sl[k0:k1], b.sl[k0:k1], op.fw)
-				case a.sl != nil:
-					fusedAddImm(d, a.sl[k0:k1], -b.imm, op.fw)
-				case b.sl != nil:
-					fusedSubFrom(d, a.imm, b.sl[k0:k1], op.fw)
-				default:
-					fusedFill(d, a.imm-b.imm, op.fw)
-				}
-				continue
-			}
-			for k := k0; k < k1; k++ {
-				dst[k] = a.at(k) - b.at(k)
-			}
-		case vm.MUL:
-			if op.wmode != wrapBoth {
-				d := dst[k0:k1]
-				switch {
-				case a.sl != nil && b.sl != nil:
-					fusedMul(d, a.sl[k0:k1], b.sl[k0:k1], op.fw)
-				case a.sl != nil:
-					fusedMulImm(d, a.sl[k0:k1], b.imm, op.fw)
-				case b.sl != nil:
-					fusedMulImm(d, b.sl[k0:k1], a.imm, op.fw)
-				default:
-					fusedFill(d, a.imm*b.imm, op.fw)
-				}
-				continue
-			}
-			for k := k0; k < k1; k++ {
-				dst[k] = a.at(k) * b.at(k)
-			}
-		case vm.DIV:
-			for k := k0; k < k1; k++ {
-				bv := b.at(k)
-				if bv == 0 {
-					if lv[k] {
-						return errBatchFault
-					}
-					dst[k] = 0
-					continue
-				}
-				dst[k] = a.at(k) / bv
-			}
-		case vm.REM:
-			for k := k0; k < k1; k++ {
-				bv := b.at(k)
-				if bv == 0 {
-					if lv[k] {
-						return errBatchFault
-					}
-					dst[k] = 0
-					continue
-				}
-				dst[k] = a.at(k) % bv
-			}
-		case vm.AND:
-			for k := k0; k < k1; k++ {
-				dst[k] = a.at(k) & b.at(k)
-			}
-		case vm.IOR:
-			for k := k0; k < k1; k++ {
-				dst[k] = a.at(k) | b.at(k)
-			}
-		case vm.XOR:
-			for k := k0; k < k1; k++ {
-				dst[k] = a.at(k) ^ b.at(k)
-			}
-		case vm.SHL:
-			for k := k0; k < k1; k++ {
-				dst[k] = a.at(k) << uint(b.at(k)&63)
-			}
-		case vm.SHR:
-			if op.shrLogical {
-				for k := k0; k < k1; k++ {
-					dst[k] = int64((uint64(a.at(k)) & op.shrMask) >> uint(b.at(k)&63))
-				}
-			} else {
-				for k := k0; k < k1; k++ {
-					dst[k] = a.at(k) >> uint(b.at(k)&63)
-				}
-			}
-		case vm.NEG:
-			for k := k0; k < k1; k++ {
-				dst[k] = -a.at(k)
-			}
-		case vm.NOT:
-			for k := k0; k < k1; k++ {
-				dst[k] = ^a.at(k)
-			}
-		case vm.SEQ:
-			for k := k0; k < k1; k++ {
-				dst[k] = boolBit(a.at(k) == b.at(k))
-			}
-		case vm.SNE:
-			for k := k0; k < k1; k++ {
-				dst[k] = boolBit(a.at(k) != b.at(k))
-			}
-		case vm.SLT:
-			for k := k0; k < k1; k++ {
-				dst[k] = boolBit(a.at(k) < b.at(k))
-			}
-		case vm.SLE:
-			for k := k0; k < k1; k++ {
-				dst[k] = boolBit(a.at(k) <= b.at(k))
-			}
-		case vm.MUX:
-			cc := c.operand(&op.c)
-			for k := k0; k < k1; k++ {
-				if a.at(k) != 0 {
-					dst[k] = b.at(k)
-				} else {
-					dst[k] = cc.at(k)
-				}
-			}
-		case vm.LUT:
-			for k := k0; k < k1; k++ {
-				ix := a.at(k)
-				if ix < 0 || ix >= int64(op.rom.Size) {
-					if lv[k] {
-						return errBatchFault
-					}
-					dst[k] = 0
-					continue
-				}
-				dst[k] = op.rom.Content[ix]
-			}
-		default:
-			// LPR/SNX live in the cone; anything else is unsupported —
-			// the serial replay will produce the proper error.
-			return errBatchFault
-		}
-		wrapLanes(dst[k0:k1], op)
-	}
-	return nil
 }
 
 // The fused lane helpers compute the dominant arithmetic ops with the
@@ -734,8 +526,6 @@ func (s *Sim) batchCone(ops []cop, n int, lanes []int64, lv []bool, laneN int) e
 	st := s.batchState[:len(s.state)]
 	copy(st, s.state)
 	staged := false
-	// Only lanes below stages+n are computable this chunk (laneN can be
-	// larger under the threaded backend's fixed stride).
 	for k := 0; k < stages+n; k++ {
 		for i := range ops {
 			op := &ops[i]

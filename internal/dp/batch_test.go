@@ -1,6 +1,8 @@
 package dp_test
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,11 +11,11 @@ import (
 	"roccc/internal/dp"
 )
 
-// batch_test.go pins the lane-parallel batch path (StepN/DrainN/
-// RunBatch) bit-identical to the serial core: same outputs on every
-// cycle, same faults on the same cycle, same feedback state — across
-// the Table 1 kernels (including feedback kernels), fuzzed kernels,
-// random bubble schedules, and divisor-zero iterations.
+// batch_test.go pins the threaded backend's lane-parallel batch path
+// (StepN/DrainN/RunBatch) bit-identical to the serial interp core: same
+// outputs on every cycle, same faults on the same cycle, same feedback
+// state — across the Table 1 kernels (including feedback kernels),
+// fuzzed kernels, random bubble schedules, and divisor-zero iterations.
 
 // stepSerial advances the serial reference by n valid cycles with the
 // given flat inputs, returning the concatenated output rows (or the
@@ -41,15 +43,24 @@ func drainSerial(s *dp.Sim, n, outW int, out []int64) error {
 	return nil
 }
 
-// diffSchedule drives one batch sim and one serial sim through the same
-// random schedule of valid runs and bubble runs (chunk sizes 1..40, so
-// the serial shortcut, a single lane chunk and multi-chunk splits are
-// all exercised) and requires identical outputs, errors, cycle counts
-// and feedback state.
-func diffSchedule(t *testing.T, name string, d *dp.Datapath, rng *rand.Rand, zeroInputs bool, cycles int) {
+// Input modes for diffSchedule's valid runs.
+const (
+	inAny     = iota // 12-bit signed values
+	inZeros          // plus occasional zeros: valid zero divisors fault
+	inNonzero        // strictly nonzero: divide-by-input kernels never fault
+)
+
+// diffSchedule drives a threaded sim's StepN/DrainN and the interp
+// reference's serial Step/Drain through the same random schedule of
+// valid runs and bubble runs (chunk sizes 1..40, so the serial
+// shortcut, a single lane chunk and multi-chunk splits are all
+// exercised) and requires identical outputs on every cycle, identical
+// errors (the same *FaultError operator on the same abort cycle),
+// cycle counts and feedback state. Under inNonzero any fault fails.
+func diffSchedule(t *testing.T, name string, d *dp.Datapath, rng *rand.Rand, mode, cycles int) {
 	t.Helper()
 	bat := dp.NewSim(d)
-	ref := dp.NewSim(d)
+	ref := dp.NewSimWith(d, dp.BackendInterp)
 	inW := len(d.Inputs)
 	outW := len(d.Outputs)
 	maxChunk := 40
@@ -62,9 +73,15 @@ func diffSchedule(t *testing.T, name string, d *dp.Datapath, rng *rand.Rand, zer
 		var bErr, rErr error
 		if valid {
 			for j := 0; j < n*inW; j++ {
-				if zeroInputs && rng.Intn(6) == 0 {
+				switch {
+				case mode == inNonzero:
+					in[j] = 1 + rng.Int63n(1<<11)
+					if rng.Intn(2) == 0 {
+						in[j] = -in[j]
+					}
+				case mode == inZeros && rng.Intn(6) == 0:
 					in[j] = 0
-				} else {
+				default:
 					in[j] = rng.Int63n(1<<12) - 1<<11
 				}
 			}
@@ -82,13 +99,17 @@ func diffSchedule(t *testing.T, name string, d *dp.Datapath, rng *rand.Rand, zer
 			}
 			rErr = drainSerial(ref, n, outW, rOut)
 		}
+		if mode == inNonzero && (bErr != nil || rErr != nil) {
+			t.Fatalf("%s: unexpected fault (batch %v, serial %v): bubbles or nonzero iterations trapped", name, bErr, rErr)
+		}
 		if (bErr != nil) != (rErr != nil) {
 			t.Fatalf("%s: error mismatch after %d cycles (n=%d valid=%v): batch %v, serial %v",
 				name, done, n, valid, bErr, rErr)
 		}
 		if bErr != nil {
-			// Both faulted: the abort must land on the same cycle and
-			// leave identical latch state; stop the schedule here.
+			// Both faulted: the abort must land on the same cycle with the
+			// same typed fault; stop the schedule here.
+			assertSameFault(t, name, bErr, rErr)
 			break
 		}
 		for j := 0; j < n*outW; j++ {
@@ -99,12 +120,31 @@ func diffSchedule(t *testing.T, name string, d *dp.Datapath, rng *rand.Rand, zer
 		}
 		done += n
 	}
-	if bat.Cycle() != ref.Cycle() {
-		t.Fatalf("%s: cycle count: batch %d, serial %d", name, bat.Cycle(), ref.Cycle())
+	assertSameState(t, name, bat, ref)
+}
+
+// assertSameFault requires two errors to be the same typed fault: the
+// operator class and the abort cycle.
+func assertSameFault(t *testing.T, name string, got, want error) {
+	t.Helper()
+	var fg, fw *dp.FaultError
+	if errors.As(got, &fg) != errors.As(want, &fw) {
+		t.Fatalf("%s: fault typing mismatch: %v, interp %v", name, got, want)
+	}
+	if fg != nil && (fg.Op != fw.Op || fg.Cycle != fw.Cycle) {
+		t.Fatalf("%s: fault op=%s cycle=%d, interp op=%s cycle=%d", name, fg.Op, fg.Cycle, fw.Op, fw.Cycle)
+	}
+}
+
+// assertSameState requires identical cycle counts and feedback latches.
+func assertSameState(t *testing.T, name string, got, ref *dp.Sim) {
+	t.Helper()
+	if got.Cycle() != ref.Cycle() {
+		t.Fatalf("%s: cycle count %d, interp %d", name, got.Cycle(), ref.Cycle())
 	}
 	for v, rv := range ref.State {
-		if bv, ok := bat.State[v]; !ok || bv != rv {
-			t.Fatalf("%s: feedback %s: batch %d, serial %d", name, v.Name, bat.State[v], rv)
+		if bv, ok := got.State[v]; !ok || bv != rv {
+			t.Fatalf("%s: feedback %s: %d, interp %d", name, v.Name, got.State[v], rv)
 		}
 	}
 }
@@ -120,7 +160,7 @@ func TestStepNDifferentialBenchKernels(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", k.Name, err)
 		}
-		diffSchedule(t, k.Name, res.Datapath, rng, false, 700)
+		diffSchedule(t, k.Name, res.Datapath, rng, inAny, 700)
 	}
 }
 
@@ -145,63 +185,11 @@ func TestStepNDifferentialFuzz(t *testing.T) {
 		}
 		// Group 0 feeds only nonzero magnitudes so valid iterations never
 		// fault; group 1 feeds occasional zeros so they do.
+		mode := inZeros
 		if group == 0 {
-			diffScheduleNonzero(t, src, res.Datapath, rng, 400)
-		} else {
-			diffSchedule(t, src, res.Datapath, rng, true, 400)
+			mode = inNonzero
 		}
-	}
-}
-
-// diffScheduleNonzero is diffSchedule with strictly nonzero inputs
-// (divide-by-input kernels that must complete fault-free).
-func diffScheduleNonzero(t *testing.T, name string, d *dp.Datapath, rng *rand.Rand, cycles int) {
-	t.Helper()
-	bat := dp.NewSim(d)
-	ref := dp.NewSim(d)
-	inW := len(d.Inputs)
-	outW := len(d.Outputs)
-	maxChunk := 40
-	in := make([]int64, maxChunk*inW)
-	bOut := make([]int64, maxChunk*outW)
-	rOut := make([]int64, maxChunk*outW)
-	for done := 0; done < cycles; {
-		n := 1 + rng.Intn(maxChunk)
-		valid := rng.Intn(3) != 0
-		var bErr, rErr error
-		if valid {
-			for j := 0; j < n*inW; j++ {
-				in[j] = 1 + rng.Int63n(1<<11)
-				if rng.Intn(2) == 0 {
-					in[j] = -in[j]
-				}
-			}
-			var o []int64
-			o, bErr = bat.StepN(in[:n*inW], n)
-			if bErr == nil {
-				copy(bOut, o)
-			}
-			rErr = stepSerial(ref, in, n, inW, outW, rOut)
-		} else {
-			var o []int64
-			o, bErr = bat.DrainN(n)
-			if bErr == nil {
-				copy(bOut, o)
-			}
-			rErr = drainSerial(ref, n, outW, rOut)
-		}
-		if bErr != nil || rErr != nil {
-			t.Fatalf("%s: unexpected fault (batch %v, serial %v): bubbles or nonzero iterations trapped", name, bErr, rErr)
-		}
-		for j := 0; j < n*outW; j++ {
-			if bOut[j] != rOut[j] {
-				t.Fatalf("%s: output mismatch at flat index %d: batch %d, serial %d", name, j, bOut[j], rOut[j])
-			}
-		}
-		done += n
-	}
-	if bat.Cycle() != ref.Cycle() {
-		t.Fatalf("%s: cycle count: batch %d, serial %d", name, bat.Cycle(), ref.Cycle())
+		diffSchedule(t, src, res.Datapath, rng, mode, 400)
 	}
 }
 
@@ -222,7 +210,7 @@ func TestRunBatchMatchesRun(t *testing.T) {
 			}
 			iters[i] = row
 		}
-		want, err := dp.NewSim(res.Datapath).Run(iters)
+		want, err := dp.NewSimWith(res.Datapath, dp.BackendInterp).Run(iters)
 		if err != nil {
 			t.Fatalf("%s: Run: %v", k.Name, err)
 		}
@@ -245,8 +233,9 @@ func TestRunBatchMatchesRun(t *testing.T) {
 }
 
 // TestRunBatchFaultParity: a divide kernel with exactly one zero
-// divisor must fault in both paths on the same cycle index and leave
-// identical cycle counts (the aborted cycle is discarded in both).
+// divisor must fault in the threaded batch path and the serial interp
+// Run on the same cycle index and leave identical cycle counts (the
+// aborted cycle is discarded in both).
 func TestRunBatchFaultParity(t *testing.T) {
 	src := `
 void k(int a, int b, int* q) {
@@ -265,7 +254,7 @@ void k(int a, int b, int* q) {
 				iters[i][1] = 0
 			}
 		}
-		serial := dp.NewSim(res.Datapath)
+		serial := dp.NewSimWith(res.Datapath, dp.BackendInterp)
 		_, serr := serial.Run(iters)
 		batch := dp.NewSim(res.Datapath)
 		_, berr := batch.RunBatch(iters)
@@ -279,22 +268,22 @@ void k(int a, int b, int* q) {
 	}
 }
 
-// TestStepNZeroAllocs: the batch steady state must not allocate, for
-// both a feedback-free kernel (pure op-major path) and a feedback
-// kernel (lane-serialized cone).
+// TestStepNZeroAllocs: the interp reference's StepN/DrainN (the serial
+// loop) must not allocate in steady state, for both a feedback-free
+// kernel and a feedback kernel.
 func TestStepNZeroAllocs(t *testing.T) {
 	for _, k := range []bench.Kernel{bench.DCT(), bench.MulAcc()} {
 		res, err := k.Compile()
 		if err != nil {
 			t.Fatalf("%s: %v", k.Name, err)
 		}
-		sim := dp.NewSim(res.Datapath)
+		sim := dp.NewSimWith(res.Datapath, dp.BackendInterp)
 		const n = 64
 		in := make([]int64, n*len(res.Datapath.Inputs))
 		for i := range in {
 			in[i] = int64(i%251 + 1)
 		}
-		// Warm-up grows the lane scratch and output buffer once.
+		// Warm-up grows the output buffer once.
 		if _, err := sim.StepN(in, n); err != nil {
 			t.Fatalf("%s: %v", k.Name, err)
 		}
@@ -336,5 +325,116 @@ func TestRunAllocsBounded(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Fatalf("Run allocates %.1f allocs/op, want at most 2 (result headers + flat backing)", allocs)
+	}
+}
+
+// TestThreadedChunkStride pins the per-chunk lane stride (stages+n).
+// Threaded StepN/DrainN run chunk sizes around the serial shortcut (1,
+// 2, 3), an odd size (17) and the batchChunkMax boundary (255, 256,
+// 257, and 600 — a multi-chunk split), valid and bubble chunks mixed
+// and a final drain, over a closed-form cone and a lane-serial cone
+// that both accumulate a quotient; every schedule must match serial
+// interp Step bit for bit in outputs, latches and cycle count. A zero divisor planted in the
+// last lane of one chunk must abort on the reference's cycle with its
+// fault. A 17-iteration stream must leave at most nOps × (stages + 17)
+// lane values of scratch.
+func TestThreadedChunkStride(t *testing.T) {
+	kernels := []struct{ name, body string }{
+		{"closed-form", "acc = acc + a / b;"},
+		{"lane-serial", "acc = acc * 3 + a / b;"},
+	}
+	for _, k := range kernels {
+		src := "int32 acc;\nvoid k(int16 a, int16 b) {\n\tint i;\n\tacc = 0;\n\tfor (i = 0; i < 1024; i++) {\n\t\t" + k.body + "\n\t}\n}\n"
+		res, err := core.CompileSource(src, "k", core.Options{Optimize: true, PeriodNs: 2.5})
+		if err != nil {
+			t.Fatalf("%s: %v", k.name, err)
+		}
+		d := res.Datapath
+		if got := dp.NewSim(d).HasClosedFormCone(); got != (k.name == "closed-form") {
+			t.Fatalf("%s: HasClosedFormCone = %v", k.name, got)
+		}
+		inW, outW := len(d.Inputs), len(d.Outputs)
+		div := -1
+		for i, p := range d.Inputs {
+			if p.Var.Name == "b" {
+				div = i
+			}
+		}
+		if div < 0 {
+			t.Fatalf("%s: no divisor input port", k.name)
+		}
+		type chunk struct {
+			n     int
+			valid bool
+		}
+		sched := []chunk{{1, true}, {2, false}, {3, true}, {17, true}, {255, false},
+			{256, true}, {257, true}, {600, true}, {d.Latency(), false}}
+		// faultChunk -1 runs the whole schedule; otherwise the last lane
+		// of that valid chunk divides by zero.
+		for _, faultChunk := range []int{-1, 0, 3, 5, 7} {
+			name := fmt.Sprintf("%s/fault@%d", k.name, faultChunk)
+			thr := dp.NewSimWith(d, dp.BackendThreaded)
+			ref := dp.NewSimWith(d, dp.BackendInterp)
+			rng := rand.New(rand.NewSource(int64(faultChunk + 2)))
+			faulted := false
+			for ci, c := range sched {
+				n, valid := c.n, c.valid
+				in := make([]int64, n*inW)
+				for j := range in {
+					in[j] = 1 + rng.Int63n(1<<10)
+				}
+				if ci == faultChunk {
+					in[(n-1)*inW+div] = 0
+				}
+				rOut := make([]int64, n*outW)
+				var got []int64
+				var tErr, rErr error
+				if valid {
+					got, tErr = thr.StepN(in, n)
+					rErr = stepSerial(ref, in, n, inW, outW, rOut)
+				} else {
+					got, tErr = thr.DrainN(n)
+					rErr = drainSerial(ref, n, outW, rOut)
+				}
+				if (tErr != nil) != (rErr != nil) {
+					t.Fatalf("%s: chunk %d (n=%d valid=%v): threaded %v, interp %v", name, ci, n, valid, tErr, rErr)
+				}
+				if rErr != nil {
+					assertSameFault(t, name, tErr, rErr)
+					faulted = true
+					break
+				}
+				for j := range rOut {
+					if got[j] != rOut[j] {
+						t.Fatalf("%s: chunk %d (n=%d valid=%v) row %d port %d: threaded %d, interp %d",
+							name, ci, n, valid, j/outW, j%outW, got[j], rOut[j])
+					}
+				}
+			}
+			if faulted != (faultChunk >= 0) {
+				t.Fatalf("%s: faulted = %v", name, faulted)
+			}
+			assertSameState(t, name, thr, ref)
+		}
+
+		const iters = 17
+		if d.Latency() > iters {
+			t.Fatalf("%s: latency %d exceeds the %d-iteration stream", k.name, d.Latency(), iters)
+		}
+		sim := dp.NewSimWith(d, dp.BackendThreaded)
+		in := make([]int64, iters*inW)
+		for j := range in {
+			in[j] = int64(j%7 + 1)
+		}
+		if _, err := sim.StepN(in, iters); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim.DrainN(d.Latency()); err != nil {
+			t.Fatal(err)
+		}
+		if got, limit := dp.LaneScratch(sim), len(d.Ops)*(d.Stages+iters); got > limit {
+			t.Fatalf("%s: lane scratch holds %d values after a %d-iteration stream, want <= %d (nOps %d × (stages %d + %d))",
+				k.name, got, iters, limit, len(d.Ops), d.Stages, iters)
+		}
 	}
 }

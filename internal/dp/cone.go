@@ -2,11 +2,12 @@ package dp
 
 import "roccc/internal/vm"
 
-// backend_cone.go vectorizes the feedback cone. The batch path's one
-// serialization point is simPlan.batchB: iteration k's latch read (LPR)
-// depends on iteration k-1's latch write (SNX), so batchCone walks the
-// cone lane by lane, dragging the whole op list through every lane.
-// Most accumulator kernels, though, have a cone of one exact shape —
+// cone.go vectorizes the feedback cone for the threaded backend. The
+// batch path's one serialization point is simPlan.batchB: iteration k's
+// latch read (LPR) depends on iteration k-1's latch write (SNX), so
+// batchCone walks the cone lane by lane, dragging the whole op list
+// through every lane. Most accumulator kernels, though, have a cone of
+// one exact shape —
 //
 //	x' = wrap(x ± e)            (optionally gated by an external condition)
 //
@@ -21,8 +22,9 @@ import "roccc/internal/vm"
 // and the loop-carried dependence collapses to one integer add per lane
 // on a raw (unwrapped) accumulator — a prefix sum. runCone materializes
 // the latch value per lane in that single pass; every other cone op
-// then runs op-major exactly like batchA/batchC, restoring the fused
-// lane kernels mul_acc's accumulate was locked out of.
+// then runs op-major through its lane kernel exactly like batchA/batchC,
+// restoring the fused lane kernels mul_acc's accumulate was locked out
+// of.
 //
 // Bit-identity with batchCone (and so with the serial core) holds for
 // any latch value, including an out-of-range initial state: until the
@@ -32,7 +34,7 @@ import "roccc/internal/vm"
 // coneSpec is a recognized closed-form feedback cone. It is compiled
 // once per plan (simPlan.coneFor) and shared by every Sim; the op
 // copies inside rest keep plan (topological) order so the op-major
-// materialization pass can reuse batchOps unchanged.
+// materialization pass lowers them like any other op class.
 type coneSpec struct {
 	fb    int32    // the cone's single feedback latch
 	stage int32    // shared pipeline stage of every cone op
@@ -61,9 +63,9 @@ func (p *simPlan) coneFor() *coneSpec {
 }
 
 // HasClosedFormCone reports whether the plan's feedback cone (if any)
-// was recognized in closed form, i.e. whether the cone backends can
-// vectorize this kernel's accumulate instead of serializing lanes.
-// Exposed for backend statistics and the differential tests.
+// was recognized in closed form, i.e. whether the threaded backend
+// vectorizes this kernel's accumulate instead of serializing lanes.
+// Exposed for the metrics plane and the differential tests.
 func (s *Sim) HasClosedFormCone() bool { return s.p.coneFor() != nil }
 
 // Operand provenance tags for the recognizer's single forward walk.
@@ -199,10 +201,10 @@ func recognizeCone(p *simPlan) *coneSpec {
 // runCone executes a recognized cone over one chunk, bit-identically to
 // batchCone: the prefix pass materializes the latch value per lane into
 // the LPR regions and folds the recurrence into a raw accumulator; the
-// remaining cone ops then run op-major (they cannot fault, so the
-// returned error is always nil in practice). The final latch value
-// lands in batchState, which commitChunk copies out exactly as for the
-// lane-serial cone.
+// remaining cone ops then run op-major through their lane kernels fns
+// (they cannot fault, so the returned error is always nil in practice).
+// The final latch value lands in batchState, which commitChunk copies
+// out exactly as for the lane-serial cone.
 //
 //roccc:hotpath
 func (s *Sim) runCone(cs *coneSpec, n int, lanes []int64, lv []bool, laneN int, fns []laneFn) error {
@@ -252,11 +254,8 @@ func (s *Sim) runCone(cs *coneSpec, n int, lanes []int64, lv []bool, laneN int, 
 	} else {
 		st[cs.fb] = acc
 	}
-	if fns != nil {
-		if !runLaneFns(fns, lanes, lv, n) {
-			return errBatchFault
-		}
-		return nil
+	if !runLaneFns(fns, lanes, lv, n, laneN) {
+		return errBatchFault
 	}
-	return s.batchOps(cs.rest, n, lanes, lv, laneN)
+	return nil
 }

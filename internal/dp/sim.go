@@ -20,19 +20,20 @@ import (
 // The simulator is compiled: the data path is lowered once into an
 // integer-indexed execution plan (dense operand descriptors, pre-resolved
 // wrap masks, feedback-latch slots and one flat ring buffer holding every
-// op's register history), so Step is a flat loop over slices with switch
-// dispatch — no map lookups, no closures and zero heap allocations per
-// cycle. The plan is cached on the Datapath itself: repeated NewSim
-// calls over one data path (ablation/unroll sweeps, System reuse) share
-// it and skip recompilation. RefSim keeps the direct, map-based §4.2.3
+// op's register history), which the interp backend walks with switch
+// dispatch and the threaded default runs as per-op closures compiled
+// from it (backend.go) — no map lookups and zero heap allocations per
+// cycle either way. The plan is cached on the Datapath itself: repeated
+// NewSim calls over one data path (ablation/unroll sweeps, System reuse)
+// share it and skip recompilation. RefSim keeps the direct, map-based §4.2.3
 // semantics; the two are checked bit-identical by differential tests.
 type Sim struct {
 	d *Datapath
 	p *simPlan
-	// backend selects the dispatch machinery (backend.go): the
-	// interpreter switch loop, the plan's compiled threaded code, or the
-	// closed-form-cone hybrid. The compiled structures live on the shared
-	// simPlan; the choice of whether to use them is per-Sim.
+	// backend selects the dispatch machinery (backend.go): the plan's
+	// compiled threaded code or the interpreter switch loop. The compiled
+	// structures live on the shared simPlan; the choice of whether to use
+	// them is per-Sim.
 	backend Backend
 	// stagedAny mirrors the interpreter loop's local staged flag for the
 	// threaded step, whose per-op closures cannot share a stack local.
@@ -66,11 +67,11 @@ type Sim struct {
 	cycle   int
 
 	// Batch-path scratch (batch.go): structure-of-arrays lane values (one
-	// flat region per op), per-lane valid bits, the flat output/input
-	// buffers reused across StepN/DrainN/RunBatch calls, and the running
-	// feedback state of the lane-serialized cone. All grow on first use
-	// and are reused afterwards, so the batch steady state allocates
-	// nothing.
+	// flat region per op, stride stages+n for an n-clock chunk), per-lane
+	// valid bits, the flat output/input buffers reused across
+	// StepN/DrainN/RunBatch calls, and the running feedback state of the
+	// feedback cone. All grow on first use to the largest chunk seen and
+	// are reused afterwards, so the batch steady state allocates nothing.
 	laneVals   []int64
 	laneValid  []bool
 	batchOut   []int64
@@ -133,8 +134,8 @@ type simPlan struct {
 	seeds    []ringEnt
 	commits  []ringEnt
 
-	// Lazily-compiled alternative backends, shared by every Sim over this
-	// plan (backend_cone.go, backend_threaded.go): the recognized
+	// Lazily-compiled threaded-backend artifacts, shared by every Sim
+	// over this plan (cone.go, backend_threaded.go): the recognized
 	// closed-form feedback cone, and the plan lowered to threaded code.
 	coneOnce   sync.Once
 	cone       *coneSpec
@@ -438,14 +439,25 @@ func (p *simPlan) partitionBatch() {
 	}
 }
 
-// NewSim instantiates a simulator over the data path's compiled
-// execution plan (compiling it on first use, reusing it afterwards),
-// with feedback latches reset to their init values.
-func NewSim(d *Datapath) *Sim {
+// NewSim instantiates a simulator on the default (threaded) backend
+// over the data path's compiled execution plan (compiling it on first
+// use, reusing it afterwards), with feedback latches reset to their
+// init values.
+func NewSim(d *Datapath) *Sim { return NewSimWith(d, BackendThreaded) }
+
+// NewSimWith builds a simulator over the data path that executes
+// through the given backend. The threaded code is built eagerly here
+// (and cached on the shared plan), so construction — not the first
+// Step — pays the lowering cost.
+func NewSimWith(d *Datapath, b Backend) *Sim {
 	p := d.simPlanFor()
+	if b == BackendThreaded {
+		p.threadFor()
+	}
 	s := &Sim{
 		d:          d,
 		p:          p,
+		backend:    b,
 		ring:       make([]int64, len(d.Ops)*p.rdepth),
 		rmask:      p.rmask,
 		validRing:  make([]bool, p.rdepth),
@@ -459,23 +471,6 @@ func NewSim(d *Datapath) *Sim {
 		State:      make(map[*hir.Var]int64, len(p.fbVars)),
 	}
 	s.Reset()
-	return s
-}
-
-// NewSimWith builds a simulator over the data path that executes
-// through the given backend. The compiled backend structures are built
-// eagerly here (and cached on the shared plan), so construction — not
-// the first Step — pays the lowering cost, and NewSimWith over a warm
-// plan allocates no more than NewSim.
-func NewSimWith(d *Datapath, b Backend) *Sim {
-	s := NewSim(d)
-	s.backend = b
-	switch b {
-	case BackendThreaded:
-		s.p.threadFor()
-	case BackendCone:
-		s.p.coneFor()
-	}
 	return s
 }
 
@@ -582,10 +577,8 @@ func (s *Sim) abort(prevHead int) {
 	}
 }
 
-// step advances one clock through the Sim's selected backend. The
-// threaded backend runs the plan's compiled closure array; everything
-// else (including BackendCone, whose specialization only concerns the
-// batch path) takes the interpreter loop.
+// step advances one clock through the Sim's selected backend: the
+// plan's compiled closure array or the interpreter loop.
 //
 //roccc:hotpath
 func (s *Sim) step(inputs []int64, valid bool) ([]int64, error) {

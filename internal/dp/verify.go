@@ -444,7 +444,7 @@ func verifyBatchPartition(p *simPlan) []Violation {
 
 // verifyCone independently re-derives the closed-form feedback-cone
 // conditions and checks a recognized coneSpec against them. The
-// recognizer (backend_cone.go) and this checker state the same grammar
+// recognizer (cone.go) and this checker state the same grammar
 // in different shapes: recognizeCone pattern-matches while walking;
 // this pass first computes latch/accumulate provenance for every cone
 // region and then asserts each structural claim of the closed form

@@ -149,8 +149,8 @@ func TestVerifyPlanBatchClassOverlap(t *testing.T) {
 
 func TestVerifyPlanBatchWrongClass(t *testing.T) {
 	p := conePlan()
-	// Move the accumulate out of the feedback cone: batchOps would run
-	// it op-major before the lane-serial cone produces its latch reads.
+	// Move the accumulate out of the feedback cone: its lane kernel would
+	// run it op-major before the lane-serial cone produces its latch reads.
 	p.batchC = append(p.batchC, p.batchB[1])
 	p.batchB = append(p.batchB[:1], p.batchB[2:]...)
 	vs := verifyPlan(p)

@@ -32,7 +32,7 @@ type Report struct {
 
 // VerifyResult statically checks every compiled artifact of one kernel
 // under one execution backend: the simulator plan (with the backend's
-// compiled structures forced, so threaded/cone lowering runs), the
+// compiled structures forced, so the threaded lowering runs), the
 // system plan and smart buffers for streaming kernels, and the emitted
 // VHDL file set. Build failures (bad buffer geometry, missing scalars)
 // are returned as errors — they are compile rejections, not invariant
@@ -42,7 +42,7 @@ func VerifyResult(res *core.Result, bus int, scalars map[string]int64, backend d
 		bus = 1
 	}
 	// Force the backend's compiled structures onto the shared plan
-	// before verifying: the threaded/cone lowering must exist for the
+	// before verifying: the threaded lowering must exist for the
 	// backend-specific checks (and for -race CI) to mean anything.
 	dp.NewSimWith(res.Datapath, backend)
 

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -11,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"roccc/internal/calib"
 	"roccc/internal/core"
 	"roccc/internal/dp"
 	"roccc/internal/fleet"
@@ -23,17 +21,17 @@ import (
 // stack — pipelined v2 client, front-end server, consistent-hash
 // router, N in-process worker shards, warm SystemPools — must return
 // outputs, feedback latches, cycle counts and fault abort cycles
-// bit-identical to a serial netlist.System.Run, for every Table 1
-// kernel, the fault divider and every ci/corpus kernel, on any
+// bit-identical to a serial interp netlist.System.Run, for every Table 1
+// kernel, the fault divider and every ci/corpus kernel, on either
 // execution backend. All kernels sweep concurrently over ONE pipelined
 // connection, so the request-id demux is load-bearing, not decorative.
 
 // LoadCorpusSpecs compiles-checks nothing: it reads every .c kernel in
 // dir (the checked-in fuzz corpus, function name k) into servable specs
-// with the given backend. An empty dir or a missing directory yields no
+// on the default backend. An empty dir or a missing directory yields no
 // specs and no error, so callers away from the repo root degrade to the
 // Table 1 matrix.
-func LoadCorpusSpecs(dir string, backend dp.Backend) ([]serve.KernelSpec, error) {
+func LoadCorpusSpecs(dir string) ([]serve.KernelSpec, error) {
 	if dir == "" {
 		return nil, nil
 	}
@@ -53,7 +51,7 @@ func LoadCorpusSpecs(dir string, backend dp.Backend) ([]serve.KernelSpec, error)
 			Source:  string(src),
 			Func:    "k",
 			Options: core.DefaultOptions(),
-			Config:  netlist.Config{BusElems: 1, Backend: backend},
+			Config:  netlist.Config{BusElems: 1},
 		})
 	}
 	return specs, nil
@@ -64,33 +62,22 @@ func LoadCorpusSpecs(dir string, backend dp.Backend) ([]serve.KernelSpec, error)
 // every Table 1 kernel, the fault divider and the ci/corpus kernels on
 // every shard, then sweeps `streams` random streams per kernel — all
 // kernels concurrently over one pipelined TCP connection — verifying
-// each response bit-exact against a serial System.Run on the same
-// backend. After the storm it asserts every shard pool balanced
-// (Gets == Puts + Rejected) and the router's route table consistent
-// with its own ring.
-//
-// Calibrated mode (calibrate=true) is the auto-pick differential gate:
-// backend is forced to interp — registration AND the serial ground
-// truth — then every streamable kernel is calibrated on its ring-owner
-// shard with the noise-floor guard disabled, so any backend that wins
-// its trial actually takes over the serving pool. The sweep then pins
-// the auto-picked fleet bit-identical to serial interp.
-func FleetSweep(streams, shards int, backend dp.Backend, corpusDir string, calibrate bool) ([]ServeRow, error) {
+// each response bit-exact against a serial interp System.Run. After the
+// storm it asserts every shard pool balanced (Gets == Puts + Rejected)
+// and the router's route table consistent with its own ring.
+func FleetSweep(streams, shards int, backend dp.Backend, corpusDir string) ([]ServeRow, error) {
 	if streams <= 0 {
 		streams = 8
 	}
 	if shards <= 0 {
 		shards = 3
 	}
-	if calibrate {
-		backend = dp.BackendInterp
-	}
 	specs := serve.Table1Specs()
 	specs = append(specs, serve.KernelSpec{
 		Name: "divide_fault", Source: serveSweepSource, Func: "divide",
 		Options: core.DefaultOptions(), Config: netlist.Config{BusElems: 1},
 	})
-	corpus, err := LoadCorpusSpecs(corpusDir, backend)
+	corpus, err := LoadCorpusSpecs(corpusDir)
 	if err != nil {
 		return nil, err
 	}
@@ -119,22 +106,6 @@ func FleetSweep(streams, shards int, backend dp.Backend, corpusDir string, calib
 		return nil, err
 	}
 	defer router.Close()
-
-	if calibrate {
-		// Calibrate each kernel on the shard the ring routes it to — the
-		// one that will actually serve it — with the noise-floor guard off
-		// (NoiseFloor < 0) so any measured win swaps the pool and the
-		// sweep exercises genuinely auto-picked backends. Combinational
-		// kernels cannot stream, hence cannot be trialed; the sweep
-		// separately asserts they refuse requests with the same diagnosis.
-		opt := calib.Options{Warmup: 1, Reps: 1, Iters: 2, NoiseFloor: -1}
-		for _, spec := range specs {
-			_, cerr := workers[router.ShardFor(spec.Name)].CalibrateKernel(spec.Name, opt)
-			if cerr != nil && !errors.Is(cerr, netlist.ErrCombinational) {
-				return nil, fmt.Errorf("exp: fleet sweep: calibrate %s: %w", spec.Name, cerr)
-			}
-		}
-	}
 
 	front := serve.NewServer(0)
 	front.SetDispatcher(router)

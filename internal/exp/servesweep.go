@@ -18,10 +18,10 @@ import (
 // servesweep.go verifies the rocccserve deployment shape end to end:
 // every Table 1 kernel served over the TCP protocol must return output
 // windows, feedback latches, cycle counts and mid-stream faults
-// bit-identical to a serial netlist.System.Run of the same streams. The
-// sweep doubles as the serve acceptance harness: feedback kernels
-// (mul_acc) and fault cases (a divider fed a zero on a valid iteration)
-// are part of the matrix, not separate tests.
+// bit-identical to a serial interp netlist.System.Run of the same
+// streams. The sweep doubles as the serve acceptance harness: feedback
+// kernels (mul_acc) and fault cases (a divider fed a zero on a valid
+// iteration) are part of the matrix, not separate tests.
 
 // ServeRow is one kernel's served-vs-serial verification result.
 type ServeRow struct {
@@ -57,7 +57,7 @@ void divide() {
 // ServeSweep starts an in-memory rocccserve with every Table 1 kernel
 // (plus the fault divider), streams `streams` random input streams per
 // kernel through the TCP protocol, and verifies each response against a
-// serial System.Run of the same inputs. Any divergence — a value, a
+// serial interp System.Run of the same inputs. Any divergence — a value, a
 // cycle count, a feedback latch, a fault's abort cycle or message — is
 // an error.
 func ServeSweep(streams int) ([]ServeRow, error) {
@@ -103,15 +103,18 @@ func ServeSweep(streams int) ([]ServeRow, error) {
 	return rows, nil
 }
 
-// serveSweepKernel checks one kernel: serial ground truth first, then
-// the served batch against it.
+// serveSweepKernel checks one kernel: serial interp ground truth first,
+// then the served batch against it.
 func serveSweepKernel(conn *serve.Conn, spec serve.KernelSpec, streams int) (ServeRow, error) {
 	row := ServeRow{Kernel: spec.Name, Streams: streams}
 	res, err := core.CompileSource(spec.Source, spec.Func, spec.Options)
 	if err != nil {
 		return row, err
 	}
-	sys, err := netlist.NewSystem(res.Kernel, res.Datapath, spec.Config)
+	cfg := spec.Config
+	cfg.Serial = true
+	cfg.Backend = dp.BackendInterp
+	sys, err := netlist.NewSystem(res.Kernel, res.Datapath, cfg)
 	if err != nil {
 		// Combinational Table 1 rows cannot stream; the served request
 		// must refuse them with the same diagnosis.
@@ -148,7 +151,7 @@ func serveSweepKernel(conn *serve.Conn, spec serve.KernelSpec, streams int) (Ser
 		jobs[i] = netlist.Job{Inputs: inputs}
 	}
 
-	// Serial ground truth: one System, Reset per stream.
+	// Serial interp ground truth: one System, Reset per stream.
 	type ref struct {
 		outputs   map[string][]int64
 		feedbacks map[string]int64
@@ -249,7 +252,7 @@ func serveSweepKernel(conn *serve.Conn, spec serve.KernelSpec, streams int) (Ser
 // FormatServeSweep renders the served-vs-serial verification table.
 func FormatServeSweep(rows []ServeRow) string {
 	var b strings.Builder
-	b.WriteString("Serve sweep: rocccserve TCP responses vs serial netlist.System.Run\n")
+	b.WriteString("Serve sweep: rocccserve TCP responses vs serial interp netlist.System.Run\n")
 	fmt.Fprintf(&b, "%-15s %8s %7s %10s %10s  %s\n",
 		"kernel", "streams", "faults", "cycles", "elapsed", "verdict")
 	for _, r := range rows {

@@ -81,16 +81,17 @@ func TestServeSweep(t *testing.T) {
 
 // TestFleetSweep is the Serve v2 acceptance harness: the pipelined
 // client + router + sharded workers stack must be bit-identical to
-// serial System.Run for every Table 1 kernel, the fault divider and the
-// ci/corpus kernels, on all three execution backends — with every shard
-// pool balanced after the concurrent storm. FleetSweep fails internally
-// on any divergence, shed or leak; here we pin the matrix shape.
+// serial interp System.Run for every Table 1 kernel, the fault divider
+// and the ci/corpus kernels, on both execution backends — with every
+// shard pool balanced after the concurrent storm. FleetSweep fails
+// internally on any divergence, shed or leak; here we pin the matrix
+// shape.
 func TestFleetSweep(t *testing.T) {
 	for _, b := range dp.Backends() {
 		b := b
 		t.Run(b.String(), func(t *testing.T) {
 			t.Parallel()
-			rows, err := FleetSweep(3, 3, b, "../../ci/corpus", false)
+			rows, err := FleetSweep(3, 3, b, "../../ci/corpus")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,31 +127,11 @@ func TestFleetSweep(t *testing.T) {
 	}
 }
 
-// TestFleetSweepCalibrated is the auto-pick differential gate: a fleet
-// whose kernels were calibrated (noise-floor guard off, so winners
-// actually take over the pools) must stay bit-identical to serial
-// interp across Table 1, the fault divider and the ci/corpus kernels.
-func TestFleetSweepCalibrated(t *testing.T) {
-	rows, err := FleetSweep(3, 3, dp.BackendInterp, "../../ci/corpus", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed := 0
-	for _, r := range rows {
-		if r.Skipped == "" {
-			streamed++
-		}
-	}
-	if streamed < 8 {
-		t.Fatalf("only %d kernels streamed through the calibrated fleet", streamed)
-	}
-}
-
 // TestSysBatchSweep runs the serial-vs-streak system sweep small: the
 // sweep fails on any bit divergence, so a passing run certifies the
 // streak-batched Run across the Table 1 matrix end to end.
 func TestSysBatchSweep(t *testing.T) {
-	rows, err := SysBatchSweep(2, dp.BackendThreaded)
+	rows, err := SysBatchSweep(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,16 +142,13 @@ func TestSysBatchSweep(t *testing.T) {
 			if r.BatchedPct <= 0 {
 				t.Errorf("%s: no cycles took the streak path", r.Kernel)
 			}
-			if r.Backed <= 0 {
-				t.Errorf("%s: threaded backend column not measured", r.Kernel)
-			}
 		}
 	}
 	if streamed < 5 {
 		t.Fatalf("only %d kernels streamed", streamed)
 	}
 	s := FormatSysBatch(rows)
-	for _, want := range []string{"speedup", "backend/it", "vs streak"} {
+	for _, want := range []string{"serial/it", "streak/it", "speedup"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("table missing %q header:\n%s", want, s)
 		}

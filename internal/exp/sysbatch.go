@@ -12,20 +12,18 @@ import (
 	"roccc/internal/netlist"
 )
 
-// sysbatch.go measures the streak-batched System.Run (netlist
-// sysbatch.go) against the serial per-cycle dispatch on the same
-// streams, kernel by kernel. Every streak-batched stream is verified
-// bit-identical to its serial run — outputs, feedback latches and cycle
-// counts — so the sweep doubles as an end-to-end correctness harness
-// for the streak predictor, and the table it prints is the reproducible
-// form of the speedup claim.
+// sysbatch.go measures the default streak-batched System.Run (netlist
+// sysbatch.go, threaded backend) against the serial per-cycle interp
+// reference on the same streams, kernel by kernel. Every streak-batched
+// stream is verified bit-identical to its serial run — outputs,
+// feedback latches and cycle counts — so the sweep doubles as an
+// end-to-end correctness harness for the streak predictor and the
+// threaded backend, and the table it prints is the reproducible form of
+// the speedup claim.
 
 // SysBatchRow is one kernel's serial-vs-streak measurement.
 type SysBatchRow struct {
-	Kernel string
-	// Backend is the execution backend the third column ran on (the
-	// serial and streak references always run the interpreter).
-	Backend dp.Backend
+	Kernel  string
 	Streams int
 	// Iters is the loop-nest iteration count of one stream.
 	Iters int
@@ -37,15 +35,10 @@ type SysBatchRow struct {
 	// stepping).
 	BatchedPct float64
 	// Serial and Streak are per-iteration costs (total wall clock over
-	// total data-path iterations executed) on the interpreter.
+	// total data-path iterations executed): the serial interp reference
+	// and the default streak-batched system.
 	Serial, Streak time.Duration
 	Speedup        float64
-	// Backed is the streak path's per-iteration cost on Backend, and
-	// BackSpeedup its speedup over the interpreter streak path (the PR 5
-	// baseline). Zero when Backend is the interpreter — there is nothing
-	// to compare.
-	Backed      time.Duration
-	BackSpeedup float64
 	// Skipped is non-empty for kernels that cannot stream.
 	Skipped string
 }
@@ -71,7 +64,7 @@ void fir() {
 // measurement rows: the Fig. 3 FIR (the Fig. 2 benchmark workload), a
 // 4096-iteration FIR (steady-state shape), and every streamable Table 1
 // row including the mul_acc feedback kernel.
-func SysBatchSweep(streams int, backend dp.Backend) ([]SysBatchRow, error) {
+func SysBatchSweep(streams int) ([]SysBatchRow, error) {
 	if streams <= 0 {
 		streams = 8
 	}
@@ -102,7 +95,7 @@ func SysBatchSweep(streams int, backend dp.Backend) ([]SysBatchRow, error) {
 		if c.err != nil {
 			return nil, fmt.Errorf("exp: sysbatch %s: %w", c.name, c.err)
 		}
-		row, err := sysBatchKernel(c.name, c.res, c.cfg, streams, backend)
+		row, err := sysBatchKernel(c.name, c.res, c.cfg, streams)
 		if err != nil {
 			return nil, fmt.Errorf("exp: sysbatch %s: %w", c.name, err)
 		}
@@ -111,12 +104,10 @@ func SysBatchSweep(streams int, backend dp.Backend) ([]SysBatchRow, error) {
 	return rows, nil
 }
 
-// sysBatchKernel measures one kernel, verifying every measured system
-// — the interpreter streak path and, when backend is not the
-// interpreter, the backend streak path — bit-identical to the serial
-// interpreter reference on every stream.
-func sysBatchKernel(name string, res *core.Result, cfg netlist.Config, streams int, backend dp.Backend) (SysBatchRow, error) {
-	row := SysBatchRow{Kernel: name, Backend: backend, Streams: streams}
+// sysBatchKernel measures one kernel, verifying the default streak path
+// bit-identical to the serial interpreter reference on every stream.
+func sysBatchKernel(name string, res *core.Result, cfg netlist.Config, streams int) (SysBatchRow, error) {
+	row := SysBatchRow{Kernel: name, Streams: streams}
 	scfg := cfg
 	scfg.Serial = true
 	scfg.Backend = dp.BackendInterp
@@ -128,20 +119,9 @@ func sysBatchKernel(name string, res *core.Result, cfg netlist.Config, streams i
 		}
 		return row, nil
 	}
-	bcfg := cfg
-	bcfg.Serial = false
-	bcfg.Backend = dp.BackendInterp
-	streak, err := netlist.NewSystem(res.Kernel, res.Datapath, bcfg)
+	streak, err := netlist.NewSystem(res.Kernel, res.Datapath, cfg)
 	if err != nil {
 		return row, err
-	}
-	var backed *netlist.System
-	if backend != dp.BackendInterp {
-		kcfg := bcfg
-		kcfg.Backend = backend
-		if backed, err = netlist.NewSystem(res.Kernel, res.Datapath, kcfg); err != nil {
-			return row, err
-		}
 	}
 	row.Iters = int(res.Kernel.Nest.TotalIterations())
 
@@ -194,46 +174,35 @@ func sysBatchKernel(name string, res *core.Result, cfg netlist.Config, streams i
 		return r, nil
 	}
 
-	// Correctness pass (also the warm-up): every measured system ≡ the
-	// serial interpreter per stream, with the diverging system named.
-	diff := func(tag string, sys *netlist.System, i int, in map[string][]int64, sr result) error {
-		br, err := runOne(sys, in)
-		if err != nil {
-			return fmt.Errorf("%s stream %d: %w", tag, i, err)
-		}
-		if br.cycles != sr.cycles {
-			return fmt.Errorf("stream %d: %d cycles %s, %d serial", i, br.cycles, tag, sr.cycles)
-		}
-		for arr, want := range sr.outputs {
-			got := br.outputs[arr]
-			for j := range want {
-				if got[j] != want[j] {
-					return fmt.Errorf("stream %d: %s[%d] = %d %s, %d serial", i, arr, j, got[j], tag, want[j])
-				}
-			}
-		}
-		for fb, want := range sr.feedbacks {
-			if got := br.feedbacks[fb]; got != want {
-				return fmt.Errorf("stream %d: feedback %s = %d %s, %d serial", i, fb, got, tag, want)
-			}
-		}
-		return nil
-	}
+	// Correctness pass (also the warm-up): the streak system ≡ the
+	// serial interpreter per stream.
 	for i, in := range inputs {
 		sr, err := runOne(serial, in)
 		if err != nil {
 			return row, fmt.Errorf("serial stream %d: %w", i, err)
 		}
-		if err := diff("streak[interp]", streak, i, in, sr); err != nil {
-			return row, err
+		br, err := runOne(streak, in)
+		if err != nil {
+			return row, fmt.Errorf("streak stream %d: %w", i, err)
+		}
+		if br.cycles != sr.cycles {
+			return row, fmt.Errorf("stream %d: %d cycles streak, %d serial", i, br.cycles, sr.cycles)
+		}
+		for arr, want := range sr.outputs {
+			got := br.outputs[arr]
+			for j := range want {
+				if got[j] != want[j] {
+					return row, fmt.Errorf("stream %d: %s[%d] = %d streak, %d serial", i, arr, j, got[j], want[j])
+				}
+			}
+		}
+		for fb, want := range sr.feedbacks {
+			if got := br.feedbacks[fb]; got != want {
+				return row, fmt.Errorf("stream %d: feedback %s = %d streak, %d serial", i, fb, got, want)
+			}
 		}
 		row.Cycles += int64(sr.cycles)
 		row.BatchedPct += float64(streak.BatchedCycles())
-		if backed != nil {
-			if err := diff("streak["+backend.String()+"]", backed, i, in, sr); err != nil {
-				return row, err
-			}
-		}
 	}
 	row.BatchedPct = 100 * row.BatchedPct / float64(row.Cycles)
 
@@ -267,51 +236,24 @@ func sysBatchKernel(name string, res *core.Result, cfg netlist.Config, streams i
 	if str > 0 {
 		row.Speedup = float64(ser) / float64(str)
 	}
-	if backed != nil {
-		bk, err := time1(backed)
-		if err != nil {
-			return row, err
-		}
-		row.Backed = bk / time.Duration(iters)
-		if bk > 0 {
-			row.BackSpeedup = float64(str) / float64(bk)
-		}
-	}
 	return row, nil
 }
 
-// FormatSysBatch renders the serial-vs-streak table; when the rows were
-// measured on a non-interpreter backend it appends the backend columns
-// (per-iteration cost and speedup over the interpreter streak path).
+// FormatSysBatch renders the serial-vs-streak table.
 func FormatSysBatch(rows []SysBatchRow) string {
-	withBackend := false
-	for _, r := range rows {
-		if r.Backend != dp.BackendInterp {
-			withBackend = true
-			break
-		}
-	}
 	var b strings.Builder
-	b.WriteString("System cycle-loop batching: serial Step dispatch vs streak-batched StepN\n")
-	fmt.Fprintf(&b, "%-12s %8s %7s %9s %9s %11s %11s %9s",
+	b.WriteString("System cycle-loop batching: serial interp Step dispatch vs streak-batched StepN\n")
+	fmt.Fprintf(&b, "%-12s %8s %7s %9s %9s %11s %11s %9s\n",
 		"kernel", "streams", "iters", "cycles", "batched", "serial/it", "streak/it", "speedup")
-	if withBackend {
-		fmt.Fprintf(&b, " %11s %9s", "backend/it", "vs streak")
-	}
-	b.WriteString("\n")
 	for _, r := range rows {
 		if r.Skipped != "" {
 			fmt.Fprintf(&b, "%-12s %8s %7s %9s %9s %11s %11s %9s  (%s)\n",
 				r.Kernel, "-", "-", "-", "-", "-", "-", "-", r.Skipped)
 			continue
 		}
-		fmt.Fprintf(&b, "%-12s %8d %7d %9d %8.1f%% %11s %11s %8.2fx",
+		fmt.Fprintf(&b, "%-12s %8d %7d %9d %8.1f%% %11s %11s %8.2fx\n",
 			r.Kernel, r.Streams, r.Iters, r.Cycles, r.BatchedPct,
 			r.Serial.Round(time.Nanosecond), r.Streak.Round(time.Nanosecond), r.Speedup)
-		if withBackend {
-			fmt.Fprintf(&b, " %11s %8.2fx", r.Backed.Round(time.Nanosecond), r.BackSpeedup)
-		}
-		b.WriteString("\n")
 	}
 	return b.String()
 }

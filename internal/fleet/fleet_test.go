@@ -12,8 +12,8 @@ import (
 	"testing"
 	"time"
 
-	"roccc/internal/calib"
 	"roccc/internal/core"
+	"roccc/internal/dp"
 	"roccc/internal/netlist"
 	"roccc/internal/serve"
 )
@@ -81,15 +81,18 @@ func divInputs(seed int64) map[string][]int64 {
 	return map[string][]int64{"A": a, "B": b}
 }
 
-// serialRun executes one stream through a private System — the ground
-// truth fleet routing must be bit-identical to.
+// serialRun executes one stream through a private serial interp System
+// — the ground truth fleet routing must be bit-identical to.
 func serialRun(t *testing.T, spec serve.KernelSpec, inputs map[string][]int64) *netlist.Job {
 	t.Helper()
 	res, err := core.CompileSource(spec.Source, spec.Func, spec.Options)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := netlist.NewSystem(res.Kernel, res.Datapath, spec.Config)
+	cfg := spec.Config
+	cfg.Serial = true
+	cfg.Backend = dp.BackendInterp
+	sys, err := netlist.NewSystem(res.Kernel, res.Datapath, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,77 +612,4 @@ func TestFleetShardedSoak(t *testing.T) {
 		t.Fatalf("router counted %d sheds, clients saw %d", metricSheds, shed.Load())
 	}
 	t.Logf("fleet soak: %d answered, %d shed across %d shards", answered.Load(), shed.Load(), r.Shards())
-}
-
-// TestRouterCalibration: EnableCalibration must arm first-compile
-// trials on every in-process shard, Autotune must re-trial compiled
-// kernels, and the counters must fold into the fleet metrics snapshot —
-// while every routed answer stays bit-identical to a serial run.
-func TestRouterCalibration(t *testing.T) {
-	srvs := workers(t, 2, 2)
-	r, err := NewRouter([]Shard{{Local: srvs[0]}, {Local: srvs[1]}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast := calib.Options{Warmup: 1, Reps: 1, Iters: 1}
-	r.EnableCalibration(fast)
-
-	// First dispatch compiles on the ring-owner shard and (armed) trials
-	// the kernel before its first pool is built.
-	inputs := firInputs(42)
-	want := serialRun(t, testSpecs()[0], inputs)
-	jobs := []netlist.Job{{Inputs: inputs}}
-	if err := r.Run("fir", jobs); err != nil {
-		t.Fatalf("routed run: %v", err)
-	}
-	for i, v := range want.Outputs["C"] {
-		if jobs[0].Outputs["C"][i] != v {
-			t.Fatalf("C[%d] = %d routed, %d serial", i, jobs[0].Outputs["C"][i], v)
-		}
-	}
-	m := r.Metrics()
-	if m.Calibrations == 0 {
-		t.Fatal("first compile under EnableCalibration ran no trials")
-	}
-	base := m.Calibrations
-	owner := m.Shards[r.ShardFor("fir")]
-	if owner.Calibrations == 0 {
-		t.Fatalf("ring-owner shard reports no calibrations: %+v", owner)
-	}
-
-	// The hygiene tick re-trials compiled kernels on their shards.
-	r.Autotune()
-	m = r.Metrics()
-	if m.Calibrations <= base {
-		t.Fatalf("Autotune did not calibrate: %d trials, had %d", m.Calibrations, base)
-	}
-
-	// An explicit pass reports how many trials it ran.
-	trials, err := r.Calibrate()
-	if err != nil {
-		t.Fatalf("Calibrate: %v", err)
-	}
-	if trials == 0 {
-		t.Fatal("explicit Calibrate pass ran no trials")
-	}
-
-	// Per-kernel calibration detail flows through the embedded shard
-	// server snapshot.
-	found := false
-	for _, sm := range r.Metrics().Shards {
-		if sm.Server == nil {
-			continue
-		}
-		for _, ki := range sm.Server.Kernels {
-			if ki.Kernel == "fir" && ki.Calibration != nil {
-				found = true
-				if len(ki.Calibration.Samples) == 0 {
-					t.Fatal("fir calibration carries no samples")
-				}
-			}
-		}
-	}
-	if !found {
-		t.Fatal("no shard snapshot carries fir's calibration result")
-	}
 }

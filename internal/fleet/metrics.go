@@ -18,12 +18,6 @@ type ShardMetrics struct {
 	Sheds     int64  `json:"sheds"`
 	IdleConns int    `json:"idle_conns"`
 
-	// Calibrations/CalibSwaps mirror the in-process shard server's
-	// backend-calibration totals (zero for TCP shards, whose own metrics
-	// endpoint reports them).
-	Calibrations int64 `json:"calibrations,omitempty"`
-	CalibSwaps   int64 `json:"calib_swaps,omitempty"`
-
 	// Server is the in-process shard's full serve snapshot (per-kernel
 	// pool stats, backend/cone info, connection counters); nil for TCP
 	// shards, whose own metrics endpoint reports it.
@@ -46,10 +40,6 @@ type KernelRoute struct {
 type Metrics struct {
 	Shards  []ShardMetrics `json:"shards"`
 	Kernels []KernelRoute  `json:"kernels"`
-	// Calibrations/CalibSwaps total backend trials and live pool swaps
-	// across the fleet's in-process shards.
-	Calibrations int64 `json:"calibrations"`
-	CalibSwaps   int64 `json:"calib_swaps"`
 }
 
 // Metrics snapshots every shard and routed kernel.
@@ -73,9 +63,6 @@ func (r *Router) Metrics() Metrics {
 		if sh.local != nil {
 			srv := sh.local.Metrics()
 			sm.Server = &srv
-			sm.Calibrations, sm.CalibSwaps = srv.Calibrations, srv.CalibSwaps
-			m.Calibrations += srv.Calibrations
-			m.CalibSwaps += srv.CalibSwaps
 		}
 		m.Shards[i] = sm
 	}

@@ -25,7 +25,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"roccc/internal/calib"
 	"roccc/internal/netlist"
 	"roccc/internal/serve"
 )
@@ -105,12 +104,6 @@ type Router struct {
 
 	lmu  sync.RWMutex
 	load map[string]*kernelLoad
-
-	// Backend calibration across in-process shards (EnableCalibration);
-	// TCP shards calibrate themselves via their own -calibrate flag.
-	calibMu  sync.Mutex
-	calibOpt calib.Options
-	calibOn  bool
 }
 
 // NewRouter builds a router over the given shards. The ring is fixed at
@@ -391,11 +384,7 @@ func (r *Router) EvictIdle(maxResident int) int {
 // call (never below 1), so hot kernels keep enough warm Systems to
 // serve their peak without rebuilds while cold ones shrink to a single
 // resident System. The high-water mark resets to the current in-flight
-// count, making each call a fresh observation window. When calibration
-// is enabled (EnableCalibration), each call also re-trials every
-// compiled kernel on its shard — cheap in steady state, because the
-// noise-floor guard keeps the incumbent backend unless a challenger
-// genuinely beats it, so pools are not rebuilt on jitter.
+// count, making each call a fresh observation window.
 func (r *Router) Autotune() {
 	r.lmu.RLock()
 	kls := make([]*kernelLoad, 0, len(r.load))
@@ -414,51 +403,6 @@ func (r *Router) Autotune() {
 		}
 		sh.local.SetMaxIdleFor(kl.route.kernel, int(hwm))
 	}
-	r.calibMu.Lock()
-	on := r.calibOn
-	r.calibMu.Unlock()
-	if on {
-		r.Calibrate()
-	}
-}
-
-// EnableCalibration arms backend calibration fleet-wide: every
-// in-process shard auto-calibrates kernels at first compile, and every
-// Autotune tick re-trials the compiled ones (live pool swaps on a
-// switched pick are invisible to streams — serve's eviction-retry
-// handles the handover). opt bounds each trial; the zero Options
-// selects the calib defaults. TCP shards are untouched: they own their
-// calibration via their own server's -calibrate flag.
-func (r *Router) EnableCalibration(opt calib.Options) {
-	r.calibMu.Lock()
-	r.calibOpt = opt
-	r.calibOn = true
-	r.calibMu.Unlock()
-	for _, sh := range r.shards {
-		if sh.local != nil {
-			sh.local.SetAutoCalibrate(true, opt)
-		}
-	}
-}
-
-// Calibrate runs one calibration pass over every in-process shard's
-// compiled kernels, returning the number of trials completed and the
-// first per-shard failure (remaining shards still run).
-func (r *Router) Calibrate() (trials int, err error) {
-	r.calibMu.Lock()
-	opt := r.calibOpt
-	r.calibMu.Unlock()
-	for _, sh := range r.shards {
-		if sh.local == nil {
-			continue
-		}
-		results, cerr := sh.local.Calibrate(opt)
-		trials += len(results)
-		if cerr != nil && err == nil {
-			err = fmt.Errorf("fleet: shard %d: %w", sh.index, cerr)
-		}
-	}
-	return trials, err
 }
 
 // Close drops every pooled shard connection. Shard servers belong to

@@ -3,8 +3,6 @@ package load
 import (
 	"testing"
 	"time"
-
-	"roccc/internal/dp"
 )
 
 // TestHarnessSmoke stands up the in-process 2-shard fleet and runs one
@@ -15,7 +13,7 @@ func TestHarnessSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load harness smoke is not short")
 	}
-	sc, err := BuildScenario(dp.BackendInterp, "", 0.1, 0.05, 2)
+	sc, err := BuildScenario("", 0.1, 0.05, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,6 +73,46 @@ func TestHarnessSmoke(t *testing.T) {
 		t.Error("no /metrics probe in the step result")
 	} else if len(res.Metrics.PoolIdle) == 0 {
 		t.Error("metrics probe saw no kernel pools")
+	}
+	if err := fleet.PoolsBalanced(10 * time.Second); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestRunStepLatenessCountsOversleep: the pacing clock sleeps to each
+// scheduled arrival, and the timer wakes it after the deadline, never
+// at it. That overrun is dispatch debt the step must report: at 20
+// uniform arrivals per second every arrival sleeps, so a zero
+// LateMaxMs means the oversleep never reached the report.
+func TestRunStepLatenessCountsOversleep(t *testing.T) {
+	sc, err := BuildScenario("", 0, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, err := StartLocalFleet(2, 2, 0, sc.Specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+	res, err := RunStep(StepConfig{
+		Addr:     fleet.Addr,
+		Rate:     20,
+		Duration: 300 * time.Millisecond,
+		Dist:     DistUniform,
+		Conns:    1,
+		Slots:    2,
+		Workers:  2,
+		Seed:     1,
+		Scenario: sc,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Offered != 5 {
+		t.Fatalf("offered = %d, want 5 arrivals 50ms apart", res.Offered)
+	}
+	if res.LateMaxMs <= 0 {
+		t.Fatalf("late_max_ms = %v after %d slept arrivals, want the sleep overrun reported", res.LateMaxMs, res.Offered)
 	}
 	if err := fleet.PoolsBalanced(10 * time.Second); err != nil {
 		t.Error(err)

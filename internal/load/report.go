@@ -11,9 +11,8 @@ import (
 // gate group consumes it, and the run's headline numbers fold into the
 // BENCH_<sha>.json trajectory.
 type Report struct {
-	Addr    string `json:"addr"`
-	CPUs    int    `json:"cpus"`
-	Backend string `json:"backend"`
+	Addr string `json:"addr"`
+	CPUs int    `json:"cpus"`
 
 	Dist    string  `json:"dist"`
 	Conns   int     `json:"conns"`
@@ -27,13 +26,6 @@ type Report struct {
 	Mix                []Mix   `json:"mix"`
 
 	Knee *KneeResult `json:"knee"`
-
-	// KneeCalibrated is the second knee search of a -calibrate run,
-	// measured after LocalFleet.Calibrate repicked every kernel's
-	// backend; Knee holds the uncalibrated baseline. CalibTrials counts
-	// the trials the repick ran between the two searches.
-	KneeCalibrated *KneeResult `json:"knee_calibrated,omitempty"`
-	CalibTrials    int         `json:"calib_trials,omitempty"`
 }
 
 // WriteFile writes the report as indented JSON.
@@ -57,49 +49,26 @@ func (r *Report) WriteFile(path string) error {
 //     (the CPU-conditioned p99-ceiling-at-rate gate: knee >= floor
 //     means p99 met the SLO at the floor rate). Smaller machines skip
 //     the floor but still gate the shape checks.
-//
-// A calibrated run (KneeCalibrated set) gates the second search with
-// the same shape checks, and on machines with at least minCPU cores
-// additionally requires the calibrated knee to be no worse than the
-// uncalibrated one — the backend auto-pick must pay for itself or stay
-// out of the way. Single-core runners skip the comparison: with no
-// parallelism the threaded and cone backends have nothing to win, and
-// scheduler noise would gate on a coin flip.
 func (r *Report) Gate(minCPU int, floorRPS float64) []string {
-	var v []string
-	if r.Knee == nil {
+	kr := r.Knee
+	if kr == nil {
 		return []string{"load: report carries no knee result"}
 	}
-	v = append(v, gateKnee("", r.Knee, r.CPUs >= minCPU, floorRPS)...)
-	if r.KneeCalibrated != nil {
-		v = append(v, gateKnee("calibrated ", r.KneeCalibrated, r.CPUs >= minCPU, floorRPS)...)
-		if r.CPUs >= minCPU && r.KneeCalibrated.KneeRPS < r.Knee.KneeRPS {
-			v = append(v, fmt.Sprintf("load: calibrated knee %.0f rps regressed the uncalibrated %.0f rps (%d CPUs >= %d, so auto-pick must not lose)",
-				r.KneeCalibrated.KneeRPS, r.Knee.KneeRPS, r.CPUs, minCPU))
-		}
-	}
-	return v
-}
-
-// gateKnee applies the shape checks (and, when floorApplies, the rate
-// floor) to one knee search; label prefixes the violations so the
-// calibrated search's read distinctly from the baseline's.
-func gateKnee(label string, kr *KneeResult, floorApplies bool, floorRPS float64) []string {
 	var v []string
 	if kr.KneeRPS <= 0 {
-		v = append(v, fmt.Sprintf("load: no %sknee found (even the starting rate broke the %.0fms p99 SLO)", label, kr.SLOMs))
+		v = append(v, fmt.Sprintf("load: no knee found (even the starting rate broke the %.0fms p99 SLO)", kr.SLOMs))
 	}
 	if !kr.ShedMonotonic {
-		v = append(v, fmt.Sprintf("load: %sshed rate is not monotonic past the knee (the fleet collapsed instead of shedding)", label))
+		v = append(v, "load: shed rate is not monotonic past the knee (the fleet collapsed instead of shedding)")
 	}
 	for _, s := range kr.Steps {
 		if s.Rate <= kr.KneeRPS && s.Errors > 0 {
-			v = append(v, fmt.Sprintf("load: %d non-shed errors at %.0f rps, below the %s%.0f rps knee", s.Errors, s.Rate, label, kr.KneeRPS))
+			v = append(v, fmt.Sprintf("load: %d non-shed errors at %.0f rps, below the %.0f rps knee", s.Errors, s.Rate, kr.KneeRPS))
 		}
 	}
-	if floorApplies && floorRPS > 0 && kr.KneeRPS < floorRPS {
-		v = append(v, fmt.Sprintf("load: %sknee %.0f rps under the %.0f rps floor (floor applies at this CPU count)",
-			label, kr.KneeRPS, floorRPS))
+	if r.CPUs >= minCPU && floorRPS > 0 && kr.KneeRPS < floorRPS {
+		v = append(v, fmt.Sprintf("load: knee %.0f rps under the %.0f rps floor (floor applies at this CPU count)",
+			kr.KneeRPS, floorRPS))
 	}
 	return v
 }

@@ -14,57 +14,11 @@ func knee(rps float64) *KneeResult {
 	}
 }
 
-// TestGateCalibratedComparison pins the calibrate gate contract: on a
-// big-enough machine the calibrated knee must not regress the baseline;
-// under minCPU the comparison is skipped (single-core backends have
-// nothing to win), but shape checks still run on both searches.
-func TestGateCalibratedComparison(t *testing.T) {
-	r := &Report{CPUs: 8, Knee: knee(200), KneeCalibrated: knee(150)}
-	v := r.Gate(4, 0)
-	if len(v) != 1 || !strings.Contains(v[0], "regressed") {
-		t.Fatalf("violations = %q, want one regression", v)
-	}
-
-	r.KneeCalibrated = knee(200) // equal is fine: auto-pick may keep every backend
-	if v := r.Gate(4, 0); len(v) != 0 {
-		t.Fatalf("equal knees flagged: %q", v)
-	}
-	r.KneeCalibrated = knee(400)
-	if v := r.Gate(4, 0); len(v) != 0 {
-		t.Fatalf("improved knee flagged: %q", v)
-	}
-
-	// Under the CPU floor the comparison is skipped...
-	r.CPUs = 2
-	r.KneeCalibrated = knee(50)
-	if v := r.Gate(4, 0); len(v) != 0 {
-		t.Fatalf("small machine gated the comparison: %q", v)
-	}
-	// ...but the calibrated search's shape checks still apply.
-	r.KneeCalibrated.ShedMonotonic = false
-	v = r.Gate(4, 0)
-	if len(v) != 1 || !strings.Contains(v[0], "calibrated shed rate") {
-		t.Fatalf("violations = %q, want calibrated shed-shape violation", v)
-	}
-}
-
-// TestGateFloorAppliesToBothKnees: the CPU-conditioned rate floor gates
-// the baseline and the calibrated search independently, with labelled
-// violations.
-func TestGateFloorAppliesToBothKnees(t *testing.T) {
-	r := &Report{CPUs: 8, Knee: knee(80), KneeCalibrated: knee(90)}
-	v := r.Gate(4, 100)
-	if len(v) != 2 {
-		t.Fatalf("violations = %q, want both knees under the floor", v)
-	}
-	if !strings.Contains(v[1], "calibrated knee") {
-		t.Fatalf("second violation not labelled calibrated: %q", v)
-	}
-}
-
-// TestGateUncalibratedUnchanged: without a calibrated knee the gate is
-// the original contract — no knee result is itself a violation.
-func TestGateUncalibratedUnchanged(t *testing.T) {
+// TestGateContract pins the load gate: no knee result is itself a
+// violation, a clean report passes, a missing knee, a collapsing shed
+// rate and errors below the knee are violations, and the rate floor
+// applies only at or above the CPU threshold.
+func TestGateContract(t *testing.T) {
 	r := &Report{CPUs: 8}
 	if v := r.Gate(4, 100); len(v) != 1 || !strings.Contains(v[0], "no knee result") {
 		t.Fatalf("violations = %v", r.Gate(4, 100))
@@ -73,6 +27,21 @@ func TestGateUncalibratedUnchanged(t *testing.T) {
 	if v := r.Gate(4, 100); len(v) != 0 {
 		t.Fatalf("clean report flagged: %q", v)
 	}
+	r.Knee.ShedMonotonic = false
+	r.Knee.Steps[0].Errors = 3
+	if v := r.Gate(4, 0); len(v) != 2 || !strings.Contains(v[0], "not monotonic") || !strings.Contains(v[1], "non-shed errors") {
+		t.Fatalf("violations = %q, want shed-shape and error violations", v)
+	}
+
+	r.Knee = knee(80)
+	if v := r.Gate(4, 100); len(v) != 1 || !strings.Contains(v[0], "under the 100 rps floor") {
+		t.Fatalf("violations = %q, want a floor violation", v)
+	}
+	r.CPUs = 2
+	if v := r.Gate(4, 100); len(v) != 0 {
+		t.Fatalf("small machine gated the floor: %q", v)
+	}
+
 	r.Knee.KneeRPS = 0
 	r.Knee.Steps = nil
 	if v := r.Gate(4, 0); len(v) != 1 || !strings.Contains(v[0], "no knee found") {

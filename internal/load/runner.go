@@ -50,8 +50,8 @@ type StepResult struct {
 	MaxMs  float64 `json:"max_ms"`
 
 	// Pacing-clock dispatch debt: how late ticket hand-off ran behind
-	// the arrival schedule (the queueing between hand-off and the wire
-	// is already inside the latency quantiles).
+	// the arrival schedule, sleep overrun included (the queueing between
+	// hand-off and the wire is already inside the latency quantiles).
 	LateMaxMs float64 `json:"late_max_ms"`
 
 	ShedRate float64 `json:"shed_rate"`
@@ -293,10 +293,13 @@ func RunStep(cfg StepConfig) (*StepResult, error) {
 			break
 		}
 		sched := start.Add(time.Duration(off))
-		if late := time.Until(sched); late > 0 {
-			time.Sleep(late)
-		} else if -late > lateMax {
-			lateMax = -late
+		if wait := time.Until(sched); wait > 0 {
+			time.Sleep(wait)
+		}
+		// Measured after the sleep: the timer wakes the clock after the
+		// deadline, never at it, and that oversleep is dispatch debt too.
+		if late := time.Since(sched); late > lateMax {
+			lateMax = late
 		}
 		select {
 		case tickets <- ticket{sched: sched}:

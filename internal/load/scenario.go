@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"roccc/internal/core"
-	"roccc/internal/dp"
 	"roccc/internal/exp"
 	"roccc/internal/netlist"
 	"roccc/internal/serve"
@@ -86,11 +85,11 @@ type Scenario struct {
 
 // BuildScenario compiles the Table 1 kernels, the fault divider and the
 // ci/corpus kernels (corpusDir may be empty or missing) into a request
-// mix on the given backend: every streaming kernel enters the mix with
+// mix on the default backend: every streaming kernel enters the mix with
 // equal weight, input templates are generated deterministically, and
 // the divider also gets a planted-fault template. Combinational kernels
 // stay in Specs (the fleet registers them) but draw no load.
-func BuildScenario(backend dp.Backend, corpusDir string, faultFrac, discFrac float64, streams int) (*Scenario, error) {
+func BuildScenario(corpusDir string, faultFrac, discFrac float64, streams int) (*Scenario, error) {
 	if faultFrac < 0 || discFrac < 0 || faultFrac+discFrac > 1 {
 		return nil, fmt.Errorf("load: fault (%g) and disconnect (%g) fractions must be >= 0 and sum to <= 1", faultFrac, discFrac)
 	}
@@ -102,14 +101,11 @@ func BuildScenario(backend dp.Backend, corpusDir string, faultFrac, discFrac flo
 		Name: "divide_fault", Source: faultSource, Func: "divide",
 		Options: core.DefaultOptions(), Config: netlist.Config{BusElems: 1},
 	})
-	corpus, err := exp.LoadCorpusSpecs(corpusDir, backend)
+	corpus, err := exp.LoadCorpusSpecs(corpusDir)
 	if err != nil {
 		return nil, err
 	}
 	specs = append(specs, corpus...)
-	for i := range specs {
-		specs[i].Config.Backend = backend
-	}
 
 	sc := &Scenario{
 		FaultFraction:      faultFrac,

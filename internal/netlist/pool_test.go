@@ -517,13 +517,14 @@ void accum() {
 }
 
 // TestSystemPoolBackend pins the pool's backend plumbing: a pool built
-// with Config.Backend serves Systems on that backend, every matched
-// return is admitted, mismatched backends are rejected, and the
-// drained-pool accounting invariant Gets == Puts + Rejected holds with
-// the backend checks in the admission path.
+// with the zero Config serves Systems on the threaded default, every
+// matched return is admitted, Systems on the interp reference or the
+// serial dispatch path are rejected, and the drained-pool accounting
+// invariant Gets == Puts + Rejected holds with those checks in the
+// admission path.
 func TestSystemPoolBackend(t *testing.T) {
 	res, _ := buildSystem(t, firSource, "fir", core.Options{Optimize: true, PeriodNs: 5}, Config{BusElems: 1})
-	cfg := Config{BusElems: 1, Backend: dp.BackendThreaded}
+	cfg := Config{BusElems: 1}
 	pool, err := NewSystemPool(res.Kernel, res.Datapath, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -541,12 +542,10 @@ func TestSystemPoolBackend(t *testing.T) {
 		}
 		sims[i] = sys
 	}
-	// One mismatched return per foreign axis: interp backend, and the
-	// cone backend; both must be rejected without poisoning the free
-	// list.
-	for _, b := range []dp.Backend{dp.BackendInterp, dp.BackendCone} {
-		fcfg := cfg
-		fcfg.Backend = b
+	// One mismatched return per foreign axis: the interp backend and
+	// the serial dispatch path; both must be rejected without poisoning
+	// the free list.
+	for _, fcfg := range []Config{{BusElems: 1, Backend: dp.BackendInterp}, {BusElems: 1, Serial: true}} {
 		foreign, err := NewSystem(res.Kernel, res.Datapath, fcfg)
 		if err != nil {
 			t.Fatal(err)

@@ -362,10 +362,10 @@ func TestSysBatchPoolPassthrough(t *testing.T) {
 	}
 
 	// A System on a different execution backend must be rejected too —
-	// an interp pool fed a threaded System (or vice versa) would silently
+	// a threaded pool fed an interp System (or vice versa) would silently
 	// change the dispatch path of later Gets.
 	bcfg := cfg
-	bcfg.Backend = dp.BackendThreaded
+	bcfg.Backend = dp.BackendInterp
 	alien, err := NewSystem(res.Kernel, res.Datapath, bcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -374,7 +374,7 @@ func TestSysBatchPoolPassthrough(t *testing.T) {
 	pool.Put(alien)
 	after = pool.Stats()
 	if after.Rejected != before.Rejected+1 {
-		t.Fatalf("threaded System admitted into an interp pool (rejected %d -> %d)", before.Rejected, after.Rejected)
+		t.Fatalf("interp System admitted into a threaded pool (rejected %d -> %d)", before.Rejected, after.Rejected)
 	}
 	if after.Puts != before.Puts {
 		t.Fatalf("backend-mismatched Put also counted as accepted (puts %d -> %d)", before.Puts, after.Puts)

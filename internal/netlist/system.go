@@ -1,7 +1,6 @@
 package netlist
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 
@@ -10,14 +9,6 @@ import (
 	"roccc/internal/hir"
 	"roccc/internal/smartbuf"
 )
-
-// ErrCombinational is the sentinel inside every NewSystem failure for a
-// kernel without a loop nest (fully unrolled bit-level kernels, LUTs):
-// such kernels have no memory system to stream through and must be
-// simulated at the data-path level instead. Services and the
-// calibration plane match it with errors.Is to distinguish "cannot
-// stream, skip" from a real build failure.
-var ErrCombinational = errors.New("no loop nest")
 
 // System wires one compiled kernel into the Fig. 2 execution model:
 // input BRAMs feed smart buffers through read address generators, the
@@ -292,14 +283,15 @@ type Config struct {
 	// Scalars provides values for kernel-level scalar parameters.
 	Scalars map[string]int64
 	// Serial forces the one-Step-per-cycle dispatch path instead of the
-	// streak-batched default — the differential baseline for tests and
-	// benchmarks. Both paths are bit-identical on outputs, feedback
-	// latches, cycle counts and fault abort cycles.
+	// streak-batched default — with Backend set to dp.BackendInterp, the
+	// reference execution path of the differential tests and benchmarks.
+	// Both paths are bit-identical on outputs, feedback latches, cycle
+	// counts and fault abort cycles.
 	Serial bool
-	// Backend selects the data-path execution backend (interp, threaded,
-	// cone). The zero value is the interpreter reference; every backend
-	// is bit-identical on outputs, feedback latches, cycle counts and
-	// fault abort cycles.
+	// Backend selects the data-path execution backend. The zero value is
+	// the threaded fast path; dp.BackendInterp is the reference. Both are
+	// bit-identical on outputs, feedback latches, cycle counts and fault
+	// abort cycles.
 	Backend dp.Backend
 }
 
@@ -309,7 +301,7 @@ func NewSystem(k *hir.Kernel, d *dp.Datapath, cfg Config) (*System, error) {
 		cfg.BusElems = 1
 	}
 	if k.Nest.Depth() == 0 {
-		return nil, fmt.Errorf("netlist: kernel %s has %w; simulate its data path directly", k.Name, ErrCombinational)
+		return nil, fmt.Errorf("netlist: kernel %s has no loop nest; simulate its data path directly", k.Name)
 	}
 	plan, err := planFor(k, d, cfg.BusElems)
 	if err != nil {
@@ -468,11 +460,6 @@ func (s *System) Reset() {
 	s.started = false
 	s.completed = false
 }
-
-// SetSerial toggles the one-Step-per-cycle dispatch path (see
-// Config.Serial) without rebuilding the System. It must not be flipped
-// mid-run.
-func (s *System) SetSerial(on bool) { s.serial = on }
 
 // Run executes the whole kernel: it streams every array element from
 // BRAM through the smart buffers exactly once, pushes one iteration per

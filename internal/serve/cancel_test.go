@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"errors"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,28 +24,78 @@ func accumBatch(n int) []netlist.Job {
 	return jobs
 }
 
+// holdDispatcher resolves every kernel on a real server's registry,
+// except that the first stream any resolved Runner runs signals started
+// and then blocks until release closes — a request that holds its
+// connection slot for exactly as long as the test wants.
+type holdDispatcher struct {
+	srv              *Server
+	once             sync.Once
+	started, release chan struct{}
+}
+
+func (d *holdDispatcher) Dispatch(kernel string) (Runner, error) {
+	r, err := d.srv.dispatch(kernel)
+	if err != nil {
+		return nil, err
+	}
+	return heldRunner{Runner: r, d: d}, nil
+}
+
+// heldRunner is a Runner resolved through a holdDispatcher.
+type heldRunner struct {
+	Runner
+	d *holdDispatcher
+}
+
+func (h heldRunner) RunStream(job *netlist.Job) error {
+	h.d.once.Do(func() {
+		close(h.d.started)
+		<-h.d.release
+	})
+	return h.Runner.RunStream(job)
+}
+
 // TestRunContextSlotCancel cancels a request while it is still waiting
 // for a connection slot: a single-slot pipelined connection is occupied
-// by a long batch, so the second RunContext blocks on slot acquisition
-// and must return the context error without corrupting the connection
-// or stealing the slot.
+// by a request the server holds until the test releases it, so the
+// second RunContext blocks on slot acquisition and must return the
+// context error without corrupting the connection or stealing the slot.
 func TestRunContextSlotCancel(t *testing.T) {
-	srv, addr := startServer(t, 2)
-	c, err := DialContext(context.Background(), addr, WithPipelined(1))
+	backend := NewServer(2)
+	for _, spec := range testSpecs() {
+		if err := backend.Register(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hold := &holdDispatcher{srv: backend, started: make(chan struct{}), release: make(chan struct{})}
+	front := NewServer(2)
+	front.SetDispatcher(hold)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go front.Serve(ln)
+	released := false
+	t.Cleanup(func() {
+		if !released {
+			close(hold.release)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		front.Shutdown(ctx)
+		backend.Shutdown(ctx)
+	})
+	c, err := DialContext(context.Background(), ln.Addr().String(), WithPipelined(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// Warm the pool so the long batch below is sim time, not compile.
-	if err := c.Run("accum", accumBatch(1)); err != nil {
-		t.Fatal(err)
-	}
 
-	long := make(chan error, 1)
-	go func() { long <- c.RunContext(context.Background(), "accum", accumBatch(20000)) }()
+	held := make(chan error, 1)
+	go func() { held <- c.RunContext(context.Background(), "accum", accumBatch(1)) }()
+	<-hold.started // the held request owns the only slot
 
-	// Let the long batch take the only slot, then time out behind it.
-	time.Sleep(20 * time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	err = c.RunContext(ctx, "accum", accumBatch(1))
@@ -51,8 +103,10 @@ func TestRunContextSlotCancel(t *testing.T) {
 		t.Fatalf("slot-blocked RunContext = %v, want DeadlineExceeded", err)
 	}
 
-	if err := <-long; err != nil {
-		t.Fatalf("long batch on the held slot failed: %v", err)
+	close(hold.release)
+	released = true
+	if err := <-held; err != nil {
+		t.Fatalf("request on the held slot failed: %v", err)
 	}
 	if !c.Healthy() {
 		t.Fatal("connection poisoned after a slot-wait cancellation")
@@ -60,7 +114,7 @@ func TestRunContextSlotCancel(t *testing.T) {
 	if err := c.Run("accum", accumBatch(2)); err != nil {
 		t.Fatalf("follow-up request after cancellation: %v", err)
 	}
-	assertPoolsBalanced(t, srv)
+	assertPoolsBalanced(t, backend)
 }
 
 // TestRunContextDeadlineMidFlight cancels a request that is already on

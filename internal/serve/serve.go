@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"roccc/internal/bench"
-	"roccc/internal/calib"
 	"roccc/internal/core"
 	"roccc/internal/dp"
 	"roccc/internal/netlist"
@@ -134,24 +133,14 @@ type kernelEntry struct {
 	cerr     error // latched compile/build error: deterministic, never retried
 	pool     atomic.Pointer[netlist.SystemPool]
 
-	// Probed off the eagerly built System at pool-build time (metrics):
-	// the actual execution backend and whether the plan's feedback cone
-	// vectorizes in closed form. Guarded by mu during writes; read after
-	// pool is visible.
-	backend dp.Backend
-	cone    bool
+	// cone is probed off the eagerly built System at pool-build time
+	// (metrics): whether the plan's feedback cone vectorizes in closed
+	// form. Guarded by mu during writes; read after pool is visible.
+	cone bool
 
 	// idleOverride is the per-kernel idle cap (SetMaxIdleFor); negative
 	// means inherit the server-wide cap.
 	idleOverride atomic.Int64
-
-	// picked is the calibration backend override: 0 means serve the spec
-	// config, otherwise dp.Backend(picked-1). It outlives the pool —
-	// post-eviction rebuilds keep the pick. lastCalib is the most recent
-	// trial result (metrics plane); calibrations counts trials.
-	picked       atomic.Int32
-	lastCalib    atomic.Pointer[calib.Result]
-	calibrations atomic.Int64
 
 	// Counters for the metrics plane. inflight gates eviction; hwm is
 	// the concurrency high-water mark since the last Autotune drain.
@@ -193,12 +182,8 @@ func (e *kernelEntry) ensure() error {
 			return e.cerr
 		}
 		e.compiled = res
-		// On-register calibration trigger (registration never compiles, so
-		// first compile is the earliest the kernel can be measured): pick
-		// the backend before the first pool exists.
-		e.autoCalibrateLocked()
 	}
-	pool, err := netlist.NewSystemPool(e.compiled.Kernel, e.compiled.Datapath, e.effectiveConfig(), e.srv.workers)
+	pool, err := netlist.NewSystemPool(e.compiled.Kernel, e.compiled.Datapath, e.spec.Config, e.srv.workers)
 	if err != nil {
 		// Deterministic (geometry/config), so latch it like a compile
 		// failure: combinational kernels refuse every request the same way.
@@ -206,10 +191,9 @@ func (e *kernelEntry) ensure() error {
 		return e.cerr
 	}
 	pool.SetMaxIdle(e.idleCap())
-	// Probe the eagerly built System for the metrics plane: the actual
-	// backend it executes on and whether its feedback cone is closed-form.
+	// Probe the eagerly built System for the metrics plane: whether its
+	// feedback cone is closed-form.
 	if sys, err := pool.Get(); err == nil {
-		e.backend = sys.Backend()
 		e.cone = sys.HasClosedFormCone()
 		pool.Put(sys)
 	}
@@ -328,9 +312,6 @@ type Server struct {
 	served atomic.Int64
 	faults atomic.Int64
 	sheds  atomic.Int64
-
-	// calib is the backend-calibration plane (calibrate.go).
-	calib calibState
 }
 
 // NewServer builds a server whose per-kernel pools shard across workers

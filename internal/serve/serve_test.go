@@ -91,14 +91,23 @@ func firStream(seed int64) map[string][]int64 {
 	return map[string][]int64{"A": in}
 }
 
-// serialFIR runs one stream through a private System for reference.
+// refConfig is cfg on the reference execution path, serial interp,
+// that every served result must be bit-identical to.
+func refConfig(cfg netlist.Config) netlist.Config {
+	cfg.Serial = true
+	cfg.Backend = dp.BackendInterp
+	return cfg
+}
+
+// serialFIR runs one stream through a private serial interp System for
+// reference.
 func serialFIR(t *testing.T, inputs map[string][]int64) ([]int64, int) {
 	t.Helper()
 	res, err := core.CompileSource(firSource, "fir", core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := netlist.NewSystem(res.Kernel, res.Datapath, netlist.Config{BusElems: 1})
+	sys, err := netlist.NewSystem(res.Kernel, res.Datapath, refConfig(netlist.Config{BusElems: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +369,7 @@ func TestServeFaultAbortCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := netlist.NewSystem(res.Kernel, res.Datapath, netlist.Config{BusElems: 1})
+	sys, err := netlist.NewSystem(res.Kernel, res.Datapath, refConfig(netlist.Config{BusElems: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func buildSoakRefs(t *testing.T, specs []KernelSpec, seeds int) []soakRef {
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
-		sys, err := netlist.NewSystem(res.Kernel, res.Datapath, spec.Config)
+		sys, err := netlist.NewSystem(res.Kernel, res.Datapath, refConfig(spec.Config))
 		if err != nil {
 			t.Logf("soak: skipping %s (not streamable: %v)", spec.Name, err)
 			continue

@@ -7,6 +7,7 @@ package ssa
 
 import (
 	"fmt"
+	"slices"
 
 	"roccc/internal/cfg"
 	"roccc/internal/dfa"
@@ -25,13 +26,21 @@ func Convert(g *cfg.Graph) error {
 	df := g.DominanceFrontier()
 	idom := g.Dominators()
 
-	// Phase 1: phi placement (pruned SSA).
+	// Phase 1: phi placement (pruned SSA). Registers are visited in
+	// sorted order: a join block's phis, and so the registers renaming
+	// assigns them, must not follow map iteration order, or one source
+	// would compile to different (if equivalent) VHDL texts.
+	regs := make([]vm.Reg, 0, len(defSites))
+	for reg, sites := range defSites {
+		if len(sites) >= 2 {
+			regs = append(regs, reg)
+		}
+	}
+	slices.Sort(regs)
 	phiOrig := map[*vm.Instr]vm.Reg{} // phi -> original register
 	hasPhiFor := map[*cfg.Block]map[vm.Reg]bool{}
-	for reg, sites := range defSites {
-		if len(sites) < 2 {
-			continue
-		}
+	for _, reg := range regs {
+		sites := defSites[reg]
 		work := append([]dfa.Def{}, sites...)
 		seen := map[*cfg.Block]bool{}
 		for len(work) > 0 {

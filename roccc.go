@@ -58,19 +58,18 @@ type System = netlist.System
 type SystemConfig = netlist.Config
 
 // Backend selects the data-path execution backend
-// (SystemConfig.Backend): the interpreter reference, the threaded
-// per-kernel compiled code, or the closed-form feedback-cone ablation.
-// All backends are bit-identical; they differ only in host speed.
+// (SystemConfig.Backend): the threaded per-kernel compiled code, or the
+// interpreter reference. Both are bit-identical; they differ only in
+// host speed.
 type Backend = dp.Backend
 
-// The available execution backends. BackendInterp is the zero value.
+// The execution backends. BackendThreaded is the zero value.
 const (
-	BackendInterp   = dp.BackendInterp
 	BackendThreaded = dp.BackendThreaded
-	BackendCone     = dp.BackendCone
+	BackendInterp   = dp.BackendInterp
 )
 
-// ParseBackend parses a backend name: "interp", "threaded" or "cone".
+// ParseBackend parses a backend name: "threaded" or "interp".
 func ParseBackend(s string) (Backend, error) { return dp.ParseBackend(s) }
 
 // Sim is the cycle-accurate data-path simulator (the compiled,

@@ -3,6 +3,8 @@ package roccc
 import (
 	"strings"
 	"testing"
+
+	"roccc/internal/bench"
 )
 
 const firC = `
@@ -73,6 +75,9 @@ func TestPublicSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if b := sys.Backend(); b != BackendThreaded {
+		t.Fatalf("zero SystemConfig built a System on %v, want threaded", b)
+	}
 	in := make([]int64, 21)
 	for i := range in {
 		in[i] = int64(i)
@@ -99,5 +104,36 @@ func TestPublicTable1(t *testing.T) {
 	out := Table1()
 	if !strings.Contains(out, "bit_correlator") || !strings.Contains(out, "geometric mean") {
 		t.Errorf("table output:\n%s", out)
+	}
+}
+
+// TestGenerateVHDLStable compiles every Table 1 kernel 20 times and
+// requires byte-identical VHDL: no compiler pass may let map iteration
+// order reach signal or register numbering.
+func TestGenerateVHDLStable(t *testing.T) {
+	for _, k := range bench.All() {
+		var first []VHDLFile
+		for i := 0; i < 20; i++ {
+			res, err := k.Compile()
+			if err != nil {
+				t.Fatalf("%s: %v", k.Name, err)
+			}
+			files, err := GenerateVHDL(res)
+			if err != nil {
+				t.Fatalf("%s: %v", k.Name, err)
+			}
+			if i == 0 {
+				first = files
+				continue
+			}
+			if len(files) != len(first) {
+				t.Fatalf("%s: compile %d emitted %d files, compile 0 emitted %d", k.Name, i, len(files), len(first))
+			}
+			for j := range files {
+				if files[j] != first[j] {
+					t.Fatalf("%s: compile %d emitted a different %s than compile 0", k.Name, i, files[j].Name)
+				}
+			}
+		}
 	}
 }
