@@ -324,12 +324,21 @@ func (p *SystemPool) worker() {
 	}
 }
 
-// runJob streams one job through a pooled System.
+// runJob streams one job through a pooled System. Reset keeps input
+// BRAM contents and LoadInput overwrites only a prefix, so every input
+// BRAM is zeroed past the job's array (all of it when the job carries
+// none): a pooled System then computes exactly what a fresh one would,
+// whatever an earlier job — from any client — left in it.
 func runJob(sys *System, job *Job) error {
 	sys.Reset()
 	for name, vals := range job.Inputs {
 		if err := sys.LoadInput(name, vals); err != nil {
 			return err
+		}
+	}
+	for name, m := range sys.inBRAMs {
+		if n := len(job.Inputs[name]); n < len(m.Data) {
+			clear(m.Data[n:])
 		}
 	}
 	sim, err := sys.Run()

@@ -3,6 +3,7 @@ package netlist
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -415,6 +416,66 @@ void accum() {
 	}
 	if fmt.Sprintf("%p", fb) != fmt.Sprintf("%p", job.Feedbacks) {
 		t.Fatal("Feedbacks map was reallocated on reuse")
+	}
+}
+
+// TestRunJobZeroesStaleInputs: a pooled System must compute a job
+// exactly as a fresh System would. After a job that fills A with 1000s,
+// a job with a short A — or with no A at all — runs on the same pooled
+// System (a one-System pool) and must not see the earlier job's data.
+func TestRunJobZeroesStaleInputs(t *testing.T) {
+	res, _ := buildSystem(t, firSource, "fir", core.Options{Optimize: true, PeriodNs: 5}, Config{BusElems: 1})
+	pool, err := NewSystemPool(res.Kernel, res.Datapath, Config{BusElems: 1}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	fresh := func(inputs map[string][]int64) []int64 {
+		t.Helper()
+		sys, err := NewSystem(res.Kernel, res.Datapath, Config{BusElems: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, vals := range inputs {
+			if err := sys.LoadInput(name, vals); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := sys.Run(); err != nil {
+			t.Fatal(err)
+		}
+		out, err := sys.Output("C")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	full := make([]int64, 21)
+	for i := range full {
+		full[i] = 1000
+	}
+	for _, tc := range []struct {
+		name   string
+		inputs map[string][]int64
+	}{
+		{"short", map[string][]int64{"A": {1}}},
+		{"absent", nil},
+		{"empty", map[string][]int64{"A": {}}},
+	} {
+		dirty := Job{Inputs: map[string][]int64{"A": full}}
+		if err := pool.RunJob(&dirty); err != nil {
+			t.Fatal(err)
+		}
+		job := Job{Inputs: tc.inputs}
+		if err := pool.RunJob(&job); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if want := fresh(tc.inputs); !slices.Equal(job.Outputs["C"], want) {
+			t.Errorf("%s: pooled C = %v, fresh System C = %v", tc.name, job.Outputs["C"], want)
+		}
+	}
+	if st := pool.Stats(); st.Built != 1 {
+		t.Fatalf("pool built %d Systems, want the one shared System", st.Built)
 	}
 }
 

@@ -161,6 +161,37 @@ func TestRunContextDeadlineMidFlight(t *testing.T) {
 	assertPoolsBalanced(t, srv)
 }
 
+// TestRunContextSerialCancelClosesConn: a serial (v1) Conn shares the
+// pipelined request path, but v1 cannot abandon a request, so a
+// cancelled RunContext must close the connection: the call returns the
+// context error, the Conn reports itself unhealthy, later Runs fail
+// fast, and the server's pools still balance.
+func TestRunContextSerialCancelClosesConn(t *testing.T) {
+	srv, addr := startServer(t, 2)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Run("accum", accumBatch(1)); err != nil {
+		t.Fatal(err)
+	}
+	big := accumBatch(20000) // built first: the deadline must hit mid-request
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	err = c.RunContext(ctx, "accum", big)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("cancelled serial RunContext = %v, want DeadlineExceeded", err)
+	}
+	if c.Healthy() {
+		t.Fatalf("serial Conn still healthy after a cancelled request (err %v)", err)
+	}
+	if err := c.Run("accum", accumBatch(1)); err == nil {
+		t.Fatal("Run on a cancelled serial Conn succeeded")
+	}
+	assertPoolsBalanced(t, srv)
+}
+
 // assertPoolsBalanced waits for the server to drain and checks every
 // kernel pool returned each System it handed out.
 func assertPoolsBalanced(t *testing.T, srv *Server) {

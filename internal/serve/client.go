@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"net"
@@ -72,49 +73,55 @@ func (c *Local) Run(kernel string, streams []netlist.Job) error {
 // Close is a no-op: the Local client owns no transport.
 func (c *Local) Close() error { return nil }
 
-// Conn is the TCP client. A serial (v1) Conn carries one request in
-// flight at a time and is not safe for concurrent use (open one Conn
-// per client goroutine — they multiplex fine on the server side). A
-// pipelined Conn (DialContext with WithPipelined) speaks v2: a reader
-// goroutine demuxes responses by request id, so any number of
-// goroutines may Run on the same Conn concurrently and their requests
-// share the connection's server-side executor slots.
+// Conn is the TCP client. Every Conn has one request path: Run encodes
+// a request's Open and Stream frames into one buffer and sends it in one
+// Write (a large batch in flushBytes chunks), and a reader goroutine
+// demuxes the responses by request id into the callers' Jobs. A serial
+// (v1) Conn is that path with one request slot and no hello, so its
+// bytes on the wire are the v1 protocol unchanged (concurrent Runs on
+// it take turns). A pipelined Conn (DialContext with WithPipelined)
+// negotiates v2, so any number of goroutines may Run on it concurrently
+// and their requests share the connection's server-side executor slots.
 type Conn struct {
-	c    net.Conn
-	enc  encoder
-	rbuf []byte
-	next uint32
+	c  net.Conn
+	br *bufio.Reader // the handshake's, then the reader goroutine's
 
-	// Pipelined (v2) state. encs pools per-request frame encoders; wmu
-	// makes each frame a single uninterleaved Write; pmu guards the
-	// pending demux table and the latched transport error; slots, when
-	// non-nil, is the client-side request-slot semaphore
-	// (WithPipelined(n) with n > 0).
+	// pipelined marks a negotiated v2 Conn. wmu keeps each Write's
+	// frames contiguous on the socket; pmu guards the pending demux
+	// table, the recycled records and the latched transport error;
+	// slots, when non-nil, is the client-side request-slot semaphore
+	// (one slot on a serial Conn, WithPipelined(n) with n > 0 otherwise).
 	pipelined  bool
 	hsVersion  uint16
 	slots      chan struct{}
-	encs       sync.Pool
 	wmu        sync.Mutex
 	pmu        sync.Mutex
 	pending    map[uint32]*pending
+	free       []*pending
 	preq       uint32
 	rerr       error
 	readerDone chan struct{}
+
+	// rd is the reader goroutine's result decoder.
+	rd resultDecoder
 }
 
-// pending is one in-flight pipelined request. jobs and answered are
-// owned by the reader goroutine until done is signalled; the Run
-// goroutine reads the jobs only after receiving on done. mu orders a
-// RunContext cancellation against the reader's in-progress decode: once
-// cancelled is set the reader drops the request's remaining frames
-// without touching jobs, so the caller may reuse its Job buffers the
-// moment RunContext returns.
+// pending is one in-flight request. jobs and answered are owned by the
+// reader goroutine until done is signalled; the Run goroutine reads the
+// jobs only after receiving on done. enc is the Run goroutine's: it
+// holds the request's encoded frames. mu orders a RunContext
+// cancellation against the reader's in-progress decode: once cancelled
+// is set the reader drops the request's remaining frames without
+// touching jobs, so the caller may reuse its Job buffers the moment
+// RunContext returns. A record whose request completed is recycled for
+// a later request; a cancelled one is not (it stays in the demux table
+// until its late frames drain).
 type pending struct {
-	kernel   string
 	jobs     []netlist.Job
 	answered int
 	ping     bool
 	done     chan error
+	enc      encoder
 
 	mu        sync.Mutex
 	cancelled bool
@@ -176,31 +183,39 @@ func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Conn, e
 	if err != nil {
 		return nil, err
 	}
-	if !cfg.pipelined {
-		return &Conn{c: nc}, nil
-	}
-	c := &Conn{c: nc, pipelined: true,
+	return newConn(ctx, nc, addr, cfg)
+}
+
+// newConn runs the client side of a dialed connection: the v2 hello
+// when pipelined, then the reader goroutine. It closes nc on failure.
+func newConn(ctx context.Context, nc net.Conn, addr string, cfg dialConfig) (*Conn, error) {
+	c := &Conn{c: nc, br: bufio.NewReaderSize(nc, readBufSize),
+		pipelined:  cfg.pipelined,
 		hsVersion:  uint16(cfg.version),
 		pending:    map[uint32]*pending{},
 		readerDone: make(chan struct{}),
 	}
-	if cfg.slots > 0 {
+	switch {
+	case !cfg.pipelined:
+		c.slots = make(chan struct{}, 1)
+	case cfg.slots > 0:
 		c.slots = make(chan struct{}, cfg.slots)
 	}
-	c.encs.New = func() any { return new(encoder) }
-	// The handshake round trip honours the context: a cancelled ctx
-	// closes the socket under the blocked read.
-	var stop func() bool
-	if ctx.Done() != nil {
-		stop = context.AfterFunc(ctx, func() { nc.Close() })
-	}
-	err = c.handshake()
-	if stop != nil && !stop() {
-		err = fmt.Errorf("serve: dial %s: %w", addr, ctx.Err())
-	}
-	if err != nil {
-		nc.Close()
-		return nil, err
+	if cfg.pipelined {
+		// The handshake round trip honours the context: a cancelled ctx
+		// closes the socket under the blocked read.
+		var stop func() bool
+		if ctx.Done() != nil {
+			stop = context.AfterFunc(ctx, func() { nc.Close() })
+		}
+		err := c.handshake()
+		if stop != nil && !stop() {
+			err = fmt.Errorf("serve: dial %s: %w", addr, ctx.Err())
+		}
+		if err != nil {
+			nc.Close()
+			return nil, err
+		}
 	}
 	go c.readLoop()
 	return c, nil
@@ -224,13 +239,13 @@ func DialPipelined(addr string) (*Conn, error) {
 
 // handshake sends the client hello and classifies the server's answer.
 func (c *Conn) handshake() error {
-	e := &c.enc
+	var e encoder
 	e.begin(frameHello, 0)
 	e.u16(c.hsVersion)
 	if _, err := c.c.Write(e.finish()); err != nil {
 		return fmt.Errorf("serve: sending hello: %w", err)
 	}
-	payload, err := readFrame(c.c, nil)
+	payload, err := readFrame(c.br, nil)
 	if err != nil {
 		return fmt.Errorf("serve: reading hello response: %w", err)
 	}
@@ -259,22 +274,17 @@ func (c *Conn) handshake() error {
 }
 
 // Close closes the connection; in-flight server work completes and its
-// pooled Systems return to their pools. On a pipelined Conn, in-flight
-// Runs fail with a transport error.
+// pooled Systems return to their pools. In-flight Runs fail with a
+// transport error.
 func (c *Conn) Close() error {
 	err := c.c.Close()
-	if c.pipelined {
-		<-c.readerDone
-	}
+	<-c.readerDone
 	return err
 }
 
-// Healthy reports whether a pipelined Conn can still carry requests;
-// connection pools use it to drop broken conns instead of reusing them.
+// Healthy reports whether the Conn can still carry requests; connection
+// pools use it to drop broken conns instead of reusing them.
 func (c *Conn) Healthy() bool {
-	if !c.pipelined {
-		return true
-	}
 	c.pmu.Lock()
 	defer c.pmu.Unlock()
 	return c.rerr == nil
@@ -287,47 +297,80 @@ func (c *Conn) Ping() error {
 	if !c.pipelined {
 		return fmt.Errorf("serve: Ping requires a pipelined connection (DialPipelined)")
 	}
-	p := &pending{ping: true, done: make(chan error, 1)}
-	req, err := c.register(p)
+	req, p, err := c.register(nil, true)
 	if err != nil {
 		return err
 	}
-	e := c.encs.Get().(*encoder)
-	e.begin(frameKeepAlive, req)
-	if err := c.writeFrame(e); err != nil {
-		c.abort(fmt.Errorf("serve: sending keepalive: %w", err))
-		return <-p.done
+	p.enc.begin(frameKeepAlive, req)
+	if err := c.write(p.enc.finish()); err != nil {
+		c.fail(fmt.Errorf("serve: sending keepalive: %w", err))
 	}
-	return <-p.done
-}
-
-// register installs a pending request under a fresh request id,
-// refusing if the connection is already poisoned.
-func (c *Conn) register(p *pending) (uint32, error) {
-	c.pmu.Lock()
-	defer c.pmu.Unlock()
-	if c.rerr != nil {
-		return 0, c.rerr
-	}
-	c.preq++
-	req := c.preq
-	c.pending[req] = p
-	return req, nil
-}
-
-// writeFrame writes one finished frame under the write lock and returns
-// the encoder to the pool.
-func (c *Conn) writeFrame(e *encoder) error {
-	c.wmu.Lock()
-	_, err := c.c.Write(e.finish())
-	c.wmu.Unlock()
-	c.encs.Put(e)
+	err = <-p.done
+	c.recycle(p)
 	return err
 }
 
-// abort poisons a pipelined Conn: the error latches, every in-flight
-// request fails with it, and the connection closes. Responses can no
-// longer be trusted to demux correctly, so nothing survives.
+// register installs a pending request under a fresh request id,
+// refusing if the connection is already poisoned. The record is a
+// recycled one when available.
+func (c *Conn) register(jobs []netlist.Job, ping bool) (uint32, *pending, error) {
+	c.pmu.Lock()
+	defer c.pmu.Unlock()
+	if c.rerr != nil {
+		return 0, nil, c.rerr
+	}
+	var p *pending
+	if n := len(c.free); n > 0 {
+		p = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		p = &pending{done: make(chan error, 1)}
+	}
+	p.jobs, p.ping = jobs, ping
+	c.preq++
+	c.pending[c.preq] = p
+	return c.preq, p, nil
+}
+
+// recycle returns a completed request's record for reuse. Only records
+// whose terminal status was received may come back: a cancelled request
+// is still in the demux table.
+func (c *Conn) recycle(p *pending) {
+	p.jobs, p.answered, p.ping = nil, 0, false
+	if cap(p.enc.buf) > bufHighWater {
+		p.enc.buf = nil
+	}
+	c.pmu.Lock()
+	c.free = append(c.free, p)
+	c.pmu.Unlock()
+}
+
+// write sends whole frames in one Write under the write lock.
+func (c *Conn) write(b []byte) error {
+	c.wmu.Lock()
+	_, err := c.c.Write(b)
+	c.wmu.Unlock()
+	return err
+}
+
+// fail poisons the Conn from a sending goroutine: the error latches and
+// the connection closes. The reader goroutine's read then fails and its
+// abort retires every in-flight request with the latched error, so only
+// the reader ever completes a request — never while it is still
+// decoding a frame into that request's Jobs.
+func (c *Conn) fail(err error) {
+	c.pmu.Lock()
+	if c.rerr == nil {
+		c.rerr = err
+	}
+	c.pmu.Unlock()
+	c.c.Close()
+}
+
+// abort is the reader goroutine's end: the error latches (unless a send
+// failure came first), every in-flight request fails with it, and the
+// connection closes. Responses can no longer be trusted to demux
+// correctly, so nothing survives.
 func (c *Conn) abort(err error) {
 	c.pmu.Lock()
 	if c.rerr == nil {
@@ -342,7 +385,7 @@ func (c *Conn) abort(err error) {
 	c.c.Close()
 }
 
-// complete retires one pipelined request with its final status.
+// complete retires one request with its final status.
 func (c *Conn) complete(req uint32, p *pending, err error) {
 	c.pmu.Lock()
 	delete(c.pending, req)
@@ -361,132 +404,10 @@ func (c *Conn) completeRequestError(req uint32, p *pending, msg string) {
 // responses, filling each stream's Job in place. Output and feedback
 // buffers are reused when already sized; input slices are only read.
 // A transport or framing failure leaves the connection's protocol state
-// unknown, so Run closes it (after joining its writer): later Runs on
-// the Conn fail fast instead of desynchronizing.
-func (c *Conn) Run(kernel string, streams []netlist.Job) (err error) {
-	if c.pipelined {
-		return c.runPipelined(context.Background(), kernel, streams)
-	}
-	c.next++
-	req := c.next
-	for i := range streams {
-		streams[i].Err = nil
-	}
-
-	// Writer: Open + one frame per stream. Sending concurrently with the
-	// read loop below keeps large batches from deadlocking on TCP
-	// windows: the server responds while later streams are still being
-	// written.
-	werr := make(chan error, 1)
-	go func() {
-		e := &c.enc
-		e.begin(frameOpen, req)
-		e.str8(kernel)
-		e.u32(uint32(len(streams)))
-		if _, err := c.c.Write(e.finish()); err != nil {
-			werr <- err
-			return
-		}
-		for i := range streams {
-			e.begin(frameStream, req)
-			e.u32(uint32(i))
-			e.u16(uint16(len(streams[i].Inputs)))
-			for name, vals := range streams[i].Inputs {
-				e.str8(name)
-				e.vals(vals)
-			}
-			if _, err := c.c.Write(e.finish()); err != nil {
-				werr <- err
-				return
-			}
-		}
-		werr <- nil
-	}()
-
-	// Reader: one response per stream, then Done (or a request-level
-	// error, which aborts the batch). writerJoined marks the paths that
-	// saw the writer finish; every other (error) return closes the
-	// connection first, so the writer's blocked Write fails and the
-	// goroutine cannot race a later Run on the shared encoder.
-	writerJoined := false
-	defer func() {
-		if !writerJoined {
-			c.c.Close()
-			<-werr
-		}
-	}()
-	answered := 0
-	for {
-		payload, rerr := readFrame(c.c, c.rbuf)
-		if rerr != nil {
-			return fmt.Errorf("serve: reading response: %w", rerr)
-		}
-		c.rbuf = payload[:cap(payload)]
-		if cap(c.rbuf) > bufHighWater && len(payload) < bufHighWater/4 {
-			c.rbuf = nil // small traffic again: stop pinning the high-water scratch
-		}
-		d := decoder{b: payload}
-		typ := d.u8()
-		gotReq := d.u32()
-		// The only frame allowed to carry a different request id is an
-		// unattributable protocol error (id reqNone); anything else out
-		// of sequence means the stream state is unknown.
-		if gotReq != req && !(typ == frameError && gotReq == reqNone) {
-			return fmt.Errorf("serve: response for request %d while %d in flight", gotReq, req)
-		}
-		switch typ {
-		case frameResult:
-			idx := int(d.u32())
-			if idx < 0 || idx >= len(streams) {
-				return fmt.Errorf("serve: result for unknown stream %d", idx)
-			}
-			if err := decodeResultInto(&d, &streams[idx]); err != nil {
-				return err
-			}
-			answered++
-		case frameFault:
-			idx := int(d.u32())
-			if idx < 0 || idx >= len(streams) {
-				return fmt.Errorf("serve: fault for unknown stream %d", idx)
-			}
-			if err := decodeFaultInto(&d, &streams[idx]); err != nil {
-				return err
-			}
-			answered++
-		case frameError:
-			idx := d.u32()
-			msg := d.str16()
-			if d.err != nil {
-				return fmt.Errorf("serve: malformed error frame: %w", d.err)
-			}
-			if idx == streamNone {
-				<-werr // writer may have failed too; the request error wins
-				writerJoined = true
-				return fmt.Errorf("serve: request failed: %s", msg)
-			}
-			if int(idx) >= len(streams) {
-				return fmt.Errorf("serve: error for unknown stream %d", idx)
-			}
-			streams[idx].Err = streamErrFromMsg(msg)
-			answered++
-		case frameDone:
-			werrv := <-werr
-			writerJoined = true
-			if werrv != nil {
-				// Done despite a failed send: the connection state is
-				// inconsistent — kill it.
-				c.c.Close()
-				return fmt.Errorf("serve: sending request: %w", werrv)
-			}
-			if answered != len(streams) {
-				c.c.Close()
-				return fmt.Errorf("serve: done after %d of %d responses", answered, len(streams))
-			}
-			return firstStreamErr(kernel, streams)
-		default:
-			return fmt.Errorf("serve: unexpected response frame %q", typ)
-		}
-	}
+// unknown, so it poisons the Conn: later Runs fail fast instead of
+// desynchronizing.
+func (c *Conn) Run(kernel string, streams []netlist.Job) error {
+	return c.run(context.Background(), kernel, streams)
 }
 
 // RunContext is Run with a per-request deadline/cancel. On a pipelined
@@ -503,25 +424,21 @@ func (c *Conn) RunContext(ctx context.Context, kernel string, streams []netlist.
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if c.pipelined {
-		return c.runPipelined(ctx, kernel, streams)
-	}
-	if ctx.Done() == nil {
-		return c.Run(kernel, streams)
+	if c.pipelined || ctx.Done() == nil {
+		return c.run(ctx, kernel, streams)
 	}
 	stop := context.AfterFunc(ctx, func() { c.c.Close() })
-	err := c.Run(kernel, streams)
+	err := c.run(ctx, kernel, streams)
 	if !stop() && err != nil && ctx.Err() != nil {
 		return fmt.Errorf("serve: %s: %w", kernel, ctx.Err())
 	}
 	return err
 }
 
-// runPipelined registers the request in the demux table, streams its
-// frames (interleaving with other goroutines' requests frame-by-frame)
-// and parks until the reader goroutine delivers the final status or ctx
+// run registers the request in the demux table, sends its frames and
+// parks until the reader goroutine delivers the final status or ctx
 // cancels the wait.
-func (c *Conn) runPipelined(ctx context.Context, kernel string, streams []netlist.Job) error {
+func (c *Conn) run(ctx context.Context, kernel string, streams []netlist.Job) error {
 	if c.slots != nil {
 		select {
 		case c.slots <- struct{}{}:
@@ -533,55 +450,63 @@ func (c *Conn) runPipelined(ctx context.Context, kernel string, streams []netlis
 	for i := range streams {
 		streams[i].Err = nil
 	}
-	p := &pending{kernel: kernel, jobs: streams, done: make(chan error, 1)}
-	req, err := c.register(p)
+	req, p, err := c.register(streams, false)
 	if err != nil {
 		return err
 	}
-	e := c.encs.Get().(*encoder)
-	e.begin(frameOpen, req)
-	e.str8(kernel)
-	e.u32(uint32(len(streams)))
-	if err := c.writeFrame(e); err != nil {
-		c.abort(fmt.Errorf("serve: sending request: %w", err))
-		return <-p.done
+	if err := c.send(req, kernel, p); err != nil {
+		c.fail(fmt.Errorf("serve: sending request: %w", err))
 	}
-	for i := range streams {
-		e := c.encs.Get().(*encoder)
-		e.begin(frameStream, req)
-		e.u32(uint32(i))
-		e.u16(uint16(len(streams[i].Inputs)))
-		for name, vals := range streams[i].Inputs {
-			e.str8(name)
-			e.vals(vals)
-		}
-		if err := c.writeFrame(e); err != nil {
-			c.abort(fmt.Errorf("serve: sending request: %w", err))
-			return <-p.done
-		}
-	}
-	// Every frame is sent, so the server owes exactly one terminal
-	// frame; cancellation waits only here — aborting mid-send would
-	// leave the server's owed-stream accounting dangling.
+	// With every frame sent the server owes exactly one terminal frame
+	// (after a failed send, the reader's abort answers instead);
+	// cancellation waits only here — aborting mid-send would leave the
+	// server's owed-stream accounting dangling.
 	var derr error
-	if ctx.Done() == nil {
-		derr = <-p.done
-	} else {
-		select {
-		case derr = <-p.done:
-		case <-ctx.Done():
-			if c.cancel(req, p) {
-				return ctx.Err()
-			}
-			// The request reached a terminal state concurrently with
-			// the cancel: take its real result.
-			derr = <-p.done
+	select {
+	case derr = <-p.done:
+	case <-ctx.Done():
+		if c.pipelined && c.cancel(req, p) {
+			return ctx.Err()
 		}
+		// The request reached a terminal state concurrently with the
+		// cancel (or, on a serial Conn, the cancel is closing the
+		// connection): take its real result.
+		derr = <-p.done
 	}
+	c.recycle(p)
 	if derr != nil {
 		return derr
 	}
 	return firstStreamErr(kernel, streams)
+}
+
+// send encodes a request's Open frame and one Stream frame per job into
+// the record's buffer and writes them — in one Write when the request
+// is under flushBytes, in flushBytes chunks of whole frames otherwise.
+func (c *Conn) send(req uint32, kernel string, p *pending) error {
+	e := &p.enc
+	e.begin(frameOpen, req)
+	e.str8(kernel)
+	e.u32(uint32(len(p.jobs)))
+	e.finish()
+	for i := range p.jobs {
+		if len(e.buf) >= flushBytes {
+			if err := c.write(e.buf); err != nil {
+				return err
+			}
+			e.buf = e.buf[:0]
+		}
+		inputs := p.jobs[i].Inputs
+		e.next(frameStream, req)
+		e.u32(uint32(i))
+		e.u16(uint16(len(inputs)))
+		for name, vals := range inputs {
+			e.str8(name)
+			e.vals(vals)
+		}
+		e.finish()
+	}
+	return c.write(e.buf)
 }
 
 // cancel detaches a cancelled request from its Job buffers. It reports
@@ -605,15 +530,15 @@ func (c *Conn) cancel(req uint32, p *pending) bool {
 	return true
 }
 
-// readLoop is a pipelined Conn's single reader: every response frame is
-// demuxed to its pending request, and the first frame that cannot be —
+// readLoop is the Conn's single reader: every response frame is demuxed
+// to its pending request, and the first frame that cannot be —
 // transport loss, malformed body, unattributable id — poisons the
 // connection (abort) rather than risking a cross-wired response.
 func (c *Conn) readLoop() {
 	defer close(c.readerDone)
 	var buf []byte
 	for {
-		payload, err := readFrame(c.c, buf)
+		payload, err := readFrame(c.br, buf)
 		if err != nil {
 			c.abort(fmt.Errorf("serve: reading response: %w", err))
 			return
@@ -631,8 +556,8 @@ func (c *Conn) readLoop() {
 
 // demux attributes one response frame to its in-flight request and
 // applies it; a non-nil return is fatal for the connection. This is the
-// pipelined client's per-frame hot path — steady-state result frames
-// touch only the demux table and the request's own Job buffers.
+// client's per-frame hot path — steady-state result frames touch only
+// the demux table and the request's own Job buffers.
 //
 //roccc:hotpath
 func (c *Conn) demux(payload []byte) error {
@@ -665,7 +590,7 @@ func (c *Conn) demux(payload []byte) error {
 		}
 		p.mu.Lock()
 		if !p.cancelled {
-			if err := decodeResultInto(&d, &p.jobs[idx]); err != nil {
+			if err := c.rd.decode(&d, &p.jobs[idx]); err != nil {
 				p.mu.Unlock()
 				return err
 			}
@@ -716,51 +641,61 @@ func (c *Conn) demux(payload []byte) error {
 	return nil
 }
 
-// decodeResultInto fills one stream's Job from a result frame body
-// (after type/req/idx), reusing the Job's buffers when already sized.
-func decodeResultInto(d *decoder, job *netlist.Job) error {
+// resultDecoder fills Jobs from result frames. Output and feedback
+// names are looked up by the frame's bytes and interned, and an output
+// buffer is reused when its length matches, so a caller that recycles
+// its Jobs decodes results without allocating.
+type resultDecoder struct {
+	names names
+	keep  [][]byte // scratch: the names one frame carried
+}
+
+// decode fills one stream's Job from a result frame body (after
+// type/req/idx). Afterwards the Job's Outputs and Feedbacks hold
+// exactly the frame's names — keys left by an earlier result are
+// purged — so decoding into a used Job equals decoding into a fresh one.
+func (rd *resultDecoder) decode(d *decoder, job *netlist.Job) error {
 	job.Cycles = int(d.u64())
 	nouts := int(d.u16())
 	if job.Outputs == nil && nouts > 0 {
 		job.Outputs = make(map[string][]int64, nouts)
 	}
-	// A Job reused across kernels may hold keys this response never
-	// sends; remember the frame's names when the maps were already
-	// populated, and purge everything else afterwards. First fills
-	// (empty maps) skip the bookkeeping entirely.
-	var outNames, fbNames []string
-	collectOut := len(job.Outputs) > 0
+	keep := rd.keep[:0]
 	for i := 0; i < nouts; i++ {
-		name := d.str8()
-		vals := d.valsInto(job.Outputs[name])
+		name := d.name8()
+		n := d.count()
 		if d.err != nil {
 			break
 		}
-		job.Outputs[name] = vals
-		if collectOut {
-			outNames = append(outNames, name)
+		vals, ok := job.Outputs[string(name)]
+		if !ok || len(vals) != n {
+			vals = make([]int64, n)
+			job.Outputs[rd.names.intern(name)] = vals
 		}
+		d.fill(vals)
+		keep = append(keep, name)
 	}
+	purgeStale(job.Outputs, keep)
 	nfb := int(d.u16())
 	if job.Feedbacks == nil && nfb > 0 {
 		job.Feedbacks = make(map[string]int64, nfb)
 	}
-	collectFb := len(job.Feedbacks) > 0
+	keep = keep[:0]
 	for i := 0; i < nfb; i++ {
-		name := d.str8()
-		job.Feedbacks[name] = d.i64()
-		if collectFb {
-			fbNames = append(fbNames, name)
+		name := d.name8()
+		v := d.i64()
+		if d.err != nil {
+			break
 		}
+		job.Feedbacks[rd.names.intern(name)] = v
+		keep = append(keep, name)
+	}
+	purgeStale(job.Feedbacks, keep)
+	if cap(keep) <= maxInterned {
+		rd.keep = keep[:0]
 	}
 	if d.err != nil {
 		return fmt.Errorf("serve: malformed result frame: %w", d.err)
-	}
-	if len(job.Outputs) > nouts {
-		purgeStale(job.Outputs, outNames)
-	}
-	if len(job.Feedbacks) > nfb {
-		purgeStale(job.Feedbacks, fbNames)
 	}
 	return nil
 }
@@ -788,13 +723,13 @@ func streamErrFromMsg(msg string) error {
 	return fmt.Errorf("serve: %s", msg)
 }
 
-// purgeStale deletes map keys that are not in keep (the names one
-// response frame actually carried).
-func purgeStale[V any](m map[string]V, keep []string) {
+// purgeStale deletes the keys of m that are not among keep (the names
+// one frame carried, as views into it).
+func purgeStale[V any](m map[string]V, keep [][]byte) {
 	for k := range m {
 		found := false
-		for _, s := range keep {
-			if s == k {
+		for _, b := range keep {
+			if string(b) == k {
 				found = true
 				break
 			}

@@ -96,18 +96,44 @@ const maxName = 255
 // bufHighWater is the receive-scratch retention bound: after one
 // oversized frame, a long-lived connection's reuse buffer is dropped as
 // soon as traffic returns to small frames, instead of pinning the
-// high-water allocation for the connection's lifetime.
+// high-water allocation for the connection's lifetime. Pooled encoders
+// and server stream buffers larger than it are dropped the same way.
 const bufHighWater = 1 << 20
 
-// encoder builds one frame in a reusable buffer. The length prefix is
-// patched in finish, so frames are written with a single Write call —
-// concurrent responders never interleave partial frames.
+// readBufSize is the per-connection read buffer: a burst of small
+// frames — several pipelined requests, or a response and its 'D' —
+// costs one read syscall instead of two per frame.
+const readBufSize = 16 << 10
+
+// flushBytes bounds how much of one request the client encodes before
+// writing it: a request under the bound goes out in one Write, and a
+// large batch is sent in chunks instead of one giant buffer.
+const flushBytes = 64 << 10
+
+// maxInterned bounds each name-interning table, so a peer sending
+// ever-new names cannot grow one; names past the bound are allocated
+// per use instead of retained.
+const maxInterned = 64
+
+// encoder builds frames in a reusable buffer, several of them back to
+// back when a request or response goes out in one Write. Each frame's
+// length prefix is patched in finish, and every Write carries whole
+// frames — concurrent writers never interleave partial ones.
 type encoder struct {
-	buf []byte
+	buf   []byte
+	start int // offset of the frame being built
 }
 
+// begin empties the buffer and starts its first frame.
 func (e *encoder) begin(typ byte, req uint32) {
-	e.buf = append(e.buf[:0], 0, 0, 0, 0, typ)
+	e.buf = e.buf[:0]
+	e.next(typ, req)
+}
+
+// next starts another frame after the finished ones in the buffer.
+func (e *encoder) next(typ byte, req uint32) {
+	e.start = len(e.buf)
+	e.buf = append(e.buf, 0, 0, 0, 0, typ)
 	e.u32(req)
 }
 
@@ -140,20 +166,26 @@ func (e *encoder) vals(v []int64) {
 	}
 }
 
-// finish patches the length prefix and returns the complete frame.
+// finish patches the current frame's length prefix and returns the
+// buffer: every frame since begin, ready for one Write.
 func (e *encoder) finish() []byte {
-	binary.BigEndian.PutUint32(e.buf[:4], uint32(len(e.buf)-4))
+	binary.BigEndian.PutUint32(e.buf[e.start:], uint32(len(e.buf)-e.start-4))
 	return e.buf
 }
 
 // readFrame reads one length-prefixed frame payload into buf (grown as
-// needed) and returns the payload.
+// needed) and returns the payload. Connection loops pass a
+// *bufio.Reader, so small frames are served from one buffered read; the
+// length prefix is read into buf's own storage, so a reused buf makes
+// the call allocation-free.
 func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4, 512)
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(buf[:4])
 	if n == 0 {
 		return nil, fmt.Errorf("serve: zero-length frame")
 	}
@@ -168,6 +200,25 @@ func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 		return nil, fmt.Errorf("serve: truncated frame: %w", err)
 	}
 	return buf, nil
+}
+
+// names interns wire names. Lookups by a frame's bytes do not allocate,
+// so a steady stream of known names decodes without allocating; only
+// the first maxInterned distinct names are retained.
+type names map[string]string
+
+func (n *names) intern(b []byte) string {
+	if s, ok := (*n)[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if *n == nil {
+		*n = names{}
+	}
+	if len(*n) < maxInterned {
+		(*n)[s] = s
+	}
+	return s
 }
 
 // decoder walks one frame payload; the first decoding overrun latches
@@ -227,15 +278,19 @@ func (d *decoder) u64() uint64 {
 
 func (d *decoder) i64() int64 { return int64(d.u64()) }
 
-func (d *decoder) str8() string {
+func (d *decoder) str8() string { return string(d.name8()) }
+
+// name8 returns a u8-length name as a view into the frame, valid until
+// the next frame is read: map lookups by it do not allocate.
+func (d *decoder) name8() []byte {
 	n := int(d.u8())
 	if d.err != nil || d.off+n > len(d.b) {
 		d.fail()
-		return ""
+		return nil
 	}
-	s := string(d.b[d.off : d.off+n])
+	b := d.b[d.off : d.off+n]
 	d.off += n
-	return s
+	return b
 }
 
 func (d *decoder) str16() string {
@@ -249,22 +304,23 @@ func (d *decoder) str16() string {
 	return s
 }
 
-// valsInto decodes a u32-counted i64 vector, reusing dst when it already
-// has the right length (the client's steady-state buffer-reuse path).
-func (d *decoder) valsInto(dst []int64) []int64 {
+// count reads a u32 element count and checks that many i64 values
+// follow; it returns -1 (with err latched) when they do not.
+func (d *decoder) count() int {
 	n := int(d.u32())
-	if d.err != nil || d.off+8*n > len(d.b) {
+	if d.err != nil || n > (len(d.b)-d.off)/8 {
 		d.fail()
-		return nil
+		return -1
 	}
-	if len(dst) != n {
-		dst = make([]int64, n)
-	}
-	for i := 0; i < n; i++ {
+	return n
+}
+
+// fill decodes len(dst) i64 values (checked by count) into dst.
+func (d *decoder) fill(dst []int64) {
+	for i := range dst {
 		dst[i] = int64(binary.BigEndian.Uint64(d.b[d.off:]))
 		d.off += 8
 	}
-	return dst
 }
 
 // remaining reports whether undecoded bytes are left (a well-formed

@@ -23,6 +23,7 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -78,6 +79,9 @@ func Table1Specs() []KernelSpec {
 // Runner executes admitted streams for one kernel, resolved once at
 // request open. The returned error is the job's (per-stream failures,
 // including typed *dp.FaultError faults and *BusyError load-sheds).
+// The job belongs to the caller once RunStream returns: the TCP server
+// reuses it, its maps and their buffers for a later stream, so a Runner
+// must not keep any of them.
 type Runner interface {
 	RunStream(job *netlist.Job) error
 }
@@ -555,10 +559,11 @@ func (s *Server) Serve(ln net.Listener) error {
 			return err
 		}
 		sc := &srvConn{
-			srv:  s,
-			c:    c,
-			reqs: map[uint32]*reqState{},
-			sem:  make(chan struct{}, s.workers),
+			srv:   s,
+			c:     c,
+			reqs:  map[uint32]*reqState{},
+			kerns: map[string]*connKernel{},
+			sem:   make(chan struct{}, s.workers),
 		}
 		// Register under mu with a closing re-check in the same critical
 		// section: Shutdown flips closing before its close-all pass takes
@@ -651,10 +656,94 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // reqState is one open request on a connection: the kernel's resolved
 // Runner and the count of stream responses still owed before 'D'. With
 // a pipelined client many reqStates are live on one connection at once.
+// Retired records are recycled for later requests.
 type reqState struct {
-	kernel    string
+	kern      *connKernel
 	runner    Runner
 	remaining uint32 // responses owed; guarded by srvConn.mu
+}
+
+// connKernel is one kernel a connection has opened: its name, interned
+// once it resolved through dispatch, its interned input-array names
+// (reader goroutine only) and the connection's idle streamJobs for it.
+type connKernel struct {
+	name  string
+	names names
+	free  []*streamJob // guarded by srvConn.mu
+}
+
+// streamJob is one stream on its way through the server: the Job its
+// Runner fills, the input buffers the decode reuses, and the encoder
+// its response is built in. streamJobs are pooled per connection and
+// kernel, so a steady flow of same-kernel requests decodes, runs and
+// answers without allocating.
+type streamJob struct {
+	sc       *srvConn
+	kern     *connKernel
+	runner   Runner
+	req, idx uint32
+
+	job  netlist.Job
+	bufs [][]int64 // input buffers by array position in the frame
+	enc  encoder
+
+	// run is exec bound once, so `go sj.run()` starts the stream's
+	// goroutine without allocating a closure.
+	run func()
+}
+
+// decode fills the Job's Inputs from a stream frame body (after
+// type/req/idx). Inputs then holds exactly the frame's arrays: names an
+// earlier stream left are gone, and each array reuses the buffer of the
+// same position in the previous frame.
+func (sj *streamJob) decode(d *decoder, names *names) {
+	narr := int(d.u16())
+	if sj.job.Inputs == nil {
+		sj.job.Inputs = make(map[string][]int64, narr)
+	}
+	clear(sj.job.Inputs)
+	for i := 0; i < narr; i++ {
+		name := d.name8()
+		n := d.count()
+		if d.err != nil {
+			return
+		}
+		if i == len(sj.bufs) {
+			sj.bufs = append(sj.bufs, nil)
+		}
+		vals := sj.bufs[i]
+		if cap(vals) < n {
+			vals = make([]int64, n)
+		}
+		vals = vals[:n]
+		d.fill(vals)
+		sj.bufs[i] = vals
+		sj.job.Inputs[names.intern(name)] = vals
+	}
+}
+
+// pooled reports whether the streamJob is small enough to keep: buffers
+// grown by an oversized stream are dropped, as the receive scratch is.
+func (sj *streamJob) pooled() bool {
+	if len(sj.bufs) > maxInterned {
+		return false
+	}
+	n := cap(sj.enc.buf)
+	for _, b := range sj.bufs {
+		n += 8 * cap(b)
+	}
+	return n <= bufHighWater
+}
+
+// exec runs the stream and answers it (the stream's goroutine).
+func (sj *streamJob) exec() {
+	sc := sj.sc
+	defer func() {
+		<-sc.sem
+		sc.srv.endStream()
+	}()
+	sj.runner.RunStream(&sj.job) // error is job.Err; pooled Systems return either way
+	sc.respond(sj)
 }
 
 // srvConn is the server side of one client connection.
@@ -662,12 +751,19 @@ type srvConn struct {
 	srv *Server
 	c   net.Conn
 
-	// wmu serializes response frames (executors finish out of order).
+	// wmu serializes Writes (executors finish out of order); send is the
+	// one place that takes it.
 	wmu sync.Mutex
-	enc encoder
 
-	mu   sync.Mutex
-	reqs map[uint32]*reqState
+	mu       sync.Mutex
+	reqs     map[uint32]*reqState
+	freeReqs []*reqState
+
+	// Reader-goroutine state: the encoder for the frames the reader
+	// answers itself (hello, keepalive, request-level errors, an empty
+	// request's 'D') and the kernels this connection opened.
+	enc   encoder
+	kerns map[string]*connKernel
 
 	// sem is the per-request-slot semaphore: it bounds this connection's
 	// concurrent stream executions across all its in-flight requests; the
@@ -696,15 +792,16 @@ func (sc *srvConn) serve() {
 		s.mu.Unlock()
 	}()
 
+	br := bufio.NewReaderSize(c, readBufSize)
 	var buf []byte
 	for {
-		payload, err := readFrame(c, buf)
+		payload, err := readFrame(br, buf)
 		if err != nil {
 			// Client went away (EOF / closed conn) or sent garbage. A
 			// protocol error (oversized/zero/truncated frame) gets a
 			// best-effort error frame before the close.
 			if !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-				sc.writeError(reqNone, streamNone, err.Error())
+				sc.writeError(reqNone, err.Error())
 			}
 			return
 		}
@@ -723,123 +820,144 @@ func (sc *srvConn) frame(payload []byte) bool {
 	d := decoder{b: payload}
 	typ := d.u8()
 	req := d.u32()
+	e := &sc.enc
 	switch typ {
 	case frameHello:
 		ver := d.u16()
 		if d.err != nil || d.remaining() || ver == 0 {
-			sc.writeError(req, streamNone, "serve: malformed hello frame")
+			sc.writeError(req, "serve: malformed hello frame")
 			return false
 		}
-		sc.writeHello(req, min(int(ver), ProtoV2))
+		e.begin(frameHello, req)
+		e.u16(uint16(min(int(ver), ProtoV2)))
+		e.finish()
+		sc.send(e, req, false)
 		return true
 	case frameKeepAlive:
 		if d.err != nil || d.remaining() {
-			sc.writeError(req, streamNone, "serve: malformed keepalive frame")
+			sc.writeError(req, "serve: malformed keepalive frame")
 			return false
 		}
-		sc.writeKeepAlive(req)
+		e.begin(frameKeepAlive, req)
+		e.finish()
+		sc.send(e, req, false)
 		return true
 	case frameOpen:
-		kernel := d.str8()
+		kernel := d.name8()
 		count := d.u32()
 		if d.err != nil || d.remaining() {
-			sc.writeError(req, streamNone, "serve: malformed open frame")
+			sc.writeError(req, "serve: malformed open frame")
 			return false
 		}
 		return sc.open(req, kernel, count)
 	case frameStream:
 		return sc.stream(req, &d)
 	default:
-		sc.writeError(req, streamNone, fmt.Sprintf("serve: unexpected frame type %q", typ))
+		sc.writeError(req, fmt.Sprintf("serve: unexpected frame type %q", typ))
 		return false
 	}
 }
 
-func (sc *srvConn) open(req uint32, kernel string, count uint32) bool {
+func (sc *srvConn) open(req uint32, kernel []byte, count uint32) bool {
 	if sc.srv.closing.Load() {
-		sc.writeError(req, streamNone, "serve: server is draining")
+		sc.writeError(req, "serve: server is draining")
 		return true
 	}
 	sc.mu.Lock()
 	_, dup := sc.reqs[req]
 	sc.mu.Unlock()
 	if dup {
-		sc.writeError(req, streamNone, fmt.Sprintf("serve: request %d already open", req))
+		sc.writeError(req, fmt.Sprintf("serve: request %d already open", req))
 		return false
 	}
-	runner, err := sc.srv.dispatch(kernel)
+	kern, known := sc.kerns[string(kernel)]
+	if !known {
+		kern = &connKernel{name: string(kernel)}
+	}
+	runner, err := sc.srv.dispatch(kern.name)
 	if err != nil {
-		sc.writeError(req, streamNone, err.Error())
+		sc.writeError(req, err.Error())
 		return true // request refused; connection stays usable
+	}
+	if !known && len(sc.kerns) < maxInterned {
+		sc.kerns[kern.name] = kern // only names that resolved are interned
 	}
 	sc.opens.Add(1)
 	if count == 0 {
-		sc.writeDone(req)
+		sc.enc.begin(frameDone, req)
+		sc.enc.finish()
+		sc.send(&sc.enc, req, false)
 		return true
 	}
 	sc.mu.Lock()
-	sc.reqs[req] = &reqState{kernel: kernel, runner: runner, remaining: count}
+	var st *reqState
+	if n := len(sc.freeReqs); n > 0 {
+		st = sc.freeReqs[n-1]
+		sc.freeReqs = sc.freeReqs[:n-1]
+	} else {
+		st = new(reqState)
+	}
+	*st = reqState{kern: kern, runner: runner, remaining: count}
+	sc.reqs[req] = st
 	sc.mu.Unlock()
 	return true
 }
 
 func (sc *srvConn) stream(req uint32, d *decoder) bool {
 	idx := d.u32()
-	narr := int(d.u16())
+	var kern *connKernel
+	var runner Runner
+	var sj *streamJob
 	sc.mu.Lock()
-	st := sc.reqs[req]
+	if st := sc.reqs[req]; st != nil {
+		kern, runner = st.kern, st.runner
+		if n := len(kern.free); n > 0 {
+			sj = kern.free[n-1]
+			kern.free = kern.free[:n-1]
+		}
+	}
 	sc.mu.Unlock()
-	if st == nil {
+	if kern == nil {
 		// Unknown request id: either never opened (protocol misuse) or
 		// already aborted by a request-level error — drop the frame.
 		return true
 	}
-	job := netlist.Job{Inputs: make(map[string][]int64, narr)}
-	for i := 0; i < narr; i++ {
-		name := d.str8()
-		vals := d.valsInto(nil)
-		if d.err != nil {
-			break
-		}
-		job.Inputs[name] = vals
+	if sj == nil {
+		sj = &streamJob{sc: sc}
+		sj.run = sj.exec
 	}
+	sj.decode(d, &kern.names)
 	if d.err != nil || d.remaining() {
-		sc.writeError(req, streamNone, "serve: malformed stream frame")
+		sc.writeError(req, "serve: malformed stream frame")
 		return false
 	}
+	sj.kern, sj.runner, sj.req, sj.idx = kern, runner, req, idx
+	sj.job.Cycles, sj.job.Err = 0, nil
 
 	if !sc.srv.beginStream() {
 		// Draining: answer the stream with an error (keeping the 'D'
 		// accounting intact) instead of racing the shutdown Wait.
-		job.Err = fmt.Errorf("serve: server is draining")
-		sc.respond(req, idx, &job)
-		sc.finishStream(req)
+		sj.job.Err = fmt.Errorf("serve: server is draining")
+		sc.respond(sj)
 		return true
 	}
 	sc.sem <- struct{}{} // backpressure: bounded in-flight per connection
-	go func() {
-		defer func() {
-			<-sc.sem
-			sc.srv.endStream()
-		}()
-		st.runner.RunStream(&job) // error is job.Err; pooled Systems return either way
-		sc.respond(req, idx, &job)
-		sc.finishStream(req)
-	}()
+	go sj.run()
 	return true
 }
 
-// respond writes the stream's result/fault/error frame.
-func (sc *srvConn) respond(req, idx uint32, job *netlist.Job) {
+// respond encodes the stream's result/fault/error frame into its own
+// buffer, sends it as one answer to the request, and returns the
+// streamJob to its kernel's pool.
+func (sc *srvConn) respond(sj *streamJob) {
+	job := &sj.job
 	sc.srv.countStream(job.Err)
 	sc.streams.Add(1)
-	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
-	e := &sc.enc
+	e := &sj.enc
 	switch {
 	case job.Err == nil:
-		e.begin(frameResult, req)
-		e.u32(idx)
+		e.begin(frameResult, sj.req)
+		e.u32(sj.idx)
 		e.u64(uint64(job.Cycles))
 		e.u16(uint16(len(job.Outputs)))
 		for name, vals := range job.Outputs {
@@ -855,74 +973,75 @@ func (sc *srvConn) respond(req, idx uint32, job *netlist.Job) {
 		var fe *dp.FaultError
 		if errors.As(job.Err, &fe) {
 			sc.faults.Add(1)
-			e.begin(frameFault, req)
-			e.u32(idx)
+			e.begin(frameFault, sj.req)
+			e.u32(sj.idx)
 			e.u32(uint32(fe.Cycle))
 			e.str8(fe.Op)
 			e.str16(fe.Msg)
 		} else {
-			e.begin(frameError, req)
-			e.u32(idx)
+			e.begin(frameError, sj.req)
+			e.u32(sj.idx)
 			e.str16(job.Err.Error())
 		}
 	}
-	sc.c.Write(e.finish())
-}
-
-// finishStream decrements the request's owed-response count and emits
-// 'D' after the last one.
-func (sc *srvConn) finishStream(req uint32) {
-	sc.mu.Lock()
-	st := sc.reqs[req]
-	done := false
-	if st != nil {
-		st.remaining--
-		if st.remaining == 0 {
-			delete(sc.reqs, req)
-			done = true
-		}
-	}
-	sc.mu.Unlock()
-	if done {
-		sc.writeDone(req)
-	}
-}
-
-func (sc *srvConn) writeDone(req uint32) {
-	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
-	sc.enc.begin(frameDone, req)
-	sc.c.Write(sc.enc.finish())
-}
-
-func (sc *srvConn) writeHello(req uint32, version int) {
-	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
-	sc.enc.begin(frameHello, req)
-	sc.enc.u16(uint16(version))
-	sc.c.Write(sc.enc.finish())
-}
-
-func (sc *srvConn) writeKeepAlive(req uint32) {
-	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
-	sc.enc.begin(frameKeepAlive, req)
-	sc.c.Write(sc.enc.finish())
-}
-
-func (sc *srvConn) writeError(req, stream uint32, msg string) {
-	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
-	sc.enc.begin(frameError, req)
-	sc.enc.u32(stream)
-	sc.enc.str16(msg)
-	sc.c.Write(sc.enc.finish())
-	// A request-level error aborts the request: owed streams are dropped.
-	if stream == streamNone {
+	e.finish()
+	sc.send(e, sj.req, true)
+	sj.runner = nil
+	if sj.pooled() {
 		sc.mu.Lock()
-		delete(sc.reqs, req)
+		sj.kern.free = append(sj.kern.free, sj)
 		sc.mu.Unlock()
 	}
+}
+
+// send is the connection's one write path: every server frame leaves
+// through it, in one Write per call under the write lock. answer marks
+// e's frame as one stream's response to req: the request's owed-stream
+// count drops inside the same critical section, and the answer that
+// settles the request carries its 'D' frame in the same Write — so 'D'
+// always follows every R/F/E frame of its request.
+func (sc *srvConn) send(e *encoder, req uint32, answer bool) {
+	sc.wmu.Lock()
+	defer sc.wmu.Unlock()
+	if answer && sc.settle(req) {
+		e.next(frameDone, req)
+		e.finish()
+	}
+	sc.c.Write(e.buf)
+}
+
+// settle counts one answered stream of req and reports whether it was
+// the last one owed, retiring the request.
+func (sc *srvConn) settle(req uint32) bool {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	st := sc.reqs[req]
+	if st == nil {
+		return false
+	}
+	st.remaining--
+	if st.remaining != 0 {
+		return false
+	}
+	delete(sc.reqs, req)
+	*st = reqState{}
+	sc.freeReqs = append(sc.freeReqs, st)
+	return true
+}
+
+// writeError answers req with a request-level error, which aborts the
+// request: its owed streams are dropped before the frame is sent, so no
+// 'D' can follow it. Only the reader goroutine calls it.
+func (sc *srvConn) writeError(req uint32, msg string) {
+	sc.mu.Lock()
+	delete(sc.reqs, req)
+	sc.mu.Unlock()
+	e := &sc.enc
+	e.begin(frameError, req)
+	e.u32(streamNone)
+	e.str16(msg)
+	e.finish()
+	sc.send(e, req, false)
 }
 
 // WaitIdle blocks until no stream is in flight or the timeout elapses;
