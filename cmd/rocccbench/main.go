@@ -2,6 +2,15 @@
 // §5 DCT throughput comparison, the §2 area-estimation claim, and the
 // structural figures (Fig. 3, 4, 6, 7).
 //
+// The four sweep flags run one differential harness (internal/exp) over
+// one kernel matrix — the two FIRs, the Table 1 kernels, the fault
+// divider and the -corpus kernels — on four paths: -sysbatch the
+// default System, -sweep a SystemPool across -workers, -serve one TCP
+// connection to rocccserve, -fleet a pipelined connection through a
+// router into -shards workers. Each runs exactly -jobs streams per
+// kernel, checks every stream bit-identical to the serial interp
+// reference and prints the same table.
+//
 // Usage:
 //
 //	rocccbench [-figures] [-estimation] [-throughput] [-sweep] [-sysbatch] [-serve] [-fleet] [-all]
@@ -12,8 +21,8 @@ import (
 	"fmt"
 	"os"
 
-	"roccc/internal/dp"
 	"roccc/internal/exp"
+	"roccc/internal/serve"
 )
 
 func main() {
@@ -21,19 +30,24 @@ func main() {
 		figures    = flag.Bool("figures", false, "print the figure reproductions")
 		estimation = flag.Bool("estimation", false, "print the area-estimation experiment")
 		throughput = flag.Bool("throughput", false, "print the DCT throughput experiment")
-		sweep      = flag.Bool("sweep", false, "print the batch sweep (serial vs sharded SystemPool)")
-		sysbatch   = flag.Bool("sysbatch", false, "print the system cycle-loop batching sweep (serial interp vs streak-batched System.Run)")
-		servesweep = flag.Bool("serve", false, "print the serve sweep (rocccserve TCP vs serial interp System.Run)")
-		fleetsweep = flag.Bool("fleet", false, "print the fleet sweep (pipelined v2 client + sharded router vs serial interp System.Run)")
+		sweep      = flag.Bool("sweep", false, "print the pool sweep (SystemPool.RunBatch vs the serial interp reference)")
+		sysbatch   = flag.Bool("sysbatch", false, "print the system sweep (default streak-batched System vs the serial interp reference)")
+		servesweep = flag.Bool("serve", false, "print the serve sweep (rocccserve TCP vs the serial interp reference)")
+		fleetsweep = flag.Bool("fleet", false, "print the fleet sweep (pipelined client + sharded router vs the serial interp reference)")
 		shardsN    = flag.Int("shards", 3, "worker shards for the -fleet sweep")
-		corpusDir  = flag.String("corpus", "ci/corpus", "extra .c kernels for the -fleet sweep (function name k); empty skips")
-		jobs       = flag.Int("jobs", 64, "independent input streams per sweep")
-		workers    = flag.Int("workers", 0, "sweep shard width (0 = GOMAXPROCS)")
+		corpusDir  = flag.String("corpus", "ci/corpus", "extra .c kernels (function name k) for every sweep's matrix; empty skips")
+		jobs       = flag.Int("jobs", 64, "input streams per kernel in every sweep")
+		workers    = flag.Int("workers", 0, "SystemPool width for the -sweep sweep (0 = GOMAXPROCS)")
 		all        = flag.Bool("all", false, "print everything")
 	)
 	flag.Parse()
 	if *jobs < 1 {
 		fmt.Fprintln(os.Stderr, "rocccbench: -jobs must be at least 1")
+		flag.Usage()
+		os.Exit(2)
+	}
+	if *shardsN < 1 {
+		fmt.Fprintln(os.Stderr, "rocccbench: -shards must be at least 1")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -60,37 +74,28 @@ func main() {
 			t.RocccClockMHz, t.RocccOutsPerCycle, t.RocccMsps)
 		fmt.Printf("overall throughput ratio: %.2fx (paper: higher despite 0.735x clock)\n\n", t.Speedup)
 	}
-	if *sweep || *all {
-		fir, err := exp.SystemSweep(*jobs, *workers)
-		if err != nil {
+	var specs []serve.KernelSpec
+	if *sweep || *sysbatch || *servesweep || *fleetsweep || *all {
+		if specs, err = exp.SweepSpecs(*corpusDir); err != nil {
 			fatal(err)
 		}
-		dct, err := exp.DCTSystemSweep(*jobs, *workers)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(exp.FormatSweeps([]*exp.SweepResult{fir, dct}))
 	}
-	if *sysbatch || *all {
-		rows, err := exp.SysBatchSweep(*jobs / 8)
-		if err != nil {
-			fatal(err)
+	for _, s := range []struct {
+		on  bool
+		run func() (*exp.SweepTable, error)
+	}{
+		{*sweep, func() (*exp.SweepTable, error) { return exp.PoolSweep(specs, *jobs, *workers) }},
+		{*sysbatch, func() (*exp.SweepTable, error) { return exp.SysBatchSweep(specs, *jobs) }},
+		{*servesweep, func() (*exp.SweepTable, error) { return exp.ServeSweep(specs, *jobs) }},
+		{*fleetsweep, func() (*exp.SweepTable, error) { return exp.FleetSweep(specs, *jobs, *shardsN) }},
+	} {
+		if s.on || *all {
+			tab, err := s.run()
+			if err != nil {
+				fatal(err)
+			}
+			fmt.Println(tab)
 		}
-		fmt.Println(exp.FormatSysBatch(rows))
-	}
-	if *servesweep || *all {
-		rows, err := exp.ServeSweep(*jobs)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(exp.FormatServeSweep(rows))
-	}
-	if *fleetsweep || *all {
-		rows, err := exp.FleetSweep(*jobs, *shardsN, dp.BackendThreaded, *corpusDir)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(exp.FormatFleetSweep(rows, *shardsN))
 	}
 	if *estimation || *all {
 		est, err := exp.AreaEstimation()

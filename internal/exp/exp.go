@@ -1,7 +1,8 @@
 // Package exp regenerates the paper's evaluation: Table 1 (Xilinx IP vs
 // ROCCC-generated hardware), the DCT throughput comparison of §5, the
 // compile-time area estimation claim of §2 [13], and the structural
-// figures (Fig. 3-7).
+// figures (Fig. 3-7). Its sweeps (diff.go) check every execution path
+// bit-identical to the serial interp reference.
 package exp
 
 import (

@@ -1,22 +1,117 @@
 package exp
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"roccc/internal/core"
 	"roccc/internal/dp"
+	"roccc/internal/netlist"
+	"roccc/internal/serve"
 )
 
-// TestSystemSweep: the sharded sweep must verify bit-identical against
-// the serial path (systemSweep fails internally on any divergence) and
-// report sane bookkeeping.
-func TestSystemSweep(t *testing.T) {
-	r, err := SystemSweep(12, 3)
+// The sweeps fail on any divergence from the serial interp reference,
+// so these tests pin the matrix each one covers: which rows stream,
+// which are refused, and how many streams fault.
+
+const corpusDir = "../../ci/corpus"
+
+func sweepSpecs(t *testing.T) []serve.KernelSpec {
+	t.Helper()
+	specs, err := SweepSpecs(corpusDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Jobs != 12 || r.Workers != 3 {
-		t.Fatalf("jobs/workers = %d/%d, want 12/3", r.Jobs, r.Workers)
+	return specs
+}
+
+// streamed and combinational are the Table 1 rows and FIRs that must
+// stream, and the Table 1 rows every path must refuse.
+var (
+	streamed      = []string{"fir_fig3", "fir_4096", "mul_acc", "fir", "dct", "wavelet"}
+	combinational = []string{"bit_correlator", "udiv", "square_root", "cos", "arbitrary_lut"}
+)
+
+// checkMatrix pins the rows every sweep shares.
+func checkMatrix(t *testing.T, tab *SweepTable, specs []serve.KernelSpec, streams int) {
+	t.Helper()
+	if len(tab.Rows) != len(specs) {
+		t.Fatalf("%d rows for %d specs", len(tab.Rows), len(specs))
+	}
+	byName := map[string]SweepRow{}
+	for _, r := range tab.Rows {
+		byName[r.Kernel] = r
+	}
+	for _, name := range streamed {
+		if r := byName[name]; r.Refused != "" || r.Streams != streams || r.Cycles <= 0 || r.Speedup <= 0 {
+			t.Errorf("%s: row %+v, want %d verified streams", name, r, streams)
+		}
+	}
+	for _, name := range combinational {
+		if r := byName[name]; !strings.Contains(r.Refused, "no loop nest") {
+			t.Errorf("%s: combinational row was not refused: %+v", name, r)
+		}
+	}
+	if r, want := byName["divide_fault"], streams/2; r.Faults != want { // odd streams plant a zero
+		t.Errorf("divide_fault: %d faults, want %d: %+v", r.Faults, want, r)
+	}
+	out := tab.String()
+	for _, want := range []string{tab.Title, "DiffJob", "divide_fault", "refused: "} {
+		if !strings.Contains(out, want) {
+			t.Errorf("table missing %q in:\n%s", want, out)
+		}
+	}
+}
+
+// TestPoolSweep: SystemPool.RunBatch shards the whole matrix, the Fig. 3
+// FIR and the wide-bus DCT included, bit-identical to the reference.
+func TestPoolSweep(t *testing.T) {
+	specs := sweepSpecs(t)
+	tab, err := PoolSweep(specs, 6, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkMatrix(t, tab, specs, 6)
+	if !strings.Contains(tab.Title, "3 workers") {
+		t.Errorf("title %q does not name the worker count", tab.Title)
+	}
+}
+
+// poolRow runs PoolSweep on the one named kernel of the matrix.
+func poolRow(t *testing.T, kernel string, streams, workers int) (SweepRow, *SweepTable) {
+	t.Helper()
+	specs, err := SweepSpecs("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range specs {
+		if s.Name != kernel {
+			continue
+		}
+		tab, err := PoolSweep([]serve.KernelSpec{s}, streams, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tab.Rows) != 1 {
+			t.Fatalf("%d rows for one spec", len(tab.Rows))
+		}
+		return tab.Rows[0], tab
+	}
+	t.Fatalf("no %s in the sweep matrix", kernel)
+	return SweepRow{}, nil
+}
+
+// TestSystemSweep: the Fig. 3 FIR sharded over SystemPool.RunBatch must
+// verify bit-identical against the reference (PoolSweep fails on any
+// divergence) and report sane bookkeeping.
+func TestSystemSweep(t *testing.T) {
+	r, tab := poolRow(t, "fir_fig3", 12, 3)
+	if r.Streams != 12 || !strings.Contains(tab.Title, "3 workers") {
+		t.Fatalf("streams = %d, title %q; want 12 streams on 3 workers", r.Streams, tab.Title)
+	}
+	if r.Refused != "" || r.Faults != 0 {
+		t.Fatalf("unexpected row: %+v", r)
 	}
 	if r.Cycles <= 0 {
 		t.Fatal("no cycles recorded")
@@ -24,84 +119,54 @@ func TestSystemSweep(t *testing.T) {
 	if r.Speedup <= 0 {
 		t.Fatal("no speedup recorded")
 	}
-	if FormatSweeps([]*SweepResult{r}) == "" {
-		t.Fatal("empty report")
+	if !strings.Contains(tab.String(), "fir_fig3") {
+		t.Fatalf("report does not name the kernel:\n%s", tab)
 	}
 }
 
 // TestDCTSystemSweep covers the wide-bus kernel path.
 func TestDCTSystemSweep(t *testing.T) {
-	r, err := DCTSystemSweep(6, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Kernel != "dct" || r.Cycles <= 0 {
+	r, _ := poolRow(t, "dct", 6, 2)
+	if r.Kernel != "dct" || r.Streams != 6 || r.Refused != "" || r.Cycles <= 0 {
 		t.Fatalf("unexpected result: %+v", r)
 	}
 }
 
-// TestServeSweep is the serve acceptance harness: every Table 1 kernel
-// served over TCP must be bit-identical to serial System.Run, the
-// feedback row (mul_acc) must surface its latch, the fault kernel must
-// abort with the serial cycle, and the combinational rows must be
-// refused with a clear diagnosis.
+// TestServeSweep: every kernel served over one v1 TCP connection must
+// be bit-identical to the reference, the fault divider must abort with
+// the reference's fault, and the server must refuse each combinational
+// Table 1 row with the reference's diagnosis.
 func TestServeSweep(t *testing.T) {
-	rows, err := ServeSweep(4)
+	specs := sweepSpecs(t)
+	tab, err := ServeSweep(specs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string]ServeRow{}
-	for _, r := range rows {
-		byName[r.Kernel] = r
-	}
-	if len(rows) != 10 { // nine Table 1 rows + the fault divider
-		t.Fatalf("rows = %d, want 10", len(rows))
-	}
-	for _, name := range []string{"mul_acc", "fir", "dct", "wavelet"} {
-		r, ok := byName[name]
-		if !ok || r.Skipped != "" || r.Streams != 4 {
-			t.Errorf("%s: row %+v, want 4 served streams", name, r)
-		}
-	}
-	for _, name := range []string{"bit_correlator", "udiv", "square_root", "cos", "arbitrary_lut"} {
-		if r := byName[name]; r.Skipped == "" {
-			t.Errorf("%s: combinational row was not skipped: %+v", name, r)
-		}
-	}
-	if r := byName["divide_fault"]; r.Faults != 2 { // odd streams plant a zero
-		t.Errorf("divide_fault: %d faults, want 2: %+v", r.Faults, r)
-	}
-	out := FormatServeSweep(rows)
-	for _, want := range []string{"bit-identical", "divide_fault", "skipped"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table missing %q in:\n%s", want, out)
-		}
-	}
+	checkMatrix(t, tab, specs, 4)
 }
 
-// TestFleetSweep is the Serve v2 acceptance harness: the pipelined
-// client + router + sharded workers stack must be bit-identical to
-// serial interp System.Run for every Table 1 kernel, the fault divider
-// and the ci/corpus kernels, on both execution backends — with every
-// shard pool balanced after the concurrent storm. FleetSweep fails
-// internally on any divergence, shed or leak; here we pin the matrix
-// shape.
+// TestFleetSweep: the pipelined client + router + sharded workers stack
+// must be bit-identical to the reference for the whole matrix, the
+// ci/corpus kernels included, on both execution backends, with every
+// shard pool balanced after the concurrent storm.
 func TestFleetSweep(t *testing.T) {
 	for _, b := range dp.Backends() {
-		b := b
 		t.Run(b.String(), func(t *testing.T) {
 			t.Parallel()
-			rows, err := FleetSweep(3, 3, b, "../../ci/corpus")
+			specs := sweepSpecs(t)
+			for i := range specs {
+				specs[i].Config.Backend = b
+			}
+			tab, err := FleetSweep(specs, 3, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			byName := map[string]ServeRow{}
+			checkMatrix(t, tab, specs, 3)
 			corpus, corpusStreamed := 0, 0
-			for _, r := range rows {
-				byName[r.Kernel] = r
+			for _, r := range tab.Rows {
 				if strings.HasPrefix(r.Kernel, "corpus_") {
 					corpus++
-					if r.Skipped == "" {
+					if r.Refused == "" {
 						corpusStreamed++
 					}
 				}
@@ -111,46 +176,90 @@ func TestFleetSweep(t *testing.T) {
 			if corpus < 5 || corpusStreamed < 3 {
 				t.Fatalf("corpus coverage too thin: %d kernels, %d streamed", corpus, corpusStreamed)
 			}
-			for _, name := range []string{"mul_acc", "fir", "dct", "wavelet"} {
-				if r := byName[name]; r.Skipped != "" || r.Streams != 3 {
-					t.Errorf("%s: row %+v, want 3 served streams", name, r)
-				}
-			}
-			if r := byName["divide_fault"]; r.Faults != 1 { // odd streams plant a zero
-				t.Errorf("divide_fault: %d faults, want 1: %+v", r.Faults, r)
-			}
-			out := FormatFleetSweep(rows, 3)
-			if !strings.Contains(out, "3 shards") || !strings.Contains(out, "bit-identical") {
-				t.Errorf("unexpected table:\n%s", out)
+			if !strings.Contains(tab.Title, "3 shards") {
+				t.Errorf("title %q does not name the shard count", tab.Title)
 			}
 		})
 	}
 }
 
-// TestSysBatchSweep runs the serial-vs-streak system sweep small: the
-// sweep fails on any bit divergence, so a passing run certifies the
-// streak-batched Run across the Table 1 matrix end to end.
+// TestSysBatchSweep: the default System must be bit-identical to the
+// reference across the matrix, and its streak path must engage on
+// every streaming row.
 func TestSysBatchSweep(t *testing.T) {
-	rows, err := SysBatchSweep(2)
+	specs := sweepSpecs(t)
+	tab, err := SysBatchSweep(specs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed := 0
-	for _, r := range rows {
-		if r.Skipped == "" {
-			streamed++
-			if r.BatchedPct <= 0 {
-				t.Errorf("%s: no cycles took the streak path", r.Kernel)
+	checkMatrix(t, tab, specs, 2)
+	for _, r := range tab.Rows {
+		if r.Refused == "" && r.Streak <= 0 {
+			t.Errorf("%s: no cycles took the streak path", r.Kernel)
+		}
+	}
+	if !strings.Contains(tab.String(), "streak") {
+		t.Errorf("table has no streak column:\n%s", tab)
+	}
+}
+
+// TestDiffKernelCatchesDivergence shows that a sweep can fail: a path
+// that wraps the local System but corrupts one stream, or accepts a
+// kernel the reference refuses, must fail the harness with an error
+// naming the stream.
+func TestDiffKernelCatchesDivergence(t *testing.T) {
+	specs, err := SweepSpecs("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := map[string]serve.KernelSpec{}
+	for _, s := range specs {
+		byName[s.Name] = s
+	}
+	local := func(mutate func(job *netlist.Job)) opener {
+		return func(spec serve.KernelSpec, res *core.Result) (runFunc, error) {
+			sys, err := netlist.NewSystem(res.Kernel, res.Datapath, spec.Config)
+			if err != nil {
+				return nil, err
 			}
+			return func(jobs []netlist.Job) error {
+				for i := range jobs {
+					jobs[i].Err = sys.RunJob(&jobs[i])
+				}
+				mutate(&jobs[1])
+				return nil
+			}, nil
 		}
 	}
-	if streamed < 5 {
-		t.Fatalf("only %d kernels streamed", streamed)
-	}
-	s := FormatSysBatch(rows)
-	for _, want := range []string{"serial/it", "streak/it", "speedup"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("table missing %q header:\n%s", want, s)
-		}
+	for _, tc := range []struct {
+		name, kernel string
+		open         opener
+		want         string
+	}{
+		{"flipped output", "fir_fig3", local(func(j *netlist.Job) { j.Outputs["C"][3] ^= 1 }), "stream 1: C[3]"},
+		{"dropped latch", "mul_acc", local(func(j *netlist.Job) { clear(j.Feedbacks) }), "stream 1: latch"},
+		{"shifted fault", "divide_fault", local(func(j *netlist.Job) {
+			var fe *dp.FaultError
+			if errors.As(j.Err, &fe) {
+				j.Err = &dp.FaultError{Op: fe.Op, Cycle: fe.Cycle + 1, Msg: fe.Msg}
+			}
+		}), "stream 1: fault"},
+		{"accepted combinational kernel", "cos", func(serve.KernelSpec, *core.Result) (runFunc, error) {
+			return func([]netlist.Job) error { return nil }, nil
+		}, "stream 0: path returned <nil>"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec, ok := byName[tc.kernel]
+			if !ok {
+				t.Fatalf("no %s in the sweep matrix", tc.kernel)
+			}
+			if _, err := diffKernel(spec, 2, local(func(*netlist.Job) {})); err != nil {
+				t.Fatalf("the faithful local path failed: %v", err)
+			}
+			_, err := diffKernel(spec, 2, tc.open)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("diffKernel = %v, want an error naming %q", err, tc.want)
+			}
+		})
 	}
 }

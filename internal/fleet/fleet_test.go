@@ -82,7 +82,8 @@ func divInputs(seed int64) map[string][]int64 {
 }
 
 // serialRun executes one stream through a private serial interp System
-// — the ground truth fleet routing must be bit-identical to.
+// (System.RunJob) — the reference fleet routing must match under
+// netlist.DiffJob.
 func serialRun(t *testing.T, spec serve.KernelSpec, inputs map[string][]int64) *netlist.Job {
 	t.Helper()
 	res, err := core.CompileSource(spec.Source, spec.Func, spec.Options)
@@ -96,28 +97,9 @@ func serialRun(t *testing.T, spec serve.KernelSpec, inputs map[string][]int64) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, vals := range inputs {
-		if err := sys.LoadInput(name, vals); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sim, err := sys.Run()
-	if err != nil {
+	job := &netlist.Job{Inputs: inputs}
+	if err := sys.RunJob(job); err != nil {
 		t.Fatal(err)
-	}
-	job := &netlist.Job{Inputs: inputs, Cycles: sys.Cycles(),
-		Outputs: map[string][]int64{}, Feedbacks: map[string]int64{}}
-	for _, w := range res.Kernel.Writes {
-		out, err := sys.Output(w.Arr.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		job.Outputs[w.Arr.Name] = out
-	}
-	for _, fb := range res.Datapath.Feedbacks {
-		if v, ok := sim.FeedbackByName(fb.State.Name); ok {
-			job.Feedbacks[fb.State.Name] = v
-		}
 	}
 	return job
 }
@@ -252,9 +234,8 @@ func TestRouterAdmissionShed(t *testing.T) {
 	if err := runner.RunStream(&job); err != nil {
 		t.Fatalf("stream after slots freed: %v", err)
 	}
-	want := serialRun(t, testSpecs()[0], firInputs(3))
-	if job.Cycles != want.Cycles {
-		t.Fatalf("post-shed stream: %d cycles, serial %d", job.Cycles, want.Cycles)
+	if err := netlist.DiffJob(&job, serialRun(t, testSpecs()[0], firInputs(3))); err != nil {
+		t.Fatalf("post-shed stream: %v", err)
 	}
 }
 
@@ -383,11 +364,8 @@ func TestRouterEvictIdle(t *testing.T) {
 	if err := r.Run("fir", jobs); err != nil {
 		t.Fatalf("post-eviction run: %v", err)
 	}
-	want := serialRun(t, testSpecs()[0], firInputs(7))
-	for i := range want.Outputs["C"] {
-		if jobs[0].Outputs["C"][i] != want.Outputs["C"][i] {
-			t.Fatalf("post-eviction C[%d] = %d, want %d", i, jobs[0].Outputs["C"][i], want.Outputs["C"][i])
-		}
+	if err := netlist.DiffJob(&jobs[0], serialRun(t, testSpecs()[0], firInputs(7))); err != nil {
+		t.Fatalf("post-eviction run: %v", err)
 	}
 }
 
@@ -451,15 +429,8 @@ func TestFleetRemoteShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range jobs {
-		want := serialRun(t, testSpecs()[0], firInputs(int64(20+i)))
-		if jobs[i].Cycles != want.Cycles {
-			t.Fatalf("stream %d: %d cycles via TCP shard, serial %d", i, jobs[i].Cycles, want.Cycles)
-		}
-		for j := range want.Outputs["C"] {
-			if jobs[i].Outputs["C"][j] != want.Outputs["C"][j] {
-				t.Fatalf("stream %d: C[%d] = %d via TCP shard, serial %d",
-					i, j, jobs[i].Outputs["C"][j], want.Outputs["C"][j])
-			}
+		if err := netlist.DiffJob(&jobs[i], serialRun(t, testSpecs()[0], firInputs(int64(20+i)))); err != nil {
+			t.Fatalf("stream %d via TCP shard: %v", i, err)
 		}
 	}
 	m := r.Metrics()
@@ -544,23 +515,9 @@ func TestFleetShardedSoak(t *testing.T) {
 						var be *serve.BusyError
 						switch {
 						case jobs[i].Err == nil:
-							if jobs[i].Cycles != want.Cycles {
-								errCh <- fmt.Errorf("%s: %d cycles, serial %d", spec.Name, jobs[i].Cycles, want.Cycles)
+							if err := netlist.DiffJob(&jobs[i], want); err != nil {
+								errCh <- fmt.Errorf("%s: %w", spec.Name, err)
 								return
-							}
-							for name, wv := range want.Outputs {
-								for j := range wv {
-									if jobs[i].Outputs[name][j] != wv[j] {
-										errCh <- fmt.Errorf("%s: %s[%d] cross-wired", spec.Name, name, j)
-										return
-									}
-								}
-							}
-							for name, wv := range want.Feedbacks {
-								if jobs[i].Feedbacks[name] != wv {
-									errCh <- fmt.Errorf("%s: feedback %s mismatched", spec.Name, name)
-									return
-								}
 							}
 							answered.Add(1)
 						case errors.As(jobs[i].Err, &be):

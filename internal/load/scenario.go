@@ -9,22 +9,6 @@ import (
 	"roccc/internal/serve"
 )
 
-// faultSource is the planted-fault kernel: an elementwise divide whose
-// fault variant carries one zero divisor on a valid iteration, so the
-// served stream aborts with a typed dp.FaultError at a deterministic
-// cycle — the harness's "expected fault" traffic class.
-const faultSource = `
-int A[24];
-int B[24];
-int Q[24];
-void divide() {
-	int i;
-	for (i = 0; i < 24; i++) {
-		Q[i] = A[i] / B[i];
-	}
-}
-`
-
 // ReqKind classifies one generated request.
 type ReqKind int
 
@@ -98,7 +82,7 @@ func BuildScenario(corpusDir string, faultFrac, discFrac float64, streams int) (
 	}
 	specs := serve.Table1Specs()
 	specs = append(specs, serve.KernelSpec{
-		Name: "divide_fault", Source: faultSource, Func: "divide",
+		Name: "divide_fault", Source: exp.DividerSource, Func: "divide",
 		Options: core.DefaultOptions(), Config: netlist.Config{BusElems: 1},
 	})
 	corpus, err := exp.LoadCorpusSpecs(corpusDir)

@@ -245,7 +245,7 @@ func (p *SystemPool) RunJob(job *Job) error {
 		return err
 	}
 	p.jobs.Add(1)
-	job.Err = runJob(sys, job)
+	job.Err = sys.RunJob(job)
 	p.Put(sys)
 	return job.Err
 }
@@ -317,54 +317,57 @@ func (p *SystemPool) worker() {
 				job.Err = err
 				continue
 			}
-			job.Err = runJob(sys, job)
+			job.Err = sys.RunJob(job)
 		}
 		p.Put(sys)
 		r.wg.Done()
 	}
 }
 
-// runJob streams one job through a pooled System. Reset keeps input
-// BRAM contents and LoadInput overwrites only a prefix, so every input
-// BRAM is zeroed past the job's array (all of it when the job carries
-// none): a pooled System then computes exactly what a fresh one would,
-// whatever an earlier job — from any client — left in it.
-func runJob(sys *System, job *Job) error {
-	sys.Reset()
+// RunJob streams one job through the System: Reset, LoadInput, Run,
+// harvest. Reset keeps input BRAM contents and LoadInput overwrites
+// only a prefix, so every input BRAM is zeroed past the job's array
+// (all of it when the job carries none): a reused System then computes
+// exactly what a fresh one would, whatever an earlier job — from any
+// client — left in it. RunJob does not set job.Err, and a failed run
+// leaves job.Cycles alone. On a serial interp System it is the
+// reference every differential check compares against (DiffJob).
+func (s *System) RunJob(job *Job) error {
+	s.Reset()
 	for name, vals := range job.Inputs {
-		if err := sys.LoadInput(name, vals); err != nil {
+		if err := s.LoadInput(name, vals); err != nil {
 			return err
 		}
 	}
-	for name, m := range sys.inBRAMs {
+	for name, m := range s.inBRAMs {
 		if n := len(job.Inputs[name]); n < len(m.Data) {
 			clear(m.Data[n:])
 		}
 	}
-	sim, err := sys.Run()
+	sim, err := s.Run()
 	if err != nil {
 		return err
 	}
-	job.Cycles = sys.Cycles()
+	job.Cycles = s.Cycles()
 	if job.Outputs == nil {
-		job.Outputs = make(map[string][]int64, len(sys.outBRAMs))
+		job.Outputs = make(map[string][]int64, len(s.outBRAMs))
 	}
 	// A Job recycled across kernels may carry keys this kernel never
 	// writes; purge them so the result holds exactly this run's arrays.
 	// Same-kernel reuse (the zero-alloc steady state) deletes nothing
 	// and allocates nothing (map iteration + lookups only).
 	for name := range job.Outputs {
-		if _, ok := sys.outBRAMs[name]; !ok {
+		if _, ok := s.outBRAMs[name]; !ok {
 			delete(job.Outputs, name)
 		}
 	}
-	for name, bram := range sys.outBRAMs {
+	for name, bram := range s.outBRAMs {
 		dst := job.Outputs[name]
 		if len(dst) != len(bram.Data) {
 			dst = make([]int64, len(bram.Data))
 			job.Outputs[name] = dst
 		}
-		if err := sys.OutputInto(name, dst); err != nil {
+		if err := s.OutputInto(name, dst); err != nil {
 			return err
 		}
 	}
@@ -375,7 +378,7 @@ func runJob(sys *System, job *Job) error {
 			}
 		}
 	}
-	if fbs := sys.Datapath.Feedbacks; len(fbs) > 0 {
+	if fbs := s.Datapath.Feedbacks; len(fbs) > 0 {
 		if job.Feedbacks == nil {
 			job.Feedbacks = make(map[string]int64, len(fbs))
 		}

@@ -34,23 +34,13 @@ func TestSystemPoolRunBatch(t *testing.T) {
 	res, sys := buildSystem(t, firSource, "fir", core.Options{Optimize: true, PeriodNs: 5}, Config{BusElems: 1})
 	jobs := firJobs(23)
 
-	// Serial reference: one System, Reset per stream.
-	want := make([][]int64, len(jobs))
-	wantCycles := make([]int, len(jobs))
+	// Serial reference: one System, one stream at a time.
+	want := make([]Job, len(jobs))
 	for i := range jobs {
-		sys.Reset()
-		if err := sys.LoadInput("A", jobs[i].Inputs["A"]); err != nil {
+		want[i].Inputs = jobs[i].Inputs
+		if err := sys.RunJob(&want[i]); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sys.Run(); err != nil {
-			t.Fatal(err)
-		}
-		out, err := sys.Output("C")
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = out
-		wantCycles[i] = sys.Cycles()
 	}
 
 	pool, err := NewSystemPool(res.Kernel, res.Datapath, Config{BusElems: 1}, 4)
@@ -64,17 +54,8 @@ func TestSystemPoolRunBatch(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		for i := range jobs {
-			if jobs[i].Err != nil {
-				t.Fatalf("round %d: job %d: %v", round, i, jobs[i].Err)
-			}
-			if jobs[i].Cycles != wantCycles[i] {
-				t.Fatalf("round %d: job %d: %d cycles, serial took %d", round, i, jobs[i].Cycles, wantCycles[i])
-			}
-			got := jobs[i].Outputs["C"]
-			for j := range want[i] {
-				if got[j] != want[i][j] {
-					t.Fatalf("round %d: job %d: C[%d] = %d, serial %d", round, i, j, got[j], want[i][j])
-				}
+			if err := DiffJob(&jobs[i], &want[i]); err != nil {
+				t.Fatalf("round %d: job %d: %v", round, i, err)
 			}
 		}
 	}
@@ -240,7 +221,7 @@ void scale(int k) {
 	}
 }
 
-// TestConcurrentPlanCacheSharing hammers NewSystem + Run + Output from
+// TestConcurrentPlanCacheSharing hammers NewSystem + RunJob from
 // many goroutines sharing one compiled Kernel/Datapath: every goroutine
 // exercises hir.Kernel.PlanCache (the shared sysPlan), the data path's
 // planOnce simulator plan, and full runs over private Systems. Run
@@ -252,14 +233,8 @@ func TestConcurrentPlanCacheSharing(t *testing.T) {
 	for i := range in {
 		in[i] = rng.Int63n(255) - 128
 	}
-	if err := sys.LoadInput("A", in); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want, err := sys.Output("C")
-	if err != nil {
+	want := Job{Inputs: map[string][]int64{"A": in}}
+	if err := sys.RunJob(&want); err != nil {
 		t.Fatal(err)
 	}
 
@@ -277,24 +252,14 @@ func TestConcurrentPlanCacheSharing(t *testing.T) {
 					errs[g] = err
 					return
 				}
-				if err := s.LoadInput("A", in); err != nil {
+				got := Job{Inputs: want.Inputs}
+				if err := s.RunJob(&got); err != nil {
 					errs[g] = err
 					return
 				}
-				if _, err := s.Run(); err != nil {
-					errs[g] = err
+				if err := DiffJob(&got, &want); err != nil {
+					errs[g] = fmt.Errorf("round %d: %w", r, err)
 					return
-				}
-				out, err := s.Output("C")
-				if err != nil {
-					errs[g] = err
-					return
-				}
-				for i := range want {
-					if out[i] != want[i] {
-						errs[g] = fmt.Errorf("round %d: C[%d] = %d, want %d", r, i, out[i], want[i])
-						return
-					}
 				}
 			}
 		}(g)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -37,21 +38,11 @@ func TestProtoV1Compat(t *testing.T) {
 		wantSum += in[i]
 	}
 	// Serial reference for the cycle count.
-	res, err := core.CompileSource(accumSource, "accum", core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+	ref := serialRun(t, testSpecs()[1], map[string][]int64{"A": in})
+	if ref.Err != nil {
+		t.Fatal(ref.Err)
 	}
-	sys, err := netlist.NewSystem(res.Kernel, res.Datapath, refConfig(netlist.Config{BusElems: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.LoadInput("A", in); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	wantCycles := uint64(sys.Cycles())
+	wantCycles := uint64(ref.Cycles)
 
 	// The pinned v1 request: Open("accum", 1 stream) + Stream(0, A=in).
 	const req = 7
@@ -210,21 +201,15 @@ func TestServePipelinedConcurrent(t *testing.T) {
 	defer conn.Close()
 
 	// Serial ground truth, computed once.
-	type ref struct {
-		out    []int64
-		cycles int
-	}
-	refs := map[int64]ref{}
+	refs := map[int64]*netlist.Job{}
 	for seed := int64(1); seed <= 6; seed++ {
-		out, cycles := serialFIR(t, firStream(seed))
-		refs[seed] = ref{out, cycles}
+		refs[seed] = serialFIR(t, firStream(seed))
 	}
 	accumIn := make([]int64, 32)
-	var accumSum int64
 	for i := range accumIn {
 		accumIn[i] = int64(i*13 - 170)
-		accumSum += accumIn[i]
 	}
+	accumRef := serialRun(t, testSpecs()[1], map[string][]int64{"A": accumIn})
 	divA := make([]int64, 24)
 	divB := make([]int64, 24)
 	for i := range divA {
@@ -232,20 +217,9 @@ func TestServePipelinedConcurrent(t *testing.T) {
 		divB[i] = 4
 	}
 	divB[9] = 0
-	res, err := core.CompileSource(dividerSource, "divide", core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dsys, err := netlist.NewSystem(res.Kernel, res.Datapath, refConfig(netlist.Config{BusElems: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dsys.LoadInput("A", divA)
-	dsys.LoadInput("B", divB)
-	_, serialErr := dsys.Run()
-	var wantFault *dp.FaultError
-	if !errors.As(serialErr, &wantFault) {
-		t.Fatalf("serial divide did not fault: %v", serialErr)
+	divRef := serialRun(t, testSpecs()[2], map[string][]int64{"A": divA, "B": divB})
+	if !errors.As(divRef.Err, new(*dp.FaultError)) {
+		t.Fatalf("serial divide did not fault: %v", divRef.Err)
 	}
 
 	const goroutines = 8
@@ -275,16 +249,9 @@ func TestServePipelinedConcurrent(t *testing.T) {
 					return
 				}
 				for i := range jobs {
-					want := refs[seeds[i]]
-					if jobs[i].Cycles != want.cycles {
-						fail(errors.New("fir cycle mismatch under pipelining"))
+					if err := netlist.DiffJob(&jobs[i], refs[seeds[i]]); err != nil {
+						fail(fmt.Errorf("fir cross-wired under pipelining: %w", err))
 						return
-					}
-					for j := range want.out {
-						if jobs[i].Outputs["C"][j] != want.out[j] {
-							fail(errors.New("fir output cross-wired under pipelining"))
-							return
-						}
 					}
 				}
 				switch g % 3 {
@@ -294,8 +261,8 @@ func TestServePipelinedConcurrent(t *testing.T) {
 						fail(err)
 						return
 					}
-					if a[0].Feedbacks["sum"] != accumSum {
-						fail(errors.New("accum sum cross-wired under pipelining"))
+					if err := netlist.DiffJob(&a[0], accumRef); err != nil {
+						fail(fmt.Errorf("accum cross-wired under pipelining: %w", err))
 						return
 					}
 				case 1:
@@ -304,9 +271,8 @@ func TestServePipelinedConcurrent(t *testing.T) {
 						fail(errors.New("guaranteed fault returned nil"))
 						return
 					}
-					var fe *dp.FaultError
-					if !errors.As(d[0].Err, &fe) || fe.Cycle != wantFault.Cycle || fe.Msg != wantFault.Msg {
-						fail(errors.New("served fault does not match serial fault"))
+					if err := netlist.DiffJob(&d[0], divRef); err != nil {
+						fail(fmt.Errorf("served fault does not match serial fault: %w", err))
 						return
 					}
 				case 2:
@@ -341,8 +307,8 @@ func TestServePipelinedConcurrent(t *testing.T) {
 	if err := conn.Run("fir", final); err != nil {
 		t.Fatalf("connection unusable after request error: %v", err)
 	}
-	if final[0].Cycles != refs[2].cycles {
-		t.Fatal("post-error request mismatched serial reference")
+	if err := netlist.DiffJob(&final[0], refs[2]); err != nil {
+		t.Fatalf("post-error request mismatched serial reference: %v", err)
 	}
 }
 
@@ -391,8 +357,6 @@ func TestServeEvictionRebuild(t *testing.T) {
 	if err := local.Run("fir", jobs); err != nil {
 		t.Fatal(err)
 	}
-	baseline := append([]int64(nil), jobs[0].Outputs["C"]...)
-	baseCycles := jobs[0].Cycles
 
 	srv.mu.Lock()
 	e := srv.kernels["fir"]
@@ -433,13 +397,8 @@ func TestServeEvictionRebuild(t *testing.T) {
 	if err := local.Run("fir", jobs2); err != nil {
 		t.Fatalf("post-eviction run: %v", err)
 	}
-	if jobs2[0].Cycles != baseCycles {
-		t.Fatalf("post-eviction cycles %d, want %d", jobs2[0].Cycles, baseCycles)
-	}
-	for i := range baseline {
-		if jobs2[0].Outputs["C"][i] != baseline[i] {
-			t.Fatalf("post-eviction C[%d] = %d, want %d", i, jobs2[0].Outputs["C"][i], baseline[i])
-		}
+	if err := netlist.DiffJob(&jobs2[0], &jobs[0]); err != nil {
+		t.Fatalf("post-eviction run against the first: %v", err)
 	}
 
 	e.mu.Lock()
@@ -509,7 +468,7 @@ func TestServeEvictionInvisible(t *testing.T) {
 		srv.Shutdown(ctx)
 	})
 	local := srv.Local()
-	want, wantCycles := serialFIR(t, firStream(9))
+	want := serialFIR(t, firStream(9))
 
 	// A free-running evictor probes the eviction/stream races (it mostly
 	// sees ErrEvictBusy); the deterministic evictions happen in the client
@@ -541,13 +500,8 @@ func TestServeEvictionInvisible(t *testing.T) {
 		if err := local.Run("fir", jobs); err != nil {
 			t.Fatalf("iteration %d: eviction leaked to the client: %v", i, err)
 		}
-		if jobs[0].Cycles != wantCycles {
-			t.Fatalf("iteration %d: %d cycles, want %d", i, jobs[0].Cycles, wantCycles)
-		}
-		for j := range want {
-			if jobs[0].Outputs["C"][j] != want[j] {
-				t.Fatalf("iteration %d: C[%d] = %d, want %d", i, j, jobs[0].Outputs["C"][j], want[j])
-			}
+		if err := netlist.DiffJob(&jobs[0], want); err != nil {
+			t.Fatalf("iteration %d: %v", i, err)
 		}
 	}
 	close(stop)

@@ -99,29 +99,28 @@ func refConfig(cfg netlist.Config) netlist.Config {
 	return cfg
 }
 
-// serialFIR runs one stream through a private serial interp System for
-// reference.
-func serialFIR(t *testing.T, inputs map[string][]int64) ([]int64, int) {
+// serialRun runs one stream of spec through a private serial interp
+// System (System.RunJob): the reference every served stream must match
+// under netlist.DiffJob. A stream that faults comes back with its Err.
+func serialRun(t *testing.T, spec KernelSpec, inputs map[string][]int64) *netlist.Job {
 	t.Helper()
-	res, err := core.CompileSource(firSource, "fir", core.DefaultOptions())
+	res, err := core.CompileSource(spec.Source, spec.Func, spec.Options)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := netlist.NewSystem(res.Kernel, res.Datapath, refConfig(netlist.Config{BusElems: 1}))
+	sys, err := netlist.NewSystem(res.Kernel, res.Datapath, refConfig(spec.Config))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.LoadInput("A", inputs["A"]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Run(); err != nil {
-		t.Fatal(err)
-	}
-	out, err := sys.Output("C")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out, sys.Cycles()
+	ref := &netlist.Job{Inputs: inputs}
+	ref.Err = sys.RunJob(ref)
+	return ref
+}
+
+// serialFIR is serialRun on the test FIR.
+func serialFIR(t *testing.T, inputs map[string][]int64) *netlist.Job {
+	t.Helper()
+	return serialRun(t, testSpecs()[0], inputs)
 }
 
 // TestServeTCPRoundTrip: a TCP batch must return outputs and cycle
@@ -146,18 +145,8 @@ func TestServeTCPRoundTrip(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		for i := range streams {
-			want, wantCycles := serialFIR(t, streams[i].Inputs)
-			if streams[i].Cycles != wantCycles {
-				t.Fatalf("round %d stream %d: %d cycles, serial %d", round, i, streams[i].Cycles, wantCycles)
-			}
-			got := streams[i].Outputs["C"]
-			if len(got) != len(want) {
-				t.Fatalf("round %d stream %d: %d outputs, want %d", round, i, len(got), len(want))
-			}
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("round %d stream %d: C[%d] = %d, want %d", round, i, j, got[j], want[j])
-				}
+			if err := netlist.DiffJob(&streams[i], serialFIR(t, streams[i].Inputs)); err != nil {
+				t.Fatalf("round %d stream %d: %v", round, i, err)
 			}
 		}
 	}
@@ -365,23 +354,10 @@ func TestServeFaultAbortCycle(t *testing.T) {
 	inputs := map[string][]int64{"A": a, "B": b}
 
 	// Serial reference fault.
-	res, err := core.CompileSource(dividerSource, "divide", core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := netlist.NewSystem(res.Kernel, res.Datapath, refConfig(netlist.Config{BusElems: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, vals := range inputs {
-		if err := sys.LoadInput(name, vals); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, serialErr := sys.Run()
-	var want *dp.FaultError
-	if !errors.As(serialErr, &want) {
-		t.Fatalf("serial run did not raise a typed fault: %v", serialErr)
+	divide := testSpecs()[2]
+	want := serialRun(t, divide, inputs)
+	if !errors.As(want.Err, new(*dp.FaultError)) {
+		t.Fatalf("serial run did not raise a typed fault: %v", want.Err)
 	}
 
 	conn, err := Dial(addr)
@@ -398,21 +374,17 @@ func TestServeFaultAbortCycle(t *testing.T) {
 	if runErr == nil {
 		t.Fatal("faulting batch returned nil")
 	}
-	var got *dp.FaultError
-	if !errors.As(streams[0].Err, &got) {
+	if !errors.As(streams[0].Err, new(*dp.FaultError)) {
 		t.Fatalf("stream 0 error is %v, want a typed dp.FaultError", streams[0].Err)
 	}
-	if got.Cycle != want.Cycle || got.Op != want.Op || got.Msg != want.Msg {
-		t.Fatalf("served fault %+v, serial fault %+v", got, want)
+	if err := netlist.DiffJob(&streams[0], want); err != nil {
+		t.Fatalf("stream 0: served %v", err)
 	}
-	if !errors.As(runErr, &got) || !strings.Contains(runErr.Error(), "stream 0") {
+	if !errors.As(runErr, new(*dp.FaultError)) || !strings.Contains(runErr.Error(), "stream 0") {
 		t.Fatalf("Run error %v does not wrap the stream-0 fault", runErr)
 	}
-	if streams[1].Err != nil {
-		t.Fatalf("healthy stream failed alongside the fault: %v", streams[1].Err)
-	}
-	if len(streams[1].Outputs["Q"]) != 24 {
-		t.Fatal("healthy stream missing outputs")
+	if err := netlist.DiffJob(&streams[1], serialRun(t, divide, ok)); err != nil {
+		t.Fatalf("healthy stream alongside the fault: served %v", err)
 	}
 }
 
@@ -442,14 +414,8 @@ func TestServeLocalMatchesTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range viaTCP {
-		if viaTCP[i].Cycles != viaLocal[i].Cycles {
-			t.Fatalf("stream %d: cycles %d via TCP, %d via Local", i, viaTCP[i].Cycles, viaLocal[i].Cycles)
-		}
-		a, b := viaTCP[i].Outputs["C"], viaLocal[i].Outputs["C"]
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("stream %d: C[%d] = %d via TCP, %d via Local", i, j, a[j], b[j])
-			}
+		if err := netlist.DiffJob(&viaTCP[i], &viaLocal[i]); err != nil {
+			t.Fatalf("stream %d: via TCP against via Local: %v", i, err)
 		}
 	}
 
@@ -513,11 +479,16 @@ func TestServeGracefulShutdown(t *testing.T) {
 
 // TestServeBackendSelection: the server inherits the execution backend
 // per registered kernel through KernelSpec.Config — the same source
-// registered on different backends must serve bit-identical outputs,
-// cycle counts and feedback values, and each entry's pool must build
-// Systems on its own backend.
+// registered on either backend must serve outputs, cycle counts and
+// feedback values bit-identical to the serial interp reference.
 func TestServeBackendSelection(t *testing.T) {
 	srv := NewServer(2)
+	ain := make([]int64, 32)
+	for i := range ain {
+		ain[i] = int64(i*13 - 200)
+	}
+	var specs []KernelSpec
+	inputs := map[string]map[string][]int64{}
 	for _, b := range dp.Backends() {
 		for _, spec := range []KernelSpec{
 			{Name: "fir-" + b.String(), Source: firSource, Func: "fir", Options: core.DefaultOptions(),
@@ -528,7 +499,10 @@ func TestServeBackendSelection(t *testing.T) {
 			if err := srv.Register(spec); err != nil {
 				t.Fatal(err)
 			}
+			specs = append(specs, spec)
 		}
+		inputs["fir-"+b.String()] = firStream(97)
+		inputs["accum-"+b.String()] = map[string][]int64{"A": ain}
 	}
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -536,49 +510,13 @@ func TestServeBackendSelection(t *testing.T) {
 		srv.Shutdown(ctx)
 	}()
 	local := srv.Local()
-
-	fin := firStream(97)["A"]
-	ain := make([]int64, 32)
-	for i := range ain {
-		ain[i] = int64(i*13 - 200)
-	}
-	type got struct {
-		out      []int64
-		cycles   int
-		feedback int64
-	}
-	results := map[string]got{}
-	for _, b := range dp.Backends() {
-		fjobs := []netlist.Job{{Inputs: map[string][]int64{"A": fin}}}
-		if err := local.Run("fir-"+b.String(), fjobs); err != nil {
-			t.Fatalf("[%v] fir: %v", b, err)
+	for _, spec := range specs {
+		jobs := []netlist.Job{{Inputs: inputs[spec.Name]}}
+		if err := local.Run(spec.Name, jobs); err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
 		}
-		ajobs := []netlist.Job{{Inputs: map[string][]int64{"A": ain}}}
-		if err := local.Run("accum-"+b.String(), ajobs); err != nil {
-			t.Fatalf("[%v] accum: %v", b, err)
-		}
-		results[b.String()] = got{
-			out:      fjobs[0].Outputs["C"],
-			cycles:   fjobs[0].Cycles,
-			feedback: ajobs[0].Feedbacks["sum"],
-		}
-	}
-	ref := results[dp.BackendInterp.String()]
-	for _, b := range dp.Backends()[1:] {
-		r := results[b.String()]
-		if r.cycles != ref.cycles {
-			t.Fatalf("[%v] fir cycles %d, interp %d", b, r.cycles, ref.cycles)
-		}
-		if len(r.out) != len(ref.out) {
-			t.Fatalf("[%v] fir output length %d, interp %d", b, len(r.out), len(ref.out))
-		}
-		for j := range ref.out {
-			if r.out[j] != ref.out[j] {
-				t.Fatalf("[%v] fir C[%d] = %d, interp %d", b, j, r.out[j], ref.out[j])
-			}
-		}
-		if r.feedback != ref.feedback {
-			t.Fatalf("[%v] accum sum = %d, interp %d", b, r.feedback, ref.feedback)
+		if err := netlist.DiffJob(&jobs[0], serialRun(t, spec, jobs[0].Inputs)); err != nil {
+			t.Fatalf("%s: served %v", spec.Name, err)
 		}
 	}
 }

@@ -18,16 +18,12 @@ import (
 	"roccc/internal/netlist"
 )
 
-// soakRef is one precomputed request/response pair: inputs plus the
-// serial System.Run ground truth (outputs, feedbacks, cycle count, or
-// the exact fault).
+// soakRef is one precomputed request/response pair: the stream's
+// inputs and its serial interp reference result (System.RunJob), which
+// every served response must match under netlist.DiffJob.
 type soakRef struct {
-	kernel    string
-	inputs    map[string][]int64
-	outputs   map[string][]int64
-	feedbacks map[string]int64
-	cycles    int
-	fault     *dp.FaultError
+	kernel string
+	netlist.Job
 }
 
 // buildSoakRefs compiles each spec once and runs every seed serially —
@@ -47,7 +43,7 @@ func buildSoakRefs(t *testing.T, specs []KernelSpec, seeds int) []soakRef {
 		}
 		for seed := 0; seed < seeds; seed++ {
 			rng := rand.New(rand.NewSource(int64(seed)*7919 + 1))
-			ref := soakRef{kernel: spec.Name, inputs: map[string][]int64{}}
+			ref := soakRef{kernel: spec.Name, Job: netlist.Job{Inputs: map[string][]int64{}}}
 			for _, w := range res.Kernel.Reads {
 				vals := make([]int64, w.Arr.Len())
 				for i := range vals {
@@ -65,40 +61,11 @@ func buildSoakRefs(t *testing.T, specs []KernelSpec, seeds int) []soakRef {
 						}
 					}
 				}
-				ref.inputs[w.Arr.Name] = vals
+				ref.Inputs[w.Arr.Name] = vals
 			}
-			sys.Reset()
-			for name, vals := range ref.inputs {
-				if err := sys.LoadInput(name, vals); err != nil {
-					t.Fatal(err)
-				}
-			}
-			sim, err := sys.Run()
-			if err != nil {
-				var fe *dp.FaultError
-				if !errors.As(err, &fe) {
-					t.Fatalf("%s seed %d: unexpected serial error: %v", spec.Name, seed, err)
-				}
-				ref.fault = fe
-				refs = append(refs, ref)
-				continue
-			}
-			ref.cycles = sys.Cycles()
-			ref.outputs = map[string][]int64{}
-			for _, w := range res.Kernel.Writes {
-				out, err := sys.Output(w.Arr.Name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref.outputs[w.Arr.Name] = out
-			}
-			if len(res.Datapath.Feedbacks) > 0 {
-				ref.feedbacks = map[string]int64{}
-				for _, fb := range res.Datapath.Feedbacks {
-					if v, ok := sim.FeedbackByName(fb.State.Name); ok {
-						ref.feedbacks[fb.State.Name] = v
-					}
-				}
+			ref.Err = sys.RunJob(&ref.Job)
+			if ref.Err != nil && !errors.As(ref.Err, new(*dp.FaultError)) {
+				t.Fatalf("%s seed %d: unexpected serial error: %v", spec.Name, seed, ref.Err)
 			}
 			refs = append(refs, ref)
 		}
@@ -108,37 +75,8 @@ func buildSoakRefs(t *testing.T, specs []KernelSpec, seeds int) []soakRef {
 
 // checkSoak compares one served stream against its reference.
 func checkSoak(job *netlist.Job, ref *soakRef) error {
-	if ref.fault != nil {
-		var fe *dp.FaultError
-		if !errors.As(job.Err, &fe) {
-			return fmt.Errorf("%s: served %v, want fault %v", ref.kernel, job.Err, ref.fault)
-		}
-		if fe.Cycle != ref.fault.Cycle || fe.Msg != ref.fault.Msg {
-			return fmt.Errorf("%s: served fault %+v, serial fault %+v", ref.kernel, fe, ref.fault)
-		}
-		return nil
-	}
-	if job.Err != nil {
-		return fmt.Errorf("%s: served error %v, serial ran clean", ref.kernel, job.Err)
-	}
-	if job.Cycles != ref.cycles {
-		return fmt.Errorf("%s: served %d cycles, serial %d", ref.kernel, job.Cycles, ref.cycles)
-	}
-	for name, want := range ref.outputs {
-		got := job.Outputs[name]
-		if len(got) != len(want) {
-			return fmt.Errorf("%s: %s has %d elements served, %d serial", ref.kernel, name, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				return fmt.Errorf("%s: %s[%d] = %d served, %d serial", ref.kernel, name, i, got[i], want[i])
-			}
-		}
-	}
-	for name, want := range ref.feedbacks {
-		if got := job.Feedbacks[name]; got != want {
-			return fmt.Errorf("%s: feedback %s = %d served, %d serial", ref.kernel, name, got, want)
-		}
+	if err := netlist.DiffJob(job, &ref.Job); err != nil {
+		return fmt.Errorf("%s: served %w", ref.kernel, err)
 	}
 	return nil
 }
@@ -219,7 +157,7 @@ func TestServeSoak(t *testing.T) {
 						break
 					}
 					picked[n] = r
-					jobs[n] = netlist.Job{Inputs: r.inputs,
+					jobs[n] = netlist.Job{Inputs: r.Inputs,
 						Outputs: jobs[n].Outputs, Feedbacks: jobs[n].Feedbacks}
 					n++
 				}
@@ -343,7 +281,7 @@ func TestServeSoakPipelined(t *testing.T) {
 				e.u32(0)
 				e.u16(1)
 				e.str8("A")
-				e.vals(refs[0].inputs["A"])
+				e.vals(refs[0].Inputs["A"])
 				c.Write(e.finish())
 			}
 			c.Close()
@@ -373,7 +311,7 @@ func TestServeSoakPipelined(t *testing.T) {
 							break
 						}
 						picked[n] = r
-						jobs[n] = netlist.Job{Inputs: r.inputs,
+						jobs[n] = netlist.Job{Inputs: r.Inputs,
 							Outputs: jobs[n].Outputs, Feedbacks: jobs[n].Feedbacks}
 						n++
 					}
@@ -442,7 +380,7 @@ func pickRefs(refs []soakRef, kernel string) []*soakRef {
 // Run's non-nil error is the contract, not a soak failure).
 func isExpectedFaultBatch(picked []*soakRef) bool {
 	for _, r := range picked {
-		if r != nil && r.fault != nil {
+		if r != nil && r.Err != nil {
 			return true
 		}
 	}

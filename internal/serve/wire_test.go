@@ -160,9 +160,8 @@ func TestServePooledInputsDoNotLeak(t *testing.T) {
 		if err := clean.Run("fir", jobs); err != nil {
 			t.Fatal(err)
 		}
-		want, _ := serialFIR(t, inputs)
-		if !slices.Equal(jobs[0].Outputs["C"], want) {
-			t.Errorf("A=%v: served C = %v, fresh serial System C = %v", inputs["A"], jobs[0].Outputs["C"], want)
+		if err := netlist.DiffJob(&jobs[0], serialFIR(t, inputs)); err != nil {
+			t.Errorf("A=%v: served against a fresh serial System: %v", inputs["A"], err)
 		}
 	}
 	if st := srv.Stats()["fir"]; st.Built != 1 {
@@ -294,11 +293,8 @@ func FuzzResultDecode(f *testing.F) {
 		if wantErr != nil {
 			return
 		}
-		if reused.Cycles != fresh.Cycles ||
-			!maps.EqualFunc(reused.Outputs, fresh.Outputs, slices.Equal[[]int64]) ||
-			!maps.Equal(reused.Feedbacks, fresh.Feedbacks) {
-			t.Fatalf("reused decode %d %v %v, fresh decode %d %v %v",
-				reused.Cycles, reused.Outputs, reused.Feedbacks, fresh.Cycles, fresh.Outputs, fresh.Feedbacks)
+		if err := netlist.DiffJob(&reused, &fresh); err != nil {
+			t.Fatalf("reused decode against fresh decode: %v", err)
 		}
 	})
 }
