@@ -261,8 +261,9 @@ func BenchmarkAreaEstimation(b *testing.B) {
 	b.ReportMetric(meanAbs, "mean-abs-err-%")
 }
 
-// BenchmarkDatapathSim measures the cycle-accurate simulator's rate on
-// the DCT data path (one iteration = 8 outputs).
+// BenchmarkDatapathSim measures the cycle-accurate simulator's
+// per-cycle Step, the interpreter loop on either backend, on the DCT
+// data path (one iteration = 8 outputs).
 func BenchmarkDatapathSim(b *testing.B) {
 	k := bench.DCT()
 	res, err := k.Compile()

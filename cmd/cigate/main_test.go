@@ -190,7 +190,7 @@ func TestRunCmdGroupParsesSummary(t *testing.T) {
 	five := 5.0
 	g := Group{
 		Name: "static",
-		Cmd:  []string{"echo", "rocccvet: 45 kernel-backend pairs, 0 violations, 0 broken, 0.02s"},
+		Cmd:  []string{"echo", "rocccvet: 15 kernels, 0 violations, 0 broken, 0.02s"},
 		Gates: []Gate{
 			{Bench: "rocccvet", MaxViolations: &zero, MaxSeconds: &five},
 		},
@@ -213,7 +213,7 @@ func TestRunCmdGroupFailsOnViolations(t *testing.T) {
 	zero := int64(0)
 	g := Group{
 		Name:  "static",
-		Cmd:   []string{"echo", "rocccvet: 45 kernel-backend pairs, 3 violations, 0 broken, 0.10s"},
+		Cmd:   []string{"echo", "rocccvet: 15 kernels, 3 violations, 0 broken, 0.10s"},
 		Gates: []Gate{{Bench: "rocccvet", MaxViolations: &zero}},
 	}
 	vs, _, _ := runCmdGroup(g)
@@ -251,7 +251,7 @@ func TestRunCmdGroupSecondsBound(t *testing.T) {
 	limit := 0.01
 	g := Group{
 		Name:  "static",
-		Cmd:   []string{"echo", "rocccvet: 45 kernel-backend pairs, 0 violations, 0 broken, 4.20s"},
+		Cmd:   []string{"echo", "rocccvet: 15 kernels, 0 violations, 0 broken, 4.20s"},
 		Gates: []Gate{{Bench: "rocccvet", MaxSeconds: &limit}},
 	}
 	vs, _, _ := runCmdGroup(g)

@@ -125,7 +125,7 @@ func TestMulAccKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := int64(100*200 + 50*50 - 30*40)
-	got := sim.State[res.Datapath.Feedbacks[0].State]
+	got, _ := sim.FeedbackByName(res.Datapath.Feedbacks[0].State.Name)
 	if got != want {
 		t.Fatalf("acc = %d, want %d", got, want)
 	}

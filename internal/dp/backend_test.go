@@ -157,25 +157,14 @@ func TestBackendStepNZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestParseBackend pins the backend surface: exactly interp and
-// threaded, threaded the zero value.
-func TestParseBackend(t *testing.T) {
+// TestBackends pins the backend surface: exactly interp and threaded,
+// threaded the zero value.
+func TestBackends(t *testing.T) {
 	bs := dp.Backends()
 	if len(bs) != 2 || bs[0] != dp.BackendInterp || bs[1] != dp.BackendThreaded {
 		t.Fatalf("Backends() = %v, want [interp threaded]", bs)
 	}
 	if var0 := dp.Backend(0); var0 != dp.BackendThreaded {
 		t.Fatalf("zero Backend is %v, want threaded", var0)
-	}
-	for _, b := range bs {
-		got, err := dp.ParseBackend(b.String())
-		if err != nil || got != b {
-			t.Fatalf("ParseBackend(%q) = %v, %v", b.String(), got, err)
-		}
-	}
-	for _, s := range []string{"cone", "jit"} {
-		if _, err := dp.ParseBackend(s); err == nil {
-			t.Fatalf("ParseBackend accepted %q", s)
-		}
 	}
 }

@@ -137,7 +137,7 @@ func (s *Sim) batchRun(inputs []int64, n int, valid bool) ([]int64, error) {
 	}
 	out := s.batchOut[:n*outW]
 	if s.backend == BackendInterp {
-		if err := s.serialChunk(inputs, n, valid, out, true); err != nil {
+		if err := s.serialChunk(inputs, n, valid, out); err != nil {
 			return nil, err
 		}
 		return out, nil
@@ -159,15 +159,12 @@ func (s *Sim) batchRun(inputs []int64, n int, valid bool) ([]int64, error) {
 	return out, nil
 }
 
-// serialChunk runs clocks through the serial core (the interp batch,
-// tiny threaded chunks, pure-feedback plans, and fault replays).
-// interpOnly forces the interpreter step regardless of backend: fault
-// replays go straight to the canonical loop instead of re-entering the
-// threaded step only to fall back again on the faulting cycle.
+// serialChunk runs clocks through the interpreter step (the interp
+// batch, tiny threaded chunks, pure-feedback plans, and fault replays).
 //
 //roccc:hotpath
 //roccc:serial-replay
-func (s *Sim) serialChunk(in []int64, n int, valid bool, out []int64, interpOnly bool) error {
+func (s *Sim) serialChunk(in []int64, n int, valid bool, out []int64) error {
 	inW := len(s.p.inSlots)
 	outW := len(s.p.outSlots)
 	for c := 0; c < n; c++ {
@@ -175,13 +172,7 @@ func (s *Sim) serialChunk(in []int64, n int, valid bool, out []int64, interpOnly
 		if valid {
 			row = in[c*inW : (c+1)*inW]
 		}
-		var o []int64
-		var err error
-		if interpOnly {
-			o, err = s.stepInterp(row, valid)
-		} else {
-			o, err = s.step(row, valid)
-		}
+		o, err := s.step(row, valid)
 		if err != nil {
 			return err
 		}
@@ -199,7 +190,7 @@ func (s *Sim) batchChunk(in []int64, n int, valid bool, out []int64) error {
 	p := s.p
 	tp := p.threadFor()
 	if n <= batchSerialMax || (tp.cone == nil && len(p.batchB) > 0 && len(p.batchA)+len(p.batchC) == 0) {
-		return s.serialChunk(in, n, valid, out, false)
+		return s.serialChunk(in, n, valid, out)
 	}
 	// The lane stride: each op's region holds the stages in-flight
 	// iterations, then this chunk's n admissions. Every lane kernel takes
@@ -221,7 +212,7 @@ func (s *Sim) batchChunk(in []int64, n int, valid bool, out []int64) error {
 		for i := range s.stagedSet {
 			s.stagedSet[i] = false
 		}
-		return s.serialChunk(in, n, valid, out, true)
+		return s.serialChunk(in, n, valid, out)
 	}
 	s.commitChunk(n, valid, lanes, laneN, out)
 	return nil
@@ -678,9 +669,6 @@ func (s *Sim) commitChunk(n int, valid bool, lanes []int64, laneN int, out []int
 	}
 	if len(p.batchB) > 0 {
 		copy(s.state, s.batchState)
-		for i, v := range p.fbVars {
-			s.State[v] = s.state[i]
-		}
 	}
 	// Output row r belongs to the iteration admitted latency cycles
 	// before cycle cycle0+r — lane stages-latency+r.

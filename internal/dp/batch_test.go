@@ -120,7 +120,7 @@ func diffSchedule(t *testing.T, name string, d *dp.Datapath, rng *rand.Rand, mod
 		}
 		done += n
 	}
-	assertSameState(t, name, bat, ref)
+	assertSameState(t, name, d, bat, ref)
 }
 
 // assertSameFault requires two errors to be the same typed fault: the
@@ -136,15 +136,22 @@ func assertSameFault(t *testing.T, name string, got, want error) {
 	}
 }
 
-// assertSameState requires identical cycle counts and feedback latches.
-func assertSameState(t *testing.T, name string, got, ref *dp.Sim) {
+// assertSameState requires identical cycle counts and feedback latches
+// (every latch an LPR or SNX of d names).
+func assertSameState(t *testing.T, name string, d *dp.Datapath, got, ref *dp.Sim) {
 	t.Helper()
 	if got.Cycle() != ref.Cycle() {
 		t.Fatalf("%s: cycle count %d, interp %d", name, got.Cycle(), ref.Cycle())
 	}
-	for v, rv := range ref.State {
-		if bv, ok := got.State[v]; !ok || bv != rv {
-			t.Fatalf("%s: feedback %s: %d, interp %d", name, v.Name, got.State[v], rv)
+	for _, op := range d.Ops {
+		if op.Instr.State == nil {
+			continue
+		}
+		v := op.Instr.State.Name
+		bv, bok := got.FeedbackByName(v)
+		rv, rok := ref.FeedbackByName(v)
+		if !bok || !rok || bv != rv {
+			t.Fatalf("%s: feedback %s: %d, interp %d", name, v, bv, rv)
 		}
 	}
 }
@@ -414,7 +421,7 @@ func TestThreadedChunkStride(t *testing.T) {
 			if faulted != (faultChunk >= 0) {
 				t.Fatalf("%s: faulted = %v", name, faulted)
 			}
-			assertSameState(t, name, thr, ref)
+			assertSameState(t, name, d, thr, ref)
 		}
 
 		const iters = 17

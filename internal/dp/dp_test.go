@@ -346,7 +346,7 @@ void mul_acc(int12 a, int12 b, uint1 nd) {
 	if _, err := sim.Run(iters); err != nil {
 		t.Fatal(err)
 	}
-	if got := sim.State[d.Feedbacks[0].State]; got != 12+25+4 {
+	if got, _ := sim.FeedbackByName(d.Feedbacks[0].State.Name); got != 12+25+4 {
 		t.Errorf("acc = %d, want 41", got)
 	}
 }

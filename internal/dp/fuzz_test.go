@@ -293,8 +293,8 @@ func TestFuzzBubbleSchedules(t *testing.T) {
 			}
 		}
 		for v, rv := range ref.State {
-			if fv, ok := fast.State[v]; !ok || fv != rv {
-				t.Fatalf("kernel %d: feedback %s: fast %d != ref %d\n%s", ki, v.Name, fast.State[v], rv, src)
+			if fv, ok := fast.FeedbackByName(v.Name); !ok || fv != rv {
+				t.Fatalf("kernel %d: feedback %s: fast %d != ref %d\n%s", ki, v.Name, fv, rv, src)
 			}
 		}
 		if fast.Cycle() != ref.Cycle() {

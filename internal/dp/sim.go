@@ -20,24 +20,21 @@ import (
 // The simulator is compiled: the data path is lowered once into an
 // integer-indexed execution plan (dense operand descriptors, pre-resolved
 // wrap masks, feedback-latch slots and one flat ring buffer holding every
-// op's register history), which the interp backend walks with switch
-// dispatch and the threaded default runs as per-op closures compiled
-// from it (backend.go) — no map lookups and zero heap allocations per
-// cycle either way. The plan is cached on the Datapath itself: repeated
-// NewSim calls over one data path (ablation/unroll sweeps, System reuse)
-// share it and skip recompilation. RefSim keeps the direct, map-based §4.2.3
-// semantics; the two are checked bit-identical by differential tests.
+// op's register history), which Step and Drain walk with switch dispatch
+// on either backend — no map lookups and zero heap allocations per
+// cycle. The backend only selects how StepN and DrainN run (backend.go).
+// The plan is cached on the Datapath itself: repeated NewSim calls over
+// one data path (ablation/unroll sweeps, System reuse) share it and skip
+// recompilation. RefSim keeps the direct, map-based §4.2.3 semantics;
+// the two are checked bit-identical by differential tests.
 type Sim struct {
 	d *Datapath
 	p *simPlan
-	// backend selects the dispatch machinery (backend.go): the plan's
-	// compiled threaded code or the interpreter switch loop. The compiled
-	// structures live on the shared simPlan; the choice of whether to use
-	// them is per-Sim.
+	// backend selects how StepN and DrainN run (backend.go): as the
+	// plan's lane kernels or as the serial step loop. The lane kernels
+	// live on the shared simPlan; the choice of whether to use them is
+	// per-Sim.
 	backend Backend
-	// stagedAny mirrors the interpreter loop's local staged flag for the
-	// threaded step, whose per-op closures cannot share a stack local.
-	stagedAny bool
 
 	// ring holds every op's output history: one rdepth-sized circular
 	// region per op (region base = op index × rdepth). ring[base+head] is
@@ -77,11 +74,6 @@ type Sim struct {
 	batchOut   []int64
 	batchIn    []int64
 	batchState []int64
-
-	// State is a read-only view of the feedback latches keyed by state
-	// variable, refreshed after every commit. The dense plan is
-	// authoritative; mutating this map does not affect the simulation.
-	State map[*hir.Var]int64
 }
 
 // simPlan is the compiled, immutable execution plan shared by every Sim
@@ -136,7 +128,8 @@ type simPlan struct {
 
 	// Lazily-compiled threaded-backend artifacts, shared by every Sim
 	// over this plan (cone.go, backend_threaded.go): the recognized
-	// closed-form feedback cone, and the plan lowered to threaded code.
+	// closed-form feedback cone, and the batch classes lowered to lane
+	// kernels.
 	coneOnce   sync.Once
 	cone       *coneSpec
 	threadOnce sync.Once
@@ -445,10 +438,11 @@ func (p *simPlan) partitionBatch() {
 // init values.
 func NewSim(d *Datapath) *Sim { return NewSimWith(d, BackendThreaded) }
 
-// NewSimWith builds a simulator over the data path that executes
-// through the given backend. The threaded code is built eagerly here
-// (and cached on the shared plan), so construction — not the first
-// Step — pays the lowering cost.
+// NewSimWith builds a simulator over the data path whose StepN and
+// DrainN run through the given backend; Step and Drain are the same
+// interpreter loop on both. The threaded backend's lane kernels are
+// built eagerly here (and cached on the shared plan), so construction —
+// not the first StepN — pays the lowering cost.
 func NewSimWith(d *Datapath, b Backend) *Sim {
 	p := d.simPlanFor()
 	if b == BackendThreaded {
@@ -468,13 +462,13 @@ func NewSimWith(d *Datapath, b Backend) *Sim {
 		outBuf:     make([]int64, len(d.Outputs)),
 		zeroBuf:    make([]int64, len(d.Inputs)),
 		batchState: make([]int64, len(p.fbInit)),
-		State:      make(map[*hir.Var]int64, len(p.fbVars)),
 	}
 	s.Reset()
 	return s
 }
 
-// Backend reports which execution backend this Sim dispatches through.
+// Backend reports which execution backend this Sim's StepN and DrainN
+// run through.
 func (s *Sim) Backend() Backend { return s.backend }
 
 // Reset returns the simulator to its power-on state — empty pipeline,
@@ -487,12 +481,8 @@ func (s *Sim) Reset() {
 	clear(s.stageValid)
 	clear(s.stagedSet)
 	copy(s.state, s.p.fbInit)
-	for i, v := range s.p.fbVars {
-		s.State[v] = s.p.fbInit[i]
-	}
 	s.head = 0
 	s.cycle = 0
-	s.stagedAny = false
 }
 
 // Cycle returns the number of Steps executed.
@@ -515,8 +505,7 @@ func (s *Sim) OutWidth() int { return len(s.p.outSlots) }
 // FeedbackByName returns the current value of the feedback latch whose
 // state variable has the given name. The name→latch mapping is built
 // once at plan compile time (first latch in plan order wins on name
-// collisions), so the lookup is O(1) and deterministic — unlike scanning
-// the State map, whose iteration order is random.
+// collisions), so the lookup is O(1) and deterministic.
 func (s *Sim) FeedbackByName(name string) (int64, bool) {
 	idx, ok := s.p.fbName[name]
 	if !ok {
@@ -577,19 +566,12 @@ func (s *Sim) abort(prevHead int) {
 	}
 }
 
-// step advances one clock through the Sim's selected backend: the
-// plan's compiled closure array or the interpreter loop.
+// step advances one clock through the interpreter loop: the reference
+// semantics, and on both backends the only per-cycle path (Step, Drain,
+// short chunks and fault replays).
 //
 //roccc:hotpath
 func (s *Sim) step(inputs []int64, valid bool) ([]int64, error) {
-	if s.backend == BackendThreaded {
-		return s.stepThreaded(inputs, valid)
-	}
-	return s.stepInterp(inputs, valid)
-}
-
-//roccc:hotpath
-func (s *Sim) stepInterp(inputs []int64, valid bool) ([]int64, error) {
 	if len(inputs) != len(s.p.inSlots) {
 		return nil, fmt.Errorf("dp: sim: %d inputs, want %d", len(inputs), len(s.p.inSlots))
 	}
@@ -723,7 +705,6 @@ func (s *Sim) stepInterp(inputs []int64, valid bool) ([]int64, error) {
 			if s.stagedSet[i] {
 				s.stagedSet[i] = false
 				s.state[i] = s.stagedVal[i]
-				s.State[s.p.fbVars[i]] = s.stagedVal[i]
 			}
 		}
 	}

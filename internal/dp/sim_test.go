@@ -61,8 +61,8 @@ func lockstep(t *testing.T, d *dp.Datapath, name string, vecs [][]int64, drainEv
 		cycle++
 	}
 	for v, rv := range ref.State {
-		if fv, ok := fast.State[v]; !ok || fv != rv {
-			t.Fatalf("%s: feedback %s: fast %d != ref %d", name, v.Name, fast.State[v], rv)
+		if fv, ok := fast.FeedbackByName(v.Name); !ok || fv != rv {
+			t.Fatalf("%s: feedback %s: fast %d != ref %d", name, v.Name, fv, rv)
 		}
 	}
 }
@@ -320,7 +320,7 @@ void accum(int16 x) {
 }
 
 // TestFeedbackByName pins the O(1) name→latch index: it must agree with
-// the State map and reject unknown names.
+// RefSim's latch and reject unknown names.
 func TestFeedbackByName(t *testing.T) {
 	src := `
 int32 acc;
@@ -333,9 +333,13 @@ void accum(int16 x) {
 		t.Fatal(err)
 	}
 	sim := dp.NewSim(res.Datapath)
+	ref := dp.NewRefSim(res.Datapath)
 	in := []int64{5}
 	for i := 0; i < res.Datapath.Stages+4; i++ {
 		if _, err := sim.Step(in); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ref.Step(in); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -343,9 +347,9 @@ void accum(int16 x) {
 	if !ok {
 		t.Fatal("acc not found")
 	}
-	want := sim.State[res.Datapath.Feedbacks[0].State]
+	want := ref.State[res.Datapath.Feedbacks[0].State]
 	if got != want {
-		t.Fatalf("FeedbackByName = %d, State map = %d", got, want)
+		t.Fatalf("FeedbackByName = %d, RefSim latch = %d", got, want)
 	}
 	if _, ok := sim.FeedbackByName("no_such_latch"); ok {
 		t.Error("unknown latch name reported found")

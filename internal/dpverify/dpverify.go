@@ -22,37 +22,26 @@ import (
 	"roccc/internal/vhdl"
 )
 
-// Report is one kernel × backend verification outcome.
-type Report struct {
-	Kernel  string
-	Backend dp.Backend
-	// Violations are the named invariant failures; empty means verified.
-	Violations []dp.Violation
-}
-
-// VerifyResult statically checks every compiled artifact of one kernel
-// under one execution backend: the simulator plan (with the backend's
-// compiled structures forced, so the threaded lowering runs), the
-// system plan and smart buffers for streaming kernels, and the emitted
-// VHDL file set. Build failures (bad buffer geometry, missing scalars)
-// are returned as errors — they are compile rejections, not invariant
-// violations in an artifact that exists.
-func VerifyResult(res *core.Result, bus int, scalars map[string]int64, backend dp.Backend) ([]dp.Violation, error) {
+// VerifyResult statically checks every compiled artifact of one kernel:
+// the simulator plan (with the threaded lane kernels forced, so the
+// lowering runs), the system plan and smart buffers for streaming
+// kernels, and the emitted VHDL file set. No check reads the execution
+// backend, so one pass covers both. Build failures (bad buffer
+// geometry, missing scalars) are returned as errors — they are compile
+// rejections, not invariant violations in an artifact that exists.
+func VerifyResult(res *core.Result, bus int, scalars map[string]int64) ([]dp.Violation, error) {
 	if bus <= 0 {
 		bus = 1
 	}
-	// Force the backend's compiled structures onto the shared plan
-	// before verifying: the threaded lowering must exist for the
-	// backend-specific checks (and for -race CI) to mean anything.
-	dp.NewSimWith(res.Datapath, backend)
+	// Build the lane kernels onto the shared plan before verifying, so
+	// the lowering runs under -race CI too.
+	dp.NewSim(res.Datapath)
 
 	k := res.Kernel
 	streaming := k.Nest.Depth() > 0
 	var vs []dp.Violation
 	if streaming {
-		sys, err := netlist.NewSystem(k, res.Datapath, netlist.Config{
-			BusElems: bus, Scalars: scalars, Backend: backend,
-		})
+		sys, err := netlist.NewSystem(k, res.Datapath, netlist.Config{BusElems: bus, Scalars: scalars})
 		if err != nil {
 			return dp.Verify(res.Datapath), fmt.Errorf("dpverify: building system for %s: %w", k.Name, err)
 		}
@@ -76,12 +65,12 @@ func VerifyResult(res *core.Result, bus int, scalars map[string]int64, backend d
 	return vs, nil
 }
 
-// VerifySource compiles a kernel from C source and verifies it under
-// one backend — the corpus entry point.
-func VerifySource(src, fname string, opt core.Options, bus int, scalars map[string]int64, backend dp.Backend) ([]dp.Violation, error) {
+// VerifySource compiles a kernel from C source and verifies it — the
+// corpus entry point.
+func VerifySource(src, fname string, opt core.Options, bus int, scalars map[string]int64) ([]dp.Violation, error) {
 	res, err := core.CompileSource(src, fname, opt)
 	if err != nil {
 		return nil, fmt.Errorf("dpverify: compiling %s: %w", fname, err)
 	}
-	return VerifyResult(res, bus, scalars, backend)
+	return VerifyResult(res, bus, scalars)
 }

@@ -5,30 +5,27 @@ import (
 
 	"roccc/internal/bench"
 	"roccc/internal/core"
-	"roccc/internal/dp"
 	"roccc/internal/dpverify"
 )
 
 // TestTable1KernelsVerifyClean is the acceptance gate behind
 // cmd/rocccvet: every Table 1 kernel, compiled as the paper compiled
-// it, must satisfy every static invariant under every execution
-// backend. A failure here means the compiler produced an artifact that
-// breaks one of its own documented contracts.
+// it, must satisfy every static invariant. A failure here means the
+// compiler produced an artifact that breaks one of its own documented
+// contracts.
 func TestTable1KernelsVerifyClean(t *testing.T) {
 	for _, k := range bench.All() {
 		res, err := k.Compile()
 		if err != nil {
 			t.Fatalf("%s: compile: %v", k.Name, err)
 		}
-		for _, b := range dp.Backends() {
-			vs, err := dpverify.VerifyResult(res, k.BusElems, k.Scalars, b)
-			if err != nil {
-				t.Errorf("%s/%s: %v", k.Name, b, err)
-				continue
-			}
-			for _, v := range vs {
-				t.Errorf("%s/%s: %s", k.Name, b, v)
-			}
+		vs, err := dpverify.VerifyResult(res, k.BusElems, k.Scalars)
+		if err != nil {
+			t.Errorf("%s: %v", k.Name, err)
+			continue
+		}
+		for _, v := range vs {
+			t.Errorf("%s: %s", k.Name, v)
 		}
 	}
 }
@@ -36,7 +33,7 @@ func TestTable1KernelsVerifyClean(t *testing.T) {
 // TestVerifySourceRejectsBadC asserts compile failures surface as
 // errors, not as invariant violations of a nonexistent artifact.
 func TestVerifySourceRejectsBadC(t *testing.T) {
-	_, err := dpverify.VerifySource("void k(int a { }", "k", core.DefaultOptions(), 1, nil, dp.BackendInterp)
+	_, err := dpverify.VerifySource("void k(int a { }", "k", core.DefaultOptions(), 1, nil)
 	if err == nil {
 		t.Fatal("malformed source verified without error")
 	}

@@ -23,7 +23,8 @@ import "fmt"
 //     replays from StepN's flat output block using the same lat-delayed
 //     fed-ring logic as the serial loop;
 //  4. when the streak exhausts the iteration space, the pipeline flush
-//     runs as one DrainN call (drainTail) instead of lat Drain cycles.
+//     runs as one latency-long stall (runStall): one DrainN call
+//     instead of lat Drain cycles.
 //
 // Faults keep the chunk-with-serial-replay contract end to end: StepN
 // and DrainN detect a fault in batch scratch, discard it, and replay
@@ -169,12 +170,15 @@ func (s *System) runStreak(k, harvested int) (int, error) {
 }
 
 // runStall executes m guaranteed bubble cycles in one DrainN dispatch —
-// the fill phase and mid-run window stalls (e.g. a 2-D sweep waiting
-// for the next row strip). The memory stage still runs once per cycle,
-// so fills progress exactly as the serial loop paces them; in-flight
-// valid iterations exiting during the stall harvest from DrainN's row
-// block (rows at or past the latency horizon exit bubbles admitted
-// inside this same stall — never harvested).
+// the fill phase, mid-run window stalls (e.g. a 2-D sweep waiting for
+// the next row strip) and, with m = latency, the flush after the final
+// feed, after which every in-flight iteration has exited. The memory
+// stage still runs once per cycle (cycle 0's has already run, as for a
+// streak), so fills progress exactly as the serial loop paces them and
+// trailing array elements the window sweep never referenced keep
+// streaming in; in-flight valid iterations exiting during the stall
+// harvest from DrainN's row block (rows at or past the latency horizon
+// exit bubbles admitted inside this same stall — never harvested).
 func (s *System) runStall(m, harvested int) (int, error) {
 	lat := s.plan.latency
 	c0 := s.cycles
@@ -210,49 +214,5 @@ func (s *System) runStall(m, harvested int) (int, error) {
 	}
 	s.cycles = c0 + m
 	s.batched += m
-	return harvested, nil
-}
-
-// drainTail flushes the pipeline after the final feed cycle in one
-// DrainN dispatch: exactly latency drain clocks remain, after which
-// every in-flight iteration has exited — the same cycle count on which
-// the serial loop completes. The memory stage still runs once per drain
-// cycle (trailing array elements the window sweep never referenced keep
-// streaming in, preserving fetch pacing and the fetch-once property);
-// window state is static, so running the stages back to back is
-// order-equivalent to interleaving them.
-func (s *System) drainTail(harvested int) (int, error) {
-	lat := s.plan.latency
-	c0 := s.cycles
-	for i := 0; i < lat; i++ {
-		e := c0 + i - lat
-		s.fedPre[i] = e >= 0 && s.fedRing[e&s.fedMask]
-	}
-	for i := 0; i < lat; i++ {
-		if err := s.memoryStage(); err != nil {
-			s.cycles = c0 + i
-			return harvested, err
-		}
-	}
-	outs, err := s.sim.DrainN(lat)
-	if err != nil {
-		// An in-flight valid iteration faulted during the flush; DrainN
-		// replayed the chunk serially, so the abort cycle is Drain's.
-		s.cycles = s.sim.Cycle()
-		return harvested, err
-	}
-	outW := s.sim.OutWidth()
-	for i := 0; i < lat; i++ {
-		if !s.fedPre[i] {
-			continue
-		}
-		if err := s.harvest(outs[i*outW : (i+1)*outW]); err != nil {
-			s.cycles = c0 + i
-			return harvested, err
-		}
-		harvested++
-	}
-	s.cycles = c0 + lat
-	s.batched += lat
 	return harvested, nil
 }

@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -218,49 +219,68 @@ void k() {
 // (operator class, data-path cycle, message) and the identical system
 // cycle count, and clean streams through the same divider must agree
 // end to end (drain bubbles feed the divider zeros that poison must
-// mask).
+// mask). The deep divider sits past stage 0, so its zeros at n-2 and
+// n-1 abort inside the pipeline flush, after the final streak.
 func TestSysBatchFaultParity(t *testing.T) {
 	const n = 24
-	src := fmt.Sprintf(`
+	for _, k := range []struct {
+		name, expr string
+		flush      bool // the zero at n-1 aborts inside the flush
+	}{
+		{"divider", "A[i] / B[i]", false},
+		{"deep-divider", "(A[i] * A[i] * A[i]) / B[i]", true},
+	} {
+		src := fmt.Sprintf(`
 int A[%d];
 int B[%d];
 int Q[%d];
 void divide() {
 	int i;
 	for (i = 0; i < %d; i++) {
-		Q[i] = A[i] / B[i];
+		Q[i] = %s;
 	}
 }
-`, n, n, n, n)
-	res, err := core.CompileSource(src, "divide", core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	var streams []map[string][]int64
-	mk := func(zeroAt int) map[string][]int64 {
-		a := make([]int64, n)
-		b := make([]int64, n)
-		for i := range a {
-			a[i] = rng.Int63n(2000) - 1000
-			b[i] = rng.Int63n(97) + 1
-			if rng.Intn(2) == 0 {
-				b[i] = -b[i]
+`, n, n, n, n, k.expr)
+		res, err := core.CompileSource(src, "divide", core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(11))
+		var streams []map[string][]int64
+		mk := func(zeroAt int) map[string][]int64 {
+			a := make([]int64, n)
+			b := make([]int64, n)
+			for i := range a {
+				a[i] = rng.Int63n(2000) - 1000
+				b[i] = rng.Int63n(97) + 1
+				if rng.Intn(2) == 0 {
+					b[i] = -b[i]
+				}
+			}
+			if zeroAt >= 0 {
+				b[zeroAt] = 0
+			}
+			return map[string][]int64{"A": a, "B": b}
+		}
+		streams = append(streams, mk(-1)) // clean: bubbles must stay masked
+		for _, at := range []int{0, 1, 5, n / 2, n - 2, n - 1} {
+			streams = append(streams, mk(at))
+		}
+		if k.flush {
+			sys, err := NewSystem(res.Kernel, res.Datapath, Config{BusElems: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fe *dp.FaultError
+			if err := sys.RunJob(&Job{Inputs: streams[len(streams)-1]}); !errors.As(err, &fe) || fe.Cycle < n {
+				t.Fatalf("%s: zero at n-1 aborted with %v, want a fault inside the flush (data-path cycle >= %d)", k.name, err, n)
 			}
 		}
-		if zeroAt >= 0 {
-			b[zeroAt] = 0
-		}
-		return map[string][]int64{"A": a, "B": b}
-	}
-	streams = append(streams, mk(-1)) // clean: bubbles must stay masked
-	for _, at := range []int{0, 1, 5, n / 2, n - 2, n - 1} {
-		streams = append(streams, mk(at))
-	}
-	for _, backend := range dp.Backends() {
-		cfg := Config{BusElems: 1, Backend: backend}
-		if bc := diffRun(t, res, cfg, streams, "divider"); bc == 0 {
-			t.Fatalf("[%v] divider never dispatched a streak chunk; fault replay path untested", backend)
+		for _, backend := range dp.Backends() {
+			cfg := Config{BusElems: 1, Backend: backend}
+			if bc := diffRun(t, res, cfg, streams, k.name); bc == 0 {
+				t.Fatalf("%s[%v] never dispatched a streak chunk; fault replay path untested", k.name, backend)
+			}
 		}
 	}
 }

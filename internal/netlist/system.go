@@ -288,10 +288,11 @@ type Config struct {
 	// Both paths are bit-identical on outputs, feedback latches, cycle
 	// counts and fault abort cycles.
 	Serial bool
-	// Backend selects the data-path execution backend. The zero value is
-	// the threaded fast path; dp.BackendInterp is the reference. Both are
-	// bit-identical on outputs, feedback latches, cycle counts and fault
-	// abort cycles.
+	// Backend selects how the data path's StepN and DrainN run. The zero
+	// value is the threaded fast path; dp.BackendInterp is the reference.
+	// Both are bit-identical on outputs, feedback latches, cycle counts
+	// and fault abort cycles. A Serial System runs only Step and Drain,
+	// which are the interpreter loop on both, so there it has no effect.
 	Backend dp.Backend
 }
 
@@ -514,7 +515,10 @@ func (s *System) Run() (*dp.Sim, error) {
 					return nil, err
 				}
 				if s.ctl.Fed() == total && harvested < total {
-					harvested, err = s.drainTail(harvested)
+					if err := s.memoryStage(); err != nil {
+						return nil, err
+					}
+					harvested, err = s.runStall(lat, harvested)
 					if err != nil {
 						return nil, err
 					}

@@ -57,10 +57,11 @@ type System = netlist.System
 // SystemConfig configures system construction.
 type SystemConfig = netlist.Config
 
-// Backend selects the data-path execution backend
-// (SystemConfig.Backend): the threaded per-kernel compiled code, or the
-// interpreter reference. Both are bit-identical; they differ only in
-// host speed.
+// Backend selects how the data path's StepN and DrainN run
+// (SystemConfig.Backend): as the threaded lane kernels, or as the
+// interpreter reference's serial loop. Step and Drain are the
+// interpreter loop on both, so on a Serial System the backend has no
+// effect. Both are bit-identical; they differ only in host speed.
 type Backend = dp.Backend
 
 // The execution backends. BackendThreaded is the zero value.
@@ -68,9 +69,6 @@ const (
 	BackendThreaded = dp.BackendThreaded
 	BackendInterp   = dp.BackendInterp
 )
-
-// ParseBackend parses a backend name: "threaded" or "interp".
-func ParseBackend(s string) (Backend, error) { return dp.ParseBackend(s) }
 
 // Sim is the cycle-accurate data-path simulator (the compiled,
 // allocation-free core).
