@@ -107,11 +107,12 @@ func BenchmarkFig2ExecutionModel(b *testing.B) {
 }
 
 // BenchmarkSysRun compares the serial per-cycle interp System.Run
-// dispatch against the streak-batched default on identical systems —
-// the regression meter for the system cycle-loop batching. fig3 is the
-// Fig. 2 benchmark workload (17 iterations: fill/drain-edge heavy);
-// fir4k is the 4096-iteration steady state. CI gates the streak
-// variants at 0 allocs/op and at CPU-conditioned speedup floors over
+// dispatch against the default walk of the static memory schedule on
+// identical systems — the regression meter for the system cycle loop.
+// fig3 is the Fig. 2 benchmark workload (17 iterations: fill/drain-edge
+// heavy); fir4k is the 4096-iteration steady state. The default
+// variants keep their "-streak" names, which the gates reference. CI
+// gates them at 0 allocs/op and at CPU-conditioned speedup floors over
 // their serial baselines (ci/gates.json, sysbatch group); the committed
 // ci/baseline/BENCH_seed.json holds the pre-batching numbers the
 // trajectory is measured against, which is why the serial rows stay

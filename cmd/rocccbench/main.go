@@ -31,7 +31,7 @@ func main() {
 		estimation = flag.Bool("estimation", false, "print the area-estimation experiment")
 		throughput = flag.Bool("throughput", false, "print the DCT throughput experiment")
 		sweep      = flag.Bool("sweep", false, "print the pool sweep (SystemPool.RunBatch vs the serial interp reference)")
-		sysbatch   = flag.Bool("sysbatch", false, "print the system sweep (default streak-batched System vs the serial interp reference)")
+		sysbatch   = flag.Bool("sysbatch", false, "print the system sweep (default System vs the serial interp reference)")
 		servesweep = flag.Bool("serve", false, "print the serve sweep (rocccserve TCP vs the serial interp reference)")
 		fleetsweep = flag.Bool("fleet", false, "print the fleet sweep (pipelined client + sharded router vs the serial interp reference)")
 		shardsN    = flag.Int("shards", 3, "worker shards for the -fleet sweep")

@@ -289,11 +289,9 @@ func (c *Controller) Tick(windowReady bool) (feed bool) {
 
 // TickFeedN admits n consecutive guaranteed feed cycles in one
 // transition — exactly n Tick(true) calls that all feed, for callers
-// that have proven the whole streak (netlist's streak-batched Run). It
-// returns false (admitting nothing) if n is not positive or the FSM
-// could not feed n more iterations.
-//
-//roccc:hotpath
+// that have proven the whole streak. It returns false (admitting
+// nothing) if n is not positive or the FSM could not feed n more
+// iterations.
 func (c *Controller) TickFeedN(n int) bool {
 	if n <= 0 {
 		return false

@@ -127,9 +127,6 @@ type SweepRow struct {
 	Ref, Path time.Duration
 	// Speedup is Ref over Path.
 	Speedup float64
-	// Streak is the percentage of clean-stream cycles the path
-	// dispatched through the streak executor (SysBatchSweep only).
-	Streak float64
 	// Refused is the reference's diagnosis of a kernel it cannot build,
 	// which the path refused too.
 	Refused string
@@ -139,30 +136,22 @@ type SweepRow struct {
 type SweepTable struct {
 	Title string
 	Rows  []SweepRow
-	// Streak marks a table whose rows report their streak share.
-	Streak bool
 }
 
 // String renders the table.
 func (t *SweepTable) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\nvs the serial interp reference, every stream bit-identical (netlist.DiffJob)\n", t.Title)
-	streak := func(s string) string {
-		if t.Streak {
-			return fmt.Sprintf(" %7s", s)
-		}
-		return ""
-	}
-	fmt.Fprintf(&b, "%-24s %7s %6s %9s%s %11s %11s %8s\n",
-		"kernel", "streams", "faults", "cycles", streak("streak"), "reference", "path", "speedup")
+	fmt.Fprintf(&b, "%-24s %7s %6s %9s %11s %11s %8s\n",
+		"kernel", "streams", "faults", "cycles", "reference", "path", "speedup")
 	for _, r := range t.Rows {
 		if r.Refused != "" {
-			fmt.Fprintf(&b, "%-24s %7s %6s %9s%s %11s %11s %8s  refused: %s\n",
-				r.Kernel, "-", "-", "-", streak("-"), "-", "-", "-", r.Refused)
+			fmt.Fprintf(&b, "%-24s %7s %6s %9s %11s %11s %8s  refused: %s\n",
+				r.Kernel, "-", "-", "-", "-", "-", "-", r.Refused)
 			continue
 		}
-		fmt.Fprintf(&b, "%-24s %7d %6d %9d%s %11s %11s %7.2fx\n",
-			r.Kernel, r.Streams, r.Faults, r.Cycles, streak(fmt.Sprintf("%.1f%%", r.Streak)),
+		fmt.Fprintf(&b, "%-24s %7d %6d %9d %11s %11s %7.2fx\n",
+			r.Kernel, r.Streams, r.Faults, r.Cycles,
 			r.Ref.Round(time.Microsecond), r.Path.Round(time.Microsecond), r.Speedup)
 	}
 	return b.String()
@@ -313,22 +302,17 @@ func diffKernel(spec serve.KernelSpec, streams int, open opener) (SweepRow, erro
 	return row, nil
 }
 
-// SysBatchSweep checks the default System (threaded, streak-batched),
-// one per kernel, running one stream at a time, and reports the share
-// of cycles its streak path dispatched.
+// SysBatchSweep checks the default System (threaded, walking the static
+// memory schedule), one per kernel, running one stream at a time.
 func SysBatchSweep(specs []serve.KernelSpec, streams int) (*SweepTable, error) {
-	streak := map[string]int{}
 	rows, err := sweep(specs, streams, false, func(spec serve.KernelSpec, res *core.Result) (runFunc, error) {
 		sys, err := netlist.NewSystem(res.Kernel, res.Datapath, spec.Config)
 		if err != nil {
 			return nil, err
 		}
 		return func(jobs []netlist.Job) error {
-			streak[spec.Name] = 0
 			for i := range jobs {
-				if jobs[i].Err = sys.RunJob(&jobs[i]); jobs[i].Err == nil {
-					streak[spec.Name] += sys.BatchedCycles()
-				}
+				jobs[i].Err = sys.RunJob(&jobs[i])
 			}
 			return nil
 		}, nil
@@ -336,12 +320,7 @@ func SysBatchSweep(specs []serve.KernelSpec, streams int) (*SweepTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, r := range rows {
-		if r.Cycles > 0 {
-			rows[i].Streak = 100 * float64(streak[r.Kernel]) / float64(r.Cycles)
-		}
-	}
-	return &SweepTable{Title: "SysBatch sweep: the default System, one stream at a time", Rows: rows, Streak: true}, nil
+	return &SweepTable{Title: "SysBatch sweep: the default System, one stream at a time", Rows: rows}, nil
 }
 
 // PoolSweep checks SystemPool.RunBatch sharding every kernel's streams

@@ -184,8 +184,7 @@ func TestFleetSweep(t *testing.T) {
 }
 
 // TestSysBatchSweep: the default System must be bit-identical to the
-// reference across the matrix, and its streak path must engage on
-// every streaming row.
+// reference across the matrix.
 func TestSysBatchSweep(t *testing.T) {
 	specs := sweepSpecs(t)
 	tab, err := SysBatchSweep(specs, 2)
@@ -193,14 +192,6 @@ func TestSysBatchSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkMatrix(t, tab, specs, 2)
-	for _, r := range tab.Rows {
-		if r.Refused == "" && r.Streak <= 0 {
-			t.Errorf("%s: no cycles took the streak path", r.Kernel)
-		}
-	}
-	if !strings.Contains(tab.String(), "streak") {
-		t.Errorf("table has no streak column:\n%s", tab)
-	}
 }
 
 // TestDiffKernelCatchesDivergence shows that a sweep can fail: a path

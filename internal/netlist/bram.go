@@ -55,11 +55,24 @@ func (m *BRAM) ReadRange(addr, n int) ([]int64, error) {
 // Write stores v at addr.
 func (m *BRAM) Write(addr int, v int64) error {
 	if addr < 0 || addr >= len(m.Data) {
-		return fmt.Errorf("netlist: %s: write address %d out of range [0,%d)", m.Name, addr, len(m.Data))
+		return m.errWrite(addr)
 	}
 	m.writes++
 	m.Data[addr] = v
 	return nil
+}
+
+// checkWrite returns the error Write reports for addr, or nil when addr
+// is in range.
+func (m *BRAM) checkWrite(addr int) error {
+	if addr < 0 || addr >= len(m.Data) {
+		return m.errWrite(addr)
+	}
+	return nil
+}
+
+func (m *BRAM) errWrite(addr int) error {
+	return fmt.Errorf("netlist: %s: write address %d out of range [0,%d)", m.Name, addr, len(m.Data))
 }
 
 // Stats returns the access counters (reads, writes) — used to verify the

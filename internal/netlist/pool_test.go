@@ -92,6 +92,43 @@ func TestSystemPoolJobError(t *testing.T) {
 	}
 }
 
+// TestRunJobRejectsLongInput: an input array longer than the kernel's
+// fails its stream with an error naming the array and both lengths,
+// instead of computing on a silently truncated prefix; a short one
+// keeps the zero fill, and the pool stays balanced either way.
+func TestRunJobRejectsLongInput(t *testing.T) {
+	res, _ := buildSystem(t, firSource, "fir", core.DefaultOptions(), Config{BusElems: 1})
+	pool, err := NewSystemPool(res.Kernel, res.Datapath, Config{BusElems: 1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	full := firJobs(1)[0]
+	long := Job{Inputs: map[string][]int64{"A": append(slices.Clone(full.Inputs["A"]), 7)}}
+	err = pool.RunJob(&long)
+	if err == nil || long.Err != err {
+		t.Fatalf("over-long input: RunJob returned %v, job.Err %v; want the same error", err, long.Err)
+	}
+	if want := `input array "A" holds 21 elements, got 22`; !strings.Contains(err.Error(), want) {
+		t.Fatalf("over-long input: error %q does not say %q", err, want)
+	}
+	// A short array still runs, on a zero-filled tail.
+	short := Job{Inputs: map[string][]int64{"A": full.Inputs["A"][:20]}}
+	padded := Job{Inputs: map[string][]int64{"A": append(slices.Clone(full.Inputs["A"][:20]), 0)}}
+	if err := pool.RunJob(&short); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.RunJob(&padded); err != nil {
+		t.Fatal(err)
+	}
+	if err := DiffJob(&short, &padded); err != nil {
+		t.Fatalf("short input against its zero-padded twin: %v", err)
+	}
+	if st := pool.Stats(); st.Gets != st.Puts+st.Rejected {
+		t.Fatalf("unbalanced pool: %d gets, %d puts, %d rejected", st.Gets, st.Puts, st.Rejected)
+	}
+}
+
 // TestSystemPoolGetPut: Get hands out Reset systems, Put recycles them,
 // and foreign systems are dropped instead of poisoning the pool.
 func TestSystemPoolGetPut(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"roccc/internal/bench"
@@ -12,23 +13,25 @@ import (
 	"roccc/internal/dp"
 )
 
-// sysbatch_test.go pins the streak-batched System.Run bit-identical to
-// the serial per-cycle path: outputs, feedback latches, cycle counts,
-// BRAM fetch counts (the fetch-once property) and — on planted faults —
-// the abort cycle and the full *dp.FaultError. The matrix covers the
-// streamable Table 1 kernels (including the mul_acc feedback row),
-// fuzzed window geometries chosen to produce every backpressure regime
-// (stride under/at/over the bus width, 2-D strips), and divide-by-zero
-// faults planted on valid iterations.
+// sysbatch_test.go pins the default System.Run, the walk of the plan's
+// static memory schedule, bit-identical to the serial per-cycle path:
+// outputs, feedback latches, cycle counts, BRAM read and write counts
+// (the fetch-once property) and — on planted faults — the abort cycle
+// and the full *dp.FaultError. The matrix covers the streamable Table 1
+// kernels (including the mul_acc feedback row), fuzzed window
+// geometries chosen to produce every backpressure regime (stride
+// under/at/over the bus width, 2-D strips), divide-by-zero faults
+// planted on valid iterations, and concurrent first Runs racing to
+// derive one plan's schedule.
 
 // diffRun runs the same streams through a serial interpreter System and
-// a streak-batched System on cfg's execution backend, both via RunJob,
-// and fails on any divergence DiffJob finds — the failing backend is
-// named in the message. Two checks a Job cannot carry ride along: the
-// system clock at an abort, and BRAM fetch parity on clean streams. It
-// returns how many cycles the batched systems dispatched through the
-// streak path, so callers can assert the batch machinery actually
-// engaged.
+// a default System on cfg's execution backend, both via RunJob, and
+// fails on any divergence DiffJob finds — the failing backend is named
+// in the message. A reference that fails without a fault needs the
+// same error text. Checks a Job cannot carry ride along: the system
+// clock at an abort, and BRAM read and write parity on clean streams.
+// It returns how many cycles the default systems dispatched off the
+// schedule, so callers can assert the batch machinery actually engaged.
 func diffRun(t *testing.T, res *core.Result, cfg Config, streams []map[string][]int64, tag string) int {
 	t.Helper()
 	tag = fmt.Sprintf("%s[%v]", tag, cfg.Backend)
@@ -52,7 +55,15 @@ func diffRun(t *testing.T, res *core.Result, cfg Config, streams []map[string][]
 		ref, got := Job{Inputs: inputs}, Job{Inputs: inputs}
 		ref.Err = serial.RunJob(&ref)
 		got.Err = batched.RunJob(&got)
-		if err := DiffJob(&got, &ref); err != nil {
+		var fe *dp.FaultError
+		if ref.Err != nil && !errors.As(ref.Err, &fe) {
+			// A reference that failed without a fault (a store outside
+			// its array) is no stream DiffJob compares: the default
+			// path must fail with the same error.
+			if got.Err == nil || got.Err.Error() != ref.Err.Error() {
+				t.Fatalf("%s stream %d: batched error %v, reference %v", tag, si, got.Err, ref.Err)
+			}
+		} else if err := DiffJob(&got, &ref); err != nil {
 			t.Fatalf("%s stream %d: batched %v", tag, si, err)
 		}
 		if ref.Err != nil {
@@ -63,17 +74,26 @@ func diffRun(t *testing.T, res *core.Result, cfg Config, streams []map[string][]
 			continue
 		}
 		batchedCycles += batched.BatchedCycles()
-		// Fetch pacing parity: the streak executor replays the serial
-		// memory stage, so every input BRAM must see the same number of
-		// reads (each element exactly once when the sweep covers the
-		// array, but parity is the property — not a specific count). A
-		// faulted stream is exempt: the streak path prefetches its chunk
-		// before the fault aborts it.
+		// Access parity: the schedule records the serial memory stage's
+		// reads and the serial harvest's stores, so every input BRAM
+		// must see the same number of reads (each element exactly once
+		// when the sweep covers the array, but parity is the property —
+		// not a specific count) and every output BRAM the same number
+		// of writes. A faulted stream is exempt: the serial loop stops
+		// mid-cycle, while the walk stops between chunks and sets the
+		// read counts only on a clean run.
 		for name, m := range serial.inBRAMs {
 			sr, _ := m.Stats()
 			br, _ := batched.inBRAMs[name].Stats()
 			if sr != br {
 				t.Fatalf("%s stream %d: BRAM %s reads: serial %d, batched %d", tag, si, name, sr, br)
+			}
+		}
+		for name, m := range serial.outBRAMs {
+			_, sw := m.Stats()
+			_, bw := batched.outBRAMs[name].Stats()
+			if sw != bw {
+				t.Fatalf("%s stream %d: BRAM %s writes: serial %d, batched %d", tag, si, name, sw, bw)
 			}
 		}
 	}
@@ -103,7 +123,7 @@ func randStreams(res *core.Result, rng *rand.Rand, n int) []map[string][]int64 {
 func TestSysBatchTable1(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260726))
 	for _, backend := range dp.Backends() {
-		sawStreak := false
+		sawChunk := false
 		for _, k := range bench.All() {
 			res, err := k.Compile()
 			if err != nil {
@@ -115,19 +135,19 @@ func TestSysBatchTable1(t *testing.T) {
 			}
 			bc := diffRun(t, res, cfg, randStreams(res, rng, 4), k.Name)
 			if bc > 0 {
-				sawStreak = true
+				sawChunk = true
 			}
 		}
-		if !sawStreak {
-			t.Fatalf("[%v] no Table 1 kernel dispatched a single streak chunk; the batch path never engaged", backend)
+		if !sawChunk {
+			t.Fatalf("[%v] no Table 1 kernel dispatched a single schedule chunk; the batch path never engaged", backend)
 		}
 	}
 }
 
 // TestSysBatchFuzzGeometry fuzzes the window geometry — tap offsets,
 // stride vs bus width (supply-limited, balanced and supply-rich
-// regimes), and 2-D strips — so the streak predictor sees every
-// backpressure schedule, including ones where it must refuse to batch.
+// regimes), and 2-D strips — so the schedule derivation sees every
+// backpressure pattern.
 func TestSysBatchFuzzGeometry(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for ki := 0; ki < 24; ki++ {
@@ -170,9 +190,9 @@ void k() {
 	}
 }
 
-// TestSysBatch2DStencils covers the row-strip boundary logic: 2-D
-// windows stream strip by strip, and the predictor must stop each
-// streak at the strip edge (the next strip needs whole new image rows).
+// TestSysBatch2DStencils covers the row-strip boundary: 2-D windows
+// stream strip by strip, and the first window of each strip waits for
+// whole new image rows, so the schedule stalls mid-run there.
 func TestSysBatch2DStencils(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, tc := range []struct {
@@ -220,7 +240,7 @@ void k() {
 // cycle count, and clean streams through the same divider must agree
 // end to end (drain bubbles feed the divider zeros that poison must
 // mask). The deep divider sits past stage 0, so its zeros at n-2 and
-// n-1 abort inside the pipeline flush, after the final streak.
+// n-1 abort inside the pipeline flush, after the final feed run.
 func TestSysBatchFaultParity(t *testing.T) {
 	const n = 24
 	for _, k := range []struct {
@@ -279,15 +299,92 @@ void divide() {
 		for _, backend := range dp.Backends() {
 			cfg := Config{BusElems: 1, Backend: backend}
 			if bc := diffRun(t, res, cfg, streams, k.name); bc == 0 {
-				t.Fatalf("%s[%v] never dispatched a streak chunk; fault replay path untested", k.name, backend)
+				t.Fatalf("%s[%v] never dispatched a schedule chunk; fault replay path untested", k.name, backend)
 			}
 		}
 	}
 }
 
+// TestSysBatchStoreOutOfRange runs kernels that compile but store one
+// iteration outside their output array, past the end or before the
+// start. Both paths must fail with the serial harvest's error on the
+// same cycle, and a divide-by-zero fault on the data-path cycle of that
+// harvest must win on both: the serial loop steps the data path before
+// it stores.
+func TestSysBatchStoreOutOfRange(t *testing.T) {
+	const n = 24
+	for _, k := range []struct {
+		name, store, expr string
+		divides           bool
+	}{
+		{"past-the-end", "Q[i+1]", "A[i] + D[i]", false},
+		{"before-the-start", "Q[i-1]", "A[i] - D[i]", false},
+		{"divider", "Q[i-1]", "A[i] / D[i]", true},
+		{"deep-divider", "Q[i-1]", "(A[i] * A[i] * A[i]) / D[i]", true},
+	} {
+		src := fmt.Sprintf(`
+int A[%d];
+int D[%d];
+int Q[%d];
+void k() {
+	int i;
+	for (i = 0; i < %d; i++) {
+		%s = %s;
+	}
+}
+`, n, n, n, n, k.store, k.expr)
+		res, err := core.CompileSource(src, "k", core.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", k.name, err)
+		}
+		rng := rand.New(rand.NewSource(5))
+		streams := []map[string][]int64{}
+		for zeroAt := -1; zeroAt < n; zeroAt++ {
+			a := make([]int64, n)
+			d := make([]int64, n)
+			for i := range a {
+				a[i] = rng.Int63n(2000) - 1000
+				d[i] = rng.Int63n(97) + 1
+			}
+			if zeroAt >= 0 {
+				d[zeroAt] = 0
+			}
+			streams = append(streams, map[string][]int64{"A": a, "D": d})
+		}
+		// The reference: every clean stream fails on the bad store, and
+		// in the dividers some planted zero faults on its very cycle.
+		ref, err := NewSystem(res.Kernel, res.Datapath, Config{BusElems: 1, Serial: true, Backend: dp.BackendInterp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		storeErr := ref.RunJob(&Job{Inputs: streams[0]})
+		if storeErr == nil || !strings.Contains(storeErr.Error(), "write address") {
+			t.Fatalf("%s: reference returned %v, want a store out of range", k.name, storeErr)
+		}
+		storeCycle, coincident := ref.Cycles(), false
+		for _, in := range streams[1:] {
+			var fe *dp.FaultError
+			if err := ref.RunJob(&Job{Inputs: in}); errors.As(err, &fe) && ref.Cycles() == storeCycle {
+				coincident = true
+			}
+		}
+		if coincident != k.divides {
+			t.Fatalf("%s: a fault on the bad store's cycle %d: %v, want %v", k.name, storeCycle, coincident, k.divides)
+		}
+		// The failed derivation is a finding of the verifier, but its
+		// tables, which every Run walks up to the failing cycle, are sound.
+		p := ref.plan
+		assertSysInvariant(t, verifyScheduleTables(p, p.scheduleFor()), "")
+		assertSysInvariant(t, verifySchedule(p, p.sched), "system/schedule")
+		for _, backend := range dp.Backends() {
+			diffRun(t, res, Config{BusElems: 1, Backend: backend}, streams, k.name)
+		}
+	}
+}
+
 // TestSysBatchPoolPassthrough pins the pool plumbing: a SystemPool built
-// without Config.Serial serves batched systems (the serve path inherits
-// the streak speedup unchanged), and Put refuses a System whose dispatch
+// without Config.Serial serves default systems (the serve path inherits
+// the schedule walk unchanged), and Put refuses a System whose dispatch
 // path differs from the pool's configuration.
 func TestSysBatchPoolPassthrough(t *testing.T) {
 	k := bench.FIR()
@@ -318,8 +415,8 @@ func TestSysBatchPoolPassthrough(t *testing.T) {
 	if _, err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if sys.BatchedCycles() == 0 {
-		t.Fatal("pooled System.Run dispatched no streak cycles")
+	if sys.BatchedCycles() != sys.Cycles() {
+		t.Fatalf("pooled System.Run dispatched %d of %d cycles off the schedule, want all", sys.BatchedCycles(), sys.Cycles())
 	}
 	pool.Put(sys)
 
@@ -354,4 +451,68 @@ func TestSysBatchPoolPassthrough(t *testing.T) {
 	if after.Puts != before.Puts {
 		t.Fatalf("backend-mismatched Put also counted as accepted (puts %d -> %d)", before.Puts, after.Puts)
 	}
+}
+
+// TestScheduleConcurrentFirstRun starts the first Runs of 8 Systems
+// over a freshly compiled kernel from 8 goroutines at once, so they
+// race to derive the plan's memory schedule. Every stream must still be
+// bit-identical to the serial interp reference, and the plan must end
+// up holding one schedule, the one every System walked.
+func TestScheduleConcurrentFirstRun(t *testing.T) {
+	const n = 8
+	res, err := core.CompileSource(firSource, "fir", core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	systems := make([]*System, n)
+	for i := range systems {
+		if systems[i], err = NewSystem(res.Kernel, res.Datapath, Config{BusElems: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan := systems[0].plan
+	ref, err := NewSystem(res.Kernel, res.Datapath, Config{BusElems: 1, Serial: true, Backend: dp.BackendInterp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := randStreams(res, rand.New(rand.NewSource(17)), n)
+	want := make([]Job, n)
+	for i := range want {
+		want[i].Inputs = streams[i]
+		want[i].Err = ref.RunJob(&want[i])
+	}
+	if plan.sched != nil {
+		t.Fatal("the plan holds a schedule before any default-path Run")
+	}
+
+	got := make([]Job, n)
+	seen := make([]*memSchedule, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range systems {
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i].Inputs = streams[i]
+			got[i].Err = systems[i].RunJob(&got[i])
+			seen[i] = systems[i].plan.scheduleFor()
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+
+	if plan.sched == nil {
+		t.Fatal("no schedule on the plan after the first Runs")
+	}
+	for i := range got {
+		if err := DiffJob(&got[i], &want[i]); err != nil {
+			t.Fatalf("stream %d: %v", i, err)
+		}
+		if systems[i].plan != plan || seen[i] != plan.sched {
+			t.Fatalf("System %d walked schedule %p of plan %p; the kernel's plan %p holds %p",
+				i, seen[i], systems[i].plan, plan, plan.sched)
+		}
+	}
+	assertSysInvariant(t, verifySchedule(plan, plan.sched), "")
 }

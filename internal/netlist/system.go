@@ -3,6 +3,7 @@ package netlist
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"roccc/internal/ctrl"
 	"roccc/internal/dp"
@@ -62,14 +63,11 @@ type System struct {
 	iter []int64
 
 	// serial forces the one-Step-per-cycle dispatch path; the default
-	// Run hands guaranteed-feed streaks to dp.Sim.StepN (sysbatch.go).
+	// Run walks the plan's static memory schedule (schedule.go).
 	serial bool
-	// stage is the flat input staging region of one streak chunk (up to
-	// sysChunkMax rows of len(inputs) values each); fedPre snapshots the
-	// pre-chunk fed bits a chunk's harvest replay needs before the
-	// chunk's own fedRing writes can wrap over them.
-	stage  []int64
-	fedPre []bool
+	// stage is the flat input staging region of one feed chunk (up to
+	// sysChunkMax rows of len(inputs) values each).
+	stage []int64
 
 	// fedRing mirrors the data-path valid pipeline for output
 	// harvesting: only the last Latency()+1 cycles are ever read, so a
@@ -79,9 +77,9 @@ type System struct {
 	fedMask int
 
 	cycles int
-	// batched counts the cycles Run dispatched through the streak path
-	// (StepN chunks plus the DrainN tail) — observability for tests and
-	// the sysbatch sweep table.
+	// batched counts the cycles Run dispatched off the static schedule
+	// (StepN and DrainN chunks) — observability for tests and the
+	// sysbatch sweep table.
 	batched   int
 	started   bool
 	completed bool
@@ -105,6 +103,15 @@ type sysPlan struct {
 	// value is from[l] + iter[l]*step[l].
 	from, step []int64
 	trips      []int64
+	// bus and nest are what the memory side is built from (newMemory):
+	// the bus width in elements and the nest the write generators walk.
+	bus  int
+	nest *hir.LoopNest
+	// sched is the memory schedule every default-path Run walks,
+	// derived on the first one (scheduleFor). The Once is held by
+	// pointer so plan copies stay copyable.
+	schedOnce *sync.Once
+	sched     *memSchedule
 }
 
 // readPlan compiles one input window: its smart-buffer configuration and
@@ -173,8 +180,11 @@ func compileSysPlan(k *hir.Kernel, d *dp.Datapath, bus int) (*sysPlan, error) {
 		outIndex[p.Var] = i
 	}
 	p := &sysPlan{
-		total:   int(k.Nest.TotalIterations()),
-		latency: d.Latency(),
+		total:     int(k.Nest.TotalIterations()),
+		latency:   d.Latency(),
+		bus:       bus,
+		nest:      &k.Nest,
+		schedOnce: new(sync.Once),
 	}
 	// Dense loop nest.
 	for l := range k.Nest.Vars {
@@ -283,10 +293,10 @@ type Config struct {
 	// Scalars provides values for kernel-level scalar parameters.
 	Scalars map[string]int64
 	// Serial forces the one-Step-per-cycle dispatch path instead of the
-	// streak-batched default — with Backend set to dp.BackendInterp, the
-	// reference execution path of the differential tests and benchmarks.
-	// Both paths are bit-identical on outputs, feedback latches, cycle
-	// counts and fault abort cycles.
+	// default walk of the static memory schedule — with Backend set to
+	// dp.BackendInterp, the reference execution path of the differential
+	// tests and benchmarks. Both paths are bit-identical on outputs,
+	// feedback latches, cycle counts and fault abort cycles.
 	Serial bool
 	// Backend selects how the data path's StepN and DrainN run. The zero
 	// value is the threaded fast path; dp.BackendInterp is the reference.
@@ -308,35 +318,53 @@ func NewSystem(k *hir.Kernel, d *dp.Datapath, cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
+	sys, err := newMemory(plan)
+	if err != nil {
+		return nil, err
+	}
+	sys.Kernel = k
+	sys.Datapath = d
+	sys.sim = dp.NewSimWith(d, cfg.Backend)
+	sys.inputs = make([]int64, len(d.Inputs))
+	sys.fedRing = make([]bool, plan.fedMask+1)
+	sys.fedMask = plan.fedMask
+	sys.serial = cfg.Serial
+	sys.stage = make([]int64, min(plan.total, sysChunkMax)*len(d.Inputs))
+	for _, prm := range k.ScalarParams {
+		v, ok := cfg.Scalars[prm.Name]
+		if !ok {
+			return nil, fmt.Errorf("netlist: missing value for scalar parameter %q", prm.Name)
+		}
+		sys.scalarVals = append(sys.scalarVals, v)
+	}
+	return sys, nil
+}
+
+// newMemory builds the memory side of a System over plan p — input and
+// output BRAMs, smart buffers, address generators and the controller —
+// with no data path attached. NewSystem completes it; deriveSchedule
+// runs it alone.
+func newMemory(p *sysPlan) (*System, error) {
 	sys := &System{
-		Kernel:   k,
-		Datapath: d,
-		BusElems: cfg.BusElems,
-		plan:     plan,
-		sim:      dp.NewSimWith(d, cfg.Backend),
+		BusElems: p.bus,
+		plan:     p,
 		inBRAMs:  map[string]*BRAM{},
 		outBRAMs: map[string]*BRAM{},
-		inputs:   make([]int64, len(d.Inputs)),
-		iter:     make([]int64, len(plan.from)),
-		fedRing:  make([]bool, plan.fedMask+1),
-		fedMask:  plan.fedMask,
-		serial:   cfg.Serial,
-		stage:    make([]int64, min(plan.total, sysChunkMax)*len(d.Inputs)),
-		fedPre:   make([]bool, plan.latency),
+		iter:     make([]int64, len(p.from)),
 	}
-	for _, rp := range plan.reads {
+	for _, rp := range p.reads {
 		buf, err := smartbuf.New(rp.cfg)
 		if err != nil {
 			return nil, err
 		}
 		bram := NewBRAM(rp.arrName, rp.arrLen, rp.elemBits)
 		sys.buffers = append(sys.buffers, buf)
-		sys.readGens = append(sys.readGens, ctrl.NewReadGen(rp.arrLen, cfg.BusElems))
+		sys.readGens = append(sys.readGens, ctrl.NewReadGen(rp.arrLen, p.bus))
 		sys.readBRAMs = append(sys.readBRAMs, bram)
 		sys.inBRAMs[rp.arrName] = bram
 	}
-	for _, wp := range plan.writes {
-		gen, err := ctrl.NewWriteGen(wp.acc, &k.Nest)
+	for _, wp := range p.writes {
+		gen, err := ctrl.NewWriteGen(wp.acc, p.nest)
 		if err != nil {
 			return nil, err
 		}
@@ -346,22 +374,21 @@ func NewSystem(k *hir.Kernel, d *dp.Datapath, cfg Config) (*System, error) {
 		sys.outBRAMs[wp.arrName] = bram
 		sys.writeAddrs = append(sys.writeAddrs, make([]int, len(wp.outIdx)))
 	}
-	for _, prm := range k.ScalarParams {
-		v, ok := cfg.Scalars[prm.Name]
-		if !ok {
-			return nil, fmt.Errorf("netlist: missing value for scalar parameter %q", prm.Name)
-		}
-		sys.scalarVals = append(sys.scalarVals, v)
-	}
-	sys.ctl = ctrl.NewController(plan.total, plan.latency)
+	sys.ctl = ctrl.NewController(p.total, p.latency)
 	return sys, nil
 }
 
 // LoadInput preloads an input array's BRAM (the off-chip engine's load).
+// A shorter vals fills a prefix and leaves the rest of the BRAM as it
+// was; a longer one is an error, since its tail would silently drop out
+// of the computation.
 func (s *System) LoadInput(name string, vals []int64) error {
 	m, ok := s.inBRAMs[name]
 	if !ok {
 		return fmt.Errorf("netlist: no input array %q", name)
+	}
+	if len(vals) > len(m.Data) {
+		return fmt.Errorf("netlist: input array %q holds %d elements, got %d", name, len(m.Data), len(vals))
 	}
 	m.Load(vals)
 	return nil
@@ -415,10 +442,10 @@ func (s *System) Backend() dp.Backend { return s.sim.Backend() }
 // lane-serial execution.
 func (s *System) HasClosedFormCone() bool { return s.sim.HasClosedFormCone() }
 
-// BatchedCycles returns how many of Run's cycles were dispatched
-// through the streak-batched path (StepN chunks and the DrainN tail);
-// the rest took the serial per-cycle path. Zero on a Config.Serial
-// system.
+// BatchedCycles returns how many of Run's cycles were dispatched off
+// the static memory schedule through StepN and DrainN chunks: every
+// cycle of a completed default-path Run, so it equals Cycles() there.
+// Zero on a Config.Serial system, which steps one cycle at a time.
 func (s *System) BatchedCycles() int { return s.batched }
 
 // FeedbackValue returns a feedback latch's final value (e.g. the
@@ -472,10 +499,13 @@ func (s *System) Reset() {
 // aborts the run. Run consumes the system's generators and buffers: call
 // Reset before running again.
 //
-// Run dispatches guaranteed-feed streaks — runs of cycles for which
-// every read port is provably WindowReady — through dp.Sim.StepN in one
-// call per streak (sysbatch.go); stall and fill cycles take the serial
-// per-cycle path below. Both paths are bit-identical on outputs,
+// The default Run walks the plan's static memory schedule
+// (schedule.go): no cycle of the memory side depends on the data, so it
+// is derived once per plan from the serial loop below, and Run then
+// gathers window taps straight from the input BRAMs into StepN chunks,
+// runs bubbles through DrainN and stores exiting rows through
+// precomputed addresses. A Config.Serial System runs the per-cycle loop
+// itself, the reference. Both paths are bit-identical on outputs,
 // feedback latches, cycle counts and fault abort cycles.
 //
 //roccc:hotpath
@@ -484,67 +514,32 @@ func (s *System) Run() (*dp.Sim, error) {
 		return nil, fmt.Errorf("netlist: System.Run called again without Reset (address generators and smart buffers were consumed by the previous run)")
 	}
 	s.started = true
+	if !s.serial {
+		if err := s.runSchedule(s.plan.scheduleFor()); err != nil {
+			return nil, err
+		}
+		s.completed = true
+		return s.sim, nil
+	}
 	p := s.plan
 	lat := p.latency
 	total := p.total
 	harvested := 0
-	limit := 4*total + 16*(lat+2) + 64
+	limit := p.cycleLimit()
 	inputs := s.inputs
 
 	for harvested < total {
 		if s.cycles > limit {
-			return nil, fmt.Errorf("netlist: cycle limit exceeded (%d cycles, %d/%d outputs)", s.cycles, harvested, total)
+			return nil, errCycleLimit(s.cycles, harvested, total)
 		}
-		// 1. Memory stage: each read port fetches up to BusElems
-		// elements and pushes them into its smart buffer.
-		if err := s.memoryStage(); err != nil {
+		// 1. Memory stage, window readiness and the controller's
+		// decision: feed one iteration or issue a bubble.
+		feed, err := s.memoryCycle()
+		if err != nil {
 			return nil, err
 		}
-		// Streak dispatch: when the predictor proves the next k cycles
-		// all feed, they run through one StepN call instead of k Step
-		// dispatches; a final streak also batches the drain tail, and a
-		// proven stall (fill, or a 2-D sweep waiting on its next row
-		// strip) batches its bubbles through DrainN. Both chunk sizes
-		// stay under the runaway limit so a pathological geometry still
-		// errors on the same cycle as the serial loop.
-		if !s.serial {
-			if k := min(s.feedStreak(), limit+1-s.cycles); k >= sysBatchMin {
-				var err error
-				harvested, err = s.runStreak(k, harvested)
-				if err != nil {
-					return nil, err
-				}
-				if s.ctl.Fed() == total && harvested < total {
-					if err := s.memoryStage(); err != nil {
-						return nil, err
-					}
-					harvested, err = s.runStall(lat, harvested)
-					if err != nil {
-						return nil, err
-					}
-				}
-				continue
-			}
-			if m := min(s.stallStreak(), limit+1-s.cycles); m >= sysBatchMin {
-				var err error
-				harvested, err = s.runStall(m, harvested)
-				if err != nil {
-					return nil, err
-				}
-				continue
-			}
-		}
-		// 2. Window readiness across every read port.
-		ready := true
-		for _, buf := range s.buffers {
-			if !buf.WindowReady() {
-				ready = false
-				break
-			}
-		}
-		feed := s.ctl.Tick(ready)
+		// 2. Data path.
 		var outs []int64
-		var err error
 		if feed {
 			if p.needClear {
 				clear(inputs)
@@ -576,6 +571,35 @@ func (s *System) Run() (*dp.Sim, error) {
 	return s.sim, nil
 }
 
+// cycleLimit is the runaway bound of one Run: a run still unfinished
+// past it has a broken schedule, and errors instead of spinning.
+func (p *sysPlan) cycleLimit() int {
+	return 4*p.total + 16*(p.latency+2) + 64
+}
+
+func errCycleLimit(cycles, harvested, total int) error {
+	return fmt.Errorf("netlist: cycle limit exceeded (%d cycles, %d/%d outputs)", cycles, harvested, total)
+}
+
+// memoryCycle runs one cycle of the memory side: the memory stage, the
+// window readiness of every read port and the controller tick. It
+// reports whether the cycle feeds an iteration to the data path.
+//
+//roccc:hotpath
+func (s *System) memoryCycle() (feed bool, err error) {
+	if err := s.memoryStage(); err != nil {
+		return false, err
+	}
+	ready := true
+	for _, buf := range s.buffers {
+		if !buf.WindowReady() {
+			ready = false
+			break
+		}
+	}
+	return s.ctl.Tick(ready), nil
+}
+
 // memoryStage runs one cycle of the memory stage: each read port whose
 // generator has addresses left and whose smart buffer can accept a bus
 // word fetches up to BusElems elements from BRAM and pushes them.
@@ -600,9 +624,8 @@ func (s *System) memoryStage() error {
 }
 
 // fillInputs materializes one feed cycle's data-path input vector:
-// window taps through the routing tables, induction-variable values off
-// the odometer (which it advances), and scalar parameters. The caller
-// zeroes the row first iff plan.needClear.
+// window taps through the routing tables, then the loop inputs. The
+// caller zeroes the row first iff plan.needClear.
 //
 //roccc:hotpath
 func (s *System) fillInputs(row []int64) error {
@@ -612,6 +635,16 @@ func (s *System) fillInputs(row []int64) error {
 			return err
 		}
 	}
+	s.fillLoopInputs(row)
+	return nil
+}
+
+// fillLoopInputs writes one feed cycle's induction-variable values off
+// the odometer (which it advances) and its scalar parameters.
+//
+//roccc:hotpath
+func (s *System) fillLoopInputs(row []int64) {
+	p := s.plan
 	// The odometer exists to value induction-variable inputs; kernels
 	// whose IVs were eliminated from the data path (pure windowing) skip
 	// it entirely.
@@ -626,7 +659,6 @@ func (s *System) fillInputs(row []int64) error {
 			row[ix] = s.scalarVals[si]
 		}
 	}
-	return nil
 }
 
 // harvest writes one exited iteration's output-port values into the
@@ -635,13 +667,11 @@ func (s *System) fillInputs(row []int64) error {
 //
 //roccc:hotpath
 func (s *System) harvest(outs []int64) error {
-	p := s.plan
-	for wi := range s.writeGens {
-		addrs := s.writeGens[wi].NextInto(s.writeAddrs[wi])
-		if addrs == nil {
-			return fmt.Errorf("netlist: write generator exhausted early")
-		}
-		outIdx := p.writes[wi].outIdx
+	if err := s.nextStores(); err != nil {
+		return err
+	}
+	for wi, addrs := range s.writeAddrs {
+		outIdx := s.plan.writes[wi].outIdx
 		bram := s.writeBRAMs[wi]
 		for ei, a := range addrs {
 			if err := bram.Write(a, outs[outIdx[ei]]); err != nil {
@@ -650,6 +680,19 @@ func (s *System) harvest(outs []int64) error {
 		}
 	}
 	s.ctl.Collect()
+	return nil
+}
+
+// nextStores advances every write address generator by one iteration,
+// leaving that iteration's store addresses in writeAddrs.
+//
+//roccc:hotpath
+func (s *System) nextStores() error {
+	for wi, gen := range s.writeGens {
+		if gen.NextInto(s.writeAddrs[wi]) == nil {
+			return fmt.Errorf("netlist: write generator exhausted early")
+		}
+	}
 	return nil
 }
 

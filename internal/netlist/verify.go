@@ -4,10 +4,12 @@ package netlist
 // (internal/dpverify, cmd/rocccvet): it checks a compiled sysPlan's
 // routing tables, loop-nest odometer, harvest ring geometry and
 // needClear derivation against the kernel and data path they were
-// compiled from, and a constructed System's buffers against the
-// smart-buffer capacity contract — all without running a cycle. Under
-// the `dpverify` build tag the plan checks also run at plan-cache time
-// (verify_hook_on.go), so every System CI builds carries them.
+// compiled from, the plan's memory schedule against the arrays it
+// indexes, and a constructed System's buffers against the smart-buffer
+// capacity contract — all without running a data-path cycle. Under the
+// `dpverify` build tag the plan checks also run at plan-cache time, and
+// the schedule checks when the schedule is derived (verify_hook_on.go),
+// so every System CI builds carries them.
 
 import (
 	"fmt"
@@ -19,8 +21,9 @@ import (
 
 // VerifySystem statically checks a constructed System: the data path's
 // compiled plan (dp.Verify), the system plan's congruence with kernel
-// and data path, the smart-buffer capacity contract for every read
-// port, and the sizing of the streak-dispatch scratch buffers.
+// and data path and its memory schedule, the smart-buffer capacity
+// contract for every read port, and the sizing of the cycle-loop
+// scratch buffers.
 func VerifySystem(s *System) []dp.Violation {
 	vs := dp.Verify(s.Datapath)
 	vs = append(vs, verifySysPlan(s.plan, s.Kernel, s.Datapath)...)
@@ -39,14 +42,9 @@ func VerifySystem(s *System) []dp.Violation {
 		vs = append(vs, violation("system/wiring", "system carries %d write generators / %d BRAMs for %d write plans",
 			len(s.writeGens), len(s.writeBRAMs), len(p.writes)))
 	}
-	// Streak-dispatch scratch: a chunk stages up to min(total,
-	// sysChunkMax) input rows, and the harvest replay snapshots
-	// latency-many pre-chunk fed bits.
+	// A feed chunk stages up to min(total, sysChunkMax) input rows.
 	if wantStage := min(p.total, sysChunkMax) * len(s.Datapath.Inputs); len(s.stage) < wantStage {
 		vs = append(vs, violation("system/wiring", "staging buffer holds %d values, a full chunk needs %d", len(s.stage), wantStage))
-	}
-	if len(s.fedPre) < p.latency {
-		vs = append(vs, violation("system/wiring", "fedPre snapshot holds %d bits, harvest replay needs %d", len(s.fedPre), p.latency))
 	}
 	if len(s.fedRing) != s.fedMask+1 || s.fedMask != p.fedMask {
 		vs = append(vs, violation("system/wiring", "fed ring of %d bits does not match mask %#x (plan mask %#x)", len(s.fedRing), s.fedMask, p.fedMask))
@@ -59,10 +57,22 @@ func violation(inv, format string, args ...any) dp.Violation {
 }
 
 // verifySysPlan checks a compiled system plan against its kernel and
-// data path: every routing index in bounds, the loop nest congruent
-// with the kernel's, the harvest ring deep enough for the pipeline, and
-// needClear re-derived from the actual input coverage.
+// data path (verifyPlanTables) and, when those tables are sound, its
+// memory schedule (verifySchedule), deriving the schedule first if the
+// plan has none yet.
 func verifySysPlan(p *sysPlan, k *hir.Kernel, d *dp.Datapath) []dp.Violation {
+	vs := verifyPlanTables(p, k, d)
+	if len(vs) == 0 {
+		vs = verifySchedule(p, p.scheduleFor())
+	}
+	return vs
+}
+
+// verifyPlanTables checks a compiled system plan's tables: every
+// routing index in bounds, the loop nest congruent with the kernel's,
+// the harvest ring deep enough for the pipeline, and needClear
+// re-derived from the actual input coverage.
+func verifyPlanTables(p *sysPlan, k *hir.Kernel, d *dp.Datapath) []dp.Violation {
 	var vs []dp.Violation
 	add := func(inv, format string, args ...any) {
 		vs = append(vs, violation(inv, format, args...))
@@ -186,4 +196,113 @@ func verifySysPlan(p *sysPlan, k *hir.Kernel, d *dp.Datapath) []dp.Violation {
 		add("system/need-clear", "plan records needClear=%v, input coverage derives %v", p.needClear, wantClear)
 	}
 	return vs
+}
+
+// verifySchedule checks a derived memory schedule against its plan: a
+// schedule whose derivation failed means every Run of the system fails,
+// and its tables must still be sound up to the failing cycle
+// (verifyScheduleTables).
+func verifySchedule(p *sysPlan, sc *memSchedule) []dp.Violation {
+	var vs []dp.Violation
+	if sc.err != nil {
+		vs = append(vs, violation("system/schedule", "derivation failed at cycle %d: %v", sc.cycles, sc.err))
+	}
+	return append(vs, verifyScheduleTables(p, sc)...)
+}
+
+// verifyScheduleTables checks the tables the schedule walk indexes: the
+// runs add up to the cycle count; a clean schedule feeds exactly the
+// iteration space and ends with the pipeline flush; every fed iteration
+// has a window origin and every harvested one its store addresses;
+// every gather index and every store address lies inside its array; no
+// read count exceeds its array. The walk has no per-pop readiness check
+// and no store bounds check, so a bad table fails here by name instead
+// of as a panic mid-run.
+func verifyScheduleTables(p *sysPlan, sc *memSchedule) []dp.Violation {
+	var vs []dp.Violation
+	add := func(format string, args ...any) {
+		vs = append(vs, violation("system/schedule", format, args...))
+	}
+	// exits counts the fed cycles whose iteration left the pipeline
+	// before cycle sc.cycles: the serial harvest stored each of them.
+	sum, feeds, lastFeed, exits := 0, 0, -1, 0
+	for i, r := range sc.runs {
+		if r.n <= 0 {
+			add("run %d spans %d cycles", i, r.n)
+		}
+		if r.feed {
+			feeds += r.n
+			lastFeed = sum + r.n - 1
+			exits += max(0, min(sum+r.n, sc.cycles-p.latency)-sum)
+		}
+		sum += r.n
+	}
+	if sum != sc.cycles {
+		add("runs cover %d cycles, the schedule takes %d", sum, sc.cycles)
+	}
+	if sc.err == nil {
+		if feeds != p.total {
+			add("runs feed %d cycles for %d iterations", feeds, p.total)
+		}
+		if want := lastFeed + p.latency + 1; sc.cycles != want {
+			add("clean run takes %d cycles, last feed cycle %d + latency %d + 1 is %d", sc.cycles, lastFeed, p.latency, want)
+		}
+	}
+	popped := feeds
+	if sc.err != nil && sc.errStep && sc.errFeed {
+		popped++ // the failing cycle fed too
+	}
+	if len(sc.origins) != len(p.reads) || len(sc.tapOff) != len(p.reads) || len(sc.reads) != len(p.reads) {
+		add("%d origin tables, %d tap tables and %d read counts for %d read ports",
+			len(sc.origins), len(sc.tapOff), len(sc.reads), len(p.reads))
+	} else {
+		for i := range p.reads {
+			rp := &p.reads[i]
+			taps := sc.tapOff[i]
+			if len(sc.origins[i]) != popped {
+				add("read port %d (%s): %d window origins for %d fed iterations", i, rp.arrName, len(sc.origins[i]), popped)
+			}
+			if len(taps) != len(rp.route) {
+				add("read port %d (%s): %d tap offsets for %d routed taps", i, rp.arrName, len(taps), len(rp.route))
+			}
+			for j, o := range sc.origins[i] {
+				if bad := gatherOutside(int(o), taps, rp.arrLen); bad >= 0 {
+					add("read port %d (%s): iteration %d gathers index %d outside [0,%d)", i, rp.arrName, j, bad, rp.arrLen)
+					break
+				}
+			}
+			if sc.reads[i] > rp.arrLen {
+				add("read port %d (%s): %d reads of a %d-element array", i, rp.arrName, sc.reads[i], rp.arrLen)
+			}
+		}
+	}
+	if len(sc.stores) != len(p.writes) {
+		add("%d store tables for %d write ports", len(sc.stores), len(p.writes))
+		return vs
+	}
+	for w := range p.writes {
+		wp := &p.writes[w]
+		if want := exits * len(wp.outIdx); len(sc.stores[w]) != want {
+			add("write port %d (%s): %d store addresses, want %d per iteration for %d harvested iterations",
+				w, wp.arrName, len(sc.stores[w]), len(wp.outIdx), exits)
+		}
+		for e, a := range sc.stores[w] {
+			if a < 0 || int(a) >= wp.arrLen {
+				add("write port %d (%s): store %d addresses %d outside [0,%d)", w, wp.arrName, e, a, wp.arrLen)
+				break
+			}
+		}
+	}
+	return vs
+}
+
+// gatherOutside returns the first gather index origin+off outside
+// [0, n), or -1 when every tap lies inside.
+func gatherOutside(origin int, offs []int32, n int) int {
+	for _, off := range offs {
+		if ix := origin + int(off); ix < 0 || ix >= n {
+			return ix
+		}
+	}
+	return -1
 }

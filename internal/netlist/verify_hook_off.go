@@ -7,6 +7,8 @@ import (
 	"roccc/internal/hir"
 )
 
-// sysVerifyHook is a no-op in default builds; `-tags dpverify` swaps in
-// the verifying hook (verify_hook_on.go).
+// sysVerifyHook and schedVerifyHook are no-ops in default builds;
+// `-tags dpverify` swaps in the verifying hooks (verify_hook_on.go).
 func sysVerifyHook(p *sysPlan, k *hir.Kernel, d *dp.Datapath) {}
+
+func schedVerifyHook(p *sysPlan) {}

@@ -13,7 +13,17 @@ import (
 // and panics on any violation: under `-tags dpverify` a malformed plan
 // can never reach a Run cycle.
 func sysVerifyHook(p *sysPlan, k *hir.Kernel, d *dp.Datapath) {
-	vs := verifySysPlan(p, k, d)
+	panicOnViolations(k.Name, verifyPlanTables(p, k, d))
+}
+
+// schedVerifyHook checks a memory schedule's tables as soon as it is
+// derived, before any Run walks them. A failed derivation is no table
+// fault: every Run returns its error, as the serial loop does.
+func schedVerifyHook(p *sysPlan) {
+	panicOnViolations("memory schedule", verifyScheduleTables(p, p.sched))
+}
+
+func panicOnViolations(what string, vs []dp.Violation) {
 	if len(vs) == 0 {
 		return
 	}
@@ -21,5 +31,5 @@ func sysVerifyHook(p *sysPlan, k *hir.Kernel, d *dp.Datapath) {
 	for i, v := range vs {
 		msgs[i] = v.String()
 	}
-	panic("dpverify: " + k.Name + ": " + strings.Join(msgs, "; "))
+	panic("dpverify: " + what + ": " + strings.Join(msgs, "; "))
 }

@@ -388,6 +388,34 @@ func TestServeFaultAbortCycle(t *testing.T) {
 	}
 }
 
+// TestServeRejectsLongInput: a stream whose input array is longer than
+// the kernel's comes back with an error naming the array and both
+// lengths, and the connection goes on serving the next request.
+func TestServeRejectsLongInput(t *testing.T) {
+	_, addr := startServer(t, 2)
+	conn, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	long := firStream(1)
+	long["A"] = append(long["A"], 7)
+	jobs := []netlist.Job{{Inputs: long}}
+	if err := conn.Run("fir", jobs); err == nil {
+		t.Fatal("over-long input: Run returned nil")
+	}
+	if want := `input array "A" holds 21 elements, got 22`; jobs[0].Err == nil || !strings.Contains(jobs[0].Err.Error(), want) {
+		t.Fatalf("over-long input: stream error %v, want one saying %q", jobs[0].Err, want)
+	}
+	next := []netlist.Job{{Inputs: firStream(2)}}
+	if err := conn.Run("fir", next); err != nil {
+		t.Fatalf("request after the rejected stream: %v", err)
+	}
+	if err := netlist.DiffJob(&next[0], serialFIR(t, firStream(2))); err != nil {
+		t.Fatalf("request after the rejected stream: served %v", err)
+	}
+}
+
 // TestServeLocalMatchesTCP: the in-process client and the TCP client
 // must produce identical results (same pool, same semantics, no wire).
 func TestServeLocalMatchesTCP(t *testing.T) {

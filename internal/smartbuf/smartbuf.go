@@ -171,13 +171,23 @@ func (b *Buffer) minNeededIndex() int {
 	if b.done() {
 		return b.count
 	}
-	switch len(b.cfg.Extent) {
-	case 1:
-		return b.win[0]
-	default:
-		return b.win[0]*b.cfg.ArrayDims[1] + b.win[1]
-	}
+	return b.NextOrigin()
 }
+
+// NextOrigin returns the streaming index of the next window's origin,
+// its top-left element: tap t of that window is the element at
+// NextOrigin()+TapOffsets()[t].
+func (b *Buffer) NextOrigin() int {
+	if len(b.cfg.Extent) == 1 {
+		return b.win[0]
+	}
+	return b.win[0]*b.cfg.ArrayDims[1] + b.win[1]
+}
+
+// TapOffsets returns the window taps flattened to streaming-index
+// offsets from the window origin, in cfg.Taps order. The slice is the
+// buffer's own: callers must not modify it.
+func (b *Buffer) TapOffsets() []int { return b.tapOff }
 
 // CanAccept reports whether a full bus word can be pushed without
 // evicting data the next window still needs — the buffer's backpressure
@@ -272,10 +282,7 @@ func (b *Buffer) PopWindowInto(out []int64) error {
 		return fmt.Errorf("smartbuf: window not ready")
 	}
 	ring, mask := b.ring, b.mask
-	base := b.win[0]
-	if len(b.cfg.Extent) > 1 {
-		base = b.win[0]*b.cfg.ArrayDims[1] + b.win[1]
-	}
+	base := b.NextOrigin()
 	for i, off := range b.tapOff {
 		out[i] = ring[(base+off)&mask]
 	}
@@ -314,10 +321,7 @@ func (b *Buffer) PopWindowRouted(out []int64, route []int32) error {
 		return fmt.Errorf("smartbuf: window not ready")
 	}
 	ring, mask := b.ring, b.mask
-	base := b.win[0]
-	if len(b.cfg.Extent) > 1 {
-		base = b.win[0]*b.cfg.ArrayDims[1] + b.win[1]
-	}
+	base := b.NextOrigin()
 	for i, off := range b.tapOff {
 		if d := route[i]; d >= 0 {
 			out[d] = ring[(base+off)&mask]
@@ -350,8 +354,6 @@ func (b *Buffer) stripRemaining() int {
 // guaranteed-feed lower bound regardless of how memory-stage pushes
 // interleave: resident data is never evicted while a window still
 // references it (CanAccept backpressure).
-//
-//roccc:hotpath
 func (b *Buffer) WindowsBuffered() int {
 	if !b.WindowReady() {
 		return 0
@@ -374,8 +376,6 @@ func (b *Buffer) WindowsBuffered() int {
 // window sweep never needs elements past the array, so the generator
 // cannot run dry first. Returns 0 if the window is already ready (or
 // all windows are done: the caller's controller is draining then).
-//
-//roccc:hotpath
 func (b *Buffer) StallStreak() int {
 	if b.done() {
 		return 0
@@ -414,8 +414,6 @@ func (b *Buffer) StallStreak() int {
 // Cycles beyond the array's last element need no supply at all: the
 // validated window sweep never references past the array, so the
 // min(T, ...) clamp on supply can only relax the bound.
-//
-//roccc:hotpath
 func (b *Buffer) FeedStreak(max int) int {
 	if max <= 0 || !b.WindowReady() {
 		return 0
