@@ -16,6 +16,14 @@ import (
 // lane-kernel call per op per chunk instead of per op per cycle. The
 // interp reference runs StepN/DrainN as the serial Step/Drain loop.
 //
+// The I/O block of StepN and DrainN is port-major, as the lane scratch
+// is: an n-clock block holds one column of n values per port, so
+// inputs[i*n+r] is input port i on clock r and the returned block holds
+// output port o on clock r at out[o*n+r]. A chunk moves each port's
+// column into or out of its op's lane region with one contiguous copy;
+// only the serial step, which takes one row of every port per clock,
+// gathers rows from the columns (serialChunk).
+//
 // Correctness carve-outs, both pinned by differential tests against the
 // serial interp core:
 //
@@ -46,13 +54,15 @@ const batchSerialMax = 2
 var errBatchFault = errors.New("dp: sim: batch lane fault")
 
 // StepN advances n clocks, feeding one valid iteration per clock from
-// the flat row-major inputs (n rows of len(Inputs) values each). It is
-// bit-identical to n successive Step calls. The returned slice holds n
-// rows of output-port values, one per clock, in the same layout as the
-// inputs; like Step's, it is reused between calls — copy it to retain
-// values. On a fault (e.g. division by zero on a valid iteration) the
-// faulting cycle is aborted exactly as Step aborts it: every cycle
-// before it has committed, and the error is Step's error.
+// the port-major inputs: one column of n values per input port, so
+// inputs[i*n+r] is port i on clock r (len(Inputs) columns in all). It is
+// bit-identical to n successive Step calls. The returned block is
+// port-major too: out[o*n+r] is output port o after clock r, as Step
+// would have returned it. Like Step's, the block is reused between
+// calls — copy it to retain values. On a fault (e.g. division by zero
+// on a valid iteration) the faulting cycle is aborted exactly as Step
+// aborts it: every cycle before it has committed, and the error is
+// Step's error.
 //
 //roccc:hotpath
 func (s *Sim) StepN(inputs []int64, n int) ([]int64, error) {
@@ -69,8 +79,9 @@ func (s *Sim) StepN(inputs []int64, n int) ([]int64, error) {
 // DrainN advances n clocks with pipeline bubbles, bit-identical to n
 // successive Drain calls: zero inputs enter, the bubbles carry poison
 // bits, faults in bubble lanes are masked and bubbles never commit
-// feedback latches. The returned slice holds n output rows and is
-// reused between calls.
+// feedback latches. The returned block is port-major like StepN's
+// (out[o*n+r] is output port o after clock r) and is reused between
+// calls.
 //
 //roccc:hotpath
 func (s *Sim) DrainN(n int) ([]int64, error) {
@@ -84,7 +95,8 @@ func (s *Sim) DrainN(n int) ([]int64, error) {
 // StepN, the pipeline is drained through DrainN, and the outputs are
 // returned one row per iteration, aligned with the inputs —
 // bit-identical to Run over the same vectors, including the cycle a
-// fault aborts on.
+// fault aborts on. It keeps Run's row API by transposing the rows into
+// StepN's port-major block and the returned columns back into rows.
 func (s *Sim) RunBatch(iters [][]int64) ([][]int64, error) {
 	if len(iters) == 0 {
 		return nil, nil
@@ -95,102 +107,115 @@ func (s *Sim) RunBatch(iters [][]int64) ([][]int64, error) {
 		s.batchIn = make([]int64, n*inW)
 	}
 	flat := s.batchIn[:n*inW]
-	for i, row := range iters {
+	for r, row := range iters {
 		if len(row) != inW {
-			return nil, fmt.Errorf("dp: sim: RunBatch: iteration %d has %d inputs, want %d", i, len(row), inW)
+			return nil, fmt.Errorf("dp: sim: RunBatch: iteration %d has %d inputs, want %d", r, len(row), inW)
 		}
-		copy(flat[i*inW:(i+1)*inW], row)
+		for i, v := range row {
+			flat[i*n+r] = v
+		}
 	}
 	lat := s.p.latency
 	outW := len(s.p.outSlots)
-	outs := make([][]int64, 0, n)
+	outs := make([][]int64, n)
 	backing := make([]int64, n*outW)
-	collect := func(rows []int64, first, count int) {
-		for r := first; r < count; r++ {
-			row := backing[len(outs)*outW : (len(outs)+1)*outW]
-			copy(row, rows[r*outW:(r+1)*outW])
-			outs = append(outs, row)
+	for j := range outs {
+		outs[j] = backing[j*outW : (j+1)*outW]
+	}
+	// Iteration j exits after clock j+lat: a clock of the StepN block
+	// while j+lat < n, of the DrainN block after it.
+	collect := func(cols []int64, clocks, first int) {
+		for o := 0; o < outW; o++ {
+			for c, v := range cols[o*clocks : (o+1)*clocks] {
+				if j := first + c - lat; j >= 0 && j < n {
+					outs[j][o] = v
+				}
+			}
 		}
 	}
 	stepOut, err := s.StepN(flat, n)
 	if err != nil {
 		return nil, err
 	}
-	collect(stepOut, min(lat, n), n)
+	collect(stepOut, n, 0)
 	drainOut, err := s.DrainN(lat)
 	if err != nil {
 		return nil, err
 	}
-	collect(drainOut, max(0, lat-n), lat)
+	collect(drainOut, lat, n)
 	return outs, nil
 }
 
 // batchRun runs an n-clock batch: on the interp reference as the
-// serial loop, on the threaded backend as scratch-bounded chunks.
+// serial loop, on the threaded backend as scratch-bounded chunks. Both
+// the input and the output block have column stride n; a chunk of c
+// clocks starting at clock off covers [off, off+c) of every column.
 //
 //roccc:hotpath
 func (s *Sim) batchRun(inputs []int64, n int, valid bool) ([]int64, error) {
 	outW := len(s.p.outSlots)
-	inW := len(s.p.inSlots)
 	if cap(s.batchOut) < n*outW {
 		s.batchOut = make([]int64, n*outW)
 	}
 	out := s.batchOut[:n*outW]
 	if s.backend == BackendInterp {
-		if err := s.serialChunk(inputs, n, valid, out); err != nil {
+		if err := s.serialChunk(inputs, n, 0, n, valid, out); err != nil {
 			return nil, err
 		}
 		return out, nil
 	}
-	for done := 0; done < n; {
-		c := n - done
-		if c > batchChunkMax {
-			c = batchChunkMax
-		}
-		var in []int64
-		if valid {
-			in = inputs[done*inW : (done+c)*inW]
-		}
-		if err := s.batchChunk(in, c, valid, out[done*outW:(done+c)*outW]); err != nil {
+	for off := 0; off < n; {
+		c := min(n-off, batchChunkMax)
+		if err := s.batchChunk(inputs, n, off, c, valid, out); err != nil {
 			return nil, err
 		}
-		done += c
+		off += c
 	}
 	return out, nil
 }
 
-// serialChunk runs clocks through the interpreter step (the interp
-// batch, tiny threaded chunks, pure-feedback plans, and fault replays).
+// serialChunk runs clocks [off, off+n) of a port-major block with
+// column stride `stride` through the interpreter step (the interp
+// batch, tiny threaded chunks, pure-feedback plans, and fault replays):
+// each clock's input row is gathered from the columns into the Sim's
+// row buffer, and step's output row is scattered back into the output
+// columns.
 //
 //roccc:hotpath
 //roccc:serial-replay
-func (s *Sim) serialChunk(in []int64, n int, valid bool, out []int64) error {
-	inW := len(s.p.inSlots)
-	outW := len(s.p.outSlots)
-	for c := 0; c < n; c++ {
-		row := s.zeroBuf
+func (s *Sim) serialChunk(in []int64, stride, off, n int, valid bool, out []int64) error {
+	row := s.zeroBuf
+	if valid {
+		row = s.rowBuf
+	}
+	for c := off; c < off+n; c++ {
 		if valid {
-			row = in[c*inW : (c+1)*inW]
+			for i := range row {
+				row[i] = in[i*stride+c]
+			}
 		}
 		o, err := s.step(row, valid)
 		if err != nil {
 			return err
 		}
-		copy(out[c*outW:(c+1)*outW], o)
+		for j, v := range o {
+			out[j*stride+c] = v
+		}
 	}
 	return nil
 }
 
-// batchChunk executes one chunk of up to batchChunkMax clocks on the
-// lane layout, committing ring, valid ring, feedback state, cycle count
-// and outputs only after the whole chunk has computed fault-free.
+// batchChunk executes clocks [off, off+n) of a port-major block with
+// column stride `stride` — at most batchChunkMax of them — on the lane
+// layout, committing ring, valid ring, feedback state, cycle count and
+// outputs only after the whole chunk has computed fault-free.
 //
 //roccc:hotpath
-func (s *Sim) batchChunk(in []int64, n int, valid bool, out []int64) error {
+func (s *Sim) batchChunk(in []int64, stride, off, n int, valid bool, out []int64) error {
 	p := s.p
 	tp := p.threadFor()
 	if n <= batchSerialMax || (tp.cone == nil && len(p.batchB) > 0 && len(p.batchA)+len(p.batchC) == 0) {
-		return s.serialChunk(in, n, valid, out)
+		return s.serialChunk(in, stride, off, n, valid, out)
 	}
 	// The lane stride: each op's region holds the stages in-flight
 	// iterations, then this chunk's n admissions. Every lane kernel takes
@@ -205,27 +230,27 @@ func (s *Sim) batchChunk(in []int64, n int, valid bool, out []int64) error {
 		s.laneValid = make([]bool, laneN)
 	}
 	lv := s.laneValid[:laneN]
-	if err := s.batchCompute(in, n, valid, lanes, lv, laneN, tp); err != nil {
+	if err := s.batchCompute(in, stride, off, n, valid, lanes, lv, laneN, tp); err != nil {
 		// A valid lane hit a faulting op. Nothing has been committed:
 		// drop the staged latch writes and replay the chunk serially so
 		// the abort cycle, error and state match Step exactly.
 		for i := range s.stagedSet {
 			s.stagedSet[i] = false
 		}
-		return s.serialChunk(in, n, valid, out)
+		return s.serialChunk(in, stride, off, n, valid, out)
 	}
-	s.commitChunk(n, valid, lanes, laneN, out)
+	s.commitChunk(n, valid, lanes, laneN, out, stride, off)
 	return nil
 }
 
 // batchCompute fills the lane scratch: validity, in-flight seeds from
-// the ring, batch input rows, then the three execution classes through
-// the plan's threaded lane kernels — the feedback cone in closed form
-// when recognized, lane by lane otherwise.
+// the ring, the chunk's input columns, then the three execution classes
+// through the plan's threaded lane kernels — the feedback cone in
+// closed form when recognized, lane by lane otherwise.
 //
 //roccc:hotpath
 //roccc:chunk-compute
-func (s *Sim) batchCompute(in []int64, n int, valid bool, lanes []int64, lv []bool, laneN int, tp *threadPlan) error {
+func (s *Sim) batchCompute(in []int64, stride, off, n int, valid bool, lanes []int64, lv []bool, laneN int, tp *threadPlan) error {
 	p := s.p
 	stages := p.stages
 	cycle0 := s.cycle
@@ -267,10 +292,10 @@ func (s *Sim) batchCompute(in []int64, n int, valid bool, lanes []int64, lv []bo
 		}
 	}
 
-	// Batch rows of the input pseudo-ops (bubble batches feed zeros).
-	// The wrap branch is hoisted out of the row loop: most ports narrow
-	// (one shift pair per value), 64-bit ports copy straight through.
-	inW := len(p.inSlots)
+	// The input pseudo-ops' lanes take the chunk's slice of each input
+	// column (bubble batches feed zeros). The wrap branch is hoisted out
+	// of the value loop: most ports narrow (one shift pair per value),
+	// 64-bit ports copy straight through.
 	for i := range p.inSlots {
 		sl := &p.inSlots[i]
 		idx := int(sl.base) >> p.opShift
@@ -280,18 +305,17 @@ func (s *Sim) batchCompute(in []int64, n int, valid bool, lanes []int64, lv []bo
 			clear(dst)
 			continue
 		}
+		src := in[i*stride+off : i*stride+off+n]
 		switch sh := sl.w.sh; {
 		case sh == 0:
-			for r := range dst {
-				dst[r] = in[r*inW+i]
-			}
+			copy(dst, src)
 		case sl.w.signed:
-			for r := range dst {
-				dst[r] = in[r*inW+i] << sh >> sh
+			for r, v := range src {
+				dst[r] = v << sh >> sh
 			}
 		default:
-			for r := range dst {
-				dst[r] = int64(uint64(in[r*inW+i]) << sh >> sh)
+			for r, v := range src {
+				dst[r] = int64(uint64(v) << sh >> sh)
 			}
 		}
 	}
@@ -631,10 +655,11 @@ func (s *Sim) batchCone(ops []cop, n int, lanes []int64, lv []bool, laneN int) e
 
 // commitChunk applies a fault-free chunk to the simulator state: ring
 // history (the last rdepth cycles of every op and input), valid ring,
-// feedback latches, cycle count, head, and the chunk's output rows.
+// feedback latches, cycle count, head, and the chunk's clocks
+// [off, off+n) of every output column (column stride `stride`).
 //
 //roccc:hotpath
-func (s *Sim) commitChunk(n int, valid bool, lanes []int64, laneN int, out []int64) {
+func (s *Sim) commitChunk(n int, valid bool, lanes []int64, laneN int, out []int64, stride, off int) {
 	p := s.p
 	stages := p.stages
 	cycle0 := s.cycle
@@ -670,15 +695,13 @@ func (s *Sim) commitChunk(n int, valid bool, lanes []int64, laneN int, out []int
 	if len(p.batchB) > 0 {
 		copy(s.state, s.batchState)
 	}
-	// Output row r belongs to the iteration admitted latency cycles
-	// before cycle cycle0+r — lane stages-latency+r.
-	outW := len(p.outSlots)
+	// Output clock r belongs to the iteration admitted latency cycles
+	// before cycle cycle0+r — lane stages-latency+r — so each port's
+	// chunk of its column is one contiguous run of its op's lanes.
 	for i := range p.outSlots {
 		o := &p.outSlots[i]
 		lbase := (int(o.base)>>p.opShift)*laneN + stages - p.latency
-		for r := 0; r < n; r++ {
-			out[r*outW+i] = lanes[lbase+r]
-		}
+		copy(out[i*stride+off:i*stride+off+n], lanes[lbase:lbase+n])
 	}
 	s.head = hNew
 	s.cycle = cycle0 + n

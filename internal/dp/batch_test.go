@@ -18,27 +18,38 @@ import (
 // fuzzed kernels, random bubble schedules, and divisor-zero iterations.
 
 // stepSerial advances the serial reference by n valid cycles with the
-// given flat inputs, returning the concatenated output rows (or the
-// error Step raised, with prior was-successful rows discarded like
-// StepN discards them).
+// given port-major inputs (inputs[i*n+c] is port i on clock c), one
+// Step per clock, returning the outputs in StepN's port-major layout
+// (out[o*n+c] is port o after clock c), or the error Step raised, with
+// prior was-successful clocks discarded like StepN discards them.
 func stepSerial(s *dp.Sim, inputs []int64, n, inW, outW int, out []int64) error {
+	row := make([]int64, inW)
 	for c := 0; c < n; c++ {
-		o, err := s.Step(inputs[c*inW : (c+1)*inW])
+		for i := range row {
+			row[i] = inputs[i*n+c]
+		}
+		o, err := s.Step(row)
 		if err != nil {
 			return err
 		}
-		copy(out[c*outW:(c+1)*outW], o)
+		for j := 0; j < outW; j++ {
+			out[j*n+c] = o[j]
+		}
 	}
 	return nil
 }
 
+// drainSerial is stepSerial for n bubble clocks: one Drain per clock,
+// outputs in DrainN's port-major layout.
 func drainSerial(s *dp.Sim, n, outW int, out []int64) error {
 	for c := 0; c < n; c++ {
 		o, err := s.Drain()
 		if err != nil {
 			return err
 		}
-		copy(out[c*outW:(c+1)*outW], o)
+		for j := 0; j < outW; j++ {
+			out[j*n+c] = o[j]
+		}
 	}
 	return nil
 }
@@ -115,7 +126,7 @@ func diffSchedule(t *testing.T, name string, d *dp.Datapath, rng *rand.Rand, mod
 		for j := 0; j < n*outW; j++ {
 			if bOut[j] != rOut[j] {
 				t.Fatalf("%s: output mismatch at chunk cycle %d port %d (batch cycles %d..%d, valid=%v): batch %d, serial %d",
-					name, j/outW, j%outW, done, done+n-1, valid, bOut[j], rOut[j])
+					name, j%n, j/n, done, done+n-1, valid, bOut[j], rOut[j])
 			}
 		}
 		done += n
@@ -391,7 +402,7 @@ func TestThreadedChunkStride(t *testing.T) {
 					in[j] = 1 + rng.Int63n(1<<10)
 				}
 				if ci == faultChunk {
-					in[(n-1)*inW+div] = 0
+					in[div*n+n-1] = 0
 				}
 				rOut := make([]int64, n*outW)
 				var got []int64
@@ -413,8 +424,8 @@ func TestThreadedChunkStride(t *testing.T) {
 				}
 				for j := range rOut {
 					if got[j] != rOut[j] {
-						t.Fatalf("%s: chunk %d (n=%d valid=%v) row %d port %d: threaded %d, interp %d",
-							name, ci, n, valid, j/outW, j%outW, got[j], rOut[j])
+						t.Fatalf("%s: chunk %d (n=%d valid=%v) clock %d port %d: threaded %d, interp %d",
+							name, ci, n, valid, j%n, j/n, got[j], rOut[j])
 					}
 				}
 			}

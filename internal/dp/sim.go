@@ -61,7 +61,10 @@ type Sim struct {
 
 	outBuf  []int64
 	zeroBuf []int64
-	cycle   int
+	// rowBuf is the input row serialChunk gathers from a port-major
+	// StepN block for each clock it steps.
+	rowBuf []int64
+	cycle  int
 
 	// Batch-path scratch (batch.go): structure-of-arrays lane values (one
 	// flat region per op, stride stages+n for an n-clock chunk), per-lane
@@ -461,6 +464,7 @@ func NewSimWith(d *Datapath, b Backend) *Sim {
 		stagedSet:  make([]bool, len(p.fbInit)),
 		outBuf:     make([]int64, len(d.Outputs)),
 		zeroBuf:    make([]int64, len(d.Inputs)),
+		rowBuf:     make([]int64, len(d.Inputs)),
 		batchState: make([]int64, len(p.fbInit)),
 	}
 	s.Reset()
@@ -493,13 +497,15 @@ func (s *Sim) Cycle() int { return s.cycle }
 // return value of Step n+Latency.
 func (s *Sim) Latency() int { return s.d.Latency() }
 
-// InWidth returns the number of input ports one Step consumes — the row
-// stride of a flat StepN input region.
+// InWidth returns the number of input ports one Step consumes — the
+// column count of a port-major StepN input block (an n-clock block
+// holds InWidth()*n values, port i's column at [i*n, (i+1)*n)).
 func (s *Sim) InWidth() int { return len(s.p.inSlots) }
 
 // OutWidth returns the number of output ports one Step produces — the
-// row stride of the flat row block StepN and DrainN return, so callers
-// can slice per-cycle output windows out of it without copying.
+// column count of the port-major block StepN and DrainN return, so
+// callers can slice one port's n clocks out of it (out[o*n:(o+1)*n])
+// without copying.
 func (s *Sim) OutWidth() int { return len(s.p.outSlots) }
 
 // FeedbackByName returns the current value of the feedback latch whose

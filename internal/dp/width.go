@@ -219,15 +219,3 @@ func fitsIn(a sig, t cc.IntType) bool {
 	}
 	return a.u <= ts.u
 }
-
-// TotalOpBits sums the widths of all compute ops — a proxy for data-path
-// area used by the fast compile-time area estimator ([13], §2).
-func (d *Datapath) TotalOpBits() int {
-	n := 0
-	for _, op := range d.Ops {
-		if op.Node.Kind != InputNode {
-			n += op.Width
-		}
-	}
-	return n
-}

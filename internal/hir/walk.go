@@ -153,17 +153,3 @@ func HasLoops(list []Stmt) bool {
 	}
 	return false
 }
-
-// CountOps counts arithmetic/logic operations, a rough software-side
-// complexity metric used by area estimation and tests.
-func CountOps(list []Stmt) int {
-	n := 0
-	VisitExprs(list, func(e Expr) Expr {
-		switch e.(type) {
-		case *Un, *Bin, *Sel:
-			n++
-		}
-		return e
-	})
-	return n
-}

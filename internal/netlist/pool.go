@@ -332,16 +332,36 @@ func (p *SystemPool) worker() {
 // client — left in it. RunJob does not set job.Err, and a failed run
 // leaves job.Cycles alone. On a serial interp System it is the
 // reference every differential check compares against (DiffJob).
+//
+// Names bind to plan slots: each read port, write port and latch name
+// costs one map lookup, and a reused Job iterates no map. A kernel
+// reads and writes each (uniquely named) array through one port, so the
+// job's maps are walked only when their sizes show a name the kernel
+// does not have — an unknown input array, which fails the stream, or
+// result keys from another kernel, which are purged.
 func (s *System) RunJob(job *Job) error {
 	s.Reset()
-	for name, vals := range job.Inputs {
-		if err := s.LoadInput(name, vals); err != nil {
+	p := s.plan
+	matched := 0
+	for i := range p.reads {
+		vals, ok := job.Inputs[p.reads[i].arrName]
+		if ok {
+			matched++
+		}
+		m := s.readBRAMs[i]
+		if err := checkLoad(m, vals); err != nil {
 			return err
 		}
+		m.Load(vals)
+		clear(m.Data[len(vals):])
 	}
-	for name, m := range s.inBRAMs {
-		if n := len(job.Inputs[name]); n < len(m.Data) {
-			clear(m.Data[n:])
+	if matched < len(job.Inputs) {
+		// A job array name matches no read port: LoadInput returns the
+		// error for it.
+		for name, vals := range job.Inputs {
+			if err := s.LoadInput(name, vals); err != nil {
+				return err
+			}
 		}
 	}
 	sim, err := s.Run()
@@ -350,41 +370,43 @@ func (s *System) RunJob(job *Job) error {
 	}
 	job.Cycles = s.Cycles()
 	if job.Outputs == nil {
-		job.Outputs = make(map[string][]int64, len(s.outBRAMs))
+		job.Outputs = make(map[string][]int64, len(p.writes))
 	}
-	// A Job recycled across kernels may carry keys this kernel never
-	// writes; purge them so the result holds exactly this run's arrays.
-	// Same-kernel reuse (the zero-alloc steady state) deletes nothing
-	// and allocates nothing (map iteration + lookups only).
-	for name := range job.Outputs {
-		if _, ok := s.outBRAMs[name]; !ok {
-			delete(job.Outputs, name)
-		}
-	}
-	for name, bram := range s.outBRAMs {
+	for i := range p.writes {
+		name, m := p.writes[i].arrName, s.writeBRAMs[i]
 		dst := job.Outputs[name]
-		if len(dst) != len(bram.Data) {
-			dst = make([]int64, len(bram.Data))
+		if len(dst) != len(m.Data) {
+			dst = make([]int64, len(m.Data))
 			job.Outputs[name] = dst
 		}
-		if err := s.OutputInto(name, dst); err != nil {
-			return err
-		}
+		copy(dst, m.Data)
 	}
-	if job.Feedbacks != nil {
-		for name := range job.Feedbacks {
-			if _, ok := sim.FeedbackByName(name); !ok {
-				delete(job.Feedbacks, name)
+	// A Job recycled across kernels may carry keys this kernel never
+	// writes. Every output name is in the map now, so it holds foreign
+	// keys exactly when it is larger: purge them, so the result holds
+	// this run's arrays alone.
+	if len(job.Outputs) != len(p.writes) {
+		for name := range job.Outputs {
+			if _, ok := s.outBRAMs[name]; !ok {
+				delete(job.Outputs, name)
 			}
 		}
 	}
-	if fbs := s.Datapath.Feedbacks; len(fbs) > 0 {
-		if job.Feedbacks == nil {
-			job.Feedbacks = make(map[string]int64, len(fbs))
+	fbs := s.Datapath.Feedbacks
+	if len(fbs) > 0 && job.Feedbacks == nil {
+		job.Feedbacks = make(map[string]int64, len(fbs))
+	}
+	for _, fb := range fbs {
+		if v, ok := sim.FeedbackByName(fb.State.Name); ok {
+			job.Feedbacks[fb.State.Name] = v
 		}
-		for _, fb := range fbs {
-			if v, ok := sim.FeedbackByName(fb.State.Name); ok {
-				job.Feedbacks[fb.State.Name] = v
+	}
+	// Likewise for latches: one Feedback per state variable, so only a
+	// map of another size can hold a name this data path lacks.
+	if len(job.Feedbacks) != len(fbs) {
+		for name := range job.Feedbacks {
+			if _, ok := sim.FeedbackByName(name); !ok {
+				delete(job.Feedbacks, name)
 			}
 		}
 	}

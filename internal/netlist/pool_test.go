@@ -62,7 +62,9 @@ func TestSystemPoolRunBatch(t *testing.T) {
 }
 
 // TestSystemPoolJobError: one bad stream must fail with its own error
-// while the rest of the batch completes.
+// while the rest of the batch completes. Job 4 carries the kernel's A
+// beside the unknown NOPE: the slot-bound loader finds its one array,
+// and the stream must still fail on the name it cannot bind.
 func TestSystemPoolJobError(t *testing.T) {
 	res, _ := buildSystem(t, firSource, "fir", core.Options{Optimize: true, PeriodNs: 5}, Config{BusElems: 1})
 	pool, err := NewSystemPool(res.Kernel, res.Datapath, Config{BusElems: 1}, 2)
@@ -70,16 +72,20 @@ func TestSystemPoolJobError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	jobs := firJobs(5)
+	jobs := firJobs(6)
 	jobs[2].Inputs = map[string][]int64{"NOPE": make([]int64, 21)}
+	jobs[4].Inputs = map[string][]int64{"A": jobs[4].Inputs["A"], "NOPE": make([]int64, 21)}
 	err = pool.RunBatch(jobs)
 	if err == nil || !strings.Contains(err.Error(), "job 2") {
 		t.Fatalf("RunBatch error = %v, want a job-2 failure", err)
 	}
 	for i := range jobs {
-		if i == 2 {
+		if i == 2 || i == 4 {
 			if jobs[i].Err == nil {
-				t.Fatal("bad job has no error")
+				t.Fatalf("bad job %d has no error", i)
+			}
+			if want := `no input array "NOPE"`; !strings.Contains(jobs[i].Err.Error(), want) {
+				t.Fatalf("bad job %d: error %q does not say %q", i, jobs[i].Err, want)
 			}
 			continue
 		}
@@ -577,6 +583,58 @@ void accum() {
 	if len(job.Outputs["C"]) != 17 {
 		t.Fatalf("fir rerun outputs: %v", job.Outputs)
 	}
+
+	// As many result keys as the one-output kernel writes, but foreign:
+	// the map's size alone must not pass for a clean result.
+	foreign := Job{Inputs: firJobs(1)[0].Inputs, Outputs: map[string][]int64{"B": make([]int64, 17)}}
+	if err := firPool.RunJob(&foreign); err != nil {
+		t.Fatal(err)
+	}
+	if _, stale := foreign.Outputs["B"]; stale || len(foreign.Outputs) != 1 || len(foreign.Outputs["C"]) != 17 {
+		t.Fatalf("one foreign output key: Outputs=%v, want exactly C", foreign.Outputs)
+	}
+}
+
+// TestRunJobZeroAllocs: a reused Job streams through System.RunJob — on
+// the FIR's window path and on the accumulator's latch harvest — and
+// through SystemPool.RunBatch without allocating.
+func TestRunJobZeroAllocs(t *testing.T) {
+	check := func(name string, run func() error) {
+		t.Helper()
+		if err := run(); err != nil { // warm-up: schedule, lane scratch, result buffers
+			t.Fatalf("%s: %v", name, err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := run(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: %.1f allocs/op with a reused Job, want 0", name, allocs)
+		}
+	}
+	firRes, fir := buildSystem(t, firSource, "fir", core.Options{Optimize: true, PeriodNs: 5}, Config{BusElems: 1})
+	firJob := firJobs(1)[0]
+	check("fir System.RunJob", func() error { return fir.RunJob(&firJob) })
+
+	_, accum := buildSystem(t, accumSource, "accum", core.DefaultOptions(), Config{BusElems: 1})
+	in := make([]int64, 32)
+	for i := range in {
+		in[i] = int64(i*5 - 60)
+	}
+	accumJob := Job{Inputs: map[string][]int64{"A": in}}
+	check("accum System.RunJob", func() error { return accum.RunJob(&accumJob) })
+	if len(accumJob.Feedbacks) != 1 {
+		t.Fatalf("accum: Feedbacks = %v, want the one latch", accumJob.Feedbacks)
+	}
+
+	pool, err := NewSystemPool(firRes.Kernel, firRes.Datapath, Config{BusElems: 1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	jobs := firJobs(8)
+	check("fir SystemPool.RunBatch", func() error { return pool.RunBatch(jobs) })
 }
 
 // TestSystemPoolBackend pins the pool's backend plumbing: a pool built

@@ -17,10 +17,17 @@ package netlist
 //     clean run's BRAM read counts and cycle count;
 //  2. runSchedule walks those runs in chunks of at most sysChunkMax
 //     cycles. A feed chunk gathers each iteration's window taps straight
-//     from the input BRAMs into the staging rows and makes one StepN
-//     call; a bubble chunk is one DrainN call; the rows whose iteration
-//     exits the pipeline inside the chunk are stored through the
-//     precomputed addresses.
+//     from the input BRAMs into the staging columns and makes one StepN
+//     call; a bubble chunk is one DrainN call; the clocks whose
+//     iteration exits the pipeline inside the chunk are stored through
+//     the precomputed addresses.
+//
+// The chunk's blocks are StepN's port-major layout: a k-cycle feed
+// chunk stages one column of k values per data-path input (stage[d*k+r]
+// is input d on the chunk's clock r), so gather fills each routed tap's
+// column in one loop, and storeExits reads each stored value straight
+// out of its output column (outs[o*k+r]) in the returned block, in the
+// serial harvest's order.
 //
 // A gathered tap is bit-identical to the popped one: the read generator
 // streams each array in address order, so the smart buffer's ring holds
@@ -42,7 +49,7 @@ package netlist
 // (system/schedule, verify.go).
 
 // sysChunkMax bounds one feed or bubble chunk, and with it the input
-// staging region (sysChunkMax rows of len(Datapath.Inputs) values).
+// staging region (len(Datapath.Inputs) columns of sysChunkMax values).
 // StepN chunks its own lane scratch internally, so longer chunks gain
 // little beyond amortizing the per-chunk bookkeeping here.
 const sysChunkMax = 256
@@ -196,8 +203,8 @@ func (sc *memSchedule) collect(m *System) error {
 }
 
 // runSchedule is the default Run: it walks the schedule's runs, feeding
-// gathered rows through StepN and bubbles through DrainN, and stores
-// every exiting row through the precomputed addresses.
+// gathered columns through StepN and bubbles through DrainN, and stores
+// every exiting clock's outputs through the precomputed addresses.
 //
 //roccc:hotpath
 func (s *System) runSchedule(sc *memSchedule) error {
@@ -236,8 +243,9 @@ func (s *System) runSchedule(sc *memSchedule) error {
 	return nil
 }
 
-// step runs k cycles of the data path: one StepN over the gathered rows
-// of iterations fed onward when feed, one DrainN otherwise.
+// step runs k cycles of the data path: one StepN over the gathered
+// columns of iterations fed onward when feed, one DrainN otherwise. The
+// returned block is port-major: outs[o*k+r] is output o after clock r.
 //
 //roccc:hotpath
 func (s *System) step(sc *memSchedule, feed bool, fed, k int) ([]int64, error) {
@@ -260,38 +268,38 @@ func (s *System) step(sc *memSchedule, feed bool, fed, k int) ([]int64, error) {
 	return outs, err
 }
 
-// gather fills the staging rows of a k-iteration feed chunk, iteration
-// j onward: each read port's taps straight from its input BRAM at the
-// iteration's window origin, routed as the window pop routes them, then
-// the loop inputs exactly as fillInputs writes them.
+// gather fills the staging columns of a k-iteration feed chunk,
+// iteration j onward: each routed tap's column straight from its input
+// BRAM at each iteration's window origin (col[r] = data[origin_r+off]),
+// routed as the window pop routes them, then the loop inputs' columns
+// exactly as fillInputs writes them.
 //
 //roccc:hotpath
 func (s *System) gather(sc *memSchedule, stage []int64, j, k int) {
 	p := s.plan
-	inW := len(s.inputs)
 	if p.needClear {
 		clear(stage)
 	}
 	for i := range p.reads {
 		route := p.reads[i].route
 		data := s.readBRAMs[i].Data
-		taps := sc.tapOff[i]
-		for r, origin := range sc.origins[i][j : j+k] {
-			row := stage[r*inW : (r+1)*inW]
-			for t, off := range taps {
-				if d := route[t]; d >= 0 {
-					row[d] = data[int(origin)+int(off)]
-				}
+		origins := sc.origins[i][j : j+k]
+		for t, off := range sc.tapOff[i] {
+			d := int(route[t])
+			if d < 0 {
+				continue
+			}
+			col := stage[d*k : (d+1)*k]
+			for r, origin := range origins {
+				col[r] = data[int(origin)+int(off)]
 			}
 		}
 	}
-	for r := 0; r < k; r++ {
-		s.fillLoopInputs(stage[r*inW : (r+1)*inW])
-	}
+	s.fillLoopInputs(stage, k)
 }
 
 // exitCursor walks the schedule's runs latency cycles behind the
-// runner: the row a chunk produces at cycle c belongs to the iteration
+// runner: the outputs a chunk produces at cycle c belong to the iteration
 // fed at cycle c-latency, if that cycle fed.
 type exitCursor struct {
 	pre  int // cycles before cycle 0 still to pass: they never fed
@@ -300,13 +308,17 @@ type exitCursor struct {
 	next int // the next iteration to store
 }
 
-// storeExits stores the rows of a k-cycle chunk whose exit cycle fed,
+// storeExits stores the clocks of a k-cycle chunk whose exit cycle fed,
 // through the precomputed store addresses, and counts one BRAM write
-// per element.
+// per element. outs is the chunk's port-major block: element e of
+// iteration i reads its output column at outs[ix*k+r+i]. The stores
+// run iteration by iteration, each iteration's elements in order, as
+// the serial harvest writes them: when two elements of one write port
+// hit the same address in different iterations, the later iteration
+// wins.
 //
 //roccc:hotpath
 func (s *System) storeExits(sc *memSchedule, outs []int64, k int, x *exitCursor) {
-	outW := s.sim.OutWidth()
 	r := min(x.pre, k)
 	x.pre -= r
 	for r < k {
@@ -319,9 +331,8 @@ func (s *System) storeExits(sc *memSchedule, outs []int64, k int, x *exitCursor)
 				addrs := sc.stores[wi][x.next*n : (x.next+m)*n]
 				bram := s.writeBRAMs[wi]
 				for i := 0; i < m; i++ {
-					row := outs[(r+i)*outW : (r+i+1)*outW]
 					for e, ix := range outIdx {
-						bram.Data[addrs[i*n+e]] = row[ix]
+						bram.Data[addrs[i*n+e]] = outs[ix*k+r+i]
 					}
 				}
 				bram.writes += m * n

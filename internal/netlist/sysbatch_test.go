@@ -382,6 +382,61 @@ void k() {
 	}
 }
 
+// TestSysBatchOverlappingStores runs a kernel whose one write port
+// stores two elements per iteration at overlapping addresses: B[i+1]
+// of iteration i is overwritten by B[i] of iteration i+1. The store
+// order decides the result, so both paths must store iteration by
+// iteration, each iteration's elements in order, and give C semantics:
+// B[k] = A[k] for k < 16, and B[16] = A[15] + 1.
+func TestSysBatchOverlappingStores(t *testing.T) {
+	const n = 16
+	src := fmt.Sprintf(`
+int A[%d];
+int B[%d];
+void k() {
+	int i;
+	for (i = 0; i < %d; i++) {
+		B[i] = A[i];
+		B[i+1] = A[i] + 1;
+	}
+}
+`, n, n+1, n)
+	res, err := core.CompileSource(src, "k", core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	streams := randStreams(res, rng, 3)
+	for _, backend := range dp.Backends() {
+		for _, bus := range []int{1, 2, 4} {
+			cfg := Config{BusElems: bus, Backend: backend}
+			tag := fmt.Sprintf("overlap(bus=%d)", bus)
+			if bc := diffRun(t, res, cfg, streams, tag); bc == 0 {
+				t.Fatalf("%s[%v] never dispatched a schedule chunk", tag, backend)
+			}
+			sys, err := NewSystem(res.Kernel, res.Datapath, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for si, in := range streams {
+				job := Job{Inputs: in}
+				if err := sys.RunJob(&job); err != nil {
+					t.Fatalf("%s[%v] stream %d: %v", tag, backend, si, err)
+				}
+				a, b := in["A"], job.Outputs["B"]
+				for e := 0; e < n; e++ {
+					if b[e] != a[e] {
+						t.Fatalf("%s[%v] stream %d: B[%d] = %d, want A[%d] = %d", tag, backend, si, e, b[e], e, a[e])
+					}
+				}
+				if b[n] != a[n-1]+1 {
+					t.Fatalf("%s[%v] stream %d: B[%d] = %d, want A[%d]+1 = %d", tag, backend, si, n, b[n], n-1, a[n-1]+1)
+				}
+			}
+		}
+	}
+}
+
 // TestSysBatchPoolPassthrough pins the pool plumbing: a SystemPool built
 // without Config.Serial serves default systems (the serve path inherits
 // the schedule walk unchanged), and Put refuses a System whose dispatch

@@ -65,8 +65,10 @@ type System struct {
 	// serial forces the one-Step-per-cycle dispatch path; the default
 	// Run walks the plan's static memory schedule (schedule.go).
 	serial bool
-	// stage is the flat input staging region of one feed chunk (up to
-	// sysChunkMax rows of len(inputs) values each).
+	// stage is the input staging region of one feed chunk in StepN's
+	// port-major layout: for a k-cycle chunk, one column of k values per
+	// data-path input (stage[d*k+r] is input d on clock r), k at most
+	// sysChunkMax.
 	stage []int64
 
 	// fedRing mirrors the data-path valid pipeline for output
@@ -387,10 +389,18 @@ func (s *System) LoadInput(name string, vals []int64) error {
 	if !ok {
 		return fmt.Errorf("netlist: no input array %q", name)
 	}
-	if len(vals) > len(m.Data) {
-		return fmt.Errorf("netlist: input array %q holds %d elements, got %d", name, len(m.Data), len(vals))
+	if err := checkLoad(m, vals); err != nil {
+		return err
 	}
 	m.Load(vals)
+	return nil
+}
+
+// checkLoad rejects an input array longer than its BRAM.
+func checkLoad(m *BRAM, vals []int64) error {
+	if len(vals) > len(m.Data) {
+		return fmt.Errorf("netlist: input array %q holds %d elements, got %d", m.Name, len(m.Data), len(vals))
+	}
 	return nil
 }
 
@@ -503,7 +513,7 @@ func (s *System) Reset() {
 // (schedule.go): no cycle of the memory side depends on the data, so it
 // is derived once per plan from the serial loop below, and Run then
 // gathers window taps straight from the input BRAMs into StepN chunks,
-// runs bubbles through DrainN and stores exiting rows through
+// runs bubbles through DrainN and stores exiting outputs through
 // precomputed addresses. A Config.Serial System runs the per-cycle loop
 // itself, the reference. Both paths are bit-identical on outputs,
 // feedback latches, cycle counts and fault abort cycles.
@@ -635,28 +645,37 @@ func (s *System) fillInputs(row []int64) error {
 			return err
 		}
 	}
-	s.fillLoopInputs(row)
+	s.fillLoopInputs(row, 1)
 	return nil
 }
 
-// fillLoopInputs writes one feed cycle's induction-variable values off
-// the odometer (which it advances) and its scalar parameters.
+// fillLoopInputs writes k consecutive feed cycles' induction-variable
+// values off the odometer (which it advances k times) and their scalar
+// parameters into port-major columns of stride k: input d on cycle r
+// lands at cols[d*k+r]. The serial loop passes one row and a stride of
+// 1.
 //
 //roccc:hotpath
-func (s *System) fillLoopInputs(row []int64) {
+func (s *System) fillLoopInputs(cols []int64, k int) {
 	p := s.plan
 	// The odometer exists to value induction-variable inputs; kernels
 	// whose IVs were eliminated from the data path (pure windowing) skip
 	// it entirely.
 	if len(p.ivs) > 0 {
-		for _, iv := range p.ivs {
-			row[iv.in] = p.from[iv.level] + s.iter[iv.level]*p.step[iv.level]
+		for r := 0; r < k; r++ {
+			for _, iv := range p.ivs {
+				cols[iv.in*k+r] = p.from[iv.level] + s.iter[iv.level]*p.step[iv.level]
+			}
+			s.advanceOdometer()
 		}
-		s.advanceOdometer()
 	}
 	for si, ix := range p.scalarIn {
 		if ix >= 0 {
-			row[ix] = s.scalarVals[si]
+			v := s.scalarVals[si]
+			col := cols[ix*k : (ix+1)*k]
+			for r := range col {
+				col[r] = v
+			}
 		}
 	}
 }

@@ -128,15 +128,6 @@ func CSDDigits(c int64) int {
 	return n
 }
 
-// ConstMultSlices is a multiply-by-constant as a CSD shift-add network.
-func ConstMultSlices(c int64, w int) int {
-	adders := CSDDigits(c) - 1
-	if adders < 0 {
-		adders = 0
-	}
-	return adders * AdderSlices(w)
-}
-
 // --- Primitive delay models (ns, speed grade -5) ---
 
 // lutDelay is one LUT4 plus average local routing.

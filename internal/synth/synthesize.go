@@ -250,15 +250,6 @@ func Estimate(d *dp.Datapath, opt Options) (slices int, elapsed time.Duration) {
 	return int(est), time.Since(start)
 }
 
-// FeedbackRegs counts feedback latch storage, exposed for reports.
-func FeedbackRegs(d *dp.Datapath) int {
-	n := 0
-	for _, fb := range d.Feedbacks {
-		n += fb.State.Type.Bits
-	}
-	return n
-}
-
 // KernelBufferConfigs derives the smart-buffer configurations for every
 // read window of a kernel (helper shared by exp and cmd tools).
 func KernelBufferConfigs(k *hir.Kernel, busElems int) ([]smartbuf.Config, error) {
