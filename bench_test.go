@@ -110,36 +110,42 @@ func BenchmarkFig2ExecutionModel(b *testing.B) {
 // dispatch against the default walk of the static memory schedule on
 // identical systems — the regression meter for the system cycle loop.
 // fig3 is the Fig. 2 benchmark workload (17 iterations: fill/drain-edge
-// heavy); fir4k is the 4096-iteration steady state. The default
-// variants keep their "-streak" names, which the gates reference. CI
-// gates them at 0 allocs/op and at CPU-conditioned speedup floors over
-// their serial baselines (ci/gates.json, sysbatch group); the committed
+// heavy); fir4k is the 4096-iteration steady state; wavelet is the
+// Table 1 wavelet, whose 5x5 window sliding by two leaves 151 of its
+// 347 cycles bubbles, most of them mid-stream at the strip edges. The
+// default variants keep their "-streak" names, which the gates
+// reference. CI gates them at 0 allocs/op and fig3 and fir4k at
+// CPU-conditioned speedup floors over their serial baselines
+// (ci/gates.json, sysbatch group); the committed
 // ci/baseline/BENCH_seed.json holds the pre-batching numbers the
 // trajectory is measured against, which is why the serial rows stay
 // pinned to the interp reference.
 func BenchmarkSysRun(b *testing.B) {
 	for _, tc := range []struct {
-		name, src string
-		iters     int
+		name string
+		k    bench.Kernel
 	}{
-		{"fig3", exp.Fig3Source, 17},
-		{"fir4k", exp.LongFIRSource, 4096},
+		{"fig3", bench.Kernel{Source: exp.Fig3Source, Func: "fir", Options: DefaultOptions(), BusElems: 1}},
+		{"fir4k", bench.Kernel{Source: exp.LongFIRSource, Func: "fir", Options: DefaultOptions(), BusElems: 1}},
+		{"wavelet", bench.Wavelet()},
 	} {
-		res, err := Compile(tc.src, "fir", DefaultOptions())
+		res, err := tc.k.Compile()
 		if err != nil {
 			b.Fatal(err)
 		}
+		arr := res.Kernel.Reads[0].Arr
 		rng := rand.New(rand.NewSource(1))
-		in := make([]int64, tc.iters+4)
+		in := make([]int64, arr.Len())
 		for i := range in {
 			in[i] = rng.Int63n(255) - 128
 		}
+		bus := tc.k.BusElems
 		for _, m := range []struct {
 			name string
 			cfg  netlist.Config
 		}{
-			{tc.name + "-serial", netlist.Config{BusElems: 1, Serial: true, Backend: dp.BackendInterp}},
-			{tc.name + "-streak", netlist.Config{BusElems: 1}},
+			{tc.name + "-serial", netlist.Config{BusElems: bus, Serial: true, Backend: dp.BackendInterp}},
+			{tc.name + "-streak", netlist.Config{BusElems: bus}},
 		} {
 			b.Run(m.name, func(b *testing.B) {
 				sys, err := netlist.NewSystem(res.Kernel, res.Datapath, m.cfg)
@@ -148,7 +154,7 @@ func BenchmarkSysRun(b *testing.B) {
 				}
 				run := func() {
 					sys.Reset()
-					if err := sys.LoadInput("A", in); err != nil {
+					if err := sys.LoadInput(arr.Name, in); err != nil {
 						b.Fatalf("%s: %v", m.name, err)
 					}
 					if _, err := sys.Run(); err != nil {

@@ -125,6 +125,65 @@ func TestMulAccClosedFormCone(t *testing.T) {
 	}
 }
 
+// TestVerifyPlanFeedbackStage moves one LPR out of its SNX's stage on
+// copied plans of mux_saturate (whose saturating mux keeps the cone
+// lane-serial) and of the accumulator (a closed-form cone): the
+// verifier must name plan/feedback-stage on both.
+func TestVerifyPlanFeedbackStage(t *testing.T) {
+	for _, k := range []struct {
+		name, src  string
+		closedForm bool
+	}{
+		{"mux_saturate", `
+int A[24];
+int acc;
+void k() {
+	int i;
+	int12 v;
+	acc = 0;
+	for (i = 0; i < 24; i++) {
+		v = A[i];
+		if (v > 100) {
+			acc = acc + 100;
+		} else {
+			acc = acc + v;
+		}
+	}
+}
+`, false},
+		{"accumulator", `
+int A[32];
+int sum;
+void k() {
+	int i;
+	sum = 0;
+	for (i = 0; i < 32; i++) {
+		sum = sum + A[i];
+	}
+}
+`, true},
+	} {
+		res, err := core.CompileSource(k.src, "k", core.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", k.name, err)
+		}
+		if vs := dp.Verify(res.Datapath); len(vs) != 0 {
+			t.Fatalf("%s: the compiled plan verifies with %v", k.name, vs)
+		}
+		vs, closedForm := dp.VerifyLPRShifted(res.Datapath)
+		if closedForm != k.closedForm {
+			t.Fatalf("%s: closed-form cone %v, want %v", k.name, closedForm, k.closedForm)
+		}
+		found := false
+		for _, v := range vs {
+			found = found || v.Invariant == "plan/feedback-stage"
+		}
+		if !found {
+			t.Fatalf("%s: a shifted LPR verifies without plan/feedback-stage: %v", k.name, vs)
+		}
+	}
+}
+
 // TestBackendStepNZeroAllocs: the threaded batch steady state must not
 // allocate — the lane kernels are compiled once and the scratch grows
 // once.

@@ -10,19 +10,22 @@ import (
 // batch.go is the lane-parallel batch execution path of the threaded
 // backend. Step dispatches the whole plan once per clock; for
 // sweep-style workloads (thousands of iterations through one data path)
-// that per-cycle dispatch dominates. StepN/DrainN instead execute N
-// clocks per call over a structure-of-arrays lane layout: one flat
-// region of lane values per op, one valid/poison bit per lane, and one
-// lane-kernel call per op per chunk instead of per op per cycle. The
-// interp reference runs StepN/DrainN as the serial Step/Drain loop.
+// that per-cycle dispatch dominates. StepN, DrainN and RunN instead
+// execute N clocks per call over a structure-of-arrays lane layout: one
+// flat region of lane values per op, one valid/poison bit per lane, and
+// one lane-kernel call per op per chunk instead of per op per cycle.
+// Each batch is a run of fed clocks followed by bubbles: StepN feeds
+// every clock, DrainN none, and RunN feeds n iterations and flushes the
+// pipeline behind them in the same chunks. The interp reference runs
+// every batch as the serial Step/Drain loop.
 //
-// The I/O block of StepN and DrainN is port-major, as the lane scratch
-// is: an n-clock block holds one column of n values per port, so
-// inputs[i*n+r] is input port i on clock r and the returned block holds
-// output port o on clock r at out[o*n+r]. A chunk moves each port's
-// column into or out of its op's lane region with one contiguous copy;
-// only the serial step, which takes one row of every port per clock,
-// gathers rows from the columns (serialChunk).
+// The I/O blocks are port-major, as the lane scratch is: an n-clock
+// block holds one column of n values per port, so inputs[i*n+r] is
+// input port i on clock r and the returned block holds output port o
+// on clock r at out[o*n+r] (RunN's on iteration r). A chunk moves each
+// port's column into or out of its op's lane region with one contiguous
+// copy; only the serial step, which takes one row of every port per
+// clock, gathers rows from the columns (serialChunk).
 //
 // Correctness carve-outs, both pinned by differential tests against the
 // serial interp core:
@@ -38,10 +41,11 @@ import (
 //     discarded and the chunk replays through the serial interp step —
 //     the abort cycle, error and post-abort state are Step's exactly.
 
-// batchChunkMax bounds the lane scratch: a StepN over millions of
-// iterations runs as a sequence of chunks, and a chunk of n clocks uses
-// nOps × (stages + n) values, so the scratch never exceeds
-// nOps × (stages + batchChunkMax).
+// batchChunkMax bounds the lane scratch: a batch of millions of clocks
+// runs as a sequence of chunks, and a chunk of n clocks uses
+// nOps × (stages + n) values. A tail of batchSerialMax clocks or fewer
+// rides with the chunk before it instead of running serially, so the
+// scratch never exceeds nOps × (stages + batchChunkMax + batchSerialMax).
 const batchChunkMax = 256
 
 // batchSerialMax is the largest chunk still run through the serial core:
@@ -66,14 +70,10 @@ var errBatchFault = errors.New("dp: sim: batch lane fault")
 //
 //roccc:hotpath
 func (s *Sim) StepN(inputs []int64, n int) ([]int64, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("dp: sim: StepN with negative count %d", n)
+	if err := s.checkBlock("StepN", inputs, n); err != nil {
+		return nil, err
 	}
-	if inW := len(s.p.inSlots); len(inputs) != n*inW {
-		return nil, fmt.Errorf("dp: sim: StepN: %d input values, want %d (%d cycles × %d ports)",
-			len(inputs), n*inW, n, inW)
-	}
-	return s.batchRun(inputs, n, true)
+	return s.batchRun(inputs, n, n, 0)
 }
 
 // DrainN advances n clocks with pipeline bubbles, bit-identical to n
@@ -88,15 +88,45 @@ func (s *Sim) DrainN(n int) ([]int64, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("dp: sim: DrainN with negative count %d", n)
 	}
-	return s.batchRun(nil, n, false)
+	return s.batchRun(nil, 0, n, 0)
 }
 
-// RunBatch is Run on the batch path: all iterations are fed through
-// StepN, the pipeline is drained through DrainN, and the outputs are
-// returned one row per iteration, aligned with the inputs —
-// bit-identical to Run over the same vectors, including the cycle a
-// fault aborts on. It keeps Run's row API by transposing the rows into
-// StepN's port-major block and the returned columns back into rows.
+// RunN feeds n iterations from a port-major block laid out as StepN's
+// (inputs[i*n+j] is input port i of iteration j), then flushes the
+// pipeline for Latency() clocks in the same batch, so the last
+// iterations' outputs leave without a DrainN of their own. It is
+// bit-identical to n Steps followed by Latency() Drains, including the
+// cycle and the error of a fault, and advances Cycle() by n+Latency().
+// The returned block is aligned by iteration: out[o*n+j] is output port
+// o of iteration j (the outputs of iterations fed before the call are
+// not returned). Like StepN's, the block is reused between calls.
+//
+//roccc:hotpath
+func (s *Sim) RunN(inputs []int64, n int) ([]int64, error) {
+	if err := s.checkBlock("RunN", inputs, n); err != nil {
+		return nil, err
+	}
+	lat := s.p.latency
+	return s.batchRun(inputs, n, n+lat, lat)
+}
+
+// checkBlock validates an n-clock port-major input block.
+func (s *Sim) checkBlock(name string, inputs []int64, n int) error {
+	if n < 0 {
+		return fmt.Errorf("dp: sim: %s with negative count %d", name, n)
+	}
+	if inW := len(s.p.inSlots); len(inputs) != n*inW {
+		return fmt.Errorf("dp: sim: %s: %d input values, want %d (%d cycles × %d ports)",
+			name, len(inputs), n*inW, n, inW)
+	}
+	return nil
+}
+
+// RunBatch is Run on the batch path, bit-identical to Run over the same
+// vectors, including the cycle a fault aborts on: it transposes the rows
+// into RunN's port-major block, runs it, and transposes the returned
+// columns back into one output row per iteration, aligned with the
+// inputs.
 func (s *Sim) RunBatch(iters [][]int64) ([][]int64, error) {
 	if len(iters) == 0 {
 		return nil, nil
@@ -115,112 +145,118 @@ func (s *Sim) RunBatch(iters [][]int64) ([][]int64, error) {
 			flat[i*n+r] = v
 		}
 	}
-	lat := s.p.latency
+	cols, err := s.RunN(flat, n)
+	if err != nil {
+		return nil, err
+	}
 	outW := len(s.p.outSlots)
 	outs := make([][]int64, n)
 	backing := make([]int64, n*outW)
 	for j := range outs {
-		outs[j] = backing[j*outW : (j+1)*outW]
-	}
-	// Iteration j exits after clock j+lat: a clock of the StepN block
-	// while j+lat < n, of the DrainN block after it.
-	collect := func(cols []int64, clocks, first int) {
-		for o := 0; o < outW; o++ {
-			for c, v := range cols[o*clocks : (o+1)*clocks] {
-				if j := first + c - lat; j >= 0 && j < n {
-					outs[j][o] = v
-				}
-			}
+		row := backing[j*outW : (j+1)*outW]
+		for o := range row {
+			row[o] = cols[o*n+j]
 		}
+		outs[j] = row
 	}
-	stepOut, err := s.StepN(flat, n)
-	if err != nil {
-		return nil, err
-	}
-	collect(stepOut, n, 0)
-	drainOut, err := s.DrainN(lat)
-	if err != nil {
-		return nil, err
-	}
-	collect(drainOut, lat, n)
 	return outs, nil
 }
 
-// batchRun runs an n-clock batch: on the interp reference as the
-// serial loop, on the threaded backend as scratch-bounded chunks. Both
-// the input and the output block have column stride n; a chunk of c
-// clocks starting at clock off covers [off, off+c) of every column.
+// ioBlock is the port-major I/O of one batch of clocks. Clocks [0, fed)
+// each feed one iteration from in, whose columns hold fed values
+// (in[i*fed+c] is input port i on clock c); the clocks after them are
+// bubbles. Clock c's outputs land at out[o*ostride+c-skip]: the first
+// skip clocks, whose outputs belong to iterations fed before the batch,
+// are not returned.
+type ioBlock struct {
+	in            []int64
+	fed           int
+	out           []int64
+	ostride, skip int
+}
+
+// batchRun runs `clocks` clocks, the first `fed` of them fed from the
+// columns of in, and returns the outputs of clocks [skip, clocks): on
+// the interp reference as the serial loop, on the threaded backend as
+// scratch-bounded chunks.
 //
 //roccc:hotpath
-func (s *Sim) batchRun(inputs []int64, n int, valid bool) ([]int64, error) {
+func (s *Sim) batchRun(in []int64, fed, clocks, skip int) ([]int64, error) {
 	outW := len(s.p.outSlots)
-	if cap(s.batchOut) < n*outW {
-		s.batchOut = make([]int64, n*outW)
+	ostride := clocks - skip
+	if cap(s.batchOut) < ostride*outW {
+		s.batchOut = make([]int64, ostride*outW)
 	}
-	out := s.batchOut[:n*outW]
+	b := ioBlock{in: in, fed: fed, out: s.batchOut[:ostride*outW], ostride: ostride, skip: skip}
 	if s.backend == BackendInterp {
-		if err := s.serialChunk(inputs, n, 0, n, valid, out); err != nil {
+		if err := s.serialChunk(&b, 0, clocks); err != nil {
 			return nil, err
 		}
-		return out, nil
+		return b.out, nil
 	}
-	for off := 0; off < n; {
-		c := min(n-off, batchChunkMax)
-		if err := s.batchChunk(inputs, n, off, c, valid, out); err != nil {
+	for off := 0; off < clocks; {
+		c := min(clocks-off, batchChunkMax)
+		if rest := clocks - off - c; rest <= batchSerialMax {
+			// A short tail, such as RunN's flush after a full chunk,
+			// rides with this chunk instead of dropping to the serial step.
+			c += rest
+		}
+		if err := s.batchChunk(&b, off, c); err != nil {
 			return nil, err
 		}
 		off += c
 	}
-	return out, nil
+	return b.out, nil
 }
 
-// serialChunk runs clocks [off, off+n) of a port-major block with
-// column stride `stride` through the interpreter step (the interp
-// batch, tiny threaded chunks, pure-feedback plans, and fault replays):
-// each clock's input row is gathered from the columns into the Sim's
-// row buffer, and step's output row is scattered back into the output
-// columns.
+// serialChunk runs clocks [off, off+n) of a batch through the
+// interpreter step (the interp batch, tiny threaded chunks,
+// pure-feedback plans, and fault replays): each fed clock's input row
+// is gathered from the columns into the Sim's row buffer, a bubble
+// steps the zero row, and step's output row is scattered back into the
+// output columns.
 //
 //roccc:hotpath
 //roccc:serial-replay
-func (s *Sim) serialChunk(in []int64, stride, off, n int, valid bool, out []int64) error {
-	row := s.zeroBuf
-	if valid {
-		row = s.rowBuf
-	}
+func (s *Sim) serialChunk(b *ioBlock, off, n int) error {
 	for c := off; c < off+n; c++ {
+		row, valid := s.zeroBuf, c < b.fed
 		if valid {
+			row = s.rowBuf
 			for i := range row {
-				row[i] = in[i*stride+c]
+				row[i] = b.in[i*b.fed+c]
 			}
 		}
 		o, err := s.step(row, valid)
 		if err != nil {
 			return err
 		}
-		for j, v := range o {
-			out[j*stride+c] = v
+		if c >= b.skip {
+			for j, v := range o {
+				b.out[j*b.ostride+c-b.skip] = v
+			}
 		}
 	}
 	return nil
 }
 
-// batchChunk executes clocks [off, off+n) of a port-major block with
-// column stride `stride` — at most batchChunkMax of them — on the lane
+// batchChunk executes clocks [off, off+n) of a batch on the lane
 // layout, committing ring, valid ring, feedback state, cycle count and
 // outputs only after the whole chunk has computed fault-free.
 //
 //roccc:hotpath
-func (s *Sim) batchChunk(in []int64, stride, off, n int, valid bool, out []int64) error {
+func (s *Sim) batchChunk(b *ioBlock, off, n int) error {
 	p := s.p
 	tp := p.threadFor()
 	if n <= batchSerialMax || (tp.cone == nil && len(p.batchB) > 0 && len(p.batchA)+len(p.batchC) == 0) {
-		return s.serialChunk(in, stride, off, n, valid, out)
+		return s.serialChunk(b, off, n)
 	}
+	// The chunk's leading fed clocks; the rest of its lanes are bubbles.
+	valid := min(max(b.fed-off, 0), n)
 	// The lane stride: each op's region holds the stages in-flight
 	// iterations, then this chunk's n admissions. Every lane kernel takes
-	// it per call, so short chunks (short system streaks) touch and keep
-	// only the scratch they need.
+	// it per call, so short chunks touch and keep only the scratch they
+	// need.
 	laneN := p.stages + n
 	if need := p.nOps * laneN; cap(s.laneVals) < need {
 		s.laneVals = make([]int64, need)
@@ -230,27 +266,28 @@ func (s *Sim) batchChunk(in []int64, stride, off, n int, valid bool, out []int64
 		s.laneValid = make([]bool, laneN)
 	}
 	lv := s.laneValid[:laneN]
-	if err := s.batchCompute(in, stride, off, n, valid, lanes, lv, laneN, tp); err != nil {
+	if err := s.batchCompute(b, off, n, valid, lanes, lv, laneN, tp); err != nil {
 		// A valid lane hit a faulting op. Nothing has been committed:
 		// drop the staged latch writes and replay the chunk serially so
 		// the abort cycle, error and state match Step exactly.
 		for i := range s.stagedSet {
 			s.stagedSet[i] = false
 		}
-		return s.serialChunk(in, stride, off, n, valid, out)
+		return s.serialChunk(b, off, n)
 	}
-	s.commitChunk(n, valid, lanes, laneN, out, stride, off)
+	s.commitChunk(b, off, n, valid, lanes, laneN)
 	return nil
 }
 
-// batchCompute fills the lane scratch: validity, in-flight seeds from
-// the ring, the chunk's input columns, then the three execution classes
-// through the plan's threaded lane kernels — the feedback cone in
-// closed form when recognized, lane by lane otherwise.
+// batchCompute fills the lane scratch of clocks [off, off+n), the first
+// `valid` of them fed: validity, in-flight seeds from the ring, the
+// chunk's input columns, then the three execution classes through the
+// plan's threaded lane kernels — the feedback cone in closed form when
+// recognized, lane by lane otherwise.
 //
 //roccc:hotpath
 //roccc:chunk-compute
-func (s *Sim) batchCompute(in []int64, stride, off, n int, valid bool, lanes []int64, lv []bool, laneN int, tp *threadPlan) error {
+func (s *Sim) batchCompute(b *ioBlock, off, n, valid int, lanes []int64, lv []bool, laneN int, tp *threadPlan) error {
 	p := s.p
 	stages := p.stages
 	cycle0 := s.cycle
@@ -261,13 +298,13 @@ func (s *Sim) batchCompute(in []int64, stride, off, n int, valid bool, lanes []i
 
 	// Lane k holds iteration it0+k: the first `stages` lanes are the
 	// iterations (or bubbles) already in flight, the rest are this
-	// batch's admissions.
+	// chunk's admissions, fed then bubbles.
 	for k := 0; k < stages; k++ {
 		it := it0 + k
 		lv[k] = it >= 0 && s.validRing[it&rmask]
 	}
 	for k := stages; k < stages+n; k++ {
-		lv[k] = valid
+		lv[k] = k-stages < valid
 	}
 
 	// Seed each op's in-flight prefix from the ring: the value op
@@ -293,19 +330,19 @@ func (s *Sim) batchCompute(in []int64, stride, off, n int, valid bool, lanes []i
 	}
 
 	// The input pseudo-ops' lanes take the chunk's slice of each input
-	// column (bubble batches feed zeros). The wrap branch is hoisted out
+	// column, and zeros on bubble lanes. The wrap branch is hoisted out
 	// of the value loop: most ports narrow (one shift pair per value),
 	// 64-bit ports copy straight through.
 	for i := range p.inSlots {
 		sl := &p.inSlots[i]
 		idx := int(sl.base) >> p.opShift
 		lbase := idx*laneN + stages - int(p.opStage[idx])
-		dst := lanes[lbase : lbase+n]
-		if !valid {
-			clear(dst)
+		clear(lanes[lbase+valid : lbase+n])
+		if valid == 0 {
 			continue
 		}
-		src := in[i*stride+off : i*stride+off+n]
+		dst := lanes[lbase : lbase+valid]
+		src := b.in[i*b.fed+off : i*b.fed+off+valid]
 		switch sh := sl.w.sh; {
 		case sh == 0:
 			copy(dst, src)
@@ -653,13 +690,14 @@ func (s *Sim) batchCone(ops []cop, n int, lanes []int64, lv []bool, laneN int) e
 	return nil
 }
 
-// commitChunk applies a fault-free chunk to the simulator state: ring
-// history (the last rdepth cycles of every op and input), valid ring,
-// feedback latches, cycle count, head, and the chunk's clocks
-// [off, off+n) of every output column (column stride `stride`).
+// commitChunk applies a fault-free chunk of clocks [off, off+n), the
+// first `valid` of them fed, to the simulator state: ring history (the
+// last rdepth cycles of every op and input), valid ring, feedback
+// latches, cycle count, head, and the chunk's returned clocks of every
+// output column.
 //
 //roccc:hotpath
-func (s *Sim) commitChunk(n int, valid bool, lanes []int64, laneN int, out []int64, stride, off int) {
+func (s *Sim) commitChunk(b *ioBlock, off, n, valid int, lanes []int64, laneN int) {
 	p := s.p
 	stages := p.stages
 	cycle0 := s.cycle
@@ -690,18 +728,21 @@ func (s *Sim) commitChunk(n int, valid bool, lanes []int64, laneN int, out []int
 		vfirst = n - p.rdepth
 	}
 	for r := vfirst; r < n; r++ {
-		s.validRing[(cycle0+r)&rmask] = valid
+		s.validRing[(cycle0+r)&rmask] = r < valid
 	}
 	if len(p.batchB) > 0 {
 		copy(s.state, s.batchState)
 	}
 	// Output clock r belongs to the iteration admitted latency cycles
 	// before cycle cycle0+r — lane stages-latency+r — so each port's
-	// chunk of its column is one contiguous run of its op's lanes.
-	for i := range p.outSlots {
-		o := &p.outSlots[i]
-		lbase := (int(o.base)>>p.opShift)*laneN + stages - p.latency
-		copy(out[i*stride+off:i*stride+off+n], lanes[lbase:lbase+n])
+	// returned clocks are one contiguous run of its op's lanes.
+	if r0 := max(b.skip-off, 0); r0 < n {
+		for i := range p.outSlots {
+			o := &p.outSlots[i]
+			lbase := (int(o.base)>>p.opShift)*laneN + stages - p.latency
+			col := i*b.ostride + off - b.skip
+			copy(b.out[col+r0:col+n], lanes[lbase+r0:lbase+n])
+		}
 	}
 	s.head = hNew
 	s.cycle = cycle0 + n

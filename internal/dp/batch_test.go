@@ -12,7 +12,7 @@ import (
 )
 
 // batch_test.go pins the threaded backend's lane-parallel batch path
-// (StepN/DrainN/RunBatch) bit-identical to the serial interp core: same
+// (StepN/DrainN/RunN/RunBatch) bit-identical to the serial interp core: same
 // outputs on every cycle, same faults on the same cycle, same feedback
 // state — across the Table 1 kernels (including feedback kernels),
 // fuzzed kernels, random bubble schedules, and divisor-zero iterations.
@@ -282,6 +282,125 @@ void k(int a, int b, int* q) {
 		if serial.Cycle() != batch.Cycle() {
 			t.Fatalf("zeroAt=%d: fault cycle mismatch: serial aborted at cycle %d, batch at %d",
 				zeroAt, serial.Cycle(), batch.Cycle())
+		}
+	}
+}
+
+// runNSerial is RunN on the serial reference: n Steps over the
+// port-major inputs, then Latency() Drains, with iteration j's outputs
+// (visible after clock j+Latency()) at out[o*n+j].
+func runNSerial(s *dp.Sim, inputs []int64, n, inW, outW int, out []int64) error {
+	lat := s.Latency()
+	row := make([]int64, inW)
+	for c := 0; c < n+lat; c++ {
+		var o []int64
+		var err error
+		if c < n {
+			for i := range row {
+				row[i] = inputs[i*n+c]
+			}
+			o, err = s.Step(row)
+		} else {
+			o, err = s.Drain()
+		}
+		if err != nil {
+			return err
+		}
+		if j := c - lat; j >= 0 {
+			for p := 0; p < outW; p++ {
+				out[p*n+j] = o[p]
+			}
+		}
+	}
+	return nil
+}
+
+// TestRunNMatchesStepDrain pins RunN bit-identical to n Steps followed
+// by Latency() Drains on the serial interp core: outputs aligned by
+// iteration, feedback latches, cycle count, and the fault and abort
+// cycle of a planted zero divisor. Stream lengths straddle the serial
+// shortcut and the chunk boundary, and three clocks are already in
+// flight when RunN starts, so their outputs must not be returned. A
+// 256-iteration RunN on a pipeline of at most two stages must fold its
+// flush into the last chunk instead of stepping it serially: the lane
+// scratch then spans all 256+Latency() clocks.
+func TestRunNMatchesStepDrain(t *testing.T) {
+	for _, k := range []struct{ name, src string }{
+		{"quotient", "void k(int a, int b, int* q) {\n\t*q = a / b;\n}\n"},
+		{"closed-form", "int32 acc;\nvoid k(int16 a, int16 b, int32* q) {\n\tint i;\n\tacc = 0;\n\tfor (i = 0; i < 1024; i++) {\n\t\tacc = acc + a / b;\n\t\t*q = acc - a;\n\t}\n}\n"},
+		{"lane-serial", "int32 acc;\nvoid k(int16 a, int16 b, int32* q) {\n\tint i;\n\tacc = 0;\n\tfor (i = 0; i < 1024; i++) {\n\t\tacc = acc * 3 + a / b;\n\t\t*q = acc + a;\n\t}\n}\n"},
+	} {
+		res, err := core.CompileSource(k.src, "k", core.Options{Optimize: true, PeriodNs: 2.5})
+		if err != nil {
+			t.Fatalf("%s: %v", k.name, err)
+		}
+		d := res.Datapath
+		inW, outW := len(d.Inputs), len(d.Outputs)
+		div := -1
+		for i, p := range d.Inputs {
+			if p.Var.Name == "b" {
+				div = i
+			}
+		}
+		if div < 0 || outW == 0 {
+			t.Fatalf("%s: %d outputs, divisor port %d", k.name, outW, div)
+		}
+		for _, backend := range dp.Backends() {
+			for _, n := range []int{1, 2, 3, 17, 255, 256, 257, 600} {
+				for _, zeroAt := range []int{-1, 0, n / 2, n - 1} {
+					name := fmt.Sprintf("%s[%v]/n=%d/zero@%d", k.name, backend, n, zeroAt)
+					rng := rand.New(rand.NewSource(int64(n + zeroAt)))
+					in := make([]int64, n*inW)
+					for j := range in {
+						in[j] = 1 + rng.Int63n(1<<10)
+					}
+					if zeroAt >= 0 {
+						in[div*n+zeroAt] = 0
+					}
+					pre := make([]int64, 3*inW)
+					for j := range pre {
+						pre[j] = 1 + rng.Int63n(1<<10)
+					}
+					sim := dp.NewSimWith(d, backend)
+					ref := dp.NewSimWith(d, dp.BackendInterp)
+					if _, err := sim.StepN(pre, 3); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if err := stepSerial(ref, pre, 3, inW, outW, make([]int64, 3*outW)); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					want := make([]int64, n*outW)
+					rErr := runNSerial(ref, in, n, inW, outW, want)
+					got, err := sim.RunN(in, n)
+					if (err != nil) != (rErr != nil) {
+						t.Fatalf("%s: RunN %v, interp %v", name, err, rErr)
+					}
+					if rErr != nil {
+						assertSameFault(t, name, err, rErr)
+					} else {
+						for j := range want {
+							if got[j] != want[j] {
+								t.Fatalf("%s: iteration %d port %d: RunN %d, interp %d", name, j%n, j/n, got[j], want[j])
+							}
+						}
+					}
+					assertSameState(t, name, d, sim, ref)
+				}
+			}
+		}
+		if lat := d.Latency(); lat >= 1 && lat <= 2 {
+			sim := dp.NewSim(d)
+			in := make([]int64, 256*inW)
+			for j := range in {
+				in[j] = int64(j%7 + 1)
+			}
+			if _, err := sim.RunN(in, 256); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := dp.LaneScratch(sim), len(d.Ops)*(d.Stages+256+lat); got != want {
+				t.Fatalf("%s: lane scratch holds %d values after RunN(256), want %d (nOps %d × (stages %d + 256 + latency %d)): the flush ran on its own",
+					k.name, got, want, len(d.Ops), d.Stages, lat)
+			}
 		}
 	}
 }

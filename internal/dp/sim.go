@@ -69,9 +69,10 @@ type Sim struct {
 	// Batch-path scratch (batch.go): structure-of-arrays lane values (one
 	// flat region per op, stride stages+n for an n-clock chunk), per-lane
 	// valid bits, the flat output/input buffers reused across
-	// StepN/DrainN/RunBatch calls, and the running feedback state of the
-	// feedback cone. All grow on first use to the largest chunk seen and
-	// are reused afterwards, so the batch steady state allocates nothing.
+	// StepN/DrainN/RunN/RunBatch calls, and the running feedback state of
+	// the feedback cone. All grow on first use to the largest chunk seen
+	// and are reused afterwards, so the batch steady state allocates
+	// nothing.
 	laneVals   []int64
 	laneValid  []bool
 	batchOut   []int64

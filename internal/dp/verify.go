@@ -195,6 +195,32 @@ func verifyPlan(p *simPlan) []Violation {
 		}
 	}
 
+	// plan/feedback-stage: every LPR sits in its latch's SNX stage
+	// (initiation interval 1, §4.2.3). Iteration i then reads the latch
+	// after every earlier iteration wrote it and before any later one
+	// does, however many bubbles lie between their feeds — the premise
+	// of the lane-serial cone's per-lane commit and of the bubble-free
+	// system walk (RunN), checked for every latch, not only inside a
+	// recognized closed-form cone.
+	snxStage := make([]int32, len(p.fbVars))
+	for i := range snxStage {
+		snxStage[i] = -1
+	}
+	for i := range p.plan {
+		if c := &p.plan[i]; c.opc == vm.SNX && c.fb >= 0 && int(c.fb) < len(snxStage) {
+			snxStage[c.fb] = c.stage
+		}
+	}
+	for i := range p.plan {
+		c := &p.plan[i]
+		if c.opc != vm.LPR || c.fb < 0 || int(c.fb) >= len(snxStage) || snxStage[c.fb] < 0 {
+			continue
+		}
+		if c.stage != snxStage[c.fb] {
+			vs.add("plan/feedback-stage", "op %d: LPR of latch %d sits in stage %d, its SNX in stage %d", i, c.fb, c.stage, snxStage[c.fb])
+		}
+	}
+
 	// Latch bookkeeping: init values and the name index.
 	if len(p.fbInit) != len(p.fbVars) {
 		vs.add("plan/latch-slot", "%d latch init values for %d latches", len(p.fbInit), len(p.fbVars))

@@ -20,18 +20,21 @@ import (
 // and the full *dp.FaultError. The matrix covers the streamable Table 1
 // kernels (including the mul_acc feedback row), fuzzed window
 // geometries chosen to produce every backpressure regime (stride
-// under/at/over the bus width, 2-D strips), divide-by-zero faults
-// planted on valid iterations, and concurrent first Runs racing to
-// derive one plan's schedule.
+// under/at/over the bus width, 2-D strips), latch kernels with
+// mid-stream bubbles, divide-by-zero faults planted on valid
+// iterations (including two dividers whose fault order depends on the
+// feed spacing), and concurrent first Runs racing to derive one plan's
+// schedule.
 
 // diffRun runs the same streams through a serial interpreter System and
 // a default System on cfg's execution backend, both via RunJob, and
 // fails on any divergence DiffJob finds — the failing backend is named
 // in the message. A reference that fails without a fault needs the
 // same error text. Checks a Job cannot carry ride along: the system
-// clock at an abort, and BRAM read and write parity on clean streams.
-// It returns how many cycles the default systems dispatched off the
-// schedule, so callers can assert the batch machinery actually engaged.
+// clock at an abort, and BRAM read and write parity on every stream,
+// faulted and failed ones included. It returns how many cycles the
+// default systems dispatched off the schedule on clean streams, so
+// callers can assert the batch machinery actually engaged.
 func diffRun(t *testing.T, res *core.Result, cfg Config, streams []map[string][]int64, tag string) int {
 	t.Helper()
 	tag = fmt.Sprintf("%s[%v]", tag, cfg.Backend)
@@ -71,17 +74,16 @@ func diffRun(t *testing.T, res *core.Result, cfg Config, streams []map[string][]
 				t.Fatalf("%s stream %d: abort cycle mismatch: serial stopped at %d, batched at %d",
 					tag, si, serial.Cycles(), batched.Cycles())
 			}
-			continue
+		} else {
+			batchedCycles += batched.BatchedCycles()
 		}
-		batchedCycles += batched.BatchedCycles()
 		// Access parity: the schedule records the serial memory stage's
 		// reads and the serial harvest's stores, so every input BRAM
 		// must see the same number of reads (each element exactly once
 		// when the sweep covers the array, but parity is the property —
 		// not a specific count) and every output BRAM the same number
-		// of writes. A faulted stream is exempt: the serial loop stops
-		// mid-cycle, while the walk stops between chunks and sets the
-		// read counts only on a clean run.
+		// of writes. A faulted or failed stream replays on the serial
+		// loop, so its counts are the reference's too.
 		for name, m := range serial.inBRAMs {
 			sr, _ := m.Stats()
 			br, _ := batched.inBRAMs[name].Stats()
@@ -192,7 +194,11 @@ void k() {
 
 // TestSysBatch2DStencils covers the row-strip boundary: 2-D windows
 // stream strip by strip, and the first window of each strip waits for
-// whole new image rows, so the schedule stalls mid-run there.
+// whole new image rows, so the schedule stalls mid-run there. Two latch
+// kernels pin that those mid-stream bubbles leave feedback latches
+// alone: a 2-D window that also accumulates, and a 1-D accumulator
+// reading with stride 4 over a 1-element bus, so three bubbles separate
+// consecutive feeds. Each runs at two clock periods, on both backends.
 func TestSysBatch2DStencils(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, tc := range []struct {
@@ -231,6 +237,50 @@ void k() {
 		tag := fmt.Sprintf("stencil%dx%d(bus=%d)", tc.eh, tc.ew, tc.bus)
 		diffRun(t, res, Config{BusElems: tc.bus}, randStreams(res, rng, 2), tag)
 	}
+	for _, tc := range []struct{ name, src string }{
+		{"window-accumulator", `
+int img[10][10];
+int out[8][8];
+int acc;
+void k() {
+	int i; int j;
+	acc = 0;
+	for (i = 0; i < 8; i++)
+		for (j = 0; j < 8; j++) {
+			acc = acc + img[i][j] + img[i+2][j+2];
+			out[i][j] = acc / (img[i+1][j+1] + 1000);
+		}
+}
+`},
+		{"stride4-accumulator", `
+int A[96];
+int C[24];
+int sum;
+void k() {
+	int i;
+	sum = 0;
+	for (i = 0; i < 24; i++) {
+		sum = sum + A[4*i]*A[4*i+3];
+		C[i] = sum - A[4*i+1];
+	}
+}
+`},
+	} {
+		for _, period := range []float64{5, 2} {
+			res, err := core.CompileSource(tc.src, "k", core.Options{Optimize: true, PeriodNs: period})
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if len(res.Kernel.Feedback) == 0 {
+				t.Fatalf("%s: no feedback latch", tc.name)
+			}
+			streams := randStreams(res, rng, 2)
+			for _, backend := range dp.Backends() {
+				tag := fmt.Sprintf("%s(period=%g)", tc.name, period)
+				diffRun(t, res, Config{BusElems: 1, Backend: backend}, streams, tag)
+			}
+		}
+	}
 }
 
 // TestSysBatchFaultParity plants divide-by-zero faults on valid
@@ -240,51 +290,85 @@ void k() {
 // cycle count, and clean streams through the same divider must agree
 // end to end (drain bubbles feed the divider zeros that poison must
 // mask). The deep divider sits past stage 0, so its zeros at n-2 and
-// n-1 abort inside the pipeline flush, after the final feed run.
+// n-1 abort inside the pipeline flush, after the final feed run. The
+// bubbled dividers read with stride 4 over a 1-element bus, so three
+// bubbles separate consecutive feeds, and the cube puts one divider
+// stages deeper than the other: with zeros planted in B at iteration j
+// and in C at iteration j+1, which fault comes first depends on how far
+// apart the iterations are fed, so only a replay on the serial loop
+// reports the reference's fault.
 func TestSysBatchFaultParity(t *testing.T) {
 	const n = 24
 	for _, k := range []struct {
 		name, expr string
-		flush      bool // the zero at n-1 aborts inside the flush
+		stride     int     // the input arrays hold stride*n elements
+		periodNs   float64 // 0: the default clock period
+		flush      bool    // the zero at n-1 aborts inside the flush
+		pair       bool    // plant zeros in B at j and in C at j+1
 	}{
-		{"divider", "A[i] / B[i]", false},
-		{"deep-divider", "(A[i] * A[i] * A[i]) / B[i]", true},
+		{"divider", "A[i] / B[i]", 1, 0, false, false},
+		{"deep-divider", "(A[i] * A[i] * A[i]) / B[i]", 1, 0, true, false},
+		{"bubbled-dividers", "(A[4*i]*A[4*i]*A[4*i]) / B[4*i] + A[4*i+1] / C[4*i]", 4, 2, false, true},
 	} {
+		arrays := []string{"A", "B"}
+		if k.pair {
+			arrays = append(arrays, "C")
+		}
+		var decl strings.Builder
+		for _, a := range arrays {
+			fmt.Fprintf(&decl, "int %s[%d];\n", a, k.stride*n)
+		}
 		src := fmt.Sprintf(`
-int A[%d];
-int B[%d];
-int Q[%d];
+%sint Q[%d];
 void divide() {
 	int i;
 	for (i = 0; i < %d; i++) {
 		Q[i] = %s;
 	}
 }
-`, n, n, n, n, k.expr)
-		res, err := core.CompileSource(src, "divide", core.DefaultOptions())
+`, decl.String(), n, n, k.expr)
+		opts := core.DefaultOptions()
+		if k.periodNs > 0 {
+			opts.PeriodNs = k.periodNs
+		}
+		res, err := core.CompileSource(src, "divide", opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(11))
 		var streams []map[string][]int64
-		mk := func(zeroAt int) map[string][]int64 {
-			a := make([]int64, n)
-			b := make([]int64, n)
-			for i := range a {
-				a[i] = rng.Int63n(2000) - 1000
-				b[i] = rng.Int63n(97) + 1
-				if rng.Intn(2) == 0 {
-					b[i] = -b[i]
+		// mk plants a zero divisor in each named array at the given
+		// iteration (a negative one plants nothing).
+		mk := func(zeroAt map[string]int) map[string][]int64 {
+			in := map[string][]int64{}
+			for _, name := range arrays {
+				vals := make([]int64, k.stride*n)
+				for i := range vals {
+					if name == "A" {
+						vals[i] = rng.Int63n(2000) - 1000
+						continue
+					}
+					vals[i] = rng.Int63n(97) + 1
+					if rng.Intn(2) == 0 {
+						vals[i] = -vals[i]
+					}
 				}
+				if at, ok := zeroAt[name]; ok && at >= 0 {
+					vals[k.stride*at] = 0
+				}
+				in[name] = vals
 			}
-			if zeroAt >= 0 {
-				b[zeroAt] = 0
-			}
-			return map[string][]int64{"A": a, "B": b}
+			return in
 		}
-		streams = append(streams, mk(-1)) // clean: bubbles must stay masked
-		for _, at := range []int{0, 1, 5, n / 2, n - 2, n - 1} {
-			streams = append(streams, mk(at))
+		streams = append(streams, mk(nil)) // clean: bubbles must stay masked
+		if k.pair {
+			for _, j := range []int{0, 1, 5, n / 2, n - 3, n - 2} {
+				streams = append(streams, mk(map[string]int{"B": j, "C": j + 1}))
+			}
+		} else {
+			for _, at := range []int{0, 1, 5, n / 2, n - 2, n - 1} {
+				streams = append(streams, mk(map[string]int{"B": at}))
+			}
 		}
 		if k.flush {
 			sys, err := NewSystem(res.Kernel, res.Datapath, Config{BusElems: 1})
@@ -371,11 +455,12 @@ void k() {
 		if coincident != k.divides {
 			t.Fatalf("%s: a fault on the bad store's cycle %d: %v, want %v", k.name, storeCycle, coincident, k.divides)
 		}
-		// The failed derivation is a finding of the verifier, but its
-		// tables, which every Run walks up to the failing cycle, are sound.
+		// The failed derivation is a finding of the verifier, and the
+		// only one: no Run walks a failed schedule's tables.
 		p := ref.plan
-		assertSysInvariant(t, verifyScheduleTables(p, p.scheduleFor()), "")
-		assertSysInvariant(t, verifySchedule(p, p.sched), "system/schedule")
+		if vs := verifySchedule(p, p.scheduleFor()); len(vs) != 1 || !strings.Contains(vs[0].Detail, "derivation failed") {
+			t.Fatalf("%s: the failed schedule verifies as %v, want its derivation error alone", k.name, vs)
+		}
 		for _, backend := range dp.Backends() {
 			diffRun(t, res, Config{BusElems: 1, Backend: backend}, streams, k.name)
 		}

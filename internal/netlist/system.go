@@ -65,10 +65,10 @@ type System struct {
 	// serial forces the one-Step-per-cycle dispatch path; the default
 	// Run walks the plan's static memory schedule (schedule.go).
 	serial bool
-	// stage is the input staging region of one feed chunk in StepN's
-	// port-major layout: for a k-cycle chunk, one column of k values per
-	// data-path input (stage[d*k+r] is input d on clock r), k at most
-	// sysChunkMax.
+	// stage is the input staging region of one chunk in RunN's
+	// port-major layout: for a k-iteration chunk, one column of k values
+	// per data-path input (stage[d*k+j] is input d of iteration j), k at
+	// most sysChunkMax.
 	stage []int64
 
 	// fedRing mirrors the data-path valid pipeline for output
@@ -79,9 +79,9 @@ type System struct {
 	fedMask int
 
 	cycles int
-	// batched counts the cycles Run dispatched off the static schedule
-	// (StepN and DrainN chunks) — observability for tests and the
-	// sysbatch sweep table.
+	// batched counts the system cycles a Run covered off the static
+	// schedule (RunN chunks) — observability for tests and the sysbatch
+	// sweep table.
 	batched   int
 	started   bool
 	completed bool
@@ -300,11 +300,12 @@ type Config struct {
 	// tests and benchmarks. Both paths are bit-identical on outputs,
 	// feedback latches, cycle counts and fault abort cycles.
 	Serial bool
-	// Backend selects how the data path's StepN and DrainN run. The zero
-	// value is the threaded fast path; dp.BackendInterp is the reference.
-	// Both are bit-identical on outputs, feedback latches, cycle counts
-	// and fault abort cycles. A Serial System runs only Step and Drain,
-	// which are the interpreter loop on both, so there it has no effect.
+	// Backend selects how the data path's batches (StepN, DrainN, RunN)
+	// run. The zero value is the threaded fast path; dp.BackendInterp is
+	// the reference. Both are bit-identical on outputs, feedback
+	// latches, cycle counts and fault abort cycles. A Serial System runs
+	// only Step and Drain, which are the interpreter loop on both, so
+	// there it has no effect.
 	Backend dp.Backend
 }
 
@@ -452,10 +453,11 @@ func (s *System) Backend() dp.Backend { return s.sim.Backend() }
 // lane-serial execution.
 func (s *System) HasClosedFormCone() bool { return s.sim.HasClosedFormCone() }
 
-// BatchedCycles returns how many of Run's cycles were dispatched off
-// the static memory schedule through StepN and DrainN chunks: every
-// cycle of a completed default-path Run, so it equals Cycles() there.
-// Zero on a Config.Serial system, which steps one cycle at a time.
+// BatchedCycles returns how many of Run's cycles were covered off the
+// static memory schedule through RunN chunks: every cycle of a
+// completed default-path Run, so it equals Cycles() there. Zero on a
+// Config.Serial system, which steps one cycle at a time, and on a
+// default-path Run replayed on the serial loop after an error.
 func (s *System) BatchedCycles() int { return s.batched }
 
 // FeedbackValue returns a feedback latch's final value (e.g. the
@@ -502,21 +504,28 @@ func (s *System) Reset() {
 // Run executes the whole kernel: it streams every array element from
 // BRAM through the smart buffers exactly once, pushes one iteration per
 // cycle into the data path when windows are ready, and writes results
-// back. It returns the data-path simulator (for feedback state) and the
-// consumed cycle count. Pipeline bubbles (fill and drain cycles) are
-// poisoned in the data path, so kernels with input-dependent divisors do
-// not fault while flushing; a genuine fault on a valid iteration still
-// aborts the run. Run consumes the system's generators and buffers: call
-// Reset before running again.
+// back. It returns the data-path simulator (for feedback state);
+// Cycles() is the consumed system cycle count. Pipeline bubbles (fill
+// and drain cycles) are poisoned in the data path, so kernels with
+// input-dependent divisors do not fault while flushing; a genuine fault
+// on a valid iteration still aborts the run. Run consumes the system's
+// generators and buffers: call Reset before running again.
 //
 // The default Run walks the plan's static memory schedule
 // (schedule.go): no cycle of the memory side depends on the data, so it
 // is derived once per plan from the serial loop below, and Run then
-// gathers window taps straight from the input BRAMs into StepN chunks,
-// runs bubbles through DrainN and stores exiting outputs through
-// precomputed addresses. A Config.Serial System runs the per-cycle loop
-// itself, the reference. Both paths are bit-identical on outputs,
-// feedback latches, cycle counts and fault abort cycles.
+// feeds only the fed iterations, back to back, gathering window taps
+// straight from the input BRAMs into RunN chunks that also flush the
+// pipeline, and stores each iteration's outputs through precomputed
+// addresses. The returned Sim's Cycle() then counts data-path clocks
+// (the fed iterations plus one flush per chunk), while Cycles() stays
+// the system clock. Any error — a data-path fault, or a schedule that
+// ends in the serial loop's error — resets the System (input BRAMs keep
+// their contents) and replays the stream on the serial loop, so the
+// error, its cycle and the BRAM counts are the reference's. A
+// Config.Serial System runs the per-cycle loop itself, the reference.
+// Both paths are bit-identical on outputs, feedback latches, cycle
+// counts and fault abort cycles.
 //
 //roccc:hotpath
 func (s *System) Run() (*dp.Sim, error) {
@@ -525,11 +534,13 @@ func (s *System) Run() (*dp.Sim, error) {
 	}
 	s.started = true
 	if !s.serial {
-		if err := s.runSchedule(s.plan.scheduleFor()); err != nil {
-			return nil, err
+		if sc := s.plan.scheduleFor(); sc.err == nil && s.runSchedule(sc) == nil {
+			s.completed = true
+			return s.sim, nil
 		}
-		s.completed = true
-		return s.sim, nil
+		// Replay the failing stream on the serial loop below.
+		s.Reset()
+		s.started = true
 	}
 	p := s.plan
 	lat := p.latency

@@ -198,59 +198,34 @@ func verifyPlanTables(p *sysPlan, k *hir.Kernel, d *dp.Datapath) []dp.Violation 
 	return vs
 }
 
-// verifySchedule checks a derived memory schedule against its plan: a
-// schedule whose derivation failed means every Run of the system fails,
-// and its tables must still be sound up to the failing cycle
+// verifySchedule checks a derived memory schedule against its plan. A
+// schedule whose derivation failed means every Run of the system
+// replays the serial loop, which fails; no Run walks its tables, so the
+// failure is all it reports. A clean schedule's tables must be sound
 // (verifyScheduleTables).
 func verifySchedule(p *sysPlan, sc *memSchedule) []dp.Violation {
-	var vs []dp.Violation
 	if sc.err != nil {
-		vs = append(vs, violation("system/schedule", "derivation failed at cycle %d: %v", sc.cycles, sc.err))
+		return []dp.Violation{violation("system/schedule", "derivation failed at cycle %d: %v", sc.cycles, sc.err)}
 	}
-	return append(vs, verifyScheduleTables(p, sc)...)
+	return verifyScheduleTables(p, sc)
 }
 
-// verifyScheduleTables checks the tables the schedule walk indexes: the
-// runs add up to the cycle count; a clean schedule feeds exactly the
-// iteration space and ends with the pipeline flush; every fed iteration
-// has a window origin and every harvested one its store addresses;
-// every gather index and every store address lies inside its array; no
-// read count exceeds its array. The walk has no per-pop readiness check
-// and no store bounds check, so a bad table fails here by name instead
-// of as a panic mid-run.
+// verifyScheduleTables checks the tables the schedule walk indexes:
+// every iteration has a window origin per read port and its store
+// addresses per write port; every gather index and every store address
+// lies inside its array; no read count exceeds its array; and the cycle
+// count holds every iteration and the pipeline flush. The walk has no
+// per-pop readiness check and no store bounds check, so a bad table
+// fails here by name instead of as a panic mid-run.
 func verifyScheduleTables(p *sysPlan, sc *memSchedule) []dp.Violation {
 	var vs []dp.Violation
 	add := func(format string, args ...any) {
 		vs = append(vs, violation("system/schedule", format, args...))
 	}
-	// exits counts the fed cycles whose iteration left the pipeline
-	// before cycle sc.cycles: the serial harvest stored each of them.
-	sum, feeds, lastFeed, exits := 0, 0, -1, 0
-	for i, r := range sc.runs {
-		if r.n <= 0 {
-			add("run %d spans %d cycles", i, r.n)
-		}
-		if r.feed {
-			feeds += r.n
-			lastFeed = sum + r.n - 1
-			exits += max(0, min(sum+r.n, sc.cycles-p.latency)-sum)
-		}
-		sum += r.n
-	}
-	if sum != sc.cycles {
-		add("runs cover %d cycles, the schedule takes %d", sum, sc.cycles)
-	}
-	if sc.err == nil {
-		if feeds != p.total {
-			add("runs feed %d cycles for %d iterations", feeds, p.total)
-		}
-		if want := lastFeed + p.latency + 1; sc.cycles != want {
-			add("clean run takes %d cycles, last feed cycle %d + latency %d + 1 is %d", sc.cycles, lastFeed, p.latency, want)
-		}
-	}
-	popped := feeds
-	if sc.err != nil && sc.errStep && sc.errFeed {
-		popped++ // the failing cycle fed too
+	// The controller feeds at most one iteration per cycle, and the last
+	// one leaves the pipeline latency cycles after its feed.
+	if sc.cycles < p.total+p.latency {
+		add("the schedule takes %d cycles, fewer than %d iterations + latency %d", sc.cycles, p.total, p.latency)
 	}
 	if len(sc.origins) != len(p.reads) || len(sc.tapOff) != len(p.reads) || len(sc.reads) != len(p.reads) {
 		add("%d origin tables, %d tap tables and %d read counts for %d read ports",
@@ -259,8 +234,8 @@ func verifyScheduleTables(p *sysPlan, sc *memSchedule) []dp.Violation {
 		for i := range p.reads {
 			rp := &p.reads[i]
 			taps := sc.tapOff[i]
-			if len(sc.origins[i]) != popped {
-				add("read port %d (%s): %d window origins for %d fed iterations", i, rp.arrName, len(sc.origins[i]), popped)
+			if len(sc.origins[i]) != p.total {
+				add("read port %d (%s): %d window origins for %d iterations", i, rp.arrName, len(sc.origins[i]), p.total)
 			}
 			if len(taps) != len(rp.route) {
 				add("read port %d (%s): %d tap offsets for %d routed taps", i, rp.arrName, len(taps), len(rp.route))
@@ -282,9 +257,9 @@ func verifyScheduleTables(p *sysPlan, sc *memSchedule) []dp.Violation {
 	}
 	for w := range p.writes {
 		wp := &p.writes[w]
-		if want := exits * len(wp.outIdx); len(sc.stores[w]) != want {
-			add("write port %d (%s): %d store addresses, want %d per iteration for %d harvested iterations",
-				w, wp.arrName, len(sc.stores[w]), len(wp.outIdx), exits)
+		if want := p.total * len(wp.outIdx); len(sc.stores[w]) != want {
+			add("write port %d (%s): %d store addresses, want %d per iteration for %d iterations",
+				w, wp.arrName, len(sc.stores[w]), len(wp.outIdx), p.total)
 		}
 		for e, a := range sc.stores[w] {
 			if a < 0 || int(a) >= wp.arrLen {

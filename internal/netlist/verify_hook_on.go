@@ -16,11 +16,14 @@ func sysVerifyHook(p *sysPlan, k *hir.Kernel, d *dp.Datapath) {
 	panicOnViolations(k.Name, verifyPlanTables(p, k, d))
 }
 
-// schedVerifyHook checks a memory schedule's tables as soon as it is
-// derived, before any Run walks them. A failed derivation is no table
-// fault: every Run returns its error, as the serial loop does.
+// schedVerifyHook checks a clean memory schedule's tables as soon as it
+// is derived, before any Run walks them. A failed derivation is no
+// table fault: no Run walks its tables, and every Run replays the
+// serial loop, which returns the error.
 func schedVerifyHook(p *sysPlan) {
-	panicOnViolations("memory schedule", verifyScheduleTables(p, p.sched))
+	if p.sched.err == nil {
+		panicOnViolations("memory schedule", verifyScheduleTables(p, p.sched))
+	}
 }
 
 func panicOnViolations(what string, vs []dp.Violation) {

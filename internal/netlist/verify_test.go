@@ -39,7 +39,6 @@ func planCopy(p *sysPlan) *sysPlan {
 	c.schedOnce = new(sync.Once)
 	if sc := p.sched; sc != nil {
 		cs := *sc
-		cs.runs = slices.Clone(sc.runs)
 		cs.origins = cloneTables(sc.origins)
 		cs.tapOff = cloneTables(sc.tapOff)
 		cs.stores = cloneTables(sc.stores)
@@ -78,7 +77,6 @@ func TestVerifySysPlanCorruptions(t *testing.T) {
 	res, sys := buildSystem(t, firSource, "fir", core.DefaultOptions(), Config{BusElems: 1})
 	k, d := res.Kernel, sys.Datapath
 	sys.plan.scheduleFor() // derived before copying, so copies carry it
-	lastRun := func(p *sysPlan) *schedRun { return &p.sched.runs[len(p.sched.runs)-1] }
 
 	cases := []struct {
 		name      string
@@ -102,18 +100,21 @@ func TestVerifySysPlanCorruptions(t *testing.T) {
 			p.reads[0].route[0] = -1
 			p.needClear = false
 		}},
-		{"runs short of the clean run", "system/schedule", "runs cover", func(p *sysPlan) {
-			lastRun(p).n--
+		{"runs short of the clean run", "system/schedule", "fewer than", func(p *sysPlan) {
+			// The schedule ends before the last iteration leaves the
+			// pipeline.
+			p.sched.cycles = p.total + p.latency - 1
 		}},
-		{"a feed cycle turned bubble", "system/schedule", "runs feed", func(p *sysPlan) {
-			// The last feed run hands its final cycle to the flush.
-			runs := p.sched.runs
-			runs[len(runs)-2].n--
-			runs[len(runs)-1].n++
+		{"a feed cycle turned bubble", "system/schedule", "window origins", func(p *sysPlan) {
+			// The last iteration loses its window.
+			p.sched.origins[0] = p.sched.origins[0][:p.total-1]
 		}},
-		{"flush longer than the pipeline", "system/schedule", "last feed cycle", func(p *sysPlan) {
-			lastRun(p).n++
-			p.sched.cycles++
+		{"flush longer than the pipeline", "system/schedule", "store addresses", func(p *sysPlan) {
+			// One more harvest than iterations: the last iteration's
+			// stores recorded twice.
+			n := len(p.writes[0].outIdx)
+			st := p.sched.stores[0]
+			p.sched.stores[0] = append(st, st[len(st)-n:]...)
 		}},
 		{"gather past the array", "system/schedule", "gathers index", func(p *sysPlan) {
 			p.sched.origins[0][p.total-1] = int32(p.reads[0].arrLen)

@@ -57,8 +57,8 @@ type System = netlist.System
 // SystemConfig configures system construction.
 type SystemConfig = netlist.Config
 
-// Backend selects how the data path's StepN and DrainN run
-// (SystemConfig.Backend): as the threaded lane kernels, or as the
+// Backend selects how the data path's batches (StepN, DrainN, RunN)
+// run (SystemConfig.Backend): as the threaded lane kernels, or as the
 // interpreter reference's serial loop. Step and Drain are the
 // interpreter loop on both, so on a Serial System the backend has no
 // effect. Both are bit-identical; they differ only in host speed.
