@@ -3,13 +3,14 @@ package vhdl
 // verify.go is the VHDL slice of the static invariant verifier
 // (internal/dpverify, cmd/rocccvet): structural checks over the emitted
 // file set — entity/port correspondence with the data path, ROM
-// component and init-file presence, feedback-latch registers, and the
-// per-read-port buffer/generator/controller units of a full kernel
-// emission. This is also the shared home for the pipeline valid-chain
-// check: once the emitted data path carries an explicit valid chain
-// (the ROADMAP's VHDL drain-semantics item), VerifyDatapathFiles
-// requires its length to equal Datapath.Stages; until the signal
-// appears in the output, the check stays dormant.
+// component and init-file presence, feedback-latch registers, a
+// declaration for every signal a unit assigns, and the per-read-port
+// buffer/generator/controller units of a full kernel emission. This is
+// also the shared home for the pipeline valid-chain check: once the
+// emitted data path carries an explicit valid chain (the ROADMAP's VHDL
+// drain-semantics item), VerifyDatapathFiles requires its length to
+// equal Datapath.Stages; until the signal appears in the output, the
+// check stays dormant.
 
 import (
 	"fmt"
@@ -85,8 +86,65 @@ func VerifyDatapathFiles(d *dp.Datapath, files []File) []dp.Violation {
 			add("vhdl/rom", "ROM component file rom_%s.vhd missing from file set", name)
 		}
 	}
+	for _, f := range files {
+		if strings.HasSuffix(f.Name, ".vhd") {
+			vs = append(vs, verifyDeclared(f)...)
+		}
+	}
 	vs = append(vs, verifyValidChain(d, topName, top)...)
 	return vs
+}
+
+// verifyDeclared checks that every signal a design unit assigns with
+// <= is a port of its entity or a declared signal: an assignment to
+// anything else does not analyze.
+func verifyDeclared(f File) []dp.Violation {
+	lines := strings.Split(f.Content, "\n")
+	declared := map[string]bool{}
+	for _, line := range lines {
+		code, _, _ := strings.Cut(line, "--")
+		names, rest, ok := strings.Cut(strings.TrimSpace(code), " : ")
+		if !ok {
+			continue
+		}
+		if sigs, ok := strings.CutPrefix(names, "signal "); ok {
+			for _, name := range strings.Split(sigs, ",") {
+				declared[strings.TrimSpace(name)] = true
+			}
+		} else if strings.HasPrefix(rest, "in ") || strings.HasPrefix(rest, "out ") {
+			declared[names] = true
+		}
+	}
+	var vs []dp.Violation
+	for i, line := range lines {
+		code, _, _ := strings.Cut(line, "--")
+		lhs, _, ok := strings.Cut(code, "<=")
+		if !ok {
+			continue
+		}
+		if target := assignTarget(lhs); !declared[target] {
+			vs = append(vs, dp.Violation{Invariant: "vhdl/declared",
+				Detail: fmt.Sprintf("%s:%d assigns %s, which is neither a port nor a declared signal", f.Name, i+1, target)})
+		}
+	}
+	return vs
+}
+
+// assignTarget returns the signal named by the text left of an
+// assignment's <=: the last identifier, without an index or slice
+// ("ring(1 to 4)" is ring) and after any "when ... =>" or "then" that
+// opens the statement.
+func assignTarget(lhs string) string {
+	lhs = strings.TrimSpace(lhs)
+	if strings.HasSuffix(lhs, ")") {
+		if open := strings.LastIndexByte(lhs, '('); open >= 0 {
+			lhs = strings.TrimSpace(lhs[:open])
+		}
+	}
+	if sp := strings.LastIndexByte(lhs, ' '); sp >= 0 {
+		lhs = lhs[sp+1:]
+	}
+	return lhs
 }
 
 // verifyValidChain checks the emitted pipeline valid chain, when

@@ -207,13 +207,16 @@ func emitTop(d *dp.Datapath) string {
 	fmt.Fprintf(&b, "architecture rtl of %s is\n", name)
 
 	// Wire declarations: every op's result ("every virtual register ...
-	// converted into wires"). Latched ops also get a registered copy.
+	// converted into wires"); an input's wire is its port. Registered
+	// ops, inputs included, also get a registered copy.
 	for _, op := range d.Ops {
-		if op.Node.Kind == dp.InputNode || !op.Instr.Op.HasDst() {
+		if !op.Instr.Op.HasDst() {
 			continue
 		}
-		fmt.Fprintf(&b, "  signal %s : %s;\n", sigName(op.Instr.Dst), slv(op.Width))
-		if op.Latched {
+		if op.Node.Kind != dp.InputNode {
+			fmt.Fprintf(&b, "  signal %s : %s;\n", sigName(op.Instr.Dst), slv(op.Width))
+		}
+		if registered(op) {
 			fmt.Fprintf(&b, "  signal %s_q : %s;\n", sigName(op.Instr.Dst), slv(op.Width))
 		}
 	}
@@ -256,7 +259,7 @@ func emitTop(d *dp.Datapath) string {
 	}
 	b.WriteString("      else\n")
 	for _, op := range d.Ops {
-		if op.Latched && op.Instr.Op.HasDst() {
+		if registered(op) {
 			fmt.Fprintf(&b, "        %s_q <= %s;\n", sigName(op.Instr.Dst), sigName(op.Instr.Dst))
 		}
 	}
@@ -272,6 +275,11 @@ func emitTop(d *dp.Datapath) string {
 	b.WriteString("end architecture;\n")
 	return b.String()
 }
+
+// registered reports whether op's value gets a pipeline register
+// (vrN_q): the one condition for both its declaration and its clocked
+// assignment.
+func registered(op *dp.Op) bool { return op.Latched && op.Instr.Op.HasDst() }
 
 // EmitRom renders a ROM component plus its plain-text init file contents
 // (the paper: "the compiler instantiates the lookup table as a regular

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"roccc/internal/core"
+	"roccc/internal/dp"
 	"roccc/internal/smartbuf"
 )
 
@@ -196,5 +197,42 @@ func TestBalancedParens(t *testing.T) {
 	}
 	if strings.Count(v, "process") != 2 { // declaration + end process
 		t.Errorf("process count = %d", strings.Count(v, "process"))
+	}
+}
+
+// TestVerifyDeclared checks the vhdl/declared invariant. The FIR's file
+// set is clean; with the declaration of a registered input's vrN_q
+// removed, as an emitter that declared registers only for non-input
+// ops wrote it, the check names that register.
+func TestVerifyDeclared(t *testing.T) {
+	res, err := core.CompileSource(firSource, "fir", core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := res.Datapath
+	files := EmitDatapath(d)
+	if vs := VerifyDatapathFiles(d, files); len(vs) != 0 {
+		t.Fatalf("emitted FIR violates %v", vs)
+	}
+	reg := ""
+	for _, op := range d.Ops {
+		if op.Node.Kind == dp.InputNode && registered(op) {
+			reg = sigName(op.Instr.Dst) + "_q"
+			break
+		}
+	}
+	if reg == "" {
+		t.Fatal("the FIR has no registered input")
+	}
+	top := files[len(files)-1].Content
+	decl := strings.Index(top, "  signal "+reg+" : ")
+	if decl < 0 {
+		t.Fatalf("%s is not declared in\n%s", reg, top)
+	}
+	end := decl + strings.IndexByte(top[decl:], '\n') + 1
+	broken := []File{{Name: files[len(files)-1].Name, Content: top[:decl] + top[end:]}}
+	vs := VerifyDatapathFiles(d, broken)
+	if len(vs) != 1 || vs[0].Invariant != "vhdl/declared" || !strings.Contains(vs[0].Detail, "assigns "+reg+",") {
+		t.Fatalf("with %s undeclared, violations = %v, want one vhdl/declared naming it", reg, vs)
 	}
 }
