@@ -1,9 +1,6 @@
 package vhdl
 
 import (
-	"fmt"
-	"strings"
-
 	"roccc/internal/hir"
 	"roccc/internal/smartbuf"
 )
@@ -16,36 +13,36 @@ import (
 // EmitSmartBuffer renders a smart buffer: a shift-register (1-D) or
 // line-buffer (2-D) structure with window-export logic.
 func EmitSmartBuffer(name string, cfg smartbuf.Config) File {
-	var b strings.Builder
-	b.WriteString("library IEEE;\nuse IEEE.std_logic_1164.all;\nuse IEEE.numeric_std.all;\n\n")
+	var b writer
+	b.Grow(1024 + 2*len(name) + 64*len(cfg.Taps) + 64*cfg.BusElems)
+	b.s(header)
 	depth := cfg.StorageBits() / cfg.ElemBits
-	fmt.Fprintf(&b, "-- smart buffer: window %v, stride %v, %d taps, %d elements retained\n",
-		cfg.Extent, cfg.Stride, len(cfg.Taps), depth)
-	fmt.Fprintf(&b, "entity %s is\n  port (\n    clk : in std_logic;\n    rst : in std_logic;\n", name)
-	fmt.Fprintf(&b, "    din : in std_logic_vector(%d downto 0);\n", cfg.ElemBits*cfg.BusElems-1)
-	b.WriteString("    din_valid : in std_logic;\n    window_ready : out std_logic;\n")
+	b.s("-- smart buffer: window ").ints(cfg.Extent).s(", stride ").ints(cfg.Stride).s(", ").d(len(cfg.Taps)).
+		s(" taps, ").d(depth).s(" elements retained\n")
+	b.s("entity ").s(name).s(" is\n  port (\n    clk : in std_logic;\n    rst : in std_logic;\n")
+	b.s("    din : in ").slv(cfg.ElemBits * cfg.BusElems).s(";\n")
+	b.s("    din_valid : in std_logic;\n    window_ready : out std_logic;\n")
 	for i := range cfg.Taps {
-		sep := ";"
+		sep := ";\n"
 		if i == len(cfg.Taps)-1 {
-			sep = ""
+			sep = "\n"
 		}
-		fmt.Fprintf(&b, "    tap%d : out std_logic_vector(%d downto 0)%s\n", i, cfg.ElemBits-1, sep)
+		b.s("    tap").d(i).s(" : out ").slv(cfg.ElemBits).s(sep)
 	}
-	b.WriteString("  );\nend entity;\n\n")
-	fmt.Fprintf(&b, "architecture rtl of %s is\n", name)
-	fmt.Fprintf(&b, "  type line_t is array (0 to %d) of std_logic_vector(%d downto 0);\n", depth-1, cfg.ElemBits-1)
-	b.WriteString("  signal ring : line_t;\n  signal fill : integer range 0 to 65535;\nbegin\n")
-	b.WriteString("  shift: process(clk)\n  begin\n    if rising_edge(clk) then\n      if rst = '1' then\n        fill <= 0;\n      elsif din_valid = '1' then\n")
+	b.s("  );\nend entity;\n\n")
+	b.s("architecture rtl of ").s(name).s(" is\n")
+	b.s("  type line_t is array (0 to ").d(depth - 1).s(") of ").slv(cfg.ElemBits).s(";\n")
+	b.s("  signal ring : line_t;\n  signal fill : integer range 0 to 65535;\nbegin\n")
+	b.s("  shift: process(clk)\n  begin\n    if rising_edge(clk) then\n      if rst = '1' then\n        fill <= 0;\n      elsif din_valid = '1' then\n")
 	if depth > cfg.BusElems {
-		fmt.Fprintf(&b, "        ring(%d to %d) <= ring(%d to %d);\n", cfg.BusElems, depth-1, 0, depth-1-cfg.BusElems)
+		b.s("        ring(").d(cfg.BusElems).s(" to ").d(depth - 1).s(") <= ring(0 to ").d(depth - 1 - cfg.BusElems).s(");\n")
 	}
 	for i := 0; i < cfg.BusElems; i++ {
-		fmt.Fprintf(&b, "        ring(%d) <= din(%d downto %d);\n",
-			i, (i+1)*cfg.ElemBits-1, i*cfg.ElemBits)
+		b.s("        ring(").d(i).s(") <= din(").d((i+1)*cfg.ElemBits - 1).s(" downto ").d(i * cfg.ElemBits).s(");\n")
 	}
-	fmt.Fprintf(&b, "        fill <= fill + %d;\n", cfg.BusElems)
-	b.WriteString("      end if;\n    end if;\n  end process;\n\n")
-	fmt.Fprintf(&b, "  window_ready <= '1' when fill >= %d else '0';\n", depth)
+	b.s("        fill <= fill + ").d(cfg.BusElems).s(";\n")
+	b.s("      end if;\n    end if;\n  end process;\n\n")
+	b.s("  window_ready <= '1' when fill >= ").d(depth).s(" else '0';\n")
 	// Tap wiring: relative positions inside the retained region.
 	for i, tap := range cfg.Taps {
 		var idx int
@@ -59,27 +56,29 @@ func EmitSmartBuffer(name string, cfg smartbuf.Config) File {
 		if pos < 0 {
 			pos = 0
 		}
-		fmt.Fprintf(&b, "  tap%d <= ring(%d);\n", i, pos)
+		b.s("  tap").d(i).s(" <= ring(").d(pos).s(");\n")
 	}
-	b.WriteString("end architecture;\n")
+	b.s("end architecture;\n")
 	return File{Name: name + ".vhd", Content: b.String()}
 }
 
 // EmitAddressGenerator renders a sequential read address generator FSM.
 func EmitAddressGenerator(name string, total, busElems, addrBits int) File {
-	var b strings.Builder
-	b.WriteString("library IEEE;\nuse IEEE.std_logic_1164.all;\nuse IEEE.numeric_std.all;\n\n")
-	fmt.Fprintf(&b, "-- read address generator: %d elements, %d per cycle\n", total, busElems)
-	fmt.Fprintf(&b, "entity %s is\n  port (\n    clk : in std_logic;\n    rst : in std_logic;\n    enable : in std_logic;\n    addr : out std_logic_vector(%d downto 0);\n    valid : out std_logic;\n    done : out std_logic\n  );\nend entity;\n\n", name, addrBits-1)
-	fmt.Fprintf(&b, "architecture fsm of %s is\n", name)
-	fmt.Fprintf(&b, "  signal pos : unsigned(%d downto 0);\nbegin\n", addrBits-1)
-	b.WriteString("  step: process(clk)\n  begin\n    if rising_edge(clk) then\n      if rst = '1' then\n        pos <= (others => '0');\n")
-	fmt.Fprintf(&b, "      elsif enable = '1' and pos < %d then\n        pos <= pos + %d;\n", total, busElems)
-	b.WriteString("      end if;\n    end if;\n  end process;\n")
-	b.WriteString("  addr <= std_logic_vector(pos);\n")
-	fmt.Fprintf(&b, "  valid <= '1' when pos < %d else '0';\n", total)
-	fmt.Fprintf(&b, "  done <= '1' when pos >= %d else '0';\n", total)
-	b.WriteString("end architecture;\n")
+	var b writer
+	b.Grow(768 + 2*len(name))
+	b.s(header)
+	b.s("-- read address generator: ").d(total).s(" elements, ").d(busElems).s(" per cycle\n")
+	b.s("entity ").s(name).s(" is\n  port (\n    clk : in std_logic;\n    rst : in std_logic;\n    enable : in std_logic;\n    addr : out ").
+		slv(addrBits).s(";\n    valid : out std_logic;\n    done : out std_logic\n  );\nend entity;\n\n")
+	b.s("architecture fsm of ").s(name).s(" is\n")
+	b.s("  signal pos : unsigned(").d(addrBits - 1).s(" downto 0);\nbegin\n")
+	b.s("  step: process(clk)\n  begin\n    if rising_edge(clk) then\n      if rst = '1' then\n        pos <= (others => '0');\n")
+	b.s("      elsif enable = '1' and pos < ").d(total).s(" then\n        pos <= pos + ").d(busElems).s(";\n")
+	b.s("      end if;\n    end if;\n  end process;\n")
+	b.s("  addr <= std_logic_vector(pos);\n")
+	b.s("  valid <= '1' when pos < ").d(total).s(" else '0';\n")
+	b.s("  done <= '1' when pos >= ").d(total).s(" else '0';\n")
+	b.s("end architecture;\n")
 	return File{Name: name + ".vhd", Content: b.String()}
 }
 
@@ -87,13 +86,14 @@ func EmitAddressGenerator(name string, total, busElems, addrBits int) File {
 // stream / drain / done) that sequences the address generators and the
 // data path.
 func EmitController(name string, totalIters, latency int) File {
-	var b strings.Builder
-	b.WriteString("library IEEE;\nuse IEEE.std_logic_1164.all;\nuse IEEE.numeric_std.all;\n\n")
-	fmt.Fprintf(&b, "-- higher-level controller: %d iterations, data-path latency %d\n", totalIters, latency)
-	fmt.Fprintf(&b, "entity %s is\n  port (\n    clk : in std_logic;\n    rst : in std_logic;\n    window_ready : in std_logic;\n    feed : out std_logic;\n    done : out std_logic\n  );\nend entity;\n\n", name)
-	fmt.Fprintf(&b, "architecture fsm of %s is\n", name)
-	b.WriteString("  type state_t is (S_IDLE, S_FILL, S_STREAM, S_DRAIN, S_DONE);\n  signal state : state_t;\n  signal fed, collected : integer range 0 to 1048575;\nbegin\n")
-	b.WriteString(`  fsm: process(clk)
+	var b writer
+	b.Grow(1280 + 2*len(name))
+	b.s(header)
+	b.s("-- higher-level controller: ").d(totalIters).s(" iterations, data-path latency ").d(latency).s("\n")
+	b.s("entity ").s(name).s(" is\n  port (\n    clk : in std_logic;\n    rst : in std_logic;\n    window_ready : in std_logic;\n    feed : out std_logic;\n    done : out std_logic\n  );\nend entity;\n\n")
+	b.s("architecture fsm of ").s(name).s(" is\n")
+	b.s("  type state_t is (S_IDLE, S_FILL, S_STREAM, S_DRAIN, S_DONE);\n  signal state : state_t;\n  signal fed, collected : integer range 0 to 1048575;\nbegin\n")
+	b.s(`  fsm: process(clk)
   begin
     if rising_edge(clk) then
       if rst = '1' then
@@ -109,11 +109,11 @@ func EmitController(name string, totalIters, latency int) File {
               state <= S_STREAM;
             end if;
 `)
-	fmt.Fprintf(&b, "            if fed >= %d then state <= S_DRAIN; end if;\n", totalIters)
-	fmt.Fprintf(&b, "          when S_DRAIN =>\n            if collected >= %d then state <= S_DONE; end if;\n", totalIters)
-	b.WriteString("          when S_DONE => null;\n        end case;\n      end if;\n    end if;\n  end process;\n")
-	fmt.Fprintf(&b, "  feed <= '1' when (state = S_FILL or state = S_STREAM) and window_ready = '1' and fed < %d else '0';\n", totalIters)
-	b.WriteString("  done <= '1' when state = S_DONE else '0';\nend architecture;\n")
+	b.s("            if fed >= ").d(totalIters).s(" then state <= S_DRAIN; end if;\n")
+	b.s("          when S_DRAIN =>\n            if collected >= ").d(totalIters).s(" then state <= S_DONE; end if;\n")
+	b.s("          when S_DONE => null;\n        end case;\n      end if;\n    end if;\n  end process;\n")
+	b.s("  feed <= '1' when (state = S_FILL or state = S_STREAM) and window_ready = '1' and fed < ").d(totalIters).s(" else '0';\n")
+	b.s("  done <= '1' when state = S_DONE else '0';\nend architecture;\n")
 	return File{Name: name + ".vhd", Content: b.String()}
 }
 
@@ -122,15 +122,13 @@ func EmitController(name string, totalIters, latency int) File {
 // generators and the controller.
 func EmitKernel(k *hir.Kernel, files []File, cfgs []smartbuf.Config, latency int) []File {
 	for i, cfg := range cfgs {
-		name := fmt.Sprintf("%s_smartbuf_%s", k.Name, k.Reads[i].Arr.Name)
-		files = append(files, EmitSmartBuffer(name, cfg))
+		arr := k.Reads[i].Arr
+		files = append(files, EmitSmartBuffer(k.Name+"_smartbuf_"+arr.Name, cfg))
 		addrBits := 1
-		for 1<<uint(addrBits) < k.Reads[i].Arr.Len() {
+		for 1<<uint(addrBits) < arr.Len() {
 			addrBits++
 		}
-		files = append(files, EmitAddressGenerator(
-			fmt.Sprintf("%s_addrgen_%s", k.Name, k.Reads[i].Arr.Name),
-			k.Reads[i].Arr.Len(), cfg.BusElems, addrBits))
+		files = append(files, EmitAddressGenerator(k.Name+"_addrgen_"+arr.Name, arr.Len(), cfg.BusElems, addrBits))
 	}
 	total := int(k.Nest.TotalIterations())
 	if total == 0 {

@@ -14,6 +14,7 @@ package vhdl
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"roccc/internal/dp"
@@ -25,6 +26,9 @@ import (
 // keys on. The emitter does not generate it yet; the check arms itself
 // automatically when it does.
 const validChainSignal = "valid_pipe"
+
+// sigName is the VHDL signal the emitter writes for a virtual register.
+func sigName(r vm.Reg) string { return "vr" + strconv.Itoa(int(r)) }
 
 // VerifyDatapathFiles structurally checks an EmitDatapath file set
 // against the data path it was emitted from.

@@ -10,8 +10,8 @@
 package vhdl
 
 import (
-	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"roccc/internal/dp"
@@ -25,16 +25,73 @@ type File struct {
 	Content string
 }
 
+// header opens every design unit.
+const header = "library IEEE;\nuse IEEE.std_logic_1164.all;\nuse IEEE.numeric_std.all;\n\n"
+
+// writer builds one design unit in place: a strings.Builder presized
+// from the unit's op count or table size, with numbers appended through
+// strconv on a stack buffer. Every method returns w, so one emitted
+// line reads as one chain.
+type writer struct{ strings.Builder }
+
+func (w *writer) s(text string) *writer {
+	w.WriteString(text)
+	return w
+}
+
+// d appends v in decimal.
+func (w *writer) d(v int) *writer { return w.d64(int64(v)) }
+
+func (w *writer) d64(v int64) *writer {
+	var buf [20]byte
+	w.Write(strconv.AppendInt(buf[:0], v, 10))
+	return w
+}
+
+// quote appends text as a Go-syntax quoted string.
+func (w *writer) quote(text string) *writer {
+	var buf [64]byte
+	w.Write(strconv.AppendQuote(buf[:0], text))
+	return w
+}
+
+// f2 appends v with two decimals.
+func (w *writer) f2(v float64) *writer {
+	var buf [32]byte
+	w.Write(strconv.AppendFloat(buf[:0], v, 'f', 2, 64))
+	return w
+}
+
+// ints appends xs as a bracketed, space-separated list.
+func (w *writer) ints(xs []int) *writer {
+	w.s("[")
+	for i, x := range xs {
+		if i > 0 {
+			w.s(" ")
+		}
+		w.d(x)
+	}
+	return w.s("]")
+}
+
+// sig appends the VHDL signal for a virtual register.
+func (w *writer) sig(r vm.Reg) *writer { return w.s("vr").d(int(r)) }
+
+// slv appends the std_logic_vector type of the given width.
+func (w *writer) slv(width int) *writer {
+	return w.s("std_logic_vector(").d(width - 1).s(" downto 0)")
+}
+
 // EmitDatapath renders the complete data path: one component per
 // hardware node plus a top-level entity that instantiates them, the
 // pipeline registers and the feedback latches.
 func EmitDatapath(d *dp.Datapath) []File {
 	var files []File
 	// ROM components first (instantiated by LUT ops).
-	romSeen := map[*hir.Rom]bool{}
+	var romSeen []*hir.Rom
 	for _, op := range d.Ops {
-		if op.Instr.Op == vm.LUT && !romSeen[op.Instr.Rom] {
-			romSeen[op.Instr.Rom] = true
+		if op.Instr.Op == vm.LUT && !slices.Contains(romSeen, op.Instr.Rom) {
+			romSeen = append(romSeen, op.Instr.Rom)
 			files = append(files, EmitRom(op.Instr.Rom))
 		}
 	}
@@ -45,111 +102,110 @@ func EmitDatapath(d *dp.Datapath) []File {
 	return files
 }
 
-// sigName is the VHDL signal for a virtual register.
-func sigName(r vm.Reg) string { return fmt.Sprintf("vr%d", int(r)) }
-
-func slv(w int) string {
-	return fmt.Sprintf("std_logic_vector(%d downto 0)", w-1)
-}
-
-// operand renders a vm operand as a numeric_std expression of width w.
-func operand(d *dp.Datapath, o vm.Operand, signed bool, w int) string {
+// operand renders a vm operand as a numeric_std expression of width n.
+func (w *writer) operand(d *dp.Datapath, o vm.Operand, signed bool, n int) *writer {
 	if o.IsImm {
-		if signed {
-			return fmt.Sprintf("to_signed(%d, %d)", o.Imm, w)
+		switch {
+		case signed:
+			return w.s("to_signed(").d64(o.Imm).s(", ").d(n).s(")")
+		case o.Imm < 0:
+			return w.s("unsigned(to_signed(").d64(o.Imm).s(", ").d(n).s("))")
 		}
-		if o.Imm < 0 {
-			return fmt.Sprintf("unsigned(to_signed(%d, %d))", o.Imm, w)
-		}
-		return fmt.Sprintf("to_unsigned(%d, %d)", o.Imm, w)
+		return w.s("to_unsigned(").d64(o.Imm).s(", ").d(n).s(")")
 	}
-	def := d.DefOf[o.Reg]
-	srcW := 32
-	srcSigned := signed
-	if def != nil {
-		srcW = def.Width
-		srcSigned = def.Signed
+	srcW, srcSigned := 32, signed
+	if def := d.DefOf[o.Reg]; def != nil {
+		srcW, srcSigned = def.Width, def.Signed
 	}
-	base := sigName(o.Reg)
-	var typed string
+	typed := "unsigned("
 	if srcSigned {
-		typed = fmt.Sprintf("signed(%s)", base)
-	} else {
-		typed = fmt.Sprintf("unsigned(%s)", base)
+		typed = "signed("
 	}
 	if srcSigned != signed {
 		// Re-interpret after resizing in the source domain.
+		cast := "unsigned(resize("
 		if signed {
-			typed = fmt.Sprintf("signed(resize(%s, %d))", typed, w)
-		} else {
-			typed = fmt.Sprintf("unsigned(resize(%s, %d))", typed, w)
+			cast = "signed(resize("
 		}
-		return typed
+		return w.s(cast).s(typed).sig(o.Reg).s("), ").d(n).s("))")
 	}
-	if srcW != w {
-		return fmt.Sprintf("resize(%s, %d)", typed, w)
+	if srcW != n {
+		return w.s("resize(").s(typed).sig(o.Reg).s("), ").d(n).s(")")
 	}
-	return typed
+	return w.s(typed).sig(o.Reg).s(")")
 }
 
 // opExpr renders the combinational expression computing op's value.
-func opExpr(d *dp.Datapath, op *dp.Op) string {
+func (w *writer) opExpr(d *dp.Datapath, op *dp.Op) {
 	in := op.Instr
-	w := op.Width
+	n := op.Width
 	s := op.Signed
-	a := func() string { return operand(d, in.Srcs[0], s, w) }
-	b := func() string { return operand(d, in.Srcs[1], s, w) }
-	cast := "std_logic_vector"
+	cast := "std_logic_vector("
+	bin := func(infix string) *writer {
+		return w.s(cast).operand(d, in.Srcs[0], s, n).s(infix).operand(d, in.Srcs[1], s, n).s(")")
+	}
 	switch in.Op {
 	case vm.MOV, vm.LDC, vm.CVT:
-		return fmt.Sprintf("%s(%s)", cast, operand(d, in.Srcs[0], s, w))
+		w.s(cast).operand(d, in.Srcs[0], s, n).s(")")
 	case vm.ADD:
-		return fmt.Sprintf("%s(%s + %s)", cast, a(), b())
+		bin(" + ")
 	case vm.SUB:
-		return fmt.Sprintf("%s(%s - %s)", cast, a(), b())
+		bin(" - ")
 	case vm.MUL:
-		return fmt.Sprintf("%s(resize(%s * %s, %d))", cast, a(), b(), w)
+		w.s(cast).s("resize(").operand(d, in.Srcs[0], s, n).s(" * ").operand(d, in.Srcs[1], s, n).
+			s(", ").d(n).s("))")
 	case vm.DIV:
 		// "All arithmetic opcodes ... with the exception of division":
 		// division instantiates a divider component; the inline form is
 		// emitted for simulation-only builds.
-		return fmt.Sprintf("%s(%s / %s) -- divider core instantiation", cast, a(), b())
+		bin(" / ").s(" -- divider core instantiation")
 	case vm.REM:
-		return fmt.Sprintf("%s(%s rem %s)", cast, a(), b())
+		bin(" rem ")
 	case vm.AND:
-		return fmt.Sprintf("%s(%s and %s)", cast, a(), b())
+		bin(" and ")
 	case vm.IOR:
-		return fmt.Sprintf("%s(%s or %s)", cast, a(), b())
+		bin(" or ")
 	case vm.XOR:
-		return fmt.Sprintf("%s(%s xor %s)", cast, a(), b())
+		bin(" xor ")
 	case vm.NOT:
-		return fmt.Sprintf("%s(not %s)", cast, a())
+		w.s(cast).s("not ").operand(d, in.Srcs[0], s, n).s(")")
 	case vm.NEG:
-		return fmt.Sprintf("%s(-%s)", cast, operand(d, in.Srcs[0], true, w))
+		w.s(cast).s("-").operand(d, in.Srcs[0], true, n).s(")")
 	case vm.SHL:
-		return fmt.Sprintf("%s(shift_left(%s, to_integer(%s)))", cast, a(),
-			operand(d, in.Srcs[1], false, 6))
+		w.s(cast).s("shift_left(").operand(d, in.Srcs[0], s, n).
+			s(", to_integer(").operand(d, in.Srcs[1], false, 6).s(")))")
 	case vm.SHR:
-		return fmt.Sprintf("%s(shift_right(%s, to_integer(%s)))", cast, a(),
-			operand(d, in.Srcs[1], false, 6))
+		w.s(cast).s("shift_right(").operand(d, in.Srcs[0], s, n).
+			s(", to_integer(").operand(d, in.Srcs[1], false, 6).s(")))")
 	case vm.SEQ, vm.SNE, vm.SLT, vm.SLE:
 		wCmp := cmpWidth(d, in)
 		sCmp := cmpSigned(d, in)
-		x := operand(d, in.Srcs[0], sCmp, wCmp)
-		y := operand(d, in.Srcs[1], sCmp, wCmp)
-		rel := map[vm.Opcode]string{vm.SEQ: "=", vm.SNE: "/=", vm.SLT: "<", vm.SLE: "<="}[in.Op]
-		return fmt.Sprintf("\"1\" when %s %s %s else \"0\"", x, rel, y)
+		w.s(`"1" when `).operand(d, in.Srcs[0], sCmp, wCmp).s(" ").s(relation(in.Op)).s(" ").
+			operand(d, in.Srcs[1], sCmp, wCmp).s(` else "0"`)
 	case vm.MUX:
-		sel := sigName(in.Srcs[0].Reg)
-		if in.Srcs[0].IsImm {
-			sel = fmt.Sprintf("\"%d\"", in.Srcs[0].Imm&1)
+		w.s("std_logic_vector(").operand(d, in.Srcs[1], s, n).s(") when ")
+		if sel := in.Srcs[0]; sel.IsImm {
+			w.s(`"`).d64(sel.Imm & 1).s(`"`)
+		} else {
+			w.sig(sel.Reg)
 		}
-		t := fmt.Sprintf("std_logic_vector(%s)", operand(d, in.Srcs[1], s, w))
-		f := fmt.Sprintf("std_logic_vector(%s)", operand(d, in.Srcs[2], s, w))
-		return fmt.Sprintf("%s when %s = \"1\" else %s", t, sel, f)
+		w.s(` = "1" else std_logic_vector(`).operand(d, in.Srcs[2], s, n).s(")")
 	default:
-		return "(others => '0')"
+		w.s("(others => '0')")
 	}
+}
+
+// relation is the VHDL relational operator of a comparison opcode.
+func relation(op vm.Opcode) string {
+	switch op {
+	case vm.SEQ:
+		return "="
+	case vm.SNE:
+		return "/="
+	case vm.SLT:
+		return "<"
+	}
+	return "<="
 }
 
 // cmpWidth picks a comparison width covering both operands plus a sign
@@ -187,24 +243,26 @@ func cmpSigned(d *dp.Datapath, in *vm.Instr) bool {
 // process holding the pipeline registers and feedback latches, and ROM
 // instantiations for LUT ops.
 func emitTop(d *dp.Datapath) string {
-	var b strings.Builder
-	name := d.Name + "_dp"
-	b.WriteString("library IEEE;\nuse IEEE.std_logic_1164.all;\nuse IEEE.numeric_std.all;\n\n")
-	fmt.Fprintf(&b, "-- Generated by the ROCCC reproduction: pipelined data path %q\n", d.Name)
-	fmt.Fprintf(&b, "-- %d ops, %d pipeline stages, target period %.2f ns\n\n", d.NumOps(), d.Stages, d.Period)
-	fmt.Fprintf(&b, "entity %s is\n  port (\n    clk : in std_logic;\n    rst : in std_logic;\n", name)
+	var b writer
+	// A data path takes 120-180 bytes per op on Table 1 and ci/corpus;
+	// the estimate errs high so that the text rarely outgrows it.
+	b.Grow(512 + 3*len(d.Name) + 200*len(d.Ops) + 48*len(d.Nodes) + 160*len(d.Feedbacks))
+	b.s(header)
+	b.s("-- Generated by the ROCCC reproduction: pipelined data path ").quote(d.Name).s("\n")
+	b.s("-- ").d(d.NumOps()).s(" ops, ").d(d.Stages).s(" pipeline stages, target period ").f2(d.Period).s(" ns\n\n")
+	b.s("entity ").s(d.Name).s("_dp is\n  port (\n    clk : in std_logic;\n    rst : in std_logic;\n")
 	for _, p := range d.Inputs {
-		fmt.Fprintf(&b, "    %s : in %s;  -- %s\n", sigName(p.Reg), slv(p.Width), p.Var.Name)
+		b.s("    ").sig(p.Reg).s(" : in ").slv(p.Width).s(";  -- ").s(p.Var.Name).s("\n")
 	}
 	for i, p := range d.Outputs {
 		sep := ";"
 		if i == len(d.Outputs)-1 {
 			sep = ""
 		}
-		fmt.Fprintf(&b, "    %s_out : out %s%s  -- %s\n", sigName(p.Reg), slv(p.Width), sep, p.Var.Name)
+		b.s("    ").sig(p.Reg).s("_out : out ").slv(p.Width).s(sep).s("  -- ").s(p.Var.Name).s("\n")
 	}
-	b.WriteString("  );\nend entity;\n\n")
-	fmt.Fprintf(&b, "architecture rtl of %s is\n", name)
+	b.s("  );\nend entity;\n\n")
+	b.s("architecture rtl of ").s(d.Name).s("_dp is\n")
 
 	// Wire declarations: every op's result ("every virtual register ...
 	// converted into wires"); an input's wire is its port. Registered
@@ -214,65 +272,66 @@ func emitTop(d *dp.Datapath) string {
 			continue
 		}
 		if op.Node.Kind != dp.InputNode {
-			fmt.Fprintf(&b, "  signal %s : %s;\n", sigName(op.Instr.Dst), slv(op.Width))
+			b.s("  signal ").sig(op.Instr.Dst).s(" : ").slv(op.Width).s(";\n")
 		}
 		if registered(op) {
-			fmt.Fprintf(&b, "  signal %s_q : %s;\n", sigName(op.Instr.Dst), slv(op.Width))
+			b.s("  signal ").sig(op.Instr.Dst).s("_q : ").slv(op.Width).s(";\n")
 		}
 	}
 	for _, fb := range d.Feedbacks {
-		fmt.Fprintf(&b, "  signal fb_%s : %s; -- feedback latch (LPR/SNX)\n",
-			fb.State.Name, slv(fb.State.Type.Bits))
+		b.s("  signal fb_").s(fb.State.Name).s(" : ").slv(fb.State.Type.Bits).s("; -- feedback latch (LPR/SNX)\n")
 	}
-	b.WriteString("begin\n")
+	b.s("begin\n")
 
 	// Node-by-node concurrent statements, grouped with comments that
 	// preserve the soft/mux/pipe structure of §4.2.2.
-	nodes := append([]*dp.Node{}, d.Nodes...)
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
+	nodes := slices.Clone(d.Nodes)
+	slices.SortFunc(nodes, func(x, y *dp.Node) int { return x.ID - y.ID })
 	for _, n := range nodes {
 		if n.Kind == dp.InputNode {
 			continue
 		}
-		fmt.Fprintf(&b, "\n  -- node %d (%s, level %d)\n", n.ID, n.Kind, n.Level)
+		b.s("\n  -- node ").d(n.ID).s(" (").s(n.Kind.String()).s(", level ").d(n.Level).s(")\n")
 		for _, op := range n.Ops {
 			in := op.Instr
 			switch in.Op {
 			case vm.SNX:
-				fmt.Fprintf(&b, "  -- snx %s feeds the feedback latch in the clocked process\n", in.State.Name)
+				b.s("  -- snx ").s(in.State.Name).s(" feeds the feedback latch in the clocked process\n")
 			case vm.LPR:
-				fmt.Fprintf(&b, "  %s <= fb_%s;\n", sigName(in.Dst), in.State.Name)
+				b.s("  ").sig(in.Dst).s(" <= fb_").s(in.State.Name).s(";\n")
 			case vm.LUT:
-				fmt.Fprintf(&b, "  u_%s_%d: entity work.rom_%s port map (addr => %s, data => %s);\n",
-					in.Rom.Name, op.ID, in.Rom.Name, sigName(in.Srcs[0].Reg), sigName(in.Dst))
+				b.s("  u_").s(in.Rom.Name).s("_").d(op.ID).s(": entity work.rom_").s(in.Rom.Name).
+					s(" port map (addr => ").sig(in.Srcs[0].Reg).s(", data => ").sig(in.Dst).s(");\n")
 			default:
-				fmt.Fprintf(&b, "  %s <= %s;\n", sigName(in.Dst), opExpr(d, op))
+				b.s("  ").sig(in.Dst).s(" <= ")
+				b.opExpr(d, op)
+				b.s(";\n")
 			}
 		}
 	}
 
 	// Clocked process: pipeline registers and feedback latches (§4.2.3).
-	b.WriteString("\n  pipeline: process(clk)\n  begin\n    if rising_edge(clk) then\n      if rst = '1' then\n")
+	b.s("\n  pipeline: process(clk)\n  begin\n    if rising_edge(clk) then\n      if rst = '1' then\n")
 	for _, fb := range d.Feedbacks {
-		fmt.Fprintf(&b, "        fb_%s <= std_logic_vector(to_signed(%d, %d));\n",
-			fb.State.Name, fb.Init, fb.State.Type.Bits)
+		b.s("        fb_").s(fb.State.Name).s(" <= std_logic_vector(to_signed(").d64(fb.Init).s(", ").
+			d(fb.State.Type.Bits).s("));\n")
 	}
-	b.WriteString("      else\n")
+	b.s("      else\n")
 	for _, op := range d.Ops {
 		if registered(op) {
-			fmt.Fprintf(&b, "        %s_q <= %s;\n", sigName(op.Instr.Dst), sigName(op.Instr.Dst))
+			b.s("        ").sig(op.Instr.Dst).s("_q <= ").sig(op.Instr.Dst).s(";\n")
 		}
 	}
 	for _, fb := range d.Feedbacks {
 		src := fb.SNX.Instr.Srcs[0]
-		fmt.Fprintf(&b, "        fb_%s <= %s;\n", fb.State.Name, sigName(src.Reg))
+		b.s("        fb_").s(fb.State.Name).s(" <= ").sig(src.Reg).s(";\n")
 	}
-	b.WriteString("      end if;\n    end if;\n  end process;\n\n")
+	b.s("      end if;\n    end if;\n  end process;\n\n")
 
 	for _, p := range d.Outputs {
-		fmt.Fprintf(&b, "  %s_out <= %s;\n", sigName(p.Reg), sigName(p.Reg))
+		b.s("  ").sig(p.Reg).s("_out <= ").sig(p.Reg).s(";\n")
 	}
-	b.WriteString("end architecture;\n")
+	b.s("end architecture;\n")
 	return b.String()
 }
 
@@ -286,34 +345,39 @@ func registered(op *dp.Op) bool { return op.Latched && op.Instr.Op.HasDst() }
 // ROM IP core unit in the VHDL code. The only thing the user needs to do
 // is to edit a pure text initialization file").
 func EmitRom(r *hir.Rom) File {
-	var b strings.Builder
-	b.WriteString("library IEEE;\nuse IEEE.std_logic_1164.all;\nuse IEEE.numeric_std.all;\n\n")
+	var b writer
+	bits := r.Elem.Bits
+	// A CONTENT line is 40 bytes of text plus its address, its width and
+	// a value of at most bits/3+2 characters.
+	b.Grow(384 + 3*len(r.Name) + len(r.Content)*(48+bits/3))
+	b.s(header)
 	addrW := 1
 	for 1<<uint(addrW) < r.Size {
 		addrW++
 	}
-	fmt.Fprintf(&b, "entity rom_%s is\n  port (\n    addr : in std_logic_vector(%d downto 0);\n    data : out std_logic_vector(%d downto 0)\n  );\nend entity;\n\n",
-		r.Name, addrW-1, r.Elem.Bits-1)
-	fmt.Fprintf(&b, "architecture rtl of rom_%s is\n", r.Name)
-	fmt.Fprintf(&b, "  type rom_t is array (0 to %d) of std_logic_vector(%d downto 0);\n", r.Size-1, r.Elem.Bits-1)
-	b.WriteString("  constant CONTENT : rom_t := (\n")
+	b.s("entity rom_").s(r.Name).s(" is\n  port (\n    addr : in ").slv(addrW).s(";\n    data : out ").slv(bits).
+		s("\n  );\nend entity;\n\n")
+	b.s("architecture rtl of rom_").s(r.Name).s(" is\n")
+	b.s("  type rom_t is array (0 to ").d(r.Size - 1).s(") of ").slv(bits).s(";\n")
+	b.s("  constant CONTENT : rom_t := (\n")
 	for i, v := range r.Content {
-		sep := ","
+		sep := ",\n"
 		if i == len(r.Content)-1 {
-			sep = ""
+			sep = "\n"
 		}
-		fmt.Fprintf(&b, "    %d => std_logic_vector(to_signed(%d, %d))%s\n", i, v, r.Elem.Bits, sep)
+		b.s("    ").d(i).s(" => std_logic_vector(to_signed(").d64(v).s(", ").d(bits).s("))").s(sep)
 	}
-	b.WriteString("  );\nbegin\n  data <= CONTENT(to_integer(unsigned(addr)));\nend architecture;\n")
+	b.s("  );\nbegin\n  data <= CONTENT(to_integer(unsigned(addr)));\nend architecture;\n")
 	return File{Name: "rom_" + r.Name + ".vhd", Content: b.String()}
 }
 
 // RomInitFile renders the plain-text initialization file for a ROM.
 func RomInitFile(r *hir.Rom) File {
-	var b strings.Builder
-	fmt.Fprintf(&b, "-- init file for lookup table %s: %d x %d bits\n", r.Name, r.Size, r.Elem.Bits)
+	var b writer
+	b.Grow(96 + len(r.Name) + len(r.Content)*(3+r.Elem.Bits/3))
+	b.s("-- init file for lookup table ").s(r.Name).s(": ").d(r.Size).s(" x ").d(r.Elem.Bits).s(" bits\n")
 	for _, v := range r.Content {
-		fmt.Fprintf(&b, "%d\n", v)
+		b.d64(v).s("\n")
 	}
 	return File{Name: r.Name + ".init", Content: b.String()}
 }
