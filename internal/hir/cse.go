@@ -1,8 +1,9 @@
 package hir
 
 import (
-	"fmt"
 	"sort"
+
+	"roccc/internal/cc"
 )
 
 // cse.go implements local value numbering over linearized regions —
@@ -21,13 +22,42 @@ func CSE(f *Func) int {
 
 type vnState struct {
 	varVN  map[*Var]int
-	exprVN map[string]int
+	exprVN map[vnKey]int
 	repOf  map[int]*Var // value number -> variable currently holding it
-	next   int
+	// Leaf value numbers of constants and feedback reads, so that every
+	// operand of a linearized expression is one value number.
+	constVN map[Const]int
+	lprVN   map[*Var]int
+	next    int
 }
 
+// vnKey is the value-numbering key of a linearized right-hand side: its
+// form, operator and result type, and the value numbers of its leaf
+// operands. Two right-hand sides get one value number exactly when
+// their keys are equal.
+type vnKey struct {
+	form    exprForm
+	op      Op
+	typ     cc.IntType
+	x, y, z int    // operand value numbers
+	rom     string // lookup table of a LutRef
+}
+
+// exprForm tells apart the expression types a vnKey can stand for.
+type exprForm uint8
+
+const (
+	formLeaf exprForm = iota // a constant, variable or feedback read
+	formLut
+	formUn
+	formBin
+	formSel
+	formCast
+)
+
 func newVNState() *vnState {
-	return &vnState{varVN: map[*Var]int{}, exprVN: map[string]int{}, repOf: map[int]*Var{}}
+	return &vnState{varVN: map[*Var]int{}, exprVN: map[vnKey]int{}, repOf: map[int]*Var{},
+		constVN: map[Const]int{}, lprVN: map[*Var]int{}}
 }
 
 func (st *vnState) fresh() int {
@@ -57,56 +87,64 @@ var commutative = map[Op]bool{
 	OpEq: true, OpNe: true, OpLAnd: true, OpLOr: true,
 }
 
+// leafVN returns the value number of a linearized operand: a variable's
+// current one, or one per distinct constant (value and type) and per
+// feedback-read variable, which is constant within one iteration. Each
+// kind draws from the one counter, so no two kinds share a number. ok is
+// false for anything else.
+func (st *vnState) leafVN(e Expr) (int, bool) {
+	switch e := e.(type) {
+	case *VarRef:
+		return st.vnOfVar(e.Var), true
+	case *Const:
+		vn, ok := st.constVN[*e]
+		if !ok {
+			vn = st.fresh()
+			st.constVN[*e] = vn
+		}
+		return vn, true
+	case *LoadPrev:
+		vn, ok := st.lprVN[e.Var]
+		if !ok {
+			vn = st.fresh()
+			st.lprVN[e.Var] = vn
+		}
+		return vn, true
+	}
+	return 0, false
+}
+
 // keyOf builds the canonical value-numbering key for a linearized
 // expression; ok is false when the expression must not be numbered
 // (memory loads and anything unrecognized).
-func (st *vnState) keyOf(e Expr) (string, bool) {
+func (st *vnState) keyOf(e Expr) (vnKey, bool) {
 	switch e := e.(type) {
-	case *Const:
-		return fmt.Sprintf("c%d:%s", e.Val, e.Typ), true
-	case *VarRef:
-		return fmt.Sprintf("v%d", st.vnOfVar(e.Var)), true
-	case *LoadPrev:
-		// LPR reads the feedback latch, constant within one iteration.
-		return fmt.Sprintf("lpr:%p", e.Var), true
+	case *Const, *VarRef, *LoadPrev:
+		x, _ := st.leafVN(e)
+		return vnKey{form: formLeaf, x: x}, true
 	case *LutRef:
-		k, ok := st.keyOf(e.Idx)
-		if !ok {
-			return "", false
-		}
-		return fmt.Sprintf("lut:%s[%s]", e.Rom.Name, k), true
+		x, ok := st.leafVN(e.Idx)
+		return vnKey{form: formLut, x: x, rom: e.Rom.Name}, ok
 	case *Un:
-		k, ok := st.keyOf(e.X)
-		if !ok {
-			return "", false
-		}
-		return fmt.Sprintf("u%d:%s:%s", e.Op, k, e.Typ), true
+		x, ok := st.leafVN(e.X)
+		return vnKey{form: formUn, op: e.Op, typ: e.Typ, x: x}, ok
 	case *Bin:
-		kx, okx := st.keyOf(e.X)
-		ky, oky := st.keyOf(e.Y)
-		if !okx || !oky {
-			return "", false
+		x, okx := st.leafVN(e.X)
+		y, oky := st.leafVN(e.Y)
+		if commutative[e.Op] && y < x {
+			x, y = y, x
 		}
-		if commutative[e.Op] && ky < kx {
-			kx, ky = ky, kx
-		}
-		return fmt.Sprintf("b%d:%s:%s:%s", e.Op, kx, ky, e.Typ), true
+		return vnKey{form: formBin, op: e.Op, typ: e.Typ, x: x, y: y}, okx && oky
 	case *Sel:
-		kc, okc := st.keyOf(e.Cond)
-		kt, okt := st.keyOf(e.Then)
-		ke, oke := st.keyOf(e.Else)
-		if !okc || !okt || !oke {
-			return "", false
-		}
-		return fmt.Sprintf("s:%s?%s:%s:%s", kc, kt, ke, e.Typ), true
+		c, okc := st.leafVN(e.Cond)
+		t, okt := st.leafVN(e.Then)
+		f, okf := st.leafVN(e.Else)
+		return vnKey{form: formSel, typ: e.Typ, x: c, y: t, z: f}, okc && okt && okf
 	case *Cast:
-		k, ok := st.keyOf(e.X)
-		if !ok {
-			return "", false
-		}
-		return fmt.Sprintf("cast:%s:%s", k, e.Typ), true
+		x, ok := st.leafVN(e.X)
+		return vnKey{form: formCast, typ: e.Typ, x: x}, ok
 	default:
-		return "", false
+		return vnKey{}, false
 	}
 }
 

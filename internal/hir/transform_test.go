@@ -322,6 +322,33 @@ func TestCSERemovesDuplicates(t *testing.T) {
 	semanticsPreserved(t, src, "f", func(f *Func) { CSE(f); CopyProp(f); DCE(f) })
 }
 
+// TestCSECommutativeOperands checks that value numbering orders the
+// operands of a commutative operator: a+b and b+a, then t*c and c*t,
+// each get one value number.
+func TestCSECommutativeOperands(t *testing.T) {
+	src := `void f(int a, int b, int c, int* o1, int* o2) {
+		*o1 = (a + b) * c;
+		*o2 = c * (b + a);
+	}`
+	_, f := mustBuild(t, src, "f")
+	if n := CSE(f); n != 2 {
+		t.Errorf("CSE replaced %d, want 2 (b+a and c*(b+a))", n)
+	}
+	CopyProp(f)
+	DCE(f)
+	ops := map[Op]int{}
+	VisitExprs(f.Body, func(e Expr) Expr {
+		if b, ok := e.(*Bin); ok {
+			ops[b.Op]++
+		}
+		return e
+	})
+	if ops[OpAdd] != 1 || ops[OpMul] != 1 || len(ops) != 2 {
+		t.Errorf("binary ops after CSE = %v, want one add and one mul", ops)
+	}
+	semanticsPreserved(t, src, "f", func(f *Func) { CSE(f); CopyProp(f); DCE(f) })
+}
+
 func TestCSEPreservesIfElse(t *testing.T) {
 	semanticsPreserved(t, ifElseSource, "if_else", func(f *Func) { CSE(f); CopyProp(f); DCE(f) })
 }
