@@ -411,6 +411,29 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
+// BenchmarkGenerateVHDL measures VHDL emission alone: one op renders
+// the file set of every Table 1 kernel, each compiled once outside the
+// timer.
+func BenchmarkGenerateVHDL(b *testing.B) {
+	var results []*Result
+	for _, k := range bench.All() {
+		res, err := k.Compile()
+		if err != nil {
+			b.Fatal(err)
+		}
+		results = append(results, res)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for _, res := range results {
+			if _, err := GenerateVHDL(res); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkCPUSpeedup regenerates the §1 speedup-over-microprocessor
 // experiment and reports the FIR kernel's speedup factor.
 func BenchmarkCPUSpeedup(b *testing.B) {
