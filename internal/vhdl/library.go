@@ -14,6 +14,8 @@ import (
 // line-buffer (2-D) structure with window-export logic.
 func EmitSmartBuffer(name string, cfg smartbuf.Config) File {
 	var b writer
+	// About 900 bytes of fixed text, a port and a wire per tap and a
+	// line per bus element.
 	b.Grow(1024 + 2*len(name) + 64*len(cfg.Taps) + 64*cfg.BusElems)
 	b.s(header)
 	depth := cfg.StorageBits() / cfg.ElemBits
@@ -65,7 +67,7 @@ func EmitSmartBuffer(name string, cfg smartbuf.Config) File {
 // EmitAddressGenerator renders a sequential read address generator FSM.
 func EmitAddressGenerator(name string, total, busElems, addrBits int) File {
 	var b writer
-	b.Grow(768 + 2*len(name))
+	b.Grow(768 + 2*len(name)) // about 750 bytes of fixed text
 	b.s(header)
 	b.s("-- read address generator: ").d(total).s(" elements, ").d(busElems).s(" per cycle\n")
 	b.s("entity ").s(name).s(" is\n  port (\n    clk : in std_logic;\n    rst : in std_logic;\n    enable : in std_logic;\n    addr : out ").
@@ -87,7 +89,7 @@ func EmitAddressGenerator(name string, total, busElems, addrBits int) File {
 // data path.
 func EmitController(name string, totalIters, latency int) File {
 	var b writer
-	b.Grow(1280 + 2*len(name))
+	b.Grow(1280 + 2*len(name)) // about 1250 bytes of fixed text
 	b.s(header)
 	b.s("-- higher-level controller: ").d(totalIters).s(" iterations, data-path latency ").d(latency).s("\n")
 	b.s("entity ").s(name).s(" is\n  port (\n    clk : in std_logic;\n    rst : in std_logic;\n    window_ready : in std_logic;\n    feed : out std_logic;\n    done : out std_logic\n  );\nend entity;\n\n")

@@ -34,12 +34,13 @@ const header = "library IEEE;\nuse IEEE.std_logic_1164.all;\nuse IEEE.numeric_st
 // line reads as one chain.
 type writer struct{ strings.Builder }
 
+// s appends text.
 func (w *writer) s(text string) *writer {
 	w.WriteString(text)
 	return w
 }
 
-// d appends v in decimal.
+// d and d64 append v in decimal.
 func (w *writer) d(v int) *writer { return w.d64(int64(v)) }
 
 func (w *writer) d64(v int64) *writer {
