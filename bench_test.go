@@ -106,9 +106,10 @@ func BenchmarkFig2ExecutionModel(b *testing.B) {
 	b.ReportMetric(float64(cycles)/17.0, "cycles/output")
 }
 
-// BenchmarkSysRun compares the serial per-cycle interp System.Run
-// dispatch against the default walk of the static memory schedule on
-// identical systems — the regression meter for the system cycle loop.
+// BenchmarkSysRun compares the serial per-cycle System.Run dispatch
+// (Config.Serial, the reference) against the default walk of the static
+// memory schedule on identical systems — the regression meter for the
+// system cycle loop.
 // fig3 is the Fig. 2 benchmark workload (17 iterations: fill/drain-edge
 // heavy); fir4k is the 4096-iteration steady state; wavelet is the
 // Table 1 wavelet, whose 5x5 window sliding by two leaves 151 of its
@@ -116,10 +117,7 @@ func BenchmarkFig2ExecutionModel(b *testing.B) {
 // default variants keep their "-streak" names, which the gates
 // reference. CI gates them at 0 allocs/op and fig3 and fir4k at
 // CPU-conditioned speedup floors over their serial baselines
-// (ci/gates.json, sysbatch group); the committed
-// ci/baseline/BENCH_seed.json holds the pre-batching numbers the
-// trajectory is measured against, which is why the serial rows stay
-// pinned to the interp reference.
+// (ci/gates.json, sysbatch group).
 func BenchmarkSysRun(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -144,7 +142,7 @@ func BenchmarkSysRun(b *testing.B) {
 			name string
 			cfg  netlist.Config
 		}{
-			{tc.name + "-serial", netlist.Config{BusElems: bus, Serial: true, Backend: dp.BackendInterp}},
+			{tc.name + "-serial", netlist.Config{BusElems: bus, Serial: true}},
 			{tc.name + "-streak", netlist.Config{BusElems: bus}},
 		} {
 			b.Run(m.name, func(b *testing.B) {
@@ -292,42 +290,66 @@ func BenchmarkDatapathSim(b *testing.B) {
 	}
 }
 
-// BenchmarkDatapathSimBatch is BenchmarkDatapathSim on the batch path:
-// StepN in 256-iteration dispatches, so ns/op is directly comparable
-// with the serial benchmark's per-Step cost. Sub-benchmarks pair each
-// execution backend with a feedback-free kernel (dct, the pure op-major
-// path) and the feedback kernel (mul_acc, whose accumulate cone the
-// threaded backend vectorizes in closed form); interp's StepN is the
-// serial Step loop. The steady states are gated at 0 allocs/op in CI
-// (codegen group), and the threaded variants at CPU-conditioned
-// speedup floors over interp.
+// BenchmarkDatapathSimBatch times 256-iteration batches, so ns/op is
+// per iteration and directly comparable with BenchmarkDatapathSim's
+// per-Step cost. Each kernel has two rows: -interp is the reference
+// loop, 256 Steps plus Latency() Drains, and -threaded is the one batch
+// path, RunN(256), which feeds and flushes the same clocks. The kernels
+// are a feedback-free one (dct, the pure op-major path) and a feedback
+// one (mul_acc, whose accumulate cone RunN vectorizes in closed form).
+// Both steady states are gated at 0 allocs/op in CI (codegen group),
+// and -threaded at CPU-conditioned speedup floors over -interp.
 func BenchmarkDatapathSimBatch(b *testing.B) {
+	const batch = 256
 	for _, k := range []bench.Kernel{bench.DCT(), bench.MulAcc()} {
 		res, err := k.Compile()
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, backend := range dp.Backends() {
-			b.Run(k.Name+"-"+backend.String(), func(b *testing.B) {
-				sim := dp.NewSimWith(res.Datapath, backend)
-				const batch = 256
-				in := make([]int64, batch*len(res.Datapath.Inputs))
-				rng := rand.New(rand.NewSource(2))
-				for i := range in {
-					in[i] = rng.Int63n(255) - 128
-				}
-				if _, err := sim.StepN(in, batch); err != nil { // warm-up grows the lane scratch
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for n := 0; n < b.N; n += batch {
-					if _, err := sim.StepN(in, batch); err != nil {
+		inW := len(res.Datapath.Inputs)
+		in := make([]int64, batch*inW)
+		rng := rand.New(rand.NewSource(2))
+		for i := range in {
+			in[i] = rng.Int63n(255) - 128
+		}
+		rows := make([][]int64, batch)
+		for j := range rows {
+			rows[j] = make([]int64, inW)
+			for i := range rows[j] {
+				rows[j][i] = in[i*batch+j]
+			}
+		}
+		b.Run(k.Name+"-interp", func(b *testing.B) {
+			sim := dp.NewSim(res.Datapath)
+			lat := sim.Latency()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n += batch {
+				for _, row := range rows {
+					if _, err := sim.Step(row); err != nil {
 						b.Fatal(err)
 					}
 				}
-			})
-		}
+				for c := 0; c < lat; c++ {
+					if _, err := sim.Drain(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+		b.Run(k.Name+"-threaded", func(b *testing.B) {
+			sim := dp.NewSim(res.Datapath)
+			if _, err := sim.RunN(in, batch); err != nil { // warm-up grows the lane scratch
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n += batch {
+				if _, err := sim.RunN(in, batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -10,10 +10,11 @@ import (
 // fleetGolden is a fleet-shaped /metrics document as the front-end of a
 // sharded rocccserve writes it: the front server snapshot plus the
 // router's, with one in-process shard carrying a full per-shard server
-// snapshot (a resident threaded mul_acc with a closed-form cone, and an
-// evicted interp fir). Optional fields are exercised both present
-// (shard 0, mul_acc's pool) and absent (shard 1, a TCP shard; the
-// evicted fir).
+// snapshot (a resident mul_acc with a closed-form cone, and an evicted
+// fir). Optional fields are exercised both present (shard 0, mul_acc's
+// pool) and absent (shard 1, a TCP shard; the evicted fir). Its kernels
+// still carry "backend_configured", which older servers wrote and
+// today's do not: ParseMetrics must keep reading such a document.
 const fleetGolden = `{
   "front": {
     "proto": 2,
@@ -103,8 +104,8 @@ const fleetGolden = `{
 }`
 
 // TestParseMetricsFleetGolden pins the fleet document shape end to end:
-// per-shard servers, per-kernel backend and cone plumbing, and the
-// optional fields' presence/absence semantics.
+// per-shard servers, per-kernel cone plumbing, and the optional fields'
+// presence/absence semantics.
 func TestParseMetricsFleetGolden(t *testing.T) {
 	snap, err := ParseMetrics([]byte(fleetGolden))
 	if err != nil {
@@ -129,8 +130,8 @@ func TestParseMetricsFleetGolden(t *testing.T) {
 		t.Fatalf("shard kernels: %+v", kernels)
 	}
 	ma := kernels[0]
-	if ma.Kernel != "mul_acc" || ma.BackendConfigured != "threaded" || !ma.ClosedFormCone {
-		t.Fatalf("mul_acc backend plumbing: %+v", ma)
+	if ma.Kernel != "mul_acc" || !ma.Compiled || !ma.Resident || !ma.ClosedFormCone || ma.Streams != 200 {
+		t.Fatalf("mul_acc plumbing: %+v", ma)
 	}
 	if ma.Pool == nil || ma.Pool.Gets != ma.Pool.Puts+ma.Pool.Rejected {
 		t.Fatalf("mul_acc pool: %+v", ma.Pool)
@@ -139,7 +140,7 @@ func TestParseMetricsFleetGolden(t *testing.T) {
 	// Optional fields absent: the evicted fir kernel has no pool; the
 	// TCP shard no server.
 	fir := kernels[1]
-	if fir.BackendConfigured != "interp" || fir.Resident || fir.Pool != nil {
+	if fir.Kernel != "fir" || fir.Resident || fir.Pool != nil || fir.Evictions != 1 {
 		t.Fatalf("fir: %+v", fir)
 	}
 	tcp := snap.Fleet.Shards[1]
@@ -150,7 +151,8 @@ func TestParseMetricsFleetGolden(t *testing.T) {
 
 // TestParseMetricsBareServer: a single-server rocccserve serves the
 // bare Metrics object; ParseMetrics must normalize it into a snapshot
-// with no fleet section.
+// with no fleet section, also from an older server whose kernels carry
+// "backend_configured".
 func TestParseMetricsBareServer(t *testing.T) {
 	body := `{"proto": 2, "workers": 4, "served": 9, "sheds": 1,
 	          "kernels": [{"kernel": "fir", "compiled": true, "backend_configured": "interp"}]}`
@@ -164,7 +166,7 @@ func TestParseMetricsBareServer(t *testing.T) {
 	if snap.Front.Served != 9 || snap.Front.Sheds != 1 {
 		t.Fatalf("front: %+v", snap.Front)
 	}
-	if len(snap.Front.Kernels) != 1 || snap.Front.Kernels[0].BackendConfigured != "interp" {
+	if len(snap.Front.Kernels) != 1 || snap.Front.Kernels[0].Kernel != "fir" || !snap.Front.Kernels[0].Compiled {
 		t.Fatalf("kernels: %+v", snap.Front.Kernels)
 	}
 }

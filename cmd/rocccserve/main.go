@@ -12,8 +12,7 @@
 //	           [-metrics :9945] [-max-resident N]
 //
 // Kernels compile on first request and stay cached (the compiled system
-// plan lives on the kernel itself, so every pooled System shares it);
-// every kernel runs on the default threaded execution backend.
+// plan lives on the kernel itself, so every pooled System shares it).
 // With -shards > 1 the process runs a fleet: kernels are
 // consistent-hashed across N in-process worker servers behind a
 // front-end router with admission control (saturated shards shed with a

@@ -5,8 +5,7 @@
 // buffers (span+bus capacity contract) and the emitted VHDL file sets.
 //
 // It runs the nine Table 1 kernels plus every .c file in the checked-in
-// fuzz corpus (ci/corpus), each once (no check reads the execution
-// backend), and exits nonzero on any violation. CI's `static` gate
+// fuzz corpus (ci/corpus), each once, and exits nonzero on any violation. CI's `static` gate
 // parses the final summary line and requires zero violations inside a
 // wall-clock budget.
 package main

@@ -287,30 +287,6 @@ func (c *Controller) Tick(windowReady bool) (feed bool) {
 	return feed
 }
 
-// TickFeedN admits n consecutive guaranteed feed cycles in one
-// transition — exactly n Tick(true) calls that all feed, for callers
-// that have proven the whole streak. It returns false (admitting
-// nothing) if n is not positive or the FSM could not feed n more
-// iterations.
-func (c *Controller) TickFeedN(n int) bool {
-	if n <= 0 {
-		return false
-	}
-	switch c.state {
-	case Idle, Fill, Stream:
-		if c.fed+n > c.TotalIters {
-			return false
-		}
-		c.fed += n
-		c.state = Stream
-		if c.fed >= c.TotalIters {
-			c.state = Drain
-		}
-		return true
-	}
-	return false
-}
-
 // Collect records one completed iteration; when all iterations have
 // completed the FSM reaches its final state.
 //

@@ -292,53 +292,40 @@ func TestGeneratorResetAndNextInto(t *testing.T) {
 	}
 }
 
-// TestTickFeedN pins the bulk admit against the per-cycle FSM: n
-// guaranteed feed Ticks and one TickFeedN(n) must agree on fed count
-// and state from every reachable starting point, and the bulk form
-// must refuse (admitting nothing) what the serial form would refuse.
+// TestTickFeedN pins Tick's feed-to-Drain edge: from 0, 1 and 5 of 8
+// iterations already fed, every feed before the last leaves the FSM
+// streaming, the last one moves it to Drain, and a draining FSM refuses
+// further feeds, ready window or not, without admitting any.
 func TestTickFeedN(t *testing.T) {
+	const total = 8
 	for _, pre := range []int{0, 1, 5} {
-		for _, n := range []int{1, 3, 5} {
-			a := NewController(8, 2)
-			b := NewController(8, 2)
-			for i := 0; i < pre; i++ {
-				a.Tick(true)
-				b.Tick(true)
+		c := NewController(total, 2)
+		for i := 0; i < pre; i++ {
+			c.Tick(true)
+		}
+		if c.Fed() != pre {
+			t.Fatalf("pre=%d: fed %d", pre, c.Fed())
+		}
+		for c.Fed() < total {
+			if !c.Tick(true) {
+				t.Fatalf("pre=%d: Tick refused feed %d of %d", pre, c.Fed()+1, total)
 			}
-			want := pre+n <= 8
-			if got := b.TickFeedN(n); got != want {
-				t.Fatalf("pre=%d n=%d: TickFeedN = %v, want %v", pre, n, got, want)
+			want := Stream
+			if c.Fed() == total {
+				want = Drain
 			}
-			if !want {
-				if b.Fed() != pre {
-					t.Fatalf("refused TickFeedN still admitted: fed %d", b.Fed())
-				}
-				continue
-			}
-			for i := 0; i < n; i++ {
-				if !a.Tick(true) {
-					t.Fatalf("pre=%d n=%d: serial Tick %d refused", pre, n, i)
-				}
-			}
-			if a.Fed() != b.Fed() || a.StateNow() != b.StateNow() {
-				t.Fatalf("pre=%d n=%d: serial fed=%d state=%s, bulk fed=%d state=%s",
-					pre, n, a.Fed(), a.StateNow(), b.Fed(), b.StateNow())
+			if c.StateNow() != want {
+				t.Fatalf("pre=%d: state %s after feed %d, want %s", pre, c.StateNow(), c.Fed(), want)
 			}
 		}
-	}
-	// Draining controllers admit nothing.
-	c := NewController(2, 1)
-	c.Tick(true)
-	c.Tick(true)
-	if c.StateNow() != Drain {
-		t.Fatal("controller not draining")
-	}
-	if c.TickFeedN(1) {
-		t.Error("TickFeedN admitted a feed while draining")
-	}
-	if c.TickFeedN(0) {
-		// Zero-length streaks are vacuously fine but nothing to admit.
-		t.Error("TickFeedN(0) reported an admit")
+		for _, ready := range []bool{true, false} {
+			if c.Tick(ready) {
+				t.Fatalf("pre=%d: a draining FSM fed (window ready %v)", pre, ready)
+			}
+			if c.Fed() != total || c.StateNow() != Drain {
+				t.Fatalf("pre=%d: refused feed left fed %d, state %s", pre, c.Fed(), c.StateNow())
+			}
+		}
 	}
 }
 

@@ -8,39 +8,68 @@ import (
 	"roccc/internal/bench"
 	"roccc/internal/core"
 	"roccc/internal/dp"
+	"roccc/internal/vm"
 )
 
-// backend_test.go is the backend differential matrix: the threaded
-// backend runs the same workloads as the interp reference and must
-// match it bit for bit — outputs on every cycle, feedback state, cycle
-// counts, and on faulting schedules the typed *FaultError (operator
-// class and abort cycle). The matrix covers the Table 1 kernels
-// (including the feedback kernels), fuzzed kernels with and without
-// faulting divisions, random bubble schedules, and planted
-// divide-by-zero iterations.
+// backend_test.go pins the one fast path against the one reference:
+// RunN runs the same workloads as the Step/Drain loop and must match it
+// bit for bit — outputs, feedback state, cycle counts, and on faulting
+// schedules the typed *FaultError (operator class and abort cycle). The
+// tests cover the Table 1 kernels (including the feedback kernels),
+// fuzzed kernels with and without faulting divisions, random schedules
+// with bubbles in flight, and planted divide-by-zero iterations.
 
-// TestBackendDifferentialBenchKernels runs the backend matrix over
-// every Table 1 kernel on random bubble schedules.
+// TestBackendDifferentialBenchKernels runs every Table 1 kernel through
+// random RunN schedules against the Step/Drain loop (a second seed
+// beside TestStepNDifferentialBenchKernels), plus two latch kernels
+// whose feedback cone sits past stage 0 (a closed-form and a
+// lane-serial one) and whose update moves the latch even on a bubble's
+// zero inputs: a RunN that starts with bubbles in flight must not let
+// them commit the latch.
 func TestBackendDifferentialBenchKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
+	var shapes schedShapes
 	for _, k := range bench.All() {
 		res, err := k.Compile()
 		if err != nil {
 			t.Fatalf("%s: %v", k.Name, err)
 		}
-		if got := dp.NewSim(res.Datapath).Backend(); got != dp.BackendThreaded {
-			t.Fatalf("%s: NewSim runs on %v, want the threaded default", k.Name, got)
-		}
-		diffSchedule(t, k.Name, res.Datapath, rng, inAny, 700)
+		diffSchedule(t, k.Name, res.Datapath, rng, inAny, 3000, &shapes)
 	}
+	for _, k := range []struct{ name, update string }{
+		{"late-closed-form", "acc = acc + (a * b + 7);"},
+		{"late-lane-serial", "acc = acc * 3 + (a * b + 7);"},
+	} {
+		src := "int32 acc;\nvoid k(int16 a, int16 b, int32* q) {\n\tint i;\n\tacc = 0;\n\tfor (i = 0; i < 1024; i++) {\n\t\t" +
+			k.update + "\n\t\t*q = acc;\n\t}\n}\n"
+		res, err := core.CompileSource(src, "k", core.Options{Optimize: true, PeriodNs: 2.5})
+		if err != nil {
+			t.Fatalf("%s: %v", k.name, err)
+		}
+		if got := dp.NewSim(res.Datapath).HasClosedFormCone(); got != (k.name == "late-closed-form") {
+			t.Fatalf("%s: HasClosedFormCone = %v", k.name, got)
+		}
+		lprStage := -1
+		for _, op := range res.Datapath.Ops {
+			if op.Instr.Op == vm.LPR {
+				lprStage = op.Stage
+			}
+		}
+		if lprStage < 1 {
+			t.Fatalf("%s: the latch is read in stage %d, want a cone past stage 0", k.name, lprStage)
+		}
+		diffSchedule(t, k.name, res.Datapath, rng, inAny, 3000, &shapes)
+	}
+	shapes.requireAll(t)
 }
 
-// TestBackendDifferentialFuzz extends the matrix to fuzzed kernels,
+// TestBackendDifferentialFuzz extends the schedules to fuzzed kernels,
 // rotating division-free kernels with division kernels fed occasional
-// zeros (the threaded backend must abort on the interpreter's cycle
-// with the interpreter's fault).
+// zeros (RunN must abort on the reference's cycle with the reference's
+// fault).
 func TestBackendDifferentialFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(1905))
+	var shapes schedShapes
 	const kernels = 18
 	for ki := 0; ki < kernels; ki++ {
 		withDiv := ki%3 != 2
@@ -56,14 +85,14 @@ func TestBackendDifferentialFuzz(t *testing.T) {
 		if withDiv {
 			mode = inZeros
 		}
-		diffSchedule(t, src, res.Datapath, rng, mode, 400)
+		diffSchedule(t, src, res.Datapath, rng, mode, 1500, &shapes)
 	}
+	shapes.requireAll(t)
 }
 
 // TestBackendFaultParity plants exactly one zero divisor at assorted
-// positions (chunk boundaries included) and requires the threaded
-// RunBatch to abort with the interpreter's fault on the interpreter's
-// cycle.
+// positions (chunk boundaries included) and requires RunBatch to abort
+// with the fault of the serial Run on its cycle.
 func TestBackendFaultParity(t *testing.T) {
 	src := `
 void k(int a, int b, int* q) {
@@ -82,11 +111,11 @@ void k(int a, int b, int* q) {
 				iters[i][1] = 0
 			}
 		}
-		ref := dp.NewSimWith(res.Datapath, dp.BackendInterp)
-		_, rerr := ref.RunBatch(iters)
+		ref := dp.NewSim(res.Datapath)
+		_, rerr := ref.Run(iters)
 		var rf *dp.FaultError
 		if !errors.As(rerr, &rf) {
-			t.Fatalf("zeroAt=%d: interp did not raise a FaultError: %v", zeroAt, rerr)
+			t.Fatalf("zeroAt=%d: Run did not raise a FaultError: %v", zeroAt, rerr)
 		}
 		sim := dp.NewSim(res.Datapath)
 		_, berr := sim.RunBatch(iters)
@@ -95,18 +124,18 @@ void k(int a, int b, int* q) {
 			t.Fatalf("zeroAt=%d: no FaultError: %v", zeroAt, berr)
 		}
 		if bf.Op != rf.Op || bf.Cycle != rf.Cycle {
-			t.Fatalf("zeroAt=%d: fault op=%s cycle=%d, interp op=%s cycle=%d",
+			t.Fatalf("zeroAt=%d: fault op=%s cycle=%d, Run op=%s cycle=%d",
 				zeroAt, bf.Op, bf.Cycle, rf.Op, rf.Cycle)
 		}
 		if sim.Cycle() != ref.Cycle() {
-			t.Fatalf("zeroAt=%d: post-abort cycle %d, interp %d", zeroAt, sim.Cycle(), ref.Cycle())
+			t.Fatalf("zeroAt=%d: post-abort cycle %d, Run %d", zeroAt, sim.Cycle(), ref.Cycle())
 		}
 	}
 }
 
 // TestMulAccClosedFormCone: mul_acc's accumulate cone must be
-// recognized in closed form (otherwise the threaded backend silently
-// degrades to the lane-serial path and the kernel keeps serializing).
+// recognized in closed form (otherwise RunN silently degrades to the
+// lane-serial path and the kernel keeps serializing).
 func TestMulAccClosedFormCone(t *testing.T) {
 	res, err := bench.MulAcc().Compile()
 	if err != nil {
@@ -184,9 +213,8 @@ void k() {
 	}
 }
 
-// TestBackendStepNZeroAllocs: the threaded batch steady state must not
-// allocate — the lane kernels are compiled once and the scratch grows
-// once.
+// TestBackendStepNZeroAllocs: RunN's steady state must not allocate —
+// the lane kernels are compiled once and the scratch grows once.
 func TestBackendStepNZeroAllocs(t *testing.T) {
 	for _, k := range []bench.Kernel{bench.DCT(), bench.MulAcc()} {
 		res, err := k.Compile()
@@ -199,31 +227,65 @@ func TestBackendStepNZeroAllocs(t *testing.T) {
 		for i := range in {
 			in[i] = int64(i%251 + 1)
 		}
-		if _, err := sim.StepN(in, n); err != nil {
+		if _, err := sim.RunN(in, n); err != nil {
 			t.Fatalf("%s: %v", k.Name, err)
 		}
 		allocs := testing.AllocsPerRun(50, func() {
-			if _, err := sim.StepN(in, n); err != nil {
-				t.Fatalf("%s: %v", k.Name, err)
-			}
-			if _, err := sim.DrainN(8); err != nil {
+			if _, err := sim.RunN(in, n); err != nil {
 				t.Fatalf("%s: %v", k.Name, err)
 			}
 		})
 		if allocs != 0 {
-			t.Fatalf("%s: StepN/DrainN steady state allocates %.1f allocs/op, want 0", k.Name, allocs)
+			t.Fatalf("%s: RunN steady state allocates %.1f allocs/op, want 0", k.Name, allocs)
 		}
 	}
 }
 
-// TestBackends pins the backend surface: exactly interp and threaded,
-// threaded the zero value.
+// TestBackends pins the one fast path and the one reference: on every
+// Table 1 kernel a fresh Sim's RunN runs on lane chunks (its lane
+// scratch spans the whole batch) and matches Run, the Step/Drain loop,
+// on a second Sim, whose Steps and Drains never touch the lanes.
 func TestBackends(t *testing.T) {
-	bs := dp.Backends()
-	if len(bs) != 2 || bs[0] != dp.BackendInterp || bs[1] != dp.BackendThreaded {
-		t.Fatalf("Backends() = %v, want [interp threaded]", bs)
-	}
-	if var0 := dp.Backend(0); var0 != dp.BackendThreaded {
-		t.Fatalf("zero Backend is %v, want threaded", var0)
+	const n = 200
+	for _, k := range bench.All() {
+		res, err := k.Compile()
+		if err != nil {
+			t.Fatalf("%s: %v", k.Name, err)
+		}
+		d := res.Datapath
+		inW, outW, lat := len(d.Inputs), len(d.Outputs), d.Latency()
+		iters := make([][]int64, n)
+		in := make([]int64, n*inW)
+		for j := range iters {
+			iters[j] = make([]int64, inW)
+			for i := range iters[j] {
+				v := int64((j*7+i*13)%251 + 1)
+				iters[j][i], in[i*n+j] = v, v
+			}
+		}
+		fast, ref := dp.NewSim(d), dp.NewSim(d)
+		got, err := fast.RunN(in, n)
+		if err != nil {
+			t.Fatalf("%s: RunN: %v", k.Name, err)
+		}
+		if want := len(d.Ops) * (d.Stages + n + lat); dp.LaneScratch(fast) != want {
+			t.Fatalf("%s: RunN(%d) left %d lane values, want %d: it did not run as one lane chunk",
+				k.Name, n, dp.LaneScratch(fast), want)
+		}
+		want, err := ref.Run(iters)
+		if err != nil {
+			t.Fatalf("%s: Run: %v", k.Name, err)
+		}
+		if dp.LaneScratch(ref) != 0 {
+			t.Fatalf("%s: the Step/Drain loop grew %d lane values", k.Name, dp.LaneScratch(ref))
+		}
+		for j := range want {
+			for o := 0; o < outW; o++ {
+				if got[o*n+j] != want[j][o] {
+					t.Fatalf("%s: iteration %d port %d: RunN %d, Run %d", k.Name, j, o, got[o*n+j], want[j][o])
+				}
+			}
+		}
+		assertSameState(t, k.Name, d, fast, ref)
 	}
 }

@@ -7,28 +7,27 @@ import (
 	"roccc/internal/vm"
 )
 
-// batch.go is the lane-parallel batch execution path of the threaded
-// backend. Step dispatches the whole plan once per clock; for
-// sweep-style workloads (thousands of iterations through one data path)
-// that per-cycle dispatch dominates. StepN, DrainN and RunN instead
-// execute N clocks per call over a structure-of-arrays lane layout: one
-// flat region of lane values per op, one valid/poison bit per lane, and
-// one lane-kernel call per op per chunk instead of per op per cycle.
-// Each batch is a run of fed clocks followed by bubbles: StepN feeds
-// every clock, DrainN none, and RunN feeds n iterations and flushes the
-// pipeline behind them in the same chunks. The interp reference runs
-// every batch as the serial Step/Drain loop.
+// batch.go is the data path's one batch execution path, RunN. Step
+// dispatches the whole plan once per clock; for sweep-style workloads
+// (thousands of iterations through one data path) that per-cycle
+// dispatch dominates. RunN instead executes its clocks over a
+// structure-of-arrays lane layout: one flat region of lane values per
+// op, one valid/poison bit per lane, and one lane-kernel call per op per
+// chunk instead of per op per cycle. A batch is a run of fed clocks
+// followed by bubbles: RunN feeds n iterations and flushes the pipeline
+// behind them in the same chunks. The serial Step/Drain loop is its
+// reference.
 //
-// The I/O blocks are port-major, as the lane scratch is: an n-clock
-// block holds one column of n values per port, so inputs[i*n+r] is
-// input port i on clock r and the returned block holds output port o
-// on clock r at out[o*n+r] (RunN's on iteration r). A chunk moves each
+// The I/O blocks are port-major, as the lane scratch is: an
+// n-iteration block holds one column of n values per port, so
+// inputs[i*n+r] is input port i of iteration r and the returned block
+// holds output port o of iteration r at out[o*n+r]. A chunk moves each
 // port's column into or out of its op's lane region with one contiguous
 // copy; only the serial step, which takes one row of every port per
 // clock, gathers rows from the columns (serialChunk).
 //
 // Correctness carve-outs, both pinned by differential tests against the
-// serial interp core:
+// serial Step/Drain loop:
 //
 //   - Feedback latches carry a loop-carried dependence (iteration i's
 //     LPR reads what iteration i-1's SNX committed), so the feedback
@@ -38,7 +37,7 @@ import (
 //   - Faults must abort on the same cycle with the same state as the
 //     serial core. The batch computes into scratch lanes without
 //     touching the ring, so on the first detected fault the scratch is
-//     discarded and the chunk replays through the serial interp step —
+//     discarded and the chunk replays through the serial interpreter step —
 //     the abort cycle, error and post-abort state are Step's exactly.
 
 // batchChunkMax bounds the lane scratch: a batch of millions of clocks
@@ -57,69 +56,46 @@ const batchSerialMax = 2
 // op; the chunk is replayed serially to reproduce the exact abort.
 var errBatchFault = errors.New("dp: sim: batch lane fault")
 
-// StepN advances n clocks, feeding one valid iteration per clock from
-// the port-major inputs: one column of n values per input port, so
-// inputs[i*n+r] is port i on clock r (len(Inputs) columns in all). It is
-// bit-identical to n successive Step calls. The returned block is
-// port-major too: out[o*n+r] is output port o after clock r, as Step
-// would have returned it. Like Step's, the block is reused between
-// calls — copy it to retain values. On a fault (e.g. division by zero
-// on a valid iteration) the faulting cycle is aborted exactly as Step
-// aborts it: every cycle before it has committed, and the error is
-// Step's error.
-//
-//roccc:hotpath
-func (s *Sim) StepN(inputs []int64, n int) ([]int64, error) {
-	if err := s.checkBlock("StepN", inputs, n); err != nil {
-		return nil, err
-	}
-	return s.batchRun(inputs, n, n, 0)
-}
-
-// DrainN advances n clocks with pipeline bubbles, bit-identical to n
-// successive Drain calls: zero inputs enter, the bubbles carry poison
-// bits, faults in bubble lanes are masked and bubbles never commit
-// feedback latches. The returned block is port-major like StepN's
-// (out[o*n+r] is output port o after clock r) and is reused between
-// calls.
-//
-//roccc:hotpath
-func (s *Sim) DrainN(n int) ([]int64, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("dp: sim: DrainN with negative count %d", n)
-	}
-	return s.batchRun(nil, 0, n, 0)
-}
-
-// RunN feeds n iterations from a port-major block laid out as StepN's
-// (inputs[i*n+j] is input port i of iteration j), then flushes the
-// pipeline for Latency() clocks in the same batch, so the last
-// iterations' outputs leave without a DrainN of their own. It is
-// bit-identical to n Steps followed by Latency() Drains, including the
-// cycle and the error of a fault, and advances Cycle() by n+Latency().
-// The returned block is aligned by iteration: out[o*n+j] is output port
-// o of iteration j (the outputs of iterations fed before the call are
-// not returned). Like StepN's, the block is reused between calls.
+// RunN feeds n iterations from a port-major block (inputs[i*n+j] is
+// input port i of iteration j, InWidth() columns in all), then flushes
+// the pipeline for Latency() clocks in the same batch, so the last
+// iterations' outputs leave with the call. It is bit-identical to n
+// Steps followed by Latency() Drains, including the cycle and the error
+// of a fault: every cycle before the faulting one has committed, and
+// the error is Step's. It advances Cycle() by n+Latency(). The returned
+// block is aligned by iteration: out[o*n+j] is output port o of
+// iteration j (the outputs of iterations fed before the call are not
+// returned). Like Step's slice, the block is reused between calls —
+// copy it to retain values.
 //
 //roccc:hotpath
 func (s *Sim) RunN(inputs []int64, n int) ([]int64, error) {
-	if err := s.checkBlock("RunN", inputs, n); err != nil {
-		return nil, err
-	}
-	lat := s.p.latency
-	return s.batchRun(inputs, n, n+lat, lat)
-}
-
-// checkBlock validates an n-clock port-major input block.
-func (s *Sim) checkBlock(name string, inputs []int64, n int) error {
 	if n < 0 {
-		return fmt.Errorf("dp: sim: %s with negative count %d", name, n)
+		return nil, fmt.Errorf("dp: sim: RunN with negative count %d", n)
 	}
 	if inW := len(s.p.inSlots); len(inputs) != n*inW {
-		return fmt.Errorf("dp: sim: %s: %d input values, want %d (%d cycles × %d ports)",
-			name, len(inputs), n*inW, n, inW)
+		return nil, fmt.Errorf("dp: sim: RunN: %d input values, want %d (%d iterations × %d ports)",
+			len(inputs), n*inW, n, inW)
 	}
-	return nil
+	outW := len(s.p.outSlots)
+	if cap(s.batchOut) < n*outW {
+		s.batchOut = make([]int64, n*outW)
+	}
+	b := ioBlock{in: inputs, fed: n, out: s.batchOut[:n*outW], skip: s.p.latency}
+	clocks := n + s.p.latency
+	for off := 0; off < clocks; {
+		c := min(clocks-off, batchChunkMax)
+		if rest := clocks - off - c; rest <= batchSerialMax {
+			// A short tail, such as the flush after a full chunk, rides
+			// with this chunk instead of dropping to the serial step.
+			c += rest
+		}
+		if err := s.batchChunk(&b, off, c); err != nil {
+			return nil, err
+		}
+		off += c
+	}
+	return b.out, nil
 }
 
 // RunBatch is Run on the batch path, bit-identical to Run over the same
@@ -162,59 +138,23 @@ func (s *Sim) RunBatch(iters [][]int64) ([][]int64, error) {
 	return outs, nil
 }
 
-// ioBlock is the port-major I/O of one batch of clocks. Clocks [0, fed)
+// ioBlock is the port-major I/O of one RunN batch. Clocks [0, fed)
 // each feed one iteration from in, whose columns hold fed values
 // (in[i*fed+c] is input port i on clock c); the clocks after them are
-// bubbles. Clock c's outputs land at out[o*ostride+c-skip]: the first
-// skip clocks, whose outputs belong to iterations fed before the batch,
-// are not returned.
+// the flush's bubbles. Clock c's outputs land at out[o*fed+c-skip]: the
+// first skip clocks, whose outputs belong to iterations fed before the
+// batch, are not returned.
 type ioBlock struct {
-	in            []int64
-	fed           int
-	out           []int64
-	ostride, skip int
-}
-
-// batchRun runs `clocks` clocks, the first `fed` of them fed from the
-// columns of in, and returns the outputs of clocks [skip, clocks): on
-// the interp reference as the serial loop, on the threaded backend as
-// scratch-bounded chunks.
-//
-//roccc:hotpath
-func (s *Sim) batchRun(in []int64, fed, clocks, skip int) ([]int64, error) {
-	outW := len(s.p.outSlots)
-	ostride := clocks - skip
-	if cap(s.batchOut) < ostride*outW {
-		s.batchOut = make([]int64, ostride*outW)
-	}
-	b := ioBlock{in: in, fed: fed, out: s.batchOut[:ostride*outW], ostride: ostride, skip: skip}
-	if s.backend == BackendInterp {
-		if err := s.serialChunk(&b, 0, clocks); err != nil {
-			return nil, err
-		}
-		return b.out, nil
-	}
-	for off := 0; off < clocks; {
-		c := min(clocks-off, batchChunkMax)
-		if rest := clocks - off - c; rest <= batchSerialMax {
-			// A short tail, such as RunN's flush after a full chunk,
-			// rides with this chunk instead of dropping to the serial step.
-			c += rest
-		}
-		if err := s.batchChunk(&b, off, c); err != nil {
-			return nil, err
-		}
-		off += c
-	}
-	return b.out, nil
+	in        []int64
+	out       []int64
+	fed, skip int
 }
 
 // serialChunk runs clocks [off, off+n) of a batch through the
-// interpreter step (the interp batch, tiny threaded chunks,
-// pure-feedback plans, and fault replays): each fed clock's input row
-// is gathered from the columns into the Sim's row buffer, a bubble
-// steps the zero row, and step's output row is scattered back into the
-// output columns.
+// interpreter step (tiny chunks, pure-feedback plans, and fault
+// replays): each fed clock's input row is gathered from the columns
+// into the Sim's row buffer, a bubble steps the zero row, and step's
+// output row is scattered back into the output columns.
 //
 //roccc:hotpath
 //roccc:serial-replay
@@ -233,7 +173,7 @@ func (s *Sim) serialChunk(b *ioBlock, off, n int) error {
 		}
 		if c >= b.skip {
 			for j, v := range o {
-				b.out[j*b.ostride+c-b.skip] = v
+				b.out[j*b.fed+c-b.skip] = v
 			}
 		}
 	}
@@ -282,7 +222,7 @@ func (s *Sim) batchChunk(b *ioBlock, off, n int) error {
 // batchCompute fills the lane scratch of clocks [off, off+n), the first
 // `valid` of them fed: validity, in-flight seeds from the ring, the
 // chunk's input columns, then the three execution classes through the
-// plan's threaded lane kernels — the feedback cone in closed form when
+// plan's lane kernels — the feedback cone in closed form when
 // recognized, lane by lane otherwise.
 //
 //roccc:hotpath
@@ -740,7 +680,7 @@ func (s *Sim) commitChunk(b *ioBlock, off, n, valid int, lanes []int64, laneN in
 		for i := range p.outSlots {
 			o := &p.outSlots[i]
 			lbase := (int(o.base)>>p.opShift)*laneN + stages - p.latency
-			col := i*b.ostride + off - b.skip
+			col := i*b.fed + off - b.skip
 			copy(b.out[col+r0:col+n], lanes[lbase+r0:lbase+n])
 		}
 	}

@@ -2,7 +2,7 @@ package dp
 
 import "roccc/internal/vm"
 
-// cone.go vectorizes the feedback cone for the threaded backend. The
+// cone.go vectorizes the feedback cone for the batch path (RunN). The
 // batch path's one serialization point is simPlan.batchB: iteration k's
 // latch read (LPR) depends on iteration k-1's latch write (SNX), so
 // batchCone walks the cone lane by lane, dragging the whole op list
@@ -63,9 +63,9 @@ func (p *simPlan) coneFor() *coneSpec {
 }
 
 // HasClosedFormCone reports whether the plan's feedback cone (if any)
-// was recognized in closed form, i.e. whether the threaded backend
-// vectorizes this kernel's accumulate instead of serializing lanes.
-// Exposed for the metrics plane and the differential tests.
+// was recognized in closed form, i.e. whether RunN vectorizes this
+// kernel's accumulate instead of serializing lanes. Exposed for the
+// metrics plane and the differential tests.
 func (s *Sim) HasClosedFormCone() bool { return s.p.coneFor() != nil }
 
 // Operand provenance tags for the recognizer's single forward walk.

@@ -2,27 +2,26 @@ package dp
 
 import "roccc/internal/vm"
 
-// backend_threaded.go lowers a simPlan's batch classes into lane
-// kernels: one closure per op, compiled once per plan and shared by
-// every Sim over it, that StepN/DrainN run over chunks of more than
-// batchSerialMax clocks. The paper's premise is that the data path for
-// a given C kernel is fully static — every op, width, stage and wire is
-// fixed at compile time — so nothing about an op needs re-deciding each
-// cycle. Where the interpreter loop pays a switch dispatch and
-// descriptor loads per op per cycle, a lane kernel has its opcode
-// selected, its operand layout (ring×ring, ring×immediate, ...)
-// specialized and its fused wrap baked in, and runs once per op per
-// chunk. Each kernel takes the chunk's lane stride (stages+n) per call
-// and locates each operand region with one multiply per operand per
-// chunk. Step and Drain, and every chunk too short to batch, run the
-// interpreter loop (sim.go) on both backends.
+// lanes.go lowers a simPlan's batch classes into lane kernels: one
+// closure per op, compiled once per plan and shared by every Sim over
+// it, that RunN runs over chunks of more than batchSerialMax clocks.
+// The paper's premise is that the data path for a given C kernel is
+// fully static — every op, width, stage and wire is fixed at compile
+// time — so nothing about an op needs re-deciding each cycle. Where the
+// interpreter loop pays a switch dispatch and descriptor loads per op
+// per cycle, a lane kernel has its opcode selected, its operand layout
+// (ring×ring, ring×immediate, ...) specialized and its fused wrap baked
+// in, and runs once per op per chunk. Each kernel takes the chunk's
+// lane stride (stages+n) per call and locates each operand region with
+// one multiply per operand per chunk. Step and Drain, and every chunk
+// too short to batch, run the interpreter loop (sim.go).
 //
 // Fault semantics keep the replay contract: a lane kernel returning
 // false makes the chunk discard its scratch and replay serially through
 // the interpreter step, so abort cycle, typed *FaultError and
 // post-abort state are the interpreter's bit-for-bit.
 
-// laneFn is one op of the threaded batch path, operating on the chunk's
+// laneFn is one op of the batch path, operating on the chunk's
 // lane scratch: n admitted clocks at lane stride laneN (stages+n).
 // false signals a fault on a valid lane.
 type laneFn func(lanes []int64, lv []bool, n, laneN int) bool

@@ -21,20 +21,16 @@ import (
 // integer-indexed execution plan (dense operand descriptors, pre-resolved
 // wrap masks, feedback-latch slots and one flat ring buffer holding every
 // op's register history), which Step and Drain walk with switch dispatch
-// on either backend — no map lookups and zero heap allocations per
-// cycle. The backend only selects how StepN and DrainN run (backend.go).
-// The plan is cached on the Datapath itself: repeated NewSim calls over
-// one data path (ablation/unroll sweeps, System reuse) share it and skip
-// recompilation. RefSim keeps the direct, map-based §4.2.3 semantics;
-// the two are checked bit-identical by differential tests.
+// — no map lookups and zero heap allocations per cycle. RunN runs the
+// same plan over lane chunks (batch.go), bit-identical to the Step and
+// Drain loop it stands for. The plan is cached on the Datapath itself:
+// repeated NewSim calls over one data path (ablation/unroll sweeps,
+// System reuse) share it and skip recompilation. RefSim keeps the
+// direct, map-based §4.2.3 semantics; the two are checked bit-identical
+// by differential tests.
 type Sim struct {
 	d *Datapath
 	p *simPlan
-	// backend selects how StepN and DrainN run (backend.go): as the
-	// plan's lane kernels or as the serial step loop. The lane kernels
-	// live on the shared simPlan; the choice of whether to use them is
-	// per-Sim.
-	backend Backend
 
 	// ring holds every op's output history: one rdepth-sized circular
 	// region per op (region base = op index × rdepth). ring[base+head] is
@@ -62,17 +58,16 @@ type Sim struct {
 	outBuf  []int64
 	zeroBuf []int64
 	// rowBuf is the input row serialChunk gathers from a port-major
-	// StepN block for each clock it steps.
+	// RunN block for each clock it steps.
 	rowBuf []int64
 	cycle  int
 
 	// Batch-path scratch (batch.go): structure-of-arrays lane values (one
 	// flat region per op, stride stages+n for an n-clock chunk), per-lane
-	// valid bits, the flat output/input buffers reused across
-	// StepN/DrainN/RunN/RunBatch calls, and the running feedback state of
-	// the feedback cone. All grow on first use to the largest chunk seen
-	// and are reused afterwards, so the batch steady state allocates
-	// nothing.
+	// valid bits, the flat output/input buffers reused across RunN and
+	// RunBatch calls, and the running feedback state of the feedback
+	// cone. All grow on first use to the largest chunk seen and are
+	// reused afterwards, so the batch steady state allocates nothing.
 	laneVals   []int64
 	laneValid  []bool
 	batchOut   []int64
@@ -97,7 +92,7 @@ type simPlan struct {
 	rmask  int
 	stages int
 
-	// Batch-path (StepN) tables. opShift turns a ring base back into an
+	// Batch-path (RunN) tables. opShift turns a ring base back into an
 	// op index (rdepth is a power of two); opStage is every op's pipeline
 	// stage in d.Ops order (the plan's cops exclude input pseudo-ops, but
 	// seeding in-flight iterations needs all of them); latency mirrors
@@ -130,10 +125,9 @@ type simPlan struct {
 	seeds    []ringEnt
 	commits  []ringEnt
 
-	// Lazily-compiled threaded-backend artifacts, shared by every Sim
-	// over this plan (cone.go, backend_threaded.go): the recognized
-	// closed-form feedback cone, and the batch classes lowered to lane
-	// kernels.
+	// Lazily-compiled batch-path artifacts, shared by every Sim over
+	// this plan (cone.go, lanes.go): the recognized closed-form feedback
+	// cone, and the batch classes lowered to lane kernels.
 	coneOnce   sync.Once
 	cone       *coneSpec
 	threadOnce sync.Once
@@ -436,26 +430,17 @@ func (p *simPlan) partitionBatch() {
 	}
 }
 
-// NewSim instantiates a simulator on the default (threaded) backend
-// over the data path's compiled execution plan (compiling it on first
-// use, reusing it afterwards), with feedback latches reset to their
-// init values.
-func NewSim(d *Datapath) *Sim { return NewSimWith(d, BackendThreaded) }
-
-// NewSimWith builds a simulator over the data path whose StepN and
-// DrainN run through the given backend; Step and Drain are the same
-// interpreter loop on both. The threaded backend's lane kernels are
-// built eagerly here (and cached on the shared plan), so construction —
-// not the first StepN — pays the lowering cost.
-func NewSimWith(d *Datapath, b Backend) *Sim {
+// NewSim instantiates a simulator over the data path's compiled
+// execution plan (compiling it on first use, reusing it afterwards),
+// with feedback latches reset to their init values. RunN's lane kernels
+// are built eagerly here (and cached on the shared plan), so
+// construction — not the first RunN — pays the lowering cost.
+func NewSim(d *Datapath) *Sim {
 	p := d.simPlanFor()
-	if b == BackendThreaded {
-		p.threadFor()
-	}
+	p.threadFor()
 	s := &Sim{
 		d:          d,
 		p:          p,
-		backend:    b,
 		ring:       make([]int64, len(d.Ops)*p.rdepth),
 		rmask:      p.rmask,
 		validRing:  make([]bool, p.rdepth),
@@ -471,10 +456,6 @@ func NewSimWith(d *Datapath, b Backend) *Sim {
 	s.Reset()
 	return s
 }
-
-// Backend reports which execution backend this Sim's StepN and DrainN
-// run through.
-func (s *Sim) Backend() Backend { return s.backend }
 
 // Reset returns the simulator to its power-on state — empty pipeline,
 // cycle zero, feedback latches at their init values — without
@@ -499,14 +480,14 @@ func (s *Sim) Cycle() int { return s.cycle }
 func (s *Sim) Latency() int { return s.d.Latency() }
 
 // InWidth returns the number of input ports one Step consumes — the
-// column count of a port-major StepN input block (an n-clock block
+// column count of a port-major RunN input block (an n-iteration block
 // holds InWidth()*n values, port i's column at [i*n, (i+1)*n)).
 func (s *Sim) InWidth() int { return len(s.p.inSlots) }
 
 // OutWidth returns the number of output ports one Step produces — the
-// column count of the port-major block StepN and DrainN return, so
-// callers can slice one port's n clocks out of it (out[o*n:(o+1)*n])
-// without copying.
+// column count of the port-major block RunN returns, so callers can
+// slice one port's n iterations out of it (out[o*n:(o+1)*n]) without
+// copying.
 func (s *Sim) OutWidth() int { return len(s.p.outSlots) }
 
 // FeedbackByName returns the current value of the feedback latch whose
@@ -574,8 +555,8 @@ func (s *Sim) abort(prevHead int) {
 }
 
 // step advances one clock through the interpreter loop: the reference
-// semantics, and on both backends the only per-cycle path (Step, Drain,
-// short chunks and fault replays).
+// semantics, and the only per-cycle path (Step, Drain, short chunks and
+// fault replays).
 //
 //roccc:hotpath
 func (s *Sim) step(inputs []int64, valid bool) ([]int64, error) {

@@ -55,7 +55,7 @@ func Verify(d *Datapath) []Violation {
 // verifyPlan checks a simPlan's internal consistency: everything that
 // can be established from the plan alone, with no Datapath at hand (the
 // corruption tests construct synthetic plans). The checks mirror the
-// execution model, not the compiler: each one states why Step/StepN
+// execution model, not the compiler: each one states why Step/RunN
 // cannot go out of bounds or diverge from the serial semantics.
 func verifyPlan(p *simPlan) []Violation {
 	var vs violations

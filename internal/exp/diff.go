@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"roccc/internal/core"
-	"roccc/internal/dp"
 	"roccc/internal/fleet"
 	"roccc/internal/netlist"
 	"roccc/internal/serve"
@@ -31,7 +30,7 @@ import (
 // reports both sides' best time.
 
 // LongFIRSource is a long-stream FIR: 4096 iterations, so the steady
-// state (256-cycle StepN chunks) dominates fill and drain — the
+// state (256-cycle RunN chunks) dominates fill and drain — the
 // serve-path shape, where one request streams a long input. It is the
 // workload of both the sweeps' fir_4096 row and the CI-gated
 // BenchmarkSysRun/fir4k pair, shared so the two stay comparable.
@@ -229,7 +228,6 @@ func diffKernel(spec serve.KernelSpec, streams int, open opener) (SweepRow, erro
 	}
 	cfg := spec.Config
 	cfg.Serial = true
-	cfg.Backend = dp.BackendInterp
 	ref, refErr := netlist.NewSystem(res.Kernel, res.Datapath, cfg)
 	run, err := open(spec, res)
 	if refErr != nil {
@@ -302,8 +300,8 @@ func diffKernel(spec serve.KernelSpec, streams int, open opener) (SweepRow, erro
 	return row, nil
 }
 
-// SysBatchSweep checks the default System (threaded, walking the static
-// memory schedule), one per kernel, running one stream at a time.
+// SysBatchSweep checks the default System (walking the static memory
+// schedule), one per kernel, running one stream at a time.
 func SysBatchSweep(specs []serve.KernelSpec, streams int) (*SweepTable, error) {
 	rows, err := sweep(specs, streams, false, func(spec serve.KernelSpec, res *core.Result) (runFunc, error) {
 		sys, err := netlist.NewSystem(res.Kernel, res.Datapath, spec.Config)

@@ -147,15 +147,20 @@ func TestServeSweep(t *testing.T) {
 
 // TestFleetSweep: the pipelined client + router + sharded workers stack
 // must be bit-identical to the reference for the whole matrix, the
-// ci/corpus kernels included, on both execution backends, with every
-// shard pool balanced after the concurrent storm.
+// ci/corpus kernels included, with every shard pool balanced after the
+// concurrent storm. The "threaded" run serves the default schedule
+// walk; the "interp" run serves Serial Systems, the reference loop
+// itself, through the same stack.
 func TestFleetSweep(t *testing.T) {
-	for _, b := range dp.Backends() {
-		t.Run(b.String(), func(t *testing.T) {
+	for _, path := range []struct {
+		name   string
+		serial bool
+	}{{"interp", true}, {"threaded", false}} {
+		t.Run(path.name, func(t *testing.T) {
 			t.Parallel()
 			specs := sweepSpecs(t)
 			for i := range specs {
-				specs[i].Config.Backend = b
+				specs[i].Config.Serial = path.serial
 			}
 			tab, err := FleetSweep(specs, 3, 3)
 			if err != nil {

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"roccc/internal/core"
-	"roccc/internal/dp"
 	"roccc/internal/netlist"
 	"roccc/internal/serve"
 )
@@ -92,7 +91,6 @@ func serialRun(t *testing.T, spec serve.KernelSpec, inputs map[string][]int64) *
 	}
 	cfg := spec.Config
 	cfg.Serial = true
-	cfg.Backend = dp.BackendInterp
 	sys, err := netlist.NewSystem(res.Kernel, res.Datapath, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ type ShardMetrics struct {
 	IdleConns int    `json:"idle_conns"`
 
 	// Server is the in-process shard's full serve snapshot (per-kernel
-	// pool stats, backend/cone info, connection counters); nil for TCP
+	// pool stats, cone info, connection counters); nil for TCP
 	// shards, whose own metrics endpoint reports it.
 	Server *serve.Metrics `json:"server,omitempty"`
 }

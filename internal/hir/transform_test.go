@@ -2,6 +2,7 @@ package hir
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -169,94 +170,110 @@ func TestUnrollByRejectsNonMultiple(t *testing.T) {
 	}
 }
 
+// TestStripMine: UnrollBy on a loop that starts off zero and steps by
+// two. The step scales by the factor, replica k indexes i + k*step, and
+// a factor of 1 returns the loop itself.
 func TestStripMine(t *testing.T) {
-	src := `int A[16]; int B[16]; void f() { int i; for (i = 0; i < 16; i++) { B[i] = A[i] + 1; } }`
+	src := `int A[40]; int B[40]; void f() { int i; for (i = 2; i < 34; i = i + 2) { B[i] = A[i] + 1; } }`
 	_, f := mustBuild(t, src, "f")
-	outer, err := StripMine(f.Body[0].(*For), 4)
+	loop := f.Body[0].(*For)
+	if same, err := UnrollBy(loop, 1); err != nil || same != loop {
+		t.Fatalf("UnrollBy(l, 1) = %p, %v; want the loop itself", same, err)
+	}
+	u, err := UnrollBy(loop, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if outer.Step != 4 {
-		t.Errorf("outer step = %d", outer.Step)
+	if u.Step != 8 {
+		t.Errorf("step = %d, want 8", u.Step)
 	}
-	inner, ok := outer.Body[0].(*For)
-	if !ok {
-		t.Fatalf("inner not a loop")
+	if len(u.Body) != 4 {
+		t.Fatalf("body = %d stores, want 4", len(u.Body))
 	}
-	if inner.Step != 1 {
-		t.Errorf("inner step = %d", inner.Step)
+	if got := ExprString(u.Body[1].(*Store).Idx[0]); got != "(i + 2)" {
+		t.Errorf("replica 1 stores B[%s], want B[(i + 2)]", got)
 	}
 	semanticsPreserved(t, src, "f", func(f *Func) {
-		if nl, err := StripMine(f.Body[0].(*For), 4); err == nil {
+		if nl, err := UnrollBy(f.Body[0].(*For), 4); err == nil {
 			f.Body[0] = nl
 		}
 	})
 }
 
+// TestStripMineAndUnroll: UnrollBy by the whole trip count leaves one
+// iteration whose replicas chain a loop-carried scalar in order, and a
+// loop whose bound is a parameter is refused.
 func TestStripMineAndUnroll(t *testing.T) {
-	src := `int A[16]; int B[16]; void f() { int i; for (i = 0; i < 16; i++) { B[i] = A[i] + 1; } }`
-	_, f := mustBuild(t, src, "f")
-	outer, err := StripMineAndUnroll(f.Body[0].(*For), 4)
+	_, f := mustBuild(t, accumSource, "accum")
+	u, err := UnrollBy(f.Body[1].(*For), 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(outer.Body) != 4 {
-		t.Errorf("widened body = %d stores, want 4", len(outer.Body))
+	if n, ok := TripCount(u); !ok || n != 1 || len(u.Body) != 32 {
+		t.Fatalf("trip count %d (%v), body %d statements; want 1 iteration of 32", n, ok, len(u.Body))
 	}
-	semanticsPreserved(t, src, "f", func(f *Func) {
-		if nl, err := StripMineAndUnroll(f.Body[0].(*For), 4); err == nil {
-			f.Body[0] = nl
+	semanticsPreserved(t, accumSource, "accum", func(f *Func) {
+		if nl, err := UnrollBy(f.Body[1].(*For), 32); err == nil {
+			f.Body[1] = nl
 		}
 	})
+	src := `int A[16]; int B[16]; void f(int n) { int i; for (i = 0; i < n; i++) { B[i] = A[i]; } }`
+	_, f = mustBuild(t, src, "f")
+	if _, err := UnrollBy(f.Body[0].(*For), 4); err == nil || !strings.Contains(err.Error(), "not constant") {
+		t.Errorf("UnrollBy of a parameter-bound loop = %v, want a non-constant bounds error", err)
+	}
 }
 
+// requireTwoLoopRejection: a body of two loops is not one loop nest, so
+// ExtractKernel must refuse it with "statements after the loop nest".
+func requireTwoLoopRejection(t *testing.T, src string) {
+	t.Helper()
+	p, f := mustBuild(t, src, "f")
+	if len(f.Body) != 2 {
+		t.Fatalf("body = %d statements, want the two loops", len(f.Body))
+	}
+	_, err := ExtractKernel(p, f)
+	if err == nil || !strings.Contains(err.Error(), "statements after the loop nest") {
+		t.Fatalf("ExtractKernel = %v, want the statements-after-the-loop-nest rejection", err)
+	}
+}
+
+// TestFuse: two loops over the same range, the second consuming the
+// first's output element-wise.
 func TestFuse(t *testing.T) {
-	src := `
+	requireTwoLoopRejection(t, `
 int A[8]; int B[8]; int C[8];
 void f() {
 	int i; int j;
 	for (i = 0; i < 8; i++) { B[i] = A[i] * 2; }
 	for (j = 0; j < 8; j++) { C[j] = B[j] + 1; }
 }
-`
-	_, f := mustBuild(t, src, "f")
-	if n := FuseAdjacent(f); n != 1 {
-		t.Fatalf("fused %d pairs, want 1", n)
-	}
-	if len(f.Body) != 1 {
-		t.Fatalf("body = %d stmts after fusion", len(f.Body))
-	}
-	semanticsPreserved(t, src, "f", func(f *Func) { FuseAdjacent(f) })
+`)
 }
 
+// TestFuseRejectsOffsetMismatch: the second loop reads the first's
+// output one element ahead.
 func TestFuseRejectsOffsetMismatch(t *testing.T) {
-	src := `
+	requireTwoLoopRejection(t, `
 int A[9]; int B[9]; int C[8];
 void f() {
 	int i; int j;
 	for (i = 0; i < 8; i++) { B[i] = A[i] * 2; }
 	for (j = 0; j < 8; j++) { C[j] = B[j+1] + 1; }
 }
-`
-	_, f := mustBuild(t, src, "f")
-	if n := FuseAdjacent(f); n != 0 {
-		t.Errorf("fused %d pairs, want 0 (loop-carried dependence)", n)
-	}
+`)
 }
 
+// TestFuseRejectsDifferentBounds: the two loops run different ranges.
 func TestFuseRejectsDifferentBounds(t *testing.T) {
-	src := `
+	requireTwoLoopRejection(t, `
 int A[10]; int B[10]; int C[8];
 void f() {
 	int i; int j;
 	for (i = 0; i < 10; i++) { B[i] = A[i]; }
 	for (j = 0; j < 8; j++) { C[j] = B[j]; }
 }
-`
-	_, f := mustBuild(t, src, "f")
-	if n := FuseAdjacent(f); n != 0 {
-		t.Errorf("fused %d pairs, want 0", n)
-	}
+`)
 }
 
 func TestHoistInvariants(t *testing.T) {

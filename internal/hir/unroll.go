@@ -45,7 +45,7 @@ func UnrollFull(l *For) ([]Stmt, error) {
 
 // UnrollBy replicates the loop body factor times per iteration,
 // multiplying the step. The trip count must be a constant multiple of
-// factor (strip-mining handles the general case).
+// factor.
 func UnrollBy(l *For, factor int64) (*For, error) {
 	if factor <= 1 {
 		return l, nil

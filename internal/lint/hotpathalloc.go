@@ -1,7 +1,7 @@
 package lint
 
 // hotpathalloc enforces the repo's per-cycle allocation contract: the
-// simulator's inner loops (Step/StepN/DrainN, the batch classes, the
+// simulator's inner loops (Step/Drain, RunN's batch classes, the
 // smart-buffer pop paths, the controller ticks) run millions of times
 // per Run and must not allocate or dispatch dynamically per call.
 //

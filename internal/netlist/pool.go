@@ -202,14 +202,12 @@ func (p *SystemPool) Get() (*System, error) {
 }
 
 // Put resets a System and returns it to the pool. Systems built for a
-// different kernel, data path, bus width, scalar binding, dispatch path
-// (Config.Serial) or execution backend (Config.Backend) are dropped
-// rather than poisoning the pool, as are returns beyond the MaxIdle
-// cap.
+// different kernel, data path, bus width, scalar binding or dispatch
+// path (Config.Serial) are dropped rather than poisoning the pool, as
+// are returns beyond the MaxIdle cap.
 func (p *SystemPool) Put(sys *System) {
 	if sys == nil || sys.Kernel != p.kernel || sys.Datapath != p.dpath ||
 		sys.BusElems != p.cfg.BusElems || sys.serial != p.cfg.Serial ||
-		sys.Backend() != p.cfg.Backend ||
 		!slices.Equal(sys.scalarVals, p.scalars) {
 		if sys != nil {
 			p.rejected.Add(1)

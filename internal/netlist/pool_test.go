@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"roccc/internal/core"
-	"roccc/internal/dp"
 )
 
 // firJobs builds n FIR input streams (seeded, so serial and sharded
@@ -637,12 +636,13 @@ func TestRunJobZeroAllocs(t *testing.T) {
 	check("fir SystemPool.RunBatch", func() error { return pool.RunBatch(jobs) })
 }
 
-// TestSystemPoolBackend pins the pool's backend plumbing: a pool built
-// with the zero Config serves Systems on the threaded default, every
-// matched return is admitted, Systems on the interp reference or the
-// serial dispatch path are rejected, and the drained-pool accounting
-// invariant Gets == Puts + Rejected holds with those checks in the
-// admission path.
+// TestSystemPoolBackend pins the pool's one path: a pool built with the
+// zero Config serves default-path Systems, every matched return is
+// admitted, a System on the serial reference path is rejected without
+// poisoning the free list, the drained-pool accounting invariant
+// Gets == Puts + Rejected holds with that check in the admission path,
+// and a recycled System still runs the default path (BatchedCycles
+// covers its whole Run).
 func TestSystemPoolBackend(t *testing.T) {
 	res, _ := buildSystem(t, firSource, "fir", core.Options{Optimize: true, PeriodNs: 5}, Config{BusElems: 1})
 	cfg := Config{BusElems: 1}
@@ -658,41 +658,43 @@ func TestSystemPoolBackend(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := sys.Backend(); got != dp.BackendThreaded {
-			t.Fatalf("threaded pool served a System on backend %v", got)
+		if sys.serial {
+			t.Fatal("a default pool served a serial System")
 		}
 		sims[i] = sys
 	}
-	// One mismatched return per foreign axis: the interp backend and
-	// the serial dispatch path; both must be rejected without poisoning
-	// the free list.
-	for _, fcfg := range []Config{{BusElems: 1, Backend: dp.BackendInterp}, {BusElems: 1, Serial: true}} {
-		foreign, err := NewSystem(res.Kernel, res.Datapath, fcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pool.Put(foreign)
+	foreign, err := NewSystem(res.Kernel, res.Datapath, Config{BusElems: 1, Serial: true})
+	if err != nil {
+		t.Fatal(err)
 	}
+	pool.Put(foreign)
 	for _, sys := range sims {
 		pool.Put(sys)
 	}
 	st := pool.Stats()
-	if st.Rejected < 2 {
-		t.Fatalf("backend-mismatched Systems admitted: %+v", st)
+	if st.Rejected != 1 {
+		t.Fatalf("serial System admitted: %+v", st)
 	}
-	// All three Gets were returned; the two foreign Puts are surplus
-	// attempts, so the drained invariant reads Gets + foreign == Puts +
+	// All three Gets were returned; the foreign Put is a surplus
+	// attempt, so the drained invariant reads Gets + 1 == Puts +
 	// Rejected.
-	if st.Gets+2 != st.Puts+st.Rejected {
-		t.Fatalf("pool accounting out of balance: %+v (Gets+2 != Puts+Rejected)", st)
+	if st.Gets+1 != st.Puts+st.Rejected {
+		t.Fatalf("pool accounting out of balance: %+v (Gets+1 != Puts+Rejected)", st)
 	}
-	// A re-Get must come off the free list on the pool's backend.
 	sys, err := pool.Get()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sys.Backend(); got != dp.BackendThreaded {
-		t.Fatalf("recycled System on backend %v, want threaded", got)
+	in := make([]int64, 21)
+	for i := range in {
+		in[i] = int64(i*5 - 40)
+	}
+	job := Job{Inputs: map[string][]int64{"A": in}}
+	if err := sys.RunJob(&job); err != nil {
+		t.Fatal(err)
+	}
+	if sys.serial || sys.BatchedCycles() != sys.Cycles() {
+		t.Fatalf("recycled System: serial %v, %d of %d cycles batched", sys.serial, sys.BatchedCycles(), sys.Cycles())
 	}
 	pool.Put(sys)
 }

@@ -26,10 +26,9 @@ import (
 // feed spacing), and concurrent first Runs racing to derive one plan's
 // schedule.
 
-// diffRun runs the same streams through a serial interpreter System and
-// a default System on cfg's execution backend, both via RunJob, and
-// fails on any divergence DiffJob finds — the failing backend is named
-// in the message. A reference that fails without a fault needs the
+// diffRun runs the same streams through a serial System (the reference)
+// and a default System, both via RunJob, and fails on any divergence
+// DiffJob finds. A reference that fails without a fault needs the
 // same error text. Checks a Job cannot carry ride along: the system
 // clock at an abort, and BRAM read and write parity on every stream,
 // faulted and failed ones included. It returns how many cycles the
@@ -37,12 +36,8 @@ import (
 // callers can assert the batch machinery actually engaged.
 func diffRun(t *testing.T, res *core.Result, cfg Config, streams []map[string][]int64, tag string) int {
 	t.Helper()
-	tag = fmt.Sprintf("%s[%v]", tag, cfg.Backend)
-	// The reference is always the serial interpreter core, whatever
-	// backend the batched system runs.
 	scfg := cfg
 	scfg.Serial = true
-	scfg.Backend = dp.BackendInterp
 	serial, err := NewSystem(res.Kernel, res.Datapath, scfg)
 	if err != nil {
 		t.Fatalf("%s: serial system: %v", tag, err)
@@ -124,25 +119,23 @@ func randStreams(res *core.Result, rng *rand.Rand, n int) []map[string][]int64 {
 // at all — through both dispatch paths.
 func TestSysBatchTable1(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260726))
-	for _, backend := range dp.Backends() {
-		sawChunk := false
-		for _, k := range bench.All() {
-			res, err := k.Compile()
-			if err != nil {
-				t.Fatalf("%s: %v", k.Name, err)
-			}
-			cfg := Config{BusElems: k.BusElems, Scalars: k.Scalars, Backend: backend}
-			if _, err := NewSystem(res.Kernel, res.Datapath, cfg); err != nil {
-				continue // combinational row: no loop nest to stream
-			}
-			bc := diffRun(t, res, cfg, randStreams(res, rng, 4), k.Name)
-			if bc > 0 {
-				sawChunk = true
-			}
+	sawChunk := false
+	for _, k := range bench.All() {
+		res, err := k.Compile()
+		if err != nil {
+			t.Fatalf("%s: %v", k.Name, err)
 		}
-		if !sawChunk {
-			t.Fatalf("[%v] no Table 1 kernel dispatched a single schedule chunk; the batch path never engaged", backend)
+		cfg := Config{BusElems: k.BusElems, Scalars: k.Scalars}
+		if _, err := NewSystem(res.Kernel, res.Datapath, cfg); err != nil {
+			continue // combinational row: no loop nest to stream
 		}
+		bc := diffRun(t, res, cfg, randStreams(res, rng, 4), k.Name)
+		if bc > 0 {
+			sawChunk = true
+		}
+	}
+	if !sawChunk {
+		t.Fatal("no Table 1 kernel dispatched a single schedule chunk; the batch path never engaged")
 	}
 }
 
@@ -198,7 +191,7 @@ void k() {
 // kernels pin that those mid-stream bubbles leave feedback latches
 // alone: a 2-D window that also accumulates, and a 1-D accumulator
 // reading with stride 4 over a 1-element bus, so three bubbles separate
-// consecutive feeds. Each runs at two clock periods, on both backends.
+// consecutive feeds. Each runs at two clock periods.
 func TestSysBatch2DStencils(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, tc := range []struct {
@@ -275,10 +268,8 @@ void k() {
 				t.Fatalf("%s: no feedback latch", tc.name)
 			}
 			streams := randStreams(res, rng, 2)
-			for _, backend := range dp.Backends() {
-				tag := fmt.Sprintf("%s(period=%g)", tc.name, period)
-				diffRun(t, res, Config{BusElems: 1, Backend: backend}, streams, tag)
-			}
+			tag := fmt.Sprintf("%s(period=%g)", tc.name, period)
+			diffRun(t, res, Config{BusElems: 1}, streams, tag)
 		}
 	}
 }
@@ -380,11 +371,8 @@ void divide() {
 				t.Fatalf("%s: zero at n-1 aborted with %v, want a fault inside the flush (data-path cycle >= %d)", k.name, err, n)
 			}
 		}
-		for _, backend := range dp.Backends() {
-			cfg := Config{BusElems: 1, Backend: backend}
-			if bc := diffRun(t, res, cfg, streams, k.name); bc == 0 {
-				t.Fatalf("%s[%v] never dispatched a schedule chunk; fault replay path untested", k.name, backend)
-			}
+		if bc := diffRun(t, res, Config{BusElems: 1}, streams, k.name); bc == 0 {
+			t.Fatalf("%s never dispatched a schedule chunk; fault replay path untested", k.name)
 		}
 	}
 }
@@ -437,7 +425,7 @@ void k() {
 		}
 		// The reference: every clean stream fails on the bad store, and
 		// in the dividers some planted zero faults on its very cycle.
-		ref, err := NewSystem(res.Kernel, res.Datapath, Config{BusElems: 1, Serial: true, Backend: dp.BackendInterp})
+		ref, err := NewSystem(res.Kernel, res.Datapath, Config{BusElems: 1, Serial: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -461,9 +449,7 @@ void k() {
 		if vs := verifySchedule(p, p.scheduleFor()); len(vs) != 1 || !strings.Contains(vs[0].Detail, "derivation failed") {
 			t.Fatalf("%s: the failed schedule verifies as %v, want its derivation error alone", k.name, vs)
 		}
-		for _, backend := range dp.Backends() {
-			diffRun(t, res, Config{BusElems: 1, Backend: backend}, streams, k.name)
-		}
+		diffRun(t, res, Config{BusElems: 1}, streams, k.name)
 	}
 }
 
@@ -492,31 +478,29 @@ void k() {
 	}
 	rng := rand.New(rand.NewSource(17))
 	streams := randStreams(res, rng, 3)
-	for _, backend := range dp.Backends() {
-		for _, bus := range []int{1, 2, 4} {
-			cfg := Config{BusElems: bus, Backend: backend}
-			tag := fmt.Sprintf("overlap(bus=%d)", bus)
-			if bc := diffRun(t, res, cfg, streams, tag); bc == 0 {
-				t.Fatalf("%s[%v] never dispatched a schedule chunk", tag, backend)
+	for _, bus := range []int{1, 2, 4} {
+		cfg := Config{BusElems: bus}
+		tag := fmt.Sprintf("overlap(bus=%d)", bus)
+		if bc := diffRun(t, res, cfg, streams, tag); bc == 0 {
+			t.Fatalf("%s never dispatched a schedule chunk", tag)
+		}
+		sys, err := NewSystem(res.Kernel, res.Datapath, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for si, in := range streams {
+			job := Job{Inputs: in}
+			if err := sys.RunJob(&job); err != nil {
+				t.Fatalf("%s stream %d: %v", tag, si, err)
 			}
-			sys, err := NewSystem(res.Kernel, res.Datapath, cfg)
-			if err != nil {
-				t.Fatal(err)
+			a, b := in["A"], job.Outputs["B"]
+			for e := 0; e < n; e++ {
+				if b[e] != a[e] {
+					t.Fatalf("%s stream %d: B[%d] = %d, want A[%d] = %d", tag, si, e, b[e], e, a[e])
+				}
 			}
-			for si, in := range streams {
-				job := Job{Inputs: in}
-				if err := sys.RunJob(&job); err != nil {
-					t.Fatalf("%s[%v] stream %d: %v", tag, backend, si, err)
-				}
-				a, b := in["A"], job.Outputs["B"]
-				for e := 0; e < n; e++ {
-					if b[e] != a[e] {
-						t.Fatalf("%s[%v] stream %d: B[%d] = %d, want A[%d] = %d", tag, backend, si, e, b[e], e, a[e])
-					}
-				}
-				if b[n] != a[n-1]+1 {
-					t.Fatalf("%s[%v] stream %d: B[%d] = %d, want A[%d]+1 = %d", tag, backend, si, n, b[n], n-1, a[n-1]+1)
-				}
+			if b[n] != a[n-1]+1 {
+				t.Fatalf("%s stream %d: B[%d] = %d, want A[%d]+1 = %d", tag, si, n, b[n], n-1, a[n-1]+1)
 			}
 		}
 	}
@@ -572,24 +556,8 @@ func TestSysBatchPoolPassthrough(t *testing.T) {
 	if after.Rejected != before.Rejected+1 {
 		t.Fatalf("serial System admitted into a batched pool (rejected %d -> %d)", before.Rejected, after.Rejected)
 	}
-
-	// A System on a different execution backend must be rejected too —
-	// a threaded pool fed an interp System (or vice versa) would silently
-	// change the dispatch path of later Gets.
-	bcfg := cfg
-	bcfg.Backend = dp.BackendInterp
-	alien, err := NewSystem(res.Kernel, res.Datapath, bcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before = pool.Stats()
-	pool.Put(alien)
-	after = pool.Stats()
-	if after.Rejected != before.Rejected+1 {
-		t.Fatalf("interp System admitted into a threaded pool (rejected %d -> %d)", before.Rejected, after.Rejected)
-	}
 	if after.Puts != before.Puts {
-		t.Fatalf("backend-mismatched Put also counted as accepted (puts %d -> %d)", before.Puts, after.Puts)
+		t.Fatalf("rejected Put also counted as accepted (puts %d -> %d)", before.Puts, after.Puts)
 	}
 }
 
@@ -611,7 +579,7 @@ func TestScheduleConcurrentFirstRun(t *testing.T) {
 		}
 	}
 	plan := systems[0].plan
-	ref, err := NewSystem(res.Kernel, res.Datapath, Config{BusElems: 1, Serial: true, Backend: dp.BackendInterp})
+	ref, err := NewSystem(res.Kernel, res.Datapath, Config{BusElems: 1, Serial: true})
 	if err != nil {
 		t.Fatal(err)
 	}

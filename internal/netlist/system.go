@@ -295,18 +295,15 @@ type Config struct {
 	// Scalars provides values for kernel-level scalar parameters.
 	Scalars map[string]int64
 	// Serial forces the one-Step-per-cycle dispatch path instead of the
-	// default walk of the static memory schedule — with Backend set to
-	// dp.BackendInterp, the reference execution path of the differential
-	// tests and benchmarks. Both paths are bit-identical on outputs,
-	// feedback latches, cycle counts and fault abort cycles.
+	// default walk of the static memory schedule: the reference
+	// execution path of the differential tests and benchmarks. Both
+	// paths are bit-identical on outputs, feedback latches, cycle counts
+	// and fault abort cycles.
 	Serial bool
-	// Backend selects how the data path's batches (StepN, DrainN, RunN)
-	// run. The zero value is the threaded fast path; dp.BackendInterp is
-	// the reference. Both are bit-identical on outputs, feedback
-	// latches, cycle counts and fault abort cycles. A Serial System runs
-	// only Step and Drain, which are the interpreter loop on both, so
-	// there it has no effect.
-	Backend dp.Backend
+	// Backend has no effect and nothing reads it. It stays only for the
+	// benchmark module (perfbench), which still sets it on a Serial
+	// config.
+	Backend int
 }
 
 // NewSystem builds the full system for a compiled kernel.
@@ -327,7 +324,7 @@ func NewSystem(k *hir.Kernel, d *dp.Datapath, cfg Config) (*System, error) {
 	}
 	sys.Kernel = k
 	sys.Datapath = d
-	sys.sim = dp.NewSimWith(d, cfg.Backend)
+	sys.sim = dp.NewSim(d)
 	sys.inputs = make([]int64, len(d.Inputs))
 	sys.fedRing = make([]bool, plan.fedMask+1)
 	sys.fedMask = plan.fedMask
@@ -441,10 +438,6 @@ func (s *System) OutputInto(name string, dst []int64) error {
 
 // Cycles returns the clock cycles consumed by Run.
 func (s *System) Cycles() int { return s.cycles }
-
-// Backend returns the data-path execution backend this system was
-// built with.
-func (s *System) Backend() dp.Backend { return s.sim.Backend() }
 
 // HasClosedFormCone reports whether the system's data-path plan carries
 // a closed-form feedback cone (the prefix-sum vectorization of ADD-cone

@@ -6,7 +6,6 @@ import (
 
 	"roccc/internal/cc"
 	"roccc/internal/core"
-	"roccc/internal/hir"
 )
 
 func buildSystem(t *testing.T, src, name string, opt core.Options, cfg Config) (*core.Result, *System) {
@@ -465,9 +464,9 @@ func TestSystemOutputBeforeRun(t *testing.T) {
 	}
 }
 
-// TestSystemFusedLoops runs loop fusion through the complete pipeline:
-// two adjacent filters fused into one kernel with two read windows and
-// two write patterns, streamed through one controller.
+// TestSystemFusedLoops runs two filters written as one loop through the
+// complete pipeline: one kernel with two read windows and two write
+// patterns, streamed through one controller.
 func TestSystemFusedLoops(t *testing.T) {
 	src := `
 int A[20];
@@ -475,29 +474,14 @@ int B[20];
 int S[18];
 int D[18];
 void two(int k) {
-	int i; int j;
-	for (i = 0; i < 18; i++) { S[i] = A[i] + A[i+1] + A[i+2]; }
-	for (j = 0; j < 18; j++) { D[j] = (B[j] - B[j+2]) * k; }
+	int i;
+	for (i = 0; i < 18; i++) {
+		S[i] = A[i] + A[i+1] + A[i+2];
+		D[i] = (B[i] - B[i+2]) * k;
+	}
 }
 `
-	// Fuse at the HIR level, then continue through the normal pipeline.
-	file, err := cc.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := cc.Analyze(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := hir.Build(info)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := prog.Func("two")
-	if n := hir.FuseAdjacent(f); n != 1 {
-		t.Fatalf("fused %d loop pairs, want 1", n)
-	}
-	res, err := core.Compile(prog, f, core.DefaultOptions())
+	res, err := core.CompileSource(src, "two", core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,8 +520,8 @@ void two(int k) {
 			t.Errorf("D[%d] = %d", i, d[i])
 		}
 	}
-	// One fused loop: both outputs stream under a single controller in
-	// ~18 iterations + fill, not 2x.
+	// One loop: both outputs stream under a single controller in ~18
+	// iterations + fill, not 2x.
 	if sys.Cycles() > 18+4+res.Datapath.Latency()+8 {
 		t.Errorf("fused kernel took %d cycles", sys.Cycles())
 	}

@@ -8,17 +8,15 @@ import (
 )
 
 // KernelInfo is the metrics-plane snapshot of one registered kernel.
-// BackendConfigured is the execution backend the kernel's spec selects,
-// the one every pool System runs on. ClosedFormCone, meaningful once
-// the kernel is resident, reports whether the feedback cone vectorizes
-// in closed form on the threaded backend.
+// ClosedFormCone, meaningful once the kernel is resident, reports
+// whether the feedback cone vectorizes in closed form on the batch
+// path.
 type KernelInfo struct {
 	Kernel   string `json:"kernel"`
 	Compiled bool   `json:"compiled"`
 	Resident bool   `json:"resident"` // warm pool exists (false when evicted/cold)
 
-	BackendConfigured string `json:"backend_configured"`
-	ClosedFormCone    bool   `json:"closed_form_cone"`
+	ClosedFormCone bool `json:"closed_form_cone"`
 
 	Opens     int64 `json:"opens"`
 	Streams   int64 `json:"streams"`
@@ -59,16 +57,15 @@ func (s *Server) KernelInfos() []KernelInfo {
 	infos := make([]KernelInfo, len(entries))
 	for i, e := range entries {
 		info := KernelInfo{
-			Kernel:            e.spec.Name,
-			BackendConfigured: e.spec.Config.Backend.String(),
-			Opens:             e.opens.Load(),
-			Streams:           e.streams.Load(),
-			Faults:            e.faults.Load(),
-			InFlight:          e.inflight.Load(),
-			HighWater:         e.hwm.Load(),
-			Evictions:         e.evictions.Load(),
-			LastUse:           e.lastUse.Load(),
-			MaxIdle:           e.idleCap(),
+			Kernel:    e.spec.Name,
+			Opens:     e.opens.Load(),
+			Streams:   e.streams.Load(),
+			Faults:    e.faults.Load(),
+			InFlight:  e.inflight.Load(),
+			HighWater: e.hwm.Load(),
+			Evictions: e.evictions.Load(),
+			LastUse:   e.lastUse.Load(),
+			MaxIdle:   e.idleCap(),
 		}
 		e.mu.Lock()
 		info.Compiled = e.compiled != nil

@@ -91,11 +91,10 @@ func firStream(seed int64) map[string][]int64 {
 	return map[string][]int64{"A": in}
 }
 
-// refConfig is cfg on the reference execution path, serial interp,
+// refConfig is cfg on the reference execution path, the serial loop,
 // that every served result must be bit-identical to.
 func refConfig(cfg netlist.Config) netlist.Config {
 	cfg.Serial = true
-	cfg.Backend = dp.BackendInterp
 	return cfg
 }
 
@@ -505,10 +504,11 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestServeBackendSelection: the server inherits the execution backend
-// per registered kernel through KernelSpec.Config — the same source
-// registered on either backend must serve outputs, cycle counts and
-// feedback values bit-identical to the serial interp reference.
+// TestServeBackendSelection: the server runs each registered kernel on
+// the path its KernelSpec.Config selects — the default schedule walk or
+// the Serial reference loop — and both serve outputs, cycle counts and
+// feedback values bit-identical to a private serial System. A Serial
+// System handed to a default kernel's pool is rejected.
 func TestServeBackendSelection(t *testing.T) {
 	srv := NewServer(2)
 	ain := make([]int64, 32)
@@ -517,20 +517,22 @@ func TestServeBackendSelection(t *testing.T) {
 	}
 	var specs []KernelSpec
 	inputs := map[string]map[string][]int64{}
-	for _, b := range dp.Backends() {
+	for _, path := range []struct {
+		suffix string
+		serial bool
+	}{{"", false}, {"-serial", true}} {
+		cfg := netlist.Config{BusElems: 1, Serial: path.serial}
 		for _, spec := range []KernelSpec{
-			{Name: "fir-" + b.String(), Source: firSource, Func: "fir", Options: core.DefaultOptions(),
-				Config: netlist.Config{BusElems: 1, Backend: b}},
-			{Name: "accum-" + b.String(), Source: accumSource, Func: "accum", Options: core.DefaultOptions(),
-				Config: netlist.Config{BusElems: 1, Backend: b}},
+			{Name: "fir" + path.suffix, Source: firSource, Func: "fir", Options: core.DefaultOptions(), Config: cfg},
+			{Name: "accum" + path.suffix, Source: accumSource, Func: "accum", Options: core.DefaultOptions(), Config: cfg},
 		} {
 			if err := srv.Register(spec); err != nil {
 				t.Fatal(err)
 			}
 			specs = append(specs, spec)
 		}
-		inputs["fir-"+b.String()] = firStream(97)
-		inputs["accum-"+b.String()] = map[string][]int64{"A": ain}
+		inputs["fir"+path.suffix] = firStream(97)
+		inputs["accum"+path.suffix] = map[string][]int64{"A": ain}
 	}
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -546,5 +548,27 @@ func TestServeBackendSelection(t *testing.T) {
 		if err := netlist.DiffJob(&jobs[0], serialRun(t, spec, jobs[0].Inputs)); err != nil {
 			t.Fatalf("%s: served %v", spec.Name, err)
 		}
+	}
+
+	e, err := srv.entry("fir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := e.pool.Load()
+	if pool == nil {
+		t.Fatal("fir is not resident after serving")
+	}
+	res, err := core.CompileSource(firSource, "fir", core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := netlist.NewSystem(res.Kernel, res.Datapath, refConfig(netlist.Config{BusElems: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := pool.Stats()
+	pool.Put(foreign)
+	if after := pool.Stats(); after.Rejected != before.Rejected+1 || after.Puts != before.Puts {
+		t.Fatalf("a serial System was admitted into fir's default pool: %+v -> %+v", before, after)
 	}
 }

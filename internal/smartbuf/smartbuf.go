@@ -335,104 +335,6 @@ func (b *Buffer) PopWindowRouted(out []int64, route []int32) error {
 // required length of a PopWindowInto destination buffer.
 func (b *Buffer) Taps() int { return len(b.cfg.Taps) }
 
-// stripRemaining is how many windows are left in the innermost sweep
-// dimension before the window walk wraps to the next row strip (for 1-D
-// patterns, before the walk ends). Within a strip the window's last
-// element advances by exactly the innermost stride per pop; at the strip
-// boundary it jumps by whole array rows, so streak reasoning stops there.
-func (b *Buffer) stripRemaining() int {
-	last := len(b.cfg.Extent) - 1
-	return b.cfg.Windows[last] - b.popped[last]
-}
-
-// WindowsBuffered reports how many consecutive windows, starting with
-// the next one, are already fully resident — poppable now, with no
-// further Push required. It is O(1): within a row strip the window's
-// last streaming index advances by the innermost stride per pop, so the
-// resident count is a division, capped at the strip boundary (the first
-// window of the next strip needs whole new array rows). The count is a
-// guaranteed-feed lower bound regardless of how memory-stage pushes
-// interleave: resident data is never evicted while a window still
-// references it (CanAccept backpressure).
-func (b *Buffer) WindowsBuffered() int {
-	if !b.WindowReady() {
-		return 0
-	}
-	stride := b.cfg.Stride[len(b.cfg.Extent)-1]
-	k := (b.count-1-b.lastIndexOfWindow())/stride + 1
-	if strip := b.stripRemaining(); k > strip {
-		k = strip
-	}
-	return k
-}
-
-// StallStreak returns, for a buffer whose next window is NOT ready, the
-// exact number of consecutive cycles the window stays unready under the
-// serial memory-stage schedule (one bus word per cycle): the cycles a
-// stalled system spends filling. It is O(1): the missing element count
-// divided by the bus width. Backpressure cannot block a fill — pushes
-// are admitted exactly until the pending window's last element arrives
-// (capacity() is the window span plus one bus word) — and a validated
-// window sweep never needs elements past the array, so the generator
-// cannot run dry first. Returns 0 if the window is already ready (or
-// all windows are done: the caller's controller is draining then).
-func (b *Buffer) StallStreak() int {
-	if b.done() {
-		return 0
-	}
-	missing := b.lastIndexOfWindow() + 1 - b.count
-	if missing <= 0 {
-		return 0
-	}
-	return (missing + b.cfg.BusElems - 1) / b.cfg.BusElems
-}
-
-// FeedStreak returns a safe lower bound on the number of consecutive
-// cycles, starting now, for which WindowReady holds every cycle under
-// the serial memory-stage schedule — at most one bus word pushed per
-// cycle while CanAccept allows it (push before pop, as the system cycle
-// orders them), one window popped per cycle — capped at max. The caller
-// must have run the current cycle's push already: the bound counts this
-// cycle's window as streak position zero.
-//
-// The bound is O(1). Within a row strip the requirement (the window's
-// last streaming index) grows by the innermost stride S per cycle while
-// the supply grows by up to BusElems B per cycle, so:
-//
-//   - S <= B: supply never falls behind. If a push is ever blocked by
-//     backpressure, the buffer is holding a full window span plus a bus
-//     word (capacity() is exactly that), which already contains the
-//     cycle's window — blocked implies ready. The streak runs to the end
-//     of the strip.
-//   - S > B: consumption outruns the bus. Backpressure cannot re-arm
-//     mid-streak (the gap between supply and the window origin only
-//     widens), so if the next push is unblocked the supply is exactly
-//     count + i*B and the streak length is the largest k with
-//     lastIndex + i*S < count + i*B for all i < k. If the next push IS
-//     blocked, fall back to the windows already resident — always safe.
-//
-// Cycles beyond the array's last element need no supply at all: the
-// validated window sweep never references past the array, so the
-// min(T, ...) clamp on supply can only relax the bound.
-func (b *Buffer) FeedStreak(max int) int {
-	if max <= 0 || !b.WindowReady() {
-		return 0
-	}
-	stride := b.cfg.Stride[len(b.cfg.Extent)-1]
-	k := b.stripRemaining()
-	if stride > b.cfg.BusElems {
-		if !b.CanAccept() {
-			k = b.WindowsBuffered()
-		} else if supply := (b.count - 1 - b.lastIndexOfWindow()) / (stride - b.cfg.BusElems); supply+1 < k {
-			k = supply + 1
-		}
-	}
-	if k > max {
-		k = max
-	}
-	return k
-}
-
 // Reset empties the buffer and rewinds the window walk to the first
 // window, without allocating, so one buffer can be reused across runs.
 func (b *Buffer) Reset() {

@@ -5,13 +5,10 @@ import (
 	"testing"
 )
 
-// streak_test.go pins the O(1) streak/stall predictors against a
-// cycle-by-cycle oracle: the buffer is driven exactly as the system's
-// memory stage drives it (one bus word pushed per cycle while CanAccept,
-// push before pop), and every prediction is checked against what then
-// actually happens — FeedStreak and WindowsBuffered must never promise
-// a feed cycle that stalls, and StallStreak must name the exact cycle
-// the window becomes ready.
+// streak_test.go drives buffers exactly as the system's memory stage
+// drives them (one bus word pushed per cycle while CanAccept, push
+// before pop) over random geometries, and checks the accessors the
+// static memory schedule reads against what each pop returns.
 
 // randomGeometry builds a valid random 1-D or 2-D window configuration.
 func randomGeometry(rng *rand.Rand) Config {
@@ -58,6 +55,34 @@ func randomGeometry(rng *rand.Rand) Config {
 	}
 }
 
+// windowOrigin is the streaming index of window w's origin, counting
+// windows in row-major order, derived from the configuration alone.
+func windowOrigin(cfg Config, w int) int {
+	if len(cfg.Extent) == 1 {
+		return cfg.Origin[0] + w*cfg.Stride[0]
+	}
+	r := cfg.Origin[0] + w/cfg.Windows[1]*cfg.Stride[0]
+	c := cfg.Origin[1] + w%cfg.Windows[1]*cfg.Stride[1]
+	return r*cfg.ArrayDims[1] + c
+}
+
+// tapOffset is tap t flattened to a streaming-index offset from its
+// window's origin, derived from the configuration alone.
+func tapOffset(cfg Config, t int) int {
+	tap := cfg.Taps[t]
+	if len(cfg.Extent) == 1 {
+		return int(tap[0]) - cfg.MinOff[0]
+	}
+	return (int(tap[0])-cfg.MinOff[0])*cfg.ArrayDims[1] + int(tap[1]) - cfg.MinOff[1]
+}
+
+// TestStreakPredictorsAgainstOracle checks NextOrigin and TapOffsets,
+// the two accessors the static memory schedule reads, on every pop of
+// 300 random 1-D and 2-D geometries at bus widths 1–4. Read before the
+// pop, they must equal the window's origin and tap offsets as the
+// configuration defines them, and tap t of the popped window must be
+// the streamed element at NextOrigin() + TapOffsets()[t]. Every run
+// must finish, fetching each element at most once.
 func TestStreakPredictorsAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260726))
 	for trial := 0; trial < 300; trial++ {
@@ -91,56 +116,41 @@ func TestStreakPredictorsAgainstOracle(t *testing.T) {
 			}
 			pos += n
 		}
+		if offs := b.TapOffsets(); len(offs) != len(cfg.Taps) {
+			t.Fatalf("trial %d: %d tap offsets for %d taps", trial, len(offs), len(cfg.Taps))
+		}
 		out := make([]int64, len(cfg.Taps))
-		promised := 0 // feed cycles FeedStreak still guarantees
-		stall := -1   // exact stall cycles StallStreak still predicts
+		pops := 0
 		for cycle := 0; !b.Done(); cycle++ {
 			if cycle > 8*total+64 {
 				t.Fatalf("trial %d: runaway oracle\n%+v", trial, cfg)
 			}
 			push()
-			ready := b.WindowReady()
-			if promised > 0 && !ready {
-				t.Fatalf("trial %d cycle %d: FeedStreak promised a feed, window stalled\n%+v", trial, cycle, cfg)
+			if !b.WindowReady() {
+				continue
 			}
-			if stall > 0 && ready {
-				t.Fatalf("trial %d cycle %d: StallStreak promised a stall, window is ready\n%+v", trial, cycle, cfg)
+			origin, offs := b.NextOrigin(), b.TapOffsets()
+			if want := windowOrigin(cfg, pops); origin != want {
+				t.Fatalf("trial %d window %d: NextOrigin() = %d, want %d\n%+v", trial, pops, origin, want, cfg)
 			}
-			if stall == 0 && !ready {
-				t.Fatalf("trial %d cycle %d: StallStreak ended, window still stalled\n%+v", trial, cycle, cfg)
+			for tap, off := range offs {
+				if want := tapOffset(cfg, tap); off != want {
+					t.Fatalf("trial %d window %d: TapOffsets()[%d] = %d, want %d\n%+v", trial, pops, tap, off, want, cfg)
+				}
 			}
-			if ready {
-				stall = -1
-				if st := b.StallStreak(); st != 0 {
-					t.Fatalf("trial %d cycle %d: StallStreak = %d on a ready window", trial, cycle, st)
-				}
-				if k := b.FeedStreak(1 << 30); k > promised {
-					promised = k
-				}
-				if wb := b.WindowsBuffered(); wb < 1 {
-					t.Fatalf("trial %d cycle %d: WindowsBuffered = %d on a ready window", trial, cycle, wb)
-				} else if wb > promised && wb > b.FeedStreak(1<<30) {
-					// Resident windows are a guaranteed feed streak too.
-					promised = wb
-				}
-				if promised < 1 {
-					t.Fatalf("trial %d cycle %d: ready window but FeedStreak = 0\n%+v", trial, cycle, cfg)
-				}
-				if err := b.PopWindowInto(out); err != nil {
-					t.Fatal(err)
-				}
-				promised--
-			} else {
-				promised = 0 // never promised: checked above
-				m := b.StallStreak()
-				if m < 1 {
-					t.Fatalf("trial %d cycle %d: stalled window but StallStreak = %d\n%+v", trial, cycle, m, cfg)
-				}
-				if stall > 0 && m != stall {
-					t.Fatalf("trial %d cycle %d: StallStreak drifted %d -> %d mid-stall", trial, cycle, stall, m)
-				}
-				stall = m - 1
+			if err := b.PopWindowInto(out); err != nil {
+				t.Fatal(err)
 			}
+			for tap, off := range offs {
+				if i := origin + off; i < 0 || i >= total || out[tap] != data[i] {
+					t.Fatalf("trial %d window %d tap %d: popped %d, want element %d+%d of the stream\n%+v",
+						trial, pops, tap, out[tap], origin, off, cfg)
+				}
+			}
+			pops++
+		}
+		if pops != cfg.WindowsTotal() {
+			t.Fatalf("trial %d: %d windows popped, want %d", trial, pops, cfg.WindowsTotal())
 		}
 		if b.Fetched() > total {
 			t.Fatalf("trial %d: fetched %d of %d elements", trial, b.Fetched(), total)

@@ -1,12 +1,17 @@
 package smartbuf
 
 // verify.go is the smart-buffer slice of the static invariant verifier
-// (internal/dpverify, cmd/rocccvet). FeedStreak's O(1) guaranteed-feed
-// bound rests on one structural fact — the buffer's logical capacity is
-// EXACTLY the window span plus one bus word, so a blocked push implies
-// the pending window is fully resident ("blocked implies ready") — and
-// this pass re-derives that capacity from the configuration geometry
-// and checks it against what New actually allocated.
+// (internal/dpverify, cmd/rocccvet). The buffer's logical capacity must
+// be EXACTLY the window span plus one bus word. It is the bound of
+// CanAccept, the backpressure the serial memory stage
+// (netlist.System.memoryStage) checks before every fetch: with span+B a
+// blocked push implies the pending window is fully resident, and no
+// fetch runs further ahead than that. A smaller capacity delays or
+// blocks fetches the pending window needs; a larger one fetches ahead.
+// Either moves the cycles on which windows become ready, and with them
+// every System.Cycles() and the static memory schedule derived from
+// that loop. This pass re-derives the capacity from the configuration
+// geometry and checks it against what New actually allocated.
 
 import "fmt"
 
@@ -39,7 +44,7 @@ func VerifyBuffer(b *Buffer) []string {
 	want := span + c.BusElems
 	if b.cap != want {
 		vs = append(vs, fmt.Sprintf(
-			"buffer/capacity: logical capacity %d, want window span %d + bus word %d = %d (FeedStreak's blocked-implies-ready proof needs exactly span+B)",
+			"buffer/capacity: logical capacity %d, want window span %d + bus word %d = %d (the serial memory stage's CanAccept backpressure, and so every System cycle count and the static schedule, assume exactly span+B)",
 			b.cap, span, c.BusElems, want))
 	}
 	// The physical ring must be a power of two no smaller than the

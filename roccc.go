@@ -57,17 +57,13 @@ type System = netlist.System
 // SystemConfig configures system construction.
 type SystemConfig = netlist.Config
 
-// Backend selects how the data path's batches (StepN, DrainN, RunN)
-// run (SystemConfig.Backend): as the threaded lane kernels, or as the
-// interpreter reference's serial loop. Step and Drain are the
-// interpreter loop on both, so on a Serial System the backend has no
-// effect. Both are bit-identical; they differ only in host speed.
-type Backend = dp.Backend
-
-// The execution backends. BackendThreaded is the zero value.
+// BackendThreaded and BackendInterp are the values SystemConfig.Backend
+// once took. They have no effect: a System runs one fast path, and
+// SystemConfig{Serial: true} is its reference. They stay only for the
+// benchmark module (perfbench), which still sets the field.
 const (
-	BackendThreaded = dp.BackendThreaded
-	BackendInterp   = dp.BackendInterp
+	BackendThreaded = 0
+	BackendInterp   = 1
 )
 
 // Sim is the cycle-accurate data-path simulator (the compiled,

@@ -66,37 +66,57 @@ func TestPublicSynthesize(t *testing.T) {
 	}
 }
 
+// TestPublicSystem runs the FIR through the public API on the one fast
+// path (the zero SystemConfig) and on its reference
+// (SystemConfig{Serial: true}): both must compute the filter on the same
+// cycle count, the default System covering every cycle off its static
+// schedule, and a default pool must reject the Serial System.
 func TestPublicSystem(t *testing.T) {
 	res, err := Compile(firC, "fir", DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewSystem(res, SystemConfig{BusElems: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b := sys.Backend(); b != BackendThreaded {
-		t.Fatalf("zero SystemConfig built a System on %v, want threaded", b)
-	}
 	in := make([]int64, 21)
 	for i := range in {
 		in[i] = int64(i)
 	}
-	if err := sys.LoadInput("A", in); err != nil {
-		t.Fatal(err)
+	var systems [2]*System
+	for i, cfg := range []SystemConfig{{BusElems: 1}, {BusElems: 1, Serial: true}} {
+		sys, err := NewSystem(res, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.LoadInput("A", in); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Run(); err != nil {
+			t.Fatal(err)
+		}
+		out, err := sys.Output("C")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 17; i++ {
+			want := 3*in[i] + 5*in[i+1] + 7*in[i+2] + 9*in[i+3] - in[i+4]
+			if out[i] != want {
+				t.Errorf("%+v: C[%d] = %d, want %d", cfg, i, out[i], want)
+			}
+		}
+		systems[i] = sys
 	}
-	if _, err := sys.Run(); err != nil {
-		t.Fatal(err)
+	fast, ref := systems[0], systems[1]
+	if fast.Cycles() != ref.Cycles() || fast.BatchedCycles() != fast.Cycles() || ref.BatchedCycles() != 0 {
+		t.Fatalf("default System: %d cycles, %d batched; Serial System: %d cycles, %d batched",
+			fast.Cycles(), fast.BatchedCycles(), ref.Cycles(), ref.BatchedCycles())
 	}
-	out, err := sys.Output("C")
+	pool, err := NewSystemPool(res, SystemConfig{BusElems: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 17; i++ {
-		want := 3*in[i] + 5*in[i+1] + 7*in[i+2] + 9*in[i+3] - in[i+4]
-		if out[i] != want {
-			t.Errorf("C[%d] = %d, want %d", i, out[i], want)
-		}
+	defer pool.Close()
+	pool.Put(ref)
+	if st := pool.Stats(); st.Rejected != 1 || st.Puts != 0 {
+		t.Fatalf("a default pool took the Serial System: %+v", st)
 	}
 }
 
