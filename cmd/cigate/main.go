@@ -201,7 +201,7 @@ func main() {
 
 	if *jsonOut != "" {
 		path := *jsonOut
-		sha := headSHA()
+		sha := headSHA("")
 		if path == "auto" {
 			path = fmt.Sprintf("BENCH_%s.json", sha)
 		}
@@ -511,20 +511,32 @@ func allocDelta(base, now float64) string {
 	return trimFloat(base) + "→" + trimFloat(now)
 }
 
-// headSHA resolves the commit being gated: GITHUB_SHA in CI, git
-// rev-parse locally, "unknown" without either.
-func headSHA() string {
+// headSHA resolves the commit being gated: GITHUB_SHA in CI, else the
+// HEAD of the git checkout in dir ("" for the working directory), with
+// "-dirty" appended when tracked files differ from it, so a trajectory
+// written from uncommitted changes does not name the commit before
+// them; "unknown" without either.
+func headSHA(dir string) string {
 	if sha := os.Getenv("GITHUB_SHA"); sha != "" {
 		if len(sha) > 12 {
 			sha = sha[:12]
 		}
 		return sha
 	}
-	out, err := exec.Command("git", "rev-parse", "--short=12", "HEAD").Output()
+	git := func(args ...string) (string, error) {
+		cmd := exec.Command("git", args...)
+		cmd.Dir = dir
+		out, err := cmd.Output()
+		return strings.TrimSpace(string(out)), err
+	}
+	sha, err := git("rev-parse", "--short=12", "HEAD")
 	if err != nil {
 		return "unknown"
 	}
-	return strings.TrimSpace(string(out))
+	if status, err := git("status", "--porcelain", "--untracked-files=no"); err == nil && status != "" {
+		sha += "-dirty"
+	}
+	return sha
 }
 
 func fatal(err error) {

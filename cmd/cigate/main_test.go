@@ -2,6 +2,8 @@ package main
 
 import (
 	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -257,5 +259,49 @@ func TestRunCmdGroupSecondsBound(t *testing.T) {
 	vs, _, _ := runCmdGroup(g)
 	if len(vs) != 1 || vs[0].OK {
 		t.Fatalf("4.20s against a 0.01s bound must fail: %+v", vs)
+	}
+}
+
+func TestHeadSHADirty(t *testing.T) {
+	if _, err := exec.LookPath("git"); err != nil {
+		t.Skip("git not installed")
+	}
+	t.Setenv("GITHUB_SHA", "")
+	dir := t.TempDir()
+	git := func(args ...string) string {
+		t.Helper()
+		cmd := exec.Command("git", append([]string{"-c", "user.name=cigate", "-c", "user.email=cigate@example.com"}, args...)...)
+		cmd.Dir = dir
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("git %v: %v\n%s", args, err, out)
+		}
+		return strings.TrimSpace(string(out))
+	}
+	git("init", "-q")
+	tracked := filepath.Join(dir, "tracked.txt")
+	if err := writeFile(tracked, "one\n"); err != nil {
+		t.Fatal(err)
+	}
+	git("add", "tracked.txt")
+	git("commit", "-q", "-m", "first")
+	sha := git("rev-parse", "--short=12", "HEAD")
+
+	// An untracked file leaves the tree clean.
+	if err := writeFile(filepath.Join(dir, "untracked.txt"), "x\n"); err != nil {
+		t.Fatal(err)
+	}
+	if got := headSHA(dir); got != sha {
+		t.Errorf("clean tree: headSHA = %q, want %q", got, sha)
+	}
+	if err := writeFile(tracked, "two\n"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := headSHA(dir), sha+"-dirty"; got != want {
+		t.Errorf("modified tracked file: headSHA = %q, want %q", got, want)
+	}
+	t.Setenv("GITHUB_SHA", "0123456789abcdef")
+	if got := headSHA(dir); got != "0123456789ab" {
+		t.Errorf("GITHUB_SHA set: headSHA = %q, want the first 12 characters", got)
 	}
 }

@@ -5,9 +5,11 @@ import (
 	"strconv"
 )
 
-// Lexer converts restricted-C source text into a token stream. It
-// understands //-line and /* */-block comments, decimal, hexadecimal and
-// character literals, and all operators used by the ROCCC C subset.
+// Lexer converts restricted-C source text into a token stream, one
+// token per Next call. It understands //-line and /* */-block comments,
+// decimal, hexadecimal and character literals, and all operators used
+// by the ROCCC C subset. A Lexer is a plain value: a copy resumes from
+// the same point, which is how the parser backtracks and looks ahead.
 type Lexer struct {
 	src  string
 	off  int
@@ -18,23 +20,6 @@ type Lexer struct {
 // NewLexer returns a lexer over src.
 func NewLexer(src string) *Lexer {
 	return &Lexer{src: src, line: 1, col: 1}
-}
-
-// Lex tokenizes the entire input, returning the token slice terminated by
-// an EOF token.
-func Lex(src string) ([]Token, error) {
-	lx := NewLexer(src)
-	var toks []Token
-	for {
-		t, err := lx.Next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, t)
-		if t.Kind == EOF {
-			return toks, nil
-		}
-	}
 }
 
 func (lx *Lexer) pos() Pos { return Pos{Line: lx.line, Col: lx.col} }
@@ -292,5 +277,5 @@ func (lx *Lexer) charLit(start Pos) (Token, error) {
 	if lx.off >= len(lx.src) || lx.advance() != '\'' {
 		return Token{}, fmt.Errorf("cc: %s: unterminated character literal", start)
 	}
-	return Token{Kind: NUMBER, Text: fmt.Sprintf("%d", v), Val: v, Pos: start}, nil
+	return Token{Kind: NUMBER, Text: strconv.FormatInt(v, 10), Val: v, Pos: start}, nil
 }

@@ -5,6 +5,23 @@ import (
 	"testing/quick"
 )
 
+// Lex tokenizes the entire input, returning the token slice terminated by
+// an EOF token, or the lexer's first error.
+func Lex(src string) ([]Token, error) {
+	lx := NewLexer(src)
+	var toks []Token
+	for {
+		t, err := lx.Next()
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, t)
+		if t.Kind == EOF {
+			return toks, nil
+		}
+	}
+}
+
 func TestLexBasicTokens(t *testing.T) {
 	toks, err := Lex("for (i = 0; i < 17; i = i + 1) { C[i] = 3*A[i]; }")
 	if err != nil {

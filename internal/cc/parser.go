@@ -4,34 +4,66 @@ import (
 	"fmt"
 )
 
-// Parser is a recursive-descent parser for the ROCCC C subset.
+// Parser is a recursive-descent parser for the ROCCC C subset. It pulls
+// tokens from its Lexer one at a time and holds only the current one.
 type Parser struct {
-	toks []Token
-	pos  int
+	lx  Lexer
+	tok Token
+	// err is the lexer's first error. The parser sees EOF from then on,
+	// and Parse reports err over any syntax error, as if the whole input
+	// had been lexed first.
+	err error
 }
 
-// Parse lexes and parses src into a File. It reports the first syntax
-// error encountered.
+// Parse lexes and parses src into a File. It reports the first lexical
+// error in src if there is one, else the first syntax error.
 func Parse(src string) (*File, error) {
-	toks, err := Lex(src)
+	p := &Parser{lx: *NewLexer(src)}
+	p.advance()
+	f, err := p.file()
 	if err != nil {
-		return nil, err
+		for p.err == nil && p.tok.Kind != EOF {
+			p.advance()
+		}
 	}
-	p := &Parser{toks: toks}
-	return p.file()
+	if p.err != nil {
+		return nil, p.err
+	}
+	return f, err
 }
 
-func (p *Parser) cur() Token  { return p.toks[p.pos] }
-func (p *Parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+// advance pulls the next token into p.tok.
+func (p *Parser) advance() {
+	if p.err != nil {
+		return
+	}
+	t, err := p.lx.Next()
+	if err != nil {
+		p.err = err
+		t = Token{Kind: EOF, Pos: p.lx.pos()}
+	}
+	p.tok = t
+}
 
-func (p *Parser) at(k Kind) bool { return p.cur().Kind == k }
+func (p *Parser) cur() Token  { return p.tok }
+func (p *Parser) next() Token { t := p.tok; p.advance(); return t }
+
+func (p *Parser) at(k Kind) bool { return p.tok.Kind == k }
 
 func (p *Parser) accept(k Kind) bool {
 	if p.at(k) {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false
+}
+
+// peekIs reports whether the token after the current one is of kind k,
+// lexing it on a copy of the lexer.
+func (p *Parser) peekIs(k Kind) bool {
+	lx := p.lx
+	t, err := lx.Next()
+	return err == nil && t.Kind == k
 }
 
 func (p *Parser) expect(k Kind) (Token, error) {
@@ -110,7 +142,7 @@ func (p *Parser) typeSpec() (Type, bool, error) {
 func (p *Parser) file() (*File, error) {
 	f := &File{}
 	for !p.at(EOF) {
-		start := p.pos
+		lx, tok := p.lx, p.tok // a function is parsed again from its type
 		typ, isConst, err := p.typeSpec()
 		if err != nil {
 			return nil, err
@@ -124,7 +156,7 @@ func (p *Parser) file() (*File, error) {
 			if isPtr {
 				return nil, p.errf("functions returning pointers are not supported")
 			}
-			p.pos = start
+			p.lx, p.tok = lx, tok
 			fn, err := p.funcDecl()
 			if err != nil {
 				return nil, err
@@ -245,7 +277,7 @@ func (p *Parser) funcDecl() (*FuncDecl, error) {
 		return nil, err
 	}
 	fn := &FuncDecl{Name: nameTok.Text, Ret: ret, Pos: nameTok.Pos}
-	if !p.at(RPAREN) && !(p.at(KwVoid) && p.toks[p.pos+1].Kind == RPAREN) {
+	if !p.at(RPAREN) && !(p.at(KwVoid) && p.peekIs(RPAREN)) {
 		for {
 			prm, err := p.param()
 			if err != nil {

@@ -306,6 +306,26 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("%q: expected parse error", src)
 		}
 	}
+	// The parser pulls tokens as it goes, but a lexical error anywhere
+	// in the input still wins over a syntax error before it, and
+	// positions survive the backtrack from a global's type to a function
+	// header and the lookahead in "(void)".
+	texts := []struct{ src, want string }{
+		{"void f( { } @", "cc: 1:13: unexpected character '@'"},
+		{"void f( { } /* never closed", "cc: 1:13: unterminated block comment"},
+		{"int f(int a b) { }", "cc: 1:13: expected ), found identifier(b)"},
+		{"int g; unsigned f(int a, ) { }", "cc: 1:26: expected type, found )"},
+		{"void f(void", "cc: 1:12: expected identifier, found EOF"},
+		{"void f(void @", "cc: 1:13: unexpected character '@'"},
+		{"void f(void) { x = 1; } int", "cc: 1:28: expected identifier, found EOF"},
+		{"int x = 3 $ 4;", "cc: 1:11: unexpected character '$'"},
+	}
+	for _, tc := range texts {
+		_, err := Parse(tc.src)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%q: error %v, want %q", tc.src, err, tc.want)
+		}
+	}
 }
 
 func TestParseMultiDeclarators(t *testing.T) {

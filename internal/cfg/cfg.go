@@ -7,6 +7,7 @@ package cfg
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"roccc/internal/vm"
@@ -64,7 +65,10 @@ func (b *Block) String() string {
 	return sb.String()
 }
 
-// Graph is a control flow graph over a vm routine.
+// Graph is a control flow graph over a vm routine. Block IDs are dense:
+// Build sets Blocks[i].ID == i and Exit.ID == len(Blocks), so the
+// analyses below return, and their users keep, per-block state in
+// slices of length len(Blocks)+1 indexed by ID.
 type Graph struct {
 	Routine *vm.Routine
 	Blocks  []*Block // Blocks[0] is the entry
@@ -80,7 +84,8 @@ func Build(rt *vm.Routine) (*Graph, error) {
 	// Identify leaders: first instruction, label positions, and
 	// instructions following branches.
 	labels := map[string]int{}
-	leaders := map[int]bool{0: true}
+	leaders := make([]bool, len(rt.Instrs)+1)
+	leaders[0] = true
 	for i, in := range rt.Instrs {
 		switch in.Op {
 		case vm.LAB:
@@ -93,7 +98,7 @@ func Build(rt *vm.Routine) (*Graph, error) {
 	// Carve blocks.
 	exit := &Block{ID: -1}
 	g.Exit = exit
-	blockAt := map[int]*Block{}
+	blockAt := make([]*Block, len(rt.Instrs))
 	var order []int
 	var cur *Block
 	for i, in := range rt.Instrs {
@@ -181,45 +186,46 @@ func Build(rt *vm.Routine) (*Graph, error) {
 }
 
 // ReversePostOrder returns the blocks in reverse post-order from the
-// entry (the exit block is excluded).
+// entry (the exit block is excluded, and so is any block the entry does
+// not reach).
 func (g *Graph) ReversePostOrder() []*Block {
-	seen := map[*Block]bool{g.Exit: true}
-	var post []*Block
+	seen := make([]bool, len(g.Blocks)+1)
+	seen[g.Exit.ID] = true
+	post := make([]*Block, 0, len(g.Blocks))
 	var dfs func(b *Block)
 	dfs = func(b *Block) {
-		seen[b] = true
+		seen[b.ID] = true
 		for _, s := range b.Succs {
-			if !seen[s] {
+			if !seen[s.ID] {
 				dfs(s)
 			}
 		}
 		post = append(post, b)
 	}
 	dfs(g.Entry())
-	rpo := make([]*Block, 0, len(post))
-	for i := len(post) - 1; i >= 0; i-- {
-		rpo = append(rpo, post[i])
-	}
-	return rpo
+	slices.Reverse(post)
+	return post
 }
 
 // Dominators computes the immediate-dominator relation with the
-// Cooper–Harvey–Kennedy iterative algorithm. The entry block's idom is
-// itself.
-func (g *Graph) Dominators() map[*Block]*Block {
+// Cooper–Harvey–Kennedy iterative algorithm. idom[b.ID] is b's
+// immediate dominator; the entry's is itself, and the exit's and those
+// of blocks the entry does not reach are nil.
+func (g *Graph) Dominators() []*Block {
 	rpo := g.ReversePostOrder()
-	index := map[*Block]int{}
+	index := make([]int, len(g.Blocks)+1)
 	for i, b := range rpo {
-		index[b] = i
+		index[b.ID] = i
 	}
-	idom := map[*Block]*Block{rpo[0]: rpo[0]}
+	idom := make([]*Block, len(g.Blocks)+1)
+	idom[rpo[0].ID] = rpo[0]
 	intersect := func(a, b *Block) *Block {
 		for a != b {
-			for index[a] > index[b] {
-				a = idom[a]
+			for index[a.ID] > index[b.ID] {
+				a = idom[a.ID]
 			}
-			for index[b] > index[a] {
-				b = idom[b]
+			for index[b.ID] > index[a.ID] {
+				b = idom[b.ID]
 			}
 		}
 		return a
@@ -229,7 +235,7 @@ func (g *Graph) Dominators() map[*Block]*Block {
 		for _, b := range rpo[1:] {
 			var newIdom *Block
 			for _, p := range b.Preds {
-				if _, ok := idom[p]; !ok {
+				if idom[p.ID] == nil {
 					continue
 				}
 				if newIdom == nil {
@@ -241,8 +247,8 @@ func (g *Graph) Dominators() map[*Block]*Block {
 			if newIdom == nil {
 				continue
 			}
-			if idom[b] != newIdom {
-				idom[b] = newIdom
+			if idom[b.ID] != newIdom {
+				idom[b.ID] = newIdom
 				changed = true
 			}
 		}
@@ -250,27 +256,24 @@ func (g *Graph) Dominators() map[*Block]*Block {
 	return idom
 }
 
-// DominanceFrontier computes each block's dominance frontier.
-func (g *Graph) DominanceFrontier() map[*Block][]*Block {
-	idom := g.Dominators()
-	df := map[*Block][]*Block{}
-	inDF := map[*Block]map[*Block]bool{}
+// DominanceFrontier computes each block's dominance frontier from the
+// immediate dominators idom (as Dominators returns them): df[b.ID]
+// lists the joins in b's frontier in reverse post-order.
+func (g *Graph) DominanceFrontier(idom []*Block) [][]*Block {
+	df := make([][]*Block, len(g.Blocks)+1)
 	for _, b := range g.ReversePostOrder() {
 		if len(b.Preds) < 2 {
 			continue
 		}
 		for _, p := range b.Preds {
-			runner := p
-			for runner != idom[b] && runner != nil {
-				if inDF[runner] == nil {
-					inDF[runner] = map[*Block]bool{}
+			for runner := p; runner != idom[b.ID] && runner != nil; {
+				// Joins are visited one at a time, so a runner that
+				// already holds b holds it last.
+				if f := df[runner.ID]; len(f) == 0 || f[len(f)-1] != b {
+					df[runner.ID] = append(f, b)
 				}
-				if !inDF[runner][b] {
-					inDF[runner][b] = true
-					df[runner] = append(df[runner], b)
-				}
-				next, ok := idom[runner]
-				if !ok || next == runner {
+				next := idom[runner.ID]
+				if next == nil || next == runner {
 					break
 				}
 				runner = next

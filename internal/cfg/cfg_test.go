@@ -88,17 +88,29 @@ void f(int a, int b, int* o) {
 	if branches != 3 {
 		t.Errorf("branches = %d, want 3", branches)
 	}
+	// Block IDs are dense: the analyses index their results by them.
+	for i, b := range g.Blocks {
+		if b.ID != i {
+			t.Errorf("Blocks[%d].ID = %d", i, b.ID)
+		}
+	}
+	if g.Exit.ID != len(g.Blocks) {
+		t.Errorf("Exit.ID = %d, want %d", g.Exit.ID, len(g.Blocks))
+	}
 	// RPO visits entry first and every reachable block once.
 	rpo := g.ReversePostOrder()
 	if rpo[0] != g.Entry() {
 		t.Error("RPO does not start at entry")
 	}
-	seen := map[*Block]bool{}
+	if len(rpo) != len(g.Blocks) {
+		t.Errorf("RPO has %d blocks, want %d", len(rpo), len(g.Blocks))
+	}
+	seen := make([]bool, len(g.Blocks)+1)
 	for _, b := range rpo {
-		if seen[b] {
+		if seen[b.ID] {
 			t.Error("duplicate block in RPO")
 		}
-		seen[b] = true
+		seen[b.ID] = true
 	}
 }
 
@@ -118,15 +130,15 @@ void f(int a, int* o) {
 	}
 	idom := g.Dominators()
 	entry := g.Entry()
-	if idom[entry] != entry {
+	if idom[entry.ID] != entry {
 		t.Error("entry must dominate itself")
 	}
 	// Every reachable block walks up to the entry.
 	for _, b := range g.ReversePostOrder() {
 		d := b
 		for i := 0; i < 50 && d != entry; i++ {
-			nd, ok := idom[d]
-			if !ok {
+			nd := idom[d.ID]
+			if nd == nil {
 				t.Fatalf("block %d has no idom", d.ID)
 			}
 			d = nd
@@ -134,6 +146,56 @@ void f(int a, int* o) {
 		if d != entry {
 			t.Errorf("block %d does not reach entry in the dom tree", b.ID)
 		}
+	}
+	if idom[g.Exit.ID] != nil {
+		t.Error("exit has an idom")
+	}
+
+	// A block after a JMP that no branch targets is unreachable: it has
+	// no idom and is in no block's frontier, while the join it falls
+	// into still is.
+	rt := &vm.Routine{Name: "dead", Inputs: []vm.Port{{Reg: 1}}}
+	rt.NewReg(cc.Int32)
+	rt.NewReg(cc.Int32)
+	rt.Instrs = []*vm.Instr{
+		{Op: vm.BTR, Srcs: []vm.Operand{vm.R(1)}, Label: "join"},
+		{Op: vm.JMP, Label: "join"},
+		{Op: vm.LDC, Dst: 2, Srcs: []vm.Operand{vm.Imm(7)}, Typ: cc.Int32},
+		{Op: vm.LAB, Label: "join"},
+		{Op: vm.RET},
+	}
+	g, err = Build(rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.Blocks) != 4 {
+		t.Fatalf("blocks = %d, want 4:\n%s", len(g.Blocks), g)
+	}
+	dead, join := g.Blocks[2], g.Blocks[3]
+	if len(dead.Instrs) != 1 || len(join.Preds) != 3 {
+		t.Fatalf("unexpected shape:\n%s", g)
+	}
+	idom = g.Dominators()
+	if idom[dead.ID] != nil {
+		t.Errorf("unreachable block %d has idom %d", dead.ID, idom[dead.ID].ID)
+	}
+	if idom[join.ID] != g.Entry() {
+		t.Errorf("join's idom is %v, want the entry", idom[join.ID])
+	}
+	df := g.DominanceFrontier(idom)
+	joinIn := 0
+	for _, frontier := range df {
+		for _, fb := range frontier {
+			if fb == dead {
+				t.Errorf("unreachable block %d in a frontier", dead.ID)
+			}
+			if fb == join {
+				joinIn++
+			}
+		}
+	}
+	if joinIn == 0 {
+		t.Error("join in no frontier")
 	}
 }
 
@@ -144,7 +206,7 @@ func TestDominanceFrontierTriangle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	df := g.DominanceFrontier()
+	df := g.DominanceFrontier(g.Dominators())
 	var join *Block
 	for _, b := range g.Blocks {
 		if len(b.Preds) == 2 {
@@ -197,8 +259,7 @@ func TestGraphString(t *testing.T) {
 
 func TestUnknownLabelError(t *testing.T) {
 	rt := &vm.Routine{
-		Name:    "bad",
-		RegType: map[vm.Reg]cc.IntType{},
+		Name: "bad",
 		Instrs: []*vm.Instr{
 			{Op: vm.JMP, Label: "nowhere"},
 			{Op: vm.RET},

@@ -30,17 +30,22 @@ func buildGraph(t *testing.T, src, name string) *cfg.Graph {
 }
 
 func TestRegSetOps(t *testing.T) {
-	a := RegSet{1: true, 2: true}
-	b := a.Clone()
-	if !a.Equal(b) {
-		t.Error("clone not equal")
-	}
+	// 130 registers span three words; 64 and 129 sit on word edges.
+	a, b := NewRegSet(130), NewRegSet(130)
+	a.Add(1)
+	a.Add(64)
 	b.Add(3)
-	if a.Equal(b) {
-		t.Error("sets diverged but compare equal")
+	b.Add(129)
+	for _, r := range []vm.Reg{1, 64} {
+		if !a.Has(r) || b.Has(r) {
+			t.Errorf("register %d: a has it %v, b has it %v", r, a.Has(r), b.Has(r))
+		}
+	}
+	if a.Has(2) || a.Has(65) || a.Has(1000) {
+		t.Error("set holds a register never added")
 	}
 	changed := a.Union(b)
-	if !changed || !a[3] {
+	if !changed || !a.Has(3) || !a.Has(129) || !a.Has(1) {
 		t.Error("union failed")
 	}
 	if a.Union(b) {
@@ -51,14 +56,15 @@ func TestRegSetOps(t *testing.T) {
 func TestDefsUsesBranchCond(t *testing.T) {
 	src := `void f(int a, int b, int* o) { int r; if (a < b) { r = a; } else { r = b; } *o = r; }`
 	g := buildGraph(t, src, "f")
-	defs, uses := DefsUses(g.Entry())
+	defs, uses := DefsUses(g.Entry(), g.Routine.NumRegs)
 	// The comparison defines its result and uses the inputs; the branch
 	// condition use is covered by the defining SLT.
-	if len(defs) == 0 || len(uses) == 0 {
-		t.Errorf("defs=%d uses=%d", len(defs), len(uses))
+	cond := g.Entry().BranchCond.Srcs[0].Reg
+	if !defs.Has(cond) || uses.Has(cond) {
+		t.Errorf("branch condition %s: def %v, use %v; want def only", cond, defs.Has(cond), uses.Has(cond))
 	}
 	for _, p := range g.Routine.Inputs {
-		if !uses[p.Reg] {
+		if !uses.Has(p.Reg) {
 			t.Errorf("input %s not recorded as use", p.Reg)
 		}
 	}
@@ -68,7 +74,7 @@ func TestLivenessStraightLine(t *testing.T) {
 	g := buildGraph(t, `void f(int a, int b, int* o) { *o = a * b + a; }`, "f")
 	liveIn, liveOut := Liveness(g)
 	for _, p := range g.Routine.Inputs {
-		if !liveIn[g.Entry()][p.Reg] {
+		if !liveIn[g.Entry().ID].Has(p.Reg) {
 			t.Errorf("input %s not live-in", p.Reg)
 		}
 	}
@@ -76,7 +82,7 @@ func TestLivenessStraightLine(t *testing.T) {
 	out := g.Routine.Outputs[0].Reg
 	found := false
 	for _, b := range g.Blocks {
-		if liveOut[b][out] {
+		if liveOut[b.ID].Has(out) {
 			found = true
 		}
 	}
@@ -112,7 +118,7 @@ void f(int x1, int x2, int* x3, int* x4) {
 	}
 	throughs := 0
 	for _, b := range g.Blocks {
-		if b != g.Entry() && liveIn[b][cReg] {
+		if b != g.Entry() && liveIn[b.ID].Has(cReg) {
 			throughs++
 		}
 	}
@@ -125,6 +131,9 @@ func TestDefSites(t *testing.T) {
 	src := `void f(int a, int* o) { int r; if (a > 0) { r = a; } else { r = -a; } *o = r; }`
 	g := buildGraph(t, src, "f")
 	sites := DefSites(g)
+	if len(sites) != g.Routine.NumRegs+1 {
+		t.Errorf("%d site lists for %d registers", len(sites), g.Routine.NumRegs)
+	}
 	for _, p := range g.Routine.Inputs {
 		found := false
 		for _, d := range sites[p.Reg] {

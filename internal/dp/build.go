@@ -1,7 +1,9 @@
 package dp
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"roccc/internal/cfg"
@@ -34,38 +36,37 @@ func Build(k *hir.Kernel, g *cfg.Graph) (*Datapath, error) {
 		d.Inputs = append(d.Inputs, PortW{Var: p.Var, Reg: p.Reg, Width: p.Var.Type.Bits})
 	}
 
-	// Level assignment for blocks; joins with phis reserve an extra level
-	// for their mux/pipe nodes.
+	// Level assignment for blocks, indexed by block ID; joins with phis
+	// reserve an extra level for their mux/pipe nodes (muxLevel 0: no
+	// mux node).
 	rpo := g.ReversePostOrder()
 	idom := g.Dominators()
-	blockLevel := map[*cfg.Block]int{}
-	muxLevel := map[*cfg.Block]int{}
+	blockLevel := make([]int, len(g.Blocks)+1)
+	muxLevel := make([]int, len(g.Blocks)+1)
 	for _, blk := range rpo {
 		base := 0
 		for _, p := range blk.Preds {
-			if lv, ok := blockLevel[p]; ok && lv > base {
-				base = lv
-			}
+			base = max(base, blockLevel[p.ID])
 		}
 		if len(blk.Phis) > 0 {
-			muxLevel[blk] = base + 1
-			blockLevel[blk] = base + 2
+			muxLevel[blk.ID] = base + 1
+			blockLevel[blk.ID] = base + 2
 		} else {
-			blockLevel[blk] = base + 1
+			blockLevel[blk.ID] = base + 1
 		}
 	}
 
 	// Create nodes and ops in level order.
 	for _, blk := range rpo {
 		if len(blk.Phis) > 0 {
-			if err := b.buildJoin(blk, idom, muxLevel[blk]); err != nil {
+			if err := b.buildJoin(blk, idom, muxLevel[blk.ID]); err != nil {
 				return nil, err
 			}
 		}
 		if len(blk.Instrs) == 0 {
 			continue // null node (§4.2.2 builds data path for non-null nodes)
 		}
-		node := b.newNode(SoftNode, blockLevel[blk], blk)
+		node := b.newNode(SoftNode, blockLevel[blk.ID], blk)
 		for _, in := range blk.Instrs {
 			op := b.newOp(node, in)
 			if in.Op.HasDst() {
@@ -139,14 +140,15 @@ func (b *dpBuilder) newOp(n *Node, in *vm.Instr) *Op {
 	return op
 }
 
-// dominatesOrEq reports whether a dominates b (or a == b).
-func dominatesOrEq(idom map[*cfg.Block]*cfg.Block, a, b *cfg.Block) bool {
+// dominatesOrEq reports whether a dominates b (or a == b); idom is
+// indexed by block ID.
+func dominatesOrEq(idom []*cfg.Block, a, b *cfg.Block) bool {
 	for i := 0; i < 1000; i++ {
 		if a == b {
 			return true
 		}
-		next, ok := idom[b]
-		if !ok || next == b {
+		next := idom[b.ID]
+		if next == nil || next == b {
 			return false
 		}
 		b = next
@@ -158,14 +160,14 @@ func dominatesOrEq(idom map[*cfg.Block]*cfg.Block, a, b *cfg.Block) bool {
 // select signal is the branch condition of the nearest dominating branch
 // block; phi operands are assigned to the true/false mux inputs by
 // checking which branch-successor dominates each predecessor.
-func (b *dpBuilder) buildJoin(blk *cfg.Block, idom map[*cfg.Block]*cfg.Block, level int) error {
+func (b *dpBuilder) buildJoin(blk *cfg.Block, idom []*cfg.Block, level int) error {
 	if len(blk.Preds) != 2 {
 		return fmt.Errorf("dp: join block %d has %d predecessors (structured if/else expected)", blk.ID, len(blk.Preds))
 	}
-	branch := idom[blk]
+	branch := idom[blk.ID]
 	for branch != nil && branch.BranchCond == nil {
-		next, ok := idom[branch]
-		if !ok || next == branch {
+		next := idom[branch.ID]
+		if next == nil || next == branch {
 			return fmt.Errorf("dp: join block %d has no dominating branch", blk.ID)
 		}
 		branch = next
@@ -215,14 +217,17 @@ func (b *dpBuilder) buildJoin(blk *cfg.Block, idom map[*cfg.Block]*cfg.Block, le
 // insertPipeCopies adds pipe nodes at every mux level: any register
 // defined below that level and referenced above it gets a copy, so that
 // "a virtual register's definition and reference [are] adjoining in the
-// data flow" (§4.2.2).
-func (b *dpBuilder) insertPipeCopies(muxLevel map[*cfg.Block]int) {
+// data flow" (§4.2.2). muxLevel is indexed by block ID, 0 where a block
+// has no mux node.
+func (b *dpBuilder) insertPipeCopies(muxLevel []int) {
 	// Collect mux levels in ascending order.
 	var levels []int
 	for _, lv := range muxLevel {
-		levels = append(levels, lv)
+		if lv > 0 {
+			levels = append(levels, lv)
+		}
 	}
-	sort.Ints(levels)
+	slices.Sort(levels)
 	for _, lv := range levels {
 		// Registers used strictly above lv but defined strictly below lv.
 		var pipeRegs []vm.Reg
@@ -246,13 +251,11 @@ func (b *dpBuilder) insertPipeCopies(muxLevel map[*cfg.Block]int) {
 		if len(pipeRegs) == 0 {
 			continue
 		}
-		sort.Slice(pipeRegs, func(i, j int) bool { return pipeRegs[i] < pipeRegs[j] })
+		slices.Sort(pipeRegs)
 		node := b.newNode(PipeNode, lv, nil)
 		rt := b.g.Routine
 		for _, r := range pipeRegs {
-			rt.NumRegs++
-			nr := vm.Reg(rt.NumRegs)
-			rt.RegType[nr] = rt.RegType[r]
+			nr := rt.NewReg(rt.RegType[r])
 			cp := &vm.Instr{Op: vm.MOV, Dst: nr, Srcs: []vm.Operand{vm.R(r)}, Typ: rt.RegType[r]}
 			op := b.newOp(node, cp)
 			b.d.DefOf[nr] = op
@@ -274,35 +277,38 @@ func (b *dpBuilder) insertPipeCopies(muxLevel map[*cfg.Block]int) {
 
 // sortOps orders d.Ops topologically: by node level, then by data
 // dependence inside a level (ASAP), breaking ties by op ID for
-// determinism.
+// determinism. Op IDs run 1..len(d.Ops), so depths live in a slice.
 func (b *dpBuilder) sortOps() {
 	d := b.d
-	depth := map[*Op]int{}
+	depth := make([]int, len(d.Ops)+1)
+	for i := range depth {
+		depth[i] = -1
+	}
 	var depthOf func(op *Op) int
 	depthOf = func(op *Op) int {
-		if v, ok := depth[op]; ok {
+		if v := depth[op.ID]; v >= 0 {
 			return v
 		}
-		depth[op] = 0 // breaks cycles defensively; the DAG has none
-		max := 0
-		for _, r := range op.Instr.Uses() {
-			if def := d.DefOf[r]; def != nil && def != op {
-				if dd := depthOf(def) + 1; dd > max {
-					max = dd
-				}
+		depth[op.ID] = 0 // breaks cycles defensively; the DAG has none
+		m := 0
+		for _, s := range op.Instr.Srcs {
+			if s.IsImm || s.Reg == 0 {
+				continue
+			}
+			if def := d.DefOf[s.Reg]; def != nil && def != op {
+				m = max(m, depthOf(def)+1)
 			}
 		}
-		depth[op] = max
-		return max
+		depth[op.ID] = m
+		return m
 	}
 	for _, op := range d.Ops {
 		depthOf(op)
 	}
-	sort.SliceStable(d.Ops, func(i, j int) bool {
-		a, bb := d.Ops[i], d.Ops[j]
-		if depth[a] != depth[bb] {
-			return depth[a] < depth[bb]
+	slices.SortStableFunc(d.Ops, func(x, y *Op) int {
+		if c := cmp.Compare(depth[x.ID], depth[y.ID]); c != 0 {
+			return c
 		}
-		return a.ID < bb.ID
+		return cmp.Compare(x.ID, y.ID)
 	})
 }

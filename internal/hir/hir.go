@@ -8,6 +8,7 @@ package hir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"roccc/internal/cc"
@@ -190,7 +191,7 @@ type Func struct {
 // NewTemp creates a fresh local variable with the given type.
 func (f *Func) NewTemp(t cc.IntType) *Var {
 	f.nextTemp++
-	return &Var{Name: fmt.Sprintf("t%d", f.nextTemp), Type: t, Kind: VarLocal}
+	return &Var{Name: "t" + strconv.Itoa(f.nextTemp), Type: t, Kind: VarLocal}
 }
 
 // --- Statements ---

@@ -3,6 +3,7 @@ package hir
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"roccc/internal/cc"
@@ -386,7 +387,7 @@ func windowElemFor(k *Kernel, wins map[*Array]*Window, ld *Load, loopVars map[*V
 		}
 	}
 	elem := &Var{
-		Name: fmt.Sprintf("%s%d", ld.Arr.Name, len(w.Elems)),
+		Name: ld.Arr.Name + strconv.Itoa(len(w.Elems)),
 		Type: ld.Arr.Elem,
 		Kind: VarParam,
 	}
@@ -427,7 +428,7 @@ func replaceStores(k *Kernel, accs map[*Array]*WriteAccess, list []Stmt, loopVar
 			}
 			if outVar == nil {
 				outVar = &Var{
-					Name: fmt.Sprintf("Tmp%d", totalWriteElems(k)),
+					Name: "Tmp" + strconv.Itoa(totalWriteElems(k)),
 					Type: s.Arr.Elem,
 					Kind: VarOut,
 				}
@@ -613,7 +614,7 @@ func rewriteFeedback(dp *Func, v, newVal *Var) error {
 	fresh := 0
 	newTemp := func() *Var {
 		fresh++
-		return &Var{Name: fmt.Sprintf("%s_v%d", v.Name, fresh), Type: v.Type, Kind: VarLocal}
+		return &Var{Name: v.Name + "_v" + strconv.Itoa(fresh), Type: v.Type, Kind: VarLocal}
 	}
 	// curr is the expression currently holding v's value.
 	subst := func(e Expr, curr Expr) Expr {

@@ -7,7 +7,6 @@ package ssa
 
 import (
 	"fmt"
-	"slices"
 
 	"roccc/internal/cfg"
 	"roccc/internal/dfa"
@@ -19,38 +18,43 @@ import (
 // inserted at dominance frontiers for registers live at the join, and
 // all registers are renamed so each has exactly one definition. Routine
 // output ports are updated to the renamed registers.
+//
+// Per-register and per-block state lives in slices indexed by register
+// and block ID; registers are visited in ascending order and dominator
+// children in reverse post-order, so one source always compiles to the
+// same registers and so the same VHDL text.
 func Convert(g *cfg.Graph) error {
 	rt := g.Routine
+	numRegs := rt.NumRegs // registers renaming adds are never renamed
 	liveIn, _ := dfa.Liveness(g)
 	defSites := dfa.DefSites(g)
-	df := g.DominanceFrontier()
 	idom := g.Dominators()
+	df := g.DominanceFrontier(idom)
 
-	// Phase 1: phi placement (pruned SSA). Registers are visited in
-	// sorted order: a join block's phis, and so the registers renaming
-	// assigns them, must not follow map iteration order, or one source
-	// would compile to different (if equivalent) VHDL texts.
-	regs := make([]vm.Reg, 0, len(defSites))
-	for reg, sites := range defSites {
-		if len(sites) >= 2 {
-			regs = append(regs, reg)
-		}
-	}
-	slices.Sort(regs)
-	phiOrig := map[*vm.Instr]vm.Reg{} // phi -> original register
-	hasPhiFor := map[*cfg.Block]map[vm.Reg]bool{}
-	for _, reg := range regs {
+	// Phase 1: phi placement (pruned SSA), register by register in
+	// ascending order, so a join's phis are sorted by register.
+	// phiOrig[b.ID][i] is the original register of b.Phis[i];
+	// placedFor[b.ID] is the last register given a phi at b.
+	phiOrig := make([][]vm.Reg, len(g.Blocks)+1)
+	placedFor := make([]vm.Reg, len(g.Blocks)+1)
+	var work []*cfg.Block
+	for reg := vm.Reg(1); int(reg) <= numRegs; reg++ {
 		sites := defSites[reg]
-		work := append([]dfa.Def{}, sites...)
-		seen := map[*cfg.Block]bool{}
+		if len(sites) < 2 {
+			continue
+		}
+		work = work[:0]
+		for _, d := range sites {
+			work = append(work, d.Block)
+		}
 		for len(work) > 0 {
-			d := work[len(work)-1]
+			x := work[len(work)-1]
 			work = work[:len(work)-1]
-			for _, y := range df[d.Block] {
-				if seen[y] || !liveIn[y][reg] {
+			for _, y := range df[x.ID] {
+				if placedFor[y.ID] == reg || !liveIn[y.ID].Has(reg) {
 					continue
 				}
-				seen[y] = true
+				placedFor[y.ID] = reg
 				phi := &vm.Instr{
 					Op:   vm.PHI,
 					Dst:  reg,
@@ -61,64 +65,59 @@ func Convert(g *cfg.Graph) error {
 					phi.Srcs[i] = vm.R(reg)
 				}
 				y.Phis = append(y.Phis, phi)
-				phiOrig[phi] = reg
-				if hasPhiFor[y] == nil {
-					hasPhiFor[y] = map[vm.Reg]bool{}
-				}
-				hasPhiFor[y][reg] = true
-				work = append(work, dfa.Def{Block: y, Index: -1})
+				phiOrig[y.ID] = append(phiOrig[y.ID], reg)
+				work = append(work, y)
 			}
 		}
 	}
 
-	// Phase 2: renaming along the dominator tree.
-	domChildren := map[*cfg.Block][]*cfg.Block{}
+	// Phase 2: renaming along the dominator tree. cur[r] is the name in
+	// scope for original register r (0: none yet); each definition logs
+	// the name it shadows in undo, and leaving a block restores them.
+	domChildren := make([][]*cfg.Block, len(g.Blocks)+1)
 	for _, b := range g.ReversePostOrder() {
-		if b == g.Entry() {
-			continue
-		}
-		if p, ok := idom[b]; ok && p != b {
-			domChildren[p] = append(domChildren[p], b)
+		if p := idom[b.ID]; p != nil && p != b {
+			domChildren[p.ID] = append(domChildren[p.ID], b)
 		}
 	}
-
-	stacks := map[vm.Reg][]vm.Reg{}
-	newName := func(orig vm.Reg) vm.Reg {
-		rt.NumRegs++
-		nr := vm.Reg(rt.NumRegs)
-		rt.RegType[nr] = rt.RegType[orig]
-		stacks[orig] = append(stacks[orig], nr)
+	type shadowed struct{ orig, prev vm.Reg }
+	cur := make([]vm.Reg, numRegs+1)
+	var undo []shadowed
+	define := func(orig vm.Reg) vm.Reg {
+		nr := rt.NewReg(rt.RegType[orig])
+		undo = append(undo, shadowed{orig, cur[orig]})
+		cur[orig] = nr
 		return nr
 	}
 	top := func(orig vm.Reg) vm.Reg {
-		st := stacks[orig]
-		if len(st) == 0 {
-			// Never-defined register (read of an undefined value):
-			// keep the original name.
-			return orig
+		if c := cur[orig]; c != 0 {
+			return c
 		}
-		return st[len(st)-1]
+		// Never-defined register (read of an undefined value): keep the
+		// original name.
+		return orig
 	}
-	// Inputs are defined at the entry: seed their stacks with
-	// themselves so uses keep the port register.
+	// Inputs are defined at the entry under their own names, so uses
+	// keep the port register.
 	for _, p := range rt.Inputs {
-		stacks[p.Reg] = append(stacks[p.Reg], p.Reg)
+		cur[p.Reg] = p.Reg
 	}
+	isOutput := make([]bool, numRegs+1)
+	for _, p := range rt.Outputs {
+		isOutput[p.Reg] = true
+	}
+	outputRenamed := make([]vm.Reg, numRegs+1)
 
 	renameOperand := func(o *vm.Operand) {
 		if !o.IsImm && o.Reg != 0 {
 			o.Reg = top(o.Reg)
 		}
 	}
-	outputRenamed := map[vm.Reg]vm.Reg{}
-
 	var rename func(b *cfg.Block)
 	rename = func(b *cfg.Block) {
-		var pushed []vm.Reg
-		for _, phi := range b.Phis {
-			orig := phiOrig[phi]
-			phi.Dst = newName(orig)
-			pushed = append(pushed, orig)
+		mark := len(undo)
+		for i, phi := range b.Phis {
+			phi.Dst = define(phiOrig[b.ID][i])
 		}
 		for _, in := range b.Instrs {
 			for i := range in.Srcs {
@@ -126,9 +125,8 @@ func Convert(g *cfg.Graph) error {
 			}
 			if in.Op.HasDst() {
 				orig := in.Dst
-				in.Dst = newName(orig)
-				pushed = append(pushed, orig)
-				if isOutputReg(rt, orig) {
+				in.Dst = define(orig)
+				if isOutput[orig] {
 					outputRenamed[orig] = in.Dst
 				}
 			}
@@ -140,58 +138,56 @@ func Convert(g *cfg.Graph) error {
 		}
 		for _, s := range b.Succs {
 			pi := s.PredIndex(b)
-			for _, phi := range s.Phis {
-				orig := phiOrig[phi]
-				phi.Srcs[pi] = vm.R(top(orig))
+			for i, phi := range s.Phis {
+				phi.Srcs[pi] = vm.R(top(phiOrig[s.ID][i]))
 			}
 		}
-		for _, c := range domChildren[b] {
+		for _, c := range domChildren[b.ID] {
 			rename(c)
 		}
-		for _, orig := range pushed {
-			stacks[orig] = stacks[orig][:len(stacks[orig])-1]
+		for i := len(undo) - 1; i >= mark; i-- {
+			cur[undo[i].orig] = undo[i].prev
 		}
+		undo = undo[:mark]
 	}
 	rename(g.Entry())
 
 	// Update output ports to the renamed definitions.
 	for i := range rt.Outputs {
-		if nr, ok := outputRenamed[rt.Outputs[i].Reg]; ok {
+		if nr := outputRenamed[rt.Outputs[i].Reg]; nr != 0 {
 			rt.Outputs[i].Reg = nr
 		}
 	}
 	return Check(g)
 }
 
-func isOutputReg(rt *vm.Routine, r vm.Reg) bool {
-	for _, p := range rt.Outputs {
-		if p.Reg == r {
-			return true
-		}
-	}
-	return false
-}
-
 // Check verifies the single-assignment invariant: every register is
 // defined at most once across the graph (inputs count as definitions).
+// It names the lowest register defined more than once.
 func Check(g *cfg.Graph) error {
-	defs := map[vm.Reg]int{}
+	defs := make([]int, g.Routine.NumRegs+1)
+	def := func(r vm.Reg) {
+		if int(r) >= len(defs) {
+			defs = append(defs, make([]int, int(r)+1-len(defs))...)
+		}
+		defs[r]++
+	}
 	for _, p := range g.Routine.Inputs {
-		defs[p.Reg]++
+		def(p.Reg)
 	}
 	for _, b := range g.Blocks {
 		for _, phi := range b.Phis {
-			defs[phi.Dst]++
+			def(phi.Dst)
 		}
 		for _, in := range b.Instrs {
 			if in.Op.HasDst() {
-				defs[in.Dst]++
+				def(in.Dst)
 			}
 		}
 	}
 	for r, n := range defs {
 		if n > 1 {
-			return fmt.Errorf("ssa: register %s has %d definitions", r, n)
+			return fmt.Errorf("ssa: register %s has %d definitions", vm.Reg(r), n)
 		}
 	}
 	return nil
@@ -206,7 +202,7 @@ func Exec(g *cfg.Graph, inputs []int64, state map[*hir.Var]int64) ([]int64, erro
 	if len(inputs) != len(rt.Inputs) {
 		return nil, fmt.Errorf("ssa: exec: %d inputs, routine has %d", len(inputs), len(rt.Inputs))
 	}
-	regs := map[vm.Reg]int64{}
+	regs := make([]int64, rt.NumRegs+1)
 	for i, p := range rt.Inputs {
 		regs[p.Reg] = p.Var.Type.Wrap(inputs[i])
 	}

@@ -1,12 +1,16 @@
-package ssa
+package ssa_test
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"roccc/internal/cfg"
 	"roccc/internal/dfa"
+	"roccc/internal/dp"
 	"roccc/internal/hir"
+	"roccc/internal/ssa"
 	"roccc/internal/vm"
 )
 
@@ -78,8 +82,8 @@ func TestDominators(t *testing.T) {
 		}
 		// All blocks in a diamond are dominated (transitively) by entry.
 		d := b
-		for i := 0; i < 10 && d != entry; i++ {
-			d = idom[d]
+		for i := 0; i < 10 && d != nil && d != entry; i++ {
+			d = idom[d.ID]
 		}
 		if d != entry {
 			t.Errorf("block %d not dominated by entry", b.ID)
@@ -89,7 +93,7 @@ func TestDominators(t *testing.T) {
 
 func TestDominanceFrontierJoin(t *testing.T) {
 	_, g := buildGraph(t, ifElseSource, "if_else")
-	df := g.DominanceFrontier()
+	df := g.DominanceFrontier(g.Dominators())
 	// The two branch blocks must have the join in their frontier.
 	var join *cfg.Block
 	for _, b := range g.Blocks {
@@ -118,7 +122,7 @@ func TestLiveness(t *testing.T) {
 	liveIn, liveOut := dfa.Liveness(g)
 	// Inputs must be live-in at the entry (used in branches).
 	for _, p := range g.Routine.Inputs {
-		if !liveIn[g.Entry()][p.Reg] {
+		if !liveIn[g.Entry().ID].Has(p.Reg) {
 			t.Errorf("input %s not live-in at entry", p.Reg)
 		}
 	}
@@ -126,7 +130,7 @@ func TestLiveness(t *testing.T) {
 	for _, p := range g.Routine.Outputs {
 		found := false
 		for _, b := range g.Blocks {
-			if liveOut[b][p.Reg] {
+			if liveOut[b.ID].Has(p.Reg) {
 				found = true
 			}
 		}
@@ -138,7 +142,7 @@ func TestLiveness(t *testing.T) {
 
 func TestConvertInsertsPhis(t *testing.T) {
 	_, g := buildGraph(t, ifElseSource, "if_else")
-	if err := Convert(g); err != nil {
+	if err := ssa.Convert(g); err != nil {
 		t.Fatal(err)
 	}
 	phis := 0
@@ -152,18 +156,48 @@ func TestConvertInsertsPhis(t *testing.T) {
 }
 
 func TestConvertSSASingleAssignment(t *testing.T) {
-	_, g := buildGraph(t, ifElseSource, "if_else")
-	if err := Convert(g); err != nil {
+	k, g := buildGraph(t, ifElseSource, "if_else")
+	// Before conversion a and c are each assigned twice. Check names the
+	// lowest register defined more than once, and dp.Build refuses the
+	// graph.
+	defs := make([]int, g.Routine.NumRegs+1)
+	for _, p := range g.Routine.Inputs {
+		defs[p.Reg]++
+	}
+	for _, b := range g.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op.HasDst() {
+				defs[in.Dst]++
+			}
+		}
+	}
+	var multi []vm.Reg
+	for r, n := range defs {
+		if n > 1 {
+			multi = append(multi, vm.Reg(r))
+		}
+	}
+	if len(multi) < 2 {
+		t.Fatalf("registers defined more than once: %v, want at least 2", multi)
+	}
+	want := fmt.Sprintf("ssa: register %s has %d definitions", multi[0], defs[multi[0]])
+	if err := ssa.Check(g); err == nil || err.Error() != want {
+		t.Errorf("Check before Convert = %v, want %q", err, want)
+	}
+	if _, err := dp.Build(k, g); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("dp.Build before Convert = %v, want it to refuse with %q", err, want)
+	}
+	if err := ssa.Convert(g); err != nil {
 		t.Fatal(err)
 	}
-	if err := Check(g); err != nil {
+	if err := ssa.Check(g); err != nil {
 		t.Error(err)
 	}
 }
 
 func TestSSAExecMatchesHIR(t *testing.T) {
 	k, g := buildGraph(t, ifElseSource, "if_else")
-	if err := Convert(g); err != nil {
+	if err := ssa.Convert(g); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(99))
@@ -176,7 +210,7 @@ func TestSSAExecMatchesHIR(t *testing.T) {
 		if err := hir.RunFunc(k.DP, env); err != nil {
 			t.Fatal(err)
 		}
-		outs, err := Exec(g, []int64{x1, x2}, map[*hir.Var]int64{})
+		outs, err := ssa.Exec(g, []int64{x1, x2}, map[*hir.Var]int64{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,25 +234,25 @@ void macc(int12 a, int12 b, uint1 nd) {
 }
 `
 	k, g := buildGraph(t, src, "macc")
-	if err := Convert(g); err != nil {
+	if err := ssa.Convert(g); err != nil {
 		t.Fatal(err)
 	}
 	fb := k.Feedback[0]
 	state := map[*hir.Var]int64{fb.Var: fb.Init}
 	// nd=1 accumulates, nd=0 holds.
-	if _, err := Exec(g, []int64{3, 5, 1}, state); err != nil {
+	if _, err := ssa.Exec(g, []int64{3, 5, 1}, state); err != nil {
 		t.Fatal(err)
 	}
 	if state[fb.Var] != 15 {
 		t.Errorf("state after nd=1: %d, want 15", state[fb.Var])
 	}
-	if _, err := Exec(g, []int64{7, 7, 0}, state); err != nil {
+	if _, err := ssa.Exec(g, []int64{7, 7, 0}, state); err != nil {
 		t.Fatal(err)
 	}
 	if state[fb.Var] != 15 {
 		t.Errorf("state after nd=0: %d, want 15 (hold)", state[fb.Var])
 	}
-	if _, err := Exec(g, []int64{2, 2, 1}, state); err != nil {
+	if _, err := ssa.Exec(g, []int64{2, 2, 1}, state); err != nil {
 		t.Fatal(err)
 	}
 	if state[fb.Var] != 19 {
@@ -239,7 +273,7 @@ void f(int a, int b, int* o) {
 }
 `
 	k, g := buildGraph(t, src, "f")
-	if err := Convert(g); err != nil {
+	if err := ssa.Convert(g); err != nil {
 		t.Fatal(err)
 	}
 	ref := func(a, b int64) int64 {
@@ -254,7 +288,7 @@ void f(int a, int b, int* o) {
 	_ = k
 	for a := int64(-3); a <= 3; a++ {
 		for b := int64(-3); b <= 3; b++ {
-			outs, err := Exec(g, []int64{a, b}, map[*hir.Var]int64{})
+			outs, err := ssa.Exec(g, []int64{a, b}, map[*hir.Var]int64{})
 			if err != nil {
 				t.Fatal(err)
 			}

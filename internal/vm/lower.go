@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"strconv"
 
 	"roccc/internal/cc"
 	"roccc/internal/hir"
@@ -13,11 +14,11 @@ import (
 // temporaries get fresh registers.
 func Lower(f *hir.Func) (*Routine, error) {
 	lo := &lowerer{
-		rt:   &Routine{Name: f.Name, RegType: map[Reg]cc.IntType{}},
+		rt:   &Routine{Name: f.Name},
 		bind: map[*hir.Var]Reg{},
 	}
 	for _, p := range f.Params {
-		r := lo.newReg(p.Type)
+		r := lo.rt.NewReg(p.Type)
 		lo.bind[p] = r
 		lo.rt.Inputs = append(lo.rt.Inputs, Port{Var: p, Reg: r})
 	}
@@ -32,7 +33,7 @@ func Lower(f *hir.Func) (*Routine, error) {
 		// Outputs get dedicated registers so the exit copy is explicit
 		// ("All the input and output operands are copied to the entry or
 		// exit of the data flow", §4.2.2).
-		or := lo.newReg(o.Type)
+		or := lo.rt.NewReg(o.Type)
 		lo.emit(&Instr{Op: MOV, Dst: or, Srcs: []Operand{R(r)}, Typ: o.Type})
 		lo.rt.Outputs = append(lo.rt.Outputs, Port{Var: o, Reg: or})
 	}
@@ -51,13 +52,6 @@ type lowerer struct {
 	depth  int
 }
 
-func (lo *lowerer) newReg(t cc.IntType) Reg {
-	lo.rt.NumRegs++
-	r := Reg(lo.rt.NumRegs)
-	lo.rt.RegType[r] = t
-	return r
-}
-
 // newDst picks the destination register for an operation: the pending
 // assignment target at expression root, a fresh register otherwise.
 func (lo *lowerer) newDst(t cc.IntType) Reg {
@@ -66,7 +60,7 @@ func (lo *lowerer) newDst(t cc.IntType) Reg {
 		lo.target = 0
 		return r
 	}
-	return lo.newReg(t)
+	return lo.rt.NewReg(t)
 }
 
 // exprInto lowers e so its root operation defines dst directly. It
@@ -98,7 +92,7 @@ func (lo *lowerer) emit(in *Instr) { lo.rt.Instrs = append(lo.rt.Instrs, in) }
 
 func (lo *lowerer) label(prefix string) string {
 	lo.nextLabel++
-	return fmt.Sprintf("%s%d", prefix, lo.nextLabel)
+	return prefix + strconv.Itoa(lo.nextLabel)
 }
 
 func (lo *lowerer) stmts(list []hir.Stmt) error {
@@ -115,7 +109,7 @@ func (lo *lowerer) stmt(s hir.Stmt) error {
 	case *hir.Assign:
 		dst, ok := lo.bind[s.Dst]
 		if !ok {
-			dst = lo.newReg(s.Dst.Type)
+			dst = lo.rt.NewReg(s.Dst.Type)
 			lo.bind[s.Dst] = dst
 		}
 		// When the right-hand side is a single operation of the same
@@ -179,7 +173,7 @@ func (lo *lowerer) expr(e hir.Expr) (Operand, error) {
 		r, ok := lo.bind[e.Var]
 		if !ok {
 			// Read of a never-written local: materialize zero.
-			dst := lo.newReg(e.Var.Type)
+			dst := lo.rt.NewReg(e.Var.Type)
 			lo.emit(&Instr{Op: LDC, Dst: dst, Srcs: []Operand{Imm(0)}, Typ: e.Var.Type})
 			lo.bind[e.Var] = dst
 			return R(dst), nil
@@ -312,7 +306,7 @@ func (lo *lowerer) boolize(e hir.Expr) (Operand, error) {
 	if e.Type() == cc.UInt1 {
 		return x, nil
 	}
-	dst := lo.newReg(cc.UInt1)
+	dst := lo.rt.NewReg(cc.UInt1)
 	lo.emit(&Instr{Op: SNE, Dst: dst, Srcs: []Operand{x, Imm(0)}, Typ: cc.UInt1})
 	return R(dst), nil
 }

@@ -189,13 +189,28 @@ type Port struct {
 
 // Routine is a lowered data-path function: a linear instruction stream
 // with labels (CFG construction groups it into blocks).
+//
+// Registers are dense: every register the routine mentions lies in
+// 1..NumRegs, so later passes index per-register state by Reg. RegType
+// holds each register's type at index Reg (entry 0 is unused); NewReg
+// keeps len(RegType) == NumRegs+1.
 type Routine struct {
 	Name    string
 	Instrs  []*Instr
 	Inputs  []Port
 	Outputs []Port
 	NumRegs int
-	RegType map[Reg]cc.IntType
+	RegType []cc.IntType
+}
+
+// NewReg allocates the next register, of type t.
+func (rt *Routine) NewReg(t cc.IntType) Reg {
+	if len(rt.RegType) == 0 {
+		rt.RegType = append(rt.RegType, cc.IntType{}) // register 0 is invalid
+	}
+	rt.NumRegs++
+	rt.RegType = append(rt.RegType, t)
+	return Reg(rt.NumRegs)
 }
 
 // String renders the routine.

@@ -121,7 +121,7 @@ func TestEvalOpDivByZero(t *testing.T) {
 }
 
 func TestExecArityChecks(t *testing.T) {
-	rt := &Routine{Name: "t", RegType: map[Reg]cc.IntType{}}
+	rt := &Routine{Name: "t"}
 	if _, err := Exec(rt, []int64{1}, nil); err == nil {
 		t.Error("input arity not checked")
 	}
