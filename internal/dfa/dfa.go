@@ -142,19 +142,16 @@ func DefSites(g *cfg.Graph) [][]Def {
 // indexed by register.
 func UseCount(g *cfg.Graph) []int {
 	counts := make([]int, g.Routine.NumRegs+1)
-	count := func(in *vm.Instr) {
-		for _, s := range in.Srcs {
-			if !s.IsImm && s.Reg != 0 {
-				counts[s.Reg]++
-			}
-		}
-	}
 	for _, b := range g.Blocks {
 		for _, in := range b.Instrs {
-			count(in)
+			for _, r := range in.Uses() {
+				counts[r]++
+			}
 		}
 		if b.BranchCond != nil {
-			count(b.BranchCond)
+			for _, r := range b.BranchCond.Uses() {
+				counts[r]++
+			}
 		}
 	}
 	for _, p := range g.Routine.Outputs {
