@@ -10,7 +10,9 @@ import (
 	"testing"
 
 	"roccc/internal/bench"
+	"roccc/internal/dp"
 	"roccc/internal/exp"
+	"roccc/internal/vhdl"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite "+goldenPath+" from the current emitter")
@@ -69,7 +71,9 @@ func vhdlHash(files []VHDLFile) string {
 }
 
 // TestGenerateVHDLGolden pins the bytes GenerateVHDL emits for every
-// pinned kernel. A change to the emitter that is meant to alter the text
+// pinned kernel, and structurally verifies each file set it hashes
+// (vhdl.VerifyKernelFiles for streaming kernels, VerifyDatapathFiles
+// for the others). A change to the emitter that is meant to alter the text
 // regenerates the file with
 //
 //	go test -run TestGenerateVHDLGolden -update .
@@ -85,6 +89,15 @@ func TestGenerateVHDLGolden(t *testing.T) {
 		files, err := GenerateVHDL(res)
 		if err != nil {
 			t.Fatalf("%s: %v", k.name, err)
+		}
+		var vs []dp.Violation
+		if res.Kernel.Streams() {
+			vs = vhdl.VerifyKernelFiles(res.Kernel, res.Datapath, files)
+		} else {
+			vs = vhdl.VerifyDatapathFiles(res.Datapath, files)
+		}
+		for _, v := range vs {
+			t.Errorf("%s: %v", k.name, v)
 		}
 		got.WriteString(k.name + " " + vhdlHash(files) + "\n")
 	}

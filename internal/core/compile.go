@@ -32,8 +32,6 @@ type Options struct {
 	Optimize bool
 	// PeriodNs is the target clock period for latch placement.
 	PeriodNs float64
-	// Delay overrides the per-op delay model (nil = dp.DefaultDelay).
-	Delay dp.DelayFn
 }
 
 // DefaultOptions returns the standard optimizing configuration with a
@@ -133,13 +131,9 @@ func Compile(prog *hir.Program, f *hir.Func, opt Options) (*Result, error) {
 		return nil, err
 	}
 	dp.InferWidths(d)
-	delay := opt.Delay
-	if delay == nil {
-		// Latch placement against the Virtex-II technology model, so the
-		// pipeline structure matches what the synthesis report assumes.
-		delay = synth.OpDelay(d, false)
-	}
-	if err := dp.Pipeline(d, dp.PipelineConfig{Period: opt.PeriodNs, Delay: delay}); err != nil {
+	// Latch placement against the Virtex-II technology model, so the
+	// pipeline structure matches what the synthesis report assumes.
+	if err := dp.Pipeline(d, dp.PipelineConfig{Period: opt.PeriodNs, Delay: synth.OpDelay(d, false)}); err != nil {
 		return nil, err
 	}
 	res.Datapath = d

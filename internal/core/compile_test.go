@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"roccc/internal/dp"
+	"roccc/internal/synth"
 	"roccc/internal/vm"
 )
 
@@ -131,18 +132,27 @@ func TestCompileRejectsWhileLoop(t *testing.T) {
 	}
 }
 
+// TestCompileCustomDelayModel pins the one delay model: Compile places
+// latches with synth.OpDelay, so re-pipelining with it at the same
+// period changes nothing, and Pipeline refuses to run without a model.
 func TestCompileCustomDelayModel(t *testing.T) {
-	opt := DefaultOptions()
-	calls := 0
-	opt.Delay = func(op *dp.Op) float64 { calls++; return 1.0 }
-	res, err := CompileSource(firSource, "fir", opt)
+	res, err := CompileSource(firSource, "fir", DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls == 0 {
-		t.Error("custom delay model never consulted")
+	d := res.Datapath
+	stages, latches, worst := d.Stages, d.LatchCount(), d.MaxStageDelay
+	if latches == 0 || worst <= 0 {
+		t.Fatalf("FIR compiled with %d latches and stage delay %.2f ns", latches, worst)
 	}
-	if res.Datapath.MaxStageDelay <= 0 {
-		t.Error("no stage delay recorded")
+	if err := dp.Pipeline(d, dp.PipelineConfig{Period: d.Period, Delay: synth.OpDelay(d, false)}); err != nil {
+		t.Fatal(err)
+	}
+	if d.Stages != stages || d.LatchCount() != latches || d.MaxStageDelay != worst {
+		t.Errorf("re-pipelined with synth.OpDelay: %d stages, %d latches, %.3f ns; Compile gave %d, %d, %.3f",
+			d.Stages, d.LatchCount(), d.MaxStageDelay, stages, latches, worst)
+	}
+	if err := dp.Pipeline(d, dp.PipelineConfig{Period: d.Period}); err == nil {
+		t.Error("Pipeline without a delay model returned no error")
 	}
 }

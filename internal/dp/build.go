@@ -131,10 +131,9 @@ func (b *dpBuilder) newNode(kind NodeKind, level int, blk *cfg.Block) *Node {
 
 func (b *dpBuilder) newOp(n *Node, in *vm.Instr) *Op {
 	b.nextOp++
-	// The op owns a private copy: pipe-copy insertion rewrites operand
-	// registers, and the CFG (still used for soft-node software
-	// execution) must stay untouched.
-	op := &Op{ID: b.nextOp, Instr: in.Clone(), Node: n}
+	// A soft-node op shares its instruction with the CFG until
+	// insertPipeCopies rewrites an operand.
+	op := &Op{ID: b.nextOp, Instr: in, Node: n}
 	n.Ops = append(n.Ops, op)
 	b.d.Ops = append(b.d.Ops, op)
 	return op
@@ -218,7 +217,9 @@ func (b *dpBuilder) buildJoin(blk *cfg.Block, idom []*cfg.Block, level int) erro
 // defined below that level and referenced above it gets a copy, so that
 // "a virtual register's definition and reference [are] adjoining in the
 // data flow" (§4.2.2). muxLevel is indexed by block ID, 0 where a block
-// has no mux node.
+// has no mux node. The CFG (still used for soft-node software
+// execution) must stay untouched, so a soft-node op gets a private copy
+// of its instruction before its first operand rewrite.
 func (b *dpBuilder) insertPipeCopies(muxLevel []int) {
 	// Collect mux levels in ascending order.
 	var levels []int
@@ -227,7 +228,11 @@ func (b *dpBuilder) insertPipeCopies(muxLevel []int) {
 			levels = append(levels, lv)
 		}
 	}
+	if len(levels) == 0 {
+		return
+	}
 	slices.Sort(levels)
+	private := make([]bool, b.nextOp+1) // soft op ID -> owns its instruction
 	for _, lv := range levels {
 		// Registers used strictly above lv but defined strictly below lv.
 		var pipeRegs []vm.Reg
@@ -264,11 +269,15 @@ func (b *dpBuilder) insertPipeCopies(muxLevel []int) {
 				if user.Node.Level <= lv || user == op {
 					continue
 				}
-				for i := range user.Instr.Srcs {
-					s := &user.Instr.Srcs[i]
-					if !s.IsImm && s.Reg == r {
-						s.Reg = nr
+				for i, s := range user.Instr.Srcs {
+					if s.IsImm || s.Reg != r {
+						continue
 					}
+					if user.Node.Kind == SoftNode && !private[user.ID] {
+						user.Instr = user.Instr.Clone()
+						private[user.ID] = true
+					}
+					user.Instr.Srcs[i].Reg = nr
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package dp_test
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -93,6 +94,30 @@ func TestFig6BranchDatapath(t *testing.T) {
 	// Mux and pipe share a level strictly between branches and join.
 	if mux.Level != pipe.Level {
 		t.Errorf("mux level %d != pipe level %d", mux.Level, pipe.Level)
+	}
+	// Pipe copies rewrite data-path operands only: the CFG, which soft
+	// nodes share instructions with, keeps reading the original registers.
+	copies := map[vm.Reg]bool{}
+	for _, op := range pipe.Ops {
+		copies[op.Instr.Dst] = true
+	}
+	readsCopy := func(in *vm.Instr) bool {
+		for _, r := range in.Uses() {
+			if copies[r] {
+				return true
+			}
+		}
+		return false
+	}
+	for _, blk := range res.Graph.Blocks {
+		for _, in := range slices.Concat(blk.Phis, blk.Instrs, []*vm.Instr{blk.BranchCond}) {
+			if in != nil && readsCopy(in) {
+				t.Errorf("CFG block %d: %s reads a pipe copy", blk.ID, in)
+			}
+		}
+	}
+	if !slices.ContainsFunc(d.Ops, func(op *dp.Op) bool { return readsCopy(op.Instr) }) {
+		t.Error("no data-path op reads a pipe copy")
 	}
 }
 

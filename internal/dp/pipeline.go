@@ -13,44 +13,15 @@ import (
 // for-loop body" — the data path accepts one iteration per clock.
 
 // DelayFn estimates the combinational propagation delay of an op in
-// nanoseconds. Package synth provides the Virtex-II calibrated model;
-// DefaultDelay is a reasonable generic model for tests.
+// nanoseconds. Package synth provides the Virtex-II calibrated model
+// (synth.OpDelay), the one model latch placement uses.
 type DelayFn func(op *Op) float64
-
-// DefaultDelay is a simple technology-neutral delay model (ns).
-func DefaultDelay(op *Op) float64 {
-	w := float64(op.Width)
-	if w == 0 {
-		w = float64(op.Instr.Typ.Bits)
-	}
-	switch op.Instr.Op {
-	case vm.MOV, vm.LDC, vm.CVT, vm.LPR:
-		return 0.2
-	case vm.ADD, vm.SUB, vm.NEG:
-		return 1.0 + 0.08*w
-	case vm.MUL:
-		return 2.0 + 0.25*w
-	case vm.DIV, vm.REM:
-		return 4.0 + 0.6*w
-	case vm.AND, vm.IOR, vm.XOR, vm.NOT:
-		return 0.5
-	case vm.SEQ, vm.SNE, vm.SLT, vm.SLE:
-		return 0.8 + 0.05*w
-	case vm.MUX:
-		return 0.7
-	case vm.LUT:
-		return 1.5
-	case vm.SNX:
-		return 0.2
-	}
-	return 0.5
-}
 
 // PipelineConfig controls latch placement.
 type PipelineConfig struct {
 	// Period is the target clock period in ns (e.g. 5.0 for 200 MHz).
 	Period float64
-	// Delay estimates per-op combinational delay; nil uses DefaultDelay.
+	// Delay estimates per-op combinational delay; it must be set.
 	Delay DelayFn
 }
 
@@ -62,7 +33,7 @@ type PipelineConfig struct {
 func Pipeline(d *Datapath, cfgp PipelineConfig) error {
 	delay := cfgp.Delay
 	if delay == nil {
-		delay = DefaultDelay
+		return fmt.Errorf("dp: pipelining %s: no delay model", d.Name)
 	}
 	if cfgp.Period <= 0 {
 		cfgp.Period = 5.0

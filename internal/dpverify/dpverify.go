@@ -18,7 +18,7 @@ import (
 	"roccc/internal/core"
 	"roccc/internal/dp"
 	"roccc/internal/netlist"
-	"roccc/internal/synth"
+	"roccc/internal/smartbuf"
 	"roccc/internal/vhdl"
 )
 
@@ -38,9 +38,8 @@ func VerifyResult(res *core.Result, bus int, scalars map[string]int64) ([]dp.Vio
 	dp.NewSim(res.Datapath)
 
 	k := res.Kernel
-	streaming := k.Nest.Depth() > 0
 	var vs []dp.Violation
-	if streaming {
+	if k.Nest.Depth() > 0 { // NewSystem needs a loop nest
 		sys, err := netlist.NewSystem(k, res.Datapath, netlist.Config{BusElems: bus, Scalars: scalars})
 		if err != nil {
 			return dp.Verify(res.Datapath), fmt.Errorf("dpverify: building system for %s: %w", k.Name, err)
@@ -51,12 +50,12 @@ func VerifyResult(res *core.Result, bus int, scalars map[string]int64) ([]dp.Vio
 		vs = dp.Verify(res.Datapath)
 	}
 
+	cfgs, err := smartbuf.KernelConfigs(k, bus)
+	if err != nil {
+		return vs, fmt.Errorf("dpverify: buffer configuration for %s: %w", k.Name, err)
+	}
 	files := vhdl.EmitDatapath(res.Datapath)
-	if streaming && len(k.Reads) > 0 {
-		cfgs, err := synth.KernelBufferConfigs(k, bus)
-		if err != nil {
-			return vs, fmt.Errorf("dpverify: buffer configuration for %s: %w", k.Name, err)
-		}
+	if cfgs != nil {
 		files = vhdl.EmitKernel(k, files, cfgs, res.Datapath.Latency())
 		vs = append(vs, vhdl.VerifyKernelFiles(k, res.Datapath, files)...)
 	} else {

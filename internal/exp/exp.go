@@ -68,15 +68,11 @@ func SynthesizeKernel(k bench.Kernel) (*core.Result, *synth.Report, error) {
 	}); err != nil {
 		return nil, nil, err
 	}
-	opt := synth.Options{LUTMultipliers: k.LUTMultStyle}
-	if res.Kernel.Nest.Depth() > 0 && len(res.Kernel.Reads) > 0 {
-		cfgs, err := synth.KernelBufferConfigs(res.Kernel, k.BusElems)
-		if err != nil {
-			return nil, nil, err
-		}
-		opt.BufferConfigs = cfgs
-		opt.ControllerIters = int(res.Kernel.Nest.TotalIterations())
+	opt, err := synth.KernelOptions(res.Kernel, k.BusElems)
+	if err != nil {
+		return nil, nil, err
 	}
+	opt.LUTMultipliers = k.LUTMultStyle
 	rep := synth.Synthesize(res.Datapath, opt)
 	rep.Name = k.Name + "(ROCCC)"
 	return res, rep, nil
@@ -241,15 +237,11 @@ func AreaEstimation() ([]EstimationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		opt := synth.Options{LUTMultipliers: k.LUTMultStyle}
-		if res.Kernel.Nest.Depth() > 0 && len(res.Kernel.Reads) > 0 {
-			cfgs, err := synth.KernelBufferConfigs(res.Kernel, k.BusElems)
-			if err != nil {
-				return nil, err
-			}
-			opt.BufferConfigs = cfgs
-			opt.ControllerIters = int(res.Kernel.Nest.TotalIterations())
+		opt, err := synth.KernelOptions(res.Kernel, k.BusElems)
+		if err != nil {
+			return nil, err
 		}
+		opt.LUTMultipliers = k.LUTMultStyle
 		// Best of several runs: the estimator's cost is what matters, not
 		// scheduler noise on the first call.
 		est, elapsed := synth.Estimate(res.Datapath, opt)

@@ -195,13 +195,17 @@ type Kernel struct {
 	Roms []*Rom
 
 	// PlanCache holds opaque compiled artifacts keyed by downstream
-	// packages (e.g. netlist caches its compiled system plan here, keyed
-	// by datapath and bus width). Living on the kernel — rather than in a
-	// global map — the cache is reclaimed exactly when the kernel is,
+	// packages (smartbuf's buffer configurations per bus width, netlist's
+	// system plan per datapath and bus width). Living on the kernel — not
+	// in a global map — the cache is reclaimed exactly when the kernel is,
 	// so sweep-style reuse skips recompilation without pinning every
 	// kernel ever compiled.
 	PlanCache sync.Map
 }
+
+// Streams reports whether k streams through smart buffers: it has a
+// loop nest and a read window.
+func (k *Kernel) Streams() bool { return k.Nest.Depth() > 0 && len(k.Reads) > 0 }
 
 // ExtractKernel runs scalar replacement and feedback detection on f and
 // builds the Kernel. The function body must be (a) optional feedback

@@ -103,7 +103,7 @@ func BuildScenario(corpusDir string, faultFrac, discFrac float64, streams int) (
 		if err != nil {
 			return nil, fmt.Errorf("load: compiling %s: %w", spec.Name, err)
 		}
-		if res.Kernel.Nest.Depth() == 0 || len(res.Kernel.Reads) == 0 {
+		if !res.Kernel.Streams() {
 			continue // combinational: cannot stream, draws no load
 		}
 		m := Mix{Kernel: spec.Name, Weight: 1, inputs: map[string][]int64{}}

@@ -119,6 +119,7 @@ type sysPlan struct {
 // readPlan compiles one input window: its smart-buffer configuration and
 // the dense routing table from window taps to data-path input ports.
 type readPlan struct {
+	// cfg is shared with smartbuf.KernelConfigs's cache: read only.
 	cfg      smartbuf.Config
 	arrName  string
 	arrLen   int
@@ -195,13 +196,13 @@ func compileSysPlan(k *hir.Kernel, d *dp.Datapath, bus int) (*sysPlan, error) {
 		p.trips = append(p.trips, k.Nest.Trips(l))
 	}
 	// Read side: one window per input array.
-	for _, w := range k.Reads {
-		bcfg, err := smartbuf.ConfigFor(w, &k.Nest, bus)
-		if err != nil {
-			return nil, err
-		}
+	cfgs, err := smartbuf.KernelConfigs(k, bus)
+	if err != nil {
+		return nil, err
+	}
+	for i, w := range k.Reads {
 		rp := readPlan{
-			cfg:      bcfg,
+			cfg:      cfgs[i],
 			arrName:  w.Arr.Name,
 			arrLen:   w.Arr.Len(),
 			elemBits: w.Arr.Elem.Bits,

@@ -69,3 +69,37 @@ func ConfigFor(w *hir.Window, nest *hir.LoopNest, busElems int) (Config, error) 
 	}
 	return cfg, nil
 }
+
+// configsKey keys KernelConfigs's results on hir.Kernel.PlanCache.
+type configsKey struct{ bus int }
+
+type kernelConfigs struct {
+	cfgs []Config
+	err  error
+}
+
+// KernelConfigs returns the configuration of every read window of k at
+// a bus width of busElems elements, in k.Reads order, or nil for a
+// kernel that does not stream (hir.Kernel.Streams). It is the one
+// derivation the system plan, synthesis, VHDL emission and the
+// verifiers read: the result, or the first window's error, is derived
+// once per (kernel, bus), cached on k.PlanCache and shared by every
+// caller, so none may modify it.
+func KernelConfigs(k *hir.Kernel, busElems int) ([]Config, error) {
+	v, ok := k.PlanCache.Load(configsKey{busElems})
+	if !ok {
+		c := &kernelConfigs{}
+		if k.Streams() {
+			c.cfgs = make([]Config, len(k.Reads))
+			for i, w := range k.Reads {
+				if c.cfgs[i], c.err = ConfigFor(w, &k.Nest, busElems); c.err != nil {
+					c.cfgs = nil
+					break
+				}
+			}
+		}
+		v, _ = k.PlanCache.LoadOrStore(configsKey{busElems}, c)
+	}
+	c := v.(*kernelConfigs)
+	return c.cfgs, c.err
+}

@@ -2,6 +2,7 @@ package smartbuf
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -374,6 +375,92 @@ func TestPopWindowIntoAndReset(t *testing.T) {
 			if second[wi][ti] != want {
 				t.Fatalf("window %d tap %d after Reset = %d, want %d", wi, ti, second[wi][ti], want)
 			}
+		}
+	}
+}
+
+func kernelOf(t *testing.T, src, fn string) *hir.Kernel {
+	t.Helper()
+	p, f, err := hir.BuildFunc(src, fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := hir.ExtractKernel(p, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
+// TestKernelConfigs pins the one derivation: configurations are derived
+// once per (kernel, bus) and shared, a kernel that does not stream gets
+// none, and a rejected window's error is cached with them.
+func TestKernelConfigs(t *testing.T) {
+	k := kernelOf(t, `
+int A[8][8];
+int B[8][8];
+void blur() {
+	int i, j;
+	for (i = 0; i < 7; i = i + 1)
+		for (j = 0; j < 7; j = j + 1)
+			B[i][j] = A[i][j] + A[i][j+1] + A[i+1][j] + A[i+1][j+1];
+}
+`, "blur")
+	bus2, err := KernelConfigs(k, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bus2) != len(k.Reads) || len(bus2) == 0 {
+		t.Fatalf("%d configs for %d read windows", len(bus2), len(k.Reads))
+	}
+	want, err := ConfigFor(k.Reads[0], &k.Nest, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(bus2[0], want) {
+		t.Errorf("KernelConfigs(k, 2)[0] = %+v, ConfigFor gives %+v", bus2[0], want)
+	}
+	again, err := KernelConfigs(k, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &again[0] != &bus2[0] || &again[0].Taps[0] != &bus2[0].Taps[0] {
+		t.Error("a second call at bus 2 derived the configurations again")
+	}
+	bus4, err := KernelConfigs(k, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &bus4[0] == &bus2[0] || &bus4[0].Taps[0] == &bus2[0].Taps[0] || bus4[0].BusElems != 4 {
+		t.Errorf("bus 4 shares bus 2's configurations (BusElems %d)", bus4[0].BusElems)
+	}
+
+	comb := kernelOf(t, `void add(int a, int b, int* o) { *o = a + b; }`, "add")
+	if cfgs, err := KernelConfigs(comb, 1); cfgs != nil || err != nil {
+		t.Errorf("combinational kernel: KernelConfigs = %v, %v; want nil, nil", cfgs, err)
+	}
+
+	// The window walks A by column while the nest walks it by row.
+	bad := kernelOf(t, `
+int A[8][8];
+int B[8][8];
+void transpose() {
+	int i, j;
+	for (i = 0; i < 8; i = i + 1)
+		for (j = 0; j < 8; j = j + 1)
+			B[i][j] = A[j][i];
+}
+`, "transpose")
+	if _, want := ConfigFor(bad.Reads[0], &bad.Nest, 1); want == nil {
+		t.Fatal("ConfigFor accepted a transposed window")
+	}
+	cfgs, first := KernelConfigs(bad, 1)
+	if cfgs != nil || first == nil {
+		t.Fatalf("transposed window: KernelConfigs = %v, %v; want nil and an error", cfgs, first)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := KernelConfigs(bad, 1); err != first {
+			t.Errorf("call %d: error %v, first call's was %v", i+2, err, first)
 		}
 	}
 }

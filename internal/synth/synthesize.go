@@ -49,31 +49,38 @@ func (r *Report) String() string {
 
 // Options configure a synthesis run.
 type Options struct {
-	Device Device
-	// IncludeBuffers adds the smart buffers and controllers to the area
-	// (the FIR, DCT and wavelet rows of Table 1 include them).
+	// BufferConfigs adds the smart buffers to the area (the FIR, DCT and
+	// wavelet rows of Table 1 include them).
 	BufferConfigs []smartbuf.Config
 	// ControllerIters sizes the controller counters (0 = combinational
 	// kernel, no controller).
 	ControllerIters int
-	// ExtraSlices accounts for fixed wrapper logic (I/O registers).
-	ExtraSlices int
 	// LUTMultipliers applies the ISE "multiplier style LUT" option to
 	// constant multipliers (set for the FIR row, §5).
 	LUTMultipliers bool
 }
 
-// Synthesize costs a compiled data path (plus optional buffers and
-// controllers) on the device — the reproduction's substitute for running
-// Xilinx ISE on the generated VHDL.
-func Synthesize(d *dp.Datapath, opt Options) *Report {
-	if opt.Device.Name == "" {
-		opt.Device = VirtexII2000
+// KernelOptions returns the options that cost kernel k's memory side
+// at a bus width of busElems elements: its smart buffers
+// (smartbuf.KernelConfigs) plus a controller sized by the loop nest's
+// trip count. A kernel that does not stream gets the zero Options, its
+// data path alone.
+func KernelOptions(k *hir.Kernel, busElems int) (Options, error) {
+	cfgs, err := smartbuf.KernelConfigs(k, busElems)
+	if err != nil || cfgs == nil {
+		return Options{}, err
 	}
+	return Options{BufferConfigs: cfgs, ControllerIters: int(k.Nest.TotalIterations())}, nil
+}
+
+// Synthesize costs a compiled data path (plus optional buffers and
+// controllers) on the Virtex-II xc2v2000-5 — the reproduction's
+// substitute for running Xilinx ISE on the generated VHDL.
+func Synthesize(d *dp.Datapath, opt Options) *Report {
 	r := &Report{
 		Name:      d.Name,
 		Breakdown: map[string]int{},
-		Device:    opt.Device,
+		Device:    VirtexII2000,
 	}
 	// Data-path operators and pipeline registers.
 	consumers := map[*dp.Op]int{} // op -> max stage distance to a consumer
@@ -135,17 +142,13 @@ func Synthesize(d *dp.Datapath, opt Options) *Report {
 		r.Slices += s
 		r.Breakdown["controller"] += s
 	}
-	if opt.ExtraSlices > 0 {
-		r.Slices += opt.ExtraSlices
-		r.Breakdown["wrapper"] += opt.ExtraSlices
-	}
 	// Timing: the worst pipeline stage of the data path dominates; the
 	// buffer/controller paths are short counters.
 	r.CriticalPathNs = d.MaxStageDelay
 	if r.CriticalPathNs < 1.0 {
 		r.CriticalPathNs = 1.0
 	}
-	r.ClockMHz = opt.Device.ClockFrom(r.CriticalPathNs)
+	r.ClockMHz = r.Device.ClockFrom(r.CriticalPathNs)
 	return r
 }
 
@@ -248,18 +251,4 @@ func Estimate(d *dp.Datapath, opt Options) (slices int, elapsed time.Duration) {
 	}
 	_ = mults // dedicated blocks occupy no slices
 	return int(est), time.Since(start)
-}
-
-// KernelBufferConfigs derives the smart-buffer configurations for every
-// read window of a kernel (helper shared by exp and cmd tools).
-func KernelBufferConfigs(k *hir.Kernel, busElems int) ([]smartbuf.Config, error) {
-	var cfgs []smartbuf.Config
-	for _, w := range k.Reads {
-		c, err := smartbuf.ConfigFor(w, &k.Nest, busElems)
-		if err != nil {
-			return nil, err
-		}
-		cfgs = append(cfgs, c)
-	}
-	return cfgs, nil
 }

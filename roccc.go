@@ -93,35 +93,26 @@ func Compile(src, fname string, opt Options) (*Result, error) {
 
 // GenerateVHDL renders the kernel's complete VHDL file set: the
 // pipelined data path, ROM components with init files, smart buffers,
-// address generators and the controller FSM. Kernels without a
-// streaming loop nest deliberately get no buffer/controller units (a
-// combinational data path needs none); for streaming kernels a buffer
-// configuration failure is a real error and is returned rather than
-// silently producing an incomplete file set.
+// address generators (both for a one-element bus) and the controller
+// FSM. Kernels without a streaming loop nest deliberately get no buffer
+// units (a combinational data path needs none); for streaming kernels a
+// buffer configuration failure is a real error and is returned rather
+// than silently producing an incomplete file set.
 func GenerateVHDL(res *Result) ([]VHDLFile, error) {
-	files := vhdl.EmitDatapath(res.Datapath)
-	var cfgs []smartbuf.Config
-	if res.Kernel.Nest.Depth() > 0 && len(res.Kernel.Reads) > 0 {
-		var err error
-		cfgs, err = synth.KernelBufferConfigs(res.Kernel, 1)
-		if err != nil {
-			return nil, fmt.Errorf("roccc: smart-buffer configuration for %s: %w", res.Kernel.Name, err)
-		}
+	cfgs, err := smartbuf.KernelConfigs(res.Kernel, 1)
+	if err != nil {
+		return nil, fmt.Errorf("roccc: smart-buffer configuration for %s: %w", res.Kernel.Name, err)
 	}
+	files := vhdl.EmitDatapath(res.Datapath)
 	return vhdl.EmitKernel(res.Kernel, files, cfgs, res.Datapath.Latency()), nil
 }
 
 // Synthesize costs the compiled kernel on the Virtex-II xc2v2000-5
 // model (the reproduction's substitute for Xilinx ISE), including smart
-// buffers and controller for streaming kernels.
+// buffers and controller for streaming kernels. A kernel whose buffers
+// cannot be configured at busElems is costed as its data path alone.
 func Synthesize(res *Result, busElems int) *Report {
-	opt := synth.Options{}
-	if res.Kernel.Nest.Depth() > 0 && len(res.Kernel.Reads) > 0 {
-		if cfgs, err := synth.KernelBufferConfigs(res.Kernel, busElems); err == nil {
-			opt.BufferConfigs = cfgs
-			opt.ControllerIters = int(res.Kernel.Nest.TotalIterations())
-		}
-	}
+	opt, _ := synth.KernelOptions(res.Kernel, busElems)
 	return synth.Synthesize(res.Datapath, opt)
 }
 
@@ -148,10 +139,18 @@ func NewSim(res *Result) *Sim { return dp.NewSim(res.Datapath) }
 // checking against NewSim.
 func NewRefSim(res *Result) *RefSim { return dp.NewRefSim(res.Datapath) }
 
-// BufferConfig derives the smart-buffer configuration for read window i
-// of a compiled kernel.
+// BufferConfig returns the smart-buffer configuration of read window i
+// of a compiled kernel, or an error if the kernel has no window i. The
+// configuration is shared (smartbuf.KernelConfigs): do not modify it.
 func BufferConfig(res *Result, i, busElems int) (smartbuf.Config, error) {
-	return smartbuf.ConfigFor(res.Kernel.Reads[i], &res.Kernel.Nest, busElems)
+	cfgs, err := smartbuf.KernelConfigs(res.Kernel, busElems)
+	if err != nil {
+		return smartbuf.Config{}, err
+	}
+	if i < 0 || i >= len(cfgs) {
+		return smartbuf.Config{}, fmt.Errorf("roccc: %s has no read window %d (it has %d)", res.Kernel.Name, i, len(cfgs))
+	}
+	return cfgs[i], nil
 }
 
 // Table1 regenerates the paper's Table 1.

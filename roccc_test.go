@@ -1,10 +1,15 @@
 package roccc
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"roccc/internal/bench"
+	"roccc/internal/smartbuf"
 )
 
 const firC = `
@@ -156,4 +161,117 @@ func TestGenerateVHDLStable(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBufferConfig pins BufferConfig to the kernel's read windows: a
+// window it has gets ConfigFor's configuration, and an index past
+// either end, or any index on a combinational kernel, is an error that
+// names the index and the window count.
+func TestBufferConfig(t *testing.T) {
+	k := bench.FIR()
+	res, err := k.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := BufferConfig(res, 0, k.BusElems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := smartbuf.ConfigFor(res.Kernel.Reads[0], &res.Kernel.Nest, k.BusElems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("BufferConfig(fir, 0) = %+v, ConfigFor gives %+v", got, want)
+	}
+	n := len(res.Kernel.Reads)
+	for _, i := range []int{-1, n} {
+		_, err := BufferConfig(res, i, k.BusElems)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("window %d (it has %d)", i, n)) {
+			t.Errorf("BufferConfig(fir, %d) error = %v, want one naming window %d of %d", i, err, i, n)
+		}
+	}
+	comb, err := bench.UDiv().Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if comb.Kernel.Streams() {
+		t.Fatal("udiv streams; pick a combinational Table 1 row")
+	}
+	if _, err := BufferConfig(comb, 0, 1); err == nil || !strings.Contains(err.Error(), "window 0 (it has 0)") {
+		t.Errorf("BufferConfig(udiv, 0) error = %v, want one naming window 0 of 0", err)
+	}
+}
+
+// firArtifacts is what the public flow derives from one compiled FIR:
+// its VHDL, its synthesis report and a system run's output.
+type firArtifacts struct {
+	files []VHDLFile
+	rep   *Report
+	out   []int64
+}
+
+func deriveFIR(res *Result, bus int) (firArtifacts, error) {
+	var a firArtifacts
+	files, err := GenerateVHDL(res)
+	if err != nil {
+		return a, err
+	}
+	a.files = files
+	a.rep = Synthesize(res, bus)
+	sys, err := NewSystem(res, SystemConfig{BusElems: bus})
+	if err != nil {
+		return a, err
+	}
+	in := make([]int64, res.Kernel.Reads[0].Arr.Len())
+	for i := range in {
+		in[i] = int64(i*37%255) - 128
+	}
+	if err := sys.LoadInput(res.Kernel.Reads[0].Arr.Name, in); err != nil {
+		return a, err
+	}
+	if _, err := sys.Run(); err != nil {
+		return a, err
+	}
+	a.out, err = sys.Output(res.Kernel.Writes[0].Arr.Name)
+	return a, err
+}
+
+// TestSharedConfigsConcurrent runs the three consumers of a kernel's
+// cached buffer configurations from 8 goroutines on one freshly
+// compiled FIR (run it under -race): each must derive what a serial run
+// on another compile derives.
+func TestSharedConfigsConcurrent(t *testing.T) {
+	k := bench.FIR()
+	ref, err := k.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := deriveFIR(ref, k.BusElems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := k.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := deriveFIR(res, k.BusElems)
+			switch {
+			case err != nil:
+				t.Errorf("goroutine %d: %v", g, err)
+			case !slices.Equal(got.files, want.files):
+				t.Errorf("goroutine %d: VHDL differs from the serial run", g)
+			case !reflect.DeepEqual(got.rep, want.rep):
+				t.Errorf("goroutine %d: report %+v, serial run %+v", g, got.rep, want.rep)
+			case !slices.Equal(got.out, want.out):
+				t.Errorf("goroutine %d: outputs differ from the serial run", g)
+			}
+		}()
+	}
+	wg.Wait()
 }
