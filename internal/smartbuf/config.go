@@ -86,16 +86,16 @@ type kernelConfigs struct {
 // once per (kernel, bus), cached on k.PlanCache and shared by every
 // caller, so none may modify it.
 func KernelConfigs(k *hir.Kernel, busElems int) ([]Config, error) {
+	if !k.Streams() {
+		return nil, nil
+	}
 	v, ok := k.PlanCache.Load(configsKey{busElems})
 	if !ok {
-		c := &kernelConfigs{}
-		if k.Streams() {
-			c.cfgs = make([]Config, len(k.Reads))
-			for i, w := range k.Reads {
-				if c.cfgs[i], c.err = ConfigFor(w, &k.Nest, busElems); c.err != nil {
-					c.cfgs = nil
-					break
-				}
+		c := &kernelConfigs{cfgs: make([]Config, len(k.Reads))}
+		for i, w := range k.Reads {
+			if c.cfgs[i], c.err = ConfigFor(w, &k.Nest, busElems); c.err != nil {
+				c.cfgs = nil
+				break
 			}
 		}
 		v, _ = k.PlanCache.LoadOrStore(configsKey{busElems}, c)

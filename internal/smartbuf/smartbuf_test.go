@@ -234,14 +234,7 @@ void fir() {
 	}
 }
 `
-	p, f, err := hir.BuildFunc(src, "fir")
-	if err != nil {
-		t.Fatal(err)
-	}
-	k, err := hir.ExtractKernel(p, f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	k := kernelOf(t, src, "fir")
 	cfg, err := ConfigFor(k.Reads[0], &k.Nest, 2)
 	if err != nil {
 		t.Fatal(err)
