@@ -8,19 +8,19 @@
 //
 // Usage:
 //
-//	rocccserve [-addr :9944] [-workers N] [-max-idle N] [-shards N]
-//	           [-metrics :9945] [-max-resident N]
+//	rocccserve [-addr :9944] [-workers N] [-grace 10s] [-shards N]
+//	           [-metrics :9945]
 //
-// Kernels compile on first request and stay cached (the compiled system
-// plan lives on the kernel itself, so every pooled System shares it).
-// With -shards > 1 the process runs a fleet: kernels are
-// consistent-hashed across N in-process worker servers behind a
-// front-end router with admission control (saturated shards shed with a
-// typed Busy fault) and registry hygiene (-max-resident caps warm
-// pools per shard, LRU-evicted; pool idle caps autotune from observed
-// load). -metrics serves a JSON snapshot of every counter at /metrics.
-// SIGINT/SIGTERM drain gracefully: in-flight streams finish, new
-// requests are refused, then the listener closes.
+// Kernels compile on first request, and each keeps one warm pool for
+// the server's life (the compiled system plan lives on the kernel
+// itself, so every pooled System shares it). With -shards > 1 the
+// process runs a fleet: kernels are consistent-hashed across N
+// in-process worker servers behind a front-end router with admission
+// control (a saturated shard sheds with a typed Busy fault; its slot
+// budget also bounds each of its pools). -metrics serves a JSON
+// snapshot of every counter at /metrics. SIGINT/SIGTERM drain
+// gracefully: in-flight streams finish, new requests are refused, then
+// the listener closes.
 package main
 
 import (
@@ -43,13 +43,10 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", ":9944", "TCP listen address")
-		workers     = flag.Int("workers", 0, "pool shard width per kernel (0 = GOMAXPROCS)")
-		maxIdle     = flag.Int("max-idle", 0, "cap on idle pooled Systems per kernel (0 = unbounded)")
+		workers     = flag.Int("workers", 0, "concurrent streams per connection, and each shard's slot budget (0 = GOMAXPROCS)")
 		grace       = flag.Duration("grace", 10*time.Second, "drain budget on shutdown")
 		shards      = flag.Int("shards", 1, "in-process worker shards behind the front-end router (1 = single server, no router)")
 		metricsAddr = flag.String("metrics", "", "HTTP listen address for the /metrics endpoint (empty = disabled)")
-		maxResident = flag.Int("max-resident", 0, "cap on kernels with warm pools per shard, LRU-evicted (0 = unbounded; needs -shards)")
-		hygiene     = flag.Duration("hygiene", 15*time.Second, "registry-hygiene sweep interval (eviction + idle-cap autotune; needs -shards)")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -57,13 +54,8 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *workers < 0 || *maxIdle < 0 || *grace <= 0 || *shards < 1 || *maxResident < 0 || *hygiene <= 0 {
-		fmt.Fprintln(os.Stderr, "rocccserve: -workers, -max-idle and -max-resident must be >= 0 (0 = default), -shards >= 1, -grace and -hygiene positive")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *maxResident > 0 && *shards == 1 {
-		fmt.Fprintln(os.Stderr, "rocccserve: -max-resident needs a fleet (-shards > 1); a single server never evicts")
+	if *workers < 0 || *grace <= 0 || *shards < 1 {
+		fmt.Fprintln(os.Stderr, "rocccserve: -workers must be >= 0 (0 = default), -shards >= 1 and -grace positive")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -80,14 +72,12 @@ func main() {
 	// serving shard by consistent hash, so only that shard ever compiles
 	// it) and the front-end server dispatches through the router.
 	front := serve.NewServer(*workers)
-	front.SetMaxIdle(*maxIdle)
 	var router *fleet.Router
 	var workersSrvs []*serve.Server
 	if *shards > 1 {
 		fshards := make([]fleet.Shard, *shards)
 		for i := range fshards {
 			w := serve.NewServer(*workers)
-			w.SetMaxIdle(*maxIdle)
 			for _, spec := range specs {
 				if err := w.Register(spec); err != nil {
 					fatal(err)
@@ -140,30 +130,6 @@ func main() {
 		fmt.Printf("rocccserve: metrics on http://%s/metrics\n", *metricsAddr)
 	}
 
-	// Registry hygiene: periodic LRU eviction of cold kernels past the
-	// residency cap, and pool idle caps re-derived from each kernel's
-	// observed concurrency high-water mark.
-	hygieneStop := make(chan struct{})
-	if router != nil {
-		go func() {
-			t := time.NewTicker(*hygiene)
-			defer t.Stop()
-			for {
-				select {
-				case <-hygieneStop:
-					return
-				case <-t.C:
-					router.Autotune()
-					if *maxResident > 0 {
-						if n := router.EvictIdle(*maxResident); n > 0 {
-							fmt.Printf("rocccserve: hygiene: evicted %d cold pool(s)\n", n)
-						}
-					}
-				}
-			}
-		}()
-	}
-
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	done := make(chan error, 1)
@@ -183,7 +149,6 @@ func main() {
 		}
 		<-done
 	}
-	close(hygieneStop)
 	if router != nil {
 		router.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), *grace)

@@ -237,219 +237,15 @@ func TestRouterAdmissionShed(t *testing.T) {
 	}
 }
 
-// TestRouterConnPool: Get/Put pool pipelined connections per TCP shard —
-// reuse by identity, refuse in-process shards, drop poisoned conns.
-func TestRouterConnPool(t *testing.T) {
-	srvs := workers(t, 1, 2)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srvs[0].Serve(ln)
-
-	inproc, err := NewRouter([]Shard{{Local: srvs[0]}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := inproc.Get(0); err == nil || !strings.Contains(err.Error(), "in-process") {
-		t.Fatalf("Get on an in-process shard: %v, want refusal", err)
-	}
-
-	r, err := NewRouter([]Shard{{Addr: ln.Addr().String()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	c1, err := r.Get(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Put(0, c1)
-	if got := r.Metrics().Shards[0].IdleConns; got != 1 {
-		t.Fatalf("idle conns = %d after Put, want 1", got)
-	}
-	c2, err := r.Get(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2 != c1 {
-		t.Fatal("Get did not reuse the pooled connection")
-	}
-	// Poison it: Close waits for the reader to latch the transport error,
-	// so Healthy is false and Put must drop it.
-	c2.Close()
-	r.Put(0, c2)
-	if got := r.Metrics().Shards[0].IdleConns; got != 0 {
-		t.Fatalf("idle conns = %d after putting a poisoned conn, want 0", got)
-	}
-	// Fresh dial still serves.
-	c3, err := r.Get(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := []netlist.Job{{Inputs: firInputs(5)}}
-	if err := c3.Run("fir", jobs); err != nil {
-		t.Fatal(err)
-	}
-	r.Put(0, c3)
-	r.Put(0, nil) // nil is a no-op, not a panic
-	if got := r.Metrics().Shards[0].IdleConns; got != 1 {
-		t.Fatalf("idle conns = %d, want 1", got)
-	}
-	r.Close()
-	if got := r.Metrics().Shards[0].IdleConns; got != 0 {
-		t.Fatalf("idle conns = %d after Close, want 0", got)
-	}
-}
-
-// TestRouterEvictIdle: the residency cap holds per shard — coldest
-// kernels lose their pools first, in-flight kernels are skipped, and
-// evicted kernels come back on demand.
-func TestRouterEvictIdle(t *testing.T) {
-	srvs := workers(t, 2, 1)
-	r, err := NewRouter([]Shard{{Local: srvs[0]}, {Local: srvs[1]}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ain := make([]int64, 32)
-	for _, spec := range testSpecs() {
-		in := firInputs(1)
-		switch spec.Name {
-		case "accum":
-			in = map[string][]int64{"A": ain}
-		case "divide":
-			in = divInputs(2)
-		}
-		if err := r.Run(spec.Name, []netlist.Job{{Inputs: in}}); err != nil {
-			t.Fatalf("%s: %v", spec.Name, err)
-		}
-	}
-	resident := func() int {
-		n := 0
-		for _, s := range srvs {
-			for _, info := range s.KernelInfos() {
-				if info.Resident {
-					n++
-				}
-			}
-		}
-		return n
-	}
-	before := resident()
-	if before != len(testSpecs()) {
-		t.Fatalf("%d pools resident after warming, want %d", before, len(testSpecs()))
-	}
-
-	evicted := r.EvictIdle(1)
-	after := resident()
-	for i, s := range srvs {
-		n := 0
-		for _, info := range s.KernelInfos() {
-			if info.Resident {
-				n++
-			}
-		}
-		if n > 1 {
-			t.Fatalf("shard %d still has %d resident pools past the cap", i, n)
-		}
-	}
-	if evicted != before-after {
-		t.Fatalf("EvictIdle reported %d, residency dropped by %d", evicted, before-after)
-	}
-
-	// An evicted kernel streams again transparently.
-	jobs := []netlist.Job{{Inputs: firInputs(7)}}
-	if err := r.Run("fir", jobs); err != nil {
-		t.Fatalf("post-eviction run: %v", err)
-	}
-	if err := netlist.DiffJob(&jobs[0], serialRun(t, testSpecs()[0], firInputs(7))); err != nil {
-		t.Fatalf("post-eviction run: %v", err)
-	}
-}
-
-// TestRouterAutotune: each routed kernel's pool idle cap follows its
-// observed concurrency high-water mark, never dropping below one, and
-// each call opens a fresh observation window.
-func TestRouterAutotune(t *testing.T) {
-	srvs := workers(t, 1, 4)
-	r, err := NewRouter([]Shard{{Local: srvs[0]}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Run("fir", []netlist.Job{{Inputs: firInputs(1)}}); err != nil {
-		t.Fatal(err)
-	}
-	maxIdle := func() int {
-		for _, info := range srvs[0].KernelInfos() {
-			if info.Kernel == "fir" {
-				return info.MaxIdle
-			}
-		}
-		return -99
-	}
-
-	r.lmu.RLock()
-	kl := r.load["fir"]
-	r.lmu.RUnlock()
-	kl.hwm.Store(5) // pretend the window peaked at 5 concurrent streams
-	r.Autotune()
-	if got := maxIdle(); got != 5 {
-		t.Fatalf("idle cap = %d after a hwm-5 window, want 5", got)
-	}
-	// The window reset: with no traffic the next observation is idle, and
-	// the cap floors at one warm System.
-	r.Autotune()
-	if got := maxIdle(); got != 1 {
-		t.Fatalf("idle cap = %d after an idle window, want 1", got)
-	}
-}
-
-// TestFleetRemoteShard: a TCP worker shard must serve bit-identically to
-// serial System.Run, over pooled pipelined connections.
-func TestFleetRemoteShard(t *testing.T) {
-	srvs := workers(t, 1, 2)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srvs[0].Serve(ln)
-	r, err := NewRouter([]Shard{{Addr: ln.Addr().String(), Slots: 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-
-	jobs := make([]netlist.Job, 6)
-	for i := range jobs {
-		jobs[i] = netlist.Job{Inputs: firInputs(int64(20 + i))}
-	}
-	if err := r.Run("fir", jobs); err != nil {
-		t.Fatal(err)
-	}
-	for i := range jobs {
-		if err := netlist.DiffJob(&jobs[i], serialRun(t, testSpecs()[0], firInputs(int64(20+i)))); err != nil {
-			t.Fatalf("stream %d via TCP shard: %v", i, err)
-		}
-	}
-	m := r.Metrics()
-	if m.Shards[0].InProcess || m.Shards[0].Streams != 6 {
-		t.Fatalf("shard metrics = %+v, want 6 streams on a TCP shard", m.Shards[0])
-	}
-	if m.Shards[0].IdleConns != 1 {
-		t.Fatalf("idle conns = %d after a serial batch, want 1 pooled", m.Shards[0].IdleConns)
-	}
-	if st := srvs[0].Stats()["fir"]; st.Gets != st.Puts+st.Rejected {
-		t.Fatalf("remote shard pool unbalanced: %+v", st)
-	}
-}
-
 // TestFleetShardedSoak: pipelined clients hammer a front-end that
 // dispatches through the router into small-slotted shards. Every stream
 // is either bit-identical to its serial reference or a typed BusyError
-// shed; nothing is dropped, and every shard pool balances afterwards.
+// shed; nothing is dropped, every shard pool balances afterwards, and
+// no pool built more Systems than its shard has slots.
 func TestFleetShardedSoak(t *testing.T) {
+	const slots = 2
 	srvs := workers(t, 2, 2)
-	r, err := NewRouter([]Shard{{Local: srvs[0], Slots: 2}, {Local: srvs[1], Slots: 2}})
+	r, err := NewRouter([]Shard{{Local: srvs[0], Slots: slots}, {Local: srvs[1], Slots: slots}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,6 +352,11 @@ func TestFleetShardedSoak(t *testing.T) {
 		for name, st := range s.Stats() {
 			if st.Gets != st.Puts+st.Rejected {
 				t.Errorf("shard %d pool %s unbalanced: %+v", i, name, st)
+			}
+			// The slot budget is the pool's only bound: a shard never
+			// runs more streams at once than it has slots.
+			if st.Built > slots {
+				t.Errorf("shard %d pool %s built %d Systems, above the shard's %d slots", i, name, st.Built, slots)
 			}
 		}
 	}

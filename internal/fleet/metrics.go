@@ -8,19 +8,17 @@ import (
 
 // ShardMetrics is the metrics-plane snapshot of one shard.
 type ShardMetrics struct {
-	Index     int    `json:"index"`
-	Addr      string `json:"addr,omitempty"`
-	InProcess bool   `json:"in_process"`
-	Slots     int    `json:"slots"`
-	InFlight  int64  `json:"in_flight"`
-	HighWater int64  `json:"high_water"`
-	Streams   int64  `json:"streams"`
-	Sheds     int64  `json:"sheds"`
-	IdleConns int    `json:"idle_conns"`
+	Index     int   `json:"index"`
+	Slots     int   `json:"slots"`
+	InFlight  int64 `json:"in_flight"`
+	HighWater int64 `json:"high_water"`
+	Streams   int64 `json:"streams"`
+	Sheds     int64 `json:"sheds"`
 
-	// Server is the in-process shard's full serve snapshot (per-kernel
-	// pool stats, cone info, connection counters); nil for TCP
-	// shards, whose own metrics endpoint reports it.
+	// Server is the shard server's full serve snapshot (per-kernel pool
+	// stats, cone info, connection counters). The Router always fills
+	// it; it is a pointer so documents from older fleets, whose TCP
+	// shards carried none, still parse.
 	Server *serve.Metrics `json:"server,omitempty"`
 }
 
@@ -32,7 +30,6 @@ type KernelRoute struct {
 	Uses      int64  `json:"uses"`
 	InFlight  int64  `json:"in_flight"`
 	HighWater int64  `json:"high_water"`
-	LastUse   int64  `json:"last_use"`
 }
 
 // Metrics is the fleet snapshot the front-end's HTTP endpoint
@@ -46,25 +43,16 @@ type Metrics struct {
 func (r *Router) Metrics() Metrics {
 	m := Metrics{Shards: make([]ShardMetrics, len(r.shards))}
 	for i, sh := range r.shards {
-		sh.cmu.Lock()
-		idleConns := len(sh.conns)
-		sh.cmu.Unlock()
-		sm := ShardMetrics{
+		srv := sh.local.Metrics()
+		m.Shards[i] = ShardMetrics{
 			Index:     sh.index,
-			Addr:      sh.addr,
-			InProcess: sh.local != nil,
 			Slots:     int(sh.slots),
 			InFlight:  sh.inflight.Load(),
 			HighWater: sh.hwm.Load(),
 			Streams:   sh.streams.Load(),
 			Sheds:     sh.sheds.Load(),
-			IdleConns: idleConns,
+			Server:    &srv,
 		}
-		if sh.local != nil {
-			srv := sh.local.Metrics()
-			sm.Server = &srv
-		}
-		m.Shards[i] = sm
 	}
 	r.lmu.RLock()
 	for name, kl := range r.load {
@@ -74,7 +62,6 @@ func (r *Router) Metrics() Metrics {
 			Uses:      kl.uses.Load(),
 			InFlight:  kl.inflight.Load(),
 			HighWater: kl.hwm.Load(),
-			LastUse:   kl.lastUse.Load(),
 		})
 	}
 	r.lmu.RUnlock()

@@ -25,15 +25,9 @@ var PoolHygiene = &Analyzer{
 	Run:  runPoolHygiene,
 }
 
-// poolTypeNames matches the receiver's named type; fixtures declare
-// their own SystemPool/Router, so the check is name-based, not
-// path-based. Router is fleet.Router's pipelined-connection free list —
-// same checkout protocol, same leak consequence (a dropped conn pins a
-// TCP socket and shrinks the shard's reuse pool).
-var poolTypeNames = map[string]bool{
-	"SystemPool": true,
-	"Router":     true,
-}
+// poolTypeName matches the receiver's named type; the fixture declares
+// its own SystemPool, so the check is name-based, not path-based.
+const poolTypeName = "SystemPool"
 
 func runPoolHygiene(pass *Pass) error {
 	for _, f := range pass.Files {
@@ -79,8 +73,8 @@ func checkPoolBody(pass *Pass, body *ast.BlockStmt) {
 }
 
 // poolMethodType reports the receiver type name when call invokes the
-// named method on a value whose (possibly pointed-to) named type is one
-// of the checked pool types, "" otherwise.
+// named method on a value whose (possibly pointed-to) named type is
+// poolTypeName, "" otherwise.
 func poolMethodType(pass *Pass, call *ast.CallExpr, method string) string {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -99,7 +93,7 @@ func poolMethodType(pass *Pass, call *ast.CallExpr, method string) string {
 		t = p.Elem()
 	}
 	named, ok := t.(*types.Named)
-	if !ok || !poolTypeNames[named.Obj().Name()] {
+	if !ok || named.Obj().Name() != poolTypeName {
 		return ""
 	}
 	return named.Obj().Name()

@@ -1,7 +1,6 @@
 // Package pool is the poolhygiene fixture. It declares its own
-// SystemPool and Router: the analyzer matches the receiver's type name,
-// so the protocol is checkable without importing the real netlist or
-// fleet packages.
+// SystemPool: the analyzer matches the receiver's type name, so the
+// protocol is checkable without importing the real netlist package.
 package pool
 
 import "errors"
@@ -87,58 +86,4 @@ func badDiscard(p *SystemPool) {
 func badUnderscore(p *SystemPool) error {
 	_, err := p.Get() // want `discarded`
 	return err
-}
-
-// Router mirrors fleet.Router's per-shard pipelined-connection free
-// list: Get checks a connection out for one stream, Put returns it.
-type Conn struct{ healthy bool }
-
-type Router struct{ conns [][]*Conn }
-
-func (r *Router) Get(shard int) (*Conn, error) {
-	free := r.conns[shard]
-	if len(free) == 0 {
-		return nil, errors.New("dial failed")
-	}
-	c := free[len(free)-1]
-	r.conns[shard] = free[:len(free)-1]
-	return c, nil
-}
-
-func (r *Router) Put(shard int, c *Conn) {
-	r.conns[shard] = append(r.conns[shard], c)
-}
-
-func send(c *Conn) {}
-
-func goodRouterPaired(r *Router) error {
-	c, err := r.Get(0)
-	if err != nil {
-		return err
-	}
-	send(c)
-	r.Put(0, c)
-	return nil
-}
-
-func goodRouterEscape(r *Router, ch chan *Conn) error {
-	c, err := r.Get(1)
-	if err != nil {
-		return err
-	}
-	ch <- c
-	return nil
-}
-
-func badRouterLeak(r *Router) error {
-	c, err := r.Get(0) // want `without a Put`
-	if err != nil {
-		return err
-	}
-	send(c)
-	return nil
-}
-
-func badRouterDiscard(r *Router) {
-	r.Get(2) // want `discarded`
 }

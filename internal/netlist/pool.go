@@ -13,9 +13,9 @@ import (
 )
 
 // ErrPoolClosed is the sentinel inside every RunJob/RunBatch failure on
-// a closed pool. Services that evict and rebuild pools (serve's
-// registry hygiene) match it with errors.Is to distinguish "lost a race
-// with eviction — retry on the rebuilt pool" from a real stream error.
+// a closed pool; match it with errors.Is. A pool is closed once, by its
+// owner, when it is done with it (serve closes its pools at Shutdown,
+// after the last admitted stream has finished).
 var ErrPoolClosed = errors.New("netlist: SystemPool is closed")
 
 // SystemPool is a pool of Reset-able Systems for one compiled kernel,
@@ -48,10 +48,7 @@ type SystemPool struct {
 
 	closed atomic.Bool
 
-	// Admission/metrics counters (Stats). maxIdle bounds the free list
-	// when set (> 0): a long-lived service can cap how many warm Systems
-	// one kernel keeps resident.
-	maxIdle  atomic.Int64
+	// Admission/metrics counters (Stats).
 	built    atomic.Int64
 	gets     atomic.Int64
 	puts     atomic.Int64
@@ -71,7 +68,7 @@ type PoolStats struct {
 	// Gets and Puts count successful checkouts and accepted returns.
 	Gets, Puts int64
 	// Rejected counts Puts refused admission: foreign Systems (wrong
-	// kernel/datapath/bus/scalars) and returns beyond the MaxIdle cap.
+	// kernel, data path, bus width, scalar binding or dispatch path).
 	Rejected int64
 	// Idle is the current free-list depth.
 	Idle int
@@ -145,25 +142,6 @@ func NewSystemPool(k *hir.Kernel, d *dp.Datapath, cfg Config, workers int) (*Sys
 // Workers returns the pool's shard width.
 func (p *SystemPool) Workers() int { return p.workers }
 
-// SetMaxIdle caps the free list: a Put that would grow it past n is
-// dropped (and counted as Rejected). n <= 0 removes the cap. Idle
-// Systems already beyond a newly lowered cap are dropped immediately,
-// so the resident memory actually shrinks.
-func (p *SystemPool) SetMaxIdle(n int) {
-	p.maxIdle.Store(int64(n))
-	if n <= 0 {
-		return
-	}
-	p.mu.Lock()
-	if len(p.free) > n {
-		for i := n; i < len(p.free); i++ {
-			p.free[i] = nil // release for GC
-		}
-		p.free = p.free[:n]
-	}
-	p.mu.Unlock()
-}
-
 // Stats snapshots the pool's admission and usage counters.
 func (p *SystemPool) Stats() PoolStats {
 	p.mu.Lock()
@@ -203,8 +181,9 @@ func (p *SystemPool) Get() (*System, error) {
 
 // Put resets a System and returns it to the pool. Systems built for a
 // different kernel, data path, bus width, scalar binding or dispatch
-// path (Config.Serial) are dropped rather than poisoning the pool, as
-// are returns beyond the MaxIdle cap.
+// path (Config.Serial) are dropped rather than poisoning the pool. The
+// free list has no cap: it grows only to the most Systems held at once,
+// which the pool's callers bound.
 func (p *SystemPool) Put(sys *System) {
 	if sys == nil || sys.Kernel != p.kernel || sys.Datapath != p.dpath ||
 		sys.BusElems != p.cfg.BusElems || sys.serial != p.cfg.Serial ||
@@ -215,13 +194,7 @@ func (p *SystemPool) Put(sys *System) {
 		return
 	}
 	sys.Reset()
-	max := int(p.maxIdle.Load())
 	p.mu.Lock()
-	if max > 0 && len(p.free) >= max {
-		p.mu.Unlock()
-		p.rejected.Add(1)
-		return
-	}
 	p.free = append(p.free, sys)
 	p.mu.Unlock()
 	p.puts.Add(1)
@@ -240,6 +213,7 @@ func (p *SystemPool) RunJob(job *Job) error {
 	}
 	sys, err := p.Get()
 	if err != nil {
+		job.Err = err
 		return err
 	}
 	p.jobs.Add(1)

@@ -316,8 +316,8 @@ func TestConcurrentPlanCacheSharing(t *testing.T) {
 
 // TestSystemPoolStats pins the admission/metrics counters a service
 // builds on: Gets balance Puts+Rejected once work drains (no leaked
-// Systems), Built counts constructions, and the MaxIdle cap rejects
-// returns beyond it.
+// Systems), Built counts constructions, and a foreign System is
+// rejected.
 func TestSystemPoolStats(t *testing.T) {
 	res, _ := buildSystem(t, firSource, "fir", core.Options{Optimize: true, PeriodNs: 5}, Config{BusElems: 1})
 	pool, err := NewSystemPool(res.Kernel, res.Datapath, Config{BusElems: 1}, 2)
@@ -357,24 +357,6 @@ func TestSystemPoolStats(t *testing.T) {
 	pool.Put(other)
 	if st = pool.Stats(); st.Rejected != before.Rejected+1 || st.Puts != before.Puts {
 		t.Fatalf("foreign Put: %+v -> %+v, want one more Rejected", before, st)
-	}
-
-	// MaxIdle caps the free list.
-	pool.SetMaxIdle(1)
-	a, err := pool.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := pool.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool.Put(a)
-	before = pool.Stats()
-	pool.Put(b) // free list already at the cap
-	st = pool.Stats()
-	if st.Idle != 1 || st.Rejected != before.Rejected+1 {
-		t.Fatalf("MaxIdle=1: stats %+v, want Idle=1 and one more Rejected", st)
 	}
 }
 
@@ -483,35 +465,6 @@ func TestRunJobZeroesStaleInputs(t *testing.T) {
 	}
 	if st := pool.Stats(); st.Built != 1 {
 		t.Fatalf("pool built %d Systems, want the one shared System", st.Built)
-	}
-}
-
-// TestSystemPoolMaxIdleTrim: lowering the cap must drop idle Systems
-// immediately, not only refuse future Puts.
-func TestSystemPoolMaxIdleTrim(t *testing.T) {
-	res, _ := buildSystem(t, firSource, "fir", core.Options{Optimize: true, PeriodNs: 5}, Config{BusElems: 1})
-	pool, err := NewSystemPool(res.Kernel, res.Datapath, Config{BusElems: 1}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	var held []*System
-	for i := 0; i < 3; i++ {
-		s, err := pool.Get()
-		if err != nil {
-			t.Fatal(err)
-		}
-		held = append(held, s)
-	}
-	for _, s := range held {
-		pool.Put(s)
-	}
-	if st := pool.Stats(); st.Idle != 3 {
-		t.Fatalf("Idle = %d, want 3 before the trim", st.Idle)
-	}
-	pool.SetMaxIdle(1)
-	if st := pool.Stats(); st.Idle != 1 {
-		t.Fatalf("Idle = %d after SetMaxIdle(1), want 1", st.Idle)
 	}
 }
 

@@ -36,9 +36,9 @@ func firstStreamErr(kernel string, streams []netlist.Job) error {
 	return nil
 }
 
-// Local is the in-process client: no sockets, no framing — Run goes
-// straight to the kernel's warm SystemPool, which is also the path the
-// 0 allocs/op steady-state gate measures.
+// Local is the in-process client: no sockets, no framing. Run takes the
+// one path every served stream takes, Server.RunStream, one stream at a
+// time; the 0 allocs/op steady-state gate measures that path.
 type Local struct {
 	srv *Server
 }
@@ -46,28 +46,14 @@ type Local struct {
 // Local returns an in-process client bound to this server.
 func (s *Server) Local() *Local { return &Local{srv: s} }
 
-// Run shards the streams across the kernel pool's worker crew.
+// Run serves the streams one after another through Server.RunStream, so
+// they dispatch as TCP streams do. A request-level failure (unknown
+// kernel, server drain) lands in every stream.
 func (c *Local) Run(kernel string, streams []netlist.Job) error {
-	e, err := c.srv.entry(kernel)
-	if err != nil {
-		return err
-	}
-	if !c.srv.beginStream() {
-		return fmt.Errorf("serve: server is draining")
-	}
-	defer c.srv.endStream()
-	e.opens.Add(1)
-	e.lastUse.Store(c.srv.tick.Add(1))
-	err = e.runBatch(streams)
 	for i := range streams {
-		c.srv.countStream(streams[i].Err)
+		c.srv.RunStream(kernel, &streams[i])
 	}
-	// runBatch's error is the first per-stream failure unless the pool
-	// itself failed to (re)build (no stream carries an error then).
-	if serr := firstStreamErr(kernel, streams); serr != nil {
-		return serr
-	}
-	return err
+	return firstStreamErr(kernel, streams)
 }
 
 // Close is a no-op: the Local client owns no transport.

@@ -14,7 +14,7 @@ import (
 type KernelInfo struct {
 	Kernel   string `json:"kernel"`
 	Compiled bool   `json:"compiled"`
-	Resident bool   `json:"resident"` // warm pool exists (false when evicted/cold)
+	Resident bool   `json:"resident"` // warm pool built (false until first use, or when the build failed)
 
 	ClosedFormCone bool `json:"closed_form_cone"`
 
@@ -23,9 +23,6 @@ type KernelInfo struct {
 	Faults    int64 `json:"faults"`
 	InFlight  int64 `json:"in_flight"`
 	HighWater int64 `json:"high_water"`
-	Evictions int64 `json:"evictions"`
-	LastUse   int64 `json:"last_use"` // server logical tick; 0 = never opened
-	MaxIdle   int   `json:"max_idle"` // effective idle cap (<= 0 = uncapped)
 
 	Pool *netlist.PoolStats `json:"pool,omitempty"`
 }
@@ -63,9 +60,6 @@ func (s *Server) KernelInfos() []KernelInfo {
 			Faults:    e.faults.Load(),
 			InFlight:  e.inflight.Load(),
 			HighWater: e.hwm.Load(),
-			Evictions: e.evictions.Load(),
-			LastUse:   e.lastUse.Load(),
-			MaxIdle:   e.idleCap(),
 		}
 		e.mu.Lock()
 		info.Compiled = e.compiled != nil

@@ -2,8 +2,9 @@
 // netlist.SystemPool: many kernels resident, request = input streams,
 // response = output streams. A server compiles and caches each kernel on
 // first use (the compiled system plan lives on hir.Kernel.PlanCache, so
-// every pooled System shares it), keeps a warm SystemPool per kernel,
-// and speaks a length-prefixed binary framing over TCP (proto.go).
+// every pooled System shares it), keeps that kernel's one warm
+// SystemPool for the server's life, and speaks a length-prefixed binary
+// framing over TCP (proto.go).
 // Mid-stream faults — e.g. a divide-by-zero on a valid iteration —
 // travel as typed dp.FaultError values carrying the abort cycle, so a
 // served fault is indistinguishable from the same fault raised by a
@@ -118,16 +119,10 @@ func parseBusy(msg string) *BusyError {
 	return nil
 }
 
-// ErrEvictBusy marks an eviction refused because the kernel had
-// in-flight streams; match with errors.Is.
-var ErrEvictBusy = errors.New("kernel has in-flight streams")
-
-// kernelEntry is one registered kernel: compiled on first use, then a
-// warm pool of Systems until eviction. The compiled artifacts survive
-// eviction — hir.Kernel carries the plan cache — so a post-eviction
-// request rebuilds only the pool, not the plans. pool is an atomic
-// pointer because streams, metrics and eviction all peek at it
-// concurrently; mu orders the slow paths (compile, pool build, evict).
+// kernelEntry is one registered kernel: compiled and given its warm
+// pool of Systems on first use, and kept so for the server's life. The
+// pool is an atomic pointer because streams and metrics peek at it
+// concurrently; mu orders the one slow path (compile and pool build).
 type kernelEntry struct {
 	srv  *Server
 	spec KernelSpec
@@ -142,59 +137,39 @@ type kernelEntry struct {
 	// form. Guarded by mu during writes; read after pool is visible.
 	cone bool
 
-	// idleOverride is the per-kernel idle cap (SetMaxIdleFor); negative
-	// means inherit the server-wide cap.
-	idleOverride atomic.Int64
-
-	// Counters for the metrics plane. inflight gates eviction; hwm is
-	// the concurrency high-water mark since the last Autotune drain.
-	inflight  atomic.Int64
-	hwm       atomic.Int64
-	opens     atomic.Int64
-	streams   atomic.Int64
-	faults    atomic.Int64
-	evictions atomic.Int64
-	lastUse   atomic.Int64 // server logical tick of the most recent open
+	// Counters for the metrics plane; hwm is the concurrency high-water
+	// mark.
+	inflight atomic.Int64
+	hwm      atomic.Int64
+	opens    atomic.Int64
+	streams  atomic.Int64
+	faults   atomic.Int64
 }
 
-func (e *kernelEntry) idleCap() int {
-	if n := e.idleOverride.Load(); n >= 0 {
-		return int(n)
-	}
-	return int(e.srv.maxIdle.Load())
-}
-
-// ensure compiles the kernel (first use only) and builds its pool
-// (first use and after eviction). The compiled plans live on the
-// hir.Kernel, so a post-eviction rebuild reuses them.
+// ensure compiles the kernel and builds its pool, once: a later call
+// returns the latched error or finds the pool.
 func (e *kernelEntry) ensure() error {
 	if e.pool.Load() != nil {
 		return nil
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.cerr != nil {
+	if e.cerr != nil || e.pool.Load() != nil {
 		return e.cerr
 	}
-	if e.pool.Load() != nil {
-		return nil
+	res, err := core.CompileSource(e.spec.Source, e.spec.Func, e.spec.Options)
+	if err != nil {
+		e.cerr = fmt.Errorf("serve: kernel %q: %w", e.spec.Name, err)
+		return e.cerr
 	}
-	if e.compiled == nil {
-		res, err := core.CompileSource(e.spec.Source, e.spec.Func, e.spec.Options)
-		if err != nil {
-			e.cerr = fmt.Errorf("serve: kernel %q: %w", e.spec.Name, err)
-			return e.cerr
-		}
-		e.compiled = res
-	}
-	pool, err := netlist.NewSystemPool(e.compiled.Kernel, e.compiled.Datapath, e.spec.Config, e.srv.workers)
+	e.compiled = res
+	pool, err := netlist.NewSystemPool(res.Kernel, res.Datapath, e.spec.Config, e.srv.workers)
 	if err != nil {
 		// Deterministic (geometry/config), so latch it like a compile
 		// failure: combinational kernels refuse every request the same way.
 		e.cerr = fmt.Errorf("serve: kernel %q: %w", e.spec.Name, err)
 		return e.cerr
 	}
-	pool.SetMaxIdle(e.idleCap())
 	// Probe the eagerly built System for the metrics plane: whether its
 	// feedback cone is closed-form.
 	if sys, err := pool.Get(); err == nil {
@@ -205,45 +180,17 @@ func (e *kernelEntry) ensure() error {
 	return nil
 }
 
-// getPool returns a live pool for the kernel, compiling on first use
-// and rebuilding after an eviction. Callers keep the returned pointer:
-// an eviction racing them swaps the entry's pool to nil, so a re-Load
-// could observe nil mid-stream — while a captured pool at worst fails
-// jobs with ErrPoolClosed, which the callers retry.
-func (e *kernelEntry) getPool() (*netlist.SystemPool, error) {
-	for {
-		if p := e.pool.Load(); p != nil {
-			return p, nil
-		}
-		if err := e.ensure(); err != nil {
-			return nil, err
-		}
-	}
-}
-
 // RunStream executes one stream on the kernel's pool, counting it for
-// the metrics plane. A stream that loses the race with an eviction
-// (ErrPoolClosed) retries once on the rebuilt pool, so eviction is
-// invisible to clients.
+// the metrics plane. Every served stream ends here: the TCP executors,
+// fleet shards and the in-process client all reach it through
+// Server.RunStream or a request's resolved Runner.
 func (e *kernelEntry) RunStream(job *netlist.Job) error {
 	n := e.inflight.Add(1)
 	for hw := e.hwm.Load(); n > hw && !e.hwm.CompareAndSwap(hw, n); hw = e.hwm.Load() {
 	}
 	defer e.inflight.Add(-1)
 	e.streams.Add(1)
-	pool, err := e.getPool()
-	if err != nil {
-		job.Err = err
-		return err
-	}
-	pool.RunJob(job)
-	if errors.Is(job.Err, netlist.ErrPoolClosed) {
-		if pool, err = e.getPool(); err != nil {
-			job.Err = err
-		} else {
-			pool.RunJob(job)
-		}
-	}
+	e.pool.Load().RunJob(job)
 	if job.Err != nil {
 		var fe *dp.FaultError
 		if errors.As(job.Err, &fe) {
@@ -253,44 +200,13 @@ func (e *kernelEntry) RunStream(job *netlist.Job) error {
 	return job.Err
 }
 
-// runBatch is RunStream for a whole batch (the in-process client),
-// sharded over the pool's worker crew, with the same eviction-retry and
-// accounting contract.
-func (e *kernelEntry) runBatch(jobs []netlist.Job) error {
-	n := e.inflight.Add(1)
-	for hw := e.hwm.Load(); n > hw && !e.hwm.CompareAndSwap(hw, n); hw = e.hwm.Load() {
-	}
-	defer e.inflight.Add(-1)
-	e.streams.Add(int64(len(jobs)))
-	pool, err := e.getPool()
-	if err != nil {
-		return err
-	}
-	err = pool.RunBatch(jobs)
-	if errors.Is(err, netlist.ErrPoolClosed) {
-		if pool, err = e.getPool(); err == nil {
-			err = pool.RunBatch(jobs)
-		}
-	}
-	for i := range jobs {
-		if jobs[i].Err == nil {
-			continue // &fe escapes: declare it only on the fault path
-		}
-		var fe *dp.FaultError
-		if errors.As(jobs[i].Err, &fe) {
-			e.faults.Add(1)
-		}
-	}
-	return err
-}
-
 // Server is the streaming simulation service. Zero value is not usable;
 // build with NewServer, Register kernels, then Serve a listener (or use
-// the in-process client via Local).
+// the in-process client via Local). Every stream it serves, from any
+// of them, goes through RunStream's path: dispatch, then the kernel's
+// pool.
 type Server struct {
 	workers int
-	maxIdle atomic.Int64 // per-pool idle cap, applied as kernels compile
-	tick    atomic.Int64 // logical clock for per-kernel LRU recency
 
 	// dispatcher overrides kernel resolution (SetDispatcher); nil means
 	// this server's own registry.
@@ -318,12 +234,11 @@ type Server struct {
 	sheds  atomic.Int64
 }
 
-// NewServer builds a server whose per-kernel pools shard across workers
-// goroutines (<= 0 means GOMAXPROCS); workers also bounds each
-// connection's concurrent stream executions — with pipelined (v2)
+// NewServer builds a server whose connections each run up to workers
+// streams at once (<= 0 means GOMAXPROCS) — with pipelined (v2)
 // clients it acts as the per-request-slot semaphore all of one
-// connection's requests share. The value is normalized here so the
-// connection executors see the same width the pools do.
+// connection's requests share. A fleet shard without its own slot
+// budget admits that many streams.
 func NewServer(workers int) *Server {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -335,9 +250,8 @@ func NewServer(workers int) *Server {
 	}
 }
 
-// Workers returns the per-connection executor width (also each kernel
-// pool's shard width) — the capacity figure admission control budgets
-// against.
+// Workers returns the per-connection executor width — the capacity
+// figure admission control budgets against.
 func (s *Server) Workers() int { return s.workers }
 
 // SetDispatcher replaces kernel resolution for every subsequent request
@@ -357,9 +271,7 @@ func (s *Server) Register(spec KernelSpec) error {
 	if _, dup := s.kernels[spec.Name]; dup {
 		return fmt.Errorf("serve: kernel %q already registered", spec.Name)
 	}
-	e := &kernelEntry{srv: s, spec: spec}
-	e.idleOverride.Store(-1)
-	s.kernels[spec.Name] = e
+	s.kernels[spec.Name] = &kernelEntry{srv: s, spec: spec}
 	return nil
 }
 
@@ -400,7 +312,7 @@ func (s *Server) entry(name string) (*kernelEntry, error) {
 
 // dispatch resolves a kernel at request open: the plugged Dispatcher if
 // any, this server's registry otherwise. Registry opens count toward
-// the kernel's recency and open counters.
+// the kernel's open counter.
 func (s *Server) dispatch(kernel string) (Runner, error) {
 	if d := s.dispatcher; d != nil {
 		return d.Dispatch(kernel)
@@ -410,13 +322,13 @@ func (s *Server) dispatch(kernel string) (Runner, error) {
 		return nil, err
 	}
 	e.opens.Add(1)
-	e.lastUse.Store(s.tick.Add(1))
 	return e, nil
 }
 
 // RunStream executes one stream of one kernel through the dispatch seam
 // — the same path a TCP stream frame takes, minus the wire. Fleet
-// workers call it; per-stream failures land in job.Err.
+// shards and the in-process client call it; per-stream failures land
+// in job.Err.
 func (s *Server) RunStream(kernel string, job *netlist.Job) error {
 	if !s.beginStream() {
 		job.Err = fmt.Errorf("serve: server is draining")
@@ -448,69 +360,6 @@ func (s *Server) countStream(err error) {
 	case errors.As(err, &be):
 		s.sheds.Add(1)
 	}
-}
-
-// Evict drops a kernel's warm pool, refusing (ErrEvictBusy) while any
-// of its streams is in flight. The compiled artifacts stay cached on
-// the entry — the next request rebuilds the pool from the plans on
-// hir.Kernel.PlanCache without recompiling anything — so eviction is a
-// memory-pressure valve, not an unregistration.
-func (s *Server) Evict(name string) error {
-	s.mu.Lock()
-	e, ok := s.kernels[name]
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("serve: unknown kernel %q", name)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if n := e.inflight.Load(); n != 0 {
-		return fmt.Errorf("serve: evict %q: %w (%d)", name, ErrEvictBusy, n)
-	}
-	pool := e.pool.Swap(nil)
-	if pool == nil {
-		return nil // already cold
-	}
-	pool.Close()
-	e.evictions.Add(1)
-	return nil
-}
-
-// SetMaxIdle caps each kernel pool's idle free list (<= 0 removes the
-// cap). It applies to pools compiled after the call and to already-warm
-// pools immediately; per-kernel overrides (SetMaxIdleFor) win over it.
-func (s *Server) SetMaxIdle(n int) {
-	s.maxIdle.Store(int64(n))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range s.kernels {
-		if e.idleOverride.Load() >= 0 {
-			continue
-		}
-		if pool := e.pool.Load(); pool != nil {
-			pool.SetMaxIdle(n)
-		}
-	}
-}
-
-// SetMaxIdleFor pins one kernel's idle cap (n < 0 clears the override
-// back to the server-wide cap). Fleet autotuning drives it from
-// observed per-kernel load.
-func (s *Server) SetMaxIdleFor(name string, n int) error {
-	s.mu.Lock()
-	e, ok := s.kernels[name]
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("serve: unknown kernel %q", name)
-	}
-	if n < 0 {
-		n = -1
-	}
-	e.idleOverride.Store(int64(n))
-	if pool := e.pool.Load(); pool != nil {
-		pool.SetMaxIdle(e.idleCap())
-	}
-	return nil
 }
 
 // Stats snapshots each compiled kernel's pool counters.
@@ -610,8 +459,7 @@ func (s *Server) endStream() {
 }
 
 // Shutdown drains the server: new requests are refused, in-flight
-// streams finish, then connections close and the per-kernel worker
-// crews stop. ctx bounds the drain; on expiry remaining connections are
+// streams finish, then connections close and the kernel pools close. ctx bounds the drain; on expiry remaining connections are
 // closed anyway and ctx.Err is returned.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.drainMu.Lock()

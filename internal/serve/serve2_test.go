@@ -10,7 +10,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -336,260 +335,6 @@ func TestServePing(t *testing.T) {
 	}
 }
 
-// TestServeEvictionRebuild: evicting a kernel drops only its warm pool.
-// The compiled artifacts and every plan on hir.Kernel.PlanCache survive
-// — the next request rebuilds the pool from the cached plans, with
-// results identical to before, and no plan is ever rebuilt (pointer
-// identity across the eviction proves it).
-func TestServeEvictionRebuild(t *testing.T) {
-	srv := NewServer(2)
-	if err := srv.Register(testSpecs()[0]); err != nil { // fir
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-	})
-	local := srv.Local()
-
-	jobs := []netlist.Job{{Inputs: firStream(11)}}
-	if err := local.Run("fir", jobs); err != nil {
-		t.Fatal(err)
-	}
-
-	srv.mu.Lock()
-	e := srv.kernels["fir"]
-	srv.mu.Unlock()
-	e.mu.Lock()
-	compiled := e.compiled
-	e.mu.Unlock()
-	if compiled == nil {
-		t.Fatal("kernel not compiled after first use")
-	}
-	plans := map[any]any{}
-	compiled.Kernel.PlanCache.Range(func(k, v any) bool { plans[k] = v; return true })
-	if len(plans) == 0 {
-		t.Fatal("no system plans cached after first use")
-	}
-
-	if err := srv.Evict("fir"); err != nil {
-		t.Fatalf("Evict: %v", err)
-	}
-	if e.pool.Load() != nil {
-		t.Fatal("pool survived eviction")
-	}
-	var cold KernelInfo
-	for _, info := range srv.KernelInfos() {
-		if info.Kernel == "fir" {
-			cold = info
-		}
-	}
-	if !cold.Compiled || cold.Resident || cold.Evictions != 1 {
-		t.Fatalf("post-evict metrics = %+v, want compiled, not resident, 1 eviction", cold)
-	}
-	// Evicting a cold kernel is a no-op, not an error.
-	if err := srv.Evict("fir"); err != nil {
-		t.Fatalf("second Evict: %v", err)
-	}
-
-	jobs2 := []netlist.Job{{Inputs: firStream(11)}}
-	if err := local.Run("fir", jobs2); err != nil {
-		t.Fatalf("post-eviction run: %v", err)
-	}
-	if err := netlist.DiffJob(&jobs2[0], &jobs[0]); err != nil {
-		t.Fatalf("post-eviction run against the first: %v", err)
-	}
-
-	e.mu.Lock()
-	again := e.compiled
-	e.mu.Unlock()
-	if again != compiled {
-		t.Fatal("eviction triggered a recompile: compiled result replaced")
-	}
-	compiled.Kernel.PlanCache.Range(func(k, v any) bool {
-		if prev, ok := plans[k]; ok && prev != v {
-			t.Errorf("system plan rebuilt after eviction for key %v", k)
-		}
-		return true
-	})
-	if e.pool.Load() == nil {
-		t.Fatal("pool not rebuilt by post-eviction request")
-	}
-}
-
-// TestServeEvictBusy: eviction must refuse — typed, matchable with
-// errors.Is — while the kernel has in-flight streams, and succeed once
-// they drain.
-func TestServeEvictBusy(t *testing.T) {
-	srv := NewServer(1)
-	if err := srv.Register(testSpecs()[0]); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-	})
-	jobs := []netlist.Job{{Inputs: firStream(1)}}
-	if err := srv.Local().Run("fir", jobs); err != nil {
-		t.Fatal(err)
-	}
-	srv.mu.Lock()
-	e := srv.kernels["fir"]
-	srv.mu.Unlock()
-
-	e.inflight.Add(1) // a stream is mid-execution
-	err := srv.Evict("fir")
-	if !errors.Is(err, ErrEvictBusy) {
-		t.Fatalf("Evict with in-flight stream: %v, want ErrEvictBusy", err)
-	}
-	if e.pool.Load() == nil {
-		t.Fatal("refused eviction still dropped the pool")
-	}
-	e.inflight.Add(-1)
-	if err := srv.Evict("fir"); err != nil {
-		t.Fatalf("Evict after drain: %v", err)
-	}
-}
-
-// TestServeEvictionInvisible races a client against an eviction loop:
-// clients must never observe an error or a wrong bit — a stream that
-// loses the race sees ErrPoolClosed internally and retries on the
-// rebuilt pool.
-func TestServeEvictionInvisible(t *testing.T) {
-	srv := NewServer(2)
-	if err := srv.Register(testSpecs()[0]); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-	})
-	local := srv.Local()
-	want := serialFIR(t, firStream(9))
-
-	// A free-running evictor probes the eviction/stream races (it mostly
-	// sees ErrEvictBusy); the deterministic evictions happen in the client
-	// loop below, where inflight is guaranteed zero.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				srv.Evict("fir") // ErrEvictBusy while streams run: fine
-				runtime.Gosched()
-			}
-		}
-	}()
-
-	jobs := make([]netlist.Job, 1)
-	for i := 0; i < 150; i++ {
-		if i%10 == 5 {
-			if err := srv.Evict("fir"); err != nil && !errors.Is(err, ErrEvictBusy) {
-				t.Fatalf("iteration %d: Evict: %v", i, err)
-			}
-		}
-		jobs[0] = netlist.Job{Inputs: firStream(9), Outputs: jobs[0].Outputs}
-		if err := local.Run("fir", jobs); err != nil {
-			t.Fatalf("iteration %d: eviction leaked to the client: %v", i, err)
-		}
-		if err := netlist.DiffJob(&jobs[0], want); err != nil {
-			t.Fatalf("iteration %d: %v", i, err)
-		}
-	}
-	close(stop)
-	wg.Wait()
-
-	srv.mu.Lock()
-	e := srv.kernels["fir"]
-	srv.mu.Unlock()
-	if e.evictions.Load() == 0 {
-		t.Fatal("eviction loop never actually evicted")
-	}
-}
-
-// TestServeSetMaxIdleFor: the per-kernel idle cap overrides the
-// server-wide one, trims the warm pool immediately, and clears back to
-// inherited on a negative value.
-func TestServeSetMaxIdleFor(t *testing.T) {
-	srv := NewServer(4)
-	if err := srv.Register(testSpecs()[0]); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-	})
-	local := srv.Local()
-	jobs := make([]netlist.Job, 8)
-	for i := range jobs {
-		jobs[i] = netlist.Job{Inputs: firStream(int64(i))}
-	}
-	if err := local.Run("fir", jobs); err != nil {
-		t.Fatal(err)
-	}
-	// Hold three Systems at once so the warm pool has several to trim,
-	// however the batch's workers happened to share Systems.
-	srv.mu.Lock()
-	e := srv.kernels["fir"]
-	srv.mu.Unlock()
-	pool := e.pool.Load()
-	var held []*netlist.System
-	for range 3 {
-		sys, err := pool.Get()
-		if err != nil {
-			t.Fatal(err)
-		}
-		held = append(held, sys)
-	}
-	for _, sys := range held {
-		pool.Put(sys)
-	}
-	if idle := srv.Stats()["fir"].Idle; idle < 3 {
-		t.Fatalf("idle = %d after returning 3 held Systems", idle)
-	}
-
-	if err := srv.SetMaxIdleFor("fir", 1); err != nil {
-		t.Fatal(err)
-	}
-	if idle := srv.Stats()["fir"].Idle; idle > 1 {
-		t.Fatalf("idle = %d after SetMaxIdleFor(1)", idle)
-	}
-	var info KernelInfo
-	for _, ki := range srv.KernelInfos() {
-		if ki.Kernel == "fir" {
-			info = ki
-		}
-	}
-	if info.MaxIdle != 1 {
-		t.Fatalf("KernelInfo.MaxIdle = %d, want 1", info.MaxIdle)
-	}
-
-	// The server-wide cap must not override the pinned kernel...
-	srv.SetMaxIdle(6)
-	if got := e.idleCap(); got != 1 {
-		t.Fatalf("idleCap = %d after server-wide SetMaxIdle, want pinned 1", got)
-	}
-	// ...until the override is cleared.
-	if err := srv.SetMaxIdleFor("fir", -1); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.idleCap(); got != 6 {
-		t.Fatalf("idleCap = %d after clearing override, want inherited 6", got)
-	}
-	if err := srv.SetMaxIdleFor("nope", 1); err == nil {
-		t.Fatal("SetMaxIdleFor on an unknown kernel succeeded")
-	}
-}
-
 // TestServeMetricsEndpoint is the observability acceptance test: the
 // HTTP endpoint's JSON must decode back into the Metrics shape and
 // report, for every kernel on either dispatch path, whether the
@@ -680,8 +425,8 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		if want := sys.HasClosedFormCone(); info.ClosedFormCone != want {
 			t.Errorf("%s: closed_form_cone %v, independent System says %v", info.Kernel, info.ClosedFormCone, want)
 		}
-		if info.Opens != 1 || info.Streams != 1 || info.LastUse == 0 {
-			t.Errorf("%s: opens=%d streams=%d lastUse=%d, want 1/1/nonzero", info.Kernel, info.Opens, info.Streams, info.LastUse)
+		if info.Opens != 1 || info.Streams != 1 {
+			t.Errorf("%s: opens=%d streams=%d, want 1/1", info.Kernel, info.Opens, info.Streams)
 		}
 		if info.Pool == nil || info.Pool.Gets == 0 || info.Pool.Gets != info.Pool.Puts+info.Pool.Rejected {
 			t.Errorf("%s: pool stats missing or unbalanced: %+v", info.Kernel, info.Pool)
