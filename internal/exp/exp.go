@@ -53,20 +53,25 @@ var PaperTable1 = map[string]PaperRow{
 	"wavelet":        {104, 101, 1464, 2415, 0.971, 1.65},
 }
 
-// SynthesizeKernel compiles a bench kernel, re-pipelines its data path
-// against the Virtex-II delay model and synthesizes it (with smart
-// buffers and controller for the streaming rows).
+// SynthesizeKernel compiles a bench kernel and synthesizes it (with
+// smart buffers and controller for the streaming rows). core.Compile
+// places the latches against synth.OpDelay(d, false) on full ROMs. A
+// row whose delay model differs from that one — LUT-style multipliers,
+// or ROMs that Kernel.Compile marks half-wave after pipelining — is
+// re-pipelined against its own model, so latch placement and area use
+// the same technology model.
 func SynthesizeKernel(k bench.Kernel) (*core.Result, *synth.Report, error) {
 	res, err := k.Compile()
 	if err != nil {
 		return nil, nil, err
 	}
-	// Latch placement against the same technology model used for area.
-	if err := dp.Pipeline(res.Datapath, dp.PipelineConfig{
-		Period: k.Options.PeriodNs,
-		Delay:  synth.OpDelay(res.Datapath, k.LUTMultStyle),
-	}); err != nil {
-		return nil, nil, err
+	if k.LUTMultStyle || len(k.HalfWaveRoms) > 0 {
+		if err := dp.Pipeline(res.Datapath, dp.PipelineConfig{
+			Period: k.Options.PeriodNs,
+			Delay:  synth.OpDelay(res.Datapath, k.LUTMultStyle),
+		}); err != nil {
+			return nil, nil, err
+		}
 	}
 	opt, err := synth.KernelOptions(res.Kernel, k.BusElems)
 	if err != nil {
