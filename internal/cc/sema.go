@@ -75,14 +75,6 @@ type Info struct {
 	ParamSyms  map[*FuncDecl]map[string]*Symbol
 }
 
-// TypeOf returns the analyzed type of e; Int32 if unknown.
-func (in *Info) TypeOf(e Expr) Type {
-	if t, ok := in.Types[e]; ok {
-		return t
-	}
-	return Int32
-}
-
 // IntTypeOf returns the analyzed integer type of e; Int32 if e is not an
 // integer expression.
 func (in *Info) IntTypeOf(e Expr) IntType {

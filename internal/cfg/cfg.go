@@ -39,9 +39,6 @@ func (b *Block) PredIndex(p *Block) int {
 	return -1
 }
 
-// IsEmpty reports whether the block holds no compute instructions.
-func (b *Block) IsEmpty() bool { return len(b.Instrs) == 0 }
-
 // String renders the block header and instructions.
 func (b *Block) String() string {
 	var sb strings.Builder

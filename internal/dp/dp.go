@@ -179,9 +179,6 @@ func (d *Datapath) NodesOfKind(k NodeKind) []*Node {
 	return out
 }
 
-// OpType returns the semantic integer type of the op's result.
-func (o *Op) OpType() cc.IntType { return o.Instr.Typ }
-
 // HardwareType returns the inferred hardware signal type (width-narrowed).
 func (o *Op) HardwareType() cc.IntType {
 	return cc.IntType{Bits: o.Width, Signed: o.Signed}

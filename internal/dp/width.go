@@ -67,9 +67,6 @@ func sigForConst(v int64) sig {
 	return sig{u: n, s: false}
 }
 
-// bitsForConst returns the two's-complement width needed for v.
-func bitsForConst(v int64) int { return sigForConst(v).width() }
-
 // InferWidths computes hardware widths for every op in topological
 // order. Call between Build and Pipeline.
 func InferWidths(d *Datapath) {

@@ -130,9 +130,6 @@ func CSDDigits(c int64) int {
 
 // --- Primitive delay models (ns, speed grade -5) ---
 
-// lutDelay is one LUT4 plus average local routing.
-const lutDelay = 0.95
-
 // AdderDelay is the w-bit carry-chain delay.
 func AdderDelay(w int) float64 { return 0.65 + 0.045*float64(w) }
 

@@ -219,10 +219,3 @@ func maxI(a, b int) int {
 	}
 	return b
 }
-
-func minI(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
