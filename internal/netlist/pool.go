@@ -14,8 +14,8 @@ import (
 
 // ErrPoolClosed is the sentinel inside every RunJob/RunBatch failure on
 // a closed pool; match it with errors.Is. A pool is closed once, by its
-// owner, when it is done with it (serve closes its pools at Shutdown,
-// after the last admitted stream has finished).
+// owner, when it is done with it: serve closes its pools at Shutdown,
+// once the admitted streams have finished or the drain budget ran out.
 var ErrPoolClosed = errors.New("netlist: SystemPool is closed")
 
 // SystemPool is a pool of Reset-able Systems for one compiled kernel,

@@ -62,7 +62,7 @@ func (s *Server) KernelInfos() []KernelInfo {
 			HighWater: e.hwm.Load(),
 		}
 		e.mu.Lock()
-		info.Compiled = e.compiled != nil
+		info.Compiled = e.compiled
 		e.mu.Unlock()
 		if pool := e.pool.Load(); pool != nil {
 			info.Resident = true

@@ -128,7 +128,7 @@ type kernelEntry struct {
 	spec KernelSpec
 
 	mu       sync.Mutex
-	compiled *core.Result
+	compiled bool  // the compile succeeded (metrics)
 	cerr     error // latched compile/build error: deterministic, never retried
 	pool     atomic.Pointer[netlist.SystemPool]
 
@@ -162,7 +162,7 @@ func (e *kernelEntry) ensure() error {
 		e.cerr = fmt.Errorf("serve: kernel %q: %w", e.spec.Name, err)
 		return e.cerr
 	}
-	e.compiled = res
+	e.compiled = true
 	pool, err := netlist.NewSystemPool(res.Kernel, res.Datapath, e.spec.Config, e.srv.workers)
 	if err != nil {
 		// Deterministic (geometry/config), so latch it like a compile
