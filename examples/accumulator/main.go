@@ -53,7 +53,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	got, ok := sys.FeedbackValue(sim, "sum")
+	got, ok := sim.FeedbackByName("sum")
 	if !ok {
 		log.Fatal("no feedback latch named sum")
 	}

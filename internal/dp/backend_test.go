@@ -22,10 +22,10 @@ import (
 // TestBackendDifferentialBenchKernels runs every Table 1 kernel through
 // random RunN schedules against the Step/Drain loop (a second seed
 // beside TestStepNDifferentialBenchKernels), plus two latch kernels
-// whose feedback cone sits past stage 0 (a closed-form and a
-// lane-serial one) and whose update moves the latch even on a bubble's
-// zero inputs: a RunN that starts with bubbles in flight must not let
-// them commit the latch.
+// whose feedback cone sits past stage 0 (a closed-form one and one that
+// runs on the serial step) and whose update moves the latch even on a
+// bubble's zero inputs: a RunN that starts with bubbles in flight must
+// not let them commit the latch.
 func TestBackendDifferentialBenchKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	var shapes schedShapes
@@ -38,7 +38,7 @@ func TestBackendDifferentialBenchKernels(t *testing.T) {
 	}
 	for _, k := range []struct{ name, update string }{
 		{"late-closed-form", "acc = acc + (a * b + 7);"},
-		{"late-lane-serial", "acc = acc * 3 + (a * b + 7);"},
+		{"late-serial-cone", "acc = acc * 3 + (a * b + 7);"},
 	} {
 		src := "int32 acc;\nvoid k(int16 a, int16 b, int32* q) {\n\tint i;\n\tacc = 0;\n\tfor (i = 0; i < 1024; i++) {\n\t\t" +
 			k.update + "\n\t\t*q = acc;\n\t}\n}\n"
@@ -134,8 +134,8 @@ void k(int a, int b, int* q) {
 }
 
 // TestMulAccClosedFormCone: mul_acc's accumulate cone must be
-// recognized in closed form (otherwise RunN silently degrades to the
-// lane-serial path and the kernel keeps serializing).
+// recognized in closed form (otherwise RunN silently runs the kernel on
+// the serial step).
 func TestMulAccClosedFormCone(t *testing.T) {
 	res, err := bench.MulAcc().Compile()
 	if err != nil {
@@ -155,9 +155,10 @@ func TestMulAccClosedFormCone(t *testing.T) {
 }
 
 // TestVerifyPlanFeedbackStage moves one LPR out of its SNX's stage on
-// copied plans of mux_saturate (whose saturating mux keeps the cone
-// lane-serial) and of the accumulator (a closed-form cone): the
-// verifier must name plan/feedback-stage on both.
+// copied plans of mux_saturate (whose mux between two accumulates
+// leaves the cone without a closed form) and of the accumulator (a
+// closed-form cone): the verifier must name plan/feedback-stage on
+// both.
 func TestVerifyPlanFeedbackStage(t *testing.T) {
 	for _, k := range []struct {
 		name, src  string

@@ -3,8 +3,6 @@ package dp
 import (
 	"errors"
 	"fmt"
-
-	"roccc/internal/vm"
 )
 
 // batch.go is the data path's one batch execution path, RunN. Step
@@ -30,10 +28,12 @@ import (
 // serial Step/Drain loop:
 //
 //   - Feedback latches carry a loop-carried dependence (iteration i's
-//     LPR reads what iteration i-1's SNX committed), so the feedback
-//     cone of the plan (simPlan.batchB) runs in closed form when
-//     recognized (cone.go) and otherwise serializes lane by lane, while
-//     everything before/after it still runs op-major (batchA/batchC).
+//     LPR reads what iteration i-1's SNX committed). A chunk runs
+//     op-major only when the plan's feedback cone (simPlan.batchB) is
+//     empty or has the closed form (cone.go), whose prefix pass runs
+//     between the ops before the cone (batchA) and after it (batchC).
+//     A plan whose cone has no closed form runs every chunk on the
+//     serial step.
 //   - Faults must abort on the same cycle with the same state as the
 //     serial core. The batch computes into scratch lanes without
 //     touching the ring, so on the first detected fault the scratch is
@@ -151,8 +151,9 @@ type ioBlock struct {
 }
 
 // serialChunk runs clocks [off, off+n) of a batch through the
-// interpreter step (tiny chunks, pure-feedback plans, and fault
-// replays): each fed clock's input row is gathered from the columns
+// interpreter step (tiny chunks, plans whose feedback cone has no
+// closed form, and fault replays): each fed clock's input row is
+// gathered from the columns
 // into the Sim's row buffer, a bubble steps the zero row, and step's
 // output row is scattered back into the output columns.
 //
@@ -188,7 +189,7 @@ func (s *Sim) serialChunk(b *ioBlock, off, n int) error {
 func (s *Sim) batchChunk(b *ioBlock, off, n int) error {
 	p := s.p
 	tp := p.threadFor()
-	if n <= batchSerialMax || (tp.cone == nil && len(p.batchB) > 0 && len(p.batchA)+len(p.batchC) == 0) {
+	if tp == nil || n <= batchSerialMax {
 		return s.serialChunk(b, off, n)
 	}
 	// The chunk's leading fed clocks; the rest of its lanes are bubbles.
@@ -208,22 +209,18 @@ func (s *Sim) batchChunk(b *ioBlock, off, n int) error {
 	lv := s.laneValid[:laneN]
 	if err := s.batchCompute(b, off, n, valid, lanes, lv, laneN, tp); err != nil {
 		// A valid lane hit a faulting op. Nothing has been committed:
-		// drop the staged latch writes and replay the chunk serially so
-		// the abort cycle, error and state match Step exactly.
-		for i := range s.stagedSet {
-			s.stagedSet[i] = false
-		}
+		// replay the chunk serially so the abort cycle, error and state
+		// match Step exactly.
 		return s.serialChunk(b, off, n)
 	}
-	s.commitChunk(b, off, n, valid, lanes, laneN)
+	s.commitChunk(b, off, n, valid, lanes, laneN, tp.cone)
 	return nil
 }
 
 // batchCompute fills the lane scratch of clocks [off, off+n), the first
 // `valid` of them fed: validity, in-flight seeds from the ring, the
-// chunk's input columns, then the three execution classes through the
-// plan's lane kernels — the feedback cone in closed form when
-// recognized, lane by lane otherwise.
+// chunk's input columns, then the plan's lane kernels, with the
+// closed-form cone's prefix pass between laneA and laneC.
 //
 //roccc:hotpath
 //roccc:chunk-compute
@@ -300,37 +297,13 @@ func (s *Sim) batchCompute(b *ioBlock, off, n, valid int, lanes []int64, lv []bo
 	if !runLaneFns(tp.laneA, lanes, lv, n, laneN) {
 		return errBatchFault
 	}
-	if len(p.batchB) > 0 {
-		var err error
-		if tp.cone != nil {
-			err = s.runCone(tp.cone, n, lanes, lv, laneN, tp.coneFns)
-		} else {
-			err = s.batchCone(p.batchB, n, lanes, lv, laneN)
-		}
-		if err != nil {
-			return err
-		}
+	if tp.cone != nil {
+		s.runCone(tp.cone, n, lanes, lv, laneN)
 	}
 	if !runLaneFns(tp.laneC, lanes, lv, n, laneN) {
 		return errBatchFault
 	}
 	return nil
-}
-
-// laneCtx resolves pre-compiled operands against the lane scratch: the
-// same iteration lane of the defining op's region, or an immediate.
-type laneCtx struct {
-	lanes []int64
-	laneN int
-	sh    uint
-}
-
-//roccc:hotpath
-func (c *laneCtx) get(o *cOperand, k int) int64 {
-	if !o.ring {
-		return o.imm
-	}
-	return c.lanes[(int(o.base)>>c.sh)*c.laneN+k]
 }
 
 // laneOperand is an operand resolved once per op for the op-major pass:
@@ -347,14 +320,6 @@ func (o laneOperand) at(k int) int64 {
 		return o.imm
 	}
 	return o.sl[k]
-}
-
-func (c *laneCtx) operand(o *cOperand) laneOperand {
-	if !o.ring {
-		return laneOperand{imm: o.imm}
-	}
-	base := (int(o.base) >> c.sh) * c.laneN
-	return laneOperand{sl: c.lanes[base : base+c.laneN]}
 }
 
 // The fused lane helpers compute the dominant arithmetic ops with the
@@ -503,141 +468,14 @@ func wrapLanes(d []int64, op *cop) {
 	}
 }
 
-// batchCone runs the feedback cone lane by lane. The running latch
-// state lives in batchState (scratch — committed only by commitChunk):
-// within a lane, LPRs read it and SNXs stage into it in plan order;
-// at the end of the lane the staged writes commit, exactly as the
-// serial clock edge commits them — each latch is touched by exactly one
-// iteration per cycle, so per-lane order is per-cycle order.
-//
-//roccc:hotpath
-func (s *Sim) batchCone(ops []cop, n int, lanes []int64, lv []bool, laneN int) error {
-	p := s.p
-	stages := p.stages
-	c := laneCtx{lanes: lanes, laneN: laneN, sh: p.opShift}
-	st := s.batchState[:len(s.state)]
-	copy(st, s.state)
-	staged := false
-	for k := 0; k < stages+n; k++ {
-		for i := range ops {
-			op := &ops[i]
-			k0 := stages - int(op.stage)
-			if k < k0 || k >= k0+n {
-				continue // seeded in-flight lane, or a later chunk's cycle
-			}
-			var v int64
-			switch op.opc {
-			case vm.LPR:
-				// Latches bypass hardware-width wrapping, as in the
-				// serial core.
-				lanes[(int(op.slot)>>p.opShift)*laneN+k] = st[op.fb]
-				continue
-			case vm.SNX:
-				if lv[k] {
-					s.stagedVal[op.fb] = op.tw.wrap(c.get(&op.a, k))
-					s.stagedSet[op.fb] = true
-					staged = true
-				}
-				continue
-			case vm.LDC, vm.MOV, vm.CVT:
-				v = op.tw.wrap(c.get(&op.a, k))
-			case vm.ADD:
-				v = op.tw.wrap(c.get(&op.a, k) + c.get(&op.b, k))
-			case vm.SUB:
-				v = op.tw.wrap(c.get(&op.a, k) - c.get(&op.b, k))
-			case vm.MUL:
-				v = op.tw.wrap(c.get(&op.a, k) * c.get(&op.b, k))
-			case vm.DIV:
-				b := c.get(&op.b, k)
-				if b == 0 {
-					if lv[k] {
-						return errBatchFault
-					}
-					v = 0
-					break
-				}
-				v = op.tw.wrap(c.get(&op.a, k) / b)
-			case vm.REM:
-				b := c.get(&op.b, k)
-				if b == 0 {
-					if lv[k] {
-						return errBatchFault
-					}
-					v = 0
-					break
-				}
-				v = op.tw.wrap(c.get(&op.a, k) % b)
-			case vm.AND:
-				v = op.tw.wrap(c.get(&op.a, k) & c.get(&op.b, k))
-			case vm.IOR:
-				v = op.tw.wrap(c.get(&op.a, k) | c.get(&op.b, k))
-			case vm.XOR:
-				v = op.tw.wrap(c.get(&op.a, k) ^ c.get(&op.b, k))
-			case vm.SHL:
-				v = op.tw.wrap(c.get(&op.a, k) << uint(c.get(&op.b, k)&63))
-			case vm.SHR:
-				a := c.get(&op.a, k)
-				sh := uint(c.get(&op.b, k) & 63)
-				if op.shrLogical {
-					v = op.tw.wrap(int64((uint64(a) & op.shrMask) >> sh))
-				} else {
-					v = op.tw.wrap(a >> sh)
-				}
-			case vm.NEG:
-				v = op.tw.wrap(-c.get(&op.a, k))
-			case vm.NOT:
-				v = op.tw.wrap(^c.get(&op.a, k))
-			case vm.SEQ:
-				v = boolBit(c.get(&op.a, k) == c.get(&op.b, k))
-			case vm.SNE:
-				v = boolBit(c.get(&op.a, k) != c.get(&op.b, k))
-			case vm.SLT:
-				v = boolBit(c.get(&op.a, k) < c.get(&op.b, k))
-			case vm.SLE:
-				v = boolBit(c.get(&op.a, k) <= c.get(&op.b, k))
-			case vm.MUX:
-				if c.get(&op.a, k) != 0 {
-					v = op.tw.wrap(c.get(&op.b, k))
-				} else {
-					v = op.tw.wrap(c.get(&op.c, k))
-				}
-			case vm.LUT:
-				ix := c.get(&op.a, k)
-				if ix < 0 || ix >= int64(op.rom.Size) {
-					if lv[k] {
-						return errBatchFault
-					}
-					lanes[(int(op.slot)>>p.opShift)*laneN+k] = 0
-					continue
-				}
-				lanes[(int(op.slot)>>p.opShift)*laneN+k] = op.rom.Content[ix]
-				continue
-			default:
-				return errBatchFault
-			}
-			lanes[(int(op.slot)>>p.opShift)*laneN+k] = op.hw.wrap(v)
-		}
-		if staged {
-			for i := range s.stagedSet {
-				if s.stagedSet[i] {
-					s.stagedSet[i] = false
-					st[i] = s.stagedVal[i]
-				}
-			}
-			staged = false
-		}
-	}
-	return nil
-}
-
 // commitChunk applies a fault-free chunk of clocks [off, off+n), the
 // first `valid` of them fed, to the simulator state: ring history (the
-// last rdepth cycles of every op and input), valid ring, feedback
-// latches, cycle count, head, and the chunk's returned clocks of every
-// output column.
+// last rdepth cycles of every op and input), valid ring, the closed-form
+// cone's latch (cs, nil without a cone), cycle count, head, and the
+// chunk's returned clocks of every output column.
 //
 //roccc:hotpath
-func (s *Sim) commitChunk(b *ioBlock, off, n, valid int, lanes []int64, laneN int) {
+func (s *Sim) commitChunk(b *ioBlock, off, n, valid int, lanes []int64, laneN int, cs *coneSpec) {
 	p := s.p
 	stages := p.stages
 	cycle0 := s.cycle
@@ -670,8 +508,8 @@ func (s *Sim) commitChunk(b *ioBlock, off, n, valid int, lanes []int64, laneN in
 	for r := vfirst; r < n; r++ {
 		s.validRing[(cycle0+r)&rmask] = r < valid
 	}
-	if len(p.batchB) > 0 {
-		copy(s.state, s.batchState)
+	if cs != nil {
+		s.state[cs.fb] = s.coneNext
 	}
 	// Output clock r belongs to the iteration admitted latency cycles
 	// before cycle cycle0+r — lane stages-latency+r — so each port's

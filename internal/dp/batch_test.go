@@ -355,12 +355,13 @@ void k(int a, int b, int* q) {
 // flight when RunN starts, so their outputs must not be returned. A
 // 256-iteration RunN on a pipeline of at most two stages must fold its
 // flush into the last chunk instead of stepping it serially: the lane
-// scratch then spans all 256+Latency() clocks.
+// scratch then spans all 256+Latency() clocks. A cone without a closed
+// form runs every chunk on the serial step and grows no lane scratch.
 func TestRunNMatchesStepDrain(t *testing.T) {
 	for _, k := range []struct{ name, src string }{
 		{"quotient", "void k(int a, int b, int* q) {\n\t*q = a / b;\n}\n"},
 		{"closed-form", "int32 acc;\nvoid k(int16 a, int16 b, int32* q) {\n\tint i;\n\tacc = 0;\n\tfor (i = 0; i < 1024; i++) {\n\t\tacc = acc + a / b;\n\t\t*q = acc - a;\n\t}\n}\n"},
-		{"lane-serial", "int32 acc;\nvoid k(int16 a, int16 b, int32* q) {\n\tint i;\n\tacc = 0;\n\tfor (i = 0; i < 1024; i++) {\n\t\tacc = acc * 3 + a / b;\n\t\t*q = acc + a;\n\t}\n}\n"},
+		{"serial-cone", "int32 acc;\nvoid k(int16 a, int16 b, int32* q) {\n\tint i;\n\tacc = 0;\n\tfor (i = 0; i < 1024; i++) {\n\t\tacc = acc * 3 + a / b;\n\t\t*q = acc + a;\n\t}\n}\n"},
 	} {
 		res, err := core.CompileSource(k.src, "k", core.Options{Optimize: true, PeriodNs: 2.5})
 		if err != nil {
@@ -420,15 +421,20 @@ func TestRunNMatchesStepDrain(t *testing.T) {
 				assertSameState(t, name, d, sim, ref)
 			}
 		}
-		if lat := d.Latency(); lat >= 1 && lat <= 2 {
-			sim := dp.NewSim(d)
-			in := make([]int64, 256*inW)
-			for j := range in {
-				in[j] = int64(j%7 + 1)
+		sim := dp.NewSim(d)
+		in := make([]int64, 256*inW)
+		for j := range in {
+			in[j] = int64(j%7 + 1)
+		}
+		if _, err := sim.RunN(in, 256); err != nil {
+			t.Fatal(err)
+		}
+		switch lat := d.Latency(); {
+		case k.name == "serial-cone":
+			if got := dp.LaneScratch(sim); got != 0 {
+				t.Fatalf("%s: lane scratch holds %d values after RunN(256), want 0: a cone without a closed form ran on lane chunks", k.name, got)
 			}
-			if _, err := sim.RunN(in, 256); err != nil {
-				t.Fatal(err)
-			}
+		case lat >= 1 && lat <= 2:
 			if got, want := dp.LaneScratch(sim), len(d.Ops)*(d.Stages+256+lat); got != want {
 				t.Fatalf("%s: lane scratch holds %d values after RunN(256), want %d (nOps %d × (stages %d + 256 + latency %d)): the flush ran on its own",
 					k.name, got, want, len(d.Ops), d.Stages, lat)
@@ -500,17 +506,18 @@ func TestRunAllocsBounded(t *testing.T) {
 // A schedule of chunk sizes around the serial shortcut (1, 2, 3), an
 // odd size (17) and the batchChunkMax boundary (255, 256, 257, and 600
 // — a multi-chunk split), fed chunks and bubble chunks mixed and a
-// final drain, runs over a closed-form cone and a lane-serial cone that
-// both accumulate a quotient: each fed chunk is one RunN, each bubble
-// chunk that many Drains, and every chunk must match the Step/Drain
-// reference bit for bit in outputs, latches and cycle count. A zero
+// final drain, runs over a closed-form cone and a cone without a closed
+// form (which RunN runs on the serial step) that both accumulate a
+// quotient: each fed chunk is one RunN, each bubble chunk that many
+// Drains, and every chunk must match the Step/Drain reference bit for
+// bit in outputs, latches and cycle count. A zero
 // divisor planted in the last iteration of one fed chunk must abort on
 // the reference's cycle with its fault. A 17-iteration RunN must leave
 // at most nOps × (stages + 17 + Latency()) lane values of scratch.
 func TestThreadedChunkStride(t *testing.T) {
 	kernels := []struct{ name, body string }{
 		{"closed-form", "acc = acc + a / b;"},
-		{"lane-serial", "acc = acc * 3 + a / b;"},
+		{"serial-cone", "acc = acc * 3 + a / b;"},
 	}
 	for _, k := range kernels {
 		src := "int32 acc;\nvoid k(int16 a, int16 b) {\n\tint i;\n\tacc = 0;\n\tfor (i = 0; i < 1024; i++) {\n\t\t" + k.body + "\n\t}\n}\n"

@@ -2,12 +2,12 @@ package dp
 
 import "roccc/internal/vm"
 
-// cone.go vectorizes the feedback cone for the batch path (RunN). The
-// batch path's one serialization point is simPlan.batchB: iteration k's
-// latch read (LPR) depends on iteration k-1's latch write (SNX), so
-// batchCone walks the cone lane by lane, dragging the whole op list
-// through every lane. Most accumulator kernels, though, have a cone of
-// one exact shape —
+// cone.go gives the batch path (RunN) the closed form of a feedback
+// cone. The cone (simPlan.batchB) carries the loop-carried dependence:
+// iteration k's latch read (LPR) depends on iteration k-1's latch write
+// (SNX), so a chunk runs op-major only if that recurrence has a closed
+// form; a plan whose cone has none runs every chunk on the serial step.
+// Most accumulator kernels have a cone of one exact shape —
 //
 //	x' = wrap(x ± e)            (optionally gated by an external condition)
 //
@@ -22,14 +22,12 @@ import "roccc/internal/vm"
 // and the loop-carried dependence collapses to one integer add per lane
 // on a raw (unwrapped) accumulator — a prefix sum. runCone materializes
 // the latch value per lane in that single pass; every other cone op
-// then runs op-major through its lane kernel exactly like batchA/batchC,
-// restoring the fused lane kernels mul_acc's accumulate was locked out
-// of.
+// then runs op-major through its lane kernel like batchA/batchC.
 //
-// Bit-identity with batchCone (and so with the serial core) holds for
-// any latch value, including an out-of-range initial state: until the
-// first valid lane commits, the latch is passed through unwrapped,
-// exactly as LPR reads it.
+// Bit-identity with the serial core holds for any latch value,
+// including an out-of-range initial state: until the first valid lane
+// commits, the latch is passed through unwrapped, exactly as LPR reads
+// it.
 
 // coneSpec is a recognized closed-form feedback cone. It is compiled
 // once per plan (simPlan.coneFor) and shared by every Sim; the op
@@ -55,16 +53,16 @@ type coneSpec struct {
 }
 
 // coneFor returns the plan's recognized closed-form cone, or nil when
-// the feedback cone (if any) does not match the closed form and must
-// keep the lane-serial batchCone path.
+// the plan has no feedback cone or its cone does not match the closed
+// form (RunN then runs the plan on the serial step).
 func (p *simPlan) coneFor() *coneSpec {
 	p.coneOnce.Do(func() { p.cone = recognizeCone(p) })
 	return p.cone
 }
 
 // HasClosedFormCone reports whether the plan's feedback cone (if any)
-// was recognized in closed form, i.e. whether RunN vectorizes this
-// kernel's accumulate instead of serializing lanes. Exposed for the
+// was recognized in closed form, i.e. whether RunN runs this kernel's
+// accumulate op-major instead of on the serial step. Exposed for the
 // metrics plane and the differential tests.
 func (s *Sim) HasClosedFormCone() bool { return s.p.coneFor() != nil }
 
@@ -82,7 +80,8 @@ const (
 // intermediate wrap at least as wide as the latch (so the wraps are
 // congruences mod 2^ws and the prefix form is exact). Anything else —
 // multi-latch cones, cross-latch reads, faulting ops, narrowing
-// intermediates — returns nil and keeps the lane-serial path.
+// intermediates — returns nil, and RunN runs the plan on the serial
+// step.
 func recognizeCone(p *simPlan) *coneSpec {
 	b := p.batchB
 	if len(b) == 0 {
@@ -198,64 +197,53 @@ func recognizeCone(p *simPlan) *coneSpec {
 	return cs
 }
 
-// runCone executes a recognized cone over one chunk, bit-identically to
-// batchCone: the prefix pass materializes the latch value per lane into
-// the LPR regions and folds the recurrence into a raw accumulator; the
-// remaining cone ops then run op-major through their lane kernels fns
-// (they cannot fault, so the returned error is always nil in practice).
-// The final latch value lands in batchState, which commitChunk copies
-// out exactly as for the lane-serial cone.
+// runCone is the closed-form cone's prefix pass over one chunk: it
+// writes the latch value each lane reads into the cone's LPR regions
+// and folds the recurrence into a raw accumulator, whose final value
+// waits in coneNext until commitChunk commits it. The cone's other ops
+// run after it, op-major in laneC; none of them can fault.
 //
 //roccc:hotpath
-func (s *Sim) runCone(cs *coneSpec, n int, lanes []int64, lv []bool, laneN int, fns []laneFn) error {
+func (s *Sim) runCone(cs *coneSpec, n int, lanes []int64, lv []bool, laneN int) {
 	p := s.p
-	st := s.batchState[:len(s.state)]
-	copy(st, s.state)
 	k0 := p.stages - int(cs.stage)
-	k1 := k0 + n
-	c := laneCtx{lanes: lanes, laneN: laneN, sh: p.opShift}
-	ext := c.operand(&cs.ext)
+	ext := laneAcc(p, cs.ext, k0).bind(lanes, laneN, n)
 	var cond laneOperand
 	if cs.hasMux {
-		cond = c.operand(&cs.cond)
+		cond = laneAcc(p, cs.cond, k0).bind(lanes, laneN, n)
 	}
 	tw := cs.snxTw
-	lpr0 := lanes[int(cs.lprs[0])*laneN : (int(cs.lprs[0])+1)*laneN]
-	acc := st[cs.fb]
+	x := thAcc{idx: int(cs.lprs[0]), k0: k0, ring: true}.win(lanes, laneN, n)
+	lv = lv[k0 : k0+n]
+	acc := s.state[cs.fb]
 	// touched tracks whether any valid lane has committed yet: until
 	// then the latch holds its (possibly unwrapped) pre-chunk value and
 	// must be passed through raw, exactly as LPR reads it.
 	touched := false
-	for k := k0; k < k1; k++ {
-		x := acc
+	for i := range x {
+		v := acc
 		if touched {
-			x = tw.wrap(acc)
+			v = tw.wrap(acc)
 		}
-		lpr0[k] = x
-		if !lv[k] {
+		x[i] = v
+		if !lv[i] {
 			continue // bubbles never commit the latch
 		}
 		touched = true
-		if cs.hasMux && (cond.at(k) != 0) != cs.selAddOnTrue {
+		if cs.hasMux && (cond.at(i) != 0) != cs.selAddOnTrue {
 			continue // the MUX re-selected the latch: x' = wrap(x)
 		}
 		if cs.sub {
-			acc -= ext.at(k)
+			acc -= ext.at(i)
 		} else {
-			acc += ext.at(k)
+			acc += ext.at(i)
 		}
 	}
 	for _, li := range cs.lprs[1:] {
-		base := int(li) * laneN
-		copy(lanes[base+k0:base+k1], lpr0[k0:k1])
+		copy(thAcc{idx: int(li), k0: k0, ring: true}.win(lanes, laneN, n), x)
 	}
 	if touched {
-		st[cs.fb] = tw.wrap(acc)
-	} else {
-		st[cs.fb] = acc
+		acc = tw.wrap(acc)
 	}
-	if !runLaneFns(fns, lanes, lv, n, laneN) {
-		return errBatchFault
-	}
-	return nil
+	s.coneNext = acc
 }

@@ -13,8 +13,9 @@ import "roccc/internal/vm"
 // (ring×ring, ring×immediate, ...) specialized and its fused wrap baked
 // in, and runs once per op per chunk. Each kernel takes the chunk's
 // lane stride (stages+n) per call and locates each operand region with
-// one multiply per operand per chunk. Step and Drain, and every chunk
-// too short to batch, run the interpreter loop (sim.go).
+// one multiply per operand per chunk. Step and Drain, every chunk too
+// short to batch and every chunk of a plan whose feedback cone has no
+// closed form run the interpreter loop (sim.go).
 //
 // Fault semantics keep the replay contract: a lane kernel returning
 // false makes the chunk discard its scratch and replay serially through
@@ -26,31 +27,33 @@ import "roccc/internal/vm"
 // false signals a fault on a valid lane.
 type laneFn func(lanes []int64, lv []bool, n, laneN int) bool
 
-// threadPlan is a simPlan's lane kernels, cached on the plan.
+// threadPlan is a simPlan's lane kernels, cached on the plan. laneA
+// runs before the closed-form cone's prefix pass (cone, nil when the
+// plan has no feedback cone), laneC after it: the cone's other ops,
+// then batchC.
 type threadPlan struct {
-	laneA []laneFn
-	laneC []laneFn
-	// cone/coneFns: the recognized closed-form feedback cone and its
-	// materialization ops compiled to lane kernels (nil/absent when the
-	// cone is unrecognized — those plans keep the lane-serial batchCone).
-	cone    *coneSpec
-	coneFns []laneFn
+	laneA, laneC []laneFn
+	cone         *coneSpec
 }
 
 // threadFor returns the plan's lane kernels, compiling them on first
-// use.
+// use; nil when the plan's feedback cone has no closed form, so RunN
+// runs it on the serial step.
 func (p *simPlan) threadFor() *threadPlan {
 	p.threadOnce.Do(func() { p.thread = compileThreadPlan(p) })
 	return p.thread
 }
 
 func compileThreadPlan(p *simPlan) *threadPlan {
-	tp := &threadPlan{cone: p.coneFor()}
-	tp.laneA = compileLaneFns(p, p.batchA)
-	tp.laneC = compileLaneFns(p, p.batchC)
-	if tp.cone != nil {
-		tp.coneFns = compileLaneFns(p, tp.cone.rest)
+	cone := p.coneFor()
+	if cone == nil && len(p.batchB) > 0 {
+		return nil
 	}
+	tp := &threadPlan{cone: cone, laneA: compileLaneFns(p, p.batchA)}
+	if cone != nil {
+		tp.laneC = compileLaneFns(p, cone.rest)
+	}
+	tp.laneC = append(tp.laneC, compileLaneFns(p, p.batchC)...)
 	return tp
 }
 
@@ -60,6 +63,15 @@ type thAcc struct {
 	idx, k0 int
 	imm     int64
 	ring    bool
+}
+
+// laneAcc resolves a plan operand for a consumer whose first computable
+// lane is k0.
+func laneAcc(p *simPlan, o cOperand, k0 int) thAcc {
+	if !o.ring {
+		return thAcc{imm: o.imm}
+	}
+	return thAcc{idx: int(o.base) >> p.opShift, k0: k0, ring: true}
 }
 
 // win slices the operand's n-lane window in a chunk of lane stride
@@ -110,14 +122,8 @@ func compileLaneFns(p *simPlan, ops []cop) []laneFn {
 func compileLaneFn(p *simPlan, c *cop) laneFn {
 	op := *c
 	k0 := p.stages - int(op.stage)
-	res := func(o cOperand) thAcc {
-		if !o.ring {
-			return thAcc{imm: o.imm}
-		}
-		return thAcc{idx: int(o.base) >> p.opShift, k0: k0, ring: true}
-	}
 	dst := thAcc{idx: int(op.slot) >> p.opShift, k0: k0, ring: true}
-	a, b := res(op.a), res(op.b)
+	a, b := laneAcc(p, op.a, k0), laneAcc(p, op.b, k0)
 	switch op.opc {
 	case vm.LDC, vm.MOV, vm.CVT:
 		if a.ring {
@@ -418,7 +424,7 @@ func compileLaneFn(p *simPlan, c *cop) laneFn {
 			return true
 		}
 	case vm.MUX:
-		c3 := res(op.c)
+		c3 := laneAcc(p, op.c, k0)
 		return func(lanes []int64, lv []bool, n, laneN int) bool {
 			d := dst.win(lanes, laneN, n)
 			x, y, z := a.bind(lanes, laneN, n), b.bind(lanes, laneN, n), c3.bind(lanes, laneN, n)

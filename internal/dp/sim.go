@@ -64,15 +64,16 @@ type Sim struct {
 
 	// Batch-path scratch (batch.go): structure-of-arrays lane values (one
 	// flat region per op, stride stages+n for an n-clock chunk), per-lane
-	// valid bits, the flat output/input buffers reused across RunN and
-	// RunBatch calls, and the running feedback state of the feedback
-	// cone. All grow on first use to the largest chunk seen and are
-	// reused afterwards, so the batch steady state allocates nothing.
-	laneVals   []int64
-	laneValid  []bool
-	batchOut   []int64
-	batchIn    []int64
-	batchState []int64
+	// valid bits, and the flat output/input buffers reused across RunN and
+	// RunBatch calls. All grow on first use to the largest chunk seen and
+	// are reused afterwards, so the batch steady state allocates nothing.
+	laneVals  []int64
+	laneValid []bool
+	batchOut  []int64
+	batchIn   []int64
+	// coneNext is the closed-form cone latch's value after the chunk
+	// being computed (runCone); commitChunk commits it.
+	coneNext int64
 }
 
 // simPlan is the compiled, immutable execution plan shared by every Sim
@@ -99,11 +100,12 @@ type simPlan struct {
 	// d.Latency(). The cop list is partitioned for lane-parallel
 	// execution: batchA ops do not depend on any feedback-latch read and
 	// run op-major over all lanes at once; batchB is the feedback cone
-	// (every LPR/SNX plus the ops between them) and serializes lane by
-	// lane, because iteration i's latch read depends on iteration i-1's
-	// latch write; batchC ops depend on latch reads but feed no latch
-	// write, so they batch op-major again once the cone has run. Within
-	// each class the plan's topological order is preserved.
+	// (every LPR/SNX plus the ops between them), where iteration i's
+	// latch read depends on iteration i-1's latch write, so it runs in
+	// closed form (cone.go), else the whole plan runs on the serial
+	// step; batchC ops depend on latch reads but feed no latch write, so
+	// they batch op-major again once the cone has run. Within each class
+	// the plan's topological order is preserved.
 	opShift uint
 	opStage []int32
 	nOps    int
@@ -451,7 +453,6 @@ func NewSim(d *Datapath) *Sim {
 		outBuf:     make([]int64, len(d.Outputs)),
 		zeroBuf:    make([]int64, len(d.Inputs)),
 		rowBuf:     make([]int64, len(d.Inputs)),
-		batchState: make([]int64, len(p.fbInit)),
 	}
 	s.Reset()
 	return s
@@ -483,12 +484,6 @@ func (s *Sim) Latency() int { return s.d.Latency() }
 // column count of a port-major RunN input block (an n-iteration block
 // holds InWidth()*n values, port i's column at [i*n, (i+1)*n)).
 func (s *Sim) InWidth() int { return len(s.p.inSlots) }
-
-// OutWidth returns the number of output ports one Step produces — the
-// column count of the port-major block RunN returns, so callers can
-// slice one port's n iterations out of it (out[o*n:(o+1)*n]) without
-// copying.
-func (s *Sim) OutWidth() int { return len(s.p.outSlots) }
 
 // FeedbackByName returns the current value of the feedback latch whose
 // state variable has the given name. The name→latch mapping is built

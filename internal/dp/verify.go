@@ -199,7 +199,7 @@ func verifyPlan(p *simPlan) []Violation {
 	// (initiation interval 1, §4.2.3). Iteration i then reads the latch
 	// after every earlier iteration wrote it and before any later one
 	// does, however many bubbles lie between their feeds — the premise
-	// of the lane-serial cone's per-lane commit and of the bubble-free
+	// of the closed-form cone's per-lane prefix and of the bubble-free
 	// system walk (RunN), checked for every latch, not only inside a
 	// recognized closed-form cone.
 	snxStage := make([]int32, len(p.fbVars))
@@ -589,7 +589,7 @@ func verifyCone(p *simPlan, cs *coneSpec) []Violation {
 			fromLatch[idx] = true
 			fromAdd[idx] = true
 		default:
-			vs.add("plan/cone-grammar", "op %s inside a recognized cone (faulting or exotic ops must keep the lane-serial path)", c.opc)
+			vs.add("plan/cone-grammar", "op %s inside a recognized cone (faulting or exotic ops have no closed form and keep the plan on the serial step)", c.opc)
 		}
 		rest = append(rest, *c)
 

@@ -150,7 +150,8 @@ func TestVerifyPlanBatchClassOverlap(t *testing.T) {
 func TestVerifyPlanBatchWrongClass(t *testing.T) {
 	p := conePlan()
 	// Move the accumulate out of the feedback cone: its lane kernel would
-	// run it op-major before the lane-serial cone produces its latch reads.
+	// run it op-major before the cone's prefix pass produces its latch
+	// reads.
 	p.batchC = append(p.batchC, p.batchB[1])
 	p.batchB = append(p.batchB[:1], p.batchB[2:]...)
 	vs := verifyPlan(p)

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"go/ast"
 	"regexp"
-	"strings"
 	"testing"
 
 	"roccc/internal/lint"
@@ -86,14 +85,4 @@ func claim(wants []*want, d lint.Diagnostic) bool {
 
 func collectComments(f *ast.File) []*ast.CommentGroup {
 	return f.Comments
-}
-
-// Describe returns a one-line summary of an analyzer set, for test
-// names and logs.
-func Describe(analyzers []*lint.Analyzer) string {
-	names := make([]string, len(analyzers))
-	for i, a := range analyzers {
-		names[i] = a.Name
-	}
-	return strings.Join(names, "+")
 }

@@ -83,19 +83,3 @@ func (m *BRAM) Stats() (reads, writes int) { return m.reads, m.writes }
 // so the fetch-once property can be checked per run when a BRAM is
 // reused across System resets.
 func (m *BRAM) ResetStats() { m.reads, m.writes = 0, 0 }
-
-// Engine models the off-chip transfer engine. Transfers are not on the
-// compute critical path (the paper double-buffers them); the engine
-// reports the cycles a transfer would take on a bus moving busElems
-// elements per cycle.
-type Engine struct {
-	BusElems int
-}
-
-// LoadCycles returns the cycle cost of moving n elements on-chip.
-func (e Engine) LoadCycles(n int) int {
-	if e.BusElems <= 0 {
-		return n
-	}
-	return (n + e.BusElems - 1) / e.BusElems
-}

@@ -41,10 +41,3 @@ func TestBRAMLoad(t *testing.T) {
 		t.Errorf("partial load corrupted data: %v", m.Data)
 	}
 }
-
-func TestEngineZeroBus(t *testing.T) {
-	e := Engine{}
-	if e.LoadCycles(10) != 10 {
-		t.Error("zero-bus engine should degrade to 1 elem/cycle")
-	}
-}

@@ -25,10 +25,11 @@ import (
 // (kernel, datapath, bus width) identity: sweep-style repeated NewSystem
 // calls skip recompilation.
 //
-// Lifecycle: LoadInput → Run → Output/FeedbackValue. Run consumes the
-// address generators and smart buffers, so a second Run without an
-// intervening Reset returns an error instead of silently mis-executing;
-// Reset rewinds everything (without allocating) for the next run.
+// Lifecycle: LoadInput → Run → Output, with feedback latches read from
+// the Sim that Run returns (FeedbackByName). Run consumes the address
+// generators and smart buffers, so a second Run without an intervening
+// Reset returns an error instead of silently mis-executing; Reset
+// rewinds everything (without allocating) for the next run.
 type System struct {
 	Kernel   *hir.Kernel
 	Datapath *dp.Datapath
@@ -443,8 +444,8 @@ func (s *System) Cycles() int { return s.cycles }
 // HasClosedFormCone reports whether the system's data-path plan carries
 // a closed-form feedback cone (the prefix-sum vectorization of ADD-cone
 // latch recurrences). Observability surfaces expose it so operators can
-// see which kernels' feedback paths vectorize and which fall back to
-// lane-serial execution.
+// see which kernels' feedback paths run in closed form and which run on
+// the serial step.
 func (s *System) HasClosedFormCone() bool { return s.sim.HasClosedFormCone() }
 
 // BatchedCycles returns how many of Run's cycles were covered off the
@@ -453,14 +454,6 @@ func (s *System) HasClosedFormCone() bool { return s.sim.HasClosedFormCone() }
 // Config.Serial system, which steps one cycle at a time, and on a
 // default-path Run replayed on the serial loop after an error.
 func (s *System) BatchedCycles() int { return s.batched }
-
-// FeedbackValue returns a feedback latch's final value (e.g. the
-// accumulator sum after the loop). The lookup uses the simulator's
-// precompiled name→latch index: O(1) and deterministic under name
-// collisions (first latch in plan order wins), unlike scanning a map.
-func (s *System) FeedbackValue(sim *dp.Sim, name string) (int64, bool) {
-	return sim.FeedbackByName(name)
-}
 
 // Reset rewinds the system to its pre-Run state without allocating:
 // address generators, smart buffers, the controller FSM, the data-path

@@ -120,7 +120,7 @@ func TestSystemAccumulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := sys.FeedbackValue(sim, "sum")
+	got, ok := sim.FeedbackByName("sum")
 	if !ok {
 		t.Fatal("no feedback latch named sum")
 	}
@@ -289,13 +289,6 @@ void f(int k) { int i; for (i = 0; i < 4; i++) { B[i] = A[i] * k; } }
 	}
 	if _, err := NewSystem(res.Kernel, res.Datapath, Config{BusElems: 1}); err == nil {
 		t.Error("missing scalar parameter not reported")
-	}
-}
-
-func TestEngineCycles(t *testing.T) {
-	e := Engine{BusElems: 4}
-	if e.LoadCycles(16) != 4 || e.LoadCycles(17) != 5 {
-		t.Error("engine cycle arithmetic wrong")
 	}
 }
 

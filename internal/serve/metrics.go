@@ -9,8 +9,8 @@ import (
 
 // KernelInfo is the metrics-plane snapshot of one registered kernel.
 // ClosedFormCone, meaningful once the kernel is resident, reports
-// whether the feedback cone vectorizes in closed form on the batch
-// path.
+// whether the feedback cone runs in closed form on the batch path; a
+// kernel with a cone that has none runs on the serial step.
 type KernelInfo struct {
 	Kernel   string `json:"kernel"`
 	Compiled bool   `json:"compiled"`

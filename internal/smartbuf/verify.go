@@ -68,7 +68,3 @@ func VerifyBuffer(b *Buffer) []string {
 	}
 	return vs
 }
-
-// Capacity returns the buffer's logical capacity (the eviction horizon
-// and CanAccept bound) — exposed for the static verifier and tests.
-func (b *Buffer) Capacity() int { return b.cap }
