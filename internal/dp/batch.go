@@ -153,9 +153,9 @@ type ioBlock struct {
 // serialChunk runs clocks [off, off+n) of a batch through the
 // interpreter step (tiny chunks, plans whose feedback cone has no
 // closed form, and fault replays): each fed clock's input row is
-// gathered from the columns
-// into the Sim's row buffer, a bubble steps the zero row, and step's
-// output row is scattered back into the output columns.
+// gathered from the columns into the Sim's row buffer, a bubble steps
+// the zero row, and step's output row is scattered back into the
+// output columns.
 //
 //roccc:hotpath
 //roccc:serial-replay
