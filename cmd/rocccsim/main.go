@@ -1,7 +1,9 @@
 // Command rocccsim compiles a streaming kernel and runs it through the
 // full execution model of the paper's Fig. 2 (engine → BRAM → smart
 // buffer → pipelined data path → BRAM), verifying the hardware against
-// the software (interpreter) semantics on random input data.
+// the software (interpreter) semantics on random input data: every
+// output array element, and every feedback latch's final value against
+// the interpreter's global of the same name.
 //
 // With -jobs N it verifies N independently-seeded input streams,
 // sharded across -workers goroutines through a netlist.SystemPool —
@@ -86,7 +88,8 @@ func main() {
 		fatal(err)
 	}
 
-	// Verify every stream against the C interpreter.
+	// Verify every stream against the C interpreter: the output arrays,
+	// then the feedback latches (an accumulator may write no array).
 	mismatches := 0
 	for j := range batch {
 		ref := cc.NewInterp(info)
@@ -108,6 +111,17 @@ func main() {
 				}
 			}
 		}
+		for _, fb := range res.Datapath.Feedbacks {
+			name := fb.State.Name
+			hw, hwOK := batch[j].Feedbacks[name]
+			sw, swOK := ref.Globals[name]
+			if hw != sw || !hwOK || !swOK {
+				if mismatches < 5 {
+					fmt.Printf("MISMATCH job %d feedback %s: hw=%d (present %v) sw=%d (present %v)\n", j, name, hw, hwOK, sw, swOK)
+				}
+				mismatches++
+			}
+		}
 	}
 	iters := res.Kernel.Nest.TotalIterations()
 	if *jobs == 1 {
@@ -123,6 +137,9 @@ func main() {
 	}
 	for _, wr := range res.Kernel.Writes {
 		fmt.Printf("output %s: %d elements × %d streams checked\n", wr.Arr.Name, wr.Arr.Len(), *jobs)
+	}
+	for _, fb := range res.Datapath.Feedbacks {
+		fmt.Printf("feedback %s: %d streams checked\n", fb.State.Name, *jobs)
 	}
 	if mismatches == 0 {
 		fmt.Println("hardware == software: all outputs bit-identical")

@@ -36,6 +36,9 @@ type SystemPool struct {
 	// them so a same-kernel System built with different scalar bindings
 	// cannot poison the pool.
 	scalars []int64
+	// plan is the compiled plan every pooled System shares; packSize
+	// reads its schedule.
+	plan *sysPlan
 
 	mu   sync.Mutex
 	free []*System
@@ -79,8 +82,10 @@ type PoolStats struct {
 
 // sweepRun is the shared state of one RunBatch call, reused across
 // calls so dispatching a batch allocates nothing in steady state.
+// Workers claim pack jobs at a time off next.
 type sweepRun struct {
 	jobs []Job
+	pack int
 	next atomic.Int64
 	wg   sync.WaitGroup
 }
@@ -130,6 +135,7 @@ func NewSystemPool(k *hir.Kernel, d *dp.Datapath, cfg Config, workers int) (*Sys
 		dpath:   d,
 		cfg:     cfg,
 		scalars: sys.scalarVals,
+		plan:    sys.plan,
 		free:    []*System{sys},
 		workers: workers,
 		kick:    make(chan *sweepRun, workers),
@@ -223,11 +229,16 @@ func (p *SystemPool) RunJob(job *Job) error {
 }
 
 // RunBatch executes every job — Reset, LoadInput, Run, harvest — over
-// the worker crew, each worker pulling the next unclaimed job off a
-// shared counter so uneven stream lengths balance naturally. Per-job
-// failures land in Job.Err without stopping the rest of the batch; the
-// returned error is the first failure in job order (nil when all
-// streams completed). Concurrent RunBatch calls on one pool serialize.
+// the worker crew, each worker claiming the next unclaimed jobs off a
+// shared counter so uneven stream lengths balance naturally. A worker
+// claims one job at a time, or, when the kernel's streams pack
+// (packSize), a pack of whole streams that it runs as one RunN chunk
+// (System.runPack); it kicks no more workers than there are claims to
+// make. Every job's result, error and cycle count are what RunJob
+// gives it. Per-job failures land in Job.Err without stopping the rest
+// of the batch; the returned error is the first failure in job order
+// (nil when all streams completed). Concurrent RunBatch calls on one
+// pool serialize.
 func (p *SystemPool) RunBatch(jobs []Job) error {
 	if len(jobs) == 0 {
 		return nil
@@ -244,10 +255,11 @@ func (p *SystemPool) RunBatch(jobs []Job) error {
 	})
 	p.batches.Add(1)
 	p.jobs.Add(int64(len(jobs)))
-	w := min(p.workers, len(jobs))
 	r := p.run
 	r.jobs = jobs
+	r.pack = p.packSize()
 	r.next.Store(0)
+	w := min(p.workers, (len(jobs)+r.pack-1)/r.pack)
 	r.wg.Add(w)
 	for i := 0; i < w; i++ {
 		p.kick <- r
@@ -273,23 +285,42 @@ func (p *SystemPool) Close() {
 	}
 }
 
+// packSize is how many jobs a RunBatch worker claims at a time: as many
+// whole streams as fit in one sysChunkMax-iteration chunk when the pool
+// runs the default path, its data path has no feedback latch and its
+// plan's schedule is clean; one in every other case, or when fewer than
+// two streams fit.
+func (p *SystemPool) packSize() int {
+	pl := p.plan
+	if p.cfg.Serial || len(p.dpath.Feedbacks) > 0 || pl.total == 0 || pl.scheduleFor().err != nil {
+		return 1
+	}
+	return max(sysChunkMax/pl.total, 1)
+}
+
 // worker is one persistent shard: parked on the kick channel, it drains
-// unclaimed jobs on a System borrowed from the pool for the whole
-// batch.
+// unclaimed jobs, a pack at a time, on a System borrowed from the pool
+// for the whole batch. A one-job claim runs through RunJob, a longer
+// one through runPack.
 func (p *SystemPool) worker() {
 	for r := range p.kick {
 		sys, err := p.Get()
 		for {
-			i := int(r.next.Add(1)) - 1
+			i := int(r.next.Add(int64(r.pack))) - r.pack
 			if i >= len(r.jobs) {
 				break
 			}
-			job := &r.jobs[i]
-			if err != nil {
-				job.Err = err
-				continue
+			pack := r.jobs[i:min(i+r.pack, len(r.jobs))]
+			switch {
+			case err != nil:
+				for j := range pack {
+					pack[j].Err = err
+				}
+			case len(pack) == 1:
+				pack[0].Err = sys.RunJob(&pack[0])
+			default:
+				sys.runPack(pack)
 			}
-			job.Err = sys.RunJob(job)
 		}
 		p.Put(sys)
 		r.wg.Done()
@@ -313,6 +344,25 @@ func (p *SystemPool) worker() {
 // result keys from another kernel, which are purged.
 func (s *System) RunJob(job *Job) error {
 	s.Reset()
+	if err := s.loadJob(job); err != nil {
+		return err
+	}
+	if _, err := s.Run(); err != nil {
+		return err
+	}
+	job.Cycles = s.Cycles()
+	s.jobOutputs(job)
+	for i := range s.plan.writes {
+		copy(job.Outputs[s.plan.writes[i].arrName], s.writeBRAMs[i].Data)
+	}
+	s.jobLatches(job)
+	return nil
+}
+
+// loadJob loads a job's input arrays into the read BRAMs, each zeroed
+// past the job's array, and fails on an array longer than its BRAM or a
+// name that matches no read port.
+func (s *System) loadJob(job *Job) error {
 	p := s.plan
 	matched := 0
 	for i := range p.reads {
@@ -336,27 +386,26 @@ func (s *System) RunJob(job *Job) error {
 			}
 		}
 	}
-	sim, err := s.Run()
-	if err != nil {
-		return err
-	}
-	job.Cycles = s.Cycles()
+	return nil
+}
+
+// jobOutputs readies job.Outputs for this kernel's results: one slice
+// per output array, sized to the array (reused when it already is), and
+// no other key. A Job recycled across kernels may carry keys this
+// kernel never writes. Every output name is in the map after the
+// sizing, so it holds foreign keys exactly when it is larger: purge
+// them, so the result holds this run's arrays alone.
+func (s *System) jobOutputs(job *Job) {
+	p := s.plan
 	if job.Outputs == nil {
 		job.Outputs = make(map[string][]int64, len(p.writes))
 	}
 	for i := range p.writes {
-		name, m := p.writes[i].arrName, s.writeBRAMs[i]
-		dst := job.Outputs[name]
-		if len(dst) != len(m.Data) {
-			dst = make([]int64, len(m.Data))
-			job.Outputs[name] = dst
+		name, n := p.writes[i].arrName, p.writes[i].arrLen
+		if len(job.Outputs[name]) != n {
+			job.Outputs[name] = make([]int64, n)
 		}
-		copy(dst, m.Data)
 	}
-	// A Job recycled across kernels may carry keys this kernel never
-	// writes. Every output name is in the map now, so it holds foreign
-	// keys exactly when it is larger: purge them, so the result holds
-	// this run's arrays alone.
 	if len(job.Outputs) != len(p.writes) {
 		for name := range job.Outputs {
 			if _, ok := s.outBRAMs[name]; !ok {
@@ -364,23 +413,26 @@ func (s *System) RunJob(job *Job) error {
 			}
 		}
 	}
+}
+
+// jobLatches reads every feedback latch's final value into
+// job.Feedbacks, and purges names this data path lacks: one Feedback
+// per state variable, so only a map of another size can hold one.
+func (s *System) jobLatches(job *Job) {
 	fbs := s.Datapath.Feedbacks
 	if len(fbs) > 0 && job.Feedbacks == nil {
 		job.Feedbacks = make(map[string]int64, len(fbs))
 	}
 	for _, fb := range fbs {
-		if v, ok := sim.FeedbackByName(fb.State.Name); ok {
+		if v, ok := s.sim.FeedbackByName(fb.State.Name); ok {
 			job.Feedbacks[fb.State.Name] = v
 		}
 	}
-	// Likewise for latches: one Feedback per state variable, so only a
-	// map of another size can hold a name this data path lacks.
 	if len(job.Feedbacks) != len(fbs) {
 		for name := range job.Feedbacks {
-			if _, ok := sim.FeedbackByName(name); !ok {
+			if _, ok := s.sim.FeedbackByName(name); !ok {
 				delete(job.Feedbacks, name)
 			}
 		}
 	}
-	return nil
 }

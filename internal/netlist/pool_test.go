@@ -549,7 +549,9 @@ void accum() {
 
 // TestRunJobZeroAllocs: a reused Job streams through System.RunJob — on
 // the FIR's window path and on the accumulator's latch harvest — and
-// through SystemPool.RunBatch without allocating.
+// through SystemPool.RunBatch without allocating. The batch is 64 FIR
+// streams of 17 iterations on 2 workers: five packs of up to 15
+// streams, so the packed steady state is held to 0 allocs too.
 func TestRunJobZeroAllocs(t *testing.T) {
 	check := func(name string, run func() error) {
 		t.Helper()
@@ -585,7 +587,10 @@ func TestRunJobZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	jobs := firJobs(8)
+	if pool.packSize() != 15 {
+		t.Fatalf("fir streams pack %d to a chunk, want 15", pool.packSize())
+	}
+	jobs := firJobs(64)
 	check("fir SystemPool.RunBatch", func() error { return pool.RunBatch(jobs) })
 }
 

@@ -199,12 +199,12 @@ func (s *System) runSchedule(sc *memSchedule) error {
 	for j := 0; j < total; {
 		k := min(total-j, sysChunkMax)
 		stage := s.stage[:k*len(s.inputs)]
-		s.gather(sc, stage, j, k)
+		s.gather(sc, stage, j, k, k, 0)
 		outs, err := s.sim.RunN(stage, k)
 		if err != nil {
 			return err
 		}
-		s.storeIters(sc, outs, j, k)
+		s.storeIters(sc, outs, j, k, k, 0, nil)
 		j += k
 	}
 	s.cycles = sc.cycles
@@ -215,17 +215,81 @@ func (s *System) runSchedule(sc *memSchedule) error {
 	return nil
 }
 
-// gather fills the staging columns of a k-iteration chunk, iteration j
-// onward: each routed tap's column straight from its input BRAM at each
-// iteration's window origin (col[r] = data[origin_r+off]), routed as the
-// window pop routes them, then the loop inputs' columns exactly as
-// fillInputs writes them.
+// runPack runs a pack of whole streams as one chunk: a plan whose data
+// path has no feedback latch and whose schedule is clean, with at most
+// sysChunkMax iterations in all (SystemPool.packSize). It loads each
+// job's arrays as RunJob does and gathers its iterations into the block
+// at column offset m·total, makes one Sim.Reset and one RunN over the
+// whole block, and stores each job's iterations straight into its
+// cleared Outputs in the serial harvest's order, with Cycles from the
+// schedule. Packing is exact: with no latch, iteration k's outputs
+// depend only on its own window and loop inputs, and every stream of
+// the plan walks the same schedule. A load error or a fault anywhere in
+// the pack replays each of its jobs through RunJob, so every result,
+// error and fault cycle is the reference's. It sets every job's Err.
+// The System is left mid-run, as a failed Run leaves it: Reset it, as
+// RunJob and Put do, before running it again.
 //
 //roccc:hotpath
-func (s *System) gather(sc *memSchedule, stage []int64, j, k int) {
+func (s *System) runPack(jobs []Job) {
+	p := s.plan
+	sc := p.scheduleFor()
+	total := p.total
+	n := len(jobs) * total
+	if need := n * len(s.inputs); cap(s.stage) < need {
+		s.stage = make([]int64, need)
+	}
+	stage := s.stage[:n*len(s.inputs)]
+	for m := range jobs {
+		if err := s.loadJob(&jobs[m]); err != nil {
+			s.replayPack(jobs)
+			return
+		}
+		clear(s.iter)
+		s.gather(sc, stage, 0, total, n, m*total)
+	}
+	s.sim.Reset()
+	outs, err := s.sim.RunN(stage, n)
+	if err != nil {
+		s.replayPack(jobs)
+		return
+	}
+	for m := range jobs {
+		job := &jobs[m]
+		s.jobOutputs(job)
+		for i := range p.writes {
+			clear(job.Outputs[p.writes[i].arrName])
+		}
+		s.storeIters(sc, outs, 0, total, n, m*total, job.Outputs)
+		s.jobLatches(job)
+		job.Cycles = sc.cycles
+		job.Err = nil
+	}
+}
+
+// replayPack runs each job of a failed pack through RunJob, the path of
+// a single stream.
+func (s *System) replayPack(jobs []Job) {
+	for m := range jobs {
+		jobs[m].Err = s.RunJob(&jobs[m])
+	}
+}
+
+// gather fills the staging columns of iterations j … j+k-1: each routed
+// tap's column straight from its input BRAM at each iteration's window
+// origin (col[r] = data[origin_r+off]), routed as the window pop routes
+// them, then the loop inputs' columns exactly as fillInputs writes them.
+// The columns hold stride values each, and the iterations start at
+// column offset at: input d of iteration j+r lands at
+// stage[d*stride+at+r]. runSchedule passes stride k and offset 0.
+//
+//roccc:hotpath
+func (s *System) gather(sc *memSchedule, stage []int64, j, k, stride, at int) {
 	p := s.plan
 	if p.needClear {
-		clear(stage)
+		for d := range s.inputs {
+			clear(stage[d*stride+at : d*stride+at+k])
+		}
 	}
 	for i := range p.reads {
 		route := p.reads[i].route
@@ -236,35 +300,43 @@ func (s *System) gather(sc *memSchedule, stage []int64, j, k int) {
 			if d < 0 {
 				continue
 			}
-			col := stage[d*k : (d+1)*k]
+			col := stage[d*stride+at : d*stride+at+k]
 			for r, origin := range origins {
 				col[r] = data[int(origin)+int(off)]
 			}
 		}
 	}
-	s.fillLoopInputs(stage, k)
+	s.fillLoopInputs(stage, k, stride, at)
 }
 
 // storeIters stores iterations j … j+k-1 through the precomputed store
-// addresses and counts one BRAM write per element. outs is the chunk's
-// port-major block from RunN: element e of iteration j+i reads its
-// output column at outs[ix*k+i]. The stores run iteration by iteration,
-// each iteration's elements in order, as the serial harvest writes
-// them: when two elements of one write port hit the same address in
-// different iterations, the later iteration wins.
+// addresses. outs is a port-major block from RunN whose columns hold
+// stride values each, the first of these iterations at column offset
+// at: element e of iteration j+i reads its output column at
+// outs[ix*stride+at+i]. The stores run iteration by iteration, each
+// iteration's elements in order, as the serial harvest writes them:
+// when two elements of one write port hit the same address in
+// different iterations, the later iteration wins. With dst nil they go
+// to the write BRAMs, counting one BRAM write per element; otherwise to
+// dst's slice of each output array (a packed job's Outputs).
 //
 //roccc:hotpath
-func (s *System) storeIters(sc *memSchedule, outs []int64, j, k int) {
+func (s *System) storeIters(sc *memSchedule, outs []int64, j, k, stride, at int, dst map[string][]int64) {
 	for wi := range s.plan.writes {
-		outIdx := s.plan.writes[wi].outIdx
-		n := len(outIdx)
+		wp := &s.plan.writes[wi]
+		n := len(wp.outIdx)
 		addrs := sc.stores[wi][j*n : (j+k)*n]
 		bram := s.writeBRAMs[wi]
+		data := bram.Data
+		if dst != nil {
+			data = dst[wp.arrName]
+		} else {
+			bram.writes += k * n
+		}
 		for i := 0; i < k; i++ {
-			for e, ix := range outIdx {
-				bram.Data[addrs[i*n+e]] = outs[ix*k+i]
+			for e, ix := range wp.outIdx {
+				data[addrs[i*n+e]] = outs[ix*stride+at+i]
 			}
 		}
-		bram.writes += k * n
 	}
 }

@@ -69,7 +69,8 @@ type System struct {
 	// stage is the input staging region of one chunk in RunN's
 	// port-major layout: for a k-iteration chunk, one column of k values
 	// per data-path input (stage[d*k+j] is input d of iteration j), k at
-	// most sysChunkMax.
+	// most sysChunkMax. NewSystem sizes it for one stream's chunk; the
+	// first pack of streams (runPack) grows it.
 	stage []int64
 
 	// fedRing mirrors the data-path valid pipeline for output
@@ -643,18 +644,18 @@ func (s *System) fillInputs(row []int64) error {
 			return err
 		}
 	}
-	s.fillLoopInputs(row, 1)
+	s.fillLoopInputs(row, 1, 1, 0)
 	return nil
 }
 
 // fillLoopInputs writes k consecutive feed cycles' induction-variable
 // values off the odometer (which it advances k times) and their scalar
-// parameters into port-major columns of stride k: input d on cycle r
-// lands at cols[d*k+r]. The serial loop passes one row and a stride of
-// 1.
+// parameters into port-major columns of stride values each, starting at
+// column offset at: input d on cycle r lands at cols[d*stride+at+r]. The
+// serial loop passes one row, k and stride 1, offset 0.
 //
 //roccc:hotpath
-func (s *System) fillLoopInputs(cols []int64, k int) {
+func (s *System) fillLoopInputs(cols []int64, k, stride, at int) {
 	p := s.plan
 	// The odometer exists to value induction-variable inputs; kernels
 	// whose IVs were eliminated from the data path (pure windowing) skip
@@ -662,7 +663,7 @@ func (s *System) fillLoopInputs(cols []int64, k int) {
 	if len(p.ivs) > 0 {
 		for r := 0; r < k; r++ {
 			for _, iv := range p.ivs {
-				cols[iv.in*k+r] = p.from[iv.level] + s.iter[iv.level]*p.step[iv.level]
+				cols[iv.in*stride+at+r] = p.from[iv.level] + s.iter[iv.level]*p.step[iv.level]
 			}
 			s.advanceOdometer()
 		}
@@ -670,7 +671,7 @@ func (s *System) fillLoopInputs(cols []int64, k int) {
 	for si, ix := range p.scalarIn {
 		if ix >= 0 {
 			v := s.scalarVals[si]
-			col := cols[ix*k : (ix+1)*k]
+			col := cols[ix*stride+at : ix*stride+at+k]
 			for r := range col {
 				col[r] = v
 			}
