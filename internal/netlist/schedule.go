@@ -20,7 +20,16 @@ package netlist
 //     straight from the input BRAMs into the staging columns, makes one
 //     RunN call, which feeds the iterations back to back and flushes
 //     the pipeline behind them, and stores each iteration's outputs
-//     through the precomputed addresses.
+//     through the precomputed addresses;
+//  3. SystemPool.RunBatch packs whole streams of a plan whose data path
+//     has no feedback latch and whose schedule is clean: runPack
+//     gathers up to sysChunkMax/total streams side by side into one
+//     block, makes one RunN call over it, and stores each stream's
+//     iterations into its own Job. With no latch, an iteration's
+//     outputs depend on its own window and loop inputs alone, so the
+//     streams of a pack cannot see each other, and each job's Cycles
+//     is the schedule's cycle count. Any error replays each job of the
+//     pack through RunJob.
 //
 // The walk feeds no bubbles, and it may: the data path is pipelined
 // with every feedback latch read and written in one stage (initiation
@@ -39,7 +48,9 @@ package netlist
 // input d of the chunk's iteration j), so gather fills each routed
 // tap's column in one loop, and storeIters reads each stored value
 // straight out of its output column (outs[o*k+j]), in the serial
-// harvest's order.
+// harvest's order. A pack's columns hold each stream's iterations one
+// after another, stream m's at offset m·total, so both take a column
+// stride and offset.
 //
 // A gathered tap is bit-identical to the popped one: the read generator
 // streams each array in address order, so the smart buffer's ring holds
@@ -55,8 +66,10 @@ package netlist
 
 // sysChunkMax bounds one chunk of iterations, and with it the input
 // staging region (len(Datapath.Inputs) columns of sysChunkMax values).
-// RunN chunks its own lane scratch internally, so longer chunks gain
-// little beyond amortizing the per-chunk bookkeeping and flush here.
+// It bounds a pack too: RunBatch runs sysChunkMax/total whole streams
+// as one chunk. RunN chunks its own lane scratch internally, so longer
+// chunks gain little beyond amortizing the per-chunk bookkeeping and
+// flush here.
 const sysChunkMax = 256
 
 // memSchedule is one plan's static memory schedule: everything the
@@ -188,10 +201,11 @@ func (sc *memSchedule) collect(m *System) error {
 }
 
 // runSchedule is the default Run of a clean schedule: it walks the
-// iterations in chunks, each one gather, one RunN and one store loop,
-// and on success takes the system clock and the BRAM read counts from
-// the schedule. An error is the data path's fault, which Run replays on
-// the serial loop.
+// iterations in chunks, each one gather, one RunN and one store loop
+// per write port, and on success takes the system clock and the BRAM
+// read counts from the schedule and counts one BRAM write per stored
+// element, as the serial harvest does. An error is the data path's
+// fault, which Run replays on the serial loop.
 //
 //roccc:hotpath
 func (s *System) runSchedule(sc *memSchedule) error {
@@ -204,12 +218,17 @@ func (s *System) runSchedule(sc *memSchedule) error {
 		if err != nil {
 			return err
 		}
-		s.storeIters(sc, outs, j, k, k, 0, nil)
+		for wi := range s.plan.writes {
+			s.storeIters(sc, wi, s.writeBRAMs[wi].Data, outs, j, k, k, 0)
+		}
 		j += k
 	}
 	s.cycles = sc.cycles
 	for i, m := range s.readBRAMs {
 		m.reads = sc.reads[i]
+	}
+	for wi, m := range s.writeBRAMs {
+		m.writes = total * len(s.plan.writes[wi].outIdx)
 	}
 	s.batched = sc.cycles
 	return nil
@@ -257,10 +276,11 @@ func (s *System) runPack(jobs []Job) {
 	for m := range jobs {
 		job := &jobs[m]
 		s.jobOutputs(job)
-		for i := range p.writes {
-			clear(job.Outputs[p.writes[i].arrName])
+		for wi := range p.writes {
+			data := job.Outputs[p.writes[wi].arrName]
+			clear(data)
+			s.storeIters(sc, wi, data, outs, 0, total, n, m*total)
 		}
-		s.storeIters(sc, outs, 0, total, n, m*total, job.Outputs)
 		s.jobLatches(job)
 		job.Cycles = sc.cycles
 		job.Err = nil
@@ -300,7 +320,7 @@ func (s *System) gather(sc *memSchedule, stage []int64, j, k, stride, at int) {
 			if d < 0 {
 				continue
 			}
-			col := stage[d*stride+at : d*stride+at+k]
+			col := stage[d*stride+at:][:len(origins)]
 			for r, origin := range origins {
 				col[r] = data[int(origin)+int(off)]
 			}
@@ -309,34 +329,28 @@ func (s *System) gather(sc *memSchedule, stage []int64, j, k, stride, at int) {
 	s.fillLoopInputs(stage, k, stride, at)
 }
 
-// storeIters stores iterations j … j+k-1 through the precomputed store
+// storeIters stores write port wi's elements of iterations j … j+k-1
+// into data, the port's array, through the precomputed store
 // addresses. outs is a port-major block from RunN whose columns hold
 // stride values each, the first of these iterations at column offset
 // at: element e of iteration j+i reads its output column at
 // outs[ix*stride+at+i]. The stores run iteration by iteration, each
 // iteration's elements in order, as the serial harvest writes them:
-// when two elements of one write port hit the same address in
-// different iterations, the later iteration wins. With dst nil they go
-// to the write BRAMs, counting one BRAM write per element; otherwise to
-// dst's slice of each output array (a packed job's Outputs).
+// when two elements of the port hit the same address in different
+// iterations, the later iteration wins. It stores one port so that its
+// caller looks up a job's output array outside the loop: a call (such
+// as a map lookup) between the loops makes the compiler spill the loop
+// indices to the stack, which costs the 4096-iteration FIR's store loop
+// about three times its time.
 //
 //roccc:hotpath
-func (s *System) storeIters(sc *memSchedule, outs []int64, j, k, stride, at int, dst map[string][]int64) {
-	for wi := range s.plan.writes {
-		wp := &s.plan.writes[wi]
-		n := len(wp.outIdx)
-		addrs := sc.stores[wi][j*n : (j+k)*n]
-		bram := s.writeBRAMs[wi]
-		data := bram.Data
-		if dst != nil {
-			data = dst[wp.arrName]
-		} else {
-			bram.writes += k * n
-		}
-		for i := 0; i < k; i++ {
-			for e, ix := range wp.outIdx {
-				data[addrs[i*n+e]] = outs[ix*stride+at+i]
-			}
+func (s *System) storeIters(sc *memSchedule, wi int, data, outs []int64, j, k, stride, at int) {
+	outIdx := s.plan.writes[wi].outIdx
+	n := len(outIdx)
+	addrs := sc.stores[wi][j*n : (j+k)*n]
+	for i := 0; i < k; i++ {
+		for e, ix := range outIdx {
+			data[addrs[i*n+e]] = outs[ix*stride+at+i]
 		}
 	}
 }
