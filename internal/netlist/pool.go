@@ -233,12 +233,12 @@ func (p *SystemPool) RunJob(job *Job) error {
 // shared counter so uneven stream lengths balance naturally. A worker
 // claims one job at a time, or, when the kernel's streams pack
 // (packSize), a pack of whole streams that it runs as one RunN chunk
-// (System.runPack); it kicks no more workers than there are claims to
-// make. Every job's result, error and cycle count are what RunJob
-// gives it. Per-job failures land in Job.Err without stopping the rest
-// of the batch; the returned error is the first failure in job order
-// (nil when all streams completed). Concurrent RunBatch calls on one
-// pool serialize.
+// (System.runPack), and RunBatch kicks no more workers than there are
+// claims to make. Every job's result, error and cycle count are what
+// RunJob gives it. Per-job failures land in Job.Err without stopping
+// the rest of the batch; the returned error is the first failure in job
+// order (nil when all streams completed). Concurrent RunBatch calls on
+// one pool serialize.
 func (p *SystemPool) RunBatch(jobs []Job) error {
 	if len(jobs) == 0 {
 		return nil
