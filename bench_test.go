@@ -513,17 +513,21 @@ func BenchmarkAblations(b *testing.B) {
 // Fig. 2 FIR system; one benchmark op is one served stream, so the
 // sub-benchmarks compare directly.
 //
-//   - inproc: the in-process client straight into the warm SystemPool —
-//     the pool path the CI gate holds at 0 allocs/op in steady state.
-//   - tcp-serial: one TCP client, one stream per request, sequential
-//     round trips — the throughput floor.
-//   - tcp-concurrent: several TCP clients issuing the same single-stream
-//     requests concurrently; CI gates this at >= the serial floor on
-//     multi-core runners (round trips overlap even on small machines).
-//   - tcp-pipelined: several request slots multiplexed over ONE v2
-//     pipelined connection — the Serve v2 headline. Requests overlap in
-//     flight on a single socket, so the per-stream round-trip latency
-//     amortizes away; CI gates this against tcp-serial (serve2 group).
+//   - inproc: Server.RunStream in process, straight into the warm
+//     SystemPool — the pool path the CI gate holds at 0 allocs/op in
+//     steady state.
+//   - tcp-serial: one TCP client dialled with no options (one request
+//     slot), one stream per request, sequential round trips — the
+//     throughput floor.
+//   - tcp-concurrent: several such TCP clients issuing the same
+//     single-stream requests concurrently; CI gates this at >= the
+//     serial floor on multi-core runners (round trips overlap even on
+//     small machines).
+//   - tcp-pipelined: several request slots multiplexed over ONE
+//     connection dialled WithPipelined — the Serve v2 headline.
+//     Requests overlap in flight on a single socket, so the per-stream
+//     round-trip latency amortizes away; CI gates this against
+//     tcp-serial (serve2 group).
 func BenchmarkServeThroughput(b *testing.B) {
 	srv := serve.NewServer(0)
 	if err := srv.Register(serve.KernelSpec{
@@ -557,29 +561,27 @@ func BenchmarkServeThroughput(b *testing.B) {
 	}
 
 	b.Run("inproc", func(b *testing.B) {
-		client := srv.Local()
 		const batch = 32
 		jobs := mkJobs(batch)
 		// Warm-up compiles the kernel, builds its pool and allocates the
-		// reusable output buffers. Local.Run serves the batch one stream
-		// at a time through Server.RunStream, as tcp-serial does.
-		if err := client.Run("fir", jobs); err != nil {
-			b.Fatal(err)
+		// reusable output buffers; each op then serves one of the reused
+		// Jobs through Server.RunStream, one stream at a time as
+		// tcp-serial does.
+		for i := range jobs {
+			if err := srv.RunStream("fir", &jobs[i]); err != nil {
+				b.Fatal(err)
+			}
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
-		// Exactly b.N streams: the final batch is truncated so ns/op and
-		// allocs/op really are per stream.
-		for n := 0; n < b.N; {
-			k := min(batch, b.N-n)
-			if err := client.Run("fir", jobs[:k]); err != nil {
+		for n := 0; n < b.N; n++ {
+			if err := srv.RunStream("fir", &jobs[n%batch]); err != nil {
 				b.Fatal(err)
 			}
-			n += k
 		}
 	})
 	b.Run("tcp-serial", func(b *testing.B) {
-		conn, err := serve.Dial(ln.Addr().String())
+		conn, err := serve.DialContext(context.Background(), ln.Addr().String())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -599,7 +601,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 		clients := min(8, max(2, runtime.GOMAXPROCS(0)))
 		conns := make([]*serve.Conn, clients)
 		for i := range conns {
-			c, err := serve.Dial(ln.Addr().String())
+			c, err := serve.DialContext(context.Background(), ln.Addr().String())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -629,7 +631,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 		wg.Wait()
 	})
 	b.Run("tcp-pipelined", func(b *testing.B) {
-		conn, err := serve.DialPipelined(ln.Addr().String())
+		conn, err := serve.DialContext(context.Background(), ln.Addr().String(), serve.WithPipelined(0))
 		if err != nil {
 			b.Fatal(err)
 		}

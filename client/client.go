@@ -6,9 +6,9 @@
 //
 // The stable surface is exactly what this package exports:
 //
-//   - DialContext with the DialOption set (WithPipelined,
-//     WithDialTimeout, WithProtocolVersion) — the one way to open a
-//     Conn, serial (v1) or pipelined (v2).
+//   - DialContext, the one way to open a Conn: every Conn speaks
+//     protocol v2 and has one request slot unless WithPipelined, the
+//     one DialOption, sets another count.
 //   - Conn.Run / Conn.RunContext / Conn.Ping / Conn.Healthy /
 //     Conn.Close and the Job batch type they fill in place.
 //   - BusyError, the typed load-shed a saturated fleet shard raises —
@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"roccc/internal/dp"
 	"roccc/internal/fleet"
@@ -83,15 +82,10 @@ func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Conn, e
 	return serve.DialContext(ctx, addr, opts...)
 }
 
-// WithPipelined negotiates protocol v2 for concurrent requests over one
-// socket; slots > 0 bounds the client-side in-flight count.
+// WithPipelined sets the Conn's request slots for concurrent requests
+// over one socket: slots > 0 bounds the client-side in-flight count,
+// slots <= 0 leaves it to the server.
 func WithPipelined(slots int) DialOption { return serve.WithPipelined(slots) }
-
-// WithDialTimeout bounds the TCP connect.
-func WithDialTimeout(d time.Duration) DialOption { return serve.WithDialTimeout(d) }
-
-// WithProtocolVersion overrides the offered protocol version.
-func WithProtocolVersion(v int) DialOption { return serve.WithProtocolVersion(v) }
 
 // FleetSnapshot is the /metrics document: the front server's snapshot
 // plus, when the process runs a sharded fleet, the router's. A

@@ -5,11 +5,11 @@
 // The four sweep flags run one differential harness (internal/exp) over
 // one kernel matrix — the two FIRs, the Table 1 kernels, the fault
 // divider and the -corpus kernels — on four paths: -sysbatch the
-// default System, -sweep a SystemPool across -workers, -serve one TCP
-// connection to rocccserve, -fleet a pipelined connection through a
-// router into -shards workers. Each runs exactly -jobs streams per
-// kernel, checks every stream bit-identical to the serial interp
-// reference and prints the same table.
+// default System, -sweep a SystemPool across -workers, -serve one
+// single-slot TCP connection to rocccserve, -fleet a pipelined
+// connection through a router into -shards workers. Each runs exactly
+// -jobs streams per kernel, checks every stream bit-identical to the
+// serial interp reference and prints the same table.
 //
 // Usage:
 //
@@ -32,7 +32,7 @@ func main() {
 		throughput = flag.Bool("throughput", false, "print the DCT throughput experiment")
 		sweep      = flag.Bool("sweep", false, "print the pool sweep (SystemPool.RunBatch vs the serial interp reference)")
 		sysbatch   = flag.Bool("sysbatch", false, "print the system sweep (default System vs the serial interp reference)")
-		servesweep = flag.Bool("serve", false, "print the serve sweep (rocccserve TCP vs the serial interp reference)")
+		servesweep = flag.Bool("serve", false, "print the serve sweep (one single-slot TCP connection to rocccserve vs the serial interp reference)")
 		fleetsweep = flag.Bool("fleet", false, "print the fleet sweep (pipelined client + sharded router vs the serial interp reference)")
 		shardsN    = flag.Int("shards", 3, "worker shards for the -fleet sweep")
 		corpusDir  = flag.String("corpus", "ci/corpus", "extra .c kernels (function name k) for every sweep's matrix; empty skips")

@@ -58,6 +58,9 @@ func main() {
 		log.Fatal("no feedback latch named sum")
 	}
 	fmt.Printf("\nsum(1..32) in hardware = %d (want %d) after %d cycles\n", got, want, sys.Cycles())
+	if got != want {
+		log.Fatal("hardware sum != software sum")
+	}
 	fmt.Println("one loop iteration retired per clock: the accumulate feedback")
 	fmt.Println("path stays inside a single pipeline stage (II = 1).")
 }

@@ -78,7 +78,8 @@ func main() {
 	}
 	fmt.Printf("\nran 17 iterations in %d cycles (pipeline latency %d)\n",
 		sys.Cycles(), res.Datapath.Latency())
-	if ok {
-		fmt.Println("hardware output == software output: OK")
+	if !ok {
+		log.Fatal("hardware output != software output")
 	}
+	fmt.Println("hardware output == software output: OK")
 }

@@ -346,7 +346,7 @@ func PoolSweep(specs []serve.KernelSpec, streams, workers int) (*SweepTable, err
 }
 
 // ServeSweep checks an in-memory rocccserve with every spec registered,
-// over one v1 TCP connection.
+// over one TCP connection with one request slot.
 func ServeSweep(specs []serve.KernelSpec, streams int) (*SweepTable, error) {
 	srv := serve.NewServer(0)
 	for _, spec := range specs {
@@ -360,7 +360,7 @@ func ServeSweep(specs []serve.KernelSpec, streams int) (*SweepTable, error) {
 	}
 	go srv.Serve(ln)
 	defer shutdown(srv)
-	conn, err := serve.Dial(ln.Addr().String())
+	conn, err := serve.DialContext(context.Background(), ln.Addr().String())
 	if err != nil {
 		return nil, err
 	}
@@ -369,7 +369,7 @@ func ServeSweep(specs []serve.KernelSpec, streams int) (*SweepTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SweepTable{Title: "Serve sweep: one v1 TCP connection to rocccserve", Rows: rows}, nil
+	return &SweepTable{Title: "Serve sweep: one TCP connection, one request slot, to rocccserve", Rows: rows}, nil
 }
 
 // FleetSweep checks the sharded serving stack: a pipelined connection
@@ -408,7 +408,7 @@ func FleetSweep(specs []serve.KernelSpec, streams, shards int) (*SweepTable, err
 	}
 	go front.Serve(ln)
 	defer shutdown(front)
-	conn, err := serve.DialPipelined(ln.Addr().String())
+	conn, err := serve.DialContext(context.Background(), ln.Addr().String(), serve.WithPipelined(0))
 	if err != nil {
 		return nil, err
 	}

@@ -132,10 +132,10 @@ func TestDCTSystemSweep(t *testing.T) {
 	}
 }
 
-// TestServeSweep: every kernel served over one v1 TCP connection must
-// be bit-identical to the reference, the fault divider must abort with
-// the reference's fault, and the server must refuse each combinational
-// Table 1 row with the reference's diagnosis.
+// TestServeSweep: every kernel served over one single-slot TCP
+// connection must be bit-identical to the reference, the fault divider
+// must abort with the reference's fault, and the server must refuse
+// each combinational Table 1 row with the reference's diagnosis.
 func TestServeSweep(t *testing.T) {
 	specs := sweepSpecs(t)
 	tab, err := ServeSweep(specs, 4)

@@ -161,8 +161,11 @@ func TestRouterShardFor(t *testing.T) {
 		}
 	}
 	// Dispatch places streams where ShardFor says.
-	jobs := []netlist.Job{{Inputs: firInputs(1)}}
-	if err := a.Run("fir", jobs); err != nil {
+	runner, err := a.Dispatch("fir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runner.RunStream(&netlist.Job{Inputs: firInputs(1)}); err != nil {
 		t.Fatal(err)
 	}
 	want := a.ShardFor("fir")
@@ -286,7 +289,7 @@ func TestFleetShardedSoak(t *testing.T) {
 	errCh := make(chan error, conns*perConn)
 	var wg sync.WaitGroup
 	for ci := 0; ci < conns; ci++ {
-		conn, err := serve.DialPipelined(ln.Addr().String())
+		conn, err := serve.DialContext(context.Background(), ln.Addr().String(), serve.WithPipelined(0))
 		if err != nil {
 			t.Fatal(err)
 		}

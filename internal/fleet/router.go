@@ -230,27 +230,6 @@ func (rt *route) RunStream(job *netlist.Job) error {
 	return err
 }
 
-// Run streams a whole batch through one kernel's shard, filling each
-// Job in place; the returned error is the first per-stream failure.
-// Concurrency comes from the caller (or the front-end server's
-// executors) — Run itself is a serial convenience for tools and
-// benches.
-func (r *Router) Run(kernel string, jobs []netlist.Job) error {
-	runner, err := r.Dispatch(kernel)
-	if err != nil {
-		return err
-	}
-	for i := range jobs {
-		runner.RunStream(&jobs[i])
-	}
-	for i := range jobs {
-		if jobs[i].Err != nil {
-			return fmt.Errorf("fleet: %s stream %d: %w", kernel, i, jobs[i].Err)
-		}
-	}
-	return nil
-}
-
 // Close releases nothing: the Router holds no connections, and shard
 // servers belong to their owners and are not shut down.
 func (r *Router) Close() error { return nil }

@@ -161,18 +161,22 @@ func TestRunContextDeadlineMidFlight(t *testing.T) {
 	assertPoolsBalanced(t, srv)
 }
 
-// TestRunContextSerialCancelClosesConn: a serial (v1) Conn shares the
-// pipelined request path, but v1 cannot abandon a request, so a
-// cancelled RunContext must close the connection: the call returns the
-// context error, the Conn reports itself unhealthy, later Runs fail
-// fast, and the server's pools still balance.
-func TestRunContextSerialCancelClosesConn(t *testing.T) {
+// TestRunContextDefaultConnCancel: a Conn dialled with no options has
+// one request slot and takes a multi-slot Conn's cancel path. A
+// RunContext cancelled mid-flight returns the context error, releases
+// the slot and leaves the Conn healthy, so a follow-up Run on it
+// succeeds while the dead request's late frames drain, and the server's
+// pools balance.
+func TestRunContextDefaultConnCancel(t *testing.T) {
 	srv, addr := startServer(t, 2)
-	c, err := Dial(addr)
+	c, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	if cap(c.slots) != 1 {
+		t.Fatalf("a Conn dialled with no options has %d request slots, want 1", cap(c.slots))
+	}
 	if err := c.Run("accum", accumBatch(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -181,13 +185,25 @@ func TestRunContextSerialCancelClosesConn(t *testing.T) {
 	defer cancel()
 	err = c.RunContext(ctx, "accum", big)
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("cancelled serial RunContext = %v, want DeadlineExceeded", err)
+		t.Fatalf("cancelled RunContext = %v, want DeadlineExceeded", err)
 	}
-	if c.Healthy() {
-		t.Fatalf("serial Conn still healthy after a cancelled request (err %v)", err)
+	if !c.Healthy() {
+		t.Fatal("connection poisoned by a mid-flight cancellation")
 	}
-	if err := c.Run("accum", accumBatch(1)); err == nil {
-		t.Fatal("Run on a cancelled serial Conn succeeded")
+	if len(c.slots) != 0 {
+		t.Fatal("the cancelled request kept its request slot")
+	}
+	follow := accumBatch(3)
+	if err := c.Run("accum", follow); err != nil {
+		t.Fatalf("follow-up request on the same connection: %v", err)
+	}
+	for i, job := range follow {
+		if job.Err != nil || job.Cycles == 0 {
+			t.Fatalf("follow-up stream %d: err=%v cycles=%d", i, job.Err, job.Cycles)
+		}
+	}
+	if !c.Healthy() {
+		t.Fatal("connection unhealthy after the follow-up")
 	}
 	assertPoolsBalanced(t, srv)
 }

@@ -6,24 +6,10 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
 	"roccc/internal/dp"
 	"roccc/internal/netlist"
 )
-
-// Client is the request surface shared by the TCP client (Conn) and the
-// in-process client (Local): Run streams a batch of independent input
-// streams through one kernel. Per-stream results land in each
-// netlist.Job in place — Outputs, Feedbacks, Cycles on success, a typed
-// error in Job.Err on a mid-stream fault — and buffers are reused across
-// calls, so steady-state request loops do not allocate in the pool path.
-// Run's own error is the first stream failure (request-level failures —
-// unknown kernel, transport loss, server drain — abort the whole batch).
-type Client interface {
-	Run(kernel string, streams []netlist.Job) error
-	Close() error
-}
 
 // firstStreamErr mirrors SystemPool.RunBatch's contract: the returned
 // error is the first per-stream failure in stream order.
@@ -36,49 +22,24 @@ func firstStreamErr(kernel string, streams []netlist.Job) error {
 	return nil
 }
 
-// Local is the in-process client: no sockets, no framing. Run takes the
-// one path every served stream takes, Server.RunStream, one stream at a
-// time; the 0 allocs/op steady-state gate measures that path.
-type Local struct {
-	srv *Server
-}
-
-// Local returns an in-process client bound to this server.
-func (s *Server) Local() *Local { return &Local{srv: s} }
-
-// Run serves the streams one after another through Server.RunStream, so
-// they dispatch as TCP streams do. A request-level failure (unknown
-// kernel, server drain) lands in every stream.
-func (c *Local) Run(kernel string, streams []netlist.Job) error {
-	for i := range streams {
-		c.srv.RunStream(kernel, &streams[i])
-	}
-	return firstStreamErr(kernel, streams)
-}
-
-// Close is a no-op: the Local client owns no transport.
-func (c *Local) Close() error { return nil }
-
-// Conn is the TCP client. Every Conn has one request path: Run encodes
-// a request's Open and Stream frames into one buffer and sends it in one
-// Write (a large batch in flushBytes chunks), and a reader goroutine
-// demuxes the responses by request id into the callers' Jobs. A serial
-// (v1) Conn is that path with one request slot and no hello, so its
-// bytes on the wire are the v1 protocol unchanged (concurrent Runs on
-// it take turns). A pipelined Conn (DialContext with WithPipelined)
-// negotiates v2, so any number of goroutines may Run on it concurrently
-// and their requests share the connection's server-side executor slots.
+// Conn is the TCP client. Every Conn speaks protocol v2 and has one
+// request path: DialContext sends the hello, Run encodes a request's
+// Open and Stream frames into one buffer and sends it in one Write (a
+// large batch in flushBytes chunks), and a reader goroutine demuxes the
+// responses by request id into the callers' Jobs. Any number of
+// goroutines may Run on one Conn. Dialled with no options a Conn has
+// one request slot, so concurrent Runs take turns; WithPipelined sets
+// the slot count, and requests in flight together share the
+// connection's server-side executor slots.
 type Conn struct {
 	c  net.Conn
 	br *bufio.Reader // the handshake's, then the reader goroutine's
 
-	// pipelined marks a negotiated v2 Conn. wmu keeps each Write's
-	// frames contiguous on the socket; pmu guards the pending demux
-	// table, the recycled records and the latched transport error;
-	// slots, when non-nil, is the client-side request-slot semaphore
-	// (one slot on a serial Conn, WithPipelined(n) with n > 0 otherwise).
-	pipelined  bool
-	hsVersion  uint16
+	// wmu keeps each Write's frames contiguous on the socket; pmu guards
+	// the pending demux table, the recycled records and the latched
+	// transport error; slots, when non-nil, is the client-side
+	// request-slot semaphore (one slot with no options, n with
+	// WithPipelined(n) and n > 0).
 	slots      chan struct{}
 	wmu        sync.Mutex
 	pmu        sync.Mutex
@@ -117,54 +78,29 @@ type pending struct {
 type DialOption func(*dialConfig)
 
 type dialConfig struct {
-	pipelined bool
-	slots     int
-	timeout   time.Duration
-	version   int
+	slots int
 }
 
-// WithPipelined negotiates protocol v2 and returns a Conn that is safe
-// for concurrent Run/RunContext calls: a reader goroutine demuxes
-// responses by request id. slots > 0 bounds the connection's concurrent
-// in-flight requests client-side (RunContext blocks for a free slot, or
-// until its context cancels); slots <= 0 leaves admission entirely to
-// the server's per-connection executor budget.
+// WithPipelined sets the Conn's client-side request slots: slots > 0
+// bounds its concurrent in-flight requests (RunContext blocks for a free
+// slot, or until its context cancels); slots <= 0 leaves admission
+// entirely to the server's per-connection executor budget.
 func WithPipelined(slots int) DialOption {
-	return func(c *dialConfig) {
-		c.pipelined = true
-		c.slots = slots
-	}
+	return func(c *dialConfig) { c.slots = slots }
 }
 
-// WithDialTimeout bounds the TCP connect (and, for pipelined conns, the
-// hello handshake's send). Zero means no timeout beyond the context's.
-func WithDialTimeout(d time.Duration) DialOption {
-	return func(c *dialConfig) { c.timeout = d }
-}
-
-// WithProtocolVersion overrides the protocol version the client offers
-// in its hello (default ProtoV2). Pipelined mode requires the
-// negotiated version to be >= ProtoV2, so offering ProtoV1 together
-// with WithPipelined fails at dial with a clear error.
-func WithProtocolVersion(v int) DialOption {
-	return func(c *dialConfig) { c.version = v }
-}
-
-// DialContext connects to a rocccserve address. With no options the
-// Conn speaks protocol v1 (serial requests, no handshake — v1 byte
-// streams are valid v2 byte streams, so it works against both v1 and
-// v2 servers). WithPipelined negotiates v2 and enables concurrent
-// requests over the one socket. ctx bounds the dial (and the v2
-// handshake); it does not outlive DialContext.
+// DialContext connects to a rocccserve address and negotiates protocol
+// v2. With no options the Conn has one request slot; WithPipelined sets
+// the slot count. Dialing a server that only speaks v1 fails with a
+// clear error (a v1 server answers the hello frame with a request-level
+// error and closes the connection). ctx bounds the dial and the hello;
+// it does not outlive DialContext.
 func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Conn, error) {
-	cfg := dialConfig{version: ProtoV2}
+	cfg := dialConfig{slots: 1}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.version < ProtoV1 || cfg.version > ProtoV2 {
-		return nil, fmt.Errorf("serve: unsupported protocol version %d (have v%d..v%d)", cfg.version, ProtoV1, ProtoV2)
-	}
-	d := net.Dialer{Timeout: cfg.timeout}
+	var d net.Dialer
 	nc, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
@@ -172,62 +108,36 @@ func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Conn, e
 	return newConn(ctx, nc, addr, cfg)
 }
 
-// newConn runs the client side of a dialed connection: the v2 hello
-// when pipelined, then the reader goroutine. It closes nc on failure.
+// newConn runs the client side of a dialed connection: the hello, then
+// the reader goroutine. It closes nc on failure.
 func newConn(ctx context.Context, nc net.Conn, addr string, cfg dialConfig) (*Conn, error) {
 	c := &Conn{c: nc, br: bufio.NewReaderSize(nc, readBufSize),
-		pipelined:  cfg.pipelined,
-		hsVersion:  uint16(cfg.version),
 		pending:    map[uint32]*pending{},
 		readerDone: make(chan struct{}),
 	}
-	switch {
-	case !cfg.pipelined:
-		c.slots = make(chan struct{}, 1)
-	case cfg.slots > 0:
+	if cfg.slots > 0 {
 		c.slots = make(chan struct{}, cfg.slots)
 	}
-	if cfg.pipelined {
-		// The handshake round trip honours the context: a cancelled ctx
-		// closes the socket under the blocked read.
-		var stop func() bool
-		if ctx.Done() != nil {
-			stop = context.AfterFunc(ctx, func() { nc.Close() })
-		}
-		err := c.handshake()
-		if stop != nil && !stop() {
-			err = fmt.Errorf("serve: dial %s: %w", addr, ctx.Err())
-		}
-		if err != nil {
-			nc.Close()
-			return nil, err
-		}
+	// The handshake round trip honours the context: a cancelled ctx
+	// closes the socket under the blocked read.
+	stop := context.AfterFunc(ctx, func() { nc.Close() })
+	err := c.handshake()
+	if !stop() {
+		err = fmt.Errorf("serve: dial %s: %w", addr, ctx.Err())
+	}
+	if err != nil {
+		nc.Close()
+		return nil, err
 	}
 	go c.readLoop()
 	return c, nil
-}
-
-// Dial connects speaking protocol v1 (serial requests). It is a thin
-// wrapper kept for existing call sites; new code should use
-// DialContext.
-func Dial(addr string) (*Conn, error) {
-	return DialContext(context.Background(), addr)
-}
-
-// DialPipelined connects and negotiates protocol v2 with unbounded
-// client-side request slots. It is a thin wrapper kept for existing
-// call sites; new code should use DialContext with WithPipelined.
-// Dialing a v1 server fails with a clear error (a v1 server answers the
-// hello frame with a request-level error and closes the connection).
-func DialPipelined(addr string) (*Conn, error) {
-	return DialContext(context.Background(), addr, WithPipelined(0))
 }
 
 // handshake sends the client hello and classifies the server's answer.
 func (c *Conn) handshake() error {
 	var e encoder
 	e.begin(frameHello, 0)
-	e.u16(c.hsVersion)
+	e.u16(ProtoV2)
 	if _, err := c.c.Write(e.finish()); err != nil {
 		return fmt.Errorf("serve: sending hello: %w", err)
 	}
@@ -245,7 +155,7 @@ func (c *Conn) handshake() error {
 			return fmt.Errorf("serve: malformed hello response: %w", d.err)
 		}
 		if ver < ProtoV2 {
-			return fmt.Errorf("serve: server negotiated protocol v%d; pipelined mode needs v2 — use Dial for serial requests", ver)
+			return fmt.Errorf("serve: server negotiated protocol v%d; this client needs v2", ver)
 		}
 		return nil
 	case frameError:
@@ -253,7 +163,7 @@ func (c *Conn) handshake() error {
 		// a request-level error and closes the connection.
 		d.u32() // stream id
 		msg := d.str16()
-		return fmt.Errorf("serve: server speaks protocol v1 (no request pipelining; hello refused: %s) — use Dial for serial requests", msg)
+		return fmt.Errorf("serve: server speaks protocol v1 (hello refused: %s); this client needs v2", msg)
 	default:
 		return fmt.Errorf("serve: unexpected hello response frame %q", typ)
 	}
@@ -276,13 +186,10 @@ func (c *Conn) Healthy() bool {
 	return c.rerr == nil
 }
 
-// Ping round-trips a keepalive frame through the server (pipelined
-// conns only): it proves the connection and the server's reader loop
-// are alive without touching any kernel.
+// Ping round-trips a keepalive frame through the server: it proves the
+// connection and the server's reader loop are alive without touching
+// any kernel.
 func (c *Conn) Ping() error {
-	if !c.pipelined {
-		return fmt.Errorf("serve: Ping requires a pipelined connection (DialPipelined)")
-	}
 	req, p, err := c.register(nil, true)
 	if err != nil {
 		return err
@@ -393,38 +300,24 @@ func (c *Conn) completeRequestError(req uint32, p *pending, msg string) {
 // unknown, so it poisons the Conn: later Runs fail fast instead of
 // desynchronizing.
 func (c *Conn) Run(kernel string, streams []netlist.Job) error {
-	return c.run(context.Background(), kernel, streams)
+	return c.RunContext(context.Background(), kernel, streams)
 }
 
-// RunContext is Run with a per-request deadline/cancel. On a pipelined
-// Conn a cancelled request releases its client-side slot immediately
-// and leaves the connection healthy: the reader keeps draining the
-// request's late frames but stops writing into the caller's Job
-// buffers, so they are safe to reuse the moment RunContext returns.
-// (The server still finishes the work — v2 has no cancel frame — so the
-// server-side executor slot frees when it completes.) On a serial (v1)
-// Conn the protocol cannot abandon a request mid-flight, so
-// cancellation closes the connection under the blocked I/O and the Conn
-// is dead afterwards.
+// RunContext is Run with a per-request deadline/cancel. A cancelled
+// request releases its client-side slot immediately and leaves the
+// connection healthy: the reader keeps draining the request's late
+// frames but stops writing into the caller's Job buffers, so they are
+// safe to reuse the moment RunContext returns. (The server still
+// finishes the work — v2 has no cancel frame — so the server-side
+// executor slot frees when it completes.)
+//
+// The request is registered in the demux table, its frames sent, and
+// the call parks until the reader goroutine delivers the final status
+// or ctx cancels the wait.
 func (c *Conn) RunContext(ctx context.Context, kernel string, streams []netlist.Job) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if c.pipelined || ctx.Done() == nil {
-		return c.run(ctx, kernel, streams)
-	}
-	stop := context.AfterFunc(ctx, func() { c.c.Close() })
-	err := c.run(ctx, kernel, streams)
-	if !stop() && err != nil && ctx.Err() != nil {
-		return fmt.Errorf("serve: %s: %w", kernel, ctx.Err())
-	}
-	return err
-}
-
-// run registers the request in the demux table, sends its frames and
-// parks until the reader goroutine delivers the final status or ctx
-// cancels the wait.
-func (c *Conn) run(ctx context.Context, kernel string, streams []netlist.Job) error {
 	if c.slots != nil {
 		select {
 		case c.slots <- struct{}{}:
@@ -451,12 +344,11 @@ func (c *Conn) run(ctx context.Context, kernel string, streams []netlist.Job) er
 	select {
 	case derr = <-p.done:
 	case <-ctx.Done():
-		if c.pipelined && c.cancel(req, p) {
+		if c.cancel(req, p) {
 			return ctx.Err()
 		}
 		// The request reached a terminal state concurrently with the
-		// cancel (or, on a serial Conn, the cancel is closing the
-		// connection): take its real result.
+		// cancel: take its real result.
 		derr = <-p.done
 	}
 	c.recycle(p)

@@ -110,14 +110,11 @@ func (s *Server) Metrics() Metrics {
 	}
 }
 
-// MetricsHandler serves the server's metrics snapshot as JSON — mount
-// it on any mux (rocccserve exposes it at /metrics).
-func (s *Server) MetricsHandler() http.Handler {
-	return metricsHandler(func() any { return s.Metrics() })
-}
-
-// metricsHandler adapts any snapshot function to a JSON GET endpoint.
-func metricsHandler(snapshot func() any) http.Handler {
+// FleetMetricsHandler serves a snapshot as JSON on GET: a server's
+// Metrics or a fleet's document built around it. Mount it on any mux
+// (rocccserve exposes it at /metrics). The fleet package cannot import
+// serve's HTTP glue without a cycle, so the snapshot comes as a closure.
+func FleetMetricsHandler(snapshot func() any) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
@@ -126,11 +123,4 @@ func metricsHandler(snapshot func() any) http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-}
-
-// FleetMetricsHandler serves any fleet-level snapshot (the fleet
-// package cannot import serve's HTTP glue without a cycle, so the
-// endpoint is built here from a closure).
-func FleetMetricsHandler(snapshot func() any) http.Handler {
-	return metricsHandler(snapshot)
 }

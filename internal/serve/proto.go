@@ -46,17 +46,17 @@ import (
 // executor is saturated, and a client that stops reading eventually
 // blocks the server's writes.
 //
-// Versioning. Protocol v1 (PR 4) is the frame set above minus 'V' and
-// 'K': one request in flight per connection, no negotiation. Protocol
-// v2 keeps every v1 frame byte-for-byte identical and adds the hello
-// handshake and keepalive, which is what makes pipelining safe to rely
-// on: a v1 client's byte stream is a valid v2 byte stream, so v1
-// clients work against a v2 server unchanged, while a pipelined (v2)
-// client opens with 'V' and refuses to run against a server that does
-// not ack it — a v1 server answers the unknown frame type with a
-// request-level 'E' and closes. With the handshake done, one
-// connection carries many requests concurrently: request ids demux the
-// responses client-side, and the server's per-connection executor
+// Versioning. Protocol v1 is the frame set above minus 'V' and 'K': one
+// request in flight per connection, no negotiation. Protocol v2 keeps
+// every v1 frame byte-for-byte identical and adds the hello handshake
+// and keepalive, which is what makes pipelining safe to rely on. This
+// package's client always opens with 'V' and refuses to run against a
+// server that does not ack it (a v1 server answers the unknown frame
+// type with a request-level 'E' and closes). The server still accepts
+// v1 byte streams: they are valid v2 byte streams, so a connection
+// that sends no hello is served unchanged. With the handshake done,
+// one connection carries many requests concurrently: request ids demux
+// the responses client-side, and the server's per-connection executor
 // becomes a per-request-slot semaphore shared by all of them.
 const (
 	frameHello     = 'V'

@@ -181,9 +181,9 @@ func (e *kernelEntry) ensure() error {
 }
 
 // RunStream executes one stream on the kernel's pool, counting it for
-// the metrics plane. Every served stream ends here: the TCP executors,
-// fleet shards and the in-process client all reach it through
-// Server.RunStream or a request's resolved Runner.
+// the metrics plane. Every served stream ends here: the TCP executors
+// and fleet shards reach it through Server.RunStream or a request's
+// resolved Runner.
 func (e *kernelEntry) RunStream(job *netlist.Job) error {
 	n := e.inflight.Add(1)
 	for hw := e.hwm.Load(); n > hw && !e.hwm.CompareAndSwap(hw, n); hw = e.hwm.Load() {
@@ -201,10 +201,9 @@ func (e *kernelEntry) RunStream(job *netlist.Job) error {
 }
 
 // Server is the streaming simulation service. Zero value is not usable;
-// build with NewServer, Register kernels, then Serve a listener (or use
-// the in-process client via Local). Every stream it serves, from any
-// of them, goes through RunStream's path: dispatch, then the kernel's
-// pool.
+// build with NewServer, Register kernels, then Serve a listener or call
+// RunStream in process. Every stream it serves, either way, goes
+// through RunStream's path: dispatch, then the kernel's pool.
 type Server struct {
 	workers int
 
@@ -218,7 +217,7 @@ type Server struct {
 	ln      net.Listener
 
 	// streams tracks in-flight stream executions across all connections
-	// and in-process clients, for graceful drain. drainMu orders stream
+	// and in-process callers, for graceful drain. drainMu orders stream
 	// admission against the closing transition: admissions hold the read
 	// side while they check closing and Add, Shutdown takes the write
 	// side to flip closing — so no Add can race a Wait parked on a zero
@@ -235,10 +234,9 @@ type Server struct {
 }
 
 // NewServer builds a server whose connections each run up to workers
-// streams at once (<= 0 means GOMAXPROCS) — with pipelined (v2)
-// clients it acts as the per-request-slot semaphore all of one
-// connection's requests share. A fleet shard without its own slot
-// budget admits that many streams.
+// streams at once (<= 0 means GOMAXPROCS) — the per-request-slot
+// semaphore all of one connection's requests share. A fleet shard
+// without its own slot budget admits that many streams.
 func NewServer(workers int) *Server {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -284,18 +282,6 @@ func (s *Server) Registered(name string) bool {
 	return ok
 }
 
-// Kernels lists registered kernel names (sorted by registration map
-// iteration — callers sort if they need stable order).
-func (s *Server) Kernels() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.kernels))
-	for n := range s.kernels {
-		names = append(names, n)
-	}
-	return names
-}
-
 // entry resolves and compiles a kernel by name.
 func (s *Server) entry(name string) (*kernelEntry, error) {
 	s.mu.Lock()
@@ -327,8 +313,8 @@ func (s *Server) dispatch(kernel string) (Runner, error) {
 
 // RunStream executes one stream of one kernel through the dispatch seam
 // — the same path a TCP stream frame takes, minus the wire. Fleet
-// shards and the in-process client call it; per-stream failures land
-// in job.Err.
+// shards and in-process callers use it; per-stream failures land in
+// job.Err.
 func (s *Server) RunStream(kernel string, job *netlist.Job) error {
 	if !s.beginStream() {
 		job.Err = fmt.Errorf("serve: server is draining")
@@ -382,15 +368,6 @@ func (s *Server) Stats() map[string]netlist.PoolStats {
 // Served returns the total streams answered and the faulted subset.
 func (s *Server) Served() (streams, faults int64) {
 	return s.served.Load(), s.faults.Load()
-}
-
-// ListenAndServe listens on addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
 }
 
 // Serve accepts connections on ln until the listener closes (Shutdown).

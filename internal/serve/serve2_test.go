@@ -125,10 +125,11 @@ func TestProtoV1Compat(t *testing.T) {
 	}
 }
 
-// TestDialPipelinedV1Server: against a server that does not speak v2 the
-// pipelined dial must fail with an error telling the caller what
-// happened and what to use instead — never hang, never fall back
-// silently to serial framing.
+// TestDialPipelinedV1Server: every Conn speaks v2, so against a server
+// that does not, a dial fails with an error telling the caller what
+// happened — never hangs, never falls back silently to v1 framing. That
+// holds for a dial with no options (one request slot) as for a
+// pipelined one.
 func TestDialPipelinedV1Server(t *testing.T) {
 	// A v1 server answers the unknown 'V' frame with a request-level
 	// error and closes; a misconfigured v2 server could also answer the
@@ -141,23 +142,25 @@ func TestDialPipelinedV1Server(t *testing.T) {
 		}
 		t.Cleanup(func() { ln.Close() })
 		go func() {
-			c, err := ln.Accept()
-			if err != nil {
-				return
+			for {
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				payload, err := readFrame(c, nil)
+				d := decoder{b: payload}
+				if err == nil && d.u8() == frameHello {
+					respond(c, d.u32())
+				}
+				c.Close()
 			}
-			defer c.Close()
-			payload, err := readFrame(c, nil)
-			if err != nil {
-				return
-			}
-			d := decoder{b: payload}
-			if typ := d.u8(); typ != frameHello {
-				return
-			}
-			respond(c, d.u32())
 		}()
 		return ln.Addr().String()
 	}
+	dials := []struct {
+		name string
+		opts []DialOption
+	}{{"no options", nil}, {"pipelined", []DialOption{WithPipelined(0)}}}
 
 	t.Run("v1-error-close", func(t *testing.T) {
 		addr := fake(t, func(c net.Conn, req uint32) {
@@ -167,9 +170,14 @@ func TestDialPipelinedV1Server(t *testing.T) {
 			e.str16(`serve: unexpected frame type 'V'`)
 			c.Write(e.finish())
 		})
-		_, err := DialPipelined(addr)
-		if err == nil || !strings.Contains(err.Error(), "protocol v1") || !strings.Contains(err.Error(), "use Dial") {
-			t.Fatalf("err = %v, want a protocol-v1 refusal pointing at Dial", err)
+		for _, dl := range dials {
+			c, err := dial(addr, dl.opts...)
+			if err == nil {
+				c.Close()
+			}
+			if err == nil || !strings.Contains(err.Error(), "protocol v1") || !strings.Contains(err.Error(), "unexpected frame type 'V'") {
+				t.Fatalf("%s: err = %v, want a protocol-v1 refusal quoting the server", dl.name, err)
+			}
 		}
 	})
 	t.Run("downgraded-hello", func(t *testing.T) {
@@ -179,9 +187,14 @@ func TestDialPipelinedV1Server(t *testing.T) {
 			e.u16(ProtoV1)
 			c.Write(e.finish())
 		})
-		_, err := DialPipelined(addr)
-		if err == nil || !strings.Contains(err.Error(), "negotiated protocol v1") {
-			t.Fatalf("err = %v, want a negotiated-v1 refusal", err)
+		for _, dl := range dials {
+			c, err := dial(addr, dl.opts...)
+			if err == nil {
+				c.Close()
+			}
+			if err == nil || !strings.Contains(err.Error(), "negotiated protocol v1") {
+				t.Fatalf("%s: err = %v, want a negotiated-v1 refusal", dl.name, err)
+			}
 		}
 	})
 }
@@ -193,7 +206,7 @@ func TestDialPipelinedV1Server(t *testing.T) {
 // fail only its own Run, leaving the connection healthy.
 func TestServePipelinedConcurrent(t *testing.T) {
 	_, addr := startServer(t, 4)
-	conn, err := DialPipelined(addr)
+	conn, err := dial(addr, WithPipelined(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,27 +324,21 @@ func TestServePipelinedConcurrent(t *testing.T) {
 	}
 }
 
-// TestServePing: the keepalive round-trips on a pipelined conn and is
-// refused with a clear error on a serial one.
+// TestServePing: the keepalive round-trips on a pipelined conn and on
+// one dialled with no options.
 func TestServePing(t *testing.T) {
 	_, addr := startServer(t, 1)
-	pc, err := DialPipelined(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pc.Close()
-	for i := 0; i < 3; i++ {
-		if err := pc.Ping(); err != nil {
-			t.Fatalf("ping %d: %v", i, err)
+	for _, opts := range [][]DialOption{{WithPipelined(0)}, nil} {
+		c, err := dial(addr, opts...)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	sc, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	if err := sc.Ping(); err == nil || !strings.Contains(err.Error(), "pipelined") {
-		t.Fatalf("serial Ping err = %v, want a pipelined-only refusal", err)
+		defer c.Close()
+		for i := 0; i < 3; i++ {
+			if err := c.Ping(); err != nil {
+				t.Fatalf("%d options, ping %d: %v", len(opts), i, err)
+			}
+		}
 	}
 }
 
@@ -368,19 +375,18 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		defer cancel()
 		srv.Shutdown(ctx)
 	})
-	local := srv.Local()
 	ain := make([]int64, 32)
 	for name := range probes {
 		in := firStream(3)
 		if strings.HasPrefix(name, "accum") {
 			in = map[string][]int64{"A": ain}
 		}
-		if err := local.Run(name, []netlist.Job{{Inputs: in}}); err != nil {
+		if err := srv.RunStream(name, &netlist.Job{Inputs: in}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
 
-	hs := httptest.NewServer(srv.MetricsHandler())
+	hs := httptest.NewServer(FleetMetricsHandler(func() any { return srv.Metrics() }))
 	defer hs.Close()
 	resp, err := http.Get(hs.URL)
 	if err != nil {

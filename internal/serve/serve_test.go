@@ -82,6 +82,11 @@ func startServer(t *testing.T, workers int) (*Server, string) {
 	return srv, ln.Addr().String()
 }
 
+// dial opens a Conn to addr with opts.
+func dial(addr string, opts ...DialOption) (*Conn, error) {
+	return DialContext(context.Background(), addr, opts...)
+}
+
 func firStream(seed int64) map[string][]int64 {
 	rng := rand.New(rand.NewSource(seed))
 	in := make([]int64, 21)
@@ -128,7 +133,7 @@ func serialFIR(t *testing.T, inputs map[string][]int64) *netlist.Job {
 func TestServeTCPRoundTrip(t *testing.T) {
 	srv, addr := startServer(t, 4)
 	_ = srv
-	conn, err := Dial(addr)
+	conn, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +161,7 @@ func TestServeTCPRoundTrip(t *testing.T) {
 func TestServeFeedbackKernel(t *testing.T) {
 	srv, addr := startServer(t, 2)
 	_ = srv
-	conn, err := Dial(addr)
+	conn, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +186,7 @@ func TestServeFeedbackKernel(t *testing.T) {
 func TestServeUnknownKernel(t *testing.T) {
 	srv, addr := startServer(t, 1)
 	_ = srv
-	conn, err := Dial(addr)
+	conn, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +215,7 @@ func TestServeNonStreamableKernel(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	conn, err := Dial(addr)
+	conn, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +268,7 @@ func TestServeMalformedFrame(t *testing.T) {
 	}
 
 	// Server still alive and serving.
-	conn, err := Dial(addr)
+	conn, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +287,7 @@ func TestServeDisconnectMidStream(t *testing.T) {
 	srv, addr := startServer(t, 2)
 
 	// Prime the kernel so stats exist before the rude client.
-	conn, err := Dial(addr)
+	conn, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +332,7 @@ func TestServeDisconnectMidStream(t *testing.T) {
 	}
 
 	// And the kernel still serves.
-	conn2, err := Dial(addr)
+	conn2, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +364,7 @@ func TestServeFaultAbortCycle(t *testing.T) {
 		t.Fatalf("serial run did not raise a typed fault: %v", want.Err)
 	}
 
-	conn, err := Dial(addr)
+	conn, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +397,7 @@ func TestServeFaultAbortCycle(t *testing.T) {
 // lengths, and the connection goes on serving the next request.
 func TestServeRejectsLongInput(t *testing.T) {
 	_, addr := startServer(t, 2)
-	conn, err := Dial(addr)
+	conn, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,12 +420,12 @@ func TestServeRejectsLongInput(t *testing.T) {
 	}
 }
 
-// TestServeLocalMatchesTCP: the in-process client and the TCP client
-// must produce identical results (same pool, same semantics, no wire).
+// TestServeLocalMatchesTCP: in-process Server.RunStream and the TCP
+// client must produce identical results (same pool, same semantics, no
+// wire).
 func TestServeLocalMatchesTCP(t *testing.T) {
 	srv, addr := startServer(t, 2)
-	local := srv.Local()
-	conn, err := Dial(addr)
+	conn, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,18 +442,20 @@ func TestServeLocalMatchesTCP(t *testing.T) {
 	if err := conn.Run("fir", viaTCP); err != nil {
 		t.Fatal(err)
 	}
-	if err := local.Run("fir", viaLocal); err != nil {
-		t.Fatal(err)
+	for i := range viaLocal {
+		if err := srv.RunStream("fir", &viaLocal[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := range viaTCP {
 		if err := netlist.DiffJob(&viaTCP[i], &viaLocal[i]); err != nil {
-			t.Fatalf("stream %d: via TCP against via Local: %v", i, err)
+			t.Fatalf("stream %d: via TCP against via RunStream: %v", i, err)
 		}
 	}
 
-	// Local must also report unknown kernels.
-	if err := local.Run("nope", mk()); err == nil || !strings.Contains(err.Error(), "unknown kernel") {
-		t.Fatalf("Local unknown-kernel err = %v", err)
+	// RunStream must also report unknown kernels.
+	if err := srv.RunStream("nope", &mk()[0]); err == nil || !strings.Contains(err.Error(), "unknown kernel") {
+		t.Fatalf("RunStream unknown-kernel err = %v", err)
 	}
 }
 
@@ -468,7 +475,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(ln) }()
 
-	conn, err := Dial(ln.Addr().String())
+	conn, err := dial(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,14 +500,14 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 
 	// Post-shutdown requests fail: connection refused or drain error.
-	if c2, err := Dial(ln.Addr().String()); err == nil {
+	if c2, err := dial(ln.Addr().String()); err == nil {
 		if err := c2.Run("fir", streams); err == nil {
 			t.Fatal("request succeeded after Shutdown")
 		}
 		c2.Close()
 	}
-	if err := srv.Local().Run("fir", streams); err == nil {
-		t.Fatal("Local request succeeded after Shutdown")
+	if err := srv.RunStream("fir", &streams[0]); err == nil {
+		t.Fatal("RunStream succeeded after Shutdown")
 	}
 }
 
@@ -539,13 +546,12 @@ func TestServeBackendSelection(t *testing.T) {
 		defer cancel()
 		srv.Shutdown(ctx)
 	}()
-	local := srv.Local()
 	for _, spec := range specs {
-		jobs := []netlist.Job{{Inputs: inputs[spec.Name]}}
-		if err := local.Run(spec.Name, jobs); err != nil {
+		job := netlist.Job{Inputs: inputs[spec.Name]}
+		if err := srv.RunStream(spec.Name, &job); err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
-		if err := netlist.DiffJob(&jobs[0], serialRun(t, spec, jobs[0].Inputs)); err != nil {
+		if err := netlist.DiffJob(&job, serialRun(t, spec, job.Inputs)); err != nil {
 			t.Fatalf("%s: served %v", spec.Name, err)
 		}
 	}

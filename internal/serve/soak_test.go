@@ -138,7 +138,7 @@ func TestServeSoak(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			conn, err := Dial(ln.Addr().String())
+			conn, err := dial(ln.Addr().String())
 			if err != nil {
 				errCh <- err
 				return
@@ -248,7 +248,7 @@ func TestServeSoakPipelined(t *testing.T) {
 	const perConn = 3 // request goroutines sharing each connection
 	conns := make([]*Conn, nconns)
 	for i := range conns {
-		if conns[i], err = DialPipelined(ln.Addr().String()); err != nil {
+		if conns[i], err = dial(ln.Addr().String(), WithPipelined(0)); err != nil {
 			t.Fatal(err)
 		}
 		defer conns[i].Close()

@@ -65,11 +65,13 @@ func (l loggedListener) Accept() (net.Conn, error) {
 	return loggedConn{Conn: c, log: l.log}, nil
 }
 
-// TestWriteCounts pins the batched wire path: a one-stream request
+// TestWriteCounts pins the batched wire path, on a Conn with unbounded
+// request slots and on one with a single slot: the dial writes the
+// hello, which the server answers in one Write; a one-stream request
 // costs exactly one client Write (Open and Stream together) and one
-// server Write (the result and 'D' together), on a pipelined and on a
-// serial Conn; a 3-stream request costs one server Write per stream,
-// and its 'D' rides in the same Write as the last response.
+// server Write (the result and 'D' together); a 3-stream request costs
+// one server Write per stream, and its 'D' rides in the same Write as
+// the last response.
 func TestWriteCounts(t *testing.T) {
 	srv := NewServer(2)
 	for _, spec := range testSpecs() {
@@ -89,19 +91,24 @@ func TestWriteCounts(t *testing.T) {
 		srv.Shutdown(ctx)
 	})
 
-	for _, pipelined := range []bool{true, false} {
-		t.Run(fmt.Sprintf("pipelined=%v", pipelined), func(t *testing.T) {
+	for _, slots := range []int{0, 1} {
+		t.Run(fmt.Sprintf("slots=%d", slots), func(t *testing.T) {
 			nc, err := net.Dial("tcp", ln.Addr().String())
 			if err != nil {
 				t.Fatal(err)
 			}
 			var cliLog writeLog
-			cfg := dialConfig{version: ProtoV2, pipelined: pipelined}
-			c, err := newConn(context.Background(), loggedConn{Conn: nc, log: &cliLog}, ln.Addr().String(), cfg)
+			c, err := newConn(context.Background(), loggedConn{Conn: nc, log: &cliLog}, ln.Addr().String(), dialConfig{slots: slots})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer c.Close()
+			if w := cliLog.take(); len(w) != 1 || string(w[0]) != "V" {
+				t.Errorf("dial: client Writes carried %q, want one Write of the hello", w)
+			}
+			if w := srvLog.take(); len(w) != 1 || string(w[0]) != "V" {
+				t.Errorf("dial: server Writes carried %q, want one Write of the hello", w)
+			}
 			if err := c.Run("fir", []netlist.Job{{Inputs: firStream(1)}}); err != nil {
 				t.Fatal(err) // warm-up: compiles the kernel, sizes the buffers
 			}
@@ -138,12 +145,12 @@ func TestWriteCounts(t *testing.T) {
 // data an earlier request from another connection left in the BRAM.
 func TestServePooledInputsDoNotLeak(t *testing.T) {
 	srv, addr := startServer(t, 1)
-	dirty, err := Dial(addr)
+	dirty, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dirty.Close()
-	clean, err := Dial(addr)
+	clean, err := dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
