@@ -86,5 +86,7 @@ func main() {
 		}
 		fmt.Println(string(line))
 	}
+	reads, _ := 0, 0
+	_ = reads
 	fmt.Println("every pixel was fetched from BRAM exactly once (smart-buffer reuse)")
 }
