@@ -118,94 +118,65 @@ func TestRunContextSlotCancel(t *testing.T) {
 }
 
 // TestRunContextDeadlineMidFlight cancels a request that is already on
-// the wire: a batch far too large for its deadline. The cancelled
-// request must release its slot, the demux loop must stay healthy as
-// the server's late frames for the dead request drain, and a follow-up
-// request on the same connection must succeed with the pools balanced
-// afterwards — the ISSUE's Gets == Puts + Rejected invariant.
+// the wire: a batch far too large for its deadline, on a Conn with four
+// request slots and on one dialled with no options (one slot), which
+// takes the same cancel path. The cancelled request must release its
+// slot, the demux loop must stay healthy as the server's late frames
+// for the dead request drain, and a follow-up request on the same
+// connection must succeed with the pools balanced afterwards — the
+// Gets == Puts + Rejected invariant.
 func TestRunContextDeadlineMidFlight(t *testing.T) {
-	srv, addr := startServer(t, 2)
-	c, err := DialContext(context.Background(), addr, WithPipelined(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Run("accum", accumBatch(1)); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name  string
+		opts  []DialOption
+		slots int
+	}{{"pipelined", []DialOption{WithPipelined(4)}, 4}, {"no-options", nil, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, addr := startServer(t, 2)
+			c, err := dial(addr, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if cap(c.slots) != tc.slots {
+				t.Fatalf("Conn has %d request slots, want %d", cap(c.slots), tc.slots)
+			}
+			if err := c.Run("accum", accumBatch(1)); err != nil {
+				t.Fatal(err)
+			}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	err = c.RunContext(ctx, "accum", accumBatch(20000))
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("mid-flight RunContext = %v, want DeadlineExceeded", err)
-	}
-	if !c.Healthy() {
-		t.Fatal("connection poisoned by a mid-flight cancellation")
-	}
+			big := accumBatch(20000) // built first: the deadline must hit mid-request
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+			defer cancel()
+			err = c.RunContext(ctx, "accum", big)
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("mid-flight RunContext = %v, want DeadlineExceeded", err)
+			}
+			if !c.Healthy() {
+				t.Fatal("connection poisoned by a mid-flight cancellation")
+			}
+			if len(c.slots) != 0 {
+				t.Fatal("the cancelled request kept its request slot")
+			}
 
-	// The demux loop must survive the dead request's late frames: the
-	// follow-up runs on the same connection, interleaved with them.
-	follow := accumBatch(3)
-	if err := c.RunContext(context.Background(), "accum", follow); err != nil {
-		t.Fatalf("follow-up request on the same connection: %v", err)
+			// The demux loop must survive the dead request's late frames:
+			// the follow-up runs on the same connection, interleaved with
+			// them.
+			follow := accumBatch(3)
+			if err := c.RunContext(context.Background(), "accum", follow); err != nil {
+				t.Fatalf("follow-up request on the same connection: %v", err)
+			}
+			for i, job := range follow {
+				if job.Err != nil || job.Cycles == 0 {
+					t.Fatalf("follow-up stream %d: err=%v cycles=%d", i, job.Err, job.Cycles)
+				}
+			}
+			if !c.Healthy() {
+				t.Fatal("connection unhealthy after the follow-up")
+			}
+			assertPoolsBalanced(t, srv)
+		})
 	}
-	for i, job := range follow {
-		if job.Err != nil || job.Cycles == 0 {
-			t.Fatalf("follow-up stream %d: err=%v cycles=%d", i, job.Err, job.Cycles)
-		}
-	}
-	if !c.Healthy() {
-		t.Fatal("connection unhealthy after the follow-up")
-	}
-	assertPoolsBalanced(t, srv)
-}
-
-// TestRunContextDefaultConnCancel: a Conn dialled with no options has
-// one request slot and takes a multi-slot Conn's cancel path. A
-// RunContext cancelled mid-flight returns the context error, releases
-// the slot and leaves the Conn healthy, so a follow-up Run on it
-// succeeds while the dead request's late frames drain, and the server's
-// pools balance.
-func TestRunContextDefaultConnCancel(t *testing.T) {
-	srv, addr := startServer(t, 2)
-	c, err := dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if cap(c.slots) != 1 {
-		t.Fatalf("a Conn dialled with no options has %d request slots, want 1", cap(c.slots))
-	}
-	if err := c.Run("accum", accumBatch(1)); err != nil {
-		t.Fatal(err)
-	}
-	big := accumBatch(20000) // built first: the deadline must hit mid-request
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	err = c.RunContext(ctx, "accum", big)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("cancelled RunContext = %v, want DeadlineExceeded", err)
-	}
-	if !c.Healthy() {
-		t.Fatal("connection poisoned by a mid-flight cancellation")
-	}
-	if len(c.slots) != 0 {
-		t.Fatal("the cancelled request kept its request slot")
-	}
-	follow := accumBatch(3)
-	if err := c.Run("accum", follow); err != nil {
-		t.Fatalf("follow-up request on the same connection: %v", err)
-	}
-	for i, job := range follow {
-		if job.Err != nil || job.Cycles == 0 {
-			t.Fatalf("follow-up stream %d: err=%v cycles=%d", i, job.Err, job.Cycles)
-		}
-	}
-	if !c.Healthy() {
-		t.Fatal("connection unhealthy after the follow-up")
-	}
-	assertPoolsBalanced(t, srv)
 }
 
 // assertPoolsBalanced waits for the server to drain and checks every
