@@ -18,9 +18,11 @@
 //     raises.
 //   - Metrics / KernelInfo / ConnInfo / FleetMetrics / ShardMetrics /
 //     KernelRoute / PoolStats — the JSON shapes the /metrics endpoint
-//     serves — plus FleetSnapshot
-//     and ScrapeMetrics to fetch and parse either the single-server or
-//     the fleet form.
+//     serves — plus FleetSnapshot (fleet.Snapshot, the document an
+//     in-process fleet's Snapshot method builds) and ScrapeMetrics /
+//     ParseMetrics to fetch and parse either the single-server or the
+//     fleet form. A KernelRoute carries kernel, shard and uses; a
+//     kernel's streams in flight are in its shard's KernelInfo.
 //
 // Everything else under internal/ remains free to change between PRs.
 package client
@@ -91,10 +93,7 @@ func WithPipelined(slots int) DialOption { return serve.WithPipelined(slots) }
 // plus, when the process runs a sharded fleet, the router's. A
 // single-server rocccserve serves the bare Metrics object instead;
 // ScrapeMetrics normalizes both shapes into this struct.
-type FleetSnapshot struct {
-	Front Metrics       `json:"front"`
-	Fleet *FleetMetrics `json:"fleet,omitempty"`
-}
+type FleetSnapshot = fleet.Snapshot
 
 // ScrapeMetrics fetches and parses a rocccserve /metrics endpoint,
 // accepting both the single-server and the fleet document shapes.

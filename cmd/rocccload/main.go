@@ -17,6 +17,11 @@
 //	rocccload -addr host:9944 -rate 200 # one fixed-rate step on a live fleet
 //	rocccload -local 2 -gate -out LOAD_report.json
 //
+// With -addr the server must register every kernel of the scenario:
+// rocccserve does when it runs from the same directory as rocccload,
+// so both read the same -corpus (the default ci/corpus, from the repo
+// root).
+//
 // Without -rate the harness runs the knee search: step-doubling then
 // bisection to the highest rate where p99 stays under -slo with zero
 // non-shed errors, then post-knee probes proving the shed rate rises
@@ -39,11 +44,10 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", "", "rocccserve TCP address (mutually exclusive with -local)")
-		metricsURL  = flag.String("metrics", "", "rocccserve /metrics URL to scrape between steps (external fleets)")
-		local       = flag.Int("local", 0, "stand up a self-hosted in-process fleet with N shards (0 = use -addr)")
-		localSlots  = flag.Int("local-slots", 48, "per-shard concurrent-stream budget for the local fleet (sheds past it)")
-		poolWorkers = flag.Int("pool-workers", 0, "SystemPool workers per kernel on local shards (0 = GOMAXPROCS)")
+		addr       = flag.String("addr", "", "rocccserve TCP address (mutually exclusive with -local)")
+		metricsURL = flag.String("metrics", "", "rocccserve /metrics URL to scrape between steps (external fleets)")
+		local      = flag.Int("local", 0, "stand up a self-hosted in-process fleet with N shards (0 = use -addr)")
+		localSlots = flag.Int("local-slots", 48, "per-shard concurrent-stream budget for the local fleet (sheds past it)")
 
 		rate     = flag.Float64("rate", 0, "fixed offered rate in req/s (0 = knee search)")
 		duration = flag.Duration("duration", 2*time.Second, "arrival window per rate step")
@@ -88,8 +92,8 @@ func main() {
 		usageErr("-duration, -timeout and -slo must be positive")
 	case *conns <= 0 || *slots < 0 || *workers < 0 || *streams <= 0 || *bisects <= 0:
 		usageErr("-conns, -streams and -bisects must be positive; -slots and -workers >= 0 (0 = default)")
-	case *localSlots <= 0 || *poolWorkers < 0:
-		usageErr("-local-slots must be positive and -pool-workers >= 0")
+	case *localSlots <= 0:
+		usageErr("-local-slots must be positive")
 	case *faultFrac < 0 || *discFrac < 0 || *faultFrac+*discFrac >= 1:
 		usageErr("-fault-frac and -disc-frac must be >= 0 and sum below 1")
 	case *gate && *rate > 0:
@@ -111,7 +115,7 @@ func main() {
 	target, mURL := *addr, *metricsURL
 	var fleet *load.LocalFleet
 	if *local > 0 {
-		fleet, err = load.StartLocalFleet(*local, *localSlots, *poolWorkers, scenario.Specs)
+		fleet, err = load.StartLocalFleet(*local, *localSlots, scenario.Specs)
 		if err != nil {
 			fatal(err)
 		}
@@ -193,7 +197,7 @@ func main() {
 
 	var violations []string
 	if fleet != nil {
-		if err := fleet.PoolsBalanced(10 * time.Second); err != nil {
+		if err := fleet.Balanced(10 * time.Second); err != nil {
 			violations = append(violations, err.Error())
 		}
 	}

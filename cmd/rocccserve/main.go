@@ -1,10 +1,12 @@
-// Command rocccserve is the long-lived simulation service: the Table 1
-// kernels stay resident behind warm netlist.SystemPools, and clients
-// stream input windows in / output windows out over a length-prefixed
-// binary TCP protocol (see internal/serve/proto.go for the framing and
-// the README for a quickstart). The protocol is v2: one connection
-// carries many pipelined requests, and v1 (serial) clients keep
-// working unchanged.
+// Command rocccserve is the long-lived simulation service: the kernels
+// the differential sweeps check (the Fig. 3 and 4096-iteration FIRs,
+// Table 1, the fault divider and the ci/corpus kernels, read from the
+// working directory) stay resident behind warm netlist.SystemPools, and
+// clients stream input windows in / output windows out over a
+// length-prefixed binary TCP protocol (see internal/serve/proto.go for
+// the framing and the README for a quickstart). The protocol is v2:
+// one connection carries many pipelined requests, and v1 (serial)
+// clients keep working unchanged.
 //
 // Usage:
 //
@@ -14,13 +16,13 @@
 // Kernels compile on first request, and each keeps one warm pool for
 // the server's life (the compiled system plan lives on the kernel
 // itself, so every pooled System shares it). With -shards > 1 the
-// process runs a fleet: kernels are consistent-hashed across N
-// in-process worker servers behind a front-end router with admission
-// control (a saturated shard sheds with a typed Busy fault; its slot
-// budget also bounds each of its pools). -metrics serves a JSON
-// snapshot of every counter at /metrics. SIGINT/SIGTERM drain
-// gracefully: in-flight streams finish, new requests are refused, then
-// the listener closes.
+// process runs a fleet (fleet.NewLocal): kernels are consistent-hashed
+// across N in-process worker servers behind a front-end router with
+// admission control (a saturated shard sheds with a typed Busy fault;
+// its slot budget, -workers, also bounds each of its pools). -metrics
+// serves a JSON snapshot of every counter at /metrics. SIGINT/SIGTERM
+// drain gracefully: in-flight streams finish, new requests are
+// refused, then the listener closes.
 package main
 
 import (
@@ -35,7 +37,7 @@ import (
 	"syscall"
 	"time"
 
-	"roccc/client"
+	"roccc/internal/exp"
 	"roccc/internal/fleet"
 	"roccc/internal/serve"
 )
@@ -60,7 +62,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	specs := serve.Table1Specs()
+	// The matrix the differential sweeps check bit-identical: both FIRs,
+	// Table 1, the fault divider and the ci/corpus kernels (a missing
+	// directory leaves the built-in matrix), so rocccload run from the
+	// same directory finds every kernel of its scenario.
+	specs, err := exp.SweepSpecs("ci/corpus")
+	if err != nil {
+		fatal(err)
+	}
 	names := make([]string, 0, len(specs))
 	for i := range specs {
 		names = append(names, specs[i].Name)
@@ -71,28 +80,15 @@ func main() {
 	// registers every kernel on every worker shard (the router picks the
 	// serving shard by consistent hash, so only that shard ever compiles
 	// it) and the front-end server dispatches through the router.
-	front := serve.NewServer(*workers)
-	var router *fleet.Router
-	var workersSrvs []*serve.Server
+	var front *serve.Server
+	var fl *fleet.Local
 	if *shards > 1 {
-		fshards := make([]fleet.Shard, *shards)
-		for i := range fshards {
-			w := serve.NewServer(*workers)
-			for _, spec := range specs {
-				if err := w.Register(spec); err != nil {
-					fatal(err)
-				}
-			}
-			workersSrvs = append(workersSrvs, w)
-			fshards[i] = fleet.Shard{Local: w}
-		}
-		var err error
-		router, err = fleet.NewRouter(fshards)
-		if err != nil {
+		if fl, err = fleet.NewLocal(specs, *shards, *workers, *workers); err != nil {
 			fatal(err)
 		}
-		front.SetDispatcher(router)
+		front = fl.Front
 	} else {
+		front = serve.NewServer(*workers)
 		for _, spec := range specs {
 			if err := front.Register(spec); err != nil {
 				fatal(err)
@@ -114,9 +110,8 @@ func main() {
 	if *metricsAddr != "" {
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", serve.FleetMetricsHandler(func() any {
-			if router != nil {
-				fm := router.Metrics()
-				return client.FleetSnapshot{Front: front.Metrics(), Fleet: &fm}
+			if fl != nil {
+				return fl.Snapshot()
 			}
 			return front.Metrics()
 		}))
@@ -144,20 +139,14 @@ func main() {
 		fmt.Printf("rocccserve: %v — draining (up to %s)\n", s, *grace)
 		ctx, cancel := context.WithTimeout(context.Background(), *grace)
 		defer cancel()
-		if err := front.Shutdown(ctx); err != nil {
+		drain := front.Shutdown
+		if fl != nil {
+			drain = fl.Shutdown // the front, then every shard
+		}
+		if err := drain(ctx); err != nil {
 			fmt.Fprintf(os.Stderr, "rocccserve: drain incomplete: %v\n", err)
 		}
 		<-done
-	}
-	if router != nil {
-		router.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), *grace)
-		for _, w := range workersSrvs {
-			if err := w.Shutdown(ctx); err != nil {
-				fmt.Fprintf(os.Stderr, "rocccserve: shard drain incomplete: %v\n", err)
-			}
-		}
-		cancel()
 	}
 
 	report := func(srv *serve.Server, label string) {
@@ -179,8 +168,10 @@ func main() {
 		}
 	}
 	report(front, "front")
-	for i, w := range workersSrvs {
-		report(w, fmt.Sprintf("shard %d", i))
+	if fl != nil {
+		for i, w := range fl.Shards {
+			report(w, fmt.Sprintf("shard %d", i))
+		}
 	}
 }
 

@@ -359,7 +359,7 @@ func ServeSweep(specs []serve.KernelSpec, streams int) (*SweepTable, error) {
 		return nil, err
 	}
 	go srv.Serve(ln)
-	defer shutdown(srv)
+	defer shutdown(srv.Shutdown)
 	conn, err := serve.DialContext(context.Background(), ln.Addr().String())
 	if err != nil {
 		return nil, err
@@ -373,41 +373,26 @@ func ServeSweep(specs []serve.KernelSpec, streams int) (*SweepTable, error) {
 }
 
 // FleetSweep checks the sharded serving stack: a pipelined connection
-// into a front server dispatching through a fleet.Router into `shards`
-// in-process workers, with every spec registered on every shard and
-// all kernels in flight at once over the one connection, so the
-// request-id demux is load-bearing. After the storm every shard pool
-// must be balanced (Gets == Puts + Rejected), the route table must
-// agree with the ring, and nothing may have been shed.
+// into the in-process fleet (fleet.NewLocal: a front server dispatching
+// through a fleet.Router into `shards` workers, every spec registered on
+// every shard), with all kernels in flight at once over the one
+// connection, so the request-id demux is load-bearing. After the storm
+// every shard pool must be balanced (Gets == Puts + Rejected), the
+// route table must agree with the ring, and nothing may have been shed.
 func FleetSweep(specs []serve.KernelSpec, streams, shards int) (*SweepTable, error) {
 	// The ring decides which shard compiles and serves each kernel.
 	// Slots are sized so the sweep never sheds: admission control has
 	// its own test, and here a Busy fault would be a false divergence.
-	workers := make([]*serve.Server, shards)
-	fshards := make([]fleet.Shard, shards)
-	for i := range workers {
-		workers[i] = serve.NewServer(0)
-		defer shutdown(workers[i])
-		for _, spec := range specs {
-			if err := workers[i].Register(spec); err != nil {
-				return nil, err
-			}
-		}
-		fshards[i] = fleet.Shard{Local: workers[i], Slots: len(specs) * streams}
-	}
-	router, err := fleet.NewRouter(fshards)
+	fl, err := fleet.NewLocal(specs, shards, len(specs)*streams, 0)
 	if err != nil {
 		return nil, err
 	}
-	defer router.Close()
-	front := serve.NewServer(0)
-	front.SetDispatcher(router)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
-	go front.Serve(ln)
-	defer shutdown(front)
+	go fl.Front.Serve(ln)
+	defer shutdown(fl.Shutdown)
 	conn, err := serve.DialContext(context.Background(), ln.Addr().String(), serve.WithPipelined(0))
 	if err != nil {
 		return nil, err
@@ -418,23 +403,15 @@ func FleetSweep(specs []serve.KernelSpec, streams, shards int) (*SweepTable, err
 		return nil, err
 	}
 
-	for i, w := range workers {
-		if !w.WaitIdle(5 * time.Second) {
-			return nil, fmt.Errorf("exp: fleet sweep: shard %d still has in-flight streams", i)
-		}
-		for name, st := range w.Stats() {
-			if st.Gets != st.Puts+st.Rejected {
-				return nil, fmt.Errorf("exp: fleet sweep: shard %d pool %s unbalanced: gets=%d puts=%d rejected=%d",
-					i, name, st.Gets, st.Puts, st.Rejected)
-			}
-		}
+	if err := fl.Balanced(5 * time.Second); err != nil {
+		return nil, fmt.Errorf("exp: fleet sweep: %w", err)
 	}
-	m := router.Metrics()
+	m := fl.Router.Metrics()
 	if len(m.Shards) != shards {
 		return nil, fmt.Errorf("exp: fleet sweep: metrics report %d shards, want %d", len(m.Shards), shards)
 	}
 	for _, kr := range m.Kernels {
-		if want := router.ShardFor(kr.Kernel); kr.Shard != want {
+		if want := fl.Router.ShardFor(kr.Kernel); kr.Shard != want {
 			return nil, fmt.Errorf("exp: fleet sweep: kernel %s routed to shard %d, ring says %d", kr.Kernel, kr.Shard, want)
 		}
 	}
@@ -456,9 +433,9 @@ func connPath(conn *serve.Conn) opener {
 	}
 }
 
-// shutdown drains a sweep's server.
-func shutdown(srv *serve.Server) {
+// shutdown drains a sweep's server or fleet.
+func shutdown(drain func(context.Context) error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	srv.Shutdown(ctx)
+	drain(ctx)
 }

@@ -123,6 +123,27 @@ func workers(t *testing.T, n, width int) []*serve.Server {
 	return srvs
 }
 
+// startLocal serves a NewLocal fleet's front on a loopback port and
+// shuts the fleet down when the test ends.
+func startLocal(t *testing.T, specs []serve.KernelSpec, shards, slots, frontWidth int) (*Local, string) {
+	t.Helper()
+	l, err := NewLocal(specs, shards, slots, frontWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go l.Front.Serve(ln)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		l.Shutdown(ctx)
+	})
+	return l, ln.Addr().String()
+}
+
 // TestRouterShardFor: the ring must be deterministic across router
 // instances with the same topology, cover every shard given enough
 // names, and agree with Dispatch's placement.
@@ -199,6 +220,50 @@ func TestRouterDispatchUnknown(t *testing.T) {
 	}
 }
 
+// TestFleetRefusesUnservableAtOpen: a kernel that compiles but has no
+// loop nest is refused when its request opens, with the error a plain
+// server gives, and no shard admits a stream of it.
+func TestFleetRefusesUnservableAtOpen(t *testing.T) {
+	spec := serve.KernelSpec{
+		Name: "comb", Source: "void comb(int8 x, int16* y) { *y = x * 3; }", Func: "comb",
+		Options: core.DefaultOptions(), Config: netlist.Config{BusElems: 1},
+	}
+	plain := serve.NewServer(1)
+	if err := plain.Register(spec); err != nil {
+		t.Fatal(err)
+	}
+	want := plain.Ready("comb")
+	if want == nil || !strings.Contains(want.Error(), "no loop nest") {
+		t.Fatalf("plain server: Ready = %v, want the no-loop-nest refusal", want)
+	}
+
+	l, addr := startLocal(t, []serve.KernelSpec{spec}, 2, 2, 4)
+	conn, err := serve.DialContext(context.Background(), addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	jobs := make([]netlist.Job, 2)
+	err = conn.Run("comb", jobs)
+	if err == nil || !strings.Contains(err.Error(), "request failed: "+want.Error()) {
+		t.Fatalf("Run = %v, want the request-level refusal %q", err, want)
+	}
+	for i := range jobs {
+		if jobs[i].Err != nil {
+			t.Errorf("stream %d: %v, want no stream-level error", i, jobs[i].Err)
+		}
+	}
+	m := l.Router.Metrics()
+	for _, sh := range m.Shards {
+		if sh.Streams != 0 || sh.Server.Served != 0 {
+			t.Errorf("shard %d admitted %d streams and served %d", sh.Index, sh.Streams, sh.Server.Served)
+		}
+	}
+	if len(m.Kernels) != 0 {
+		t.Errorf("refused kernel cached a route: %+v", m.Kernels)
+	}
+}
+
 // TestRouterAdmissionShed: a stream arriving at a saturated shard is
 // shed immediately with a typed serve.BusyError naming the kernel and
 // shard; once slots free up, the same route serves again.
@@ -247,28 +312,12 @@ func TestRouterAdmissionShed(t *testing.T) {
 // no pool built more Systems than its shard has slots.
 func TestFleetShardedSoak(t *testing.T) {
 	const slots = 2
-	srvs := workers(t, 2, 2)
-	r, err := NewRouter([]Shard{{Local: srvs[0], Slots: slots}, {Local: srvs[1], Slots: slots}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	front := serve.NewServer(4)
-	front.SetDispatcher(r)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go front.Serve(ln)
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		front.Shutdown(ctx)
-	})
+	specs := testSpecs()
+	l, addr := startLocal(t, specs, 2, slots, 4)
+	r := l.Router
 
 	// Serial ground truth per kernel (fixed inputs: the soak hammers
 	// concurrency, not input variety).
-	specs := testSpecs()
 	inputs := map[string]map[string][]int64{
 		"fir":   firInputs(42),
 		"accum": {"A": make([]int64, 32)},
@@ -289,7 +338,7 @@ func TestFleetShardedSoak(t *testing.T) {
 	errCh := make(chan error, conns*perConn)
 	var wg sync.WaitGroup
 	for ci := 0; ci < conns; ci++ {
-		conn, err := serve.DialContext(context.Background(), ln.Addr().String(), serve.WithPipelined(0))
+		conn, err := serve.DialContext(context.Background(), addr, serve.WithPipelined(0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,14 +397,11 @@ func TestFleetShardedSoak(t *testing.T) {
 		t.Fatalf("dropped streams: %d requested, %d answered, %d shed",
 			requested.Load(), answered.Load(), shed.Load())
 	}
-	for i, s := range srvs {
-		if !s.WaitIdle(5 * time.Second) {
-			t.Fatalf("shard %d did not drain", i)
-		}
+	if err := l.Balanced(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range l.Shards {
 		for name, st := range s.Stats() {
-			if st.Gets != st.Puts+st.Rejected {
-				t.Errorf("shard %d pool %s unbalanced: %+v", i, name, st)
-			}
 			// The slot budget is the pool's only bound: a shard never
 			// runs more streams at once than it has slots.
 			if st.Built > slots {

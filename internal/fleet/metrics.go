@@ -23,20 +23,28 @@ type ShardMetrics struct {
 }
 
 // KernelRoute is the metrics-plane view of one routed kernel: where the
-// ring placed it and the load the router observed.
+// ring placed it and how many request opens it resolved (Uses). Its
+// streams in flight and their high-water mark are in the owning shard's
+// serve.KernelInfo.
 type KernelRoute struct {
-	Kernel    string `json:"kernel"`
-	Shard     int    `json:"shard"`
-	Uses      int64  `json:"uses"`
-	InFlight  int64  `json:"in_flight"`
-	HighWater int64  `json:"high_water"`
+	Kernel string `json:"kernel"`
+	Shard  int    `json:"shard"`
+	Uses   int64  `json:"uses"`
 }
 
-// Metrics is the fleet snapshot the front-end's HTTP endpoint
-// serializes alongside (or instead of) a single server's.
+// Metrics is the router's snapshot: every shard and every routed
+// kernel.
 type Metrics struct {
 	Shards  []ShardMetrics `json:"shards"`
 	Kernels []KernelRoute  `json:"kernels"`
+}
+
+// Snapshot is the /metrics document of a fleet: the front server's
+// snapshot plus the router's. A single-server rocccserve serves the
+// bare serve.Metrics instead, which parses as a Snapshot with no Fleet.
+type Snapshot struct {
+	Front serve.Metrics `json:"front"`
+	Fleet *Metrics      `json:"fleet,omitempty"`
 }
 
 // Metrics snapshots every shard and routed kernel.
@@ -56,13 +64,7 @@ func (r *Router) Metrics() Metrics {
 	}
 	r.lmu.RLock()
 	for name, kl := range r.load {
-		m.Kernels = append(m.Kernels, KernelRoute{
-			Kernel:    name,
-			Shard:     kl.route.sh.index,
-			Uses:      kl.uses.Load(),
-			InFlight:  kl.inflight.Load(),
-			HighWater: kl.hwm.Load(),
-		})
+		m.Kernels = append(m.Kernels, KernelRoute{Kernel: name, Shard: kl.route.sh.index, Uses: kl.uses.Load()})
 	}
 	r.lmu.RUnlock()
 	sort.Slice(m.Kernels, func(i, j int) bool { return m.Kernels[i].Kernel < m.Kernels[j].Kernel })

@@ -4,7 +4,8 @@
 // stream still lands on a warm SystemPool. A shard is an in-process
 // serve.Server; the Router implements serve.Dispatcher, so a front-end
 // serve.Server plugs it in with SetDispatcher and the wire layer never
-// knows the difference.
+// knows the difference. NewLocal builds that whole in-process fleet —
+// shards, Router and front — and checks its pools (Local.Balanced).
 //
 // The Router owns admission control: each shard has a slot budget (its
 // executor width by default), and a stream arriving at a saturated
@@ -59,20 +60,18 @@ type vnode struct {
 }
 
 // kernelLoad is the Router's per-kernel record: the cached route (the
-// ring is immutable, so a kernel's shard never changes) plus the load
-// counters the metrics plane reads.
+// ring is immutable, so a kernel's shard never changes) plus the count
+// of opens the metrics plane reads. The streams in flight per kernel
+// are the owning shard's to count (serve.KernelInfo).
 type kernelLoad struct {
-	route    route
-	inflight atomic.Int64
-	hwm      atomic.Int64
-	uses     atomic.Int64
+	route route
+	uses  atomic.Int64
 }
 
 // route is the serve.Runner a Dispatch resolves to: one kernel pinned
 // to one shard.
 type route struct {
 	sh     *shard
-	load   *kernelLoad
 	kernel string
 }
 
@@ -183,22 +182,22 @@ func (r *Router) Dispatch(kernel string) (serve.Runner, error) {
 }
 
 // admitKernel is Dispatch's first-use slow path: resolve the shard,
-// refuse kernels the shard does not know (so the request error
-// surfaces at open, as the registry path would), and cache the route.
-// Unknown kernels are not cached — a later registration on the shard
-// makes them servable.
+// have it compile the kernel, refuse the kernel with the shard's error
+// when it cannot serve it (so the request error surfaces at open, as it
+// does on a plain server), and cache the route. A refusal caches
+// nothing: a later registration on the shard makes the kernel
+// servable.
 func (r *Router) admitKernel(kernel string) (*kernelLoad, error) {
 	sh := r.shards[r.ShardFor(kernel)]
-	if !sh.local.Registered(kernel) {
-		return nil, fmt.Errorf("fleet: unknown kernel %q (shard %d)", kernel, sh.index)
+	if err := sh.local.Ready(kernel); err != nil {
+		return nil, err
 	}
 	r.lmu.Lock()
 	defer r.lmu.Unlock()
 	if kl := r.load[kernel]; kl != nil {
 		return kl, nil
 	}
-	kl := &kernelLoad{}
-	kl.route = route{sh: sh, load: kl, kernel: kernel}
+	kl := &kernelLoad{route: route{sh: sh, kernel: kernel}}
 	r.load[kernel] = kl
 	return kl, nil
 }
@@ -219,13 +218,8 @@ func (rt *route) RunStream(job *netlist.Job) error {
 	n := sh.inflight.Load()
 	for hw := sh.hwm.Load(); n > hw && !sh.hwm.CompareAndSwap(hw, n); hw = sh.hwm.Load() {
 	}
-	kl := rt.load
-	kn := kl.inflight.Add(1)
-	for hw := kl.hwm.Load(); kn > hw && !kl.hwm.CompareAndSwap(hw, kn); hw = kl.hwm.Load() {
-	}
 	sh.streams.Add(1)
 	err := sh.local.RunStream(rt.kernel, job)
-	kl.inflight.Add(-1)
 	sh.inflight.Add(-1)
 	return err
 }

@@ -17,7 +17,7 @@ func TestHarnessSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet, err := StartLocalFleet(2, 2, 0, sc.Specs)
+	fleet, err := StartLocalFleet(2, 2, sc.Specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestHarnessSmoke(t *testing.T) {
 	} else if len(res.Metrics.PoolIdle) == 0 {
 		t.Error("metrics probe saw no kernel pools")
 	}
-	if err := fleet.PoolsBalanced(10 * time.Second); err != nil {
+	if err := fleet.Balanced(10 * time.Second); err != nil {
 		t.Error(err)
 	}
 }
@@ -89,7 +89,7 @@ func TestRunStepLatenessCountsOversleep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet, err := StartLocalFleet(2, 2, 0, sc.Specs)
+	fleet, err := StartLocalFleet(2, 2, sc.Specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestRunStepLatenessCountsOversleep(t *testing.T) {
 	if res.LateMaxMs <= 0 {
 		t.Fatalf("late_max_ms = %v after %d slept arrivals, want the sleep overrun reported", res.LateMaxMs, res.Offered)
 	}
-	if err := fleet.PoolsBalanced(10 * time.Second); err != nil {
+	if err := fleet.Balanced(10 * time.Second); err != nil {
 		t.Error(err)
 	}
 }

@@ -114,7 +114,9 @@ func TestRunContextSlotCancel(t *testing.T) {
 	if err := c.Run("accum", accumBatch(2)); err != nil {
 		t.Fatalf("follow-up request after cancellation: %v", err)
 	}
-	assertPoolsBalanced(t, backend)
+	if err := backend.Balanced(30 * time.Second); err != nil {
+		t.Error(err)
+	}
 }
 
 // TestRunContextDeadlineMidFlight cancels a request that is already on
@@ -174,21 +176,9 @@ func TestRunContextDeadlineMidFlight(t *testing.T) {
 			if !c.Healthy() {
 				t.Fatal("connection unhealthy after the follow-up")
 			}
-			assertPoolsBalanced(t, srv)
+			if err := srv.Balanced(30 * time.Second); err != nil {
+				t.Error(err)
+			}
 		})
-	}
-}
-
-// assertPoolsBalanced waits for the server to drain and checks every
-// kernel pool returned each System it handed out.
-func assertPoolsBalanced(t *testing.T, srv *Server) {
-	t.Helper()
-	if !srv.WaitIdle(30 * time.Second) {
-		t.Fatal("server still has in-flight streams")
-	}
-	for name, st := range srv.Stats() {
-		if st.Gets != st.Puts+st.Rejected {
-			t.Errorf("pool %s unbalanced: gets=%d puts=%d rejected=%d", name, st.Gets, st.Puts, st.Rejected)
-		}
 	}
 }

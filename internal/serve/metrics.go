@@ -48,8 +48,8 @@ type Metrics struct {
 	Conns    []ConnInfo   `json:"conns"`
 }
 
-// KernelInfos snapshots every registered kernel, sorted by name.
-func (s *Server) KernelInfos() []KernelInfo {
+// kernelInfos snapshots every registered kernel, sorted by name.
+func (s *Server) kernelInfos() []KernelInfo {
 	entries := s.sortedEntries()
 	infos := make([]KernelInfo, len(entries))
 	for i, e := range entries {
@@ -75,8 +75,8 @@ func (s *Server) KernelInfos() []KernelInfo {
 	return infos
 }
 
-// ConnInfos snapshots every live connection's counters.
-func (s *Server) ConnInfos() []ConnInfo {
+// connInfos snapshots every live connection's counters.
+func (s *Server) connInfos() []ConnInfo {
 	s.mu.Lock()
 	conns := make([]*srvConn, 0, len(s.conns))
 	for _, sc := range s.conns {
@@ -105,8 +105,8 @@ func (s *Server) Metrics() Metrics {
 		Faults:   s.faults.Load(),
 		Sheds:    s.sheds.Load(),
 		InFlight: s.inflight.Load(),
-		Kernels:  s.KernelInfos(),
-		Conns:    s.ConnInfos(),
+		Kernels:  s.kernelInfos(),
+		Conns:    s.connInfos(),
 	}
 }
 

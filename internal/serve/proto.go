@@ -69,13 +69,11 @@ const (
 	frameKeepAlive = 'K'
 )
 
-// Protocol versions. ProtoV1 is the PR 4 wire format (no hello, no
-// keepalive, serial requests); ProtoV2 adds negotiation, keepalive and
-// pipelined requests over one connection.
-const (
-	ProtoV1 = 1
-	ProtoV2 = 2
-)
+// ProtoV2 is the protocol version a hello negotiates. It adds
+// negotiation, keepalive and pipelined requests over one connection to
+// v1, the first wire format (no hello, no keepalive, serial requests),
+// which the server still accepts.
+const ProtoV2 = 2
 
 // reqNone is the request id used for errors that cannot be attributed to
 // a request (malformed frames); streamNone marks request-level errors.

@@ -19,8 +19,9 @@
 //     its own kernel registry, but a front-end can plug a fleet router
 //     that consistent-hashes kernels across worker shards
 //     (internal/fleet) without touching the wire layer;
-//   - observability: Metrics/KernelInfos/ConnInfos snapshot every
-//     counter this file maintains (metrics.go serves them over HTTP).
+//   - observability: Metrics snapshots every counter this file
+//     maintains (metrics.go serves it over HTTP), and Balanced checks
+//     that every pool drained.
 package serve
 
 import (
@@ -53,17 +54,6 @@ type KernelSpec struct {
 	Config  netlist.Config
 }
 
-// SpecFor adapts a Table 1 bench kernel to a servable spec.
-func SpecFor(k bench.Kernel) KernelSpec {
-	return KernelSpec{
-		Name:    k.Name,
-		Source:  k.Source,
-		Func:    k.Func,
-		Options: k.Options,
-		Config:  netlist.Config{BusElems: k.BusElems, Scalars: k.Scalars},
-	}
-}
-
 // Table1Specs returns every Table 1 kernel as a servable spec. The
 // combinational rows (fully unrolled bit-level kernels, LUTs) carry no
 // loop nest, so a request for them reports a typed request error at
@@ -72,7 +62,13 @@ func Table1Specs() []KernelSpec {
 	ks := bench.All()
 	specs := make([]KernelSpec, len(ks))
 	for i, k := range ks {
-		specs[i] = SpecFor(k)
+		specs[i] = KernelSpec{
+			Name:    k.Name,
+			Source:  k.Source,
+			Func:    k.Func,
+			Options: k.Options,
+			Config:  netlist.Config{BusElems: k.BusElems, Scalars: k.Scalars},
+		}
 	}
 	return specs
 }
@@ -273,13 +269,13 @@ func (s *Server) Register(spec KernelSpec) error {
 	return nil
 }
 
-// Registered reports whether a kernel name is in this server's registry
-// (fleet routers use it to refuse unknown kernels at request open).
-func (s *Server) Registered(name string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.kernels[name]
-	return ok
+// Ready resolves and compiles a kernel through the registry and
+// returns the error a request for it would get at open: an unknown
+// name, or the kernel's latched compile or pool-build error. Fleet
+// routers call it to refuse such kernels at request open.
+func (s *Server) Ready(kernel string) error {
+	_, err := s.entry(kernel)
+	return err
 }
 
 // entry resolves and compiles a kernel by name.
@@ -869,17 +865,28 @@ func (sc *srvConn) writeError(req uint32, msg string) {
 	sc.send(e, req, false)
 }
 
-// WaitIdle blocks until no stream is in flight or the timeout elapses;
-// tests use it to assert pool balance after a client disconnect.
-func (s *Server) WaitIdle(timeout time.Duration) bool {
+// Balanced is the drain check: it waits up to timeout for the streams
+// in flight to finish, then checks that every kernel pool got back each
+// System it handed out (Gets == Puts + Rejected). It reports the
+// streams still in flight at the timeout, or the first unbalanced pool
+// in name order.
+func (s *Server) Balanced(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
-	for s.inflight.Load() != 0 {
+	for n := s.inflight.Load(); n != 0; n = s.inflight.Load() {
 		if time.Now().After(deadline) {
-			return false
+			return fmt.Errorf("serve: %d streams still in flight after %s", n, timeout)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	return true
+	for _, e := range s.sortedEntries() {
+		if pool := e.pool.Load(); pool != nil {
+			if st := pool.Stats(); st.Gets != st.Puts+st.Rejected {
+				return fmt.Errorf("serve: pool %s unbalanced: gets=%d puts=%d rejected=%d",
+					e.spec.Name, st.Gets, st.Puts, st.Rejected)
+			}
+		}
+	}
+	return nil
 }
 
 // sortedEntries snapshots the registry in name order (metrics plane).

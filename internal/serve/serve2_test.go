@@ -184,7 +184,7 @@ func TestDialPipelinedV1Server(t *testing.T) {
 		addr := fake(t, func(c net.Conn, req uint32) {
 			var e encoder
 			e.begin(frameHello, req)
-			e.u16(ProtoV1)
+			e.u16(1)
 			c.Write(e.finish())
 		})
 		for _, dl := range dials {

@@ -320,14 +320,10 @@ func TestServeDisconnectMidStream(t *testing.T) {
 		c.Close() // ...deliver one, hang up mid-request
 	}
 
-	if !srv.WaitIdle(5 * time.Second) {
-		t.Fatal("server did not drain in-flight streams after disconnects")
+	if err := srv.Balanced(5 * time.Second); err != nil {
+		t.Fatalf("after disconnects: %v", err)
 	}
-	st := srv.Stats()["fir"]
-	if st.Gets != st.Puts+st.Rejected {
-		t.Fatalf("pooled Systems leaked after disconnects: %+v", st)
-	}
-	if st.Idle == 0 {
+	if st := srv.Stats()["fir"]; st.Idle == 0 {
 		t.Fatalf("pool has no idle Systems after drain: %+v", st)
 	}
 

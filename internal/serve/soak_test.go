@@ -351,13 +351,8 @@ func TestServeSoakPipelined(t *testing.T) {
 			t.Errorf("connection %d poisoned by the soak", i)
 		}
 	}
-	if !srv.WaitIdle(10 * time.Second) {
-		t.Fatal("server did not drain after the soak")
-	}
-	for name, st := range srv.Stats() {
-		if st.Gets != st.Puts+st.Rejected {
-			t.Errorf("pool %s unbalanced after soak: %+v", name, st)
-		}
+	if err := srv.Balanced(10 * time.Second); err != nil {
+		t.Errorf("after the soak: %v", err)
 	}
 	streams, faults := srv.Served()
 	t.Logf("pipelined soak: %d conns x %d goroutines, %d streams served (%d faults) in %s",
