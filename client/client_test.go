@@ -15,8 +15,9 @@ import (
 // pool) and absent (shard 1, a TCP shard; the evicted fir). It is an
 // older server's document: its kernels carry "backend_configured",
 // "evictions", "last_use" and "max_idle", its shards "addr",
-// "in_process" and "idle_conns", and its routes "last_use", none of
-// which today's servers write. ParseMetrics must keep reading it.
+// "in_process" and "idle_conns", and its routes "last_use",
+// "in_flight" and "high_water", none of which today's servers write.
+// ParseMetrics must keep reading it.
 const fleetGolden = `{
   "front": {
     "proto": 2,

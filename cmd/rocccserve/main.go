@@ -62,10 +62,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	// The matrix the differential sweeps check bit-identical: both FIRs,
-	// Table 1, the fault divider and the ci/corpus kernels (a missing
-	// directory leaves the built-in matrix), so rocccload run from the
-	// same directory finds every kernel of its scenario.
+	// The sweep matrix holds every kernel of rocccload's scenario when
+	// both run from one directory; without ci/corpus it is the built-ins.
 	specs, err := exp.SweepSpecs("ci/corpus")
 	if err != nil {
 		fatal(err)
@@ -149,28 +147,22 @@ func main() {
 		<-done
 	}
 
-	report := func(srv *serve.Server, label string) {
-		streams, faults := srv.Served()
-		if streams == 0 && label != "front" {
+	report := func(label string, m serve.Metrics) {
+		if m.Served == 0 && label != "front" {
 			return
 		}
-		fmt.Printf("rocccserve: %s served %d streams (%d faults)\n", label, streams, faults)
-		stats := srv.Stats()
-		poolNames := make([]string, 0, len(stats))
-		for name := range stats {
-			poolNames = append(poolNames, name)
-		}
-		sort.Strings(poolNames)
-		for _, name := range poolNames {
-			st := stats[name]
-			fmt.Printf("rocccserve: %s pool %-14s built=%d gets=%d puts=%d rejected=%d idle=%d jobs=%d\n",
-				label, name, st.Built, st.Gets, st.Puts, st.Rejected, st.Idle, st.Jobs)
+		fmt.Printf("rocccserve: %s served %d streams (%d faults)\n", label, m.Served, m.Faults)
+		for _, k := range m.Kernels { // sorted by name
+			if st := k.Pool; st != nil {
+				fmt.Printf("rocccserve: %s pool %-14s built=%d gets=%d puts=%d rejected=%d idle=%d jobs=%d\n",
+					label, k.Kernel, st.Built, st.Gets, st.Puts, st.Rejected, st.Idle, st.Jobs)
+			}
 		}
 	}
-	report(front, "front")
+	report("front", front.Metrics())
 	if fl != nil {
-		for i, w := range fl.Shards {
-			report(w, fmt.Sprintf("shard %d", i))
+		for _, sh := range fl.Router.Metrics().Shards {
+			report(fmt.Sprintf("shard %d", sh.Index), *sh.Server)
 		}
 	}
 }

@@ -24,20 +24,17 @@ type Local struct {
 // GOMAXPROCS), behind a front server whose connections each run up to
 // frontWidth streams at once (<= 0 means GOMAXPROCS).
 func NewLocal(specs []serve.KernelSpec, shards, slots, frontWidth int) (*Local, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("fleet: no shards")
-	}
-	l := &Local{Shards: make([]*serve.Server, shards)}
-	fs := make([]Shard, shards)
-	for i := range fs {
+	l := &Local{}
+	var fs []Shard
+	for i := 0; i < shards; i++ {
 		w := serve.NewServer(slots)
 		for _, spec := range specs {
 			if err := w.Register(spec); err != nil {
 				return nil, fmt.Errorf("fleet: shard %d: %w", i, err)
 			}
 		}
-		l.Shards[i] = w
-		fs[i] = Shard{Local: w, Slots: w.Workers()}
+		l.Shards = append(l.Shards, w)
+		fs = append(fs, Shard{Local: w, Slots: w.Workers()})
 	}
 	r, err := NewRouter(fs)
 	if err != nil {
