@@ -730,7 +730,7 @@ func BenchmarkFleetRouter(b *testing.B) {
 // record. The loadpath gate holds it at zero allocations so the
 // open-loop harness never perturbs the latencies it is measuring.
 func BenchmarkLoadRecord(b *testing.B) {
-	pacer := load.NewPacer(load.DistPoisson, 1e6, 42)
+	pacer := load.NewPacer(1e6, 42)
 	var h load.Hist
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,15 +1,15 @@
 // Command rocccload is the open-loop load harness for a rocccserve
-// fleet: it fires requests at fixed arrival rates (Poisson or uniform
-// interarrival) from a single pacing clock — the next arrival never
-// waits for the last response, so queueing collapse shows up as tail
-// latency instead of being absorbed — and measures every latency from
-// the request's scheduled arrival time (coordinated-omission debt is in
-// the quantiles, not hidden). Traffic follows a mixed scenario profile:
-// a weighted kernel mix over Table 1 + ci/corpus, a planted-fault
-// fraction and a rude-disconnect fraction. Load-sheds (the fleet's
-// typed Busy fault) are classified as backpressure, separate from
-// errors, and /metrics is scraped between steps to correlate latency
-// with pool saturation.
+// fleet: it fires requests at fixed Poisson arrival rates from a single
+// pacing clock — the next arrival never waits for the last response, so
+// queueing collapse shows up as tail latency instead of being absorbed
+// — and measures every latency from the request's scheduled arrival
+// time (coordinated-omission debt is in the quantiles, not hidden).
+// Traffic follows one scenario: a uniform kernel mix over Table 1, the
+// fault divider and the streaming kernels of exp.CorpusDir, 5% planted
+// faults and 1% rude disconnects, drawn from seed 1. Load-sheds (the
+// fleet's typed Busy fault) are classified as backpressure, separate
+// from errors, and /metrics is scraped between steps to correlate
+// latency with pool saturation.
 //
 // Usage:
 //
@@ -18,17 +18,18 @@
 //	rocccload -local 2 -gate -out LOAD_report.json
 //
 // With -addr the server must register every kernel of the scenario:
-// rocccserve does when it runs from the same directory as rocccload,
-// so both read the same -corpus (the default ci/corpus, from the repo
-// root).
+// rocccserve does when it runs from the same directory as rocccload, so
+// both read the same corpus (ci/corpus, from the repo root).
 //
-// Without -rate the harness runs the knee search: step-doubling then
-// bisection to the highest rate where p99 stays under -slo with zero
-// non-shed errors, then post-knee probes proving the shed rate rises
-// monotonically under deepening overload. -out writes the full
-// machine-readable report; -gate evaluates the load gate contract and
-// prints a cigate-parseable summary ("N violations in X.XXs") plus
-// cigate-metric lines folded into the BENCH trajectory.
+// With -rate the harness runs one step and exits 1 when that step had a
+// non-shed error or served nothing. Without -rate it runs the knee
+// search: step-doubling then bisection to the highest rate where p99
+// stays under -slo with zero non-shed errors, then post-knee probes
+// proving the shed rate rises monotonically under deepening overload.
+// -out writes the full machine-readable report; -gate evaluates the
+// load gate contract and prints a cigate-parseable summary ("N
+// violations in X.XXs") plus cigate-metric lines folded into the BENCH
+// trajectory.
 package main
 
 import (
@@ -39,7 +40,18 @@ import (
 	"runtime"
 	"time"
 
+	"roccc/internal/exp"
 	"roccc/internal/load"
+)
+
+// The scenario every run fires: seed fixes the arrival schedules and
+// the mix draw, so two runs at one rate fire the same kernels at the
+// same offsets; faultFrac of arrivals carry a planted divide-by-zero
+// and discFrac rudely disconnect mid-request.
+const (
+	seed      = 1
+	faultFrac = 0.05
+	discFrac  = 0.01
 )
 
 func main() {
@@ -51,27 +63,13 @@ func main() {
 
 		rate     = flag.Float64("rate", 0, "fixed offered rate in req/s (0 = knee search)")
 		duration = flag.Duration("duration", 2*time.Second, "arrival window per rate step")
-		distF    = flag.String("dist", "poisson", "arrival process: poisson or uniform")
-		conns    = flag.Int("conns", 2, "pipelined client connections")
-		slots    = flag.Int("slots", 64, "client-side request slots per connection (0 = unbounded)")
-		workers  = flag.Int("workers", 0, "firing goroutines (0 = conns*16)")
-		timeout  = flag.Duration("timeout", 10*time.Second, "per-request deadline")
-		seed     = flag.Uint64("seed", 1, "deterministic seed for schedules and the mix draw")
-
-		streams   = flag.Int("streams", 1, "streams per request")
-		faultFrac = flag.Float64("fault-frac", 0.05, "fraction of arrivals with a planted divide-by-zero")
-		discFrac  = flag.Float64("disc-frac", 0.01, "fraction of arrivals that rudely disconnect mid-request")
-		corpusDir = flag.String("corpus", "ci/corpus", "fuzz-corpus kernels to mix in (empty or missing = Table 1 only)")
+		streams  = flag.Int("streams", 1, "streams per request")
 
 		slo       = flag.Duration("slo", 100*time.Millisecond, "p99 ceiling defining the knee")
 		startRate = flag.Float64("start-rate", 50, "knee search starting rate (req/s)")
-		maxRate   = flag.Float64("max-rate", 1<<20, "knee search ceiling (req/s)")
-		bisects   = flag.Int("bisects", 3, "bisection refinements after the doubling phase")
 
-		out       = flag.String("out", "", "write the machine-readable JSON report here")
-		gate      = flag.Bool("gate", false, "evaluate the load gate contract and print a cigate summary")
-		gateCPU   = flag.Int("gate-min-cpu", 4, "CPU count at or above which the knee rate floor applies")
-		gateFloor = flag.Float64("gate-floor", 100, "knee rate floor in req/s (CPU-conditioned; 0 = shape checks only)")
+		out  = flag.String("out", "", "write the machine-readable JSON report here")
+		gate = flag.Bool("gate", false, "evaluate the load gate contract and print a cigate summary")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -86,31 +84,23 @@ func main() {
 		usageErr("-addr and -local are mutually exclusive")
 	case *local < 0 || (*local > 0 && *local < 2):
 		usageErr("-local needs at least 2 shards (the router is what sheds)")
-	case *rate < 0 || *startRate <= 0 || *maxRate <= 0 || *maxRate < *startRate:
-		usageErr("-rate must be >= 0 and -start-rate/-max-rate positive with -max-rate >= -start-rate")
-	case *duration <= 0 || *timeout <= 0 || *slo <= 0:
-		usageErr("-duration, -timeout and -slo must be positive")
-	case *conns <= 0 || *slots < 0 || *workers < 0 || *streams <= 0 || *bisects <= 0:
-		usageErr("-conns, -streams and -bisects must be positive; -slots and -workers >= 0 (0 = default)")
+	case *rate < 0 || *startRate <= 0:
+		usageErr("-rate must be >= 0 and -start-rate positive")
+	case *duration <= 0 || *slo <= 0:
+		usageErr("-duration and -slo must be positive")
+	case *streams <= 0:
+		usageErr("-streams must be positive")
 	case *localSlots <= 0:
 		usageErr("-local-slots must be positive")
-	case *faultFrac < 0 || *discFrac < 0 || *faultFrac+*discFrac >= 1:
-		usageErr("-fault-frac and -disc-frac must be >= 0 and sum below 1")
 	case *gate && *rate > 0:
 		usageErr("-gate needs the knee search (drop -rate)")
-	case *gateCPU < 1 || *gateFloor < 0:
-		usageErr("-gate-min-cpu must be positive and -gate-floor >= 0")
 	}
-	dist, err := load.ParseDist(*distF)
-	if err != nil {
-		usageErr(err.Error())
-	}
-	scenario, err := load.BuildScenario(*corpusDir, *faultFrac, *discFrac, *streams)
+	scenario, err := load.BuildScenario(exp.CorpusDir, faultFrac, discFrac, *streams)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("rocccload: scenario: %d kernels in the mix, %.0f%% faults, %.0f%% rude disconnects, %d stream(s)/request\n",
-		len(scenario.Mix), *faultFrac*100, *discFrac*100, *streams)
+		len(scenario.Mix), faultFrac*100, discFrac*100, *streams)
 
 	target, mURL := *addr, *metricsURL
 	var fleet *load.LocalFleet
@@ -125,18 +115,7 @@ func main() {
 			*local, *localSlots, target, mURL)
 	}
 
-	warmN := *workers
-	if warmN == 0 {
-		per := *slots
-		if per <= 0 {
-			per = 64
-		}
-		warmN = *conns * per
-	}
-	if warmN > 256 {
-		warmN = 256
-	}
-	if err := load.Warmup(target, scenario, warmN); err != nil {
+	if err := load.Warmup(target, scenario); err != nil {
 		fatal(err)
 	}
 
@@ -144,26 +123,20 @@ func main() {
 		Addr:       target,
 		MetricsURL: mURL,
 		Duration:   *duration,
-		Dist:       dist,
-		Conns:      *conns,
-		Slots:      *slots,
-		Workers:    *workers,
-		Timeout:    *timeout,
-		Seed:       *seed,
+		Seed:       seed,
 		Scenario:   scenario,
 	}
 	report := &load.Report{
-		Addr:  target,
-		CPUs:  runtime.NumCPU(),
-		Dist:  dist.String(),
-		Conns: *conns, Slots: *slots, Workers: *workers,
+		Addr:               target,
+		CPUs:               runtime.NumCPU(),
 		StepSec:            duration.Seconds(),
 		StreamsPerRequest:  *streams,
-		FaultFraction:      *faultFrac,
-		DisconnectFraction: *discFrac,
+		FaultFraction:      faultFrac,
+		DisconnectFraction: discFrac,
 		Mix:                scenario.Mix,
 	}
 
+	var violations []string
 	begin := time.Now()
 	if *rate > 0 {
 		stepCfg.Rate = *rate
@@ -174,13 +147,14 @@ func main() {
 		report.Knee = &load.KneeResult{SLOMs: float64(*slo) / 1e6, Steps: []load.StepResult{*res}}
 		blob, _ := json.MarshalIndent(res, "", "  ")
 		fmt.Printf("rocccload: fixed-rate step:\n%s\n", blob)
+		if err := res.Check(); err != nil {
+			violations = append(violations, err.Error())
+		}
 	} else {
 		kr, err := load.FindKnee(load.KneeConfig{
 			Step:      stepCfg,
 			StartRate: *startRate,
-			MaxRate:   *maxRate,
 			SLO:       *slo,
-			Bisects:   *bisects,
 			Log: func(format string, args ...any) {
 				fmt.Printf(format+"\n", args...)
 			},
@@ -195,7 +169,6 @@ func main() {
 	}
 	elapsed := time.Since(begin)
 
-	var violations []string
 	if fleet != nil {
 		if err := fleet.Balanced(10 * time.Second); err != nil {
 			violations = append(violations, err.Error())
@@ -210,7 +183,7 @@ func main() {
 	}
 
 	if *gate {
-		violations = append(violations, report.Gate(*gateCPU, *gateFloor)...)
+		violations = append(violations, report.Gate()...)
 		for _, v := range violations {
 			fmt.Printf("rocccload: VIOLATION: %s\n", v)
 		}

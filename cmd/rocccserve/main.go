@@ -64,7 +64,7 @@ func main() {
 
 	// The sweep matrix holds every kernel of rocccload's scenario when
 	// both run from one directory; without ci/corpus it is the built-ins.
-	specs, err := exp.SweepSpecs("ci/corpus")
+	specs, err := exp.SweepSpecs(exp.CorpusDir)
 	if err != nil {
 		fatal(err)
 	}

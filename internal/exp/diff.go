@@ -61,6 +61,12 @@ void divide() {
 }
 `
 
+// CorpusDir is the checked-in fuzz corpus, relative to the repository
+// root. rocccserve serves its kernels and rocccload mixes them into its
+// scenario; both read it from their working directory, so they agree
+// when run from one directory.
+const CorpusDir = "ci/corpus"
+
 // LoadCorpusSpecs compile-checks nothing: it reads every .c kernel in
 // dir (the checked-in fuzz corpus, function name k) into servable specs
 // on the default backend. An empty dir or a missing directory yields no

@@ -5,6 +5,18 @@ import (
 	"time"
 )
 
+// arrivals replays a step's arrival schedule: the offsets that
+// NewPacer(rate, seed|1) draws inside the window d, as RunStep fires
+// them.
+func arrivals(rate float64, seed uint64, d time.Duration) []int64 {
+	p := NewPacer(rate, seed|1)
+	var offs []int64
+	for off := p.Next(); off < d.Nanoseconds(); off = p.Next() {
+		offs = append(offs, off)
+	}
+	return offs
+}
+
 // TestHarnessSmoke stands up the in-process 2-shard fleet and runs one
 // short fixed-rate step through the full harness path: scenario mix
 // with faults and rude disconnects, pipelined connections, the pacing
@@ -22,31 +34,27 @@ func TestHarnessSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fleet.Close()
-	if err := Warmup(fleet.Addr, sc, 8); err != nil {
+	if err := Warmup(fleet.Addr, sc); err != nil {
 		t.Fatal(err)
 	}
 
+	const rate, window, seed = 200, 500 * time.Millisecond, 3
 	res, err := RunStep(StepConfig{
 		Addr:       fleet.Addr,
 		MetricsURL: fleet.MetricsURL,
-		Rate:       200,
-		Duration:   500 * time.Millisecond,
-		Dist:       DistUniform,
-		Conns:      1,
-		Slots:      8,
-		Workers:    8,
-		Timeout:    10 * time.Second,
-		Seed:       3,
+		Rate:       rate,
+		Duration:   window,
+		Seed:       seed,
 		Scenario:   sc,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// With a uniform 200 rps schedule over 500ms the offered count is
-	// pinned by the pacing clock, not wall-clock luck.
-	if res.Offered < 99 || res.Offered > 101 {
-		t.Errorf("offered = %d, want ~100", res.Offered)
+	// The offered count is pinned by the pacing clock's schedule, not
+	// wall-clock luck.
+	if want := len(arrivals(rate, seed, window)); res.Offered != int64(want) {
+		t.Errorf("offered = %d, want the schedule's %d", res.Offered, want)
 	}
 	// Every arrival is classified exactly once.
 	if got := res.Served + res.Faults + res.Sheds + res.Errors + res.Disconnects; got != res.Offered {
@@ -82,9 +90,19 @@ func TestHarnessSmoke(t *testing.T) {
 // TestRunStepLatenessCountsOversleep: the pacing clock sleeps to each
 // scheduled arrival, and the timer wakes it after the deadline, never
 // at it. That overrun is dispatch debt the step must report: at 20
-// uniform arrivals per second every arrival sleeps, so a zero
+// arrivals per second this seed's schedule leaves at least a
+// millisecond before each arrival, so every arrival sleeps, and a zero
 // LateMaxMs means the oversleep never reached the report.
 func TestRunStepLatenessCountsOversleep(t *testing.T) {
+	const rate, window, seed = 20, 300 * time.Millisecond, 1
+	offs := arrivals(rate, seed, window)
+	prev := int64(0)
+	for _, off := range offs {
+		if off-prev < int64(time.Millisecond) {
+			t.Fatalf("schedule %v has an arrival %dns after the last; every arrival must sleep", offs, off-prev)
+		}
+		prev = off
+	}
 	sc, err := BuildScenario("", 0, 0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -96,20 +114,16 @@ func TestRunStepLatenessCountsOversleep(t *testing.T) {
 	defer fleet.Close()
 	res, err := RunStep(StepConfig{
 		Addr:     fleet.Addr,
-		Rate:     20,
-		Duration: 300 * time.Millisecond,
-		Dist:     DistUniform,
-		Conns:    1,
-		Slots:    2,
-		Workers:  2,
-		Seed:     1,
+		Rate:     rate,
+		Duration: window,
+		Seed:     seed,
 		Scenario: sc,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Offered != 5 {
-		t.Fatalf("offered = %d, want 5 arrivals 50ms apart", res.Offered)
+	if res.Offered != int64(len(offs)) || len(offs) == 0 {
+		t.Fatalf("offered = %d, want the schedule's %d arrivals %v", res.Offered, len(offs), offs)
 	}
 	if res.LateMaxMs <= 0 {
 		t.Fatalf("late_max_ms = %v after %d slept arrivals, want the sleep overrun reported", res.LateMaxMs, res.Offered)

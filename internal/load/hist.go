@@ -1,8 +1,8 @@
 // Package load is the open-loop load harness for a rocccserve fleet:
-// a pacing clock fires requests at fixed arrival rates (Poisson or
-// uniform interarrival) regardless of how fast responses come back, so
-// queueing collapse shows up as tail latency instead of being absorbed
-// by a closed loop's self-throttling. Latency is measured from each
+// a pacing clock fires requests at fixed Poisson arrival rates
+// regardless of how fast responses come back, so queueing collapse
+// shows up as tail latency instead of being absorbed by a closed
+// loop's self-throttling. Latency is measured from each
 // request's *scheduled* arrival time — late dispatch is coordinated-
 // omission debt, counted, never hidden. A step-doubling-then-bisect
 // controller finds the knee: the highest rate where p99 stays under

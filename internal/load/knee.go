@@ -7,25 +7,27 @@ import (
 )
 
 // KneeConfig drives the knee search: step-doubling from StartRate until
-// a step breaks the SLO (or the error budget), then bisection between
-// the last good and first bad rate, then post-knee probes for the
-// shed-rate shape.
+// a step fails (its p99 breaks the SLO, or Check fails it), then
+// bisection between the last good and first bad rate, then post-knee
+// probes for the shed-rate shape.
 type KneeConfig struct {
-	Step       StepConfig    // template; Rate is set per step
-	StartRate  float64       // first offered rate (default 50 rps)
-	MaxRate    float64       // search ceiling (default 1 << 20 rps)
-	SLO        time.Duration // p99 ceiling for a passing step (default 100ms)
-	MaxErrRate float64       // error budget for a passing step (default 0)
-	Bisects    int           // bisection refinements (default 3)
-
-	// ProbeFactors are rates past the knee (as multiples of it) run
-	// after the search so the report can assert the shed rate rises
-	// smoothly under overload instead of collapsing.
-	ProbeFactors []float64 // default {1.3, 1.7}
+	Step      StepConfig    // template; Rate is set per step
+	StartRate float64       // first offered rate
+	SLO       time.Duration // p99 ceiling for a passing step
 
 	// Log, when set, receives one line per finished step.
 	Log func(format string, args ...any)
 }
+
+const (
+	maxRate = 1 << 20 // knee search ceiling, rps
+	bisects = 3       // bisection refinements after the doubling phase
+)
+
+// probeFactors are rates past the knee (as multiples of it) run after
+// the search so the report can assert the shed rate rises smoothly
+// under overload instead of collapsing.
+var probeFactors = [...]float64{1.3, 1.7}
 
 // KneeResult is the full search trace plus the verdict.
 type KneeResult struct {
@@ -43,33 +45,16 @@ type KneeResult struct {
 	ShedMonotonic bool `json:"shed_monotonic"`
 }
 
-// pass reports whether a step met the knee criteria.
+// pass reports whether a step met the knee criteria: Check passes it
+// and its p99 is at most the SLO.
 func (kc *KneeConfig) pass(res *StepResult) bool {
-	if res.Served+res.Faults == 0 {
-		return false // nothing was actually served; a 0 p99 is vacuous
-	}
-	return res.P99Ms <= float64(kc.SLO)/1e6 && res.ErrRate <= kc.MaxErrRate
+	return res.Check() == nil && res.P99Ms <= float64(kc.SLO)/1e6
 }
 
 // FindKnee runs the search. Every step reuses the template's scenario,
 // connections count and duration; seeds differ per step so arrival
 // schedules do not repeat.
 func FindKnee(kc KneeConfig) (*KneeResult, error) {
-	if kc.StartRate <= 0 {
-		kc.StartRate = 50
-	}
-	if kc.MaxRate <= 0 {
-		kc.MaxRate = 1 << 20
-	}
-	if kc.SLO <= 0 {
-		kc.SLO = 100 * time.Millisecond
-	}
-	if kc.Bisects <= 0 {
-		kc.Bisects = 3
-	}
-	if kc.ProbeFactors == nil {
-		kc.ProbeFactors = []float64{1.3, 1.7}
-	}
 	logf := kc.Log
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -107,13 +92,10 @@ func FindKnee(kc KneeConfig) (*KneeResult, error) {
 			break
 		}
 		lo = rate
-		if rate >= kc.MaxRate {
+		if rate >= maxRate {
 			break // never failed up to the ceiling; knee = ceiling
 		}
-		rate *= 2
-		if rate > kc.MaxRate {
-			rate = kc.MaxRate
-		}
+		rate = min(2*rate, maxRate)
 	}
 
 	// Phase 2: bisection (only when a failing rate brackets the knee).
@@ -122,7 +104,7 @@ func FindKnee(kc KneeConfig) (*KneeResult, error) {
 		if blo == 0 {
 			blo = hi / 16 // even StartRate failed: probe below it
 		}
-		for i := 0; i < kc.Bisects && hi-blo > 1; i++ {
+		for i := 0; i < bisects && hi-blo > 1; i++ {
 			mid := (blo + hi) / 2
 			res, err := run(mid)
 			if err != nil {
@@ -139,20 +121,22 @@ func FindKnee(kc KneeConfig) (*KneeResult, error) {
 
 	// Phase 3: post-knee probes for the shed curve.
 	if lo > 0 {
-		for _, f := range kc.ProbeFactors {
+		for _, f := range probeFactors {
 			if _, err := run(lo * f); err != nil {
 				return out, err
 			}
 		}
 	}
-	out.ShedMonotonic = shedMonotonic(out.Steps, lo)
+	out.ShedMonotonic, _, _ = shedMonotonic(out.Steps, lo)
 	return out, nil
 }
 
 // shedMonotonic orders the steps at or past the knee by offered rate
-// and checks the shed rate never drops by more than a small tolerance:
-// under deepening overload the fleet must shed more, not seize up.
-func shedMonotonic(steps []StepResult, knee float64) bool {
+// and checks the shed rate never drops by more than a small tolerance
+// below the highest shed rate of a lower-rate step: under deepening
+// overload the fleet must shed more, not seize up. When it drops, peak
+// is that highest-shedding step and drop the first step below it.
+func shedMonotonic(steps []StepResult, knee float64) (ok bool, peak, drop StepResult) {
 	const tol = 0.02
 	var past []StepResult
 	for _, s := range steps {
@@ -161,16 +145,16 @@ func shedMonotonic(steps []StepResult, knee float64) bool {
 		}
 	}
 	sort.Slice(past, func(i, j int) bool { return past[i].Rate < past[j].Rate })
-	prev := -1.0
+	peak.ShedRate = -1
 	for _, s := range past {
-		if s.ShedRate < prev-tol {
-			return false
+		if s.ShedRate < peak.ShedRate-tol {
+			return false, peak, s
 		}
-		if s.ShedRate > prev {
-			prev = s.ShedRate
+		if s.ShedRate > peak.ShedRate {
+			peak = s
 		}
 	}
-	return true
+	return true, StepResult{}, StepResult{}
 }
 
 // String renders a one-line verdict for logs.

@@ -1,60 +1,21 @@
 package load
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
-// Dist selects the arrival process for a rate step.
-type Dist int
-
-const (
-	// DistPoisson draws exponential interarrival gaps (a memoryless
-	// arrival process — the open-loop default; bursts happen).
-	DistPoisson Dist = iota
-	// DistUniform spaces arrivals exactly 1/rate apart (deterministic;
-	// isolates queueing from burstiness).
-	DistUniform
-)
-
-// String names the distribution for reports.
-func (d Dist) String() string {
-	switch d {
-	case DistPoisson:
-		return "poisson"
-	case DistUniform:
-		return "uniform"
-	default:
-		return fmt.Sprintf("dist(%d)", int(d))
-	}
-}
-
-// ParseDist parses a -dist flag value.
-func ParseDist(s string) (Dist, error) {
-	switch s {
-	case "poisson":
-		return DistPoisson, nil
-	case "uniform":
-		return DistUniform, nil
-	default:
-		return 0, fmt.Errorf("load: unknown arrival distribution %q (have poisson, uniform)", s)
-	}
-}
-
-// Pacer generates one rate step's arrival schedule: successive Next
-// calls return each arrival's offset from the step start, in
-// nanoseconds, strictly non-decreasing. Deterministic for a given
-// (dist, rate, seed).
+// Pacer generates one rate step's Poisson arrival schedule: successive
+// Next calls return each arrival's offset from the step start, in
+// nanoseconds, strictly non-decreasing. The interarrival gaps are
+// exponential (a memoryless arrival process, so bursts happen), and the
+// schedule is deterministic for a given (rate, seed).
 type Pacer struct {
-	dist   Dist
 	meanNs float64
 	rng    uint64
 	sched  float64
 }
 
 // NewPacer builds a schedule for rate arrivals per second.
-func NewPacer(dist Dist, rate float64, seed uint64) *Pacer {
-	return &Pacer{dist: dist, meanNs: 1e9 / rate, rng: seed}
+func NewPacer(rate float64, seed uint64) *Pacer {
+	return &Pacer{meanNs: 1e9 / rate, rng: seed}
 }
 
 // Next returns the next arrival's offset from the step start. This is
@@ -62,13 +23,9 @@ func NewPacer(dist Dist, rate float64, seed uint64) *Pacer {
 //
 //roccc:hotpath
 func (p *Pacer) Next() int64 {
-	gap := p.meanNs
-	if p.dist == DistPoisson {
-		// 1-u is in (0,1], so the log is finite.
-		u := float64(splitmix64(&p.rng)>>11) / (1 << 53)
-		gap = -math.Log(1-u) * p.meanNs
-	}
-	p.sched += gap
+	// 1-u is in (0,1], so the log is finite.
+	u := float64(splitmix64(&p.rng)>>11) / (1 << 53)
+	p.sched += -math.Log(1-u) * p.meanNs
 	return int64(p.sched)
 }
 

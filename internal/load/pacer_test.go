@@ -25,7 +25,7 @@ func TestPacerPoissonMoments(t *testing.T) {
 	const rate = 1000.0 // mean gap 1e6 ns
 	const mean = 1e9 / rate
 	const n = 200_000
-	g := gaps(NewPacer(DistPoisson, rate, 99), n)
+	g := gaps(NewPacer(rate, 99), n)
 
 	var sum, sum2 float64
 	minGap := math.Inf(1)
@@ -49,25 +49,13 @@ func TestPacerPoissonMoments(t *testing.T) {
 	}
 }
 
-// TestPacerUniform pins the uniform process: every gap is exactly the
-// mean interarrival (up to the 1ns truncation of the running schedule).
-func TestPacerUniform(t *testing.T) {
-	const rate = 4000.0
-	const mean = 1e9 / rate
-	for i, g := range gaps(NewPacer(DistUniform, rate, 7), 10_000) {
-		if math.Abs(g-mean) > 1 {
-			t.Fatalf("gap %d = %.0fns, want %.0fns", i, g, mean)
-		}
-	}
-}
-
 // TestPacerDeterministic proves the schedule is a pure function of
-// (dist, rate, seed): reruns replay identical arrival times, and a
+// (rate, seed): reruns replay identical arrival times, and a
 // different seed diverges.
 func TestPacerDeterministic(t *testing.T) {
-	a := NewPacer(DistPoisson, 500, 42)
-	b := NewPacer(DistPoisson, 500, 42)
-	c := NewPacer(DistPoisson, 500, 43)
+	a := NewPacer(500, 42)
+	b := NewPacer(500, 42)
+	c := NewPacer(500, 43)
 	same, diff := true, false
 	for i := 0; i < 1000; i++ {
 		av, bv, cv := a.Next(), b.Next(), c.Next()
@@ -83,24 +71,5 @@ func TestPacerDeterministic(t *testing.T) {
 	}
 	if !diff {
 		t.Error("different seeds produced identical schedules")
-	}
-}
-
-// TestParseDist covers the flag surface.
-func TestParseDist(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Dist
-		ok   bool
-	}{
-		{"poisson", DistPoisson, true},
-		{"uniform", DistUniform, true},
-		{"bursty", 0, false},
-		{"", 0, false},
-	} {
-		got, err := ParseDist(tc.in)
-		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
-			t.Errorf("ParseDist(%q) = %v, %v", tc.in, got, err)
-		}
 	}
 }

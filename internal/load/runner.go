@@ -18,14 +18,21 @@ type StepConfig struct {
 	MetricsURL string        // /metrics endpoint (empty = no scrape)
 	Rate       float64       // offered arrivals per second
 	Duration   time.Duration // step length (arrival window; in-flight work drains after)
-	Dist       Dist          // arrival process
-	Conns      int           // pipelined connections (default 2)
-	Slots      int           // client-side slots per connection (0 = unbounded)
-	Workers    int           // firing goroutines (default Conns*16)
-	Timeout    time.Duration // per-request deadline (default 10s)
 	Seed       uint64        // arrival schedule + mix draw seed
 	Scenario   *Scenario
 }
+
+// The client side of every step: conns pipelined connections of slots
+// request slots each, and one firing goroutine per slot. The worker
+// pool bounds client-side concurrency; it must comfortably exceed the
+// fleet's admission budget or the harness closes the loop itself and
+// the router never sheds. timeout is each request's deadline.
+const (
+	conns   = 2
+	slots   = 64
+	workers = conns * slots
+	timeout = 10 * time.Second
+)
 
 // StepResult is one rate step's measurement. Latency quantiles cover
 // served requests only (successes and expected planted faults) and are
@@ -149,7 +156,7 @@ func (w *worker) fire(cfg *StepConfig, req Request, sched time.Time) {
 		key += "!fault"
 	}
 	jobs := w.batch(key, req.Inputs, cfg.Scenario.StreamsPerRequest)
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	err := w.conn.RunContext(ctx, req.Kernel, jobs)
 	cancel()
 	lat := time.Since(sched)
@@ -216,73 +223,55 @@ func RunStep(cfg StepConfig) (*StepResult, error) {
 	if cfg.Rate <= 0 || cfg.Duration <= 0 {
 		return nil, fmt.Errorf("load: rate and duration must be positive")
 	}
-	if cfg.Conns <= 0 {
-		cfg.Conns = 2
-	}
-	if cfg.Workers <= 0 {
-		// The pool bounds client-side concurrency; it must comfortably
-		// exceed the fleet's admission budget or the harness closes the
-		// loop itself and the router never sheds. One worker per client
-		// slot keeps the two bounds aligned.
-		per := cfg.Slots
-		if per <= 0 {
-			per = 64
-		}
-		cfg.Workers = cfg.Conns * per
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 10 * time.Second
-	}
 
-	conns := make([]*client.Conn, cfg.Conns)
+	cs := make([]*client.Conn, conns)
 	dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer dcancel()
-	for i := range conns {
-		c, err := client.DialContext(dctx, cfg.Addr, client.WithPipelined(cfg.Slots))
+	for i := range cs {
+		c, err := client.DialContext(dctx, cfg.Addr, client.WithPipelined(slots))
 		if err != nil {
-			for _, pc := range conns[:i] {
+			for _, pc := range cs[:i] {
 				pc.Close()
 			}
 			return nil, fmt.Errorf("load: dialing %s: %w", cfg.Addr, err)
 		}
-		conns[i] = c
+		cs[i] = c
 	}
 	defer func() {
-		for _, c := range conns {
+		for _, c := range cs {
 			c.Close()
 		}
 	}()
 
-	type ticket struct {
-		sched time.Time
-	}
-	// The ticket queue is sized for the whole step so the clock never
-	// blocks on slow workers: open-loop arrivals do not stop because
-	// the system is drowning.
-	expect := int(cfg.Rate*cfg.Duration.Seconds()) + cfg.Workers + 16
-	tickets := make(chan ticket, expect)
+	// The ticket queue (each ticket an arrival's scheduled time) is sized
+	// for the whole step so the clock does not block on slow workers:
+	// open-loop arrivals do not stop because the system is drowning. If
+	// the sizing falls short (a Poisson step drawing far above its
+	// rate), the send blocks, and the worker still measures the latency
+	// from the scheduled time.
+	tickets := make(chan time.Time, int(cfg.Rate*cfg.Duration.Seconds())+workers+16)
 
-	workers := make([]*worker, cfg.Workers)
+	ws := make([]*worker, workers)
 	var wg sync.WaitGroup
-	for i := range workers {
+	for i := range ws {
 		w := &worker{
-			conn: conns[i%len(conns)],
+			conn: cs[i%len(cs)],
 			rng:  cfg.Seed ^ (uint64(i+1) * 0x9e3779b97f4a7c15),
 			jobs: map[string][]client.Job{},
 		}
-		workers[i] = w
+		ws[i] = w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for t := range tickets {
+			for sched := range tickets {
 				req := cfg.Scenario.Draw(&w.rng)
-				w.fire(&cfg, req, t.sched)
+				w.fire(&cfg, req, sched)
 			}
 		}()
 	}
 
 	// Pacing clock: one goroutine owns the schedule.
-	pacer := NewPacer(cfg.Dist, cfg.Rate, cfg.Seed|1)
+	pacer := NewPacer(cfg.Rate, cfg.Seed|1)
 	start := time.Now()
 	durNs := cfg.Duration.Nanoseconds()
 	var offered int64
@@ -301,13 +290,7 @@ func RunStep(cfg StepConfig) (*StepResult, error) {
 		if late := time.Since(sched); late > lateMax {
 			lateMax = late
 		}
-		select {
-		case tickets <- ticket{sched: sched}:
-		default:
-			// Queue sizing failed us (rate far above estimate): block —
-			// the lateness is still measured from sched by the worker.
-			tickets <- ticket{sched: sched}
-		}
+		tickets <- sched
 		offered++
 	}
 	close(tickets)
@@ -316,7 +299,7 @@ func RunStep(cfg StepConfig) (*StepResult, error) {
 
 	res := &StepResult{Rate: cfg.Rate, Offered: offered, ElapsedSec: elapsed.Seconds(), LateMaxMs: ms(lateMax)}
 	var hist Hist
-	for _, w := range workers {
+	for _, w := range ws {
 		hist.Merge(&w.hist)
 		res.Served += w.served
 		res.Faults += w.faults
@@ -349,15 +332,12 @@ func ms(d time.Duration) float64 { return float64(d) / 1e6 }
 
 // Warmup readies the fleet for measurement: every mix kernel (and its
 // fault variant) runs once serially — lazy compilation and the first
-// pool build happen here, not in step one — then a concurrent burst
-// grows each kernel's pool to roughly its steady-state width so the
-// first measured step does not pay cold-start System builds in its
-// tail. Sheds and planted faults during the burst are expected and
-// ignored.
-func Warmup(addr string, sc *Scenario, concurrency int) error {
-	if concurrency <= 0 {
-		concurrency = 32
-	}
+// pool build happen here, not in step one — then a burst of one
+// goroutine per step worker grows each kernel's pool to roughly its
+// steady-state width so the first measured step does not pay
+// cold-start System builds in its tail. Sheds and planted faults during
+// the burst are expected and ignored.
+func Warmup(addr string, sc *Scenario) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	conn, err := client.DialContext(ctx, addr, client.WithPipelined(0))
@@ -379,8 +359,8 @@ func Warmup(addr string, sc *Scenario, concurrency int) error {
 		}
 	}
 	var wg sync.WaitGroup
-	errs := make([]error, concurrency)
-	for g := 0; g < concurrency; g++ {
+	errs := make([]error, workers)
+	for g := range workers {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()

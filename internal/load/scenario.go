@@ -34,21 +34,21 @@ type Request struct {
 	Inputs map[string][]int64
 }
 
-// Mix is one kernel's share of the request mix. Input templates are
+// Mix is one kernel's entry in the request mix. Input templates are
 // generated once at scenario build (deterministic) and shared by every
 // worker — the wire encoder only reads them.
 type Mix struct {
-	Kernel string  `json:"kernel"`
-	Weight float64 `json:"weight"`
+	Kernel string `json:"kernel"`
 
 	inputs      map[string][]int64
 	faultInputs map[string][]int64 // non-nil only for fault-capable kernels
 }
 
-// Scenario is a mixed request profile: a weighted kernel mix plus the
-// fraction of arrivals that are planted faults or rude disconnects.
+// Scenario is a mixed request profile: a kernel mix drawn uniformly
+// plus the fraction of arrivals that are planted faults or rude
+// disconnects.
 type Scenario struct {
-	// Mix is the weighted request mix over streaming kernels.
+	// Mix is the request mix over streaming kernels.
 	Mix []Mix `json:"mix"`
 	// FaultFraction of arrivals run the fault-capable kernel with a
 	// planted zero divisor (expected outcome: typed fault).
@@ -62,15 +62,13 @@ type Scenario struct {
 	// kernels the mix skips as non-streaming).
 	Specs []serve.KernelSpec `json:"-"`
 
-	cum       []float64
-	faultMix  []int // indexes into Mix with a fault template
-	weightSum float64
+	faultMix []int // indexes into Mix with a fault template
 }
 
 // BuildScenario compiles the Table 1 kernels, the fault divider and the
 // ci/corpus kernels (corpusDir may be empty or missing) into a request
 // mix on the default backend: every streaming kernel enters the mix with
-// equal weight, input templates are generated deterministically, and
+// an equal share, input templates are generated deterministically, and
 // the divider also gets a planted-fault template. Combinational kernels
 // stay in Specs (the fleet registers them) but draw no load.
 func BuildScenario(corpusDir string, faultFrac, discFrac float64, streams int) (*Scenario, error) {
@@ -106,7 +104,7 @@ func BuildScenario(corpusDir string, faultFrac, discFrac float64, streams int) (
 		if !res.Kernel.Streams() {
 			continue // combinational: cannot stream, draws no load
 		}
-		m := Mix{Kernel: spec.Name, Weight: 1, inputs: map[string][]int64{}}
+		m := Mix{Kernel: spec.Name, inputs: map[string][]int64{}}
 		for _, w := range res.Kernel.Reads {
 			vals := make([]int64, w.Arr.Len())
 			for j := range vals {
@@ -128,30 +126,14 @@ func BuildScenario(corpusDir string, faultFrac, discFrac float64, streams int) (
 			}
 			b := m.faultInputs["B"]
 			b[int(splitmix64(&rng)%uint64(len(b)))] = 0
+			sc.faultMix = append(sc.faultMix, len(sc.Mix))
 		}
 		sc.Mix = append(sc.Mix, m)
 	}
 	if len(sc.Mix) == 0 {
 		return nil, fmt.Errorf("load: no streaming kernels in the scenario")
 	}
-	sc.index()
 	return sc, nil
-}
-
-// index precomputes the cumulative weight table and the fault-capable
-// subset.
-func (s *Scenario) index() {
-	s.cum = make([]float64, len(s.Mix))
-	s.faultMix = s.faultMix[:0]
-	sum := 0.0
-	for i, m := range s.Mix {
-		sum += m.Weight
-		s.cum[i] = sum
-		if m.faultInputs != nil {
-			s.faultMix = append(s.faultMix, i)
-		}
-	}
-	s.weightSum = sum
 }
 
 // Draw generates one arrival from the profile, advancing the caller's
@@ -168,13 +150,9 @@ func (s *Scenario) Draw(rng *uint64) Request {
 		m := &s.Mix[s.faultMix[int(splitmix64(rng)%uint64(len(s.faultMix)))]]
 		return Request{Kind: KindFault, Kernel: m.Kernel, Inputs: m.faultInputs}
 	}
-	// Weighted kernel pick.
-	w := float64(splitmix64(rng)>>11) / (1 << 53) * s.weightSum
-	for i := range s.cum {
-		if w < s.cum[i] {
-			return Request{Kind: KindRun, Kernel: s.Mix[i].Kernel, Inputs: s.Mix[i].inputs}
-		}
-	}
-	m := &s.Mix[len(s.Mix)-1]
+	// Uniform kernel pick: w·len(Mix) < len(Mix), since w < 1 and the
+	// product rounds to nearest.
+	w := float64(splitmix64(rng)>>11) / (1 << 53)
+	m := &s.Mix[int(w*float64(len(s.Mix)))]
 	return Request{Kind: KindRun, Kernel: m.Kernel, Inputs: m.inputs}
 }
