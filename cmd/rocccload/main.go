@@ -159,12 +159,10 @@ func main() {
 				fmt.Printf(format+"\n", args...)
 			},
 		})
-		if kr != nil {
-			report.Knee = kr
-		}
 		if err != nil {
 			fatal(err)
 		}
+		report.Knee = kr
 		fmt.Printf("rocccload: %s\n", kr)
 	}
 	elapsed := time.Since(begin)
@@ -189,12 +187,10 @@ func main() {
 		}
 		// Machine-readable metric lines: cigate folds these into the
 		// BENCH_<sha>.json trajectory next to the gate verdicts.
-		if report.Knee != nil {
-			fmt.Printf("cigate-metric knee_rps %.0f\n", report.Knee.KneeRPS)
-			fmt.Printf("cigate-metric p99_at_knee_ms %.3f\n", p99AtKnee(report.Knee))
-			fmt.Printf("cigate-metric shed_monotonic %d\n", boolMetric(report.Knee.ShedMonotonic))
-			fmt.Printf("cigate-metric load_steps %d\n", len(report.Knee.Steps))
-		}
+		fmt.Printf("cigate-metric knee_rps %.0f\n", report.Knee.KneeRPS)
+		fmt.Printf("cigate-metric p99_at_knee_ms %.3f\n", p99AtKnee(report.Knee))
+		fmt.Printf("cigate-metric shed_monotonic %d\n", boolMetric(report.Knee.ShedMonotonic))
+		fmt.Printf("cigate-metric load_steps %d\n", len(report.Knee.Steps))
 		fmt.Printf("rocccload: %d violations in %.2fs\n", len(violations), elapsed.Seconds())
 		if len(violations) > 0 {
 			os.Exit(1)

@@ -51,9 +51,9 @@ func (kc *KneeConfig) pass(res *StepResult) bool {
 	return res.Check() == nil && res.P99Ms <= float64(kc.SLO)/1e6
 }
 
-// FindKnee runs the search. Every step reuses the template's scenario,
-// connections count and duration; seeds differ per step so arrival
-// schedules do not repeat.
+// FindKnee runs the search. Every step reuses the template's address,
+// scenario and duration; seeds differ per step so arrival schedules do
+// not repeat.
 func FindKnee(kc KneeConfig) (*KneeResult, error) {
 	logf := kc.Log
 	if logf == nil {
