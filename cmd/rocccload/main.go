@@ -127,13 +127,10 @@ func main() {
 		Scenario:   scenario,
 	}
 	report := &load.Report{
-		Addr:               target,
-		CPUs:               runtime.NumCPU(),
-		StepSec:            duration.Seconds(),
-		StreamsPerRequest:  *streams,
-		FaultFraction:      faultFrac,
-		DisconnectFraction: discFrac,
-		Mix:                scenario.Mix,
+		Addr:     target,
+		CPUs:     runtime.NumCPU(),
+		StepSec:  duration.Seconds(),
+		Scenario: scenario,
 	}
 
 	var violations []string

@@ -7,18 +7,16 @@ import (
 )
 
 // Report is the machine-readable harness output: the run's shape, the
-// scenario profile, and the full knee-search trace. cmd/cigate's load
-// gate group consumes it, and the run's headline numbers fold into the
-// BENCH_<sha>.json trajectory.
+// scenario profile (the embedded Scenario's keys: mix, fault and
+// disconnect fractions, streams per request), and the full knee-search
+// trace. cmd/cigate's load gate group consumes it, and the run's
+// headline numbers fold into the BENCH_<sha>.json trajectory.
 type Report struct {
 	Addr    string  `json:"addr"`
 	CPUs    int     `json:"cpus"`
 	StepSec float64 `json:"step_sec"`
 
-	StreamsPerRequest  int     `json:"streams_per_request"`
-	FaultFraction      float64 `json:"fault_fraction"`
-	DisconnectFraction float64 `json:"disconnect_fraction"`
-	Mix                []Mix   `json:"mix"`
+	*Scenario
 
 	Knee *KneeResult `json:"knee"`
 }

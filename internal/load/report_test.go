@@ -1,6 +1,7 @@
 package load
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -99,6 +100,36 @@ func TestStepCheck(t *testing.T) {
 			t.Errorf("%s: %v, want a pass", tc.name, err)
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%s: %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestReportCarriesScenario: a report embeds its scenario, so the
+// marshalled report carries the scenario's four keys, at the top level
+// and with the scenario's values.
+func TestReportCarriesScenario(t *testing.T) {
+	r := &Report{CPUs: 2, Knee: knee(400), Scenario: &Scenario{
+		Mix:                []Mix{{Kernel: "fir"}, {Kernel: "dct"}},
+		FaultFraction:      0.05,
+		DisconnectFraction: 0.01,
+		StreamsPerRequest:  8,
+	}}
+	b, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got map[string]json.RawMessage
+	if err := json.Unmarshal(b, &got); err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[string]string{
+		"mix":                 `[{"kernel":"fir"},{"kernel":"dct"}]`,
+		"fault_fraction":      "0.05",
+		"disconnect_fraction": "0.01",
+		"streams_per_request": "8",
+	} {
+		if string(got[key]) != want {
+			t.Errorf("report key %q = %s, want %s", key, got[key], want)
 		}
 	}
 }

@@ -24,24 +24,25 @@ func firstStreamErr(kernel string, streams []netlist.Job) error {
 
 // Conn is the TCP client. Every Conn speaks protocol v2 and has one
 // request path: DialContext sends the hello, Run encodes a request's
-// Open and Stream frames into one buffer and sends it in one Write (a
-// large batch in flushBytes chunks), and a reader goroutine demuxes the
-// responses by request id into the callers' Jobs. Any number of
-// goroutines may Run on one Conn. Dialled with no options a Conn has
-// one request slot, so concurrent Runs take turns; WithPipelined sets
-// the slot count, and requests in flight together share the
-// connection's server-side executor slots.
+// Open and Stream frames into one buffer and queues it whole (a large
+// batch in flushBytes chunks) on the Conn's one writer goroutine, which
+// sends whatever the Conn's callers have queued in one Write, and a
+// reader goroutine demuxes the responses by request id into the
+// callers' Jobs. Any number of goroutines may Run on one Conn. Dialled
+// with no options a Conn has one request slot, so concurrent Runs take
+// turns; WithPipelined sets the slot count, and requests in flight
+// together share the connection's server-side executor slots. Close
+// ends both goroutines.
 type Conn struct {
 	c  net.Conn
 	br *bufio.Reader // the handshake's, then the reader goroutine's
+	w  writer
 
-	// wmu keeps each Write's frames contiguous on the socket; pmu guards
-	// the pending demux table, the recycled records and the latched
-	// transport error; slots, when non-nil, is the client-side
+	// pmu guards the pending demux table, the recycled records and the
+	// latched transport error; slots, when non-nil, is the client-side
 	// request-slot semaphore (one slot with no options, n with
 	// WithPipelined(n) and n > 0).
 	slots      chan struct{}
-	wmu        sync.Mutex
 	pmu        sync.Mutex
 	pending    map[uint32]*pending
 	free       []*pending
@@ -109,7 +110,7 @@ func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Conn, e
 }
 
 // newConn runs the client side of a dialed connection: the hello, then
-// the reader goroutine. It closes nc on failure.
+// the writer and reader goroutines. It closes nc on failure.
 func newConn(ctx context.Context, nc net.Conn, addr string, cfg dialConfig) (*Conn, error) {
 	c := &Conn{c: nc, br: bufio.NewReaderSize(nc, readBufSize),
 		pending:    map[uint32]*pending{},
@@ -129,6 +130,7 @@ func newConn(ctx context.Context, nc net.Conn, addr string, cfg dialConfig) (*Co
 		nc.Close()
 		return nil, err
 	}
+	c.w.start(nc, c.written)
 	go c.readLoop()
 	return c, nil
 }
@@ -169,11 +171,13 @@ func (c *Conn) handshake() error {
 	}
 }
 
-// Close closes the connection; in-flight server work completes and its
+// Close closes the connection and waits for the Conn's writer and
+// reader goroutines to exit; in-flight server work completes and its
 // pooled Systems return to their pools. In-flight Runs fail with a
 // transport error.
 func (c *Conn) Close() error {
 	err := c.c.Close()
+	c.w.stop()
 	<-c.readerDone
 	return err
 }
@@ -195,9 +199,7 @@ func (c *Conn) Ping() error {
 		return err
 	}
 	p.enc.begin(frameKeepAlive, req)
-	if err := c.write(p.enc.finish()); err != nil {
-		c.fail(fmt.Errorf("serve: sending keepalive: %w", err))
-	}
+	c.w.queue(p.enc.finish(), 0)
 	err = <-p.done
 	c.recycle(p)
 	return err
@@ -238,16 +240,16 @@ func (c *Conn) recycle(p *pending) {
 	c.pmu.Unlock()
 }
 
-// write sends whole frames in one Write under the write lock.
-func (c *Conn) write(b []byte) error {
-	c.wmu.Lock()
-	_, err := c.c.Write(b)
-	c.wmu.Unlock()
-	return err
+// written is the writer's report on one flush: a failed Write fails the
+// Conn.
+func (c *Conn) written(_ int, err error) {
+	if err != nil {
+		c.fail(fmt.Errorf("serve: sending request: %w", err))
+	}
 }
 
-// fail poisons the Conn from a sending goroutine: the error latches and
-// the connection closes. The reader goroutine's read then fails and its
+// fail poisons the Conn from its writer: the error latches and the
+// connection closes. The reader goroutine's read then fails and its
 // abort retires every in-flight request with the latched error, so only
 // the reader ever completes a request — never while it is still
 // decoding a frame into that request's Jobs.
@@ -311,9 +313,9 @@ func (c *Conn) Run(kernel string, streams []netlist.Job) error {
 // finishes the work — v2 has no cancel frame — so the server-side
 // executor slot frees when it completes.)
 //
-// The request is registered in the demux table, its frames sent, and
-// the call parks until the reader goroutine delivers the final status
-// or ctx cancels the wait.
+// The request is registered in the demux table, its frames queued for
+// the writer, and the call parks until the reader goroutine delivers
+// the final status or ctx cancels the wait.
 func (c *Conn) RunContext(ctx context.Context, kernel string, streams []netlist.Job) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -333,11 +335,9 @@ func (c *Conn) RunContext(ctx context.Context, kernel string, streams []netlist.
 	if err != nil {
 		return err
 	}
-	if err := c.send(req, kernel, p); err != nil {
-		c.fail(fmt.Errorf("serve: sending request: %w", err))
-	}
-	// With every frame sent the server owes exactly one terminal frame
-	// (after a failed send, the reader's abort answers instead);
+	c.send(req, kernel, p)
+	// With every frame queued the server owes exactly one terminal frame
+	// (after a failed Write, the reader's abort answers instead);
 	// cancellation waits only here — aborting mid-send would leave the
 	// server's owed-stream accounting dangling.
 	var derr error
@@ -359,9 +359,10 @@ func (c *Conn) RunContext(ctx context.Context, kernel string, streams []netlist.
 }
 
 // send encodes a request's Open frame and one Stream frame per job into
-// the record's buffer and writes them — in one Write when the request
-// is under flushBytes, in flushBytes chunks of whole frames otherwise.
-func (c *Conn) send(req uint32, kernel string, p *pending) error {
+// the record's buffer and queues them for the writer — whole when the
+// request is under flushBytes, in flushBytes chunks of whole frames
+// otherwise.
+func (c *Conn) send(req uint32, kernel string, p *pending) {
 	e := &p.enc
 	e.begin(frameOpen, req)
 	e.str8(kernel)
@@ -369,9 +370,7 @@ func (c *Conn) send(req uint32, kernel string, p *pending) error {
 	e.finish()
 	for i := range p.jobs {
 		if len(e.buf) >= flushBytes {
-			if err := c.write(e.buf); err != nil {
-				return err
-			}
+			c.w.queue(e.buf, 0)
 			e.buf = e.buf[:0]
 		}
 		inputs := p.jobs[i].Inputs
@@ -384,7 +383,7 @@ func (c *Conn) send(req uint32, kernel string, p *pending) error {
 		}
 		e.finish()
 	}
-	return c.write(e.buf)
+	c.w.queue(e.buf, 0)
 }
 
 // cancel detaches a cancelled request from its Job buffers. It reports

@@ -44,7 +44,7 @@ import (
 // frames for that request id are discarded. Backpressure is the byte
 // stream's own: the server stops reading while its per-connection
 // executor is saturated, and a client that stops reading eventually
-// blocks the server's writes.
+// blocks the server's writer, then its executors, then its reader.
 //
 // Versioning. Protocol v1 is the frame set above minus 'V' and 'K': one
 // request in flight per connection, no negotiation. Protocol v2 keeps
@@ -104,9 +104,15 @@ const bufHighWater = 1 << 20
 const readBufSize = 16 << 10
 
 // flushBytes bounds how much of one request the client encodes before
-// writing it: a request under the bound goes out in one Write, and a
-// large batch is sent in chunks instead of one giant buffer.
+// queueing it for the connection's writer: a request under the bound is
+// queued whole, and a large batch in chunks of whole frames instead of
+// one giant buffer.
 const flushBytes = 64 << 10
+
+// maxPending bounds the bytes queued for a connection's writer (both
+// ends): a sender that finds that many waits until the writer takes
+// them, so a peer that stops reading stops the senders too.
+const maxPending = 256 << 10
 
 // maxInterned bounds each name-interning table, so a peer sending
 // ever-new names cannot grow one; names past the bound are allocated
@@ -114,9 +120,10 @@ const flushBytes = 64 << 10
 const maxInterned = 64
 
 // encoder builds frames in a reusable buffer, several of them back to
-// back when a request or response goes out in one Write. Each frame's
-// length prefix is patched in finish, and every Write carries whole
-// frames — concurrent writers never interleave partial ones.
+// back when a request, or an answer and its 'D', is queued in one piece.
+// Each frame's length prefix is patched in finish, and the connection's
+// writer is handed whole frames only, so frames from concurrent senders
+// never interleave partially.
 type encoder struct {
 	buf   []byte
 	start int // offset of the frame being built
@@ -165,7 +172,7 @@ func (e *encoder) vals(v []int64) {
 }
 
 // finish patches the current frame's length prefix and returns the
-// buffer: every frame since begin, ready for one Write.
+// buffer: every frame since begin, ready to queue.
 func (e *encoder) finish() []byte {
 	binary.BigEndian.PutUint32(e.buf[e.start:], uint32(len(e.buf)-e.start-4))
 	return e.buf

@@ -316,7 +316,7 @@ func (s *Server) RunStream(kernel string, job *netlist.Job) error {
 		job.Err = fmt.Errorf("serve: server is draining")
 		return job.Err
 	}
-	defer s.endStream()
+	defer s.endStream(1)
 	r, err := s.dispatch(kernel)
 	if err != nil {
 		job.Err = err
@@ -414,7 +414,8 @@ func (s *Server) Addr() net.Addr {
 }
 
 // beginStream admits one stream execution unless the server is
-// draining; endStream retires it. See drainMu for the ordering contract.
+// draining; endStream retires n of them. See drainMu for the ordering
+// contract.
 func (s *Server) beginStream() bool {
 	s.drainMu.RLock()
 	defer s.drainMu.RUnlock()
@@ -426,9 +427,9 @@ func (s *Server) beginStream() bool {
 	return true
 }
 
-func (s *Server) endStream() {
-	s.inflight.Add(-1)
-	s.streams.Done()
+func (s *Server) endStream(n int) {
+	s.inflight.Add(-int64(n))
+	s.streams.Add(-n)
 }
 
 // Shutdown drains the server: new requests are refused, in-flight
@@ -556,25 +557,26 @@ func (sj *streamJob) pooled() bool {
 	return n <= bufHighWater
 }
 
-// exec runs the stream and answers it (the stream's goroutine).
+// exec runs the stream and queues its answer (the stream's goroutine).
+// Its executor slot frees once the answer is queued; the stream stays in
+// flight, for Shutdown's drain and for Balanced, until the writer has
+// written the answer or the connection has failed.
 func (sj *streamJob) exec() {
 	sc := sj.sc
-	defer func() {
-		<-sc.sem
-		sc.srv.endStream()
-	}()
 	sj.runner.RunStream(&sj.job) // error is job.Err; pooled Systems return either way
-	sc.respond(sj)
+	sc.respond(sj, 1)
+	<-sc.sem
 }
 
-// srvConn is the server side of one client connection.
+// srvConn is the server side of one client connection: a reader
+// goroutine (serve), one goroutine per executing stream, and one writer
+// goroutine (w) through which every server frame leaves. Executors
+// finish out of order and queue their answers as they finish; the
+// writer sends whatever has queued in one Write.
 type srvConn struct {
 	srv *Server
 	c   net.Conn
-
-	// wmu serializes Writes (executors finish out of order); send is the
-	// one place that takes it.
-	wmu sync.Mutex
+	w   writer
 
 	mu       sync.Mutex
 	reqs     map[uint32]*reqState
@@ -598,15 +600,21 @@ type srvConn struct {
 	faults  atomic.Int64
 }
 
+// serve is the connection's reader loop. It starts the writer, and on
+// its way out waits for the executors, has the writer flush what they
+// and the reader queued, then closes the connection.
 func (sc *srvConn) serve() {
 	c, s := sc.c, sc.srv
+	sc.w.start(c, sc.written)
 	defer func() {
-		// Wait for this connection's in-flight executors (they hold sem
-		// slots) so their pooled Systems are back before the conn is
-		// forgotten; response writes after close fail harmlessly.
+		// Wait for this connection's executors (each holds a sem slot
+		// until its answer is queued) so their pooled Systems are back
+		// before the conn is forgotten, then flush: the queued answers
+		// and a protocol error's frame still go out before the close.
 		for i := 0; i < cap(sc.sem); i++ {
 			sc.sem <- struct{}{}
 		}
+		sc.w.stop()
 		c.Close()
 		s.mu.Lock()
 		delete(s.conns, c)
@@ -652,7 +660,7 @@ func (sc *srvConn) frame(payload []byte) bool {
 		e.begin(frameHello, req)
 		e.u16(uint16(min(int(ver), ProtoV2)))
 		e.finish()
-		sc.send(e, req, false)
+		sc.send(e)
 		return true
 	case frameKeepAlive:
 		if d.err != nil || d.remaining() {
@@ -661,7 +669,7 @@ func (sc *srvConn) frame(payload []byte) bool {
 		}
 		e.begin(frameKeepAlive, req)
 		e.finish()
-		sc.send(e, req, false)
+		sc.send(e)
 		return true
 	case frameOpen:
 		kernel := d.name8()
@@ -707,7 +715,7 @@ func (sc *srvConn) open(req uint32, kernel []byte, count uint32) bool {
 	if count == 0 {
 		sc.enc.begin(frameDone, req)
 		sc.enc.finish()
-		sc.send(&sc.enc, req, false)
+		sc.send(&sc.enc)
 		return true
 	}
 	sc.mu.Lock()
@@ -759,7 +767,7 @@ func (sc *srvConn) stream(req uint32, d *decoder) bool {
 		// Draining: answer the stream with an error (keeping the 'D'
 		// accounting intact) instead of racing the shutdown Wait.
 		sj.job.Err = fmt.Errorf("serve: server is draining")
-		sc.respond(sj)
+		sc.respond(sj, 0)
 		return true
 	}
 	sc.sem <- struct{}{} // backpressure: bounded in-flight per connection
@@ -768,9 +776,13 @@ func (sc *srvConn) stream(req uint32, d *decoder) bool {
 }
 
 // respond encodes the stream's result/fault/error frame into its own
-// buffer, sends it as one answer to the request, and returns the
-// streamJob to its kernel's pool.
-func (sc *srvConn) respond(sj *streamJob) {
+// buffer, queues it as one answer to the request, and returns the
+// streamJob to its kernel's pool. held is 1 when the stream is in flight
+// (beginStream): the writer retires it once the answer is written. The
+// request's owed-stream count drops inside the writer's lock, and the
+// answer that settles the request carries its 'D' in the same append —
+// so 'D' always follows every R/F/E frame of its request.
+func (sc *srvConn) respond(sj *streamJob, held int) {
 	job := &sj.job
 	sc.srv.countStream(job.Err)
 	sc.streams.Add(1)
@@ -806,7 +818,12 @@ func (sc *srvConn) respond(sj *streamJob) {
 		}
 	}
 	e.finish()
-	sc.send(e, sj.req, true)
+	sc.w.lock()
+	if sc.settle(sj.req) {
+		e.next(frameDone, sj.req)
+		e.finish()
+	}
+	sc.w.add(e.buf, held)
 	sj.runner = nil
 	if sj.pooled() {
 		sc.mu.Lock()
@@ -815,20 +832,21 @@ func (sc *srvConn) respond(sj *streamJob) {
 	}
 }
 
-// send is the connection's one write path: every server frame leaves
-// through it, in one Write per call under the write lock. answer marks
-// e's frame as one stream's response to req: the request's owed-stream
-// count drops inside the same critical section, and the answer that
-// settles the request carries its 'D' frame in the same Write — so 'D'
-// always follows every R/F/E frame of its request.
-func (sc *srvConn) send(e *encoder, req uint32, answer bool) {
-	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
-	if answer && sc.settle(req) {
-		e.next(frameDone, req)
-		e.finish()
+// send queues the frames the reader answers itself (hello, keepalive,
+// request-level errors, an empty request's 'D') for the writer; stream
+// answers are queued by respond.
+func (sc *srvConn) send(e *encoder) { sc.w.queue(e.buf, 0) }
+
+// written is the writer's report on one flush: the streams it answered
+// leave flight, and a failed Write closes the connection, which ends
+// its reader.
+func (sc *srvConn) written(streams int, err error) {
+	if streams > 0 {
+		sc.srv.endStream(streams)
 	}
-	sc.c.Write(e.buf)
+	if err != nil {
+		sc.c.Close()
+	}
 }
 
 // settle counts one answered stream of req and reports whether it was
@@ -862,7 +880,7 @@ func (sc *srvConn) writeError(req uint32, msg string) {
 	e.u32(streamNone)
 	e.str16(msg)
 	e.finish()
-	sc.send(e, req, false)
+	sc.send(e)
 }
 
 // Balanced is the drain check: it waits up to timeout for the streams

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -504,6 +505,151 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 	if err := srv.RunStream("fir", &streams[0]); err == nil {
 		t.Fatal("RunStream succeeded after Shutdown")
+	}
+}
+
+// slowConn sleeps 100 ms before every Write.
+type slowConn struct{ net.Conn }
+
+func (c slowConn) Write(b []byte) (int, error) {
+	time.Sleep(100 * time.Millisecond)
+	return c.Conn.Write(b)
+}
+
+// TestServeShutdownDeliversQueuedAnswers: a request in flight when
+// Shutdown starts still receives its result and its 'D', although every
+// server Write takes 100 ms. The drain waits until the answer is
+// written, not just computed or queued, before it closes the
+// connection.
+func TestServeShutdownDeliversQueuedAnswers(t *testing.T) {
+	backend := NewServer(2)
+	for _, spec := range testSpecs() {
+		if err := backend.Register(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hold := &holdDispatcher{srv: backend, started: make(chan struct{}), release: make(chan struct{})}
+	front := NewServer(2)
+	front.SetDispatcher(hold)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go front.Serve(wrapListener{ln, func(c net.Conn) net.Conn { return slowConn{c} }})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		backend.Shutdown(ctx)
+	})
+	c, err := dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	jobs := []netlist.Job{{Inputs: firStream(9)}}
+	ran := make(chan error, 1)
+	go func() { ran <- c.Run("fir", jobs) }()
+	<-hold.started // the stream is in flight
+	shut := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		shut <- front.Shutdown(ctx)
+	}()
+	for !front.closing.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	close(hold.release)
+	if err := <-ran; err != nil {
+		t.Fatalf("request in flight at Shutdown: %v", err)
+	}
+	if err := netlist.DiffJob(&jobs[0], serialFIR(t, firStream(9))); err != nil {
+		t.Fatalf("request in flight at Shutdown: served %v", err)
+	}
+	if err := <-shut; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+}
+
+// TestServeNeverReadingClient: a raw client sends the hello, then fir
+// requests without ever reading an answer. The answers fill the socket
+// buffers and then the writer's pending bound, where the executors wait
+// with theirs unsent, and the reader, out of executor slots, stops
+// reading the socket, so the client's own Writes stall. Shutdown with a short deadline returns the
+// context's error and closes the connection, which releases every
+// waiting executor, and the pools balance.
+func TestServeNeverReadingClient(t *testing.T) {
+	const workers = 2
+	srv, addr := startServer(t, workers)
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	var sent atomic.Int64
+	wrote := make(chan error, 1)
+	go func() {
+		var e encoder
+		e.begin(frameHello, 0)
+		e.u16(ProtoV2)
+		if _, err := nc.Write(e.finish()); err != nil {
+			wrote <- err
+			return
+		}
+		in := firStream(1)["A"]
+		for req := uint32(1); ; req++ {
+			e.begin(frameOpen, req)
+			e.str8("fir")
+			e.u32(1)
+			e.finish()
+			e.next(frameStream, req)
+			e.u32(0)
+			e.u16(1)
+			e.str8("A")
+			e.vals(in)
+			if _, err := nc.Write(e.finish()); err != nil {
+				wrote <- err
+				return
+			}
+			sent.Add(1)
+		}
+	}()
+
+	// Stalled: no request sent for a second, every executor slot taken
+	// and at least that many streams in flight.
+	deadline := time.Now().Add(60 * time.Second)
+	for last, since := int64(-1), time.Now(); ; time.Sleep(20 * time.Millisecond) {
+		if n := sent.Load(); n != last {
+			last, since = n, time.Now()
+		} else if sc := onlyConn(t, srv); time.Since(since) > time.Second &&
+			len(sc.sem) == cap(sc.sem) && srv.Metrics().InFlight >= workers {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the never-reading client's requests did not stall the connection (%d sent)", sent.Load())
+		}
+	}
+	w := &onlyConn(t, srv).w
+	w.mu.Lock()
+	queued := len(w.pending)
+	w.mu.Unlock()
+	if queued < maxPending {
+		t.Fatalf("stalled with %d bytes queued for the writer, want the executors waiting at the %d-byte bound", queued, maxPending)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if err := srv.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Shutdown = %v, want DeadlineExceeded while the answers cannot be written", err)
+	}
+	select {
+	case <-wrote: // the server closed the connection under the blocked Write
+	case <-time.After(10 * time.Second):
+		t.Fatal("the client's Write still blocks after Shutdown")
+	}
+	if err := srv.Balanced(10 * time.Second); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -22,15 +22,21 @@ type writeLog struct {
 }
 
 func (l *writeLog) record(b []byte) {
+	types := frameTypes(b)
+	l.mu.Lock()
+	l.writes = append(l.writes, types)
+	l.mu.Unlock()
+}
+
+// frameTypes returns the type of each whole frame in b, in order.
+func frameTypes(b []byte) []byte {
 	var types []byte
 	for len(b) >= 5 {
 		n := int(binary.BigEndian.Uint32(b))
 		types = append(types, b[4])
 		b = b[min(len(b), 4+n):]
 	}
-	l.mu.Lock()
-	l.writes = append(l.writes, types)
-	l.mu.Unlock()
+	return types
 }
 
 // take returns the Writes recorded so far and starts a new record.
@@ -52,26 +58,26 @@ func (c loggedConn) Write(b []byte) (int, error) {
 	return c.Conn.Write(b)
 }
 
-type loggedListener struct {
+// wrapListener wraps every connection it accepts.
+type wrapListener struct {
 	net.Listener
-	log *writeLog
+	wrap func(net.Conn) net.Conn
 }
 
-func (l loggedListener) Accept() (net.Conn, error) {
+func (l wrapListener) Accept() (net.Conn, error) {
 	c, err := l.Listener.Accept()
 	if err != nil {
 		return nil, err
 	}
-	return loggedConn{Conn: c, log: l.log}, nil
+	return l.wrap(c), nil
 }
 
 // TestWriteCounts pins the batched wire path, on a Conn with unbounded
 // request slots and on one with a single slot: the dial writes the
 // hello, which the server answers in one Write; a one-stream request
 // costs exactly one client Write (Open and Stream together) and one
-// server Write (the result and 'D' together); a 3-stream request costs
-// one server Write per stream, and its 'D' rides in the same Write as
-// the last response.
+// server Write (the result and 'D' together); a 3-stream request's
+// answers leave in at most 3 server Writes, its 'D' after all three.
 func TestWriteCounts(t *testing.T) {
 	srv := NewServer(2)
 	for _, spec := range testSpecs() {
@@ -84,7 +90,7 @@ func TestWriteCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	var srvLog writeLog
-	go srv.Serve(loggedListener{Listener: ln, log: &srvLog})
+	go srv.Serve(wrapListener{ln, func(c net.Conn) net.Conn { return loggedConn{Conn: c, log: &srvLog} }})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -131,12 +137,185 @@ func TestWriteCounts(t *testing.T) {
 			if w := cliLog.take(); len(w) != 1 || string(w[0]) != "OSSS" {
 				t.Errorf("3-stream request: client Writes carried %q, want one Write of Open+3 Streams", w)
 			}
-			w := srvLog.take()
-			if len(w) != 3 || string(w[0]) != "R" || string(w[1]) != "R" || string(w[2]) != "RD" {
-				t.Errorf("3-stream request: server Writes carried %q, want R, R, then R+D in one Write", w)
+			if w := srvLog.take(); len(w) > 3 || string(slices.Concat(w...)) != "RRRD" {
+				t.Errorf("3-stream request: server Writes carried %q, want R, R, R, then D in at most 3 Writes", w)
 			}
 		})
 	}
+}
+
+// gate holds a connection's first Write after arm: that Write closes
+// held, then waits until release closes.
+type gate struct {
+	mu            sync.Mutex
+	armed         bool
+	held, release chan struct{}
+}
+
+func newGate() *gate {
+	return &gate{held: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *gate) arm() {
+	g.mu.Lock()
+	g.armed = true
+	g.mu.Unlock()
+}
+
+type gatedConn struct {
+	net.Conn
+	g *gate
+}
+
+func (c gatedConn) Write(b []byte) (int, error) {
+	c.g.mu.Lock()
+	armed := c.g.armed
+	c.g.armed = false
+	c.g.mu.Unlock()
+	if armed {
+		close(c.g.held)
+		<-c.g.release
+	}
+	return c.Conn.Write(b)
+}
+
+// waitQueued waits until w's pending buffer holds frames of the types
+// in want, in order.
+func waitQueued(t *testing.T, w *writer, want string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		w.mu.Lock()
+		got := string(frameTypes(w.pending))
+		w.mu.Unlock()
+		if got == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("writer's pending frames %q, want %q", got, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// onlyConn returns the server side of the server's one connection.
+func onlyConn(t *testing.T, srv *Server) *srvConn {
+	t.Helper()
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	if len(srv.conns) != 1 {
+		t.Fatalf("server has %d connections, want 1", len(srv.conns))
+	}
+	for _, sc := range srv.conns {
+		return sc
+	}
+	return nil
+}
+
+// TestWriteCoalescing pins that what queues while a connection's writer
+// is busy leaves in its next Write, on both ends. A gated net.Conn holds
+// the writer's Write of one answered request; a 3-stream request's three
+// answers and its 'D' (server), or three more concurrent Runs on a
+// pipelined Conn (client), queue meanwhile, and all of them must leave
+// in the one Write after it.
+func TestWriteCoalescing(t *testing.T) {
+	t.Run("server", func(t *testing.T) {
+		srv := NewServer(4)
+		for _, spec := range testSpecs() {
+			if err := srv.Register(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := newGate()
+		var srvLog writeLog
+		go srv.Serve(wrapListener{ln, func(c net.Conn) net.Conn {
+			return gatedConn{Conn: loggedConn{Conn: c, log: &srvLog}, g: g}
+		}})
+		t.Cleanup(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			srv.Shutdown(ctx)
+		})
+		c, err := dial(ln.Addr().String(), WithPipelined(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Run("fir", []netlist.Job{{Inputs: firStream(1)}}); err != nil {
+			t.Fatal(err)
+		}
+		srvLog.take()
+
+		g.arm()
+		ran := make(chan error, 2)
+		go func() { ran <- c.Run("fir", []netlist.Job{{Inputs: firStream(2)}}) }()
+		<-g.held
+		three := []netlist.Job{{Inputs: firStream(3)}, {Inputs: firStream(4)}, {Inputs: firStream(5)}}
+		go func() { ran <- c.Run("fir", three) }()
+		waitQueued(t, &onlyConn(t, srv).w, "RRRD")
+		close(g.release)
+		for range 2 {
+			if err := <-ran; err != nil {
+				t.Fatal(err)
+			}
+		}
+		if w := srvLog.take(); len(w) != 2 || string(w[0]) != "RD" || string(w[1]) != "RRRD" {
+			t.Errorf("server Writes carried %q, want RD (held), then RRRD in one Write", w)
+		}
+		for i := range three {
+			if err := netlist.DiffJob(&three[i], serialFIR(t, three[i].Inputs)); err != nil {
+				t.Errorf("stream %d: %v", i, err)
+			}
+		}
+	})
+	t.Run("client", func(t *testing.T) {
+		_, addr := startServer(t, 4)
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := newGate()
+		var cliLog writeLog
+		c, err := newConn(context.Background(), gatedConn{Conn: loggedConn{Conn: nc, log: &cliLog}, g: g}, addr, dialConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Run("fir", []netlist.Job{{Inputs: firStream(1)}}); err != nil {
+			t.Fatal(err)
+		}
+		cliLog.take()
+
+		g.arm()
+		jobs := make([][]netlist.Job, 4)
+		ran := make(chan error, len(jobs))
+		for i := range jobs {
+			jobs[i] = []netlist.Job{{Inputs: firStream(int64(i + 2))}}
+			go func() { ran <- c.Run("fir", jobs[i]) }()
+			if i == 0 {
+				<-g.held
+			}
+		}
+		waitQueued(t, &c.w, "OSOSOS")
+		close(g.release)
+		for range jobs {
+			if err := <-ran; err != nil {
+				t.Fatal(err)
+			}
+		}
+		if w := cliLog.take(); len(w) != 2 || string(w[0]) != "OS" || string(w[1]) != "OSOSOS" {
+			t.Errorf("client Writes carried %q, want OS (held), then OSOSOS in one Write", w)
+		}
+		for i := range jobs {
+			if err := netlist.DiffJob(&jobs[i][0], serialFIR(t, jobs[i][0].Inputs)); err != nil {
+				t.Errorf("request %d: %v", i, err)
+			}
+		}
+	})
 }
 
 // TestServePooledInputsDoNotLeak: a kernel's pooled Systems are shared
