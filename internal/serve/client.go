@@ -24,11 +24,10 @@ func firstStreamErr(kernel string, streams []netlist.Job) error {
 
 // Conn is the TCP client. Every Conn speaks protocol v2 and has one
 // request path: DialContext sends the hello, Run encodes a request's
-// Open and Stream frames into one buffer and queues it whole (a large
-// batch in flushBytes chunks) on the Conn's one writer goroutine, which
-// sends whatever the Conn's callers have queued in one Write, and a
-// reader goroutine demuxes the responses by request id into the
-// callers' Jobs. Any number of goroutines may Run on one Conn. Dialled
+// Open and Stream frames straight into the pending buffer of the Conn's
+// one writer goroutine, which sends whatever the Conn's callers have
+// queued in one Write, and a reader goroutine demuxes the responses by
+// request id into the callers' Jobs. Any number of goroutines may Run on one Conn. Dialled
 // with no options a Conn has one request slot, so concurrent Runs take
 // turns; WithPipelined sets the slot count, and requests in flight
 // together share the connection's server-side executor slots. Close
@@ -56,8 +55,7 @@ type Conn struct {
 
 // pending is one in-flight request. jobs and answered are owned by the
 // reader goroutine until done is signalled; the Run goroutine reads the
-// jobs only after receiving on done. enc is the Run goroutine's: it
-// holds the request's encoded frames. mu orders a RunContext
+// jobs only after receiving on done. mu orders a RunContext
 // cancellation against the reader's in-progress decode: once cancelled
 // is set the reader drops the request's remaining frames without
 // touching jobs, so the caller may reuse its Job buffers the moment
@@ -69,7 +67,6 @@ type pending struct {
 	answered int
 	ping     bool
 	done     chan error
-	enc      encoder
 
 	mu        sync.Mutex
 	cancelled bool
@@ -198,8 +195,10 @@ func (c *Conn) Ping() error {
 	if err != nil {
 		return err
 	}
-	p.enc.begin(frameKeepAlive, req)
-	c.w.queue(p.enc.finish(), 0)
+	e := c.w.lock()
+	e.next(frameKeepAlive, req)
+	e.finish()
+	c.w.unlock(0)
 	err = <-p.done
 	c.recycle(p)
 	return err
@@ -232,9 +231,6 @@ func (c *Conn) register(jobs []netlist.Job, ping bool) (uint32, *pending, error)
 // is still in the demux table.
 func (c *Conn) recycle(p *pending) {
 	p.jobs, p.answered, p.ping = nil, 0, false
-	if cap(p.enc.buf) > bufHighWater {
-		p.enc.buf = nil
-	}
 	c.pmu.Lock()
 	c.free = append(c.free, p)
 	c.pmu.Unlock()
@@ -335,7 +331,7 @@ func (c *Conn) RunContext(ctx context.Context, kernel string, streams []netlist.
 	if err != nil {
 		return err
 	}
-	c.send(req, kernel, p)
+	c.send(req, kernel, streams)
 	// With every frame queued the server owes exactly one terminal frame
 	// (after a failed Write, the reader's abort answers instead);
 	// cancellation waits only here — aborting mid-send would leave the
@@ -359,21 +355,21 @@ func (c *Conn) RunContext(ctx context.Context, kernel string, streams []netlist.
 }
 
 // send encodes a request's Open frame and one Stream frame per job into
-// the record's buffer and queues them for the writer — whole when the
-// request is under flushBytes, in flushBytes chunks of whole frames
-// otherwise.
-func (c *Conn) send(req uint32, kernel string, p *pending) {
-	e := &p.enc
-	e.begin(frameOpen, req)
+// the writer's pending buffer: under one lock when the writer has room
+// for the whole request, and otherwise in pieces of whole frames, each
+// taking the lock again once the writer has taken what is pending.
+func (c *Conn) send(req uint32, kernel string, jobs []netlist.Job) {
+	e := c.w.lock()
+	e.next(frameOpen, req)
 	e.str8(kernel)
-	e.u32(uint32(len(p.jobs)))
+	e.u32(uint32(len(jobs)))
 	e.finish()
-	for i := range p.jobs {
-		if len(e.buf) >= flushBytes {
-			c.w.queue(e.buf, 0)
-			e.buf = e.buf[:0]
+	for i := range jobs {
+		if len(e.buf) >= maxPending {
+			c.w.unlock(0)
+			e = c.w.lock()
 		}
-		inputs := p.jobs[i].Inputs
+		inputs := jobs[i].Inputs
 		e.next(frameStream, req)
 		e.u32(uint32(i))
 		e.u16(uint16(len(inputs)))
@@ -383,7 +379,7 @@ func (c *Conn) send(req uint32, kernel string, p *pending) {
 		}
 		e.finish()
 	}
-	c.w.queue(e.buf, 0)
+	c.w.unlock(0)
 }
 
 // cancel detaches a cancelled request from its Job buffers. It reports

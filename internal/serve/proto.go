@@ -103,15 +103,10 @@ const bufHighWater = 1 << 20
 // costs one read syscall instead of two per frame.
 const readBufSize = 16 << 10
 
-// flushBytes bounds how much of one request the client encodes before
-// queueing it for the connection's writer: a request under the bound is
-// queued whole, and a large batch in chunks of whole frames instead of
-// one giant buffer.
-const flushBytes = 64 << 10
-
 // maxPending bounds the bytes queued for a connection's writer (both
 // ends): a sender that finds that many waits until the writer takes
-// them, so a peer that stops reading stops the senders too.
+// them, so a peer that stops reading stops the senders too, and a large
+// batch is queued in pieces instead of one giant buffer.
 const maxPending = 256 << 10
 
 // maxInterned bounds each name-interning table, so a peer sending
@@ -120,10 +115,10 @@ const maxPending = 256 << 10
 const maxInterned = 64
 
 // encoder builds frames in a reusable buffer, several of them back to
-// back when a request, or an answer and its 'D', is queued in one piece.
-// Each frame's length prefix is patched in finish, and the connection's
-// writer is handed whole frames only, so frames from concurrent senders
-// never interleave partially.
+// back. The connection's writer keeps one over its pending buffer, into
+// which each sender appends whole frames under the writer's lock, so
+// frames from concurrent senders never interleave partially. Each
+// frame's length prefix is patched in finish.
 type encoder struct {
 	buf   []byte
 	start int // offset of the frame being built
@@ -172,7 +167,7 @@ func (e *encoder) vals(v []int64) {
 }
 
 // finish patches the current frame's length prefix and returns the
-// buffer: every frame since begin, ready to queue.
+// buffer: every frame since begin.
 func (e *encoder) finish() []byte {
 	binary.BigEndian.PutUint32(e.buf[e.start:], uint32(len(e.buf)-e.start-4))
 	return e.buf

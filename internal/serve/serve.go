@@ -495,10 +495,9 @@ type connKernel struct {
 }
 
 // streamJob is one stream on its way through the server: the Job its
-// Runner fills, the input buffers the decode reuses, and the encoder
-// its response is built in. streamJobs are pooled per connection and
-// kernel, so a steady flow of same-kernel requests decodes, runs and
-// answers without allocating.
+// Runner fills and the input buffers the decode reuses. streamJobs are
+// pooled per connection and kernel, so a steady flow of same-kernel
+// requests decodes, runs and answers without allocating.
 type streamJob struct {
 	sc       *srvConn
 	kern     *connKernel
@@ -507,7 +506,6 @@ type streamJob struct {
 
 	job  netlist.Job
 	bufs [][]int64 // input buffers by array position in the frame
-	enc  encoder
 
 	// run is exec bound once, so `go sj.run()` starts the stream's
 	// goroutine without allocating a closure.
@@ -550,7 +548,7 @@ func (sj *streamJob) pooled() bool {
 	if len(sj.bufs) > maxInterned {
 		return false
 	}
-	n := cap(sj.enc.buf)
+	n := 0
 	for _, b := range sj.bufs {
 		n += 8 * cap(b)
 	}
@@ -571,8 +569,9 @@ func (sj *streamJob) exec() {
 // srvConn is the server side of one client connection: a reader
 // goroutine (serve), one goroutine per executing stream, and one writer
 // goroutine (w) through which every server frame leaves. Executors
-// finish out of order and queue their answers as they finish; the
-// writer sends whatever has queued in one Write.
+// finish out of order and encode their answers into the writer's
+// pending buffer as they finish; the writer sends whatever has queued
+// in one Write.
 type srvConn struct {
 	srv *Server
 	c   net.Conn
@@ -582,10 +581,8 @@ type srvConn struct {
 	reqs     map[uint32]*reqState
 	freeReqs []*reqState
 
-	// Reader-goroutine state: the encoder for the frames the reader
-	// answers itself (hello, keepalive, request-level errors, an empty
-	// request's 'D') and the kernels this connection opened.
-	enc   encoder
+	// kerns holds the kernels this connection opened (reader goroutine
+	// only).
 	kerns map[string]*connKernel
 
 	// sem is the per-request-slot semaphore: it bounds this connection's
@@ -649,7 +646,6 @@ func (sc *srvConn) frame(payload []byte) bool {
 	d := decoder{b: payload}
 	typ := d.u8()
 	req := d.u32()
-	e := &sc.enc
 	switch typ {
 	case frameHello:
 		ver := d.u16()
@@ -657,19 +653,21 @@ func (sc *srvConn) frame(payload []byte) bool {
 			sc.writeError(req, "serve: malformed hello frame")
 			return false
 		}
-		e.begin(frameHello, req)
+		e := sc.w.lock()
+		e.next(frameHello, req)
 		e.u16(uint16(min(int(ver), ProtoV2)))
 		e.finish()
-		sc.send(e)
+		sc.w.unlock(0)
 		return true
 	case frameKeepAlive:
 		if d.err != nil || d.remaining() {
 			sc.writeError(req, "serve: malformed keepalive frame")
 			return false
 		}
-		e.begin(frameKeepAlive, req)
+		e := sc.w.lock()
+		e.next(frameKeepAlive, req)
 		e.finish()
-		sc.send(e)
+		sc.w.unlock(0)
 		return true
 	case frameOpen:
 		kernel := d.name8()
@@ -713,9 +711,10 @@ func (sc *srvConn) open(req uint32, kernel []byte, count uint32) bool {
 	}
 	sc.opens.Add(1)
 	if count == 0 {
-		sc.enc.begin(frameDone, req)
-		sc.enc.finish()
-		sc.send(&sc.enc)
+		e := sc.w.lock()
+		e.next(frameDone, req)
+		e.finish()
+		sc.w.unlock(0)
 		return true
 	}
 	sc.mu.Lock()
@@ -775,21 +774,21 @@ func (sc *srvConn) stream(req uint32, d *decoder) bool {
 	return true
 }
 
-// respond encodes the stream's result/fault/error frame into its own
-// buffer, queues it as one answer to the request, and returns the
+// respond encodes the stream's result/fault/error frame into the
+// writer's pending buffer as one answer to the request, and returns the
 // streamJob to its kernel's pool. held is 1 when the stream is in flight
 // (beginStream): the writer retires it once the answer is written. The
-// request's owed-stream count drops inside the writer's lock, and the
-// answer that settles the request carries its 'D' in the same append —
+// request's owed-stream count drops under the writer's lock, and the
+// answer that settles the request appends its 'D' before unlocking —
 // so 'D' always follows every R/F/E frame of its request.
 func (sc *srvConn) respond(sj *streamJob, held int) {
 	job := &sj.job
 	sc.srv.countStream(job.Err)
 	sc.streams.Add(1)
-	e := &sj.enc
+	e := sc.w.lock()
 	switch {
 	case job.Err == nil:
-		e.begin(frameResult, sj.req)
+		e.next(frameResult, sj.req)
 		e.u32(sj.idx)
 		e.u64(uint64(job.Cycles))
 		e.u16(uint16(len(job.Outputs)))
@@ -806,24 +805,23 @@ func (sc *srvConn) respond(sj *streamJob, held int) {
 		var fe *dp.FaultError
 		if errors.As(job.Err, &fe) {
 			sc.faults.Add(1)
-			e.begin(frameFault, sj.req)
+			e.next(frameFault, sj.req)
 			e.u32(sj.idx)
 			e.u32(uint32(fe.Cycle))
 			e.str8(fe.Op)
 			e.str16(fe.Msg)
 		} else {
-			e.begin(frameError, sj.req)
+			e.next(frameError, sj.req)
 			e.u32(sj.idx)
 			e.str16(job.Err.Error())
 		}
 	}
 	e.finish()
-	sc.w.lock()
 	if sc.settle(sj.req) {
 		e.next(frameDone, sj.req)
 		e.finish()
 	}
-	sc.w.add(e.buf, held)
+	sc.w.unlock(held)
 	sj.runner = nil
 	if sj.pooled() {
 		sc.mu.Lock()
@@ -831,11 +829,6 @@ func (sc *srvConn) respond(sj *streamJob, held int) {
 		sc.mu.Unlock()
 	}
 }
-
-// send queues the frames the reader answers itself (hello, keepalive,
-// request-level errors, an empty request's 'D') for the writer; stream
-// answers are queued by respond.
-func (sc *srvConn) send(e *encoder) { sc.w.queue(e.buf, 0) }
 
 // written is the writer's report on one flush: the streams it answered
 // leave flight, and a failed Write closes the connection, which ends
@@ -875,12 +868,12 @@ func (sc *srvConn) writeError(req uint32, msg string) {
 	sc.mu.Lock()
 	delete(sc.reqs, req)
 	sc.mu.Unlock()
-	e := &sc.enc
-	e.begin(frameError, req)
+	e := sc.w.lock()
+	e.next(frameError, req)
 	e.u32(streamNone)
 	e.str16(msg)
 	e.finish()
-	sc.send(e)
+	sc.w.unlock(0)
 }
 
 // Balanced is the drain check: it waits up to timeout for the streams

@@ -632,7 +632,7 @@ func TestServeNeverReadingClient(t *testing.T) {
 	}
 	w := &onlyConn(t, srv).w
 	w.mu.Lock()
-	queued := len(w.pending)
+	queued := len(w.pending.buf)
 	w.mu.Unlock()
 	if queued < maxPending {
 		t.Fatalf("stalled with %d bytes queued for the writer, want the executors waiting at the %d-byte bound", queued, maxPending)

@@ -186,7 +186,7 @@ func waitQueued(t *testing.T, w *writer, want string) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		w.mu.Lock()
-		got := string(frameTypes(w.pending))
+		got := string(frameTypes(w.pending.buf))
 		w.mu.Unlock()
 		if got == want {
 			return
