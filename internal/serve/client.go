@@ -27,11 +27,11 @@ func firstStreamErr(kernel string, streams []netlist.Job) error {
 // Open and Stream frames straight into the pending buffer of the Conn's
 // one writer goroutine, which sends whatever the Conn's callers have
 // queued in one Write, and a reader goroutine demuxes the responses by
-// request id into the callers' Jobs. Any number of goroutines may Run on one Conn. Dialled
-// with no options a Conn has one request slot, so concurrent Runs take
-// turns; WithPipelined sets the slot count, and requests in flight
-// together share the connection's server-side executor slots. Close
-// ends both goroutines.
+// request id into the callers' Jobs. Any number of goroutines may Run
+// on one Conn. Dialled with no options a Conn has one request slot, so
+// concurrent Runs take turns; WithPipelined sets the slot count, and
+// requests in flight together share the connection's server-side
+// executor slots. Close ends both goroutines.
 type Conn struct {
 	c  net.Conn
 	br *bufio.Reader // the handshake's, then the reader goroutine's
