@@ -174,7 +174,6 @@ func (c *Conn) handshake() error {
 // transport error.
 func (c *Conn) Close() error {
 	err := c.c.Close()
-	c.w.stop()
 	<-c.readerDone
 	return err
 }
@@ -406,9 +405,12 @@ func (c *Conn) cancel(req uint32, p *pending) bool {
 // readLoop is the Conn's single reader: every response frame is demuxed
 // to its pending request, and the first frame that cannot be —
 // transport loss, malformed body, unattributable id — poisons the
-// connection (abort) rather than risking a cross-wired response.
+// connection (abort) rather than risking a cross-wired response. The
+// writer stops with it, so a failed Conn holds no goroutine even before
+// Close.
 func (c *Conn) readLoop() {
 	defer close(c.readerDone)
+	defer c.w.stop() // the connection is closed by now: the writer's Write fails fast
 	var buf []byte
 	for {
 		payload, err := readFrame(c.br, buf)

@@ -457,7 +457,8 @@ func TestServeLocalMatchesTCP(t *testing.T) {
 }
 
 // TestServeGracefulShutdown: Shutdown refuses new requests, lets
-// in-flight ones finish, and Serve returns nil.
+// in-flight ones finish, and Serve returns nil; a client Conn whose
+// connection it closed ends its goroutines on its own.
 func TestServeGracefulShutdown(t *testing.T) {
 	srv := NewServer(2)
 	for _, spec := range testSpecs() {
@@ -494,6 +495,19 @@ func TestServeGracefulShutdown(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve did not return after Shutdown")
+	}
+
+	// Shutdown closed the connection, so the Conn's reader ends, and
+	// its writer with it, without a Close.
+	select {
+	case <-conn.readerDone:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the Conn's reader outlived its closed connection")
+	}
+	select {
+	case <-conn.w.done:
+	default:
+		t.Fatal("the Conn's writer outlived its reader")
 	}
 
 	// Post-shutdown requests fail: connection refused or drain error.
