@@ -5,7 +5,7 @@
 // — and measures every latency from the request's scheduled arrival
 // time (coordinated-omission debt is in the quantiles, not hidden).
 // Traffic follows one scenario: a uniform kernel mix over Table 1, the
-// fault divider and the streaming kernels of exp.CorpusDir, 5% planted
+// fault divider and the streaming kernels of bench.CorpusDir, 5% planted
 // faults and 1% rude disconnects, drawn from seed 1. Load-sheds (the
 // fleet's typed Busy fault) are classified as backpressure, separate
 // from errors, and /metrics is scraped between steps to correlate
@@ -40,7 +40,7 @@ import (
 	"runtime"
 	"time"
 
-	"roccc/internal/exp"
+	"roccc/internal/bench"
 	"roccc/internal/load"
 )
 
@@ -95,7 +95,7 @@ func main() {
 	case *gate && *rate > 0:
 		usageErr("-gate needs the knee search (drop -rate)")
 	}
-	scenario, err := load.BuildScenario(exp.CorpusDir, faultFrac, discFrac, *streams)
+	scenario, err := load.BuildScenario(bench.CorpusDir, faultFrac, discFrac, *streams)
 	if err != nil {
 		fatal(err)
 	}

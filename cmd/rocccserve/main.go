@@ -37,6 +37,7 @@ import (
 	"syscall"
 	"time"
 
+	"roccc/internal/bench"
 	"roccc/internal/exp"
 	"roccc/internal/fleet"
 	"roccc/internal/serve"
@@ -64,7 +65,7 @@ func main() {
 
 	// The sweep matrix holds every kernel of rocccload's scenario when
 	// both run from one directory; without ci/corpus it is the built-ins.
-	specs, err := exp.SweepSpecs(exp.CorpusDir)
+	specs, err := exp.SweepSpecs(bench.CorpusDir)
 	if err != nil {
 		fatal(err)
 	}

@@ -1,12 +1,16 @@
 // Package bench defines the nine Table 1 kernels of the DATE'05 paper as
 // C sources for the ROCCC reproduction, with the compile options each
 // row used (full unrolling for the bit-level kernels, partial unrolling
-// to match the memory bus for FIR, LUT-style multipliers for FIR/DCT).
+// to match the memory bus for FIR, LUT-style multipliers for FIR/DCT),
+// and reads the checked-in C corpus into kernels of the same shape.
 package bench
 
 import (
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 
 	"roccc/internal/core"
@@ -336,6 +340,42 @@ func All() []Kernel {
 		BitCorrelator(), MulAcc(), UDiv(), SquareRoot(),
 		Cos(), ArbitraryLUT(), FIR(), DCT(), Wavelet(),
 	}
+}
+
+// CorpusDir is the checked-in fuzz corpus, relative to the repository
+// root. Every tool that reads it (rocccvet, rocccbench, rocccserve,
+// rocccload) reads it from its working directory, so they agree when
+// run from one directory.
+const CorpusDir = "ci/corpus"
+
+// Corpus reads every .c kernel in dir, in sorted file order, as a
+// kernel named corpus_<file> with function k, the default options and
+// a one-element bus. It compiles nothing. An empty or missing dir
+// yields no kernels and no error.
+func Corpus(dir string) ([]Kernel, error) {
+	if dir == "" {
+		return nil, nil
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.c"))
+	if err != nil || len(files) == 0 {
+		return nil, err
+	}
+	sort.Strings(files)
+	ks := make([]Kernel, 0, len(files))
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			return nil, fmt.Errorf("bench: corpus: %w", err)
+		}
+		ks = append(ks, Kernel{
+			Name:     "corpus_" + filepath.Base(f),
+			Source:   string(src),
+			Func:     "k",
+			Options:  core.DefaultOptions(),
+			BusElems: 1,
+		})
+	}
+	return ks, nil
 }
 
 // Compile compiles the kernel with its row options and marks half-wave

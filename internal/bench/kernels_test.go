@@ -3,6 +3,10 @@ package bench
 import (
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"roccc/internal/cc"
@@ -270,5 +274,49 @@ func TestDCTExploitsSymmetry(t *testing.T) {
 	}
 	if muls > 24 {
 		t.Errorf("DCT uses %d multipliers; symmetry should keep it <= 24", muls)
+	}
+}
+
+// TestCorpus pins the corpus reader every tool shares: kernels named
+// corpus_<file> in sorted file order, function k, the default options
+// and a one-element bus; no .c file or no directory gives no kernels
+// and no error.
+func TestCorpus(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"b.c":        "int A[4]; int B[4]; void k() { int i; for (i = 0; i < 4; i++) { B[i] = A[i]; } }",
+		"a.c":        "int X[4]; int Y[4]; void k() { int i; for (i = 0; i < 4; i++) { Y[i] = X[i] + 1; } }",
+		"README.md":  "not a kernel",
+		"c.c.orig":   "not a kernel either",
+		"skipped.cc": "nor this",
+	}
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ks, err := Corpus(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, k := range ks {
+		names = append(names, k.Name)
+		src := files[strings.TrimPrefix(k.Name, "corpus_")]
+		if k.Source != src || k.Func != "k" || k.Options != core.DefaultOptions() || k.BusElems != 1 || k.Scalars != nil {
+			t.Errorf("%s: got %+v", k.Name, k)
+		}
+		if _, err := k.Compile(); err != nil {
+			t.Errorf("%s: %v", k.Name, err)
+		}
+	}
+	if want := []string{"corpus_a.c", "corpus_b.c"}; !slices.Equal(names, want) {
+		t.Errorf("kernels %v, want %v", names, want)
+	}
+
+	for _, dir := range []string{"", t.TempDir(), filepath.Join(dir, "missing")} {
+		if ks, err := Corpus(dir); ks != nil || err != nil {
+			t.Errorf("Corpus(%q) = %d kernels, %v; want none and no error", dir, len(ks), err)
+		}
 	}
 }

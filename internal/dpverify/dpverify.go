@@ -7,9 +7,10 @@
 // Nothing here executes a cycle: every check is a static re-derivation
 // of a contract from the compiled artifact.
 //
-// cmd/rocccvet drives this package over Table 1 and the checked-in fuzz
-// corpus; under the `dpverify` build tag the dp and netlist slices also
-// run automatically at plan-compile time.
+// cmd/rocccvet calls VerifyResult on every Table 1 kernel and every
+// kernel of the checked-in fuzz corpus (bench.Corpus), each compiled
+// with its own options; under the `dpverify` build tag the dp and
+// netlist slices also run automatically at plan-compile time.
 package dpverify
 
 import (
@@ -62,14 +63,4 @@ func VerifyResult(res *core.Result, bus int, scalars map[string]int64) ([]dp.Vio
 		vs = append(vs, vhdl.VerifyDatapathFiles(res.Datapath, files)...)
 	}
 	return vs, nil
-}
-
-// VerifySource compiles a kernel from C source and verifies it — the
-// corpus entry point.
-func VerifySource(src, fname string, opt core.Options, bus int, scalars map[string]int64) ([]dp.Violation, error) {
-	res, err := core.CompileSource(src, fname, opt)
-	if err != nil {
-		return nil, fmt.Errorf("dpverify: compiling %s: %w", fname, err)
-	}
-	return VerifyResult(res, bus, scalars)
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"roccc/internal/bench"
-	"roccc/internal/core"
 	"roccc/internal/dpverify"
 )
 
@@ -27,14 +26,5 @@ func TestTable1KernelsVerifyClean(t *testing.T) {
 		for _, v := range vs {
 			t.Errorf("%s: %s", k.Name, v)
 		}
-	}
-}
-
-// TestVerifySourceRejectsBadC asserts compile failures surface as
-// errors, not as invariant violations of a nonexistent artifact.
-func TestVerifySourceRejectsBadC(t *testing.T) {
-	_, err := dpverify.VerifySource("void k(int a { }", "k", core.DefaultOptions(), 1, nil)
-	if err == nil {
-		t.Fatal("malformed source verified without error")
 	}
 }

@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
+	"roccc/internal/bench"
 	"roccc/internal/core"
 	"roccc/internal/fleet"
 	"roccc/internal/netlist"
@@ -61,63 +59,27 @@ void divide() {
 }
 `
 
-// CorpusDir is the checked-in fuzz corpus, relative to the repository
-// root. rocccserve serves its kernels and rocccload mixes them into its
-// scenario; both read it from their working directory, so they agree
-// when run from one directory.
-const CorpusDir = "ci/corpus"
-
-// LoadCorpusSpecs compile-checks nothing: it reads every .c kernel in
-// dir (the checked-in fuzz corpus, function name k) into servable specs
-// on the default backend. An empty dir or a missing directory yields no
-// specs and no error, so callers away from the repo root degrade to the
-// built-in matrix.
-func LoadCorpusSpecs(dir string) ([]serve.KernelSpec, error) {
-	if dir == "" {
-		return nil, nil
-	}
-	files, err := filepath.Glob(filepath.Join(dir, "*.c"))
-	if err != nil || len(files) == 0 {
-		return nil, err
-	}
-	sort.Strings(files)
-	specs := make([]serve.KernelSpec, 0, len(files))
-	for _, f := range files {
-		src, err := os.ReadFile(f)
-		if err != nil {
-			return nil, fmt.Errorf("exp: corpus: %w", err)
-		}
-		specs = append(specs, serve.KernelSpec{
-			Name:    "corpus_" + filepath.Base(f),
-			Source:  string(src),
-			Func:    "k",
-			Options: core.DefaultOptions(),
-			Config:  netlist.Config{BusElems: 1},
-		})
-	}
-	return specs, nil
-}
-
 // SweepSpecs is the matrix every sweep checks: the Fig. 3 FIR, the
 // 4096-iteration FIR, the nine Table 1 kernels (feedback and
 // combinational rows included), the fault divider and the .c kernels
-// in corpusDir.
+// in corpusDir (bench.Corpus). An empty or missing corpusDir adds no
+// kernels, so callers away from the repo root check the built-ins.
 func SweepSpecs(corpusDir string) ([]serve.KernelSpec, error) {
 	one := netlist.Config{BusElems: 1}
 	specs := []serve.KernelSpec{
 		{Name: "fir_fig3", Source: Fig3Source, Func: "fir", Options: core.DefaultOptions(), Config: one},
 		{Name: "fir_4096", Source: LongFIRSource, Func: "fir", Options: core.DefaultOptions(), Config: one},
 	}
-	specs = append(specs, serve.Table1Specs()...)
+	specs = append(specs, serve.Specs(bench.All())...)
 	specs = append(specs, serve.KernelSpec{
 		Name: "divide_fault", Source: DividerSource, Func: "divide",
 		Options: core.DefaultOptions(), Config: one,
 	})
-	corpus, err := LoadCorpusSpecs(corpusDir)
+	corpus, err := bench.Corpus(corpusDir)
 	if err != nil {
 		return nil, err
 	}
-	return append(specs, corpus...), nil
+	return append(specs, serve.Specs(corpus)...), nil
 }
 
 // SweepRow is one kernel's verified measurement on one path.

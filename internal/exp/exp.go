@@ -33,7 +33,7 @@ type Row struct {
 }
 
 // PaperRow holds the original publication's numbers for side-by-side
-// reporting in EXPERIMENTS.md.
+// reporting in FormatTable1.
 type PaperRow struct {
 	IPClock, RocccClock float64
 	IPArea, RocccArea   int
@@ -137,8 +137,8 @@ func Table1() ([]Row, error) {
 }
 
 // FormatTable1 renders rows in the paper's layout, with the published
-// values alongside when withPaper is set.
-func FormatTable1(rows []Row, withPaper bool) string {
+// values alongside.
+func FormatTable1(rows []Row) string {
 	var b strings.Builder
 	b.WriteString("Table 1: hardware performance, Xilinx IP vs ROCCC-generated VHDL\n")
 	b.WriteString("(reproduction: both sides synthesized with the Virtex-II xc2v2000-5 model)\n\n")
@@ -148,12 +148,9 @@ func FormatTable1(rows []Row, withPaper bool) string {
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-15s %10.0f %10d %10.0f %10d %8.3f %8.2f\n",
 			r.Example, r.IPClock, r.IPArea, r.RocccClock, r.RocccArea, r.PctClock, r.PctArea)
-		if withPaper {
-			p, ok := PaperTable1[r.Example]
-			if ok {
-				fmt.Fprintf(&b, "%-15s %10.0f %10d %10.0f %10d %8.3f %8.2f\n",
-					"  (paper)", p.IPClock, p.IPArea, p.RocccClock, p.RocccArea, p.PctClock, p.PctArea)
-			}
+		if p, ok := PaperTable1[r.Example]; ok {
+			fmt.Fprintf(&b, "%-15s %10.0f %10d %10.0f %10d %8.3f %8.2f\n",
+				"  (paper)", p.IPClock, p.IPArea, p.RocccClock, p.RocccArea, p.PctClock, p.PctArea)
 		}
 	}
 	gmClock, gmArea := GeoMeans(rows)

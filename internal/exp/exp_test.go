@@ -50,8 +50,8 @@ func TestTable1Format(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := FormatTable1(rows, true)
-	for _, want := range []string{"bit_correlator", "wavelet", "%Clock", "%Area", "(paper)"} {
+	out := FormatTable1(rows)
+	for _, want := range []string{"bit_correlator", "wavelet", "%Clock", "%Area", "(paper)", "geometric mean"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %q", want)
 		}

@@ -17,8 +17,9 @@ type ShardMetrics struct {
 
 	// Server is the shard server's full serve snapshot (per-kernel pool
 	// stats, cone info, connection counters). The Router always fills
-	// it; it is a pointer so documents from older fleets, whose TCP
-	// shards carried none, still parse.
+	// it, since every shard is an in-process serve.Server; it stays a
+	// pointer, omitted when nil, so a document that lacks it still
+	// parses.
 	Server *serve.Metrics `json:"server,omitempty"`
 }
 

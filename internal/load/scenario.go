@@ -3,6 +3,7 @@ package load
 import (
 	"fmt"
 
+	"roccc/internal/bench"
 	"roccc/internal/core"
 	"roccc/internal/exp"
 	"roccc/internal/netlist"
@@ -67,9 +68,9 @@ type Scenario struct {
 
 // BuildScenario compiles the Table 1 kernels, the fault divider and the
 // ci/corpus kernels (corpusDir may be empty or missing) into a request
-// mix on the default backend: every streaming kernel enters the mix with
-// an equal share, input templates are generated deterministically, and
-// the divider also gets a planted-fault template. Combinational kernels
+// mix: every streaming kernel enters the mix with an equal share, input
+// templates are generated deterministically, and the divider also gets
+// a planted-fault template. Combinational kernels
 // stay in Specs (the fleet registers them) but draw no load.
 func BuildScenario(corpusDir string, faultFrac, discFrac float64, streams int) (*Scenario, error) {
 	if faultFrac < 0 || discFrac < 0 || faultFrac+discFrac > 1 {
@@ -78,16 +79,16 @@ func BuildScenario(corpusDir string, faultFrac, discFrac float64, streams int) (
 	if streams <= 0 {
 		return nil, fmt.Errorf("load: streams per request must be positive (got %d)", streams)
 	}
-	specs := serve.Table1Specs()
+	specs := serve.Specs(bench.All())
 	specs = append(specs, serve.KernelSpec{
 		Name: "divide_fault", Source: exp.DividerSource, Func: "divide",
 		Options: core.DefaultOptions(), Config: netlist.Config{BusElems: 1},
 	})
-	corpus, err := exp.LoadCorpusSpecs(corpusDir)
+	corpus, err := bench.Corpus(corpusDir)
 	if err != nil {
 		return nil, err
 	}
-	specs = append(specs, corpus...)
+	specs = append(specs, serve.Specs(corpus)...)
 
 	sc := &Scenario{
 		FaultFraction:      faultFrac,

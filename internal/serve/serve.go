@@ -54,12 +54,12 @@ type KernelSpec struct {
 	Config  netlist.Config
 }
 
-// Table1Specs returns every Table 1 kernel as a servable spec. The
-// combinational rows (fully unrolled bit-level kernels, LUTs) carry no
-// loop nest, so a request for them reports a typed request error at
-// first use rather than at registration.
-func Table1Specs() []KernelSpec {
-	ks := bench.All()
+// Specs returns bench kernels (the Table 1 rows of bench.All, the
+// corpus of bench.Corpus) as servable specs, each with its own options,
+// bus and scalars. A combinational kernel (the fully unrolled bit-level
+// rows, the LUTs) carries no loop nest, so a request for it reports a
+// typed request error at first use rather than at registration.
+func Specs(ks []bench.Kernel) []KernelSpec {
 	specs := make([]KernelSpec, len(ks))
 	for i, k := range ks {
 		specs[i] = KernelSpec{
@@ -346,24 +346,13 @@ func (s *Server) countStream(err error) {
 
 // Stats snapshots each compiled kernel's pool counters.
 func (s *Server) Stats() map[string]netlist.PoolStats {
-	s.mu.Lock()
-	entries := make([]*kernelEntry, 0, len(s.kernels))
-	for _, e := range s.kernels {
-		entries = append(entries, e)
-	}
-	s.mu.Unlock()
 	out := map[string]netlist.PoolStats{}
-	for _, e := range entries {
+	for _, e := range s.sortedEntries() {
 		if pool := e.pool.Load(); pool != nil {
 			out[e.spec.Name] = pool.Stats()
 		}
 	}
 	return out
-}
-
-// Served returns the total streams answered and the faulted subset.
-func (s *Server) Served() (streams, faults int64) {
-	return s.served.Load(), s.faults.Load()
 }
 
 // Serve accepts connections on ln until the listener closes (Shutdown).
@@ -462,12 +451,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		c.Close()
 	}
 	clear(s.conns)
-	entries := make([]*kernelEntry, 0, len(s.kernels))
-	for _, e := range s.kernels {
-		entries = append(entries, e)
-	}
 	s.mu.Unlock()
-	for _, e := range entries {
+	for _, e := range s.sortedEntries() {
 		if pool := e.pool.Load(); pool != nil {
 			pool.Close()
 		}
@@ -900,7 +885,7 @@ func (s *Server) Balanced(timeout time.Duration) error {
 	return nil
 }
 
-// sortedEntries snapshots the registry in name order (metrics plane).
+// sortedEntries snapshots the registry in name order.
 func (s *Server) sortedEntries() []*kernelEntry {
 	s.mu.Lock()
 	entries := make([]*kernelEntry, 0, len(s.kernels))

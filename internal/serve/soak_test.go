@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"roccc/internal/bench"
 	"roccc/internal/core"
 	"roccc/internal/dp"
 	"roccc/internal/netlist"
@@ -99,7 +100,7 @@ func TestServeSoak(t *testing.T) {
 		budget = d
 	}
 
-	specs := Table1Specs()
+	specs := Specs(bench.All())
 	specs = append(specs, KernelSpec{
 		Name: "soak_divide", Source: dividerSource, Func: "divide",
 		Options: core.DefaultOptions(), Config: netlist.Config{BusElems: 1},
@@ -191,8 +192,8 @@ func TestServeSoak(t *testing.T) {
 	if answered.Load() == 0 {
 		t.Fatal("soak answered zero streams")
 	}
-	streams, faults := srv.Served()
-	t.Logf("soak: %d clients, %d streams served (%d faults) in %s", clients, streams, faults, budget)
+	m := srv.Metrics()
+	t.Logf("soak: %d clients, %d streams served (%d faults) in %s", clients, m.Served, m.Faults, budget)
 }
 
 // TestServeSoakPipelined is the v2 soak: M pipelined connections, each
@@ -215,7 +216,7 @@ func TestServeSoakPipelined(t *testing.T) {
 		budget = d
 	}
 
-	specs := Table1Specs()
+	specs := Specs(bench.All())
 	specs = append(specs, KernelSpec{
 		Name: "soak_divide", Source: dividerSource, Func: "divide",
 		Options: core.DefaultOptions(), Config: netlist.Config{BusElems: 1},
@@ -354,9 +355,9 @@ func TestServeSoakPipelined(t *testing.T) {
 	if err := srv.Balanced(10 * time.Second); err != nil {
 		t.Errorf("after the soak: %v", err)
 	}
-	streams, faults := srv.Served()
+	m := srv.Metrics()
 	t.Logf("pipelined soak: %d conns x %d goroutines, %d streams served (%d faults) in %s",
-		nconns, perConn, streams, faults, budget)
+		nconns, perConn, m.Served, m.Faults, budget)
 }
 
 // pickRefs returns every reference for one kernel (a request carries

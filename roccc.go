@@ -31,7 +31,6 @@ import (
 
 	"roccc/internal/core"
 	"roccc/internal/dp"
-	"roccc/internal/exp"
 	"roccc/internal/netlist"
 	"roccc/internal/smartbuf"
 	"roccc/internal/synth"
@@ -57,22 +56,15 @@ type System = netlist.System
 // SystemConfig configures system construction.
 type SystemConfig = netlist.Config
 
-// BackendThreaded and BackendInterp are the values SystemConfig.Backend
-// once took. They have no effect: a System runs one fast path, and
-// SystemConfig{Serial: true} is its reference. They stay only for the
-// benchmark module (perfbench), which still sets the field.
-const (
-	BackendThreaded = 0
-	BackendInterp   = 1
-)
+// BackendInterp is a value SystemConfig.Backend once took. It has no
+// effect: a System runs one fast path, and SystemConfig{Serial: true}
+// is its reference. It stays only for the benchmark module (perfbench),
+// which still sets the field.
+const BackendInterp = 1
 
 // Sim is the cycle-accurate data-path simulator (the compiled,
 // allocation-free core).
 type Sim = dp.Sim
-
-// RefSim is the direct, map-based reference simulator with identical
-// semantics; differential tests step both in lockstep.
-type RefSim = dp.RefSim
 
 // SystemPool is a pool of Reset-able Systems for one compiled kernel
 // with persistent workers sharding independent input streams across
@@ -135,10 +127,6 @@ func NewSystemPool(res *Result, cfg SystemConfig, workers int) (*SystemPool, err
 // sweeps skip recompilation.
 func NewSim(res *Result) *Sim { return dp.NewSim(res.Datapath) }
 
-// NewRefSim builds the map-based reference simulator for differential
-// checking against NewSim.
-func NewRefSim(res *Result) *RefSim { return dp.NewRefSim(res.Datapath) }
-
 // BufferConfig returns the smart-buffer configuration of read window i
 // of a compiled kernel, or an error if the kernel has no window i. The
 // configuration is shared (smartbuf.KernelConfigs): do not modify it.
@@ -151,13 +139,4 @@ func BufferConfig(res *Result, i, busElems int) (smartbuf.Config, error) {
 		return smartbuf.Config{}, fmt.Errorf("roccc: %s has no read window %d (it has %d)", res.Kernel.Name, i, len(cfgs))
 	}
 	return cfgs[i], nil
-}
-
-// Table1 regenerates the paper's Table 1.
-func Table1() string {
-	rows, err := exp.Table1()
-	if err != nil {
-		return "table 1 failed: " + err.Error()
-	}
-	return exp.FormatTable1(rows, true)
 }

@@ -2,6 +2,7 @@ package roccc
 
 import (
 	"fmt"
+	"os/exec"
 	"reflect"
 	"slices"
 	"strings"
@@ -125,10 +126,26 @@ func TestPublicSystem(t *testing.T) {
 	}
 }
 
-func TestPublicTable1(t *testing.T) {
-	out := Table1()
-	if !strings.Contains(out, "bit_correlator") || !strings.Contains(out, "geometric mean") {
-		t.Errorf("table output:\n%s", out)
+// TestLibraryLinksOnlyCompiler pins the layering: importing the library
+// links the compiler, the simulators and the hardware model, and none
+// of the evaluation, the service or its network stack.
+func TestLibraryLinksOnlyCompiler(t *testing.T) {
+	out, err := exec.Command("go", "list", "-deps", ".").Output()
+	if err != nil {
+		t.Fatalf("go list -deps .: %v", err)
+	}
+	deps := strings.Fields(string(out))
+	if !slices.Contains(deps, "roccc/internal/core") {
+		t.Fatalf("go list -deps . does not list the compiler:\n%s", out)
+	}
+	for _, bad := range []string{
+		"net/http",
+		"roccc/internal/bench", "roccc/internal/exp", "roccc/internal/fleet",
+		"roccc/internal/ip", "roccc/internal/load", "roccc/internal/serve",
+	} {
+		if slices.Contains(deps, bad) {
+			t.Errorf("package roccc depends on %s", bad)
+		}
 	}
 }
 
