@@ -70,8 +70,8 @@ type Scenario struct {
 // ci/corpus kernels (corpusDir may be empty or missing) into a request
 // mix: every streaming kernel enters the mix with an equal share, input
 // templates are generated deterministically, and the divider also gets
-// a planted-fault template. Combinational kernels
-// stay in Specs (the fleet registers them) but draw no load.
+// a planted-fault template. Combinational kernels stay in Specs (the
+// fleet registers them) but draw no load.
 func BuildScenario(corpusDir string, faultFrac, discFrac float64, streams int) (*Scenario, error) {
 	if faultFrac < 0 || discFrac < 0 || faultFrac+discFrac > 1 {
 		return nil, fmt.Errorf("load: fault (%g) and disconnect (%g) fractions must be >= 0 and sum to <= 1", faultFrac, discFrac)
