@@ -527,7 +527,7 @@ func BenchmarkAblations(b *testing.B) {
 //     connection dialled WithPipelined — the Serve v2 headline.
 //     Requests overlap in flight on a single socket, so the per-stream
 //     round-trip latency amortizes away; CI gates this against
-//     tcp-serial (serve2 group).
+//     tcp-serial (serve group).
 func BenchmarkServeThroughput(b *testing.B) {
 	srv := serve.NewServer(0)
 	if err := srv.Register(serve.KernelSpec{
@@ -670,7 +670,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 // handing it to the worker's warm SystemPool. One op is one served
 // stream on a reused Job, so the admission + routing tax sits directly
 // on top of the inproc ServeThroughput numbers; CI holds the steady
-// state at 0 allocs/op (serve2 group) — routing must stay a pointer
+// state at 0 allocs/op (serve group) — routing must stay a pointer
 // chase plus a few atomics, never an allocation.
 func BenchmarkFleetRouter(b *testing.B) {
 	spec := serve.KernelSpec{

@@ -8,7 +8,10 @@
 //
 // Usage:
 //
-//	cigate [-gates ci/gates.json] [-json out.json] [-baseline ci/baseline/BENCH_seed.json] [-cpus N] [-v]
+//	cigate [-gates ci/gates.json] [-json out.json] [-baseline ci/baseline/BENCH_seed.json] [-group NAME] [-v]
+//
+// -group runs one gate group; the default is all of them. A speedup
+// gate's floor is the rule for the host's CPU count (runtime.NumCPU).
 //
 // -baseline diffs the fresh results against a committed trajectory file
 // (ns/op and allocs/op per benchmark), so every CI run shows where the
@@ -58,8 +61,8 @@ type Group struct {
 }
 
 // Gate is one assertion over a benchmark's results. Exactly one of the
-// assertion families applies: MaxAllocs/MaxNsOp bound the benchmark
-// itself; Baseline+Speedups require bench to beat baseline by a
+// assertion families applies: MaxAllocs bounds the benchmark itself;
+// Baseline+Speedups require bench to beat baseline by a
 // CPU-count-conditional factor.
 type Gate struct {
 	// Bench is the exact benchmark name, without the -N GOMAXPROCS
@@ -67,8 +70,6 @@ type Gate struct {
 	Bench string `json:"bench"`
 	// MaxAllocs caps allocs/op (steady-state zero-alloc gates use 0).
 	MaxAllocs *int64 `json:"max_allocs,omitempty"`
-	// MaxNsOp caps ns/op absolutely (rarely useful on shared runners).
-	MaxNsOp *float64 `json:"max_ns_op,omitempty"`
 	// Baseline names the benchmark to compare against; the speedup is
 	// baseline ns/op divided by bench ns/op.
 	Baseline string `json:"baseline,omitempty"`
@@ -122,11 +123,11 @@ func main() {
 		gatesPath = flag.String("gates", "ci/gates.json", "gate configuration file")
 		jsonOut   = flag.String("json", "", "write a BENCH trajectory JSON to this path ('auto' derives BENCH_<sha>.json)")
 		baseline  = flag.String("baseline", "", "committed BENCH_*.json trajectory to diff the fresh results against (informational)")
-		cpus      = flag.Int("cpus", runtime.NumCPU(), "CPU count used to select speedup rules")
 		group     = flag.String("group", "", "run only the named gate group (default: all)")
 		verbose   = flag.Bool("v", false, "echo raw benchmark output")
 	)
 	flag.Parse()
+	cpus := runtime.NumCPU()
 
 	raw, err := os.ReadFile(*gatesPath)
 	if err != nil {
@@ -179,8 +180,8 @@ func main() {
 		}
 	}
 
-	verdicts := append(evaluate(gf, results, *cpus), cmdVerdicts...)
-	fmt.Print(formatVerdicts(verdicts, *cpus))
+	verdicts := append(evaluate(gf, results, cpus), cmdVerdicts...)
+	fmt.Print(formatVerdicts(verdicts, cpus))
 
 	if *baseline != "" {
 		// The diff is informational, never gating — a missing or stale
@@ -209,7 +210,7 @@ func main() {
 			SHA:     sha,
 			Date:    time.Now().UTC(),
 			Go:      runtime.Version(),
-			CPUs:    *cpus,
+			CPUs:    cpus,
 			Results: ordered,
 			Gates:   verdicts,
 		}
@@ -396,11 +397,6 @@ func evaluate(gf GateFile, results map[string]Result, cpus int) []Verdict {
 					v.Detail = "allocs/op missing (run with -benchmem)"
 				}
 				out = append(out, v)
-			}
-			if gate.MaxNsOp != nil {
-				out = append(out, Verdict{Group: g.Name, Bench: gate.Bench,
-					Check: "ns/op", Observed: r.NsOp, Bound: *gate.MaxNsOp,
-					OK: r.NsOp <= *gate.MaxNsOp})
 			}
 			if gate.Baseline != "" {
 				base, baseOK := results[gate.Baseline]

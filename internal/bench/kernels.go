@@ -342,6 +342,31 @@ func All() []Kernel {
 	}
 }
 
+// Divider is the planted-fault kernel: an elementwise divide whose
+// drain bubbles would fault without poison semantics, and whose zero
+// divisor on a valid iteration must abort at the reference's cycle. It
+// is no Table 1 row, so All leaves it out; the sweep matrix
+// (exp.SweepSpecs) and the load scenario (load.BuildScenario) add it
+// and plant the zeros, finding it by its name.
+func Divider() Kernel {
+	src := `
+int A[24];
+int B[24];
+int Q[24];
+void divide() {
+	int i;
+	for (i = 0; i < 24; i++) {
+		Q[i] = A[i] / B[i];
+	}
+}
+`
+	return Kernel{
+		Name: "divide_fault", Source: src, Func: "divide",
+		Options:  core.DefaultOptions(),
+		BusElems: 1,
+	}
+}
+
 // CorpusDir is the checked-in fuzz corpus, relative to the repository
 // root. Every tool that reads it (rocccvet, rocccbench, rocccserve,
 // rocccload) reads it from its working directory, so they agree when

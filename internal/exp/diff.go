@@ -43,26 +43,10 @@ void fir() {
 }
 `
 
-// DividerSource is the planted-fault kernel: an elementwise divide
-// whose drain bubbles would fault without poison semantics, and whose
-// planted zero divisor on a valid iteration must abort at the
-// reference's cycle.
-const DividerSource = `
-int A[24];
-int B[24];
-int Q[24];
-void divide() {
-	int i;
-	for (i = 0; i < 24; i++) {
-		Q[i] = A[i] / B[i];
-	}
-}
-`
-
 // SweepSpecs is the matrix every sweep checks: the Fig. 3 FIR, the
 // 4096-iteration FIR, the nine Table 1 kernels (feedback and
-// combinational rows included), the fault divider and the .c kernels
-// in corpusDir (bench.Corpus). An empty or missing corpusDir adds no
+// combinational rows included), the fault divider (bench.Divider) and
+// the .c kernels in corpusDir (bench.Corpus). An empty or missing corpusDir adds no
 // kernels, so callers away from the repo root check the built-ins.
 func SweepSpecs(corpusDir string) ([]serve.KernelSpec, error) {
 	one := netlist.Config{BusElems: 1}
@@ -70,11 +54,7 @@ func SweepSpecs(corpusDir string) ([]serve.KernelSpec, error) {
 		{Name: "fir_fig3", Source: Fig3Source, Func: "fir", Options: core.DefaultOptions(), Config: one},
 		{Name: "fir_4096", Source: LongFIRSource, Func: "fir", Options: core.DefaultOptions(), Config: one},
 	}
-	specs = append(specs, serve.Specs(bench.All())...)
-	specs = append(specs, serve.KernelSpec{
-		Name: "divide_fault", Source: DividerSource, Func: "divide",
-		Options: core.DefaultOptions(), Config: one,
-	})
+	specs = append(specs, serve.Specs(append(bench.All(), bench.Divider()))...)
 	corpus, err := bench.Corpus(corpusDir)
 	if err != nil {
 		return nil, err
@@ -166,13 +146,14 @@ func sweep(specs []serve.KernelSpec, streams int, concurrent bool, open opener) 
 // iteration is zero.
 func streamInputs(spec serve.KernelSpec, res *core.Result, i int) map[string][]int64 {
 	rng := rand.New(rand.NewSource(int64(i)*104729 + 7))
+	divider := spec.Name == bench.Divider().Name
 	in := map[string][]int64{}
 	for _, w := range res.Kernel.Reads {
 		vals := make([]int64, w.Arr.Len())
 		for j := range vals {
 			vals[j] = rng.Int63n(255) - 128
 		}
-		if spec.Source == DividerSource && w.Arr.Name == "B" {
+		if divider && w.Arr.Name == "B" {
 			for j := range vals {
 				vals[j] = rng.Int63n(97) + 1
 			}

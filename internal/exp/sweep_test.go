@@ -2,11 +2,13 @@ package exp
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"roccc/internal/core"
 	"roccc/internal/dp"
+	"roccc/internal/load"
 	"roccc/internal/netlist"
 	"roccc/internal/serve"
 )
@@ -24,6 +26,31 @@ func sweepSpecs(t *testing.T) []serve.KernelSpec {
 		t.Fatal(err)
 	}
 	return specs
+}
+
+// TestScenarioKernelsAreServed pins what rocccload -addr needs of a
+// live rocccserve, which registers SweepSpecs: every kernel the load
+// scenario registers is in the matrix, spec for spec.
+func TestScenarioKernelsAreServed(t *testing.T) {
+	sc, err := load.BuildScenario(corpusDir, 0.05, 0.01, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := map[string]serve.KernelSpec{}
+	for _, spec := range sweepSpecs(t) {
+		served[spec.Name] = spec
+	}
+	for _, spec := range sc.Specs {
+		got, ok := served[spec.Name]
+		if !ok {
+			t.Errorf("scenario kernel %s is not in SweepSpecs", spec.Name)
+		} else if !reflect.DeepEqual(got, spec) {
+			t.Errorf("%s: SweepSpecs has %+v, the scenario %+v", spec.Name, got, spec)
+		}
+	}
+	if len(sc.Specs) == 0 {
+		t.Fatal("the scenario registers no kernels")
+	}
 }
 
 // streamed and combinational are the Table 1 rows and FIRs that must

@@ -1,8 +1,9 @@
 // Package ip provides the reproduction's stand-ins for the Xilinx IP
 // cores of Table 1 (and the handwritten wavelet engine): for each
-// baseline, a behavioural Go model of the core's algorithm and a
-// structural synthesis report composed from the same Virtex-II primitive
-// models (package synth) that cost the ROCCC-generated circuits.
+// baseline, a structural synthesis report composed from the same
+// Virtex-II primitive models (package synth) that cost the
+// ROCCC-generated circuits, with the outputs per cycle the core
+// sustains. The baselines are reports only; nothing here simulates them.
 //
 // The microarchitectures follow the documented cores: XNOR-popcount
 // correlator, MULT18X18 multiplier-accumulator, pipelined restoring
@@ -53,19 +54,6 @@ func BitCorrelator() Core {
 	return Core{Name: "bit_correlator", Report: finish(r, crit, 0), OutputsPerCycle: 1}
 }
 
-// BitCorrelatorModel is the core's behaviour: the number of bits of x
-// equal to the mask bits.
-func BitCorrelatorModel(x, mask uint8) int {
-	same := ^(x ^ mask)
-	n := 0
-	for i := 0; i < 8; i++ {
-		if same&(1<<uint(i)) != 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // MulAcc is the 12x12 multiplier-accumulator: one MULT18X18 block, a
 // 25-bit accumulate adder, and an nd (new data) clock-enable — the
 // reason the IP needs no mux where the ROCCC circuit builds an
@@ -83,14 +71,6 @@ func MulAcc() Core {
 		crit = a
 	}
 	return Core{Name: "mul_acc", Report: finish(r, crit, 1), OutputsPerCycle: 1}
-}
-
-// MulAccModel accumulates a*b when nd is set.
-func MulAccModel(acc, a, b int64, nd bool) int64 {
-	if nd {
-		return acc + a*b
-	}
-	return acc
 }
 
 // UDiv is the 8-bit pipelined restoring divider: eight stages, each a
@@ -112,25 +92,6 @@ func UDiv() Core {
 	return Core{Name: "udiv", Report: finish(r, crit, 0), OutputsPerCycle: 1}
 }
 
-// UDivModel is the restoring-division behaviour (quotient of num/den).
-func UDivModel(num, den uint16) uint16 {
-	if den == 0 {
-		return 0xFF
-	}
-	r := uint32(num)
-	d := uint32(den) << 8
-	var q uint16
-	for i := 0; i < 8; i++ {
-		r <<= 1
-		q <<= 1
-		if r >= d {
-			r -= d
-			q |= 1
-		}
-	}
-	return q
-}
-
 // SquareRoot is the 24-bit pipelined restoring square root: twelve
 // stages of a 26-bit add/sub, select mux and root/remainder registers.
 func SquareRoot() Core {
@@ -141,23 +102,6 @@ func SquareRoot() Core {
 	r.Breakdown["control"] = 9
 	crit := 2*synth.AdderDelay(26) + synth.MuxDelay()
 	return Core{Name: "square_root", Report: finish(r, crit, 0), OutputsPerCycle: 1}
-}
-
-// SquareRootModel computes floor(sqrt(x)) by the restoring bit-pair
-// method the core implements.
-func SquareRootModel(x uint32) uint32 {
-	var rem, root uint32
-	rem = x
-	for i := 0; i < 12; i++ {
-		b := uint32(1) << uint(22-2*i)
-		if rem >= root+b {
-			rem -= root + b
-			root = root>>1 + b
-		} else {
-			root >>= 1
-		}
-	}
-	return root
 }
 
 // CosLUT is the Xilinx sine/cosine lookup core: a quarter-wave ROM with
@@ -194,11 +138,6 @@ func FIR() Core {
 	return Core{Name: "fir", Report: finish(r, crit, 0), OutputsPerCycle: 2}
 }
 
-// FIRModel computes one 5-tap output with the paper's coefficients.
-func FIRModel(w []int64) int64 {
-	return (3*w[0] + 5*w[1] + 7*w[2] + 9*w[3] - w[4]) >> 3
-}
-
 // DCT is the 1-D 8-point DA-based DCT core: serialized through a shared
 // DA unit, one transformed coefficient per clock (the throughput
 // contrast of §5: "The throughput of Xilinx DCT IP is one output data
@@ -231,79 +170,6 @@ func Wavelet() Core {
 	r.Breakdown["control FSM"] = 30
 	crit := 3*synth.AdderDelay(16) + 2*synth.MuxDelay() + 2.0 // + line-buffer access
 	return Core{Name: "wavelet", Report: finish(r, crit, 0), OutputsPerCycle: 4}
-}
-
-// Lift53Forward applies the 1-D (5,3) lifting analysis in place:
-// d[n] = x[2n+1] - floor((x[2n]+x[2n+2])/2),
-// s[n] = x[2n] + floor((d[n-1]+d[n]+2)/4). Returns (low, high).
-func Lift53Forward(x []int64) (low, high []int64) {
-	n := len(x) / 2
-	high = make([]int64, n)
-	low = make([]int64, n)
-	at := func(i int) int64 { // symmetric extension
-		if i < 0 {
-			i = -i
-		}
-		if i >= len(x) {
-			i = 2*(len(x)-1) - i
-		}
-		return x[i]
-	}
-	for k := 0; k < n; k++ {
-		high[k] = at(2*k+1) - floorDiv(at(2*k)+at(2*k+2), 2)
-	}
-	hAt := func(i int) int64 {
-		if i < 0 {
-			i = -i - 1
-		}
-		if i >= n {
-			i = 2*n - 1 - i
-		}
-		return high[i]
-	}
-	for k := 0; k < n; k++ {
-		low[k] = at(2*k) + floorDiv(hAt(k-1)+hAt(k)+2, 4)
-	}
-	return low, high
-}
-
-// Lift53Inverse reconstructs the signal from the (5,3) subbands.
-func Lift53Inverse(low, high []int64) []int64 {
-	n := len(low)
-	x := make([]int64, 2*n)
-	hAt := func(i int) int64 {
-		if i < 0 {
-			i = -i - 1
-		}
-		if i >= n {
-			i = 2*n - 1 - i
-		}
-		return high[i]
-	}
-	for k := 0; k < n; k++ {
-		x[2*k] = low[k] - floorDiv(hAt(k-1)+hAt(k)+2, 4)
-	}
-	at := func(i int) int64 {
-		if i < 0 {
-			i = -i
-		}
-		if i >= 2*n {
-			i = 2*(2*n-1) - i
-		}
-		return x[i]
-	}
-	for k := 0; k < n; k++ {
-		x[2*k+1] = high[k] + floorDiv(at(2*k)+at(2*k+2), 2)
-	}
-	return x
-}
-
-func floorDiv(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
-	}
-	return q
 }
 
 // All returns the nine baselines in Table 1 row order.

@@ -1,11 +1,6 @@
 package ip
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestAllCoresHaveReports(t *testing.T) {
 	for _, c := range All() {
@@ -18,103 +13,6 @@ func TestAllCoresHaveReports(t *testing.T) {
 		if c.OutputsPerCycle <= 0 {
 			t.Errorf("%s: throughput %.1f", c.Name, c.OutputsPerCycle)
 		}
-	}
-}
-
-func TestBitCorrelatorModel(t *testing.T) {
-	if got := BitCorrelatorModel(0xB6, 0xB6); got != 8 {
-		t.Errorf("exact match = %d, want 8", got)
-	}
-	if got := BitCorrelatorModel(^uint8(0xB6), 0xB6); got != 0 {
-		t.Errorf("complement = %d, want 0", got)
-	}
-	f := func(x, m uint8) bool {
-		n := 0
-		for i := 0; i < 8; i++ {
-			if (x>>uint(i))&1 == (m>>uint(i))&1 {
-				n++
-			}
-		}
-		return BitCorrelatorModel(x, m) == n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestUDivModelExhaustive(t *testing.T) {
-	for num := 0; num < 256; num++ {
-		for den := 1; den < 256; den++ {
-			got := UDivModel(uint16(num), uint16(den))
-			if got != uint16(num/den) {
-				t.Fatalf("%d/%d = %d, want %d", num, den, got, num/den)
-			}
-		}
-	}
-}
-
-func TestSquareRootModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	check := func(x uint32) {
-		got := SquareRootModel(x)
-		want := uint32(math.Sqrt(float64(x)))
-		for want*want > x {
-			want--
-		}
-		for (want+1)*(want+1) <= x {
-			want++
-		}
-		if got != want {
-			t.Fatalf("sqrt(%d) = %d, want %d", x, got, want)
-		}
-	}
-	for i := 0; i < 2000; i++ {
-		check(uint32(rng.Int63n(1 << 24)))
-	}
-	check(0)
-	check(1)
-	check((1 << 24) - 1)
-}
-
-func TestFIRModel(t *testing.T) {
-	w := []int64{1, 2, 3, 4, 5}
-	want := int64(3*1+5*2+7*3+9*4-5) >> 3
-	if got := FIRModel(w); got != want {
-		t.Errorf("fir = %d, want %d", got, want)
-	}
-}
-
-func TestMulAccModel(t *testing.T) {
-	acc := int64(0)
-	acc = MulAccModel(acc, 3, 4, true)
-	acc = MulAccModel(acc, 100, 100, false)
-	acc = MulAccModel(acc, -2, 5, true)
-	if acc != 2 {
-		t.Errorf("acc = %d, want 2", acc)
-	}
-}
-
-// TestLift53PerfectReconstruction is the wavelet engine's defining
-// property: the (5,3) transform is lossless.
-func TestLift53PerfectReconstruction(t *testing.T) {
-	f := func(seed int64, n8 uint8) bool {
-		n := (int(n8%14) + 2) * 2 // even lengths 4..30
-		rng := rand.New(rand.NewSource(seed))
-		x := make([]int64, n)
-		for i := range x {
-			x[i] = rng.Int63n(511) - 256
-		}
-		low, high := Lift53Forward(x)
-		back := Lift53Inverse(low, high)
-		for i := range x {
-			if back[i] != x[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 

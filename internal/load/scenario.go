@@ -5,8 +5,6 @@ import (
 
 	"roccc/internal/bench"
 	"roccc/internal/core"
-	"roccc/internal/exp"
-	"roccc/internal/netlist"
 	"roccc/internal/serve"
 )
 
@@ -66,12 +64,12 @@ type Scenario struct {
 	faultMix []int // indexes into Mix with a fault template
 }
 
-// BuildScenario compiles the Table 1 kernels, the fault divider and the
-// ci/corpus kernels (corpusDir may be empty or missing) into a request
-// mix: every streaming kernel enters the mix with an equal share, input
-// templates are generated deterministically, and the divider also gets
-// a planted-fault template. Combinational kernels stay in Specs (the
-// fleet registers them) but draw no load.
+// BuildScenario compiles the Table 1 kernels, the fault divider
+// (bench.Divider) and the ci/corpus kernels (corpusDir may be empty or
+// missing) into a request mix: every streaming kernel enters the mix
+// with an equal share, input templates are generated deterministically,
+// and the divider also gets a planted-fault template. Combinational
+// kernels stay in Specs (the fleet registers them) but draw no load.
 func BuildScenario(corpusDir string, faultFrac, discFrac float64, streams int) (*Scenario, error) {
 	if faultFrac < 0 || discFrac < 0 || faultFrac+discFrac > 1 {
 		return nil, fmt.Errorf("load: fault (%g) and disconnect (%g) fractions must be >= 0 and sum to <= 1", faultFrac, discFrac)
@@ -79,11 +77,8 @@ func BuildScenario(corpusDir string, faultFrac, discFrac float64, streams int) (
 	if streams <= 0 {
 		return nil, fmt.Errorf("load: streams per request must be positive (got %d)", streams)
 	}
-	specs := serve.Specs(bench.All())
-	specs = append(specs, serve.KernelSpec{
-		Name: "divide_fault", Source: exp.DividerSource, Func: "divide",
-		Options: core.DefaultOptions(), Config: netlist.Config{BusElems: 1},
-	})
+	divider := bench.Divider()
+	specs := serve.Specs(append(bench.All(), divider))
 	corpus, err := bench.Corpus(corpusDir)
 	if err != nil {
 		return nil, err
@@ -111,14 +106,14 @@ func BuildScenario(corpusDir string, faultFrac, discFrac float64, streams int) (
 			for j := range vals {
 				vals[j] = int64(splitmix64(&rng)%255) - 128
 			}
-			if spec.Name == "divide_fault" && w.Arr.Name == "B" {
+			if spec.Name == divider.Name && w.Arr.Name == "B" {
 				for j := range vals {
 					vals[j] = int64(splitmix64(&rng)%97) + 1
 				}
 			}
 			m.inputs[w.Arr.Name] = vals
 		}
-		if spec.Name == "divide_fault" {
+		if spec.Name == divider.Name {
 			m.faultInputs = map[string][]int64{}
 			for name, vals := range m.inputs {
 				fv := make([]int64, len(vals))

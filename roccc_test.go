@@ -128,23 +128,34 @@ func TestPublicSystem(t *testing.T) {
 
 // TestLibraryLinksOnlyCompiler pins the layering: importing the library
 // links the compiler, the simulators and the hardware model, and none
-// of the evaluation, the service or its network stack.
+// of the evaluation, the service or its network stack; the load
+// generator links the service but not the evaluation.
 func TestLibraryLinksOnlyCompiler(t *testing.T) {
-	out, err := exec.Command("go", "list", "-deps", ".").Output()
-	if err != nil {
-		t.Fatalf("go list -deps .: %v", err)
-	}
-	deps := strings.Fields(string(out))
-	if !slices.Contains(deps, "roccc/internal/core") {
-		t.Fatalf("go list -deps . does not list the compiler:\n%s", out)
-	}
-	for _, bad := range []string{
-		"net/http",
-		"roccc/internal/bench", "roccc/internal/exp", "roccc/internal/fleet",
-		"roccc/internal/ip", "roccc/internal/load", "roccc/internal/serve",
+	for _, tc := range []struct {
+		pkg, needs string
+		bad        []string
+	}{
+		{".", "roccc/internal/core", []string{
+			"net/http",
+			"roccc/internal/bench", "roccc/internal/exp", "roccc/internal/fleet",
+			"roccc/internal/ip", "roccc/internal/load", "roccc/internal/serve",
+		}},
+		{"./cmd/rocccload", "roccc/internal/load", []string{
+			"roccc/internal/exp", "roccc/internal/ip",
+		}},
 	} {
-		if slices.Contains(deps, bad) {
-			t.Errorf("package roccc depends on %s", bad)
+		out, err := exec.Command("go", "list", "-deps", tc.pkg).Output()
+		if err != nil {
+			t.Fatalf("go list -deps %s: %v", tc.pkg, err)
+		}
+		deps := strings.Fields(string(out))
+		if !slices.Contains(deps, tc.needs) {
+			t.Fatalf("go list -deps %s does not list %s:\n%s", tc.pkg, tc.needs, out)
+		}
+		for _, bad := range tc.bad {
+			if slices.Contains(deps, bad) {
+				t.Errorf("%s depends on %s", tc.pkg, bad)
+			}
 		}
 	}
 }
