@@ -46,8 +46,9 @@ void fir() {
 // SweepSpecs is the matrix every sweep checks: the Fig. 3 FIR, the
 // 4096-iteration FIR, the nine Table 1 kernels (feedback and
 // combinational rows included), the fault divider (bench.Divider) and
-// the .c kernels in corpusDir (bench.Corpus). An empty or missing corpusDir adds no
-// kernels, so callers away from the repo root check the built-ins.
+// the .c kernels in corpusDir (bench.Corpus). An empty or missing
+// corpusDir adds no kernels, so callers away from the repo root check
+// the built-ins.
 func SweepSpecs(corpusDir string) ([]serve.KernelSpec, error) {
 	one := netlist.Config{BusElems: 1}
 	specs := []serve.KernelSpec{

@@ -36,6 +36,9 @@ func TestScenarioKernelsAreServed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(sc.Specs) == 0 {
+		t.Fatal("the scenario registers no kernels")
+	}
 	served := map[string]serve.KernelSpec{}
 	for _, spec := range sweepSpecs(t) {
 		served[spec.Name] = spec
@@ -47,9 +50,6 @@ func TestScenarioKernelsAreServed(t *testing.T) {
 		} else if !reflect.DeepEqual(got, spec) {
 			t.Errorf("%s: SweepSpecs has %+v, the scenario %+v", spec.Name, got, spec)
 		}
-	}
-	if len(sc.Specs) == 0 {
-		t.Fatal("the scenario registers no kernels")
 	}
 }
 
